@@ -12,20 +12,12 @@
 /// purpose. Keep sorted.
 pub const ENV_REGISTRY: &[(&str, &str)] = &[
     (
-        "AGGPROV_BENCH_COMMIT",
-        "commit id stamped into benchmark trajectory records",
-    ),
-    (
         "AGGPROV_BENCH_SAMPLES",
         "sample-count override for the benchmark harness",
     ),
     (
         "AGGPROV_THREADS",
         "worker-thread count for the parallel ground-partition pipeline",
-    ),
-    (
-        "AGGPROV_TYPED",
-        "typed columnar kernels toggle: 1 (default) typed, 0 boxed baseline",
     ),
 ];
 

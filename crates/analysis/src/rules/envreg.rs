@@ -110,8 +110,8 @@ mod tests {
     #[test]
     fn extracts_vars_from_literals() {
         assert_eq!(
-            extract_vars("\"AGGPROV_THREADS and AGGPROV_BENCH_COMMIT=x\""),
-            vec!["AGGPROV_THREADS", "AGGPROV_BENCH_COMMIT"]
+            extract_vars("\"AGGPROV_THREADS and AGGPROV_BENCH_SAMPLES=x\""),
+            vec!["AGGPROV_THREADS", "AGGPROV_BENCH_SAMPLES"]
         );
         assert!(extract_vars("\"AGGPROV_ prefix only\"").is_empty());
     }
@@ -124,12 +124,9 @@ mod tests {
         }
     }
 
-    const ALL_DOCUMENTED: &str =
-        "AGGPROV_THREADS AGGPROV_TYPED AGGPROV_BENCH_COMMIT AGGPROV_BENCH_SAMPLES";
+    const ALL_DOCUMENTED: &str = "AGGPROV_THREADS AGGPROV_BENCH_SAMPLES";
     const READS_ALL: &str = "fn f() {\n\
         env(\"AGGPROV_THREADS\");\n\
-        env(\"AGGPROV_TYPED\");\n\
-        env(\"AGGPROV_BENCH_COMMIT\");\n\
         env(\"AGGPROV_BENCH_SAMPLES\");\n\
         }\n";
 

@@ -1,22 +1,11 @@
-//! Shared fixtures for the benchmark harness, the partition-parallel
-//! measurement ([`parbench`]), the batch-pipeline measurement
-//! ([`batchbench`]), the plan-optimizer measurement ([`optbench`]), the
-//! typed-kernel measurement ([`typedbench`]) and the perf-trajectory
-//! tooling behind the enforcing `check_trajectory` CI gate
-//! ([`trajectory`]).
+//! Shared inputs for the paper-experiment benches and the `tables` bin:
+//! the Figure 2 scenario at scale and a benign salary distribution. The
+//! end-to-end + per-layer benchmark (`src/bin/e2e/`, `BENCHMARK.json`) is
+//! self-contained and imports nothing from here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
-
-pub mod batchbench;
-pub mod fixtures;
-pub mod optbench;
-pub mod parbench;
-pub mod serverbench;
-pub mod trajectory;
-pub mod typedbench;
-pub mod viewbench;
 
 use aggprov_algebra::num::Num;
 use aggprov_algebra::poly::Var;

@@ -21,15 +21,17 @@
 //! loop compacts the selection vector branchlessly, and large kernels
 //! shard the selection across the `par::fan_out` workers in
 //! contiguous ranges — bit-identical to the serial loop, including which
-//! row raises a type error first. Boxed columns keep the `Const` row
-//! loop below as their (and the `AGGPROV_TYPED=0` baseline's) path.
+//! row raises a type error first. Boxed columns (mixed types, booleans,
+//! non-integer rationals, mispredicted hints) keep the `Const` row loop
+//! below.
 //!
 //! Division of labour with the row-at-a-time operators of [`crate::ops`]:
 //!
-//! * **filter** and **unit-column append** have no cross-row terms in
-//!   §4.3, so a chunk stays a chunk even with a non-empty fringe — ground
-//!   rows take the vectorized comparison, fringe rows the token path
-//!   (annotation × token, as in [`crate::ops::select_with_token`]);
+//! * **filter**, **unit-column append** and **AVG division** have no
+//!   cross-row terms in §4.3, so a chunk stays a chunk even with a
+//!   non-empty fringe — ground rows take the vectorized comparison,
+//!   fringe rows the token path (annotation × token, as in
+//!   [`crate::ops::select_with_token`]);
 //! * **projection**, **join**, **aggregation** and **set operations** sum
 //!   token-weighted contributions *across* rows when symbolic values are
 //!   present, so their batch kernels require an empty fringe — the
@@ -48,11 +50,12 @@ use crate::ops::MKRel;
 use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
+use aggprov_algebra::num::Num;
 use aggprov_krel::batch::{ColumnBatch, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::{ColumnLayout, TypedColumn};
+use aggprov_krel::typed::{ColHint, TypedColumn};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -91,25 +94,21 @@ pub struct Chunk<A: AggAnnotation> {
     /// Selected ground-row indices, ascending; `None` = all rows.
     sel: Option<Vec<u32>>,
     fringe: Vec<(Tuple<Value<A>>, A)>,
-    /// True iff this chunk was built under a forced-boxed layout
-    /// (`AGGPROV_TYPED=0`): columns it appends stay boxed too, so the
-    /// baseline never silently re-enters a typed path.
-    boxed: bool,
 }
 
 impl<A: AggAnnotation> Chunk<A> {
-    /// Splits a relation into a chunk with the default probing column
-    /// layout; see [`Chunk::from_relation_with`].
+    /// Splits a relation into a chunk with every column probing its
+    /// variant from the data; see [`Chunk::from_relation_with`].
     pub fn from_relation(rel: &MKRel<A>) -> Self {
-        Self::from_relation_with(rel, &ColumnLayout::typed())
+        Self::from_relation_with(rel, &[])
     }
 
     /// Splits a relation into a chunk (ground columns + symbolic fringe),
-    /// preserving support order in both partitions. Ground columns are
-    /// shaped by `layout`: typed with per-column variant probing (and
-    /// optional catalog hints), or forced boxed.
-    pub fn from_relation_with(rel: &MKRel<A>, layout: &ColumnLayout) -> Self {
-        let batch = GroundBatch::from_relation_with(rel, Value::as_const, layout);
+    /// preserving support order in both partitions. Ground column `i`
+    /// starts in the variant the catalog hint `hints[i]` names; missing
+    /// and `None` entries probe from the data.
+    pub fn from_relation_with(rel: &MKRel<A>, hints: &[Option<ColHint>]) -> Self {
+        let batch = GroundBatch::from_relation_with(rel, Value::as_const, hints);
         let (ground, fringe) = batch.into_parts();
         Chunk {
             schema: rel.schema().clone(),
@@ -117,7 +116,6 @@ impl<A: AggAnnotation> Chunk<A> {
             ground,
             sel: None,
             fringe,
-            boxed: layout.is_boxed(),
         }
     }
 
@@ -236,9 +234,9 @@ impl<A: AggAnnotation> Chunk<A> {
     }
 
     /// Errors unless the chunk is fringe-free. The cross-row kernels
-    /// (projection, join, AVG division) are only defined over ground
-    /// rows — symbolic values need the token-weighted operators of
-    /// [`crate::ops`] — so misuse must fail loudly, not corrupt results.
+    /// (projection, join) are only defined over ground rows — symbolic
+    /// values need the token-weighted operators of [`crate::ops`] — so
+    /// misuse must fail loudly, not corrupt results.
     fn require_all_ground(&self, kernel: &str) -> Result<()> {
         if self.fringe.is_empty() {
             Ok(())
@@ -419,14 +417,13 @@ impl<A: AggAnnotation> Chunk<A> {
             view,
             sel: self.sel,
             fringe: self.fringe,
-            boxed: self.boxed,
         })
     }
 
     /// The unit-column kernel: appends the constant-1 column COUNT/AVG
     /// aggregate over (`ι(1)` per row). Per-row on both partitions, so
     /// the fringe stays in the chunk. The appended column is an unboxed
-    /// `i64` run — unless the chunk is in forced-boxed baseline mode.
+    /// `i64` run.
     pub fn add_unit_column(mut self, schema: Schema) -> Result<Chunk<A>> {
         if schema.arity() != self.schema.arity() + 1 {
             return Err(RelError::ArityMismatch {
@@ -434,12 +431,7 @@ impl<A: AggAnnotation> Chunk<A> {
                 got: schema.arity(),
             });
         }
-        let n = self.ground.len();
-        let ones = if self.boxed {
-            TypedColumn::Boxed(vec![Const::int(1); n])
-        } else {
-            TypedColumn::Num(vec![1i64; n])
-        };
+        let ones = TypedColumn::Num(vec![1i64; self.ground.len()]);
         self.ground.push_typed_column(ones)?;
         self.view.push(self.ground.arity() - 1);
         for (t, _) in &mut self.fringe {
@@ -452,51 +444,51 @@ impl<A: AggAnnotation> Chunk<A> {
     }
 
     /// The AVG-division kernel: appends one `sum / cnt` column per
-    /// `(sum, cnt)` logical-position pair. Both inputs are ground numbers
-    /// here by construction (a symbolic SUM or COUNT puts the row on the
-    /// fringe, and the engine falls back to its row-at-a-time AVG path,
-    /// which raises the paper-footnote-6 error). A zero count drops the
-    /// row when `ungrouped` (SQL's NULL AVG over empty input; the engine
-    /// has no NULLs) and errors otherwise — grouped AVG never sees an
-    /// empty group.
+    /// `(sum, cnt)` logical-position pair. Per-row on both partitions, so
+    /// the fringe stays in the chunk: a fringe row whose SUM and COUNT
+    /// both resolved (only a group key is symbolic) divides like a ground
+    /// row; a symbolic SUM or COUNT raises the paper-footnote-6 error
+    /// (division in the monoid — select SUM and COUNT separately to keep
+    /// provenance). A zero count drops the row when `ungrouped` (SQL's
+    /// NULL AVG over empty input; the engine has no NULLs) and errors
+    /// otherwise — grouped AVG never sees an empty group.
     pub fn avg_divide(
         mut self,
         pairs: &[(usize, usize)],
         ungrouped: bool,
         schema: Schema,
     ) -> Result<Chunk<A>> {
-        self.require_all_ground("batch AVG division")?;
         if schema.arity() != self.schema.arity() + pairs.len() {
             return Err(RelError::ArityMismatch {
                 expected: self.schema.arity() + pairs.len(),
                 got: schema.arity(),
             });
         }
+        // One row's quotient; `Ok(None)` drops the row.
+        let divide = |sum: Option<Num>, cnt: Option<Num>| -> Result<Option<Num>> {
+            match (sum, cnt) {
+                (Some(s), Some(c)) => match s.checked_div(&c) {
+                    Some(avg) => Ok(Some(avg)),
+                    None if ungrouped => Ok(None),
+                    None => Err(RelError::Unsupported("AVG over an empty group".into())),
+                },
+                _ => Err(RelError::Unsupported(
+                    "AVG over symbolic provenance does not resolve; select SUM and \
+                     COUNT separately (paper footnote 6)"
+                        .into(),
+                )),
+            }
+        };
         let nrows = self.ground.len();
         let mut kept: Vec<u32> = Vec::new();
         let mut avg_cols: Vec<Vec<Const>> = vec![Vec::new(); pairs.len()];
         'rows: for r in self.selected() {
             let mut avgs: Vec<Const> = Vec::with_capacity(pairs.len());
             for (si, ci) in pairs {
-                let sum = self.at(*si, r)?.as_num();
-                let cnt = self.at(*ci, r)?.as_num();
-                let avg = match (sum, cnt) {
-                    (Some(s), Some(c)) => match s.checked_div(&c) {
-                        Some(avg) => avg,
-                        None if ungrouped => continue 'rows,
-                        None => {
-                            return Err(RelError::Unsupported("AVG over an empty group".into()))
-                        }
-                    },
-                    _ => {
-                        return Err(RelError::Unsupported(
-                            "AVG over symbolic provenance does not resolve; select SUM and \
-                             COUNT separately (paper footnote 6)"
-                                .into(),
-                        ))
-                    }
-                };
-                avgs.push(Const::Num(avg));
+                match divide(self.at(*si, r)?.as_num(), self.at(*ci, r)?.as_num())? {
+                    Some(avg) => avgs.push(Const::Num(avg)),
+                    None => continue 'rows,
+                }
             }
             kept.push(r);
             for (col, v) in avg_cols.iter_mut().zip(avgs) {
@@ -512,15 +504,23 @@ impl<A: AggAnnotation> Chunk<A> {
                 // lint:allow(index, reason = "kept rows come from selected() and are < nrows")
                 full[r as usize] = v;
             }
-            let full = if self.boxed {
-                TypedColumn::Boxed(full)
-            } else {
-                TypedColumn::from_consts(full)
-            };
-            self.ground.push_typed_column(full)?;
+            self.ground.push_column(full)?;
             self.view.push(self.ground.arity() - 1);
         }
         self.sel = Some(kept);
+        let mut kept_fringe = Vec::with_capacity(self.fringe.len());
+        'fringe: for (t, k) in self.fringe.drain(..) {
+            let mut row = t.values().to_vec();
+            let num_at = |i: usize| t.get(i).as_const().and_then(Const::as_num);
+            for (si, ci) in pairs {
+                match divide(num_at(*si), num_at(*ci))? {
+                    Some(avg) => row.push(Value::Const(Const::Num(avg))),
+                    None => continue 'fringe,
+                }
+            }
+            kept_fringe.push((Tuple::new(row), k));
+        }
+        self.fringe = kept_fringe;
         self.schema = schema;
         Ok(self)
     }
@@ -607,11 +607,10 @@ pub fn hash_join<A: AggAnnotation>(
                 pairs = typed::join_pairs_str(l, r, &lsel, &rsel, opts)?;
             }
             (lcol, rcol) => {
-                // Mixed variants (including the forced-boxed baseline):
-                // structural `Const` equality over owned-or-borrowed key
-                // columns. Cross-variant keys simply never match typed
-                // storage of the other type, which is exactly structural
-                // equality's answer.
+                // Mixed or boxed variants: structural `Const` equality
+                // over owned-or-borrowed key columns. Cross-variant keys
+                // simply never match typed storage of the other type,
+                // which is exactly structural equality's answer.
                 let (lkeys, rkeys) = (key_consts(lcol), key_consts(rcol));
                 let mut index: HashMap<&Const, Vec<u32>> = HashMap::new();
                 for &rr in &rsel {
@@ -681,7 +680,6 @@ pub fn hash_join<A: AggAnnotation>(
         ground,
         sel: None,
         fringe: Vec::new(),
-        boxed: left.boxed || right.boxed,
     })
 }
 
@@ -717,6 +715,13 @@ mod tests {
         )
     }
 
+    /// Hint vectors for the all-integer test relations: probing (unboxed
+    /// `Num` columns) and mispredicted-as-text (every column demotes to
+    /// `Boxed` on its first value).
+    fn int_layouts() -> [Vec<Option<ColHint>>; 2] {
+        [Vec::new(), vec![Some(ColHint::Str); 2]]
+    }
+
     fn mixed() -> MKRel<P> {
         Relation::from_rows(
             sch(&["a", "b"]),
@@ -741,7 +746,7 @@ mod tests {
     #[test]
     fn filter_matches_select_on_ground_and_fringe() {
         let rel = mixed();
-        for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
+        for layout in int_layouts() {
             let mut c = Chunk::from_relation_with(&rel, &layout);
             c.filter(
                 &BatchOperand::Col(0),
@@ -772,10 +777,20 @@ mod tests {
 
     #[test]
     fn ordering_across_types_is_a_type_error() {
-        let rel: MKRel<P> =
+        // A dictionary-encoded column, and a mixed-type one that demotes
+        // to boxed.
+        let strs: MKRel<P> =
             Relation::from_rows(sch(&["a"]), [(vec![Value::str("s")], tok("p1"))]).unwrap();
-        for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
-            let mut c = Chunk::from_relation_with(&rel, &layout);
+        let mixed: MKRel<P> = Relation::from_rows(
+            sch(&["a"]),
+            [
+                (vec![Value::str("s")], tok("p1")),
+                (vec![Value::Const(Const::Bool(true))], tok("p2")),
+            ],
+        )
+        .unwrap();
+        for rel in [strs, mixed] {
+            let mut c = Chunk::from_relation(&rel);
             let err = c
                 .filter(
                     &BatchOperand::Col(0),
@@ -786,7 +801,7 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("cannot order"), "{err}");
             // ≠ across types is simply true, as on the token path.
-            let mut c = Chunk::from_relation_with(&rel, &layout);
+            let mut c = Chunk::from_relation(&rel);
             c.filter(
                 &BatchOperand::Col(0),
                 BatchCmp::Pred(CmpPred::Ne),
@@ -794,7 +809,7 @@ mod tests {
                 &serial(),
             )
             .unwrap();
-            assert_eq!(c.ground_len(), 1);
+            assert_eq!(c.ground_len(), rel.len());
         }
     }
 
@@ -859,7 +874,7 @@ mod tests {
         .unwrap();
         let schema = sch(&["a", "b", "c", "d"]);
         let want = ops::join_on(&r, &s, &[("a", "c")]).unwrap();
-        for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
+        for layout in int_layouts() {
             let j = hash_join(
                 Chunk::from_relation_with(&r, &layout),
                 Chunk::from_relation_with(&s, &layout),
@@ -917,9 +932,18 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
+        assert_eq!(typed, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
+
+        // One integer key demotes the build side's key column to boxed:
+        // the dictionary-encoded probe side now meets it through the
+        // structural `Const` index, and the integer matches nothing.
+        let mut s_mixed = s.clone();
+        s_mixed
+            .insert(vec![Value::int(7), Value::int(40)], tok("q4"))
+            .unwrap();
         let boxed = hash_join(
-            Chunk::from_relation_with(&r, &ColumnLayout::boxed()),
-            Chunk::from_relation_with(&s, &ColumnLayout::boxed()),
+            Chunk::from_relation(&r),
+            Chunk::from_relation(&s_mixed),
             &[(0, 0)],
             schema,
             &serial(),
@@ -927,8 +951,8 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
-        assert_eq!(typed, boxed);
-        assert_eq!(typed, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
+        assert_eq!(boxed, typed);
+        assert_eq!(boxed, ops::join_on(&r, &s_mixed, &[("k", "k2")]).unwrap());
     }
 
     #[test]
@@ -972,9 +996,51 @@ mod tests {
     }
 
     #[test]
+    fn avg_divide_carries_the_fringe_row_wise() {
+        // A symbolic group key rides the fringe; its SUM and COUNT are
+        // ground, so the row divides like any other.
+        let rel: MKRel<P> = Relation::from_rows(
+            sch(&["g", "s", "n"]),
+            [
+                (vec![Value::int(1), Value::int(9), Value::int(2)], tok("p1")),
+                (vec![sym(5), Value::int(7), Value::int(2)], tok("p2")),
+            ],
+        )
+        .unwrap();
+        let half = |n| Value::Const(Const::Num(Num::ratio(n, 2)));
+        let out_schema = sch(&["g", "s", "n", "avg"]);
+        let want: MKRel<P> = Relation::from_rows(
+            out_schema.clone(),
+            [
+                (
+                    vec![Value::int(1), Value::int(9), Value::int(2), half(9)],
+                    tok("p1"),
+                ),
+                (
+                    vec![sym(5), Value::int(7), Value::int(2), half(7)],
+                    tok("p2"),
+                ),
+            ],
+        )
+        .unwrap();
+        let got = Chunk::from_relation(&rel)
+            .avg_divide(&[(1, 2)], false, out_schema)
+            .unwrap();
+        assert_eq!(got.fringe().len(), 1);
+        assert_eq!(got.into_relation().unwrap(), want);
+
+        // A symbolic SUM is the footnote-6 error, as on ground rows whose
+        // parts are not numbers.
+        let err = Chunk::from_relation(&mixed())
+            .avg_divide(&[(1, 0)], false, sch(&["a", "b", "m"]))
+            .unwrap_err();
+        assert!(err.to_string().contains("footnote 6"), "{err}");
+    }
+
+    #[test]
     fn cross_row_kernels_reject_symbolic_fringes() {
-        // Projection, AVG division and hash join are only defined over
-        // ground rows; handing them a chunk with a fringe must be a loud
+        // Projection and hash join are only defined over ground rows;
+        // handing them a chunk with a fringe must be a loud
         // error (not a debug-only assert), or symbolic provenance would
         // silently drop in release builds.
         let rel = mixed();
@@ -982,10 +1048,6 @@ mod tests {
         assert!(chunk.has_fringe());
         let err = chunk.clone().project(&[0], sch(&["a"])).unwrap_err();
         assert!(err.to_string().contains("symbolic"), "{err}");
-        assert!(chunk
-            .clone()
-            .avg_divide(&[(0, 1)], false, sch(&["a", "b", "m"]))
-            .is_err());
         let ground: MKRel<P> =
             Relation::from_rows(sch(&["c"]), [(vec![Value::int(2)], tok("q"))]).unwrap();
         assert!(hash_join(

@@ -526,7 +526,6 @@ fn join_row_oob() -> RelError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aggprov_krel::typed::ColumnLayout;
 
     fn num_col(vals: &[i64]) -> TypedColumn {
         TypedColumn::Num(vals.to_vec())
@@ -728,7 +727,7 @@ mod tests {
 
     #[test]
     fn boxed_columns_decline_compilation() {
-        let col = TypedColumn::for_layout(&ColumnLayout::boxed(), 0, 0);
+        let col = TypedColumn::Boxed(Vec::new());
         assert!(compile_lit_test(&col, BatchCmp::Eq, &Const::int(1), false).is_none());
     }
 }

@@ -28,13 +28,6 @@ pub use aggprov_krel::relation::shard_index;
 /// The environment variable overriding the executor thread count.
 pub const THREADS_ENV: &str = "AGGPROV_THREADS";
 
-/// The environment variable toggling typed columnar kernels:
-/// `AGGPROV_TYPED=0` forces every chunk onto boxed `Vec<Const>` columns
-/// (the baseline the typed paths are benchmarked and property-tested
-/// against); `AGGPROV_TYPED=1` (the default) lets columns specialize to
-/// unboxed `i64` runs and dictionary-encoded strings.
-pub const TYPED_ENV: &str = "AGGPROV_TYPED";
-
 /// Execution options for the physical operators: how many worker threads
 /// an operator may shard its ground partition across.
 ///
@@ -44,24 +37,19 @@ pub const TYPED_ENV: &str = "AGGPROV_TYPED";
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ExecOptions {
     threads: usize,
-    typed: bool,
 }
 
 impl ExecOptions {
     /// Single-threaded execution (the PR 2 behaviour; also what the plain
     /// `ops::join_on`-style wrappers use).
     pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            typed: true,
-        }
+        ExecOptions { threads: 1 }
     }
 
     /// Execution with exactly `threads` workers (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         ExecOptions {
             threads: threads.max(1),
-            typed: true,
         }
     }
 
@@ -75,48 +63,25 @@ impl ExecOptions {
     }
 
     /// The engine default: `AGGPROV_THREADS` when set, otherwise the
-    /// machine's available parallelism; typed columnar kernels unless
-    /// `AGGPROV_TYPED=0`.
+    /// machine's available parallelism.
     ///
-    /// A set-but-unusable value (not a positive integer thread count, not
-    /// a `0`/`1` typed toggle) is a loud [`RelError::InvalidEnv`] —
-    /// `AGGPROV_THREADS=fast` must fail the query, not silently
-    /// serialize it.
+    /// A set-but-unusable value (not a positive integer thread count) is
+    /// a loud [`RelError::InvalidEnv`] — `AGGPROV_THREADS=fast` must fail
+    /// the query, not silently serialize it.
     pub fn from_env() -> Result<Self> {
-        let base = match std::env::var(THREADS_ENV) {
-            Err(std::env::VarError::NotPresent) => Self::available(),
-            Err(std::env::VarError::NotUnicode(raw)) => {
-                return Err(RelError::InvalidEnv {
-                    var: THREADS_ENV,
-                    value: raw.to_string_lossy().into_owned(),
-                    expected: "a positive integer thread count",
-                })
-            }
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Self::with_threads(n),
-                _ => {
-                    return Err(RelError::InvalidEnv {
-                        var: THREADS_ENV,
-                        value: s,
-                        expected: "a positive integer thread count",
-                    })
-                }
-            },
-        };
-        match std::env::var(TYPED_ENV) {
-            Err(std::env::VarError::NotPresent) => Ok(base),
+        match std::env::var(THREADS_ENV) {
+            Err(std::env::VarError::NotPresent) => Ok(Self::available()),
             Err(std::env::VarError::NotUnicode(raw)) => Err(RelError::InvalidEnv {
-                var: TYPED_ENV,
+                var: THREADS_ENV,
                 value: raw.to_string_lossy().into_owned(),
-                expected: "0 (boxed columns) or 1 (typed columns)",
+                expected: "a positive integer thread count",
             }),
-            Ok(s) => match s.trim() {
-                "0" => Ok(base.with_typed(false)),
-                "1" => Ok(base.with_typed(true)),
+            Ok(s) => match s.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(Self::with_threads(n)),
                 _ => Err(RelError::InvalidEnv {
-                    var: TYPED_ENV,
+                    var: THREADS_ENV,
                     value: s,
-                    expected: "0 (boxed columns) or 1 (typed columns)",
+                    expected: "a positive integer thread count",
                 }),
             },
         }
@@ -130,18 +95,6 @@ impl ExecOptions {
     /// True iff execution is single-threaded.
     pub fn is_serial(&self) -> bool {
         self.threads == 1
-    }
-
-    /// True iff chunks may use typed column storage (unboxed `i64` runs,
-    /// dictionary-encoded strings); false forces the boxed baseline.
-    pub fn typed(&self) -> bool {
-        self.typed
-    }
-
-    /// Returns these options with the typed-column toggle set.
-    pub fn with_typed(mut self, typed: bool) -> Self {
-        self.typed = typed;
-        self
     }
 }
 
@@ -217,16 +170,6 @@ mod tests {
         assert_eq!(ExecOptions::with_threads(8).threads(), 8);
         assert!(ExecOptions::serial().is_serial());
         assert!(ExecOptions::available().threads() >= 1);
-    }
-
-    #[test]
-    fn typed_defaults_on_and_toggles() {
-        assert!(ExecOptions::serial().typed());
-        assert!(ExecOptions::with_threads(4).typed());
-        assert!(ExecOptions::default().typed());
-        let boxed = ExecOptions::serial().with_typed(false);
-        assert!(!boxed.typed());
-        assert!(boxed.with_typed(true).typed());
     }
 
     #[test]

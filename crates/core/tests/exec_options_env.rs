@@ -1,9 +1,9 @@
-//! `AGGPROV_THREADS` / `AGGPROV_TYPED` handling, isolated in its own
-//! test binary: the variables are process-global and this test mutates
-//! them (including setting invalid values), so it must not share a
-//! process with tests that might read them concurrently.
+//! `AGGPROV_THREADS` handling, isolated in its own test binary: the
+//! variable is process-global and this test mutates it (including
+//! setting invalid values), so it must not share a process with tests
+//! that might read it concurrently.
 
-use aggprov_core::par::{ExecOptions, THREADS_ENV, TYPED_ENV};
+use aggprov_core::par::{ExecOptions, THREADS_ENV};
 
 #[test]
 fn from_env_reads_and_rejects_loudly() {
@@ -25,30 +25,6 @@ fn from_env_reads_and_rejects_loudly() {
     match saved {
         Some(v) => std::env::set_var(THREADS_ENV, v),
         None => std::env::remove_var(THREADS_ENV),
-    }
-    assert!(ExecOptions::from_env().is_ok());
-
-    // The typed-kernel toggle: unset defaults to typed, `0` forces the
-    // boxed baseline, `1` is typed, anything else is a loud error.
-    let saved_typed = std::env::var(TYPED_ENV).ok();
-    std::env::remove_var(TYPED_ENV);
-    assert!(ExecOptions::from_env().unwrap().typed());
-    std::env::set_var(TYPED_ENV, "0");
-    assert!(!ExecOptions::from_env().unwrap().typed());
-    std::env::set_var(TYPED_ENV, " 1 ");
-    assert!(ExecOptions::from_env().unwrap().typed());
-    for bad in ["", "2", "yes", "true"] {
-        std::env::set_var(TYPED_ENV, bad);
-        let err = ExecOptions::from_env().unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains(TYPED_ENV) && msg.contains(&format!("`{bad}`")),
-            "loud error names variable and value: {msg}"
-        );
-    }
-    match saved_typed {
-        Some(v) => std::env::set_var(TYPED_ENV, v),
-        None => std::env::remove_var(TYPED_ENV),
     }
     assert!(ExecOptions::from_env().is_ok());
 }

@@ -1,9 +1,10 @@
-//! Property tests for the typed columnar storage and its monomorphic
-//! kernels: `TypedColumn` round-trips (unboxed `i64` runs, dictionary
+//! Property tests for the typed columnar storage and its kernels:
+//! `TypedColumn` round-trips (unboxed `i64` runs, dictionary
 //! re-materialization, mixed-type demotion to boxed) must be lossless,
-//! and the typed fast paths must be **bit-identical** to both the forced
-//! boxed baseline (`ColumnLayout::boxed()`, the `AGGPROV_TYPED=0` path)
-//! and the row-at-a-time `ops`/`specops` reference — at
+//! and the columnar filter and join must be **bit-identical** to the
+//! literal §4.3 `specops` reference — same relation or same error
+//! message — over `num`, `str` and `boxed` columns (boxed both from
+//! mixed-type data and from mispredicted catalog hints), at
 //! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
 //! the same oracle as the serial loops.
 
@@ -12,13 +13,17 @@ use aggprov_algebra::num::Num;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_core::km::{CmpPred, Km};
 use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
-use aggprov_core::ops::{self, MKRel};
+use aggprov_core::ops::MKRel;
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
+use aggprov_krel::batch::GroundBatch;
+use aggprov_krel::error::Result;
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::{ColHint, ColumnLayout, TypedColumn};
+use aggprov_krel::typed::{ColHint, TypedColumn};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::collections::BTreeSet;
 
 type P = Km<NatPoly>;
 
@@ -71,15 +76,55 @@ fn rel_from(prefix: &str, schema: Schema, rows: Vec<Vec<Const>>) -> MKRel<P> {
     .unwrap()
 }
 
-/// Asserts a typed filter, its boxed twin, and the `ops` oracle agree —
-/// Ok against Ok bit for bit, or all three erroring together.
+/// The three-column rows every kernel property draws: an all-integer
+/// column, an all-string column, and a mixed-type column.
+type RawRow = (RawConst, RawConst, RawConst);
+
+fn raw_rows(max: usize) -> impl Strategy<Value = Vec<RawRow>> {
+    prop::collection::vec((raw_int(), raw_str(), raw_const()), 0..max)
+}
+
+fn rel3(prefix: &str, names: [&str; 3], rows: Vec<RawRow>) -> MKRel<P> {
+    rel_from(
+        prefix,
+        Schema::new(names).unwrap(),
+        rows.into_iter()
+            .map(|(x, y, z)| vec![decode_const(x), decode_const(y), decode_const(z)])
+            .collect(),
+    )
+}
+
+/// The catalog-hint vectors every kernel check runs under: per-column
+/// probing, and both uniform hints. Over [`raw_rows`] data "all text"
+/// mispredicts the integer column (it demotes to boxed on its first
+/// value) and "all numeric" mispredicts the string column.
+fn layouts() -> [Vec<Option<ColHint>>; 3] {
+    [
+        Vec::new(),
+        vec![Some(ColHint::Num); 3],
+        vec![Some(ColHint::Str); 3],
+    ]
+}
+
+/// Asserts one result of the columnar path against the `specops` oracle:
+/// the same relation bit for bit, or the same error message.
+fn assert_matches_spec(got: &Result<MKRel<P>>, want: &Result<MKRel<P>>, ctx: &str) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => assert_eq!(g, w, "{ctx}"),
+        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+        _ => panic!("{ctx}: paths disagree on error: batch {got:?} vs specops {want:?}"),
+    }
+}
+
+/// Asserts the columnar filter and the `specops` oracle agree under every
+/// hint vector at threads 1 and 4.
 fn check_filter(rel: &MKRel<P>, col: usize, attr: &str, cmp: BatchCmp, lit: Const) {
     let value = Value::Const(lit.clone());
     let want = match cmp {
-        BatchCmp::Eq => ops::select_eq(rel, attr, &value),
-        BatchCmp::Pred(p) => ops::select_cmp(rel, attr, p, &value),
+        BatchCmp::Eq => specops::select_eq(rel, attr, &value),
+        BatchCmp::Pred(p) => specops::select_cmp(rel, attr, p, &value),
     };
-    for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
+    for layout in layouts() {
         for threads in [1usize, 4] {
             let opts = ExecOptions::with_threads(threads);
             let mut chunk = Chunk::from_relation_with(rel, &layout);
@@ -91,13 +136,42 @@ fn check_filter(rel: &MKRel<P>, col: usize, attr: &str, cmp: BatchCmp, lit: Cons
                     &opts,
                 )
                 .and_then(|()| chunk.into_relation());
-            match (&got, &want) {
-                (Ok(g), Ok(w)) => assert_eq!(g, w, "layout {layout:?} threads {threads}"),
-                (Err(_), Err(_)) => {}
-                _ => panic!("paths disagree on error: batch {got:?} vs ops {want:?}"),
-            }
+            assert_matches_spec(&got, &want, &format!("hints {layout:?} threads {threads}"));
         }
     }
+}
+
+/// The variant names the ground columns of `rel` take under `hints`.
+fn column_variants(rel: &MKRel<P>, hints: &[Option<ColHint>]) -> Vec<&'static str> {
+    let batch = GroundBatch::from_relation_with(rel, Value::as_const, hints);
+    (0..rel.schema().arity())
+        .filter_map(|i| batch.ground().col(i).map(TypedColumn::variant))
+        .collect()
+}
+
+/// The kernel properties below are only as strong as the column variants
+/// their generator reaches: [`raw_rows`] must yield unboxed, dictionary
+/// and boxed columns from the data alone, and a mispredicted hint must
+/// box an otherwise typed column.
+#[test]
+fn generator_covers_every_column_variant() {
+    let mut rng = TestRng::for_test("generator_covers_every_column_variant");
+    let mut probed = BTreeSet::new();
+    let mut mispredicted_int = BTreeSet::new();
+    for _ in 0..128 {
+        let rel = rel3("t", ["a", "b", "c"], raw_rows(14).generate(&mut rng));
+        if rel.is_empty() {
+            continue;
+        }
+        probed.extend(column_variants(&rel, &[]));
+        mispredicted_int.extend(
+            column_variants(&rel, &[Some(ColHint::Str)])
+                .first()
+                .copied(),
+        );
+    }
+    assert_eq!(probed, BTreeSet::from(["boxed", "num", "str"]));
+    assert_eq!(mispredicted_int, BTreeSet::from(["boxed"]));
 }
 
 proptest! {
@@ -130,9 +204,8 @@ proptest! {
     fn relation_batch_round_trip_is_lossless(
         rows in prop::collection::vec((raw_const(), raw_const(), raw_const()), 0..12),
     ) {
-        // Relation → typed chunk → Relation is the identity, whatever mix
-        // of variants the three columns probe into; and the typed and
-        // boxed layouts materialize the identical relation.
+        // Relation → chunk → Relation is the identity, whatever mix of
+        // variants the three columns probe into.
         let schema = Schema::new(["a", "b", "c"]).unwrap();
         let rel = rel_from(
             "t",
@@ -141,43 +214,28 @@ proptest! {
                 .map(|(x, y, z)| vec![decode_const(x), decode_const(y), decode_const(z)])
                 .collect(),
         );
-        let typed = Chunk::from_relation_with(&rel, &ColumnLayout::typed())
-            .into_relation()
-            .unwrap();
-        prop_assert_eq!(&typed, &rel);
-        let boxed = Chunk::from_relation_with(&rel, &ColumnLayout::boxed())
-            .into_relation()
-            .unwrap();
-        prop_assert_eq!(&boxed, &rel);
-        // A catalog hint that mispredicts the data (everything hinted
-        // Num) must demote gracefully, never corrupt.
-        let hinted = Chunk::from_relation_with(
-            &rel,
-            &ColumnLayout::with_hints(vec![Some(ColHint::Num); 3]),
-        )
-        .into_relation()
-        .unwrap();
-        prop_assert_eq!(&hinted, &rel);
+        // A catalog hint that mispredicts the data must demote
+        // gracefully, never corrupt.
+        for layout in layouts() {
+            let back = Chunk::from_relation_with(&rel, &layout)
+                .into_relation()
+                .unwrap();
+            prop_assert_eq!(&back, &rel, "hints {:?}", layout);
+        }
     }
 
     #[test]
     fn typed_filter_matches_boxed_and_ops(
-        rows in prop::collection::vec((raw_int(), raw_str()), 0..14),
+        rows in raw_rows(14),
         lit in raw_const(),
         which in 0u8..4,
     ) {
-        // Column 0 is an unboxed i64 run, column 1 a dictionary column;
-        // the literal ranges over every constant kind, so the compiled
-        // tests cover same-type, cross-type (lazy errors), non-integer
-        // rational folding and ±∞ folding.
-        let schema = Schema::new(["a", "b"]).unwrap();
-        let rel = rel_from(
-            "t",
-            schema,
-            rows.into_iter()
-                .map(|(x, y)| vec![decode_const(x), decode_const(y)])
-                .collect(),
-        );
+        // Column 0 is an unboxed i64 run (boxed under a text hint),
+        // column 1 a dictionary column, column 2 mixed (boxed once two
+        // kinds meet); the literal ranges over every constant kind, so
+        // the compiled tests cover same-type, cross-type (lazy errors),
+        // non-integer rational folding and ±∞ folding.
+        let rel = rel3("t", ["a", "b", "c"], rows);
         let cmp = match which {
             0 => BatchCmp::Eq,
             1 => BatchCmp::Pred(CmpPred::Lt),
@@ -185,74 +243,64 @@ proptest! {
             _ => BatchCmp::Pred(CmpPred::Ne),
         };
         let lit = decode_const(lit);
-        check_filter(&rel, 0, "a", cmp, lit.clone());
-        check_filter(&rel, 1, "b", cmp, lit);
+        for (col, attr) in ["a", "b", "c"].into_iter().enumerate() {
+            check_filter(&rel, col, attr, cmp, lit.clone());
+        }
     }
 
     #[test]
     fn typed_join_matches_boxed_and_specops(
-        l_rows in prop::collection::vec((raw_int(), raw_str()), 0..10),
-        r_rows in prop::collection::vec((raw_int(), raw_str()), 0..10),
-        on_str in prop::bool::ANY,
+        l_rows in raw_rows(10),
+        r_rows in raw_rows(10),
+        on in 0usize..3,
     ) {
-        // Join on the i64 column or the dictionary column: the integer
-        // hash index and the dictionary translation table against the
-        // boxed Const index and the literal §4.3 join.
-        let l = rel_from(
-            "l",
-            Schema::new(["a", "b"]).unwrap(),
-            l_rows
-                .into_iter()
-                .map(|(x, y)| vec![decode_const(x), decode_const(y)])
-                .collect(),
-        );
-        let r = rel_from(
-            "r",
-            Schema::new(["c", "d"]).unwrap(),
-            r_rows
-                .into_iter()
-                .map(|(x, y)| vec![decode_const(x), decode_const(y)])
-                .collect(),
-        );
-        let (on_idx, on_names) = if on_str {
-            ([(1usize, 1usize)], [("b", "d")])
-        } else {
-            ([(0usize, 0usize)], [("a", "c")])
-        };
-        let schema = Schema::new(["a", "b", "c", "d"]).unwrap();
-        let want = specops::join_on(&l, &r, &on_names).unwrap();
-        for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
+        // Join on the i64 column, the dictionary column or the mixed
+        // column: the integer hash index, the dictionary translation
+        // table and the structural `Const` index (boxed and cross-variant
+        // keys) against the literal §4.3 join.
+        let l = rel3("l", ["a", "b", "c"], l_rows);
+        let r = rel3("r", ["d", "e", "f"], r_rows);
+        let on_names = [(["a", "b", "c"][on], ["d", "e", "f"][on])];
+        let schema = Schema::new(["a", "b", "c", "d", "e", "f"]).unwrap();
+        let want = specops::join_on(&l, &r, &on_names);
+        for layout in layouts() {
             for threads in [1usize, 4] {
                 let got = hash_join(
                     Chunk::from_relation_with(&l, &layout),
                     Chunk::from_relation_with(&r, &layout),
-                    &on_idx,
+                    &[(on, on)],
                     schema.clone(),
                     &ExecOptions::with_threads(threads),
                 )
-                .unwrap()
-                .into_relation()
-                .unwrap();
-                prop_assert_eq!(&got, &want, "layout {:?} threads {}", layout, threads);
+                .and_then(Chunk::into_relation);
+                assert_matches_spec(&got, &want, &format!("hints {layout:?} threads {threads}"));
             }
         }
     }
 }
 
 /// Above the sharding threshold (8192 rows), the fan-out kernels must be
-/// bit-identical to the serial loops — including which row's error wins
-/// when a cross-type ordering appears mid-column.
+/// bit-identical to the serial loops and to `specops`, over typed columns
+/// and over columns a mispredicted hint boxed.
 #[test]
 fn sharded_kernels_match_serial_above_threshold() {
-    const N: i64 = 20_000;
-    let schema = Schema::new(["a", "b"]).unwrap();
+    // Distinct rows (the `id` column), so nothing merges away: both
+    // filters and the join probe see more than 8192 selected rows.
+    const N: i64 = 24_000;
     let rel = rel_from(
         "t",
-        schema,
+        Schema::new(["a", "b", "id"]).unwrap(),
         (0..N)
-            .map(|i| vec![Const::int(i % 257), Const::str(STRS[(i % 4) as usize])])
+            .map(|i| {
+                vec![
+                    Const::int(i % 257),
+                    Const::str(STRS[(i % 4) as usize]),
+                    Const::int(i),
+                ]
+            })
             .collect(),
     );
+    assert_eq!(rel.len(), N as usize);
     let dim = rel_from(
         "d",
         Schema::new(["c", "e"]).unwrap(),
@@ -260,9 +308,16 @@ fn sharded_kernels_match_serial_above_threshold() {
             .map(|i| vec![Const::int(i), Const::int(i * 10)])
             .collect(),
     );
-    let out_schema = Schema::new(["a", "b", "c", "e"]).unwrap();
-    let mut results = Vec::new();
-    for layout in [ColumnLayout::typed(), ColumnLayout::boxed()] {
+    let out_schema = Schema::new(["a", "b", "id", "c", "e"]).unwrap();
+    let filtered = specops::select_cmp(&rel, "a", CmpPred::Lt, &Value::int(128))
+        .and_then(|r| specops::select_cmp(&r, "b", CmpPred::Ne, &Value::str("delta")))
+        .unwrap();
+    assert!(
+        filtered.len() > 8192,
+        "join probe below the shard threshold"
+    );
+    let want = specops::join_on(&filtered, &dim, &[("a", "c")]).unwrap();
+    for layout in [Vec::new(), vec![Some(ColHint::Str), Some(ColHint::Num)]] {
         for threads in [1usize, 4] {
             let opts = ExecOptions::with_threads(threads);
             let mut chunk = Chunk::from_relation_with(&rel, &layout);
@@ -292,10 +347,7 @@ fn sharded_kernels_match_serial_above_threshold() {
             .unwrap()
             .into_relation()
             .unwrap();
-            results.push(joined);
+            assert_eq!(joined, want, "hints {layout:?} threads {threads}");
         }
-    }
-    for pair in results.windows(2) {
-        assert_eq!(pair[0], pair[1], "layout/thread variant diverged");
     }
 }

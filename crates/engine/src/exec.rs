@@ -35,12 +35,8 @@ use aggprov_core::{difference, Value};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{Relation, Tuple};
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::{ColHint, ColumnLayout};
+use aggprov_krel::typed::ColHint;
 use std::collections::BTreeMap;
-
-fn unsup(msg: impl Into<String>) -> RelError {
-    RelError::Unsupported(msg.into())
-}
 
 /// A value mid-pipeline: a materialized relation (with the typed-column
 /// hints its scan pinned, if any) or a columnar chunk. Conversions are
@@ -49,20 +45,6 @@ fn unsup(msg: impl Into<String>) -> RelError {
 enum Flow<A: AggAnnotation> {
     Rel(MKRel<A>, Option<Vec<Option<ColHint>>>),
     Chunk(Chunk<A>),
-}
-
-/// The column layout a chunk conversion should use: forced boxed when
-/// `AGGPROV_TYPED=0`, catalog-hinted when the scan pinned column types at
-/// prepare time, per-column probing otherwise.
-fn layout_for(opts: &ExecOptions, hints: Option<Vec<Option<ColHint>>>) -> ColumnLayout {
-    if !opts.typed() {
-        ColumnLayout::boxed()
-    } else {
-        match hints {
-            Some(h) => ColumnLayout::with_hints(h),
-            None => ColumnLayout::typed(),
-        }
-    }
 }
 
 impl<A: AggAnnotation> Flow<A> {
@@ -74,11 +56,11 @@ impl<A: AggAnnotation> Flow<A> {
         }
     }
 
-    /// Moves to columnar form (splitting off the symbolic fringe), under
-    /// the layout `opts` and any pinned scan hints dictate.
-    fn into_chunk(self, opts: &ExecOptions) -> Chunk<A> {
+    /// Moves to columnar form (splitting off the symbolic fringe),
+    /// seeding the columns with any pinned scan hints.
+    fn into_chunk(self) -> Chunk<A> {
         match self {
-            Flow::Rel(r, hints) => Chunk::from_relation_with(&r, &layout_for(opts, hints)),
+            Flow::Rel(r, hints) => Chunk::from_relation_with(&r, hints.as_deref().unwrap_or(&[])),
             Flow::Chunk(c) => c,
         }
     }
@@ -141,7 +123,7 @@ where
             // Fused conjuncts narrow one selection vector in sequence
             // (innermost conjunct first, exactly as the unfused pipeline
             // applied them).
-            let mut chunk = run(db, input, params, param_count, opts)?.into_chunk(opts);
+            let mut chunk = run(db, input, params, param_count, opts)?.into_chunk();
             for pred in preds {
                 let (left, cmp, right) = bind_predicate(pred, params, param_count)?;
                 chunk.filter(&left, cmp, &right, opts)?;
@@ -149,7 +131,7 @@ where
             Ok(Flow::Chunk(chunk))
         }
         PhysNode::AddUnitColumn { input, schema } => {
-            let chunk = run(db, input, params, param_count, opts)?.into_chunk(opts);
+            let chunk = run(db, input, params, param_count, opts)?.into_chunk();
             Ok(Flow::Chunk(chunk.add_unit_column(schema.clone())?))
         }
         PhysNode::Project {
@@ -179,7 +161,7 @@ where
                 };
             }
             Ok(Flow::Chunk(
-                flow.into_chunk(opts).project(columns, schema.clone())?,
+                flow.into_chunk().project(columns, schema.clone())?,
             ))
         }
         PhysNode::Product {
@@ -191,8 +173,8 @@ where
             let r = run(db, right, params, param_count, opts)?;
             if !l.has_symbolic() && !r.has_symbolic() {
                 return Ok(Flow::Chunk(hash_join(
-                    l.into_chunk(opts),
-                    r.into_chunk(opts),
+                    l.into_chunk(),
+                    r.into_chunk(),
                     &[],
                     schema.clone(),
                     opts,
@@ -214,8 +196,8 @@ where
             let r = run(db, right, params, param_count, opts)?;
             if !l.has_symbolic() && !r.has_symbolic() {
                 return Ok(Flow::Chunk(hash_join(
-                    l.into_chunk(opts),
-                    r.into_chunk(opts),
+                    l.into_chunk(),
+                    r.into_chunk(),
                     on_idx,
                     schema.clone(),
                     opts,
@@ -260,20 +242,14 @@ where
             if avg.is_empty() {
                 return Ok(Flow::Rel(grouped, None));
             }
-            if !ops::has_symbolic(&grouped) {
-                // The batched AVG division; the result stays columnar so a
-                // following HAVING filter or projection runs vectorized.
-                let chunk = Chunk::from_relation_with(&grouped, &layout_for(opts, None));
-                return Ok(Flow::Chunk(chunk.avg_divide(
-                    avg_idx,
-                    ungrouped,
-                    schema.clone(),
-                )?));
-            }
-            Ok(Flow::Rel(
-                compute_avg_columns(&grouped, avg_idx, schema, ungrouped)?,
-                None,
-            ))
+            // AVG division is per-row; the result stays columnar so a
+            // following HAVING filter or projection runs vectorized.
+            let chunk = Chunk::from_relation(&grouped);
+            Ok(Flow::Chunk(chunk.avg_divide(
+                avg_idx,
+                ungrouped,
+                schema.clone(),
+            )?))
         }
         PhysNode::SetOp {
             op,
@@ -362,50 +338,6 @@ fn project_symbolic<A: AggAnnotation>(
     let mut out = BTreeMap::new();
     for (t, k) in projected.iter() {
         let row: Vec<Value<A>> = expand.iter().map(|i| t.get(*i).clone()).collect();
-        out.insert(Tuple::new(row), k.clone());
-    }
-    Relation::from_tuple_map(schema.clone(), out)
-}
-
-/// Appends `out = sum / cnt` columns row-at-a-time — the fallback when the
-/// grouped result carries symbolic values. Both parts of every pair must
-/// have resolved (symbolic AVG would require division in the monoid —
-/// compute SUM and COUNT separately to keep provenance, per paper
-/// footnote 6); other columns (e.g. a symbolic group key) pass through.
-///
-/// An *ungrouped* AVG over empty input sees the §3.2 identity row
-/// (`sum = 0, cnt = 0`); SQL answers NULL there, and since the engine has
-/// no NULLs, we drop the row and return an empty result instead of
-/// erroring. Grouped AVG never divides by zero — a group only exists with
-/// at least one member — so a zero count there stays an error.
-fn compute_avg_columns<A: AggAnnotation>(
-    rel: &MKRel<A>,
-    pairs: &[(usize, usize)],
-    schema: &Schema,
-    ungrouped: bool,
-) -> Result<MKRel<A>> {
-    let mut out = BTreeMap::new();
-    'rows: for (t, k) in rel.iter() {
-        let mut row = t.values().to_vec();
-        for (si, ci) in pairs {
-            let sum = t.get(*si).as_const().and_then(Const::as_num);
-            let cnt = t.get(*ci).as_const().and_then(Const::as_num);
-            let avg = match (sum, cnt) {
-                (Some(s), Some(c)) => match s.checked_div(&c) {
-                    Some(avg) => avg,
-                    None if ungrouped => continue 'rows,
-                    None => return Err(unsup("AVG over an empty group")),
-                },
-                _ => {
-                    return Err(unsup(
-                        "AVG over symbolic provenance does not resolve; select SUM and \
-                         COUNT separately (paper footnote 6)",
-                    ))
-                }
-            };
-            row.push(Value::Const(Const::Num(avg)));
-        }
-        // Input rows are distinct and only gain columns: no collisions.
         out.insert(Tuple::new(row), k.clone());
     }
     Relation::from_tuple_map(schema.clone(), out)

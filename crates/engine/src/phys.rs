@@ -114,8 +114,8 @@ pub(crate) enum PhysNode {
         schema: Schema,
     },
     /// Grouping/aggregation — a pipeline breaker (materializes its
-    /// input). `AVG` outputs divide batched when the grouped result is
-    /// fully ground.
+    /// input). `AVG` outputs divide per row over the grouped result, in
+    /// chunk form.
     Aggregate {
         /// Input node.
         input: Box<PhysNode>,

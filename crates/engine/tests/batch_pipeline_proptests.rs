@@ -1,8 +1,8 @@
 //! End-to-end property tests for the engine's columnar batch pipeline:
 //! prepared queries executed through the physical-plan driver
 //! (Scan → Filter → Project → HashJoin chunks, Aggregate/SetOp breakers)
-//! must be **bit-identical** to hand-composed `specops`/`ops` oracles
-//! over mixed ground/symbolic inputs, at `threads ∈ {1, 4}`.
+//! must be **bit-identical** to hand-composed `specops` oracles over
+//! mixed ground/symbolic inputs, at `threads ∈ {1, 4}`.
 //!
 //! This is the PR 3 pattern one layer up: where
 //! `par_determinism_proptests` pins the operators, these pin the whole
@@ -13,9 +13,10 @@
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
+use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::{CmpPred, Km};
-use aggprov_core::ops::{self, AggSpec, MKRel};
+use aggprov_core::ops::{AggSpec, MKRel};
 use aggprov_core::{difference, specops, ExecOptions, Value};
 use aggprov_engine::ProvDb;
 use aggprov_krel::relation::Relation;
@@ -87,9 +88,8 @@ fn prefixed(rel: &MKRel<P>, names: &[&str]) -> MKRel<P> {
         .unwrap()
 }
 
-/// Executes a prepared query at `threads ∈ {1, 4}` with typed columns on
-/// and off (the boxed `AGGPROV_TYPED=0` baseline), asserts all four
-/// agree, and returns the result.
+/// Executes a prepared query at `threads ∈ {1, 4}`, asserts both agree,
+/// and returns the result.
 fn run_both(db: &ProvDb, sql: &str) -> MKRel<P> {
     let stmt = db.prepare(sql).unwrap();
     let t1 = stmt
@@ -101,17 +101,36 @@ fn run_both(db: &ProvDb, sql: &str) -> MKRel<P> {
         .unwrap()
         .into_relation();
     assert_eq!(t1, t4, "thread count changed the result");
-    for threads in [1, 4] {
-        let boxed = stmt
-            .execute_with_opts(&[], &ExecOptions::with_threads(threads).with_typed(false))
-            .unwrap()
-            .into_relation();
-        assert_eq!(
-            t1, boxed,
-            "typed columns changed the result at threads {threads}"
-        );
-    }
     t1
+}
+
+/// The §4.3 oracle for `SUM(v) AS s, COUNT(*) AS n … GROUP BY g` over a
+/// `(g, v)` table `t`: the unit column appended by hand, then the literal
+/// group-by. Columns `t.g`, `s`, `n`.
+fn sum_count_by_spec(t: &MKRel<P>) -> MKRel<P> {
+    let mut unit = Relation::empty(Schema::new(["t.g", "t.v", "__one"]).unwrap());
+    for (tu, k) in prefixed(t, &["t.g", "t.v"]).iter() {
+        let mut row = tu.values().to_vec();
+        row.push(Value::int(1));
+        unit.insert(row, k.clone()).unwrap();
+    }
+    specops::group_by(
+        &unit,
+        &["t.g"],
+        &[
+            AggSpec {
+                kind: MonoidKind::Sum,
+                attr: "t.v",
+                out: "s",
+            },
+            AggSpec {
+                kind: MonoidKind::Sum,
+                attr: "__one",
+                out: "n",
+            },
+        ],
+    )
+    .unwrap()
 }
 
 proptest! {
@@ -137,7 +156,7 @@ proptest! {
             &[("r.a", "s.c")],
         )
         .unwrap();
-        let f = ops::select_cmp(&j, "r.b", CmpPred::Lt, &Value::int(v)).unwrap();
+        let f = specops::select_cmp(&j, "r.b", CmpPred::Lt, &Value::int(v)).unwrap();
         let p = specops::project(&f, &["r.a", "s.d"]).unwrap();
         let want = p.with_schema(Schema::new(["a", "d"]).unwrap()).unwrap();
         prop_assert_eq!(got, want);
@@ -154,24 +173,10 @@ proptest! {
             &format!("SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g HAVING s = {h}"),
         );
 
-        // Oracle: append the unit column by hand, run the literal §4.3
-        // group-by, then the tokened selection and the projection.
-        let mut unit = Relation::empty(Schema::new(["t.g", "t.v", "__one"]).unwrap());
-        for (tu, k) in prefixed(&t, &["t.g", "t.v"]).iter() {
-            let mut row = tu.values().to_vec();
-            row.push(Value::int(1));
-            unit.insert(row, k.clone()).unwrap();
-        }
-        let grouped = specops::group_by(
-            &unit,
-            &["t.g"],
-            &[
-                AggSpec { kind: MonoidKind::Sum, attr: "t.v", out: "s" },
-                AggSpec { kind: MonoidKind::Sum, attr: "__one", out: "n" },
-            ],
-        )
-        .unwrap();
-        let had = ops::select_eq(&grouped, "s", &Value::int(h)).unwrap();
+        // Oracle: the literal §4.3 group-by over the unit-extended
+        // table, then the tokened selection and the projection.
+        let grouped = sum_count_by_spec(&t);
+        let had = specops::select_eq(&grouped, "s", &Value::int(h)).unwrap();
         let p = specops::project(&had, &["t.g", "s", "n"]).unwrap();
         let want = p.with_schema(Schema::new(["g", "s", "n"]).unwrap()).unwrap();
         prop_assert_eq!(got, want);
@@ -270,7 +275,7 @@ fn empty_and_all_symbolic_tables_through_the_pipeline() {
 
     // All-symbolic table: every node takes its fringe/fallback path.
     let got = run_both(&db, "SELECT a FROM m WHERE b < 3");
-    let f = ops::select_cmp(
+    let f = specops::select_cmp(
         &prefixed(&sym_rel, &["m.a", "m.b"]),
         "m.b",
         CmpPred::Lt,
@@ -282,4 +287,59 @@ fn empty_and_all_symbolic_tables_through_the_pipeline() {
         .with_schema(Schema::new(["a"]).unwrap())
         .unwrap();
     assert_eq!(got, want);
+}
+
+/// The §4.3 oracle for `AVG(v) … GROUP BY g`: one division per row of
+/// [`sum_count_by_spec`].
+fn avg_by_spec(t: &MKRel<P>) -> MKRel<P> {
+    let mut want = Relation::empty(Schema::new(["g", "m"]).unwrap());
+    for (tu, k) in sum_count_by_spec(t).iter() {
+        let num = |i: usize| tu.get(i).as_const().and_then(Const::as_num).unwrap();
+        let m = num(1).checked_div(&num(2)).unwrap();
+        want.insert(
+            vec![tu.get(0).clone(), Value::Const(Const::Num(m))],
+            k.clone(),
+        )
+        .unwrap();
+    }
+    want
+}
+
+#[test]
+fn avg_over_a_symbolic_group_key_matches_spec() {
+    // Rows annotated `1` under one symbolic group key: SUM and COUNT
+    // resolve to numbers, so AVG divides — on the chunk's fringe, where
+    // the unresolved key keeps the group row.
+    let key = decode_val((4, 0, 3));
+    let one = P::one();
+    let t: MKRel<P> = Relation::from_rows(
+        Schema::new(["g", "v"]).unwrap(),
+        [
+            (vec![key.clone(), Value::int(4)], one.clone()),
+            (vec![key, Value::int(7)], one.clone()),
+        ],
+    )
+    .unwrap();
+    let mut db = ProvDb::new();
+    db.register("t", t.clone());
+    let sql = "SELECT g, AVG(v) AS m FROM t GROUP BY g";
+    let got = run_both(&db, sql);
+    assert_eq!(got.len(), 1);
+    assert_eq!(got, avg_by_spec(&t));
+
+    // A second, different symbolic key makes group membership — and so
+    // SUM and COUNT — symbolic: the footnote-6 error at both thread
+    // counts, not a partial result.
+    let mut two_keys = t;
+    two_keys
+        .insert(vec![decode_val((4, 1, 2)), Value::int(1)], one)
+        .unwrap();
+    db.register("t", two_keys);
+    let stmt = db.prepare(sql).unwrap();
+    for threads in [1, 4] {
+        let err = stmt
+            .execute_with_opts(&[], &ExecOptions::with_threads(threads))
+            .unwrap_err();
+        assert!(err.to_string().contains("footnote 6"), "{err}");
+    }
 }

@@ -22,7 +22,7 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Relation, Tuple};
 use crate::schema::Schema;
-use crate::typed::{ColumnLayout, IntoConsts, TypedColumn};
+use crate::typed::{ColHint, IntoConsts, TypedColumn};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::collections::BTreeMap;
@@ -53,15 +53,15 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
     /// An empty batch of the given arity with row capacity pre-reserved,
     /// columns probing their variant from the data.
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        Self::with_layout(arity, rows, &ColumnLayout::typed())
+        Self::with_hints(arity, rows, &[])
     }
 
-    /// An empty batch whose columns are shaped by `layout` (forced boxed,
-    /// or typed with optional catalog hints).
-    pub fn with_layout(arity: usize, rows: usize, layout: &ColumnLayout) -> Self {
+    /// An empty batch whose column `i` starts in the variant `hints[i]`
+    /// names; missing and `None` entries probe from the data.
+    pub fn with_hints(arity: usize, rows: usize, hints: &[Option<ColHint>]) -> Self {
         ColumnBatch {
             cols: (0..arity)
-                .map(|i| TypedColumn::for_layout(layout, i, rows))
+                .map(|i| TypedColumn::with_hint(hints.get(i).copied().flatten(), rows))
                 .collect(),
             anns: Vec::with_capacity(rows),
         }
@@ -153,24 +153,25 @@ where
     K: CommutativeSemiring,
     V: Clone + Ord + Hash + fmt::Debug,
 {
-    /// Splits a relation with the default probing column layout; see
-    /// [`GroundBatch::from_relation_with`].
+    /// Splits a relation with every column probing its variant from the
+    /// data; see [`GroundBatch::from_relation_with`].
     pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
-        Self::from_relation_with(rel, as_const, &ColumnLayout::typed())
+        Self::from_relation_with(rel, as_const, &[])
     }
 
     /// Splits a relation: rows whose every value reads back as a constant
-    /// through `as_const` fill the columnar ground batch (columns shaped
-    /// by `layout`); the rest land on the row-wise fringe. Both
-    /// partitions keep support order, so the split (composed with
-    /// [`GroundBatch::into_relation`]) is lossless.
+    /// through `as_const` fill the columnar ground batch (columns seeded
+    /// by the catalog `hints`, see [`ColumnBatch::with_hints`]); the rest
+    /// land on the row-wise fringe. Both partitions keep support order,
+    /// so the split (composed with [`GroundBatch::into_relation`]) is
+    /// lossless.
     pub fn from_relation_with(
         rel: &Relation<K, V>,
         as_const: impl Fn(&V) -> Option<&Const>,
-        layout: &ColumnLayout,
+        hints: &[Option<ColHint>],
     ) -> Self {
         let arity = rel.schema().arity();
-        let mut ground = ColumnBatch::with_layout(arity, rel.len(), layout);
+        let mut ground = ColumnBatch::with_hints(arity, rel.len(), hints);
         let mut fringe = Vec::new();
         // One reused borrow buffer: the groundness check and the column
         // pushes share a single pass over the row's values.
@@ -371,18 +372,23 @@ mod tests {
     #[test]
     fn boxed_layout_round_trips_identically() {
         let rel = sample();
-        let typed = GroundBatch::from_relation(&rel, as_non_bool);
-        let boxed = GroundBatch::from_relation_with(&rel, as_non_bool, &ColumnLayout::boxed());
+        let probed = GroundBatch::from_relation(&rel, as_non_bool);
+        // Both hints are wrong for the data: the columns demote to boxed.
+        let hinted = GroundBatch::from_relation_with(
+            &rel,
+            as_non_bool,
+            &[Some(ColHint::Str), Some(ColHint::Num)],
+        );
         assert_eq!(
-            boxed.ground().col(0).map(TypedColumn::variant),
+            hinted.ground().col(0).map(TypedColumn::variant),
             Some("boxed")
         );
         assert_eq!(
-            typed.ground().col(0).map(TypedColumn::to_consts),
-            boxed.ground().col(0).map(TypedColumn::to_consts),
+            probed.ground().col(0).map(TypedColumn::to_consts),
+            hinted.ground().col(0).map(TypedColumn::to_consts),
         );
-        let a = typed.into_relation(rel.schema().clone(), |c| c).unwrap();
-        let b = boxed.into_relation(rel.schema().clone(), |c| c).unwrap();
+        let a = probed.into_relation(rel.schema().clone(), |c| c).unwrap();
+        let b = hinted.into_relation(rel.schema().clone(), |c| c).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, rel);
     }

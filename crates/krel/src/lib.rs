@@ -13,7 +13,7 @@
 //! * [`typed`] — the typed column storage those batches are made of
 //!   ([`TypedColumn`]: unboxed `Vec<i64>` integer runs,
 //!   dictionary-encoded strings, boxed fallback), with variant detection
-//!   at construction time and catalog-hinted layouts ([`ColumnLayout`]);
+//!   at construction time, optionally seeded by catalog hints ([`ColHint`]);
 //! * [`kset`] — `K`-sets and `SetAgg`;
 //! * [`monus`] — baseline difference semantics (set/bag monus,
 //!   ℤ-difference) used by the paper's §5.2 comparisons;
@@ -37,4 +37,4 @@ pub use batch::{ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
 pub use relation::{Relation, ShardView, Tuple};
 pub use schema::{Attr, Schema};
-pub use typed::{ColHint, ColumnLayout, StrColumn, TypedColumn};
+pub use typed::{ColHint, StrColumn, TypedColumn};

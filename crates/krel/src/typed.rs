@@ -52,53 +52,6 @@ pub enum ColHint {
     Str,
 }
 
-/// Construction-time layout for a batch: either force every column boxed
-/// (the `AGGPROV_TYPED=0` debug/baseline mode) or probe per column,
-/// optionally seeded with catalog hints.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ColumnLayout {
-    boxed: bool,
-    hints: Vec<Option<ColHint>>,
-}
-
-impl ColumnLayout {
-    /// Typed columns, variant probed from the data (the default).
-    pub fn typed() -> Self {
-        ColumnLayout::default()
-    }
-
-    /// Every column forced to the boxed `Vec<Const>` fallback.
-    pub fn boxed() -> Self {
-        ColumnLayout {
-            boxed: true,
-            hints: Vec::new(),
-        }
-    }
-
-    /// Typed columns seeded with per-column catalog hints (`None` entries
-    /// probe from the data).
-    pub fn with_hints(hints: Vec<Option<ColHint>>) -> Self {
-        ColumnLayout {
-            boxed: false,
-            hints,
-        }
-    }
-
-    /// True iff every column is forced boxed.
-    pub fn is_boxed(&self) -> bool {
-        self.boxed
-    }
-
-    /// The hint for column `col`, if any.
-    pub fn hint(&self, col: usize) -> Option<ColHint> {
-        if self.boxed {
-            None
-        } else {
-            self.hints.get(col).copied().flatten()
-        }
-    }
-}
-
 /// A dictionary-encoded string column: one `u32` code per row plus the
 /// interned dictionary it indexes. The side `index` map makes interning
 /// and literal lookup O(1); it always mirrors `dict`.
@@ -208,14 +161,11 @@ pub enum TypedColumn {
 }
 
 impl TypedColumn {
-    /// An empty column shaped for `layout`'s column `col`. Unhinted typed
-    /// columns start in the probing `Num` state and adopt the variant of
-    /// their first value.
-    pub fn for_layout(layout: &ColumnLayout, col: usize, rows: usize) -> TypedColumn {
-        if layout.is_boxed() {
-            return TypedColumn::Boxed(Vec::with_capacity(rows));
-        }
-        match layout.hint(col) {
+    /// An empty column with row capacity pre-reserved, starting in the
+    /// variant `hint` names. Unhinted columns start in the probing `Num`
+    /// state and adopt the variant of their first value.
+    pub fn with_hint(hint: Option<ColHint>, rows: usize) -> TypedColumn {
+        match hint {
             Some(ColHint::Str) => TypedColumn::Str(StrColumn::with_capacity(rows)),
             Some(ColHint::Num) | None => TypedColumn::Num(Vec::with_capacity(rows)),
         }
@@ -468,21 +418,21 @@ mod tests {
 
     #[test]
     fn layout_controls_initial_variant() {
-        let boxed = ColumnLayout::boxed();
-        let mut col = TypedColumn::for_layout(&boxed, 0, 4);
-        col.push(Const::int(1));
-        assert_eq!(col, TypedColumn::Boxed(vec![Const::int(1)]));
-
-        let hinted = ColumnLayout::with_hints(vec![Some(ColHint::Str), None]);
-        let col = TypedColumn::for_layout(&hinted, 0, 4);
-        assert_eq!(col.variant(), "str");
-        let col = TypedColumn::for_layout(&hinted, 1, 4);
-        assert_eq!(col.variant(), "num");
+        assert_eq!(
+            TypedColumn::with_hint(Some(ColHint::Str), 4).variant(),
+            "str"
+        );
+        assert_eq!(
+            TypedColumn::with_hint(Some(ColHint::Num), 4).variant(),
+            "num"
+        );
+        assert_eq!(TypedColumn::with_hint(None, 4).variant(), "num");
 
         // A mispinned hint demotes instead of failing.
-        let mut col = TypedColumn::for_layout(&hinted, 0, 4);
+        let mut col = TypedColumn::with_hint(Some(ColHint::Str), 4);
         col.push(Const::str("s"));
         col.push(Const::int(9));
+        assert_eq!(col.variant(), "boxed");
         assert_eq!(col.to_consts(), vec![Const::str("s"), Const::int(9)]);
     }
 

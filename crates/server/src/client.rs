@@ -1,9 +1,9 @@
 //! A small blocking client for the wire protocol, used by the REPL's
-//! `\connect` mode, the saturation benchmark, the smoke binary and the
+//! `\connect` mode, the `e2e` benchmark, the smoke binary and the
 //! integration tests.
 
 use crate::json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A connected protocol client. One request in flight at a time.
@@ -40,6 +40,7 @@ impl Client {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
             reader,
@@ -57,8 +58,7 @@ impl Client {
         if let Json::Obj(map) = &mut req {
             map.insert("id".into(), Json::Int(id));
         }
-        writeln!(self.writer, "{req}")?;
-        self.writer.flush()?;
+        req.write_line(&mut self.writer)?;
         let mut line = String::new();
         loop {
             line.clear();

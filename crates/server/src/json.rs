@@ -90,17 +90,24 @@ impl Json {
     /// Parses one JSON value from the full input (trailing garbage is an
     /// error — the protocol sends exactly one value per line).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(value)
+    }
+
+    /// Writes the value and its terminating newline as **one** `write`
+    /// (then flushes). Both ends of the protocol send a line this way: a
+    /// `Display` written straight onto a socket leaves as one tiny
+    /// segment per token and stalls on Nagle + delayed ACK.
+    pub fn write_line(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+        let line = format!("{self}\n");
+        w.write_all(line.as_bytes())?;
+        w.flush()
     }
 }
 
@@ -161,13 +168,19 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; every successful step leaves it on a
+    /// character boundary.
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -177,7 +190,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -190,7 +203,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
+        let rest = self.bytes().get(self.pos..).unwrap_or(&[]);
         if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -267,63 +280,67 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = self.bytes.get(self.pos..).unwrap_or(&[]);
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs: 😀 etc.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                let low = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 6)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| h.strip_prefix("\\u"))
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .ok_or("unpaired surrogate")?;
-                                self.pos += 6;
-                                let joined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(joined).ok_or("bad surrogate pair")?
-                            } else {
-                                char::from_u32(code).ok_or("bad \\u code point")?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", esc as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar, however many bytes long.
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+            // Copy the run of ordinary characters up to the next quote or
+            // backslash in one slice. Both delimiters are ASCII, so the
+            // run ends on a character boundary.
+            let rest = self.bytes().get(self.pos..).unwrap_or(&[]);
+            let run = rest
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or("unterminated string")?;
+            let text = self
+                .src
+                .get(self.pos..self.pos + run)
+                .ok_or("invalid utf-8")?;
+            out.push_str(text);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
+            }
+            // The run ended at a backslash.
+            let esc = self
+                .bytes()
+                .get(self.pos + 1)
+                .copied()
+                .ok_or("unterminated escape")?;
+            self.pos += 2;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes()
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("bad \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs: 😀 etc.
+                    let c = if (0xd800..0xdc00).contains(&code) {
+                        let low = self
+                            .bytes()
+                            .get(self.pos..self.pos + 6)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| h.strip_prefix("\\u"))
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .filter(|low| (0xdc00..0xe000).contains(low))
+                            .ok_or("unpaired surrogate")?;
+                        self.pos += 6;
+                        let joined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        char::from_u32(joined).ok_or("bad surrogate pair")?
+                    } else {
+                        char::from_u32(code).ok_or("bad \\u code point")?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                _ => return Err(format!("bad escape '\\{}'", esc as char)),
             }
         }
     }
@@ -344,7 +361,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let digits = self.bytes.get(start..self.pos).unwrap_or(&[]);
+        let digits = self.bytes().get(start..self.pos).unwrap_or(&[]);
         let text = std::str::from_utf8(digits).map_err(|_| "invalid number")?;
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
@@ -394,5 +411,67 @@ mod tests {
         for text in ["", "{", "[1,", "\"abc", "1 2", "{'a':1}", "nul"] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn broken_surrogates_are_errors_not_panics() {
+        // A high half followed by a non-low escape, a lone low half, and
+        // a pair cut off after `\u`.
+        for (text, why) in [
+            ("\"\\ud800\\u0041\"", "unpaired surrogate"),
+            ("\"\\udc00\"", "bad \\u code point"),
+            ("\"\\ud800\\u", "unpaired surrogate"),
+        ] {
+            assert_eq!(Json::parse(text), Err(why.to_string()), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 200 KB of string-heavy input, multi-byte characters and escapes
+        // included. Re-validating the remaining input per character made
+        // this quadratic (~10 s); one pass is a few milliseconds, so the
+        // bound is generous on any host.
+        let cell = Json::str("δ(p1 + p2)·⟨x⊗20⟩ \"quoted\" \\ tab\t");
+        let doc = Json::Arr(vec![cell; 4500]);
+        let text = doc.to_string();
+        assert!(text.len() > 200_000, "{} bytes", text.len());
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
+    }
+
+    /// A sink that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_reaches_the_sink_in_one_write() {
+        let v = Json::obj([
+            ("id", Json::Int(7)),
+            ("rows", Json::Arr(vec![Json::str("a"); 3])),
+        ]);
+        let mut sink = CountingWriter::default();
+        v.write_line(&mut sink).unwrap();
+        assert_eq!(sink.writes, vec![format!("{v}\n").into_bytes()]);
     }
 }

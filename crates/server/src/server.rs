@@ -15,7 +15,7 @@
 
 use crate::session::{Control, Session};
 use aggprov_engine::ProvDb;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -85,6 +85,10 @@ impl Server {
                 // A refused/reset handshake is the peer's problem.
                 Err(_) => continue,
             };
+            // Request/response lines are small and latency-bound: send
+            // each as soon as it is written. Best effort — a socket that
+            // refuses the option still works.
+            let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
                 self.conns
                     .lock()
@@ -161,10 +165,7 @@ fn serve_connection(stream: TcpStream, db: Arc<RwLock<ProvDb>>, shutdown: Shutdo
             continue;
         }
         let (response, control) = session.handle_line(&line);
-        if writeln!(writer, "{response}")
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+        if response.write_line(&mut writer).is_err() {
             break;
         }
         match control {

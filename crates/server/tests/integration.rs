@@ -266,6 +266,9 @@ fn materialized_views_over_the_wire() {
     // A reader pins the epoch, the writer mutates: the reader's view is
     // frozen until refresh, then shows the *maintained* (not re-run) rows.
     let mut reader = Client::connect(addr.as_str()).expect("connect reader");
+    // `connect` returns once the kernel has queued the connection; the
+    // session (and its pinned epoch) exists once it has answered.
+    reader.ping().expect("pin");
     writer
         .sql("INSERT INTO emp VALUES ('d3', 99) PROVENANCE p4")
         .expect("insert");

@@ -8,9 +8,7 @@
 //!   twins for the reference engine;
 //! * [`plans`] — random SPJU-AGB plans with dual evaluation (annotated
 //!   operators vs the independent bag engine);
-//! * [`randrel`] — random annotated tables and token valuations;
-//! * [`pushdown`] — the σ-above-⋈ workload the plan optimizer's
-//!   perf-trajectory point (`BENCH_pr5.json`) tracks.
+//! * [`randrel`] — random annotated tables and token valuations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,5 +16,4 @@
 
 pub mod org;
 pub mod plans;
-pub mod pushdown;
 pub mod randrel;
