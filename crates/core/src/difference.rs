@@ -38,14 +38,19 @@ pub fn difference<A: AggAnnotation>(r: &MKRel<A>, s: &MKRel<A>) -> Result<MKRel<
         });
     }
     let or = MonoidKind::Or;
+    // Groundness is decided once per call, not once per lookup: between
+    // constants the §4.3 reading of `R(t)`/`S(t)` is the structural lookup.
+    let ground = !ops::has_symbolic(r) && !ops::has_symbolic(s);
     let mut out: MKRel<A> = Relation::empty(r.schema().clone());
-    for (t, _) in r.iter() {
-        // Both lookups use the §4.3 extended reading of `R(t)`/`S(t)`: with
-        // symbolic values, structurally distinct tuples may become equal
-        // under a homomorphism, so membership is token-weighted across the
-        // whole support (coincides with the plain lookup on constants).
-        let r_ann = ops::annotation_at(r, t)?;
-        let s_ann = ops::annotation_at(s, t)?;
+    for (t, k) in r.iter() {
+        // With symbolic values, structurally distinct tuples may become
+        // equal under a homomorphism, so membership is token-weighted
+        // across the whole support.
+        let (r_ann, s_ann) = if ground {
+            (k.clone(), s.annotation(t))
+        } else {
+            (ops::annotation_at(r, t)?, ops::annotation_at(s, t)?)
+        };
         let lhs = Tensor::simple(&or, s_ann, Const::Bool(true));
         let token = A::eq_token(or, &lhs, &Tensor::zero())?;
         let ann = token.times(&r_ann);
@@ -384,6 +389,47 @@ mod tests {
         );
         assert!(check_z(DiffLaw::MinusMinus, &za, &zb, &zc).unwrap());
         assert!(check_z(DiffLaw::UnionMinus, &za, &zb, &zc).unwrap());
+    }
+
+    #[test]
+    fn ground_difference_is_not_quadratic() {
+        // 16 000 fully ground rows. Re-deciding groundness with a full
+        // scan per lookup made this quadratic (5.5 s in a release build,
+        // minutes in a debug one); one decision per call leaves an
+        // `O(n log n)` pass, so the bound is generous on any host.
+        let rows = |step: usize| -> MKRel<P> {
+            Relation::from_rows(
+                sch(&["a", "b"]),
+                (0..16_000).step_by(step).map(|i| {
+                    let row = vec![Value::int(i as i64), Value::int(i as i64 % 7)];
+                    (row, tok(&format!("x{i}")))
+                }),
+            )
+            .unwrap()
+        };
+        let (r, s) = (rows(1), rows(2));
+        let started = std::time::Instant::now();
+        let d = difference(&r, &s).unwrap();
+        let elapsed = started.elapsed();
+        // Same relation as the token-weighted reading of `R(t)`/`S(t)`
+        // (the literal §4.3 lookup, spot-checked — it is the slow path).
+        assert_eq!(d.len(), 16_000);
+        let or = MonoidKind::Or;
+        for (t, k) in d.iter().take(24) {
+            let s_ann = crate::specops::annotation_at(&s, t).unwrap();
+            let lhs = Tensor::simple(&or, s_ann, Const::Bool(true));
+            let token = <P as AggAnnotation>::eq_token(or, &lhs, &Tensor::zero()).unwrap();
+            assert_eq!(
+                k,
+                &token.times(&crate::specops::annotation_at(&r, t).unwrap())
+            );
+        }
+        let kept = d.iter().filter(|(t, k)| *k == &r.annotation(t)).count();
+        assert_eq!(kept, 8_000, "rows absent from `s` keep their annotation");
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "16 000-row ground EXCEPT took {elapsed:?}"
+        );
     }
 
     #[test]

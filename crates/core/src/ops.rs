@@ -10,22 +10,38 @@
 //! `0`/`1` on the spot and the operators coincide with the classical
 //! `K`-relational algebra of §2.1.
 //!
-//! ## Physical execution: hash operators with a ground/symbolic split
+//! ## Physical execution: one keyed token fold, one pairwise join
 //!
-//! The operators here are the *physical* layer. Each one partitions its
-//! input into **ground** tuples (only constants at the positions the
-//! operator compares) and **symbolic** tuples (a tensor-valued aggregate at
-//! one of those positions):
+//! The operators here are the *physical* layer. They split their input
+//! into **ground** tuples (only constants at the positions the operator
+//! compares) and **symbolic** tuples (a tensor-valued aggregate at one of
+//! those positions): between constants every §4.3 equality token is `0` or
+//! `1` and structural equality decides it, so only the (typically tiny)
+//! symbolic fringe pays for token construction.
 //!
-//! * ground × ground work runs classically — hash build/probe for
-//!   [`join_on`]/[`natural_join`], hash-partitioned grouping for
-//!   [`group_by`], an `O(n log n)` additive merge for [`union`] and
-//!   [`project`] — because between constants every §4.3 equality token is
-//!   `0` or `1` and structural equality decides it;
-//! * the quadratic token construction runs only over the (typically tiny)
-//!   symbolic fraction and its cross terms against the ground partition,
-//!   then the two partitions recombine per the paper's
-//!   sum-of-weighted-contributions rule.
+//! The paper defines union, projection and grouping by one rule (§4.3
+//! items 2, 3 and 7): every candidate output key `p` collects
+//! `R(t') · Π_u [key(t')(u) = p(u)]` from every support tuple `t'`. That
+//! rule is written once, as the private `keyed_fold`: ground-keyed entries
+//! are hash-bucketed by key, every symbolic-keyed entry adds its
+//! token-weighted coefficient to each bucket, and each distinct symbolic
+//! key then forms its own candidate against every bucket (one token per
+//! bucket, not per member) and every symbolic-keyed entry. The three
+//! operators differ only in their key and in the *finisher* that turns a
+//! candidate's coefficients into an output row:
+//!
+//! | operator | key | finisher |
+//! |---|---|---|
+//! | [`union`] | the whole tuple, over both supports | `Σ coeff` |
+//! | [`project`] | the projected positions | `Σ coeff` |
+//! | [`group_by`] | the grouping positions | one tensor `Σ coeff ∗ t'(attr)` per spec, annotated `δ(Σ coeff)` |
+//!
+//! [`union`] and [`project`] keep one shortcut, chosen from what the call
+//! observes: a fully ground input small enough for a single shard is the
+//! classical additive merge of [`Relation::union`] / [`Relation::project`].
+//! [`join_on`]/[`natural_join`] are pairwise rather than a keyed sum: a
+//! hash build/probe over the ground × ground block, the token-weighted
+//! nested loop over pairs with a symbolic key on either side.
 //!
 //! The results are bit-identical to the literal §4.3 evaluation, which is
 //! retained in [`crate::specops`] as the reference path (property-tested
@@ -43,13 +59,15 @@
 //!
 //! ## Partition-parallel execution
 //!
-//! The same key hashing that drives the ground/symbolic split is the seam
-//! for multi-threaded execution: the `*_opts` variants of [`join_on`],
-//! [`group_by`], [`union`] and [`project`] shard the ground partition by
-//! operator key across scoped worker threads (see [`crate::par`]) and fold
-//! the per-shard results in deterministic shard order, while the symbolic
-//! fringe stays on the sequential token path. Results are bit-identical at
-//! every thread count (see `tests/par_determinism_proptests.rs`).
+//! The same key hashing is the seam for multi-threaded execution: under
+//! the `*_opts` variants, `keyed_fold` shards its ground buckets — and
+//! [`join_on_opts`] both ground sides — by operator-key hash across scoped
+//! worker threads (see [`crate::par`]). Equal keys co-locate, so shard
+//! outputs are disjoint; each worker finishes its own buckets (symbolic
+//! cross terms included) and the per-shard rows fold in deterministic
+//! shard order, while the symbolic candidates stay on the sequential token
+//! path. Results are bit-identical at every thread count (see
+//! `tests/par_determinism_proptests.rs`).
 //!
 //! ## Output construction and duplicate groups
 //!
@@ -73,15 +91,10 @@ use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{shard_index, Relation, Tuple};
 use aggprov_krel::schema::Schema;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An `(M, K)`-relation: tuples of [`Value`]s annotated with `A`.
 pub type MKRel<A> = Relation<A, Value<A>>;
-
-/// One shard of key-projected entries: (projected key, borrowed
-/// annotation). The key is owned (projection allocates once, up front);
-/// cloning it later is an `Arc` bump.
-type KeyedShard<'a, A> = Vec<(Tuple<Value<A>>, &'a A)>;
 
 /// One aggregation request: `kind(attr) AS out`.
 #[derive(Clone, Copy, Debug)]
@@ -157,15 +170,11 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
         return Ok(rel.annotation(t));
     }
     let positions: Vec<usize> = (0..rel.schema().arity()).collect();
-    let mut parts = Vec::new();
+    let mut contributions = Vec::new();
     for (t2, k2) in rel.iter() {
-        let tok = tuple_eq_token(t2, t, &positions)?;
-        let part = k2.times(&tok);
-        if !part.is_zero() {
-            parts.push(part);
-        }
+        push_coefficients(&mut contributions, &[(t2, k2)], t2, t, &positions)?;
     }
-    Ok(sum_many(parts))
+    Ok(coefficient_sum(contributions))
 }
 
 /// Sums many annotations by pairwise tree reduction: summing n tokens of
@@ -237,27 +246,138 @@ pub(crate) fn tuple_eq_token<A: AggAnnotation>(
 }
 
 // ---------------------------------------------------------------------------
-// Union and projection (§4.3 items 2–3)
+// The keyed token fold (§4.3 items 2, 3 and 7)
 // ---------------------------------------------------------------------------
 
-/// Union. With symbolic values, every output tuple sums contributions from
-/// *all* input tuples weighted by equality tokens. Single-threaded; see
-/// [`union_opts`] for the partition-parallel form.
+/// A keyed support entry of [`keyed_fold`]: (operator key, tuple,
+/// annotation). The key is owned (a projection allocates once, up front;
+/// cloning a tuple as its own key is an `Arc` bump).
+type Keyed<'a, A> = (Tuple<Value<A>>, &'a Tuple<Value<A>>, &'a A);
+
+/// One contribution to a candidate key: a support tuple and its non-zero
+/// §4.3 coefficient `R(t') · Π_u [key(t')(u) = p(u)]` toward that key.
+type Contribution<'a, A> = (&'a Tuple<Value<A>>, A);
+
+/// The support tuples (with their annotations) that share one key.
+type Members<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
+
+/// Appends the coefficients of `members` — support tuples that share
+/// `key` — toward the candidate `p`: the token `Π_u [key(u) = p(u)]` is
+/// built once per call, vanishing coefficients are dropped.
+fn push_coefficients<'a, A: AggAnnotation>(
+    out: &mut Vec<Contribution<'a, A>>,
+    members: &[(&'a Tuple<Value<A>>, &'a A)],
+    key: &Tuple<Value<A>>,
+    p: &Tuple<Value<A>>,
+    positions: &[usize],
+) -> Result<()> {
+    let tok = tuple_eq_token(key, p, positions)?;
+    if tok.is_zero() {
+        return Ok(());
+    }
+    for (t, k) in members {
+        let coeff = k.times(&tok);
+        if !coeff.is_zero() {
+            out.push((t, coeff));
+        }
+    }
+    Ok(())
+}
+
+/// `Σ coeff` over a candidate's contributions.
+fn coefficient_sum<A: AggAnnotation>(contributions: Vec<Contribution<'_, A>>) -> A {
+    sum_many(contributions.into_iter().map(|(_, c)| c).collect())
+}
+
+/// The §4.3 sum-of-weighted-contributions rule, written once: every
+/// distinct key `p` among `entries` is a candidate output, every support
+/// tuple `t'` contributes to it with the coefficient
+/// `R(t') · Π_u [key(t')(u) = p(u)]`, and `finish` turns a candidate and
+/// its non-zero contributions into the output row and annotation.
+///
+/// Physical plan: entries with a **ground** key are hash-bucketed by key —
+/// between constants the token is structural equality, so a bucket's
+/// members contribute with coefficient `R(t')` and no other ground tuple
+/// contributes at all. With more than one thread the buckets are sharded
+/// by key hash over [`fan_out`]; each worker finishes its buckets
+/// (including the token-weighted contributions of every symbolic-keyed
+/// entry — a constant key can equal a symbolic one under a valuation) and
+/// the per-shard rows fold in shard order. Each distinct **symbolic** key
+/// then forms its candidate on the sequential token path, against every
+/// ground bucket (one token per bucket, not per member) and every
+/// symbolic-keyed entry. The result is identical at every thread count.
+fn keyed_fold<'a, A: AggAnnotation + 'a>(
+    entries: impl Iterator<Item = Keyed<'a, A>>,
+    key_arity: usize,
+    opts: &ExecOptions,
+    finish: impl Fn(&Tuple<Value<A>>, Vec<Contribution<'a, A>>) -> Result<(Tuple<Value<A>>, A)> + Sync,
+) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
+    let positions: Vec<usize> = (0..key_arity).collect();
+    let (ground, sym): (Vec<Keyed<'a, A>>, Vec<Keyed<'a, A>>) =
+        entries.partition(|(key, _, _)| is_ground_at(key, &positions));
+    let nshards = plan_shards(opts, ground.len());
+    let mut shards: Vec<Vec<Keyed<'a, A>>> = (0..nshards).map(|_| Vec::new()).collect();
+    for entry in ground {
+        let shard = shard_index(&entry.0, nshards);
+        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
+        shards[shard].push(entry);
+    }
+
+    let shard_results = fan_out(shards, |entries| {
+        let mut buckets: HashMap<Tuple<Value<A>>, Members<'a, A>> = HashMap::new();
+        for (key, t, k) in entries {
+            buckets.entry(key).or_default().push((t, k));
+        }
+        let mut rows = BTreeMap::new();
+        for (g, members) in &buckets {
+            let mut contributions: Vec<Contribution<'a, A>> =
+                members.iter().map(|(t, k)| (*t, (*k).clone())).collect();
+            for (key, t, k) in &sym {
+                push_coefficients(&mut contributions, &[(*t, *k)], key, g, &positions)?;
+            }
+            let (row, ann) = finish(g, contributions)?;
+            insert_distinct(&mut rows, row, ann);
+        }
+        Ok((rows, buckets))
+    })?;
+    let mut out = BTreeMap::new();
+    let mut bucket_shards = Vec::with_capacity(shard_results.len());
+    for (rows, buckets) in shard_results {
+        for (t, k) in rows {
+            insert_distinct(&mut out, t, k);
+        }
+        bucket_shards.push(buckets);
+    }
+    let mut seen = BTreeSet::new();
+    for (p, _, _) in &sym {
+        if !seen.insert(p) {
+            continue;
+        }
+        let mut contributions = Vec::new();
+        for (g, members) in bucket_shards.iter().flatten() {
+            push_coefficients(&mut contributions, members, g, p, &positions)?;
+        }
+        for (key, t, k) in &sym {
+            push_coefficients(&mut contributions, &[(*t, *k)], key, p, &positions)?;
+        }
+        let (row, ann) = finish(p, contributions)?;
+        insert_distinct(&mut out, row, ann);
+    }
+    Ok(out)
+}
+
+/// Union (§4.3 item 2): the keyed fold over both supports with the whole
+/// tuple as key — with symbolic values, every output tuple sums
+/// contributions from *all* input tuples weighted by equality tokens.
+/// Single-threaded; see [`union_opts`] for the partition-parallel form.
 pub fn union<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>> {
     union_opts(r1, r2, &ExecOptions::serial())
 }
 
-/// [`union`] with explicit [`ExecOptions`].
-///
-/// Physical plan: fully ground tuples take an `O(n log n)` additive merge
-/// (between constants the §4.3 tokens are structural `0`/`1`); the
-/// quadratic token construction runs only over the symbolic fraction and
-/// its cross terms against the merged ground partition. With more than one
-/// thread, the ground partition is sharded by tuple hash across scoped
-/// worker threads — the per-shard merges (and the ground side of the cross
-/// terms) run concurrently, per-shard outputs fold in shard order, and the
-/// symbolic output keys stay on the sequential token path. The result is
-/// identical at every thread count.
+/// [`union`] with explicit [`ExecOptions`]. Fully ground inputs small
+/// enough for one shard take the classical additive merge of
+/// [`Relation::union`]; everything else runs the keyed token fold. The
+/// result is identical at every thread count.
 pub fn union_opts<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
@@ -270,140 +390,29 @@ pub fn union_opts<A: AggAnnotation>(
             op: "union",
         });
     }
-    if !has_symbolic(r1) && !has_symbolic(r2) {
-        let nshards = plan_shards(opts, r1.len() + r2.len());
-        if nshards == 1 {
-            return r1.union(r2);
-        }
-        // Sharded additive merge over both supports' shard views: a tuple
-        // lands in the same shard on either side (the split keys on the
-        // whole tuple), so pairing the views and keeping `r1`'s entries
-        // first reproduces the serial per-key accumulation order exactly.
-        // The key closure clones the tuple — an `Arc` bump, not a deep copy.
-        let shards1 = r1.shard_views(nshards, Tuple::clone);
-        let shards2 = r2.shard_views(nshards, Tuple::clone);
-        let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
-        let maps = fan_out(pairs, |(s1, s2)| {
-            let mut m: BTreeMap<&Tuple<Value<A>>, A> = BTreeMap::new();
-            for (t, k) in s1.iter().chain(s2.iter()) {
-                m.entry(t)
-                    .and_modify(|a| *a = a.plus(k))
-                    .or_insert_with(|| k.clone());
-            }
-            Ok(m)
-        })?;
-        let mut out = BTreeMap::new();
-        for m in maps {
-            for (t, k) in m {
-                insert_distinct(&mut out, t.clone(), k);
-            }
-        }
-        return from_map(r1.schema().clone(), out);
+    if plan_shards(opts, r1.len() + r2.len()) == 1 && !has_symbolic(r1) && !has_symbolic(r2) {
+        return r1.union(r2);
     }
-    let all_positions: Vec<usize> = (0..r1.schema().arity()).collect();
-    // Partition: ground tuples merge additively (token 1 exactly on
-    // structural equality); symbolic tuples keep their annotations for the
-    // token-weighted cross sums.
-    let mut ground_entries: Vec<(&Tuple<Value<A>>, &A)> = Vec::new();
-    let mut sym: Vec<(&Tuple<Value<A>>, &A)> = Vec::new();
-    for (t, k) in r1.iter().chain(r2.iter()) {
-        if is_ground_at(t, &all_positions) {
-            ground_entries.push((t, k));
-        } else {
-            sym.push((t, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground_entries.len());
-    let shards = split_by(&ground_entries, nshards, |(t, _)| shard_index(t, nshards));
-    // Ground output keys, per shard: the structural merge plus every
-    // symbolic tuple's token-weighted contribution (a constant row can
-    // equal a symbolic one under a valuation, so the cross terms are
-    // required for §4.3 parity).
-    let sym_ref = &sym;
-    let positions_ref = &all_positions;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut ground: BTreeMap<&Tuple<Value<A>>, A> = BTreeMap::new();
-        for (t, k) in entries {
-            ground
-                .entry(t)
-                .and_modify(|a| *a = a.plus(k))
-                .or_insert_with(|| k.clone());
-        }
-        let mut rows = BTreeMap::new();
-        for (t, base) in &ground {
-            let mut parts = vec![base.clone()];
-            for (s, ks) in sym_ref {
-                let tok = tuple_eq_token(s, t, positions_ref)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = ks.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-            insert_distinct(&mut rows, (*t).clone(), sum_many(parts));
-        }
-        Ok((ground, rows))
+    let entries = r1.iter().chain(r2.iter()).map(|(t, k)| (t.clone(), t, k));
+    let out = keyed_fold(entries, r1.schema().arity(), opts, |t, contributions| {
+        Ok((t.clone(), coefficient_sum(contributions)))
     })?;
-    let mut out = BTreeMap::new();
-    let mut ground_shards = Vec::with_capacity(shard_results.len());
-    for (ground, rows) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        ground_shards.push(ground);
-    }
-    // Symbolic output keys: contributions from every input tuple. The
-    // sequential token path — the symbolic fringe is tiny by construction.
-    for (t, _) in &sym {
-        if out.contains_key(*t) {
-            continue;
-        }
-        let mut parts = Vec::new();
-        for ground in &ground_shards {
-            for (g, kg) in ground {
-                let tok = tuple_eq_token(g, t, &all_positions)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = kg.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-        }
-        for (s, ks) in &sym {
-            let tok = tuple_eq_token(s, t, &all_positions)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let part = ks.times(&tok);
-            if !part.is_zero() {
-                parts.push(part);
-            }
-        }
-        insert_distinct(&mut out, (*t).clone(), sum_many(parts));
-    }
     from_map(r1.schema().clone(), out)
 }
 
-/// Projection `Π_{U'}`. With symbolic values, annotations sum over all
+/// Projection `Π_{U'}` (§4.3 item 3): the keyed fold with the projected
+/// positions as key — with symbolic values, annotations sum over all
 /// tuples weighted by tokens on the projected attributes. Single-threaded;
 /// see [`project_opts`] for the partition-parallel form.
 pub fn project<A: AggAnnotation>(rel: &MKRel<A>, attrs: &[&str]) -> Result<MKRel<A>> {
     project_opts(rel, attrs, &ExecOptions::serial())
 }
 
-/// [`project`] with explicit [`ExecOptions`].
-///
-/// Physical plan: tuples that are ground *at the projected positions* (a
-/// strictly wider fast set than "the whole relation is ground") merge
-/// additively by projected key; the token construction runs only over the
-/// symbolic-at-`U'` fraction and its cross terms. With more than one
-/// thread, the ground partition is sharded by projected-key hash across
-/// scoped worker threads; the symbolic output keys stay on the sequential
-/// token path. The result is identical at every thread count.
+/// [`project`] with explicit [`ExecOptions`]. An input that is ground *at
+/// the projected positions* (a strictly wider set than "the whole
+/// relation is ground") and small enough for one shard takes the
+/// classical additive merge of [`Relation::project`]; everything else runs
+/// the keyed token fold. The result is identical at every thread count.
 pub fn project_opts<A: AggAnnotation>(
     rel: &MKRel<A>,
     attrs: &[&str],
@@ -411,123 +420,13 @@ pub fn project_opts<A: AggAnnotation>(
 ) -> Result<MKRel<A>> {
     let positions = rel.schema().indices_of(attrs)?;
     let schema = rel.schema().project(attrs)?;
-    let all: Vec<usize> = (0..positions.len()).collect();
-    if rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
-        let nshards = plan_shards(opts, rel.len());
-        if nshards == 1 {
-            return rel.project(attrs);
-        }
-        // Sharded additive merge by projected key: each tuple is projected
-        // exactly once (the projection allocates; its `Tuple` clone is an
-        // `Arc` bump) and equal keys co-locate, so per-shard merged maps
-        // are disjoint sorted runs.
-        let mut shards: Vec<KeyedShard<'_, A>> = (0..nshards).map(|_| Vec::new()).collect();
-        for (t, k) in rel.iter() {
-            let proj = t.project(&positions);
-            // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-            shards[shard_index(&proj, nshards)].push((proj, k));
-        }
-        let maps = fan_out(shards, |entries| {
-            let mut m: BTreeMap<Tuple<Value<A>>, A> = BTreeMap::new();
-            for (proj, k) in entries {
-                m.entry(proj)
-                    .and_modify(|a| *a = a.plus(k))
-                    .or_insert_with(|| k.clone());
-            }
-            Ok(m)
-        })?;
-        let mut out = BTreeMap::new();
-        for m in maps {
-            for (t, k) in m {
-                insert_distinct(&mut out, t, k);
-            }
-        }
-        return from_map(schema, out);
+    if plan_shards(opts, rel.len()) == 1 && rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
+        return rel.project(attrs);
     }
-    // Partition by groundness of the projected key (projected once here,
-    // carried through shard assignment and the per-shard merge).
-    let mut ground_entries: KeyedShard<'_, A> = Vec::new();
-    let mut sym: KeyedShard<'_, A> = Vec::new();
-    for (t, k) in rel.iter() {
-        let proj = t.project(&positions);
-        if is_ground_at(&proj, &all) {
-            ground_entries.push((proj, k));
-        } else {
-            sym.push((proj, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground_entries.len());
-    let mut shards: Vec<KeyedShard<'_, A>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (proj, k) in ground_entries {
-        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-        shards[shard_index(&proj, nshards)].push((proj, k));
-    }
-    let sym_ref = &sym;
-    let all_ref = &all;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut ground: BTreeMap<Tuple<Value<A>>, A> = BTreeMap::new();
-        for (proj, k) in entries {
-            ground
-                .entry(proj)
-                .and_modify(|a| *a = a.plus(k))
-                .or_insert_with(|| k.clone());
-        }
-        let mut rows = BTreeMap::new();
-        for (p, base) in &ground {
-            let mut parts = vec![base.clone()];
-            for (s, ks) in sym_ref {
-                let tok = tuple_eq_token(s, p, all_ref)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = ks.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-            insert_distinct(&mut rows, p.clone(), sum_many(parts));
-        }
-        Ok((ground, rows))
+    let entries = rel.iter().map(|(t, k)| (t.project(&positions), t, k));
+    let out = keyed_fold(entries, positions.len(), opts, |p, contributions| {
+        Ok((p.clone(), coefficient_sum(contributions)))
     })?;
-    let mut out = BTreeMap::new();
-    let mut ground_shards = Vec::with_capacity(shard_results.len());
-    for (ground, rows) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        ground_shards.push(ground);
-    }
-    for (p, _) in &sym {
-        if out.contains_key(p) {
-            continue;
-        }
-        let mut parts = Vec::new();
-        // Token equality depends only on the projected key, so the merged
-        // ground partition contributes per distinct key, not per tuple.
-        for ground in &ground_shards {
-            for (g, kg) in ground {
-                let tok = tuple_eq_token(g, p, &all)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                let part = kg.times(&tok);
-                if !part.is_zero() {
-                    parts.push(part);
-                }
-            }
-        }
-        for (s, ks) in &sym {
-            let tok = tuple_eq_token(s, p, &all)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let part = ks.times(&tok);
-            if !part.is_zero() {
-                parts.push(part);
-            }
-        }
-        insert_distinct(&mut out, p.clone(), sum_many(parts));
-    }
     from_map(schema, out)
 }
 
@@ -543,12 +442,7 @@ pub fn select_eq<A: AggAnnotation>(
     value: &Value<A>,
 ) -> Result<MKRel<A>> {
     let idx = rel.schema().index_of(attr)?;
-    let mut out = BTreeMap::new();
-    for (t, k) in rel.iter() {
-        let tok = A::value_eq(t.get(idx), value)?;
-        insert_distinct(&mut out, t.clone(), k.times(&tok));
-    }
-    from_map(rel.schema().clone(), out)
+    select_with_token(rel, |_, t| A::value_eq(t.get(idx), value))
 }
 
 /// Selection `σ_{u1 = u2}` comparing two attributes of the same relation.
@@ -559,12 +453,7 @@ pub fn select_attrs_eq<A: AggAnnotation>(
 ) -> Result<MKRel<A>> {
     let i = rel.schema().index_of(attr1)?;
     let j = rel.schema().index_of(attr2)?;
-    let mut out = BTreeMap::new();
-    for (t, k) in rel.iter() {
-        let tok = A::value_eq(t.get(i), t.get(j))?;
-        insert_distinct(&mut out, t.clone(), k.times(&tok));
-    }
-    from_map(rel.schema().clone(), out)
+    select_with_token(rel, |_, t| A::value_eq(t.get(i), t.get(j)))
 }
 
 /// Generic tokened selection: multiplies each tuple's annotation by a
@@ -876,50 +765,6 @@ pub(crate) fn group_by_layout<A: AggAnnotation>(
     Ok((gidx, sidx, schema))
 }
 
-/// A symbolic-keyed tuple of [`group_by_opts`]: its projected group key,
-/// the tuple, its annotation.
-type SymEntry<'a, A> = (Tuple<Value<A>>, &'a Tuple<Value<A>>, &'a A);
-
-/// Builds one ground candidate group's output row and annotation: the
-/// bucket's members join with token 1, symbolic-keyed tuples contribute
-/// with a token weight. Shared by the serial and per-shard paths.
-fn ground_group_row<A: AggAnnotation>(
-    g: &Tuple<Value<A>>,
-    members: &[(&Tuple<Value<A>>, &A)],
-    sym: &[SymEntry<'_, A>],
-    specs: &[AggSpec<'_>],
-    sidx: &[usize],
-    all: &[usize],
-) -> Result<(Tuple<Value<A>>, A)> {
-    let mut anns: Vec<A> = Vec::with_capacity(members.len());
-    let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-    for (t, k) in members {
-        anns.push((*k).clone());
-        accumulate_specs(t, specs, sidx, &mut terms, k)?;
-    }
-    for (key, t2, k2) in sym {
-        let tok = tuple_eq_token(key, g, all)?;
-        if tok.is_zero() {
-            continue;
-        }
-        let coeff = k2.times(&tok);
-        if coeff.is_zero() {
-            continue;
-        }
-        accumulate_specs(t2, specs, sidx, &mut terms, &coeff)?;
-        anns.push(coeff);
-    }
-    let total = sum_many(anns);
-    let mut row: Vec<Value<A>> = g.values().to_vec();
-    for (spec, ts) in specs.iter().zip(terms) {
-        row.push(Value::agg_normalized(
-            spec.kind,
-            Tensor::from_terms(&spec.kind, ts),
-        ));
-    }
-    Ok((Tuple::new(row), total.delta()))
-}
-
 /// `GB_{U', specs}(R)`: groups by `group_attrs` and aggregates each spec's
 /// attribute. Output schema: `group_attrs ++ [spec.attr, …]`. The group
 /// tuple's annotation is `δ(Σ_{t' ∈ group} coeff(t'))` where with symbolic
@@ -933,18 +778,11 @@ pub fn group_by<A: AggAnnotation>(
     group_by_opts(rel, group_attrs, specs, &ExecOptions::serial())
 }
 
-/// [`group_by`] with explicit [`ExecOptions`].
-///
-/// Physical plan: tuples with ground group keys are hash-partitioned into
-/// buckets (between constants the membership token is structural key
-/// equality) — with more than one thread, whole buckets are sharded by
-/// group-key hash, each scoped worker aggregates its buckets (including
-/// the token-weighted contributions of symbolic-keyed tuples), and the
-/// per-shard rows fold in shard order. Tuples with symbolic keys join
-/// every candidate group with a token-weighted coefficient on the
-/// sequential path; tokens against a ground bucket are computed once per
-/// bucket, not once per member. The result is identical at every thread
-/// count.
+/// [`group_by`] with explicit [`ExecOptions`]: the keyed token fold with
+/// the grouping positions as key. Its finisher builds, per candidate
+/// group, one tensor `Σ coeff(t') ∗ t'(attr)` per spec (re-normalized, so
+/// a resolved tensor collapses to its constant) and annotates the row with
+/// `δ(Σ coeff(t'))`. The result is identical at every thread count.
 pub fn group_by_opts<A: AggAnnotation>(
     rel: &MKRel<A>,
     group_attrs: &[&str],
@@ -952,103 +790,21 @@ pub fn group_by_opts<A: AggAnnotation>(
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let (gidx, sidx, schema) = group_by_layout(rel, group_attrs, specs)?;
-    let all: Vec<usize> = (0..gidx.len()).collect();
-
-    // Partition pass: ground group keys shard by key hash (whole buckets
-    // stay together); symbolic-keyed tuples go to the sequential fringe.
-    // Keyed entries share the `SymEntry` layout: (group key, tuple, ann).
-    type Members<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
-    let mut ground: Vec<SymEntry<'_, A>> = Vec::new();
-    let mut sym: Vec<SymEntry<'_, A>> = Vec::new();
-    for (t, k) in rel.iter() {
-        let g = t.project(&gidx);
-        if is_ground_at(&g, &all) {
-            ground.push((g, t, k));
-        } else {
-            sym.push((g, t, k));
-        }
-    }
-    let nshards = plan_shards(opts, ground.len());
-    let mut shards: Vec<Vec<SymEntry<'_, A>>> = (0..nshards).map(|_| Vec::new()).collect();
-    for (g, t, k) in ground {
-        let shard = shard_index(&g, nshards);
-        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-        shards[shard].push((g, t, k));
-    }
-
-    let sym_ref = &sym;
-    let specs_ref = specs;
-    let sidx_ref = &sidx;
-    let all_ref = &all;
-    let shard_results = fan_out(shards, move |entries| {
-        let mut buckets: HashMap<Tuple<Value<A>>, Members<'_, A>> = HashMap::new();
-        for (g, t, k) in entries {
-            buckets.entry(g).or_default().push((t, k));
-        }
-        let mut rows = BTreeMap::new();
-        for (g, members) in &buckets {
-            let (row, ann) = ground_group_row(g, members, sym_ref, specs_ref, sidx_ref, all_ref)?;
-            insert_distinct(&mut rows, row, ann);
-        }
-        Ok((rows, buckets))
-    })?;
-    let mut out = BTreeMap::new();
-    let mut bucket_shards = Vec::with_capacity(shard_results.len());
-    for (rows, buckets) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        bucket_shards.push(buckets);
-    }
-    // Symbolic candidate groups: membership of *every* tuple is weighted by
-    // equality tokens (the full §4.3 rule), but the token against a ground
-    // bucket depends only on the bucket key — computed once per bucket.
-    let mut seen: Vec<&Tuple<Value<A>>> = Vec::new();
-    for (p, _, _) in &sym {
-        if seen.contains(&p) {
-            continue;
-        }
-        seen.push(p);
-        let mut anns: Vec<A> = Vec::new();
+    let entries = rel.iter().map(|(t, k)| (t.project(&gidx), t, k));
+    let out = keyed_fold(entries, gidx.len(), opts, |g, contributions| {
         let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-        for buckets in &bucket_shards {
-            for (g, members) in buckets {
-                let tok = tuple_eq_token(g, p, &all)?;
-                if tok.is_zero() {
-                    continue;
-                }
-                for (t, k) in members {
-                    let coeff = k.times(&tok);
-                    if coeff.is_zero() {
-                        continue;
-                    }
-                    accumulate_specs(t, specs, &sidx, &mut terms, &coeff)?;
-                    anns.push(coeff);
-                }
-            }
+        for (t, coeff) in &contributions {
+            accumulate_specs(t, specs, &sidx, &mut terms, coeff)?;
         }
-        for (key, t2, k2) in &sym {
-            let tok = tuple_eq_token(key, p, &all)?;
-            if tok.is_zero() {
-                continue;
-            }
-            let coeff = k2.times(&tok);
-            if coeff.is_zero() {
-                continue;
-            }
-            accumulate_specs(t2, specs, &sidx, &mut terms, &coeff)?;
-            anns.push(coeff);
-        }
-        let total = sum_many(anns);
-        let mut row: Vec<Value<A>> = p.values().to_vec();
+        let mut row: Vec<Value<A>> = g.values().to_vec();
         for (spec, ts) in specs.iter().zip(terms) {
             row.push(Value::agg_normalized(
                 spec.kind,
                 Tensor::from_terms(&spec.kind, ts),
             ));
         }
-        insert_distinct(&mut out, Tuple::new(row), total.delta());
-    }
+        Ok((Tuple::new(row), coefficient_sum(contributions).delta()))
+    })?;
     from_map(schema, out)
 }
 

@@ -24,10 +24,11 @@
 //!   is exercised one-sidedly here (ground rows against a symbolic
 //!   comparison value and vice versa) against a literal no-shortcut
 //!   oracle.
-//! * **`group_by_opts` partition**: ground buckets fold the
-//!   token-weighted contributions of symbolic-keyed tuples
-//!   (`ground_group_row`'s `sym` loop); symbolic candidate groups sum
-//!   over every bucket and the symbolic fringe — two-sided.
+//! * **`group_by_opts` partition** (the keyed fold `union_opts` and
+//!   `project_opts` share): ground buckets fold the token-weighted
+//!   contributions of symbolic-keyed tuples (`keyed_fold`'s per-bucket
+//!   `sym` loop); symbolic candidate groups sum over every bucket and
+//!   the symbolic fringe — two-sided.
 //! * **`join_on_opts`**: the hash block only joins ground × ground key
 //!   pairs; all three one-or-two-sided symbolic blocks
 //!   (`g×s`, `s×g`, `s×s`) run the token nested loop.

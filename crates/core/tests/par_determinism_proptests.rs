@@ -7,10 +7,14 @@
 //! the input sizes: with up to 7-row relations, `threads = 2` splits real
 //! work while `threads = 8` produces more shards than tuples — so empty
 //! shards, single-tuple shards and the shard-order merge are all exercised
-//! on every case. Dedicated tests pin the degenerate corners: empty
-//! inputs, all-symbolic relations (an empty ground partition with a
-//! populated fringe), and a larger deterministic workload where every
-//! shard is genuinely busy.
+//! on every case. A second, all-ground arm (more rows than threads, keys
+//! that repeat across both union inputs and after projection) pins the
+//! case the mixed generators only hit by chance: no fringe at all, every
+//! row through the sharded buckets. Dedicated tests pin the degenerate
+//! corners: empty inputs, all-symbolic relations (an empty ground
+//! partition with a populated fringe), one symbolic key repeated on
+//! several rows (its candidate is formed once), and a larger
+//! deterministic workload where every shard is genuinely busy.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
@@ -112,8 +116,43 @@ fn arb_group_rel() -> impl Strategy<Value = MKRel<P>> {
     })
 }
 
+/// A fully ground `(a, b)` relation with more rows than the largest
+/// thread count and few distinct values, so whole tuples repeat across
+/// two draws and keys repeat after projecting or grouping on `a`.
+fn arb_ground_rel(prefix: &'static str) -> impl Strategy<Value = MKRel<P>> {
+    prop::collection::vec((0i64..4, 0i64..3), 9..24).prop_map(move |rows| {
+        rel_from(
+            prefix,
+            Schema::new(["a", "b"]).unwrap(),
+            rows.into_iter()
+                .map(|(a, b)| vec![Value::int(a), Value::int(b)])
+                .collect(),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn all_ground_inputs_match_spec(r1 in arb_ground_rel("a"), r2 in arb_ground_rel("b")) {
+        let spec_union = specops::union(&r1, &r2).unwrap();
+        let spec_proj = specops::project(&r1, &["a"]).unwrap();
+        let gspecs = [AggSpec::new(MonoidKind::Sum, "b")];
+        let spec_group = specops::group_by(&r1, &["a"], &gspecs).unwrap();
+        prop_assert!(spec_proj.len() < r1.len(), "projection merges keys");
+        for t in THREADS {
+            let opts = ExecOptions::with_threads(t);
+            prop_assert_eq!(&ops::union_opts(&r1, &r2, &opts).unwrap(), &spec_union, "threads = {}", t);
+            prop_assert_eq!(&ops::project_opts(&r1, &["a"], &opts).unwrap(), &spec_proj, "threads = {}", t);
+            prop_assert_eq!(
+                &ops::group_by_opts(&r1, &["a"], &gspecs, &opts).unwrap(),
+                &spec_group,
+                "threads = {}",
+                t
+            );
+        }
+    }
 
     #[test]
     fn union_parallel_matches_spec(r1 in arb_rel2("a", "a", "b"), r2 in arb_rel2("b", "a", "b")) {
@@ -223,6 +262,48 @@ fn all_symbolic_relations_match_spec_at_every_thread_count() {
             ops::group_by_opts(&r1, &["a"], &gspecs, &opts).unwrap(),
             spec_group
         );
+    }
+}
+
+/// One symbolic key on several rows, beside ground rows it may equal under
+/// a valuation: the key is a candidate once (one output row), and that
+/// row sums every carrier of the key plus the token-weighted ground rows.
+#[test]
+fn repeated_symbolic_key_forms_one_candidate() {
+    let key = || sym_val(0, 3);
+    let r1 = rel_from(
+        "a",
+        sch(&["a", "b"]),
+        vec![
+            vec![key(), Value::int(1)],
+            vec![key(), Value::int(2)],
+            vec![key(), sym_val(1, 2)],
+            vec![Value::int(3), Value::int(1)],
+            vec![Value::int(3), Value::int(2)],
+            vec![Value::int(4), Value::int(1)],
+        ],
+    );
+    let r2 = rel_from(
+        "b",
+        sch(&["a", "b"]),
+        vec![
+            vec![key(), Value::int(1)],
+            vec![Value::int(3), Value::int(1)],
+        ],
+    );
+    let spec_union = specops::union(&r1, &r2).unwrap();
+    let spec_proj = specops::project(&r1, &["a"]).unwrap();
+    let gspecs = [AggSpec::new(MonoidKind::Sum, "b")];
+    let spec_group = specops::group_by(&r1, &["a"], &gspecs).unwrap();
+    for t in THREADS {
+        let opts = ExecOptions::with_threads(t);
+        assert_eq!(ops::union_opts(&r1, &r2, &opts).unwrap(), spec_union);
+        let proj = ops::project_opts(&r1, &["a"], &opts).unwrap();
+        assert_eq!(proj, spec_proj);
+        assert_eq!(proj.iter().filter(|(t, _)| t.get(0) == &key()).count(), 1);
+        let grouped = ops::group_by_opts(&r1, &["a"], &gspecs, &opts).unwrap();
+        assert_eq!(grouped, spec_group);
+        assert_eq!(grouped.len(), 3, "keys ⟨x⊗3⟩, 3 and 4");
     }
 }
 

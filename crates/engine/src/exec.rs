@@ -12,13 +12,16 @@
 //!   materialized between nodes — filters narrow a selection vector,
 //!   projections gather columns, joins hash build/probe over columns;
 //! * **pipeline breakers** — Aggregate and SetOp — materialize their
-//!   inputs and run the row-at-a-time operators of `aggprov_core::ops`
-//!   (which also carry the partition-parallel sharding of
+//!   inputs and run the row-at-a-time operators of `aggprov_core::ops`:
+//!   `group_by_opts` and `union_opts` are two callers of its one keyed
+//!   token fold (which also carries the partition-parallel sharding of
 //!   [`ExecOptions`]);
 //! * whenever the symbolic fringe forces cross-row token sums (projection
 //!   or join over symbolic values), the affected node falls back to the
-//!   same `ops::*_opts` operators, so results are bit-identical to the
-//!   `specops` reference at every thread count.
+//!   same module — `project_opts`, the fold's third caller, or the
+//!   pairwise `join_on_opts` (a product is the join with no keys) — so
+//!   results are bit-identical to the `specops` reference at every
+//!   thread count.
 
 use crate::annot::ParseAnnotation;
 use crate::ast::{CmpOp, SetOp};
@@ -162,27 +165,6 @@ where
             }
             Ok(Flow::Chunk(
                 flow.into_chunk().project(columns, schema.clone())?,
-            ))
-        }
-        PhysNode::Product {
-            left,
-            right,
-            schema,
-        } => {
-            let l = run(db, left, params, param_count, opts)?;
-            let r = run(db, right, params, param_count, opts)?;
-            if !l.has_symbolic() && !r.has_symbolic() {
-                return Ok(Flow::Chunk(hash_join(
-                    l.into_chunk(),
-                    r.into_chunk(),
-                    &[],
-                    schema.clone(),
-                    opts,
-                )?));
-            }
-            Ok(Flow::Rel(
-                ops::product(&l.into_rel()?, &r.into_rel()?)?,
-                None,
             ))
         }
         PhysNode::HashJoin {

@@ -244,7 +244,14 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
                 out.push((Token::Ident(input[start..j].to_string()), tok_start));
                 i = j;
             }
-            other => return Err(err_at(tok_start, format!("unexpected character `{other}`"))),
+            other => {
+                // `other` is one byte; name the whole scalar starting here.
+                let ch = input
+                    .get(i..)
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(other);
+                return Err(err_at(tok_start, format!("unexpected character `{ch}`")));
+            }
         }
     }
     Ok(out)
@@ -325,6 +332,18 @@ mod tests {
         // An unterminated string points at its opening quote.
         let err = lex("x = 'oops").unwrap_err();
         assert!(matches!(err, RelError::Parse { pos: 4, .. }), "{err:?}");
+        // A non-ASCII character is named whole, at its first byte.
+        for (sql, ch, at) in [("a WHERE é = 1", 'é', 8), ("'é' 日", '日', 5)] {
+            let err = lex(sql).unwrap_err();
+            let RelError::Parse { pos, msg } = &err else {
+                panic!("expected RelError::Parse, got {err:?}");
+            };
+            assert_eq!(*pos, at, "{msg}");
+            assert!(
+                msg.ends_with(&format!("unexpected character `{ch}`")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ mod tests {
     use aggprov_algebra::semiring::{Nat, Security};
     use aggprov_core::eval::{collapse, map_hom_mk};
     use aggprov_core::{Km, Value};
+    use aggprov_krel::error::RelError;
 
     fn figure_1_db() -> ProvDb {
         let mut db = ProvDb::new();
@@ -362,5 +363,63 @@ mod tests {
         );
         assert!(db.exec("DROP TABLE t").is_ok());
         assert!(db.query("SELECT a FROM t").is_err());
+    }
+
+    #[test]
+    fn hostile_depth_is_a_typed_error_not_a_stack_overflow() {
+        // Each statement is a few hundred KB of valid SQL; unbounded
+        // recursion (parser, lowering, `Drop`) overflowed the stack of a
+        // server connection thread (2 MiB) and aborted the process.
+        let check = || {
+            let mut db = ProvDb::new();
+            db.exec("CREATE TABLE r (a NUM); INSERT INTO r VALUES (1) PROVENANCE p1;")
+                .unwrap();
+            let nested = |levels: usize| {
+                (0..levels).fold("SELECT a FROM r".to_string(), |q, i| {
+                    format!("SELECT a FROM ({q}) t{i}")
+                })
+            };
+            let tables: Vec<String> = (0..20_000).map(|i| format!("r t{i}")).collect();
+            let hostile = [
+                (nested(5_000), "SELECT blocks"),
+                (
+                    vec!["SELECT a FROM r"; 20_000].join(" UNION "),
+                    "SELECT blocks",
+                ),
+                (
+                    format!(
+                        "SELECT a FROM r WHERE {}",
+                        vec!["a = 1"; 20_000].join(" AND ")
+                    ),
+                    "deeper than 512 operators",
+                ),
+                (
+                    format!("SELECT t0.a FROM {}", tables.join(", ")),
+                    "deeper than 512 operators",
+                ),
+            ];
+            for (sql, limit) in &hostile {
+                let err = db.prepare(sql).expect_err("hostile depth must not prepare");
+                assert!(
+                    matches!(err, RelError::Parse { .. } | RelError::Unsupported(_)),
+                    "{err:?}"
+                );
+                assert!(err.to_string().contains(limit), "{err}");
+                assert!(db.exec(sql).is_err());
+            }
+            // Ordinary depth is untouched.
+            let ok = format!(
+                "{} UNION SELECT a FROM r WHERE {}",
+                nested(8),
+                vec!["a = 1"; 16].join(" AND ")
+            );
+            assert_eq!(db.query(&ok).unwrap().len(), 1);
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(check)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -29,6 +29,15 @@ use aggprov_krel::error::RelError;
 
 type Result<T> = std::result::Result<T, RelError>;
 
+/// The most `SELECT` blocks (subqueries and `UNION`/`EXCEPT` arms) one
+/// statement may hold. The parser recurses once per nested subquery and
+/// every block deepens the AST by at most one level, so the count bounds
+/// the parser's stack use and the depth every later pass — and `Drop` —
+/// recurses to; without it one hostile line overflows the stack and
+/// aborts the process. Sized so that even a debug build parses the
+/// deepest accepted nesting inside a 2 MiB thread stack.
+pub const MAX_SELECT_BLOCKS: usize = 128;
+
 /// Parses a script of one or more statements.
 pub fn parse_script(input: &str) -> Result<Vec<Stmt>> {
     let spanned = lex_spanned(input)?;
@@ -38,6 +47,7 @@ pub fn parse_script(input: &str) -> Result<Vec<Stmt>> {
         spans,
         end_pos: input.len(),
         pos: 0,
+        selects: 0,
     };
     let mut stmts = Vec::new();
     loop {
@@ -64,6 +74,7 @@ pub fn parse_query(input: &str) -> Result<Query> {
         spans,
         end_pos: input.len(),
         pos: 0,
+        selects: 0,
     };
     while p.eat(&Token::Semi) {}
     let start = p.spans.get(p.pos).copied().unwrap_or(0);
@@ -88,6 +99,9 @@ struct Parser {
     /// The input length — the position errors at end of input point at.
     end_pos: usize,
     pos: usize,
+    /// `SELECT` blocks seen in the current statement (capped at
+    /// [`MAX_SELECT_BLOCKS`]).
+    selects: usize,
 }
 
 impl Parser {
@@ -182,6 +196,7 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt> {
+        self.selects = 0;
         if self.at_kw("CREATE") {
             self.create_table()
         } else if self.at_kw("DROP") {
@@ -294,6 +309,13 @@ impl Parser {
     }
 
     fn select(&mut self) -> Result<SelectStmt> {
+        self.selects += 1;
+        if self.selects > MAX_SELECT_BLOCKS {
+            return Err(self.err(format!(
+                "statement has more than {MAX_SELECT_BLOCKS} SELECT blocks \
+                 (subqueries and UNION/EXCEPT arms)"
+            )));
+        }
         self.expect_kw("SELECT")?;
         let mut stmt = SelectStmt::default();
         loop {

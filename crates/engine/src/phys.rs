@@ -90,23 +90,15 @@ pub(crate) enum PhysNode {
         /// The display schema.
         schema: Schema,
     },
-    /// Cartesian product.
-    Product {
-        /// Left input.
-        left: Box<PhysNode>,
-        /// Right input.
-        right: Box<PhysNode>,
-        /// The concatenated schema.
-        schema: Schema,
-    },
     /// Hash equi-join: build right, probe left. Batched when both sides
     /// are fully ground, token-weighted `ops::join_on_opts` otherwise.
+    /// A Cartesian product is the join with no keys.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysNode>,
         /// Right (build) input.
         right: Box<PhysNode>,
-        /// Join-key column positions `(left, right)`.
+        /// Join-key column positions `(left, right)`; empty for a product.
         on_idx: Vec<(usize, usize)>,
         /// The same keys by resolved name, for the row-at-a-time fallback.
         on_names: Vec<(String, String)>,
@@ -238,9 +230,11 @@ pub(crate) fn lower_with(
             left,
             right,
             schema,
-        } => PhysNode::Product {
+        } => PhysNode::HashJoin {
             left: Box::new(lower(left)?),
             right: Box::new(lower(right)?),
+            on_idx: Vec::new(),
+            on_names: Vec::new(),
             schema: schema.clone(),
         },
         Plan::Join {

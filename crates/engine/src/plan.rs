@@ -34,6 +34,14 @@ fn unsup(msg: impl Into<String>) -> RelError {
 /// The internal column name of the constant-1 column used by COUNT/AVG.
 pub(crate) const ONE_COL: &str = "__one";
 
+/// The deepest plan [`lower_query`] builds, in operators stacked on one
+/// root-to-leaf path. Optimization, physical lowering, execution and
+/// `Drop` all recurse once per level, so without a cap one statement of
+/// `AND` conjuncts, joined tables, `UNION` arms or nested derived tables
+/// overflows the stack and aborts the process. Sized so the deepest
+/// accepted plan runs well inside a 2 MiB thread stack in a release build.
+pub const MAX_PLAN_DEPTH: usize = 512;
+
 /// A resolved operand of a [`Predicate`]: a column position, a constant, or
 /// a `$n` parameter slot.
 #[derive(Clone, PartialEq, Debug)]
@@ -301,6 +309,7 @@ where
     let mut lowerer = Lowerer {
         db,
         params_seen: std::collections::BTreeSet::new(),
+        depth: 0,
     };
     let plan = lowerer.query(q)?;
     let param_count = lowerer.params_seen.last().copied().unwrap_or(0);
@@ -321,6 +330,9 @@ where
 struct Lowerer<'db, A: AggAnnotation + ParseAnnotation> {
     db: &'db Database<A>,
     params_seen: std::collections::BTreeSet<usize>,
+    /// How many plan nodes will sit above whatever is lowered next — the
+    /// plan is built bottom-up, but its shape is known top-down.
+    depth: usize,
 }
 
 /// Resolves a column reference against a schema: exact match first, then a
@@ -387,12 +399,37 @@ struct Planned {
 }
 
 impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
+    /// Runs `lower` with `nodes` more plan nodes accounted for above
+    /// whatever it lowers, refusing a plan deeper than [`MAX_PLAN_DEPTH`]
+    /// before any of it is built (or recursed into).
+    fn under<T>(&mut self, nodes: usize, lower: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += nodes;
+        if self.depth > MAX_PLAN_DEPTH {
+            return Err(unsup(format!(
+                "query plan is deeper than {MAX_PLAN_DEPTH} operators \
+                 (nested subqueries, set-operation arms, joined tables and \
+                 AND conjuncts each add one)"
+            )));
+        }
+        let lowered = lower(self)?;
+        self.depth -= nodes;
+        Ok(lowered)
+    }
+
     fn query(&mut self, q: &Query) -> Result<Plan> {
         match q {
-            Query::Select(s) => self.select(s),
+            Query::Select(s) => {
+                // What this block stacks above its first FROM item: the
+                // product/join chain, one Filter per conjunct, the
+                // Project, and (counted whether or not the block
+                // aggregates) AddUnitColumn + Aggregate.
+                let stacked = s.from.len() + s.joins.len() + s.where_.len() + s.having.len() + 2;
+                self.under(stacked, |lowerer| lowerer.select(s))
+            }
             Query::SetOp { op, left, right } => {
-                let l = self.query(left)?;
-                let r = self.query(right)?;
+                let (l, r) = self.under(1, |lowerer| {
+                    Ok((lowerer.query(left)?, lowerer.query(right)?))
+                })?;
                 if l.schema().arity() != r.schema().arity() {
                     return Err(RelError::SchemaMismatch {
                         left: l.schema().to_string(),
@@ -434,7 +471,7 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                 schema: prefixed(self.db.table(name)?.schema())?,
             }),
             TableSource::Subquery(q) => {
-                let sub = self.query(q)?;
+                let sub = self.under(1, |lowerer| lowerer.query(q))?;
                 let schema = prefixed(sub.schema())?;
                 Ok(Plan::Derived {
                     input: Box::new(sub),

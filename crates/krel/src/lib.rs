@@ -35,6 +35,6 @@ pub mod typed;
 
 pub use batch::{ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
-pub use relation::{Relation, ShardView, Tuple};
+pub use relation::{Relation, Tuple};
 pub use schema::{Attr, Schema};
 pub use typed::{ColHint, StrColumn, TypedColumn};

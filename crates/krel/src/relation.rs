@@ -216,35 +216,6 @@ where
         Arc::strong_count(&self.tuples) > 1
     }
 
-    /// Splits the support into `n` hash-disjoint [`ShardView`]s over the
-    /// `Arc`'d tuple store — the seam for partition-parallel execution.
-    ///
-    /// A tuple's shard is determined solely by the hash of `key(t)` under a
-    /// fixed-key hasher (see [`shard_index`] for the exact stability
-    /// scope), so the same tuple lands in the same shard on every run of
-    /// the same build; tuples with equal keys are
-    /// never split across shards. Within a view, tuples keep support
-    /// (`BTreeMap`) order, which gives downstream merges a deterministic
-    /// order. The views borrow the store (`&self`), so they are `Send` +
-    /// `Sync` and can be handed to scoped worker threads without cloning a
-    /// single tuple.
-    pub fn shard_views<H: Hash>(
-        &self,
-        n: usize,
-        key: impl Fn(&Tuple<V>) -> H,
-    ) -> Vec<ShardView<'_, K, V>> {
-        let n = n.max(1);
-        let mut shards: Vec<ShardView<'_, K, V>> = (0..n)
-            .map(|_| ShardView {
-                entries: Vec::new(),
-            })
-            .collect();
-        for (t, k) in self.tuples.iter() {
-            shards[shard_index(&key(t), n)].entries.push((t, k));
-        }
-        shards
-    }
-
     /// Builds a relation directly from a map of **distinct** tuples,
     /// reusing the map as the tuple store (no per-tuple re-insertion).
     /// Zero annotations are dropped to maintain the finite-support
@@ -437,32 +408,6 @@ pub fn shard_index<H: Hash>(key: &H, n: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut hasher);
     (hasher.finish() % n.max(1) as u64) as usize
-}
-
-/// A borrowed, hash-disjoint slice of a relation's support (see
-/// [`Relation::shard_views`]). Entries keep support order; the view holds
-/// only references into the `Arc`'d tuple store.
-#[derive(Debug)]
-pub struct ShardView<'a, K, V> {
-    entries: Vec<(&'a Tuple<V>, &'a K)>,
-}
-
-impl<'a, K, V> ShardView<'a, K, V> {
-    /// Iterates the shard's `(tuple, annotation)` entries in support order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'a Tuple<V>, &'a K)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// The number of tuples in this shard.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True iff the shard received no tuples (a legal, common state when
-    /// there are fewer distinct keys than shards).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl<K, V> fmt::Display for Relation<K, V>
@@ -683,41 +628,13 @@ mod tests {
         assert!(!r.is_shared());
     }
 
-    /// The serving layer hands relations and shard views across threads;
-    /// keep that a compile-time guarantee.
+    /// The serving layer hands relations across threads; keep that a
+    /// compile-time guarantee.
     #[test]
     fn stores_and_views_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Relation<NatPoly, Const>>();
         assert_send_sync::<Tuple<Const>>();
-        assert_send_sync::<ShardView<'static, NatPoly, Const>>();
-    }
-
-    #[test]
-    fn shard_views_partition_support_deterministically() {
-        let r = figure_1a();
-        let shards = r.shard_views(3, |t| t.get(1).clone());
-        assert_eq!(shards.iter().map(ShardView::len).sum::<usize>(), r.len());
-        // Tuples with equal keys land in the same shard.
-        for shard in &shards {
-            for (t, _) in shard.iter() {
-                let home = shard_index(&t.get(1).clone(), 3);
-                assert!(shards[home].iter().any(|(t2, _)| t2 == t));
-            }
-        }
-        // The split is a pure function of the key hash: same every time.
-        let again = r.shard_views(3, |t| t.get(1).clone());
-        for (a, b) in shards.iter().zip(&again) {
-            assert_eq!(a.entries, b.entries);
-        }
-        // n = 1 degenerates to the whole support, in order.
-        let whole = r.shard_views(1, |t| t.clone());
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].len(), r.len());
-        // More shards than keys leaves some empty — a legal state.
-        let many = r.shard_views(64, |t| t.clone());
-        assert!(many.iter().any(ShardView::is_empty));
-        assert_eq!(many.iter().map(ShardView::len).sum::<usize>(), r.len());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end smoke test against a **running** server (CI drives this
 //! against the release binary): seeds a table, queries it from three
-//! concurrent clients, interrogates provenance over the wire, and shuts
-//! the server down.
+//! concurrent clients, interrogates provenance over the wire, sends two
+//! hostile over-deep requests (which must come back as error frames from
+//! a server that is still up), and shuts the server down.
 //!
 //! ```text
 //! smoke ADDR
@@ -10,7 +11,20 @@
 //! Exits 0 iff every step (including the shutdown handshake) succeeds.
 
 use aggprov_server::{Client, Json};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::ExitCode;
+
+/// Sends one raw request line on a connection of its own and returns the
+/// response line — for input no well-formed `Json` value can carry.
+fn raw_request(addr: &str, line: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(line.as_bytes())?;
+    stream.write_all(b"\n")?;
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply)?;
+    Ok(reply)
+}
 
 fn run(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let mut admin = Client::connect(addr)?;
@@ -76,6 +90,20 @@ fn run(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     admin.delete_tokens(result, &["p2"], false)?;
     admin.close_result(result)?;
+
+    // Hostile depth: a 10 000-deep JSON array and a query nesting 5 000
+    // derived tables are error frames, and the server outlives both.
+    let deep_json = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let reply = raw_request(addr, &deep_json)?;
+    assert!(reply.contains("\"ok\":false"), "deep JSON: {reply}");
+    let deep_sql = (0..5_000).fold("SELECT dept FROM emp".to_string(), |q, i| {
+        format!("SELECT dept FROM ({q}) t{i}")
+    });
+    let err = admin
+        .query(&deep_sql)
+        .expect_err("deep SQL must be refused");
+    assert!(err.to_string().contains("SELECT blocks"), "deep SQL: {err}");
+    admin.ping()?;
 
     admin.shutdown()?;
     Ok(())

@@ -9,6 +9,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one hostile line of `[[[[…`
+/// overflows the connection thread's stack and aborts the whole server;
+/// no protocol message nests deeper than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -88,9 +94,14 @@ impl Json {
     }
 
     /// Parses one JSON value from the full input (trailing garbage is an
-    /// error — the protocol sends exactly one value per line).
+    /// error — the protocol sends exactly one value per line, and so is
+    /// nesting deeper than [`MAX_DEPTH`]).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { src: input, pos: 0 };
+        let mut p = Parser {
+            src: input,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -172,6 +183,8 @@ struct Parser<'a> {
     /// Byte offset into `src`; every successful step leaves it on a
     /// character boundary.
     pos: usize,
+    /// How many arrays/objects enclose `pos` (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -218,8 +231,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -445,6 +472,27 @@ mod tests {
             "parsing {} bytes took {elapsed:?}",
             text.len()
         );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // One 20 KB line; unbounded recursion overflowed the 2 MiB stack
+        // of a connection thread and aborted the process.
+        let check = || {
+            for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+                let text = format!("{}1{}", open.repeat(10_000), close.repeat(10_000));
+                let err = Json::parse(&text).unwrap_err();
+                assert!(err.contains("nesting deeper than 128"), "{err}");
+            }
+            let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+            assert!(Json::parse(&deepest).is_ok(), "the limit itself parses");
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(check)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     /// A sink that records each `write` call it receives.
