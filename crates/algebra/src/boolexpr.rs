@@ -142,6 +142,12 @@ impl CommutativeSemiring for BoolExp {
     fn times(&self, other: &Self) -> Self {
         self.and(other)
     }
+    fn is_zero(&self) -> bool {
+        matches!(self, BoolExp::Const(false))
+    }
+    fn is_one(&self) -> bool {
+        matches!(self, BoolExp::Const(true))
+    }
     // The flags describe the *semantic* quotient (boolean functions); the
     // law checkers use `equivalent` for this type.
     const PLUS_IDEMPOTENT: bool = true;

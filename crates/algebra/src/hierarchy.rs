@@ -62,6 +62,12 @@ impl CommutativeSemiring for Trio {
     fn times(&self, other: &Self) -> Self {
         Self::normalize(self.0.times(&other.0))
     }
+    fn is_zero(&self) -> bool {
+        self.0.is_zero()
+    }
+    fn is_one(&self) -> bool {
+        self.0.is_one()
+    }
     const PLUS_IDEMPOTENT: bool = false;
     const POSITIVE: bool = true;
     const HAS_HOM_TO_NAT: bool = true;
@@ -117,6 +123,12 @@ impl CommutativeSemiring for Why {
             }
         }
         Why(out)
+    }
+    fn is_zero(&self) -> bool {
+        self.0.is_empty()
+    }
+    fn is_one(&self) -> bool {
+        is_unit_witness(&self.0)
     }
     const PLUS_IDEMPOTENT: bool = true;
     const POSITIVE: bool = true;
@@ -208,6 +220,12 @@ impl CommutativeSemiring for PosBool {
             }
         }
         Self::absorb(out)
+    }
+    fn is_zero(&self) -> bool {
+        self.0.is_empty()
+    }
+    fn is_one(&self) -> bool {
+        is_unit_witness(&self.0)
     }
     const PLUS_IDEMPOTENT: bool = true;
     const POSITIVE: bool = true;
@@ -301,6 +319,12 @@ impl CommutativeSemiring for Lineage {
             (Lineage::Set(a), Lineage::Set(b)) => Lineage::Set(a.union(b).cloned().collect()),
         }
     }
+    fn is_zero(&self) -> bool {
+        matches!(self, Lineage::Bottom)
+    }
+    fn is_one(&self) -> bool {
+        matches!(self, Lineage::Set(s) if s.is_empty())
+    }
     const PLUS_IDEMPOTENT: bool = true;
     const POSITIVE: bool = true;
     const HAS_HOM_TO_NAT: bool = false;
@@ -372,6 +396,11 @@ pub fn to_lineage(p: &NatPoly) -> Lineage {
     } else {
         Lineage::Set(p.vars().cloned().collect())
     }
+}
+
+/// True iff `sets` is `{∅}`, the `1` of the witness-set semirings.
+fn is_unit_witness(sets: &BTreeSet<BTreeSet<Var>>) -> bool {
+    sets.len() == 1 && sets.first().is_some_and(BTreeSet::is_empty)
 }
 
 fn monomial_vars(m: &Monomial<Var>) -> BTreeSet<Var> {

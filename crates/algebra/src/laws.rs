@@ -60,6 +60,17 @@ pub fn check_semiring<K: CommutativeSemiring>(a: &K, b: &K, c: &K) -> Result<(),
         "distributivity on {a}, {b}, {c}"
     );
     law!(a.times(&zero) == zero, "annihilation on {a}");
+    // Structural overrides must decide exactly what the defaults do.
+    for x in [a, b, c, &zero, &one] {
+        law!(
+            x.is_zero() == (*x == zero),
+            "is_zero disagrees with == 0 on {x}"
+        );
+        law!(
+            x.is_one() == (*x == one),
+            "is_one disagrees with == 1 on {x}"
+        );
+    }
     if K::PLUS_IDEMPOTENT {
         law!(a.plus(a) == *a, "claimed + idempotence fails on {a}");
     }

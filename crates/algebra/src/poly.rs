@@ -12,12 +12,47 @@
 //! * the extended semiring `K^M` of paper §4 is `Poly<Atom<K>, K>` — a
 //!   polynomial whose indeterminates are symbolic equality tokens and
 //!   δ-applications (see `aggprov-core`).
+//!
+//! ## Representation
+//!
+//! A polynomial is one **canonical flat term slice** — sorted by monomial,
+//! monomials unique, no zero coefficient — in shared immutable storage
+//! (`Arc<[(Monomial, C)]>`). Every tuple and every aggregate value carries
+//! one, so the cheap operations are the frequent ones: `clone` is a
+//! reference-count bump, the zero polynomial holds no allocation, `plus`
+//! is a two-pointer merge, and everything that can produce unordered or
+//! repeated monomials (`times`, `from_terms`, `map_vars`, …) goes through
+//! the one `sort_combine` normalization. The slice order is the order an
+//! ordered map keyed by monomial iterates in, so `Ord`, `Hash`, `Display`
+//! and [`Poly::terms`] do not depend on how a polynomial was computed.
+//! `docs/ARCHITECTURE.md` ("Annotation representation") has the cost table.
 
 use crate::semiring::{Bool, CommutativeSemiring, Nat};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// The one normalization behind every canonical form in this crate:
+/// stable-sorts `items` by `key`, folds each run of equal keys into its
+/// first item with `combine` (left to right, in input order), then drops
+/// the items `keep` rejects.
+pub(crate) fn sort_combine<T, Q: Ord + ?Sized>(
+    items: &mut Vec<T>,
+    key: impl Fn(&T) -> &Q,
+    mut combine: impl FnMut(&mut T, &T),
+    keep: impl FnMut(&T) -> bool,
+) {
+    items.sort_by(|a, b| key(a).cmp(key(b)));
+    items.dedup_by(|item, kept| {
+        let same = key(item) == key(kept);
+        if same {
+            combine(kept, item);
+        }
+        same
+    });
+    items.retain(keep);
+}
 
 /// A provenance token ("indeterminate"), e.g. a tuple identifier.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,13 +107,16 @@ impl<A: Ord + Clone> Monomial<A> {
     /// Builds a monomial from (indeterminate, exponent) pairs; zero
     /// exponents are dropped and repeats combined.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (A, u32)>) -> Self {
-        let mut map: BTreeMap<A, u32> = BTreeMap::new();
-        for (a, e) in pairs {
-            if e > 0 {
-                *map.entry(a).or_insert(0) += e;
-            }
-        }
-        Monomial(map.into_iter().collect())
+        let mut pairs: Vec<(A, u32)> = pairs.into_iter().collect();
+        sort_combine(
+            &mut pairs,
+            |(a, _)| a,
+            |(_, e), (_, more)| {
+                *e = e.checked_add(*more).expect("monomial exponent overflow");
+            },
+            |(_, e)| *e > 0,
+        );
+        Monomial(pairs)
     }
 
     /// True iff this is the unit monomial.
@@ -166,13 +204,21 @@ impl<A: Ord + fmt::Display> fmt::Display for Monomial<A> {
     }
 }
 
+/// One term of a polynomial: a monomial and its non-zero coefficient.
+type Term<A, C> = (Monomial<A>, C);
+
 /// A polynomial over indeterminates `A` with coefficients in the commutative
-/// semiring `C`. The representation is canonical: monomials are unique keys
-/// and zero coefficients are absent, so derived equality decides semiring
-/// equality (for `C` with canonical representations).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// semiring `C`. The representation is canonical — terms sorted by
+/// monomial, monomials unique, zero coefficients absent — so structural
+/// equality decides semiring equality (for `C` with canonical
+/// representations). The terms live in shared immutable storage: cloning
+/// bumps a reference count, and annotations may be read from several
+/// threads at once.
+#[derive(Clone, Debug)]
 pub struct Poly<A: Ord, C> {
-    terms: BTreeMap<Monomial<A>, C>,
+    /// `None` is the zero polynomial (no allocation); `Some` holds at
+    /// least one term, in canonical form.
+    terms: Option<Arc<[Term<A, C>]>>,
 }
 
 /// The provenance polynomial semiring `ℕ[X]` (paper §2.1).
@@ -181,83 +227,140 @@ pub type NatPoly = Poly<Var, Nat>;
 /// The semiring `B[X]` of the provenance hierarchy: sets of monomials.
 pub type BoolPoly = Poly<Var, Bool>;
 
+impl<A: Ord, C> Poly<A, C> {
+    fn as_slice(&self) -> &[Term<A, C>] {
+        self.terms.as_deref().unwrap_or(&[])
+    }
+
+    /// Wraps terms that already are in canonical form.
+    fn from_canonical(terms: Vec<Term<A, C>>) -> Self {
+        Poly {
+            terms: (!terms.is_empty()).then(|| Arc::from(terms)),
+        }
+    }
+
+    /// True iff both polynomials are non-zero and hold the same term
+    /// storage (sharing diagnostics; sharing implies equality). The zero
+    /// polynomial holds no storage, so it shares with nothing — not even
+    /// itself.
+    pub fn shares_terms_with(&self, other: &Self) -> bool {
+        match (&self.terms, &other.terms) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl<A: Ord, C: PartialEq> PartialEq for Poly<A, C> {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares_terms_with(other) || self.as_slice() == other.as_slice()
+    }
+}
+
+impl<A: Ord, C: Eq> Eq for Poly<A, C> {}
+
+impl<A: Ord, C: Ord> PartialOrd for Poly<A, C> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<A: Ord, C: Ord> Ord for Poly<A, C> {
+    /// Lexicographic over the canonical term sequence.
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.shares_terms_with(other) {
+            return Ordering::Equal;
+        }
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl<A: Ord + Hash, C: Hash> Hash for Poly<A, C> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 impl<A, C> Poly<A, C>
 where
     A: Ord + Clone + Hash + fmt::Debug,
     C: CommutativeSemiring,
 {
+    /// Canonicalizes arbitrary terms: repeated monomials are summed (in
+    /// input order) and zero coefficients dropped.
+    fn normalized(mut terms: Vec<Term<A, C>>) -> Self {
+        sort_combine(
+            &mut terms,
+            |(m, _)| m,
+            |(_, c), (_, more)| *c = c.plus(more),
+            |(_, c)| !c.is_zero(),
+        );
+        Self::from_canonical(terms)
+    }
+
+    /// The one-term polynomial `c·m` (zero if `c` is), in one allocation.
+    fn single(m: Monomial<A>, c: C) -> Self {
+        Poly {
+            terms: (!c.is_zero()).then(|| Arc::from([(m, c)])),
+        }
+    }
+
     /// The constant polynomial `c`.
     pub fn constant(c: C) -> Self {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(Monomial::unit(), c);
-        }
-        Poly { terms }
+        Self::single(Monomial::unit(), c)
     }
 
     /// The polynomial consisting of a single indeterminate.
     pub fn var(a: A) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(Monomial::var(a), C::one());
-        Poly { terms }
+        Self::single(Monomial::var(a), C::one())
     }
 
     /// Builds a polynomial from (monomial, coefficient) terms; repeated
     /// monomials are summed and zero coefficients dropped.
     pub fn from_terms(terms: impl IntoIterator<Item = (Monomial<A>, C)>) -> Self {
-        let mut out: BTreeMap<Monomial<A>, C> = BTreeMap::new();
-        for (m, c) in terms {
-            match out.entry(m) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(c);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let sum = e.get().plus(&c);
-                    *e.get_mut() = sum;
-                }
-            }
-        }
-        out.retain(|_, c| !c.is_zero());
-        Poly { terms: out }
+        Self::normalized(terms.into_iter().collect())
     }
 
     /// The number of terms (monomials with non-zero coefficient).
     pub fn num_terms(&self) -> usize {
-        self.terms.len()
+        self.as_slice().len()
     }
 
     /// A representation-size measure: one node per term plus one per
     /// indeterminate occurrence. Used by the overhead experiments.
     pub fn size(&self) -> usize {
-        self.terms.keys().map(|m| 1 + m.len()).sum()
+        self.as_slice().iter().map(|(m, _)| 1 + m.len()).sum()
     }
 
     /// The maximal total degree of any term; `0` for the zero polynomial.
     pub fn degree(&self) -> u64 {
-        self.terms.keys().map(|m| m.degree()).max().unwrap_or(0)
+        self.as_slice()
+            .iter()
+            .map(|(m, _)| m.degree())
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Iterates over (monomial, coefficient) terms.
+    /// Iterates over (monomial, coefficient) terms, in monomial order.
     pub fn terms(&self) -> impl Iterator<Item = (&Monomial<A>, &C)> {
-        self.terms.iter()
+        self.as_slice().iter().map(|(m, c)| (m, c))
     }
 
     /// If this is a constant polynomial, returns its value (the zero
     /// polynomial is the constant `0`).
     pub fn as_constant(&self) -> Option<C> {
-        match self.terms.len() {
-            0 => Some(C::zero()),
-            1 => {
-                let (m, c) = self.terms.iter().next().expect("len 1");
-                m.is_unit().then(|| c.clone())
-            }
+        match self.as_slice() {
+            [] => Some(C::zero()),
+            [(m, c)] => m.is_unit().then(|| c.clone()),
             _ => None,
         }
     }
 
     /// The set of indeterminates occurring in the polynomial.
     pub fn vars(&self) -> impl Iterator<Item = &A> {
-        self.terms.keys().flat_map(|m| m.iter().map(|(a, _)| a))
+        self.as_slice()
+            .iter()
+            .flat_map(|(m, _)| m.iter().map(|(a, _)| a))
     }
 
     /// Evaluates the polynomial in the semiring `K`, mapping indeterminates
@@ -270,7 +373,7 @@ where
         coeff: &mut impl FnMut(&C) -> K,
     ) -> K {
         let mut acc = K::zero();
-        for (m, c) in &self.terms {
+        for (m, c) in self.as_slice() {
             let mut term = coeff(c);
             if term.is_zero() {
                 continue;
@@ -288,24 +391,27 @@ where
     /// `dropped(a) == true` to `0` and every other to itself: a monomial
     /// mentioning a dropped indeterminate vanishes, every other term is
     /// untouched. Agrees with the equivalent [`Poly::eval`] hom term for
-    /// term, but runs in O(size) — removing keys from the canonical term
-    /// map needs no re-summation — which is what makes deletion
-    /// propagation over large membership sums O(n) instead of O(n²).
+    /// term, but runs in O(size) — removing terms from the canonical
+    /// slice needs no re-summation — which is what makes deletion
+    /// propagation over large membership sums O(n) instead of O(n²). A
+    /// polynomial that mentions no dropped indeterminate is returned as
+    /// the same shared storage.
     pub fn drop_vars(&self, dropped: &mut impl FnMut(&A) -> bool) -> Self {
-        Poly {
-            terms: self
-                .terms
-                .iter()
-                .filter(|(m, _)| !m.iter().any(|(a, _)| dropped(a)))
-                .map(|(m, c)| (m.clone(), c.clone()))
-                .collect(),
-        }
+        let terms = self.as_slice();
+        let mut vanishes = |(m, _): &Term<A, C>| m.iter().any(|(a, _)| dropped(a));
+        let Some(first) = terms.iter().position(&mut vanishes) else {
+            return self.clone();
+        };
+        let mut out = Vec::with_capacity(terms.len() - 1);
+        out.extend_from_slice(&terms[..first]);
+        out.extend(terms[first + 1..].iter().filter(|t| !vanishes(t)).cloned());
+        Self::from_canonical(out)
     }
 
     /// Maps coefficients through `f` (a homomorphism `C → C2`),
     /// renormalizing.
     pub fn map_coeffs<C2: CommutativeSemiring>(&self, f: &mut impl FnMut(&C) -> C2) -> Poly<A, C2> {
-        Poly::from_terms(self.terms.iter().map(|(m, c)| (m.clone(), f(c))))
+        Poly::from_terms(self.terms().map(|(m, c)| (m.clone(), f(c))))
     }
 
     /// Maps indeterminates through `f`, renormalizing (images may collide).
@@ -313,7 +419,7 @@ where
         &self,
         f: &mut impl FnMut(&A) -> B,
     ) -> Poly<B, C> {
-        Poly::from_terms(self.terms.iter().map(|(m, c)| (m.map_vars(f), c.clone())))
+        Poly::from_terms(self.terms().map(|(m, c)| (m.map_vars(f), c.clone())))
     }
 }
 
@@ -347,64 +453,71 @@ where
     C: CommutativeSemiring,
 {
     fn zero() -> Self {
-        Poly {
-            terms: BTreeMap::new(),
-        }
+        Poly { terms: None }
     }
 
     fn one() -> Self {
         Poly::constant(C::one())
     }
 
+    /// A two-pointer merge of the two canonical slices; adding zero shares
+    /// the other operand's storage.
     fn plus(&self, other: &Self) -> Self {
-        let mut out = self.terms.clone();
-        for (m, c) in &other.terms {
-            match out.entry(m.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(c.clone());
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if b.is_empty() {
+            return self.clone();
+        }
+        if a.is_empty() {
+            return other.clone();
+        }
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (&a[i], &b[j]);
+            match x.0.cmp(&y.0) {
+                Ordering::Less => {
+                    out.push(x.clone());
+                    i += 1;
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let sum = e.get().plus(c);
-                    if sum.is_zero() {
-                        e.remove();
-                    } else {
-                        *e.get_mut() = sum;
+                Ordering::Greater => {
+                    out.push(y.clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let sum = x.1.plus(&y.1);
+                    if !sum.is_zero() {
+                        out.push((x.0.clone(), sum));
                     }
+                    i += 1;
+                    j += 1;
                 }
             }
         }
-        Poly { terms: out }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Self::from_canonical(out)
     }
 
     fn times(&self, other: &Self) -> Self {
-        let mut out: BTreeMap<Monomial<A>, C> = BTreeMap::new();
-        for (m1, c1) in &self.terms {
-            for (m2, c2) in &other.terms {
-                let m = m1.times(m2);
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut products = Vec::with_capacity(a.len() * b.len());
+        for (m1, c1) in a {
+            for (m2, c2) in b {
                 let c = c1.times(c2);
-                if c.is_zero() {
-                    continue;
-                }
-                match out.entry(m) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(c);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let sum = e.get().plus(&c);
-                        if sum.is_zero() {
-                            e.remove();
-                        } else {
-                            *e.get_mut() = sum;
-                        }
-                    }
+                if !c.is_zero() {
+                    products.push((m1.times(m2), c));
                 }
             }
         }
-        Poly { terms: out }
+        Self::normalized(products)
     }
 
     fn is_zero(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.is_none()
+    }
+
+    fn is_one(&self) -> bool {
+        matches!(self.as_slice(), [(m, c)] if m.is_unit() && c.is_one())
     }
 
     const PLUS_IDEMPOTENT: bool = C::PLUS_IDEMPOTENT;
@@ -432,10 +545,10 @@ where
     C: CommutativeSemiring,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if self.terms.is_none() {
             return write!(f, "0");
         }
-        for (i, (m, c)) in self.terms.iter().enumerate() {
+        for (i, (m, c)) in self.terms().enumerate() {
             if i > 0 {
                 write!(f, " + ")?;
             }
@@ -491,6 +604,53 @@ mod tests {
         // constant part.
         assert_eq!(p.drop_vars(&mut |_| false), p);
         assert_eq!(p.drop_vars(&mut |_| true), NatPoly::from_nat(3));
+    }
+
+    #[test]
+    fn clone_and_noop_operations_share_storage() {
+        let p = x().times(&y()).plus(&NatPoly::from_nat(3));
+        assert!(p.clone().shares_terms_with(&p), "clone is an Arc share");
+        // Dropping an indeterminate `p` does not mention, and adding zero,
+        // hand the same storage back.
+        assert!(p.drop_vars(&mut |v| v.name() == "z").shares_terms_with(&p));
+        assert!(p.plus(&NatPoly::zero()).shares_terms_with(&p));
+        assert!(NatPoly::zero().plus(&p).shares_terms_with(&p));
+        assert!(!p.drop_vars(&mut |v| v.name() == "x").shares_terms_with(&p));
+        // Equal polynomials built separately are equal without sharing.
+        let q = NatPoly::from_nat(3).plus(&y().times(&x()));
+        assert_eq!(p, q);
+        assert!(!p.shares_terms_with(&q));
+        // Zero holds no storage, so there is nothing to share.
+        assert!(!NatPoly::zero().shares_terms_with(&NatPoly::zero()));
+        assert!(!x()
+            .drop_vars(&mut |_| true)
+            .shares_terms_with(&NatPoly::zero()));
+    }
+
+    /// `par::fan_out` shards read the same annotations from several
+    /// threads, and every tuple carries one: keep both facts compile-time.
+    #[test]
+    fn poly_is_two_words_and_thread_safe() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<NatPoly>();
+        assert_send_sync::<BoolPoly>();
+        const { assert!(std::mem::size_of::<NatPoly>() <= 16) };
+    }
+
+    #[test]
+    fn sort_combine_folds_runs_in_input_order() {
+        let mut items = vec![("b", "1"), ("a", "2"), ("b", "3"), ("c", ""), ("a", "4")]
+            .into_iter()
+            .map(|(k, v)| (k, v.to_string()))
+            .collect::<Vec<_>>();
+        sort_combine(
+            &mut items,
+            |(k, _)| k,
+            |(_, acc), (_, more)| acc.push_str(more),
+            |(_, v)| !v.is_empty(),
+        );
+        let got: Vec<(&str, &str)> = items.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        assert_eq!(got, [("a", "24"), ("b", "13")]);
     }
 
     #[test]

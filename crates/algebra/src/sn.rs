@@ -149,6 +149,14 @@ impl CommutativeSemiring for Sn {
         out
     }
 
+    fn is_zero(&self) -> bool {
+        self.as_nat() == Some(0)
+    }
+
+    fn is_one(&self) -> bool {
+        self.as_nat() == Some(1)
+    }
+
     const PLUS_IDEMPOTENT: bool = false;
     const POSITIVE: bool = true;
     const HAS_HOM_TO_NAT: bool = true;

@@ -20,9 +20,9 @@
 //! canonicalizes to `ι(m)` and equality becomes decidable.
 
 use crate::monoid::CommutativeMonoid;
+use crate::poly::sort_combine;
 use crate::semimodule::Semimodule;
 use crate::semiring::{compatible, CommutativeSemiring};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// An element of `K ⊗ M` in normal form. `E` is the monoid element type
@@ -91,35 +91,24 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
         M: CommutativeMonoid<Elem = E>,
     {
         let zero_m = m.zero();
-        let idem = m.is_idempotent();
-        let mut map: BTreeMap<E, K> = BTreeMap::new();
-        for (k, e) in terms {
-            if k.is_zero() || e == zero_m {
-                continue;
-            }
-            match map.entry(e) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(k);
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    let sum = slot.get().plus(&k);
-                    if sum.is_zero() {
-                        slot.remove();
-                    } else {
-                        *slot.get_mut() = sum;
-                    }
-                }
-            }
-        }
-        let terms = map
+        let mut terms: Vec<(K, E)> = terms
             .into_iter()
-            .filter_map(|(e, k)| {
-                // Coefficients of idempotent elements are canonical only up
-                // to k ~ k+k (see CommutativeSemiring::idem_normal).
-                let k = if idem { k.idem_normal() } else { k };
-                (!k.is_zero()).then_some((k, e))
-            })
+            .filter(|(k, e)| !k.is_zero() && *e != zero_m)
             .collect();
+        sort_combine(
+            &mut terms,
+            |(_, e)| e,
+            |(k, _), (more, _)| *k = k.plus(more),
+            |(k, _)| !k.is_zero(),
+        );
+        if m.is_idempotent() {
+            // Coefficients of idempotent elements are canonical only up to
+            // k ~ k+k (see CommutativeSemiring::idem_normal).
+            for (k, _) in &mut terms {
+                *k = k.idem_normal();
+            }
+            terms.retain(|(k, _)| !k.is_zero());
+        }
         Tensor { terms }
     }
 
@@ -207,18 +196,13 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
     where
         M: CommutativeMonoid<Elem = E>,
     {
-        let mut by_coeff: BTreeMap<K, E> = BTreeMap::new();
-        for (k, e) in &self.terms {
-            match by_coeff.entry(k.clone()) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(e.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    let sum = m.plus(slot.get(), e);
-                    *slot.get_mut() = sum;
-                }
-            }
-        }
+        let mut by_coeff = self.terms.clone();
+        sort_combine(
+            &mut by_coeff,
+            |(k, _)| k,
+            |(_, e), (_, more)| *e = m.plus(e, more),
+            |_| true,
+        );
         Self::from_terms(m, by_coeff)
     }
 }

@@ -19,6 +19,7 @@ use aggprov_algebra::semiring::{
 use aggprov_algebra::sn::Sn;
 use aggprov_algebra::tensor::{Tensor, TensorModule};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
 
@@ -293,5 +294,195 @@ proptest! {
         let x = Num::ratio(n, d);
         let parsed = Num::parse(&x.to_string()).unwrap();
         prop_assert_eq!(parsed, x);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `Poly` against the representation it replaced
+// ---------------------------------------------------------------------------
+
+/// The reference model: an ordered map from monomial to non-zero
+/// coefficient, with the arithmetic written as `entry` loops — the
+/// representation `Poly` had before its flat shared term slice. Derived
+/// `Ord` on the map is the order the old `Poly` derived.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct MapPoly<C>(BTreeMap<Monomial<Var>, C>);
+
+impl<C: CommutativeSemiring> MapPoly<C> {
+    fn add_term(&mut self, m: Monomial<Var>, c: C) {
+        let sum = match self.0.get(&m) {
+            Some(old) => old.plus(&c),
+            None => c,
+        };
+        if sum.is_zero() {
+            self.0.remove(&m);
+        } else {
+            self.0.insert(m, sum);
+        }
+    }
+
+    fn from_terms(terms: impl IntoIterator<Item = (Monomial<Var>, C)>) -> Self {
+        let mut out = MapPoly(BTreeMap::new());
+        for (m, c) in terms {
+            out.add_term(m, c);
+        }
+        out
+    }
+
+    fn plus(&self, other: &Self) -> Self {
+        let mut out = self.clone();
+        for (m, c) in &other.0 {
+            out.add_term(m.clone(), c.clone());
+        }
+        out
+    }
+
+    fn times(&self, other: &Self) -> Self {
+        let mut out = MapPoly(BTreeMap::new());
+        for (m1, c1) in &self.0 {
+            for (m2, c2) in &other.0 {
+                out.add_term(m1.times(m2), c1.times(c2));
+            }
+        }
+        out
+    }
+
+    fn drop_vars(&self, dropped: impl Fn(&Var) -> bool) -> Self {
+        let kept = self
+            .0
+            .iter()
+            .filter(|(m, _)| !m.iter().any(|(v, _)| dropped(v)));
+        MapPoly(kept.map(|(m, c)| (m.clone(), c.clone())).collect())
+    }
+
+    fn render(&self) -> String {
+        if self.0.is_empty() {
+            return "0".to_string();
+        }
+        let term = |(m, c): (&Monomial<Var>, &C)| {
+            if m.is_unit() {
+                format!("{c}")
+            } else if *c == C::one() {
+                format!("{m}")
+            } else {
+                format!("{c}*{m}")
+            }
+        };
+        self.0.iter().map(term).collect::<Vec<_>>().join(" + ")
+    }
+}
+
+/// `p` is in canonical form, and reads, renders and orders exactly as the
+/// model does.
+fn assert_matches_model<C: CommutativeSemiring>(
+    p: &Poly<Var, C>,
+    model: &MapPoly<C>,
+    third: &Poly<Var, C>,
+    what: &str,
+) {
+    let terms: Vec<_> = p.terms().collect();
+    assert!(p.terms().eq(model.0.iter()), "{what}: {p} vs {model:?}");
+    assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{what}: order");
+    assert!(terms.iter().all(|(_, c)| !c.is_zero()), "{what}: zero term");
+    // The zero polynomial holds no storage (so it shares with nothing);
+    // every other polynomial holds one.
+    assert_eq!(p.shares_terms_with(p), !terms.is_empty(), "{what}: storage");
+    assert_eq!(p.to_string(), model.render(), "{what}: Display");
+    let third_model = MapPoly::from_terms(third.terms().map(|(m, c)| (m.clone(), c.clone())));
+    assert_eq!(p.cmp(third), model.cmp(&third_model), "{what}: cmp");
+}
+
+type RawTerms<C> = Vec<(Monomial<Var>, C)>;
+
+/// Raw terms with repeated monomials and zero coefficients.
+fn arb_raw_terms<C: std::fmt::Debug>(
+    coeff: impl Strategy<Value = C>,
+) -> impl Strategy<Value = RawTerms<C>> {
+    prop::collection::vec((arb_monomial(), coeff), 0..6)
+}
+
+fn arb_var_image() -> impl Strategy<Value = Vec<Var>> {
+    prop::collection::vec(arb_var(), VARS.len())
+}
+
+/// Every operation of `Poly` on (`a`, `b`) against the model's.
+fn check_against_model<C: CommutativeSemiring>(
+    a: RawTerms<C>,
+    b: RawTerms<C>,
+    c: RawTerms<C>,
+    dropped: &[bool],
+    image: &[Var],
+    killed: &C,
+) {
+    let third = Poly::from_terms(c);
+    let (pa, ma) = (Poly::from_terms(a.clone()), MapPoly::from_terms(a));
+    let (pb, mb) = (Poly::from_terms(b.clone()), MapPoly::from_terms(b));
+    assert_matches_model(&pa, &ma, &third, "from_terms");
+    assert_matches_model(&pb, &mb, &third, "from_terms");
+    assert_matches_model(&pa.plus(&pb), &ma.plus(&mb), &third, "plus");
+    assert_matches_model(&pa.times(&pb), &ma.times(&mb), &third, "times");
+
+    let index = |v: &Var| VARS.iter().position(|n| *n == v.name()).unwrap();
+    let is_dropped = |v: &Var| dropped[index(v)];
+    assert_matches_model(
+        &pa.drop_vars(&mut |v| is_dropped(v)),
+        &ma.drop_vars(is_dropped),
+        &third,
+        "drop_vars",
+    );
+    // Images collide: four variables map into however many `image` names.
+    let rename = |m: &Monomial<Var>| m.map_vars(&mut |v| image[index(v)].clone());
+    assert_matches_model(
+        &pa.map_vars(&mut |v| image[index(v)].clone()),
+        &MapPoly::from_terms(ma.0.iter().map(|(m, k)| (rename(m), k.clone()))),
+        &third,
+        "map_vars",
+    );
+    // Some coefficients map to zero, the others to themselves.
+    let kill = |k: &C| if k == killed { C::zero() } else { k.clone() };
+    assert_matches_model(
+        &pa.map_coeffs(&mut |k| kill(k)),
+        &MapPoly::from_terms(ma.0.iter().map(|(m, k)| (m.clone(), kill(k)))),
+        &third,
+        "map_coeffs",
+    );
+}
+
+proptest! {
+    #[test]
+    fn natpoly_matches_the_map_model(
+        a in arb_raw_terms((0u64..3).prop_map(Nat)),
+        b in arb_raw_terms((0u64..3).prop_map(Nat)),
+        c in arb_raw_terms((0u64..3).prop_map(Nat)),
+        dropped in prop::collection::vec(any::<bool>(), VARS.len()),
+        image in arb_var_image(),
+        killed in (1u64..4).prop_map(Nat),
+    ) {
+        check_against_model(a, b, c, &dropped, &image, &killed);
+    }
+
+    #[test]
+    fn boolpoly_matches_the_map_model(
+        a in arb_raw_terms(any::<bool>().prop_map(Bool)),
+        b in arb_raw_terms(any::<bool>().prop_map(Bool)),
+        c in arb_raw_terms(any::<bool>().prop_map(Bool)),
+        dropped in prop::collection::vec(any::<bool>(), VARS.len()),
+        image in arb_var_image(),
+        killed in any::<bool>().prop_map(Bool),
+    ) {
+        check_against_model(a, b, c, &dropped, &image, &killed);
+    }
+
+    #[test]
+    fn intpoly_matches_the_map_model(
+        // ℤ coefficients: sums cancel to zero in the middle of a merge.
+        a in arb_raw_terms((-2i64..3).prop_map(IntZ)),
+        b in arb_raw_terms((-2i64..3).prop_map(IntZ)),
+        c in arb_raw_terms((-2i64..3).prop_map(IntZ)),
+        dropped in prop::collection::vec(any::<bool>(), VARS.len()),
+        image in arb_var_image(),
+        killed in (-2i64..3).prop_map(IntZ),
+    ) {
+        check_against_model(a, b, c, &dropped, &image, &killed);
     }
 }

@@ -17,8 +17,26 @@ use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::semiring::{Bool, CommutativeSemiring, Nat};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::reference::BagRel;
-use aggprov_krel::relation::Relation;
+use aggprov_krel::relation::{Relation, Tuple};
 use std::collections::BTreeMap;
+
+/// The tuple store of an `(M, K)`-relation, keyed for first-wins merging.
+type Rows<A> = BTreeMap<Tuple<Value<A>>, A>;
+
+/// One row under `h_Rel`: `h` on the annotation and on every value
+/// coefficient.
+fn map_row<A: AggAnnotation, B: AggAnnotation>(
+    t: &Tuple<Value<A>>,
+    k: &A,
+    h: &impl Fn(&A) -> B,
+) -> (Tuple<Value<B>>, B) {
+    let values: Vec<Value<B>> = t
+        .values()
+        .iter()
+        .map(|v| v.map_hom(&mut |a| h(a)))
+        .collect();
+    (Tuple::new(values), h(k))
+}
 
 /// Applies an annotation map to annotations *and* value coefficients
 /// (`h_Rel`). Colliding tuples keep the first annotation (they are equal by
@@ -27,25 +45,14 @@ pub fn map_mk<A: AggAnnotation, B: AggAnnotation>(
     rel: &MKRel<A>,
     h: &impl Fn(&A) -> B,
 ) -> MKRel<B> {
-    let mut map: BTreeMap<aggprov_krel::relation::Tuple<Value<B>>, B> = BTreeMap::new();
+    let mut map: Rows<B> = BTreeMap::new();
     for (t, k) in rel.iter() {
-        let values: Vec<Value<B>> = t
-            .values()
-            .iter()
-            .map(|v| v.map_hom(&mut |a| h(a)))
-            .collect();
-        let ann = h(k);
-        if ann.is_zero() {
-            continue;
+        let (t2, ann) = map_row(t, k, h);
+        if !ann.is_zero() {
+            map.entry(t2).or_insert(ann);
         }
-        map.entry(aggprov_krel::relation::Tuple::new(values))
-            .or_insert(ann);
     }
-    let mut out = Relation::empty(rel.schema().clone());
-    for (t, k) in map {
-        out.insert(t.values().to_vec(), k).expect("arity preserved");
-    }
-    out
+    Relation::from_tuple_map(rel.schema().clone(), map).expect("arity preserved")
 }
 
 /// Applies a base-semiring homomorphism under `Km` (the lifting
@@ -56,6 +63,41 @@ where
     K2: CommutativeSemiring,
 {
     map_mk(rel, &|km: &Km<K1>| km.map_hom(h))
+}
+
+/// [`map_hom_mk`] for an endomorphism `h` of `K` that fixes every element
+/// `moved` rejects: a row none of whose annotation and value coefficients
+/// is moved is its own image and is carried over by `clone` (shared
+/// storage), only the others go through `h`. `None` means no row is
+/// touched — the relation is its own image and the caller keeps it, store
+/// and all.
+pub fn map_hom_mk_where<K: CommutativeSemiring>(
+    rel: &MKRel<Km<K>>,
+    moved: &impl Fn(&K) -> bool,
+    h: &impl Fn(&K) -> K,
+) -> Option<MKRel<Km<K>>> {
+    let touched = |t: &Tuple<Value<Km<K>>>, k: &Km<K>| {
+        k.any_base(moved)
+            || t.values().iter().any(|v| match v {
+                Value::Agg(_, tv) => tv.terms().any(|(a, _)| a.any_base(moved)),
+                Value::Const(_) => false,
+            })
+    };
+    let lifted = |km: &Km<K>| km.map_hom(h);
+    let first = rel.iter().position(|(t, k)| touched(t, k))?;
+    let mut map: Rows<Km<K>> = BTreeMap::new();
+    for (i, (t, k)) in rel.iter().enumerate() {
+        // Rows before `first` are known untouched and are not walked again.
+        let (t2, ann) = if i >= first && touched(t, k) {
+            map_row(t, k, &lifted)
+        } else {
+            (t.clone(), k.clone())
+        };
+        if !ann.is_zero() {
+            map.entry(t2).or_insert(ann);
+        }
+    }
+    Some(Relation::from_tuple_map(rel.schema().clone(), map).expect("arity preserved"))
 }
 
 /// Specializes a provenance-annotated relation under a token valuation —
@@ -203,6 +245,31 @@ mod tests {
         let (t, k) = plain.iter().next().unwrap();
         assert_eq!(t.get(1), &Value::int(50));
         assert_eq!(k, &Nat(1), "δ(2 + 1) = 1");
+    }
+
+    #[test]
+    fn map_hom_mk_where_maps_only_touched_rows() {
+        let rel = grouped();
+        let fire = |name: &'static str| {
+            map_hom_mk_where(
+                &rel,
+                &|p: &NatPoly| p.vars().any(|v| v.name() == name),
+                &|p: &NatPoly| p.drop_vars(&mut |v| v.name() == name),
+            )
+        };
+        let full = |name: &'static str| {
+            map_hom_mk(&rel, &|p: &NatPoly| p.drop_vars(&mut |v| v.name() == name))
+        };
+        // No row mentions `zz`: nothing to map, the caller keeps `rel`.
+        assert!(fire("zz").is_none());
+        // Firing r1 touches d1's row only; the result is the full h_Rel image.
+        let out = fire("r1").unwrap();
+        assert_eq!(out, full("r1"));
+        assert_ne!(out, rel);
+        // Firing r3 empties d2's group: its row leaves the support.
+        let out = fire("r3").unwrap();
+        assert_eq!(out, full("r3"));
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -253,6 +253,24 @@ impl<K: CommutativeSemiring> Km<K> {
         )
     }
 
+    /// True iff `pred` holds for some base-semiring element this annotation
+    /// is built from: a coefficient, or — recursively — a coefficient under
+    /// a δ-application or inside a comparison token's tensors. A
+    /// homomorphism that fixes every element `pred` rejects fixes the
+    /// whole annotation.
+    pub fn any_base(&self, pred: &impl Fn(&K) -> bool) -> bool {
+        let in_tensor = |t: &Tensor<Km<K>, Const>| t.terms().any(|(k, _)| k.any_base(pred));
+        self.0.terms().any(|(m, c)| {
+            pred(c)
+                || m.iter().any(|(atom, _)| match atom {
+                    Atom::Delta(e) => e.any_base(pred),
+                    Atom::Eq((_, a), (_, b)) | Atom::Cmp(_, (_, a), (_, b)) => {
+                        in_tensor(a) || in_tensor(b)
+                    }
+                })
+        })
+    }
+
     /// The number of symbolic atoms (recursively) plus polynomial size — a
     /// representation-size measure for the overhead experiments.
     pub fn size(&self) -> usize {
@@ -304,6 +322,9 @@ impl<K: CommutativeSemiring> CommutativeSemiring for Km<K> {
     }
     fn is_zero(&self) -> bool {
         self.0.is_zero()
+    }
+    fn is_one(&self) -> bool {
+        self.0.is_one()
     }
     const PLUS_IDEMPOTENT: bool = K::PLUS_IDEMPOTENT;
     const POSITIVE: bool = K::POSITIVE;
@@ -621,6 +642,22 @@ mod tests {
         assert_eq!(at(1, 0), Nat(1), "20 < 25");
         assert_eq!(at(1, 1), Nat(0), "30 ≥ 25");
         assert_eq!(at(0, 2), Nat(1), "20 < 25");
+    }
+
+    #[test]
+    fn any_base_reaches_coefficients_deltas_and_token_tensors() {
+        let mentions = |name: &'static str| move |p: &NatPoly| p.vars().any(|v| v.name() == name);
+        let token = P::eq_token(
+            MonoidKind::Sum,
+            &t(&[(tok("r1"), 20), (tok("r2"), 10)]),
+            &t(&[(P::one(), 20)]),
+        );
+        let k = tok("a").plus(&tok("b").delta().times(&token));
+        for name in ["a", "b", "r1", "r2"] {
+            assert!(k.any_base(&mentions(name)), "{name} occurs in {k}");
+        }
+        assert!(!k.any_base(&mentions("c")));
+        assert!(!P::zero().any_base(&|_| true));
     }
 
     #[test]

@@ -39,6 +39,7 @@ use aggprov_core::Value;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// The result of executing a (prepared) query: an annotated relation with
@@ -211,21 +212,22 @@ impl ResultSet<Km<NatPoly>> {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let deleted: std::collections::BTreeSet<String> =
+        let deleted: BTreeSet<String> =
             tokens.into_iter().map(|t| t.as_ref().to_string()).collect();
-        self.map_hom(|p| {
-            p.eval(
-                &mut |v| {
-                    if deleted.contains(v.name()) {
-                        NatPoly::zero()
-                    } else {
-                        NatPoly::token(v.name())
-                    }
-                },
-                &mut |c| NatPoly::from_nat(c.0),
-            )
-        })
+        self.map_hom(deletion_hom(&deleted))
     }
+}
+
+/// The deletion homomorphism `ℕ[X] → ℕ[X]`: each token in `deleted` ↦ `0`,
+/// every other token fixed. Computed as the O(size) canonical-term filter
+/// [`NatPoly::drop_vars`] rather than by `eval`-based re-summation — firing
+/// 50 tokens against membership sums of 10⁵ terms must not go quadratic —
+/// and a polynomial mentioning no deleted token comes back as the same
+/// shared storage. [`ResultSet::delete_tokens`] and
+/// [`Database::delete_tokens`](crate::Database::delete_tokens) both apply
+/// exactly this function.
+pub(crate) fn deletion_hom(deleted: &BTreeSet<String>) -> impl Fn(&NatPoly) -> NatPoly + '_ {
+    move |p| p.drop_vars(&mut |v| deleted.contains(v.name()))
 }
 
 impl ResultSet<Km<Security>> {

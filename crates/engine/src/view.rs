@@ -42,11 +42,12 @@ use crate::annot::ParseAnnotation;
 use crate::exec::execute_plan;
 use crate::phys::{self, PhysNode};
 use crate::plan::{Plan, PlanAgg};
+use crate::result::deletion_hom;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_core::annotation::AggAnnotation;
-use aggprov_core::eval::map_hom_mk;
+use aggprov_core::eval::{map_hom_mk, map_hom_mk_where};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{Prov, Value};
@@ -659,17 +660,15 @@ impl Database<Prov> {
         if deleted.is_empty() {
             return Ok(());
         }
-        // The deletion hom (each fired token ↦ 0, everything else fixed),
-        // computed as the O(size) canonical-term filter rather than by
-        // `eval`-based re-summation — firing 50 tokens against a view
-        // whose membership sums hold 10⁵ terms must not go quadratic.
-        let h = move |p: &NatPoly| -> NatPoly { p.drop_vars(&mut |v| deleted.contains(v.name())) };
-        // 1) Fire the tokens in every base table, tracking which tables
-        //    actually changed — the precise invalidation footprint.
+        let h = deletion_hom(&deleted);
+        let fired = |p: &NatPoly| p.vars().any(|v| deleted.contains(v.name()));
+        // 1) Fire the tokens in every base table. A row that mentions no
+        //    fired token is carried over as is, and a table without such a
+        //    row is not touched at all — the tables that come back are the
+        //    precise invalidation footprint.
         let mut remapped: Vec<(String, MKRel<Prov>)> = Vec::new();
         for (name, entry) in &self.epoch.tables {
-            let mapped = map_hom_mk(&entry.rel, &h);
-            if mapped != entry.rel {
+            if let Some(mapped) = map_hom_mk_where(&entry.rel, &fired, &h) {
                 remapped.push((name.clone(), mapped));
             }
         }

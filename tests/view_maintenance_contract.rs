@@ -67,3 +67,34 @@ fn maintained_view_collapses_like_the_examples_valuation_route() {
 
     assert_eq!(via_provenance.relation(), via_view.relation());
 }
+
+#[test]
+fn deletion_touches_only_what_mentions_a_fired_token() {
+    let (mut db, fired) = example_setup();
+    db.prepare("SELECT dept FROM dept").unwrap();
+    db.prepare("SELECT emp FROM emp").unwrap();
+    let plans = db.cached_plan_count();
+    let before = db.snapshot();
+
+    // A token no table mentions: nothing is remapped, copied or invalidated.
+    db.delete_tokens(["no-such-token"]).unwrap();
+    for table in ["emp", "dept"] {
+        let (live, frozen) = (db.table(table).unwrap(), before.table(table).unwrap());
+        assert!(live.shares_tuples_with(frozen), "`{table}` was rebuilt");
+    }
+    assert_eq!(db.cached_plan_count(), plans);
+
+    // Employee tokens: `dept` keeps its store and its cached plan, `emp`
+    // is rebuilt, and the surviving rows share their annotations' term
+    // storage with the snapshot's — carried over, not re-derived.
+    db.delete_tokens(fired.iter().map(|s| s.as_str())).unwrap();
+    let (dept, emp) = (db.table("dept").unwrap(), db.table("emp").unwrap());
+    assert!(dept.shares_tuples_with(before.table("dept").unwrap()));
+    assert_eq!(db.cached_plan_count(), plans - 1);
+    let frozen = before.table("emp").unwrap();
+    assert_eq!(emp.len(), frozen.len() - fired.len());
+    for (t, k) in emp.iter() {
+        let old = frozen.annotation(t);
+        assert!(k.as_poly().shares_terms_with(old.as_poly()), "row {t}");
+    }
+}
