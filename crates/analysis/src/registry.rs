@@ -57,7 +57,7 @@ pub const ENUM_REGISTRY: &[EnumSite] = &[
             // output columns can go symbolic, or every rewrite is vetoed.
             ("crates/engine/src/opt.rs", "symbolic_cols"),
             // Physical lowering: a new plan node needs a physical form.
-            ("crates/engine/src/phys.rs", "lower_with"),
+            ("crates/engine/src/phys.rs", "lower"),
             // View classification: a new plan node must make a
             // delta-maintenance decision (linear or recompute).
             ("crates/engine/src/view.rs", "count_scans"),

@@ -15,8 +15,10 @@
 //!   partitioning so token construction stays off the ground hot path;
 //! * [`ops::batch`] — vectorized batch kernels over the columnar ground
 //!   partition ([`ops::batch::Chunk`]): selection-vector filter,
-//!   gather-based projection, unit-column append, AVG division and hash
-//!   join, so pipelines over ground data run columnar end to end;
+//!   view-remap projection, unit-column append, AVG division and hash
+//!   join, so pipelines over ground data run columnar end to end — each
+//!   kernel total, running the token path itself over whatever symbolic
+//!   fringe its input carries;
 //! * [`par`] — partition-parallel execution: [`par::ExecOptions`]
 //!   (`AGGPROV_THREADS`), shard planning and the scoped thread fan-out the
 //!   `ops::*_opts` operator variants run on;

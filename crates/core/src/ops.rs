@@ -54,8 +54,10 @@
 //! ([`aggprov_krel::batch::ColumnBatch`]) through selection-vector kernels
 //! (filter, gather/project, unit-column append, AVG division, hash join),
 //! so a filter→project→join chain over ground tuples never materializes a
-//! `BTreeMap` between nodes. Whenever a symbolic fringe forces cross-row
-//! token sums, execution falls back to the operators in this module.
+//! `BTreeMap` between nodes. The cross-row kernels there
+//! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) decide for
+//! themselves: handed a chunk with a symbolic fringe, they run this
+//! module's token path (`keyed_fold`, the pairwise join) by position.
 //!
 //! ## Partition-parallel execution
 //!
@@ -419,15 +421,27 @@ pub fn project_opts<A: AggAnnotation>(
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let positions = rel.schema().indices_of(attrs)?;
-    let schema = rel.schema().project(attrs)?;
     if plan_shards(opts, rel.len()) == 1 && rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
         return rel.project(attrs);
     }
-    let entries = rel.iter().map(|(t, k)| (t.project(&positions), t, k));
-    let out = keyed_fold(entries, positions.len(), opts, |p, contributions| {
+    from_map(
+        rel.schema().project(attrs)?,
+        project_fold(rel, &positions, opts)?,
+    )
+}
+
+/// The keyed token fold of [`project_opts`], by position: the output rows
+/// of `Π_{positions}` (distinct, in range), not yet under a schema. The
+/// entry [`batch::Chunk::project_opts`] takes for a chunk with a fringe.
+pub(crate) fn project_fold<A: AggAnnotation>(
+    rel: &MKRel<A>,
+    positions: &[usize],
+    opts: &ExecOptions,
+) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
+    let entries = rel.iter().map(|(t, k)| (t.project(positions), t, k));
+    keyed_fold(entries, positions.len(), opts, |p, contributions| {
         Ok((p.clone(), coefficient_sum(contributions)))
-    })?;
-    from_map(schema, out)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -569,6 +583,9 @@ fn hash_join_ground<A: AggAnnotation>(
 /// probe (left) equi-join — with more than one thread, both ground sides
 /// are sharded by the same join-key hash, so each scoped worker joins one
 /// hash-disjoint shard pair and the per-shard outputs fold in shard order.
+/// It is keyed on the *keys* alone, so it also serves rows with a ground
+/// key and a symbolic payload, which no column can hold. With no keys
+/// every row lands in the one empty-key bucket: the Cartesian product.
 /// Pairs with a symbolic key on either side fall back to the sequential
 /// token-weighted nested loop, which therefore costs `O(|G|·|S| + |S|²)`
 /// instead of `O(n²)`. The result is identical at every thread count.
@@ -594,49 +611,50 @@ pub fn join_on_opts<A: AggAnnotation>(
         .map(|(_, b)| r2.schema().index_of(b))
         .collect::<Result<_>>()?;
     let schema = r1.schema().concat(r2.schema())?;
+    join_at(r1, r2, &left, &right, schema, opts)
+}
 
+/// [`join_on_opts`] by position: key `left[i]` of `r1` against key
+/// `right[i]` of `r2` (all in range), the concatenated rows under
+/// `schema`. The entry [`batch::hash_join`] takes when either chunk
+/// carries a fringe.
+pub(crate) fn join_at<A: AggAnnotation>(
+    r1: &MKRel<A>,
+    r2: &MKRel<A>,
+    left: &[usize],
+    right: &[usize],
+    schema: Schema,
+    opts: &ExecOptions,
+) -> Result<MKRel<A>> {
     type Side<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
-    let (g1, s1): (Side<'_, A>, Side<'_, A>) = r1.iter().partition(|(t, _)| is_ground_at(t, &left));
-    let (g2, s2): (Side<'_, A>, Side<'_, A>) =
-        r2.iter().partition(|(t, _)| is_ground_at(t, &right));
+    let (g1, s1): (Side<'_, A>, Side<'_, A>) = r1.iter().partition(|(t, _)| is_ground_at(t, left));
+    let (g2, s2): (Side<'_, A>, Side<'_, A>) = r2.iter().partition(|(t, _)| is_ground_at(t, right));
 
     let mut out = BTreeMap::new();
-    if on.is_empty() {
-        // Cartesian product: no keys, no tokens (s1/s2 are empty since the
-        // groundness check over zero positions is vacuous).
-        for (t1, k1) in &g1 {
-            for (t2, k2) in &g2 {
-                insert_distinct(&mut out, t1.concat(t2.values()), k1.times(k2));
-            }
-        }
+    let nshards = plan_shards(opts, g1.len().max(g2.len()));
+    if nshards == 1 {
+        hash_join_ground(&g1, &g2, left, right, &mut out);
     } else {
-        let nshards = plan_shards(opts, g1.len().max(g2.len()));
-        if nshards == 1 {
-            hash_join_ground(&g1, &g2, &left, &right, &mut out);
-        } else {
-            // Both sides sharded by the same key hash: matching keys land
-            // in the same shard, so shard outputs are disjoint.
-            let shards1 = split_by(&g1, nshards, |(t, _)| {
-                shard_index(&left.iter().map(|i| t.get(*i)).collect::<Vec<_>>(), nshards)
-            });
-            let shards2 = split_by(&g2, nshards, |(t, _)| {
-                shard_index(
-                    &right.iter().map(|j| t.get(*j)).collect::<Vec<_>>(),
-                    nshards,
-                )
-            });
-            let left_ref = &left;
-            let right_ref = &right;
-            let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
-            let maps = fan_out(pairs, move |(p1, p2)| {
-                let mut m = BTreeMap::new();
-                hash_join_ground(&p1, &p2, left_ref, right_ref, &mut m);
-                Ok(m)
-            })?;
-            for m in maps {
-                for (t, k) in m {
-                    insert_distinct(&mut out, t, k);
-                }
+        // Both sides sharded by the same key hash: matching keys land
+        // in the same shard, so shard outputs are disjoint.
+        let shards1 = split_by(&g1, nshards, |(t, _)| {
+            shard_index(&left.iter().map(|i| t.get(*i)).collect::<Vec<_>>(), nshards)
+        });
+        let shards2 = split_by(&g2, nshards, |(t, _)| {
+            shard_index(
+                &right.iter().map(|j| t.get(*j)).collect::<Vec<_>>(),
+                nshards,
+            )
+        });
+        let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
+        let maps = fan_out(pairs, move |(p1, p2)| {
+            let mut m = BTreeMap::new();
+            hash_join_ground(&p1, &p2, left, right, &mut m);
+            Ok(m)
+        })?;
+        for m in maps {
+            for (t, k) in m {
+                insert_distinct(&mut out, t, k);
             }
         }
     }
@@ -646,7 +664,7 @@ pub fn join_on_opts<A: AggAnnotation>(
         for (t1, k1) in lhs.iter() {
             for (t2, k2) in rhs.iter() {
                 let mut tok = A::one();
-                for (i, j) in left.iter().zip(&right) {
+                for (i, j) in left.iter().zip(right) {
                     if tok.is_zero() {
                         break;
                     }

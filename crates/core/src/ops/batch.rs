@@ -22,22 +22,28 @@
 //! shard the selection across the `par::fan_out` workers in
 //! contiguous ranges — bit-identical to the serial loop, including which
 //! row raises a type error first. Boxed columns (mixed types, booleans,
-//! non-integer rationals, mispredicted hints) keep the `Const` row loop
-//! below.
+//! non-integer rationals) keep the `Const` row loop below.
 //!
-//! Division of labour with the row-at-a-time operators of [`crate::ops`]:
+//! Division of labour: **every kernel here is total** — handed a chunk
+//! with a non-empty fringe it produces the §4.3 result itself, so no
+//! caller ever asks a chunk whether it is ground before picking an
+//! operator.
 //!
 //! * **filter**, **unit-column append** and **AVG division** have no
-//!   cross-row terms in §4.3, so a chunk stays a chunk even with a
-//!   non-empty fringe — ground rows take the vectorized comparison,
-//!   fringe rows the token path (annotation × token, as in
-//!   [`crate::ops::select_with_token`]);
-//! * **projection**, **join**, **aggregation** and **set operations** sum
-//!   token-weighted contributions *across* rows when symbolic values are
-//!   present, so their batch kernels require an empty fringe — the
-//!   engine's driver falls back to the `ops::*_opts` operators (and their
-//!   partition-parallel ground/symbolic machinery) whenever a fringe
-//!   exists, keeping results bit-identical to [`crate::specops`].
+//!   cross-row terms in §4.3, so a chunk stays a chunk — ground rows take
+//!   the vectorized comparison, fringe rows the token path (annotation ×
+//!   token, as in [`crate::ops::select_with_token`]);
+//! * **projection** and **join** sum token-weighted contributions *across*
+//!   rows when symbolic values are present. Over fringe-free input
+//!   [`Chunk::project_opts`] remaps the view and [`hash_join`] probes
+//!   columns; with a fringe (on either operand, for the join) the same
+//!   kernels materialize their input and run the token path of
+//!   [`crate::ops`] by position — the keyed fold behind
+//!   `ops::project_opts`, the pairwise `ops::join_on_opts` — then split the
+//!   result back into a chunk, bit-identical to [`crate::specops`];
+//! * **aggregation** and **set operations** need the whole input either
+//!   way; they are the pipeline breakers and run on relations
+//!   ([`crate::ops::group_by_opts`], [`crate::ops::union_opts`]).
 //!
 //! A chunk defers the additive merge of duplicate ground rows to its next
 //! materialization ([`Chunk::into_relation`]); semiring distributivity
@@ -45,8 +51,7 @@
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
-use crate::ops::typed;
-use crate::ops::MKRel;
+use crate::ops::{self, typed, MKRel};
 use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
@@ -55,7 +60,7 @@ use aggprov_krel::batch::{ColumnBatch, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::{ColHint, TypedColumn};
+use aggprov_krel::typed::TypedColumn;
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -97,19 +102,11 @@ pub struct Chunk<A: AggAnnotation> {
 }
 
 impl<A: AggAnnotation> Chunk<A> {
-    /// Splits a relation into a chunk with every column probing its
-    /// variant from the data; see [`Chunk::from_relation_with`].
-    pub fn from_relation(rel: &MKRel<A>) -> Self {
-        Self::from_relation_with(rel, &[])
-    }
-
     /// Splits a relation into a chunk (ground columns + symbolic fringe),
-    /// preserving support order in both partitions. Ground column `i`
-    /// starts in the variant the catalog hint `hints[i]` names; missing
-    /// and `None` entries probe from the data.
-    pub fn from_relation_with(rel: &MKRel<A>, hints: &[Option<ColHint>]) -> Self {
-        let batch = GroundBatch::from_relation_with(rel, Value::as_const, hints);
-        let (ground, fringe) = batch.into_parts();
+    /// preserving support order in both partitions. Every ground column
+    /// probes its variant from the data.
+    pub fn from_relation(rel: &MKRel<A>) -> Self {
+        let (ground, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
         Chunk {
             schema: rel.schema().clone(),
             view: (0..ground.arity()).collect(),
@@ -194,8 +191,7 @@ impl<A: AggAnnotation> Chunk<A> {
     }
 
     /// True iff the chunk carries symbolic rows — the condition under
-    /// which cross-row kernels (project, join) must fall back to the
-    /// token-path operators.
+    /// which the cross-row kernels (project, join) take the token path.
     pub fn has_fringe(&self) -> bool {
         !self.fringe.is_empty()
     }
@@ -231,22 +227,6 @@ impl<A: AggAnnotation> Chunk<A> {
         self.col(i)?.get(r as usize).ok_or_else(|| {
             RelError::Internal(format!("ground row {r} out of range in chunk column {i}"))
         })
-    }
-
-    /// Errors unless the chunk is fringe-free. The cross-row kernels
-    /// (projection, join) are only defined over ground rows — symbolic
-    /// values need the token-weighted operators of [`crate::ops`] — so
-    /// misuse must fail loudly, not corrupt results.
-    fn require_all_ground(&self, kernel: &str) -> Result<()> {
-        if self.fringe.is_empty() {
-            Ok(())
-        } else {
-            Err(RelError::Unsupported(format!(
-                "{kernel} over a chunk with {} symbolic row(s); route symbolic \
-                 relations through the token-path operators in aggprov_core::ops",
-                self.fringe.len()
-            )))
-        }
     }
 
     /// The vectorized filter kernel: narrows the selection vector over the
@@ -301,37 +281,14 @@ impl<A: AggAnnotation> Chunk<A> {
             }
         };
         self.sel = Some(kept);
-        // Fringe rows: genuine §4.3 tokens. The constant operand (literal
-        // or bound `$n` parameter) is lifted to a `Value` once, outside
-        // the row loop — not cloned per row per comparison.
+        // Fringe rows: genuine §4.3 tokens. Each operand is resolved once,
+        // outside the row loop — a constant (literal or bound `$n`
+        // parameter) is lifted to a `Value` here, not cloned per row.
         if !self.fringe.is_empty() {
-            let lift = |op: &BatchOperand| -> Option<Value<A>> {
-                match op {
-                    BatchOperand::Col(_) => None,
-                    BatchOperand::Lit(c) => Some(Value::Const(c.clone())),
-                }
-            };
-            let (lconst, rconst) = (lift(left), lift(right));
+            let (left, right) = (FringeOperand::of(left), FringeOperand::of(right));
             let mut kept_fringe = Vec::with_capacity(self.fringe.len());
             for (t, k) in self.fringe.drain(..) {
-                let lv: &Value<A> = match (left, &lconst) {
-                    (BatchOperand::Col(i), _) => t.get(*i),
-                    (_, Some(v)) => v,
-                    (BatchOperand::Lit(_), None) => {
-                        return Err(RelError::Internal(
-                            "literal operand not lifted before the fringe loop".into(),
-                        ))
-                    }
-                };
-                let rv: &Value<A> = match (right, &rconst) {
-                    (BatchOperand::Col(i), _) => t.get(*i),
-                    (_, Some(v)) => v,
-                    (BatchOperand::Lit(_), None) => {
-                        return Err(RelError::Internal(
-                            "literal operand not lifted before the fringe loop".into(),
-                        ))
-                    }
-                };
+                let (lv, rv) = (left.at(&t), right.at(&t));
                 let tok = match cmp {
                     BatchCmp::Eq => A::value_eq(lv, rv)?,
                     BatchCmp::Pred(p) => A::value_cmp(p, lv, rv)?,
@@ -384,16 +341,32 @@ impl<A: AggAnnotation> Chunk<A> {
         Ok(kept)
     }
 
-    /// The projection kernel: remaps the view to the requested columns
+    /// [`Chunk::project_opts`] on one thread.
+    pub fn project(self, columns: &[usize], schema: Schema) -> Result<Chunk<A>> {
+        self.project_opts(columns, schema, &ExecOptions::serial())
+    }
+
+    /// The projection kernel, total over ground and symbolic rows.
+    ///
+    /// Without a fringe it remaps the view to the requested columns
     /// (indices may repeat — duplicate select items view one physical
     /// column twice). No values move, no selection is lost; duplicate
     /// *rows* stay unmerged until the next materialization, which merges
     /// them additively — for ground data exactly the §4.3 projection.
-    /// Requires an empty fringe — symbolic projection sums token-weighted
-    /// contributions across rows and must go through
-    /// [`crate::ops::project_opts`].
-    pub fn project(self, columns: &[usize], schema: Schema) -> Result<Chunk<A>> {
-        self.require_all_ground("batch projection")?;
+    ///
+    /// With a fringe, projection sums token-weighted contributions across
+    /// rows: the chunk materializes, the keyed token fold of
+    /// [`crate::ops::project_opts`] runs over the *distinct* requested
+    /// positions (§4.3 projects onto a set of attributes), duplicated
+    /// select items expand positionally, and the result splits back into
+    /// a chunk. `opts` shards that fold; the result is identical at every
+    /// thread count.
+    pub fn project_opts(
+        self,
+        columns: &[usize],
+        schema: Schema,
+        opts: &ExecOptions,
+    ) -> Result<Chunk<A>> {
         if schema.arity() != columns.len() {
             return Err(RelError::ArityMismatch {
                 expected: columns.len(),
@@ -411,13 +384,37 @@ impl<A: AggAnnotation> Chunk<A> {
                 })
             })
             .collect::<Result<_>>()?;
-        Ok(Chunk {
-            schema,
-            ground: self.ground,
-            view,
-            sel: self.sel,
-            fringe: self.fringe,
-        })
+        if self.fringe.is_empty() {
+            return Ok(Chunk {
+                schema,
+                ground: self.ground,
+                view,
+                sel: self.sel,
+                fringe: self.fringe,
+            });
+        }
+        // `distinct`: the requested positions in first-appearance order;
+        // `expand[i]`: where output column `i` sits in `distinct`.
+        let mut distinct: Vec<usize> = Vec::new();
+        let expand: Vec<usize> = columns
+            .iter()
+            .map(|c| {
+                distinct.iter().position(|d| d == c).unwrap_or_else(|| {
+                    distinct.push(*c);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let mut rows = ops::project_fold(&self.into_relation()?, &distinct, opts)?;
+        if distinct.len() != columns.len() {
+            // Injective on rows (every distinct position appears in
+            // `expand`), so the expanded keys never collide.
+            rows = rows
+                .into_iter()
+                .map(|(t, k)| (t.project(&expand), k))
+                .collect();
+        }
+        Ok(Chunk::from_relation(&ops::from_map(schema, rows)?))
     }
 
     /// The unit-column kernel: appends the constant-1 column COUNT/AVG
@@ -547,8 +544,31 @@ pub(crate) fn const_cmp(lv: &Const, cmp: BatchCmp, rv: &Const) -> Result<bool> {
     }
 }
 
-/// A join-key column in probe-ready form: typed columns borrow their
-/// unboxed storage; everything else re-materializes once per kernel.
+/// One filter operand as the fringe loop reads it: a column of the row,
+/// or the constant lifted to a [`Value`] before the loop.
+enum FringeOperand<A: AggAnnotation> {
+    Col(usize),
+    Lit(Value<A>),
+}
+
+impl<A: AggAnnotation> FringeOperand<A> {
+    fn of(op: &BatchOperand) -> Self {
+        match op {
+            BatchOperand::Col(i) => FringeOperand::Col(*i),
+            BatchOperand::Lit(c) => FringeOperand::Lit(Value::Const(c.clone())),
+        }
+    }
+
+    fn at<'a>(&'a self, t: &'a Tuple<Value<A>>) -> &'a Value<A> {
+        match self {
+            FringeOperand::Col(i) => t.get(*i),
+            FringeOperand::Lit(v) => v,
+        }
+    }
+}
+
+/// A join-key column in probe-ready form: boxed columns borrow their
+/// storage; typed ones re-materialize once per kernel.
 fn key_consts(col: &TypedColumn) -> Cow<'_, [Const]> {
     match col {
         TypedColumn::Boxed(v) => Cow::Borrowed(v.as_slice()),
@@ -556,21 +576,27 @@ fn key_consts(col: &TypedColumn) -> Cow<'_, [Const]> {
     }
 }
 
-/// The batched hash equi-join kernel: build a hash index over the right
-/// chunk's join-key columns, probe with the left, and emit a dense output
-/// chunk whose columns are the left's followed by the right's, annotated
-/// with the semiring product. Both chunks must be fringe-free (a symbolic
-/// join key needs the token-weighted nested loop of
-/// [`crate::ops::join_on_opts`]); between constants the §4.3 key tokens
-/// are exactly structural equality, so this is the classical join. An
-/// empty `on` degenerates to the cartesian product.
+/// The batched equi-join kernel, total over ground and symbolic rows: the
+/// output chunk's columns are the left's followed by the right's,
+/// annotated with the semiring product (times the §4.3 key tokens, where
+/// those are symbolic). An empty `on` degenerates to the cartesian
+/// product.
 ///
-/// Single-column keys dispatch on the typed variants: two unboxed `i64`
-/// columns build an integer-hashed index, two dictionary-encoded columns
-/// probe through a dictionary translation table (see
-/// `ops::typed`), with the probe loop sharded across `opts`'
-/// workers; mixed or boxed keys fall back to the `Const` index below.
-/// Output columns gather monomorphically per variant either way.
+/// When **neither** chunk carries a fringe, every key token is structural
+/// equality between constants and this is the classical join: build a
+/// hash index over the right chunk's join-key columns, probe with the
+/// left, emit a dense ground chunk. Single-column keys dispatch on the
+/// typed variants: two unboxed `i64` columns build an integer-hashed
+/// index, two dictionary-encoded columns probe through a dictionary
+/// translation table (see `ops::typed`), with the probe loop sharded
+/// across `opts`' workers; every other key shape (mixed or boxed
+/// variants, several columns, none) goes through one structural `Const`
+/// index. Output columns gather monomorphically per variant either way.
+///
+/// When **either** chunk carries a fringe, both materialize and the
+/// token-weighted pairwise join of [`crate::ops::join_on_opts`] runs by
+/// position (its own ground-key hash block plus the nested loop over
+/// symbolic keys); the result splits back into a chunk.
 pub fn hash_join<A: AggAnnotation>(
     left: Chunk<A>,
     right: Chunk<A>,
@@ -578,82 +604,71 @@ pub fn hash_join<A: AggAnnotation>(
     schema: Schema,
     opts: &ExecOptions,
 ) -> Result<Chunk<A>> {
-    left.require_all_ground("batch hash join")?;
-    right.require_all_ground("batch hash join")?;
     if schema.arity() != left.schema.arity() + right.schema.arity() {
         return Err(RelError::ArityMismatch {
             expected: left.schema.arity() + right.schema.arity(),
             got: schema.arity(),
         });
     }
+    // Resolving the key columns up front also rejects an out-of-range key
+    // position before either path indexes a row with it.
+    let lkeys: Vec<&TypedColumn> = on
+        .iter()
+        .map(|(i, _)| left.col(*i))
+        .collect::<Result<_>>()?;
+    let rkeys: Vec<&TypedColumn> = on
+        .iter()
+        .map(|(_, j)| right.col(*j))
+        .collect::<Result<_>>()?;
+    if left.has_fringe() || right.has_fringe() {
+        let (lpos, rpos): (Vec<usize>, Vec<usize>) = on.iter().copied().unzip();
+        let joined = ops::join_at(
+            &left.into_relation()?,
+            &right.into_relation()?,
+            &lpos,
+            &rpos,
+            schema,
+            opts,
+        )?;
+        return Ok(Chunk::from_relation(&joined));
+    }
     let lsel = left.selected();
     let rsel = right.selected();
     // Build (right), probe (left) — the same sides as the row-at-a-time
     // hash join — collecting matching row pairs first, then gathering the
     // output column by column (better locality than row-wise assembly).
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if on.is_empty() {
-        for &lr in &lsel {
+    let pairs: Vec<(u32, u32)> = match (lkeys.as_slice(), rkeys.as_slice()) {
+        ([TypedColumn::Num(l)], [TypedColumn::Num(r)]) => {
+            typed::join_pairs_num(l, r, &lsel, &rsel, opts)?
+        }
+        ([TypedColumn::Str(l)], [TypedColumn::Str(r)]) => {
+            typed::join_pairs_str(l, r, &lsel, &rsel, opts)?
+        }
+        _ => {
+            // Structural `Const` equality over owned-or-borrowed key
+            // columns, resolved once outside the row loops. Cross-variant
+            // keys simply never match typed storage of the other type,
+            // which is exactly structural equality's answer; with no key
+            // columns every row shares the one empty key.
+            let lcols: Vec<Cow<'_, [Const]>> = lkeys.into_iter().map(key_consts).collect();
+            let rcols: Vec<Cow<'_, [Const]>> = rkeys.into_iter().map(key_consts).collect();
+            let mut index: HashMap<Vec<&Const>, Vec<u32>> = HashMap::new();
             for &rr in &rsel {
-                pairs.push((lr, rr));
+                // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
+                let key: Vec<&Const> = rcols.iter().map(|c| &c[rr as usize]).collect();
+                index.entry(key).or_default().push(rr);
             }
-        }
-    } else if let [(li, ri)] = on {
-        match (left.col(*li)?, right.col(*ri)?) {
-            (TypedColumn::Num(l), TypedColumn::Num(r)) => {
-                pairs = typed::join_pairs_num(l, r, &lsel, &rsel, opts)?;
-            }
-            (TypedColumn::Str(l), TypedColumn::Str(r)) => {
-                pairs = typed::join_pairs_str(l, r, &lsel, &rsel, opts)?;
-            }
-            (lcol, rcol) => {
-                // Mixed or boxed variants: structural `Const` equality
-                // over owned-or-borrowed key columns. Cross-variant keys
-                // simply never match typed storage of the other type,
-                // which is exactly structural equality's answer.
-                let (lkeys, rkeys) = (key_consts(lcol), key_consts(rcol));
-                let mut index: HashMap<&Const, Vec<u32>> = HashMap::new();
-                for &rr in &rsel {
-                    // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
-                    index.entry(&rkeys[rr as usize]).or_default().push(rr);
-                }
-                for &lr in &lsel {
-                    // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
-                    if let Some(matches) = index.get(&lkeys[lr as usize]) {
-                        for &rr in matches {
-                            pairs.push((lr, rr));
-                        }
-                    }
+            let mut pairs = Vec::new();
+            for &lr in &lsel {
+                // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
+                let key: Vec<&Const> = lcols.iter().map(|c| &c[lr as usize]).collect();
+                if let Some(matches) = index.get(&key) {
+                    pairs.extend(matches.iter().map(|&rr| (lr, rr)));
                 }
             }
+            pairs
         }
-    } else {
-        // Multi-column keys: resolve the key columns once, outside the
-        // row loops, and index by borrowed key vectors.
-        let rcols: Vec<Cow<'_, [Const]>> = on
-            .iter()
-            .map(|(_, j)| right.col(*j).map(key_consts))
-            .collect::<Result<_>>()?;
-        let lcols: Vec<Cow<'_, [Const]>> = on
-            .iter()
-            .map(|(i, _)| left.col(*i).map(key_consts))
-            .collect::<Result<_>>()?;
-        let mut index: HashMap<Vec<&Const>, Vec<u32>> = HashMap::new();
-        for &rr in &rsel {
-            // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
-            let key: Vec<&Const> = rcols.iter().map(|c| &c[rr as usize]).collect();
-            index.entry(key).or_default().push(rr);
-        }
-        for &lr in &lsel {
-            // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
-            let key: Vec<&Const> = lcols.iter().map(|c| &c[lr as usize]).collect();
-            if let Some(matches) = index.get(&key) {
-                for &rr in matches {
-                    pairs.push((lr, rr));
-                }
-            }
-        }
-    }
+    };
     let anns: Vec<A> = pairs
         .iter()
         // lint:allow(index, reason = "pair rows come from selected() and are < ground.len()")
@@ -715,13 +730,6 @@ mod tests {
         )
     }
 
-    /// Hint vectors for the all-integer test relations: probing (unboxed
-    /// `Num` columns) and mispredicted-as-text (every column demotes to
-    /// `Boxed` on its first value).
-    fn int_layouts() -> [Vec<Option<ColHint>>; 2] {
-        [Vec::new(), vec![Some(ColHint::Str); 2]]
-    }
-
     fn mixed() -> MKRel<P> {
         Relation::from_rows(
             sch(&["a", "b"]),
@@ -746,32 +754,40 @@ mod tests {
     #[test]
     fn filter_matches_select_on_ground_and_fringe() {
         let rel = mixed();
-        for layout in int_layouts() {
-            let mut c = Chunk::from_relation_with(&rel, &layout);
-            c.filter(
-                &BatchOperand::Col(0),
-                BatchCmp::Eq,
-                &BatchOperand::Lit(Const::int(2)),
-                &serial(),
-            )
-            .unwrap();
-            let got = c.into_relation().unwrap();
-            let want = ops::select_eq(&rel, "a", &Value::int(2)).unwrap();
-            assert_eq!(got, want);
+        let mut c = Chunk::from_relation(&rel);
+        c.filter(
+            &BatchOperand::Col(0),
+            BatchCmp::Eq,
+            &BatchOperand::Lit(Const::int(2)),
+            &serial(),
+        )
+        .unwrap();
+        let got = c.into_relation().unwrap();
+        let want = ops::select_eq(&rel, "a", &Value::int(2)).unwrap();
+        assert_eq!(got, want);
 
-            // An order comparison over the symbolic column produces a
-            // token on the fringe row and plain 0/1 on the ground rows.
-            let mut c = Chunk::from_relation_with(&rel, &layout);
-            c.filter(
-                &BatchOperand::Col(1),
-                BatchCmp::Pred(CmpPred::Lt),
-                &BatchOperand::Lit(Const::int(15)),
-                &serial(),
-            )
-            .unwrap();
+        // An order comparison over the symbolic column produces a token
+        // on the fringe row and plain 0/1 on the ground rows — with the
+        // literal on either side (`15 > b` arrives as `b < 15` swapped).
+        for lit_on_left in [false, true] {
+            let (col, lit) = (BatchOperand::Col(1), BatchOperand::Lit(Const::int(15)));
+            let (left, pred, right) = if lit_on_left {
+                (&lit, CmpPred::Le, &col)
+            } else {
+                (&col, CmpPred::Lt, &lit)
+            };
+            let mut c = Chunk::from_relation(&rel);
+            c.filter(left, BatchCmp::Pred(pred), right, &serial())
+                .unwrap();
             let got = c.into_relation().unwrap();
-            let want = ops::select_cmp(&rel, "b", CmpPred::Lt, &Value::int(15)).unwrap();
-            assert_eq!(got, want);
+            let want = if lit_on_left {
+                ops::select_with_token(&rel, |_, t| {
+                    P::value_cmp(CmpPred::Le, &Value::int(15), t.get(1))
+                })
+            } else {
+                ops::select_cmp(&rel, "b", CmpPred::Lt, &Value::int(15))
+            };
+            assert_eq!(got, want.unwrap());
         }
     }
 
@@ -874,31 +890,29 @@ mod tests {
         .unwrap();
         let schema = sch(&["a", "b", "c", "d"]);
         let want = ops::join_on(&r, &s, &[("a", "c")]).unwrap();
-        for layout in int_layouts() {
-            let j = hash_join(
-                Chunk::from_relation_with(&r, &layout),
-                Chunk::from_relation_with(&s, &layout),
-                &[(0, 0)],
-                schema.clone(),
-                &serial(),
-            )
-            .unwrap()
-            .into_relation()
-            .unwrap();
-            assert_eq!(j, want);
-            // Empty `on` is the cartesian product.
-            let prod = hash_join(
-                Chunk::from_relation_with(&r, &layout),
-                Chunk::from_relation_with(&s, &layout),
-                &[],
-                schema.clone(),
-                &serial(),
-            )
-            .unwrap()
-            .into_relation()
-            .unwrap();
-            assert_eq!(prod, ops::product(&r, &s).unwrap());
-        }
+        let j = hash_join(
+            Chunk::from_relation(&r),
+            Chunk::from_relation(&s),
+            &[(0, 0)],
+            schema.clone(),
+            &serial(),
+        )
+        .unwrap()
+        .into_relation()
+        .unwrap();
+        assert_eq!(j, want);
+        // Empty `on` is the cartesian product.
+        let prod = hash_join(
+            Chunk::from_relation(&r),
+            Chunk::from_relation(&s),
+            &[],
+            schema,
+            &serial(),
+        )
+        .unwrap()
+        .into_relation()
+        .unwrap();
+        assert_eq!(prod, ops::product(&r, &s).unwrap());
     }
 
     #[test]
@@ -1038,26 +1052,72 @@ mod tests {
     }
 
     #[test]
-    fn cross_row_kernels_reject_symbolic_fringes() {
-        // Projection and hash join are only defined over ground rows;
-        // handing them a chunk with a fringe must be a loud
-        // error (not a debug-only assert), or symbolic provenance would
-        // silently drop in release builds.
+    fn cross_row_kernels_carry_symbolic_fringes() {
+        // Projection and hash join are total: handed a chunk with a
+        // fringe they run the §4.3 token path themselves and hand back a
+        // chunk that still carries the symbolic rows.
         let rel = mixed();
         let chunk = Chunk::from_relation(&rel);
         assert!(chunk.has_fringe());
-        let err = chunk.clone().project(&[0], sch(&["a"])).unwrap_err();
-        assert!(err.to_string().contains("symbolic"), "{err}");
+
+        // Π_b sums token-weighted contributions across rows: each ground
+        // value and the symbolic x⊗20 pick up the other's annotation.
+        let p = chunk.clone().project(&[1], sch(&["b"])).unwrap();
+        assert_eq!((p.ground_len(), p.fringe().len()), (2, 1));
+        let got = p.into_relation().unwrap();
+        assert_eq!(got, crate::specops::project(&rel, &["b"]).unwrap());
+        assert!(
+            got.iter().all(|(_, k)| k.to_string().contains('[')),
+            "{got}"
+        );
+
+        // A duplicated select item over the fringe projects the distinct
+        // positions once and expands positionally (tokens not squared).
+        let dup = chunk
+            .clone()
+            .project(&[1, 1, 0], sch(&["b1", "b2", "a"]))
+            .unwrap()
+            .into_relation()
+            .unwrap();
+        let mut want = Relation::empty(sch(&["b1", "b2", "a"]));
+        for (t, k) in crate::specops::project(&rel, &["b", "a"]).unwrap().iter() {
+            let row = vec![t.get(0).clone(), t.get(0).clone(), t.get(1).clone()];
+            want.insert(row, k.clone()).unwrap();
+        }
+        assert_eq!(dup, want);
+
+        // The join gate is two-sided: a fringe on either operand (here a
+        // symbolic payload, then a symbolic key) takes the token path.
         let ground: MKRel<P> =
             Relation::from_rows(sch(&["c"]), [(vec![Value::int(2)], tok("q"))]).unwrap();
-        assert!(hash_join(
+        let on_a = hash_join(
             Chunk::from_relation(&ground),
-            chunk,
+            chunk.clone(),
             &[(0, 0)],
             sch(&["c", "a", "b"]),
             &serial(),
         )
-        .is_err());
+        .unwrap();
+        assert_eq!((on_a.ground_len(), on_a.fringe().len()), (1, 1));
+        assert_eq!(
+            on_a.into_relation().unwrap(),
+            crate::specops::join_on(&ground, &rel, &[("c", "a")]).unwrap()
+        );
+        let on_b = hash_join(
+            chunk,
+            Chunk::from_relation(&ground),
+            &[(1, 0)],
+            sch(&["a", "b", "c"]),
+            &serial(),
+        )
+        .unwrap()
+        .into_relation()
+        .unwrap();
+        assert_eq!(
+            on_b,
+            crate::specops::join_on(&rel, &ground, &[("b", "c")]).unwrap()
+        );
+        assert_eq!(on_b.len(), 1, "only x⊗20 can equal 2, under a token");
     }
 
     #[test]

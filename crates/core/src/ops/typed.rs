@@ -32,8 +32,8 @@
 //! property-tested bit-identical to [`crate::specops`] through the batch
 //! pipeline at threads 1 and 4. These kernels only ever see the ground
 //! partition: [`crate::ops::batch::Chunk`] keeps its symbolic fringe on
-//! the token path, and every entry point here is reached behind the
-//! chunk's fringe gates.
+//! the token path, and the join entry points here are reached only past
+//! `hash_join`'s two-sided fringe gate.
 
 use crate::km::CmpPred;
 use crate::ops::batch::BatchCmp;

@@ -2,15 +2,18 @@
 //! ([`aggprov_core::ops::batch`]) and the row-at-a-time operators /
 //! literal §4.3 reference ([`aggprov_core::specops`]).
 //!
-//! The per-row kernels (filter, unit-column append) are checked over
-//! *mixed* ground/symbolic relations — the chunk keeps the symbolic
-//! fringe on the token path while the ground partition runs vectorized,
-//! and the recombined relation must be bit-identical to the row-at-a-time
-//! operator. The cross-row kernels (project, hash join, and the full
-//! filter→project→join pipeline) are checked over fully ground relations,
-//! which is exactly the regime the engine dispatches them in (a symbolic
-//! fringe sends those nodes to `ops::*_opts`). Empty-batch and
-//! all-symbolic edge cases get dedicated tests for every kernel.
+//! Every kernel is total, so every kernel is checked over *mixed*
+//! ground/symbolic relations. The per-row kernels (filter, unit-column
+//! append) keep the symbolic fringe on the token path while the ground
+//! partition runs vectorized; the cross-row kernels (`project_opts`,
+//! `hash_join`) take the token path themselves the moment an operand
+//! carries a fringe — a symbolic join key on the left only, the right
+//! only or both, a ground key beside a symbolic payload, a fringe against
+//! an empty ground partition, duplicated select items over a fringe. In
+//! each case the recombined relation must be bit-identical to the literal
+//! `specops` operator — same relation or same error message — at threads
+//! 1 and 4. The ground-only suites pin the columnar fast paths; empty and
+//! all-symbolic inputs get dedicated tests for every kernel.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
@@ -21,6 +24,7 @@ use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
 use aggprov_core::ops::{self, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
+use aggprov_krel::error::Result;
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
@@ -120,6 +124,86 @@ fn arb_ground(
                 .collect(),
         )
     })
+}
+
+/// A relation over `(a, b)` whose columns are each ground, mixed or all
+/// symbolic, as `shape` says (`0` ground, `1` mixed, `2` symbolic) — so
+/// one generator reaches a symbolic key beside a ground payload, a ground
+/// key beside a symbolic payload, and an empty ground partition. Values
+/// are non-zero under the symbolic shape (`x⊗0` would normalize to `0`).
+fn arb_shaped(
+    prefix: &'static str,
+    a: &'static str,
+    b: &'static str,
+) -> impl Strategy<Value = MKRel<P>> {
+    let cell = |shape: u8, raw: RawVal| match shape {
+        0 => decode_ground_val(raw),
+        1 => decode_val(raw),
+        _ => decode_num_val((5, raw.1, raw.2.abs() + 1)),
+    };
+    (
+        0u8..3,
+        0u8..3,
+        prop::collection::vec((raw_val(), raw_val()), 0..7),
+    )
+        .prop_map(move |(sa, sb, rows)| {
+            rel_from(
+                prefix,
+                Schema::new([a, b]).unwrap(),
+                rows.into_iter()
+                    .map(|(x, y)| vec![cell(sa, x), cell(sb, y)])
+                    .collect(),
+            )
+        })
+}
+
+/// The join keys `hash_join_matches_spec_over_fringes` draws from, by
+/// position and by name: one key, the other key, both, none.
+type JoinKeys = (
+    &'static [(usize, usize)],
+    &'static [(&'static str, &'static str)],
+);
+const JOIN_KEYS: [JoinKeys; 4] = [
+    (&[(0, 0)], &[("a", "c")]),
+    (&[(1, 1)], &[("b", "d")]),
+    (&[(0, 0), (1, 1)], &[("a", "c"), ("b", "d")]),
+    (&[], &[]),
+];
+
+/// Asserts one kernel result against the `specops` oracle: the same
+/// relation bit for bit, or the same error message.
+fn assert_matches_spec(got: &Result<MKRel<P>>, want: &Result<MKRel<P>>, ctx: &str) {
+    match (got, want) {
+        (Ok(g), Ok(w)) => assert_eq!(g, w, "{ctx}"),
+        (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{ctx}"),
+        _ => panic!("{ctx}: paths disagree on error: kernel {got:?} vs specops {want:?}"),
+    }
+}
+
+/// `specops::project` over the distinct attributes, then the positional
+/// expansion of a duplicated select list — the oracle for
+/// `Chunk::project_opts(columns, …)`.
+fn spec_project(rel: &MKRel<P>, columns: &[usize], schema: &Schema) -> Result<MKRel<P>> {
+    let mut distinct: Vec<usize> = Vec::new();
+    for c in columns {
+        if !distinct.contains(c) {
+            distinct.push(*c);
+        }
+    }
+    let names: Vec<&str> = distinct
+        .iter()
+        .map(|i| rel.schema().attrs()[*i].name())
+        .collect();
+    let spec = specops::project(rel, &names)?;
+    let mut out = Relation::empty(schema.clone());
+    for (t, k) in spec.iter() {
+        let row: Vec<Value<P>> = columns
+            .iter()
+            .map(|c| t.get(distinct.iter().position(|d| d == c).unwrap()).clone())
+            .collect();
+        out.insert(row, k.clone())?;
+    }
+    Ok(out)
 }
 
 proptest! {
@@ -264,6 +348,87 @@ proptest! {
         let spec_p = specops::project(&filtered, &["a"]).unwrap();
         let spec = specops::join_on(&spec_p, &r2, &[("a", "c")]).unwrap();
         prop_assert_eq!(got, spec);
+    }
+
+    #[test]
+    fn project_matches_spec_over_fringes(rel in arb_shaped("a", "a", "b"), which in 0usize..5) {
+        // Single columns, a permutation, the identity and a duplicated
+        // select item, over every ground/mixed/symbolic column shape.
+        let (columns, names): (&[usize], &[&str]) = [
+            (&[0][..], &["a"][..]),
+            (&[1], &["b"]),
+            (&[1, 0], &["b", "a"]),
+            (&[0, 1], &["a", "b"]),
+            (&[1, 1, 0], &["b1", "b2", "a"]),
+        ][which];
+        let schema = Schema::new(names.iter().copied()).unwrap();
+        let want = spec_project(&rel, columns, &schema);
+        for threads in [1usize, 4] {
+            let got = Chunk::from_relation(&rel)
+                .project_opts(columns, schema.clone(), &ExecOptions::with_threads(threads))
+                .and_then(Chunk::into_relation);
+            assert_matches_spec(&got, &want, &format!("columns {columns:?} threads {threads}"));
+        }
+    }
+
+    #[test]
+    fn hash_join_matches_spec_over_fringes(
+        r1 in arb_shaped("a", "a", "b"),
+        r2 in arb_shaped("b", "c", "d"),
+        which in 0usize..4,
+    ) {
+        // One key, the other key, both, none (the product): with the
+        // column shapes drawn independently per side this covers a
+        // symbolic key on the left only, the right only and both sides, a
+        // ground key with a symbolic payload, and a fringe on one operand
+        // against an empty (or absent) ground partition on the other.
+        let (on_idx, on_attrs) = JOIN_KEYS[which];
+        let schema = Schema::new(["a", "b", "c", "d"]).unwrap();
+        let want = specops::join_on(&r1, &r2, on_attrs);
+        for threads in [1usize, 4] {
+            let got = hash_join(
+                Chunk::from_relation(&r1),
+                Chunk::from_relation(&r2),
+                on_idx,
+                schema.clone(),
+                &ExecOptions::with_threads(threads),
+            )
+            .and_then(Chunk::into_relation);
+            assert_matches_spec(&got, &want, &format!("on {on_idx:?} threads {threads}"));
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_composed_spec_over_fringes(
+        r1 in arb_shaped("a", "a", "b"),
+        r2 in arb_shaped("b", "c", "d"),
+        v in -2i64..5,
+    ) {
+        // σ → ⋈ → Π in chunk land with fringes riding along: the fringe a
+        // filter keeps (annotation × token) feeds the join's token path,
+        // whose symbolic rows feed the projection's.
+        let out_schema = Schema::new(["d", "a"]).unwrap();
+        let want = specops::select_eq(&r1, "b", &Value::int(v))
+            .and_then(|f| specops::join_on(&f, &r2, &[("a", "c")]))
+            .and_then(|j| specops::project(&j, &["d", "a"]));
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::with_threads(threads);
+            let mut chunk = Chunk::from_relation(&r1);
+            let got = chunk
+                .filter(&BatchOperand::Col(1), BatchCmp::Eq, &BatchOperand::Lit(Const::int(v)), &opts)
+                .and_then(|()| {
+                    hash_join(
+                        chunk,
+                        Chunk::from_relation(&r2),
+                        &[(0, 0)],
+                        Schema::new(["a", "b", "c", "d"]).unwrap(),
+                        &opts,
+                    )
+                })
+                .and_then(|j| j.project_opts(&[3, 0], out_schema.clone(), &opts))
+                .and_then(Chunk::into_relation);
+            assert_matches_spec(&got, &want, &format!("threads {threads}"));
+        }
     }
 
     #[test]

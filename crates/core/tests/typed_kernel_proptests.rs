@@ -3,10 +3,10 @@
 //! re-materialization, mixed-type demotion to boxed) must be lossless,
 //! and the columnar filter and join must be **bit-identical** to the
 //! literal §4.3 `specops` reference — same relation or same error
-//! message — over `num`, `str` and `boxed` columns (boxed both from
-//! mixed-type data and from mispredicted catalog hints), at
-//! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
-//! the same oracle as the serial loops.
+//! message — over `num`, `str` and `boxed` columns (the data alone picks
+//! the variant: mixed types, booleans and non-integer rationals box a
+//! column), at `threads ∈ {1, 4}`, so the sharded selection-vector kernels
+//! are under the same oracle as the serial loops.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
@@ -20,7 +20,7 @@ use aggprov_krel::batch::GroundBatch;
 use aggprov_krel::error::Result;
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::{ColHint, TypedColumn};
+use aggprov_krel::typed::TypedColumn;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
@@ -94,18 +94,6 @@ fn rel3(prefix: &str, names: [&str; 3], rows: Vec<RawRow>) -> MKRel<P> {
     )
 }
 
-/// The catalog-hint vectors every kernel check runs under: per-column
-/// probing, and both uniform hints. Over [`raw_rows`] data "all text"
-/// mispredicts the integer column (it demotes to boxed on its first
-/// value) and "all numeric" mispredicts the string column.
-fn layouts() -> [Vec<Option<ColHint>>; 3] {
-    [
-        Vec::new(),
-        vec![Some(ColHint::Num); 3],
-        vec![Some(ColHint::Str); 3],
-    ]
-}
-
 /// Asserts one result of the columnar path against the `specops` oracle:
 /// the same relation bit for bit, or the same error message.
 fn assert_matches_spec(got: &Result<MKRel<P>>, want: &Result<MKRel<P>>, ctx: &str) {
@@ -116,34 +104,32 @@ fn assert_matches_spec(got: &Result<MKRel<P>>, want: &Result<MKRel<P>>, ctx: &st
     }
 }
 
-/// Asserts the columnar filter and the `specops` oracle agree under every
-/// hint vector at threads 1 and 4.
+/// Asserts the columnar filter and the `specops` oracle agree at threads 1
+/// and 4.
 fn check_filter(rel: &MKRel<P>, col: usize, attr: &str, cmp: BatchCmp, lit: Const) {
     let value = Value::Const(lit.clone());
     let want = match cmp {
         BatchCmp::Eq => specops::select_eq(rel, attr, &value),
         BatchCmp::Pred(p) => specops::select_cmp(rel, attr, p, &value),
     };
-    for layout in layouts() {
-        for threads in [1usize, 4] {
-            let opts = ExecOptions::with_threads(threads);
-            let mut chunk = Chunk::from_relation_with(rel, &layout);
-            let got = chunk
-                .filter(
-                    &BatchOperand::Col(col),
-                    cmp,
-                    &BatchOperand::Lit(lit.clone()),
-                    &opts,
-                )
-                .and_then(|()| chunk.into_relation());
-            assert_matches_spec(&got, &want, &format!("hints {layout:?} threads {threads}"));
-        }
+    for threads in [1usize, 4] {
+        let opts = ExecOptions::with_threads(threads);
+        let mut chunk = Chunk::from_relation(rel);
+        let got = chunk
+            .filter(
+                &BatchOperand::Col(col),
+                cmp,
+                &BatchOperand::Lit(lit.clone()),
+                &opts,
+            )
+            .and_then(|()| chunk.into_relation());
+        assert_matches_spec(&got, &want, &format!("column {attr} threads {threads}"));
     }
 }
 
-/// The variant names the ground columns of `rel` take under `hints`.
-fn column_variants(rel: &MKRel<P>, hints: &[Option<ColHint>]) -> Vec<&'static str> {
-    let batch = GroundBatch::from_relation_with(rel, Value::as_const, hints);
+/// The variant names the ground columns of `rel` probe into.
+fn column_variants(rel: &MKRel<P>) -> Vec<&'static str> {
+    let batch = GroundBatch::from_relation(rel, Value::as_const);
     (0..rel.schema().arity())
         .filter_map(|i| batch.ground().col(i).map(TypedColumn::variant))
         .collect()
@@ -151,27 +137,47 @@ fn column_variants(rel: &MKRel<P>, hints: &[Option<ColHint>]) -> Vec<&'static st
 
 /// The kernel properties below are only as strong as the column variants
 /// their generator reaches: [`raw_rows`] must yield unboxed, dictionary
-/// and boxed columns from the data alone, and a mispredicted hint must
-/// box an otherwise typed column.
+/// and boxed columns from the data alone — and the boxed ones by each
+/// route the storage documents (two value types meeting, a boolean, a
+/// non-integer rational).
 #[test]
 fn generator_covers_every_column_variant() {
     let mut rng = TestRng::for_test("generator_covers_every_column_variant");
     let mut probed = BTreeSet::new();
-    let mut mispredicted_int = BTreeSet::new();
+    let mut boxed_by = BTreeSet::new();
     for _ in 0..128 {
         let rel = rel3("t", ["a", "b", "c"], raw_rows(14).generate(&mut rng));
         if rel.is_empty() {
             continue;
         }
-        probed.extend(column_variants(&rel, &[]));
-        mispredicted_int.extend(
-            column_variants(&rel, &[Some(ColHint::Str)])
-                .first()
-                .copied(),
-        );
+        let variants = column_variants(&rel);
+        if variants[2] == "boxed" {
+            let mixed: Vec<Const> = rel
+                .iter()
+                .filter_map(|(t, _)| t.get(2).as_const().cloned())
+                .collect();
+            let types: BTreeSet<&str> = mixed.iter().map(Const::type_name).collect();
+            boxed_by.extend((types.len() > 1).then_some("mixed types"));
+            boxed_by.extend(
+                mixed
+                    .iter()
+                    .any(|c| matches!(c, Const::Bool(_)))
+                    .then_some("boolean"),
+            );
+            boxed_by.extend(
+                mixed
+                    .iter()
+                    .any(|c| c.as_num().is_some_and(|n| n.as_int().is_none()))
+                    .then_some("non-integer rational"),
+            );
+        }
+        probed.extend(variants);
     }
     assert_eq!(probed, BTreeSet::from(["boxed", "num", "str"]));
-    assert_eq!(mispredicted_int, BTreeSet::from(["boxed"]));
+    assert_eq!(
+        boxed_by,
+        BTreeSet::from(["boolean", "mixed types", "non-integer rational"])
+    );
 }
 
 proptest! {
@@ -214,14 +220,8 @@ proptest! {
                 .map(|(x, y, z)| vec![decode_const(x), decode_const(y), decode_const(z)])
                 .collect(),
         );
-        // A catalog hint that mispredicts the data must demote
-        // gracefully, never corrupt.
-        for layout in layouts() {
-            let back = Chunk::from_relation_with(&rel, &layout)
-                .into_relation()
-                .unwrap();
-            prop_assert_eq!(&back, &rel, "hints {:?}", layout);
-        }
+        let back = Chunk::from_relation(&rel).into_relation().unwrap();
+        prop_assert_eq!(back, rel);
     }
 
     #[test]
@@ -230,9 +230,9 @@ proptest! {
         lit in raw_const(),
         which in 0u8..4,
     ) {
-        // Column 0 is an unboxed i64 run (boxed under a text hint),
-        // column 1 a dictionary column, column 2 mixed (boxed once two
-        // kinds meet); the literal ranges over every constant kind, so
+        // Column 0 is an unboxed i64 run, column 1 a dictionary column,
+        // column 2 mixed (boxed once two kinds meet, or on a boolean or
+        // half-integer); the literal ranges over every constant kind, so
         // the compiled tests cover same-type, cross-type (lazy errors),
         // non-integer rational folding and ±∞ folding.
         let rel = rel3("t", ["a", "b", "c"], rows);
@@ -260,72 +260,85 @@ proptest! {
         // keys) against the literal §4.3 join.
         let l = rel3("l", ["a", "b", "c"], l_rows);
         let r = rel3("r", ["d", "e", "f"], r_rows);
-        let on_names = [(["a", "b", "c"][on], ["d", "e", "f"][on])];
+        let on_attrs = [(["a", "b", "c"][on], ["d", "e", "f"][on])];
         let schema = Schema::new(["a", "b", "c", "d", "e", "f"]).unwrap();
-        let want = specops::join_on(&l, &r, &on_names);
-        for layout in layouts() {
-            for threads in [1usize, 4] {
-                let got = hash_join(
-                    Chunk::from_relation_with(&l, &layout),
-                    Chunk::from_relation_with(&r, &layout),
-                    &[(on, on)],
-                    schema.clone(),
-                    &ExecOptions::with_threads(threads),
-                )
-                .and_then(Chunk::into_relation);
-                assert_matches_spec(&got, &want, &format!("hints {layout:?} threads {threads}"));
-            }
+        let want = specops::join_on(&l, &r, &on_attrs);
+        for threads in [1usize, 4] {
+            let got = hash_join(
+                Chunk::from_relation(&l),
+                Chunk::from_relation(&r),
+                &[(on, on)],
+                schema.clone(),
+                &ExecOptions::with_threads(threads),
+            )
+            .and_then(Chunk::into_relation);
+            assert_matches_spec(&got, &want, &format!("on column {on} threads {threads}"));
         }
     }
 }
 
 /// Above the sharding threshold (8192 rows), the fan-out kernels must be
 /// bit-identical to the serial loops and to `specops`, over typed columns
-/// and over columns a mispredicted hint boxed.
+/// and over columns the data boxed.
 #[test]
 fn sharded_kernels_match_serial_above_threshold() {
     // Distinct rows (the `id` column), so nothing merges away: both
     // filters and the join probe see more than 8192 selected rows.
     const N: i64 = 24_000;
-    let rel = rel_from(
-        "t",
-        Schema::new(["a", "b", "id"]).unwrap(),
-        (0..N)
-            .map(|i| {
-                vec![
-                    Const::int(i % 257),
-                    Const::str(STRS[(i % 4) as usize]),
-                    Const::int(i),
-                ]
-            })
-            .collect(),
-    );
-    assert_eq!(rel.len(), N as usize);
-    let dim = rel_from(
-        "d",
-        Schema::new(["c", "e"]).unwrap(),
-        (0..128)
-            .map(|i| vec![Const::int(i), Const::int(i * 10)])
-            .collect(),
-    );
-    let out_schema = Schema::new(["a", "b", "id", "c", "e"]).unwrap();
-    let filtered = specops::select_cmp(&rel, "a", CmpPred::Lt, &Value::int(128))
-        .and_then(|r| specops::select_cmp(&r, "b", CmpPred::Ne, &Value::str("delta")))
-        .unwrap();
-    assert!(
-        filtered.len() > 8192,
-        "join probe below the shard threshold"
-    );
-    let want = specops::join_on(&filtered, &dim, &[("a", "c")]).unwrap();
-    for layout in [Vec::new(), vec![Some(ColHint::Str), Some(ColHint::Num)]] {
+    // `typed`: an unboxed key column and a dictionary column. Otherwise
+    // half-integer keys and one number among the strings box both.
+    for typed in [true, false] {
+        let key = |i: i64| {
+            if typed {
+                Const::int(i)
+            } else {
+                Const::Num(Num::ratio(2 * i + 1, 2))
+            }
+        };
+        let rel = rel_from(
+            "t",
+            Schema::new(["a", "b", "id"]).unwrap(),
+            (0..N)
+                .map(|i| {
+                    let b = if !typed && i == 0 {
+                        Const::int(0)
+                    } else {
+                        Const::str(STRS[(i % 4) as usize])
+                    };
+                    vec![key(i % 257), b, Const::int(i)]
+                })
+                .collect(),
+        );
+        assert_eq!(rel.len(), N as usize);
+        let want_variants = if typed {
+            ["num", "str", "num"]
+        } else {
+            ["boxed", "boxed", "num"]
+        };
+        assert_eq!(column_variants(&rel), want_variants);
+        let dim = rel_from(
+            "d",
+            Schema::new(["c", "e"]).unwrap(),
+            (0..128).map(|i| vec![key(i), Const::int(i * 10)]).collect(),
+        );
+        let out_schema = Schema::new(["a", "b", "id", "c", "e"]).unwrap();
+        let bound = key(128);
+        let filtered = specops::select_cmp(&rel, "a", CmpPred::Lt, &Value::Const(bound.clone()))
+            .and_then(|r| specops::select_cmp(&r, "b", CmpPred::Ne, &Value::str("delta")))
+            .unwrap();
+        assert!(
+            filtered.len() > 8192,
+            "join probe below the shard threshold"
+        );
+        let want = specops::join_on(&filtered, &dim, &[("a", "c")]).unwrap();
         for threads in [1usize, 4] {
             let opts = ExecOptions::with_threads(threads);
-            let mut chunk = Chunk::from_relation_with(&rel, &layout);
+            let mut chunk = Chunk::from_relation(&rel);
             chunk
                 .filter(
                     &BatchOperand::Col(0),
                     BatchCmp::Pred(CmpPred::Lt),
-                    &BatchOperand::Lit(Const::int(128)),
+                    &BatchOperand::Lit(bound.clone()),
                     &opts,
                 )
                 .unwrap();
@@ -339,7 +352,7 @@ fn sharded_kernels_match_serial_above_threshold() {
                 .unwrap();
             let joined = hash_join(
                 chunk,
-                Chunk::from_relation_with(&dim, &layout),
+                Chunk::from_relation(&dim),
                 &[(0, 0)],
                 out_schema.clone(),
                 &opts,
@@ -347,7 +360,7 @@ fn sharded_kernels_match_serial_above_threshold() {
             .unwrap()
             .into_relation()
             .unwrap();
-            assert_eq!(joined, want, "hints {layout:?} threads {threads}");
+            assert_eq!(joined, want, "typed {typed} threads {threads}");
         }
     }
 }

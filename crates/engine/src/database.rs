@@ -369,25 +369,6 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
         view::refresh_dependents(self, name);
     }
 
-    /// Typed-column layout hints for one table, from its declared column
-    /// types (`NUM` → unboxed `i64` run, `TEXT` → dictionary codes,
-    /// `BOOL` → no hint, the boxed fallback probes it). `None` for
-    /// unknown tables and tables registered without declared types.
-    fn scan_hints(&self, name: &str) -> Option<Vec<Option<aggprov_krel::typed::ColHint>>> {
-        use aggprov_krel::typed::ColHint;
-        let types = self.epoch.tables.get(name)?.types.as_ref()?;
-        Some(
-            types
-                .iter()
-                .map(|t| match t {
-                    ColType::Num => Some(ColHint::Num),
-                    ColType::Text => Some(ColHint::Str),
-                    ColType::Bool => None,
-                })
-                .collect(),
-        )
-    }
-
     /// The optimizer-facing statistics of one table: tuple count plus the
     /// incrementally maintained per-column groundness. `O(columns)`.
     pub(crate) fn table_stats(&self, name: &str) -> Option<crate::opt::TableStats> {
@@ -532,7 +513,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
     fn plan_query(&self, q: &crate::ast::Query) -> Result<CachedStatement> {
         let lowered = lower_query(self, q)?;
         let optimized = opt::optimize(&lowered.plan, &Catalog::of_plan(self, &lowered.plan));
-        let phys = crate::phys::lower_with(&optimized, &|t| self.scan_hints(t))?;
+        let phys = crate::phys::lower(&optimized)?;
         let deps: Vec<(String, u64)> = lowered
             .plan
             .scanned_tables()
@@ -556,7 +537,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
     pub fn prepare_unoptimized(&self, sql: &str) -> Result<Prepared<'_, A>> {
         let q = crate::parser::parse_query(sql)?;
         let lowered = lower_query(self, &q)?;
-        let phys = crate::phys::lower_with(&lowered.plan, &|t| self.scan_hints(t))?;
+        let phys = crate::phys::lower(&lowered.plan)?;
         let logical = Arc::new(lowered.plan);
         Ok(Prepared {
             db: self,

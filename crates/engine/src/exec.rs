@@ -3,25 +3,29 @@
 //!
 //! All parsing, name resolution and validation happened at prepare time
 //! (see [`crate::plan::lower_query`] and `crate::phys::lower`); this
-//! module only moves data. Execution streams `Flow` values — either a
-//! materialized relation or a columnar [`Chunk`] (ground batch + selection
-//! vector + symbolic fringe) — through the operator tree:
+//! module only moves data, **one kernel call per node**. It never asks
+//! whether a value is ground or symbolic: every kernel of
+//! [`aggprov_core::ops::batch`] is total over a columnar [`Chunk`]
+//! (ground batch + selection vector + symbolic fringe) and produces the
+//! §4.3 result, bit-identical to the `specops` reference at every thread
+//! count, whatever fringe its input carries.
 //!
-//! * **pipeline segments** (Filter → Project → AddUnitColumn → HashJoin
-//!   over ground data) stay in chunk form, so no `BTreeMap` relation is
+//! * **pipeline segments** (Filter → Project → AddUnitColumn → HashJoin)
+//!   stay in chunk form, so over ground rows no `BTreeMap` relation is
 //!   materialized between nodes — filters narrow a selection vector,
-//!   projections gather columns, joins hash build/probe over columns;
+//!   projections remap a column view, joins hash build/probe over
+//!   columns — and the kernels run the token path themselves over
+//!   whatever symbolic rows ride along;
 //! * **pipeline breakers** — Aggregate and SetOp — materialize their
 //!   inputs and run the row-at-a-time operators of `aggprov_core::ops`:
 //!   `group_by_opts` and `union_opts` are two callers of its one keyed
 //!   token fold (which also carries the partition-parallel sharding of
-//!   [`ExecOptions`]);
-//! * whenever the symbolic fringe forces cross-row token sums (projection
-//!   or join over symbolic values), the affected node falls back to the
-//!   same module — `project_opts`, the fold's third caller, or the
-//!   pairwise `join_on_opts` (a product is the join with no keys) — so
-//!   results are bit-identical to the `specops` reference at every
-//!   thread count.
+//!   [`ExecOptions`]).
+//!
+//! `Flow` is laziness, not a second executor: a scan (or a breaker's
+//! output) stays the relation it already is until a node needs columns,
+//! so `Scan → Aggregate` and a renamed scan never pay a round trip
+//! through columns.
 
 use crate::annot::ParseAnnotation;
 use crate::ast::{CmpOp, SetOp};
@@ -30,23 +34,20 @@ use crate::phys::PhysNode;
 use crate::plan::{PlanOperand, Predicate};
 use aggprov_algebra::domain::Const;
 use aggprov_core::annotation::AggAnnotation;
+use aggprov_core::difference;
 use aggprov_core::km::CmpPred;
 use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
-use aggprov_core::{difference, Value};
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::{Relation, Tuple};
-use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::ColHint;
-use std::collections::BTreeMap;
 
-/// A value mid-pipeline: a materialized relation (with the typed-column
-/// hints its scan pinned, if any) or a columnar chunk. Conversions are
-/// lazy — a scan stays an `Arc`-shared relation until a vectorized node
-/// actually needs columns.
+/// A value mid-pipeline: a relation no node has split into columns yet —
+/// a scan's `Arc`-shared table or a breaker's output — or a columnar
+/// chunk. The conversion is lazy: whichever node first needs columns
+/// pays for it, and a plan that never does (`Scan → Aggregate`, a renamed
+/// scan) never converts.
 enum Flow<A: AggAnnotation> {
-    Rel(MKRel<A>, Option<Vec<Option<ColHint>>>),
+    Rel(MKRel<A>),
     Chunk(Chunk<A>),
 }
 
@@ -54,26 +55,16 @@ impl<A: AggAnnotation> Flow<A> {
     /// Materializes (merging any deferred duplicates additively).
     fn into_rel(self) -> Result<MKRel<A>> {
         match self {
-            Flow::Rel(r, _) => Ok(r),
+            Flow::Rel(r) => Ok(r),
             Flow::Chunk(c) => c.into_relation(),
         }
     }
 
-    /// Moves to columnar form (splitting off the symbolic fringe),
-    /// seeding the columns with any pinned scan hints.
+    /// Moves to columnar form (splitting off the symbolic fringe).
     fn into_chunk(self) -> Chunk<A> {
         match self {
-            Flow::Rel(r, hints) => Chunk::from_relation_with(&r, hints.as_deref().unwrap_or(&[])),
+            Flow::Rel(r) => Chunk::from_relation(&r),
             Flow::Chunk(c) => c,
-        }
-    }
-
-    /// True iff any row carries a symbolic aggregate value — the
-    /// condition that sends cross-row nodes to the token-path fallback.
-    fn has_symbolic(&self) -> bool {
-        match self {
-            Flow::Rel(r, _) => ops::has_symbolic(r),
-            Flow::Chunk(c) => c.has_fringe(),
         }
     }
 }
@@ -110,16 +101,11 @@ where
     A: AggAnnotation + ParseAnnotation,
 {
     match phys {
-        PhysNode::Scan {
-            table,
-            schema,
-            hints,
-        } => Ok(Flow::Rel(
+        PhysNode::Scan { table, schema } => Ok(Flow::Rel(
             db.table(table)?.clone().with_schema(schema.clone())?,
-            hints.clone(),
         )),
         PhysNode::Rename { input, schema } => match run(db, input, params, param_count, opts)? {
-            Flow::Rel(r, hints) => Ok(Flow::Rel(r.with_schema(schema.clone())?, hints)),
+            Flow::Rel(r) => Ok(Flow::Rel(r.with_schema(schema.clone())?)),
             Flow::Chunk(c) => Ok(Flow::Chunk(c.with_schema(schema.clone())?)),
         },
         PhysNode::Filter { input, preds } => {
@@ -140,61 +126,24 @@ where
         PhysNode::Project {
             input,
             columns,
-            distinct,
-            expand,
-            identity,
             schema,
         } => {
-            let flow = run(db, input, params, param_count, opts)?;
-            if flow.has_symbolic() {
-                // Cross-row token sums: the §4.3 projection over the
-                // distinct positions, then positional expansion.
-                let rel = flow.into_rel()?;
-                return Ok(Flow::Rel(
-                    project_symbolic(&rel, distinct, expand, schema, opts)?,
-                    None,
-                ));
-            }
-            if *identity {
-                // A pure schema rename over symbol-free input: the Arc'd
-                // tuple store (or the columns) stay shared untouched.
-                return match flow {
-                    Flow::Rel(r, hints) => Ok(Flow::Rel(r.with_schema(schema.clone())?, hints)),
-                    Flow::Chunk(c) => Ok(Flow::Chunk(c.with_schema(schema.clone())?)),
-                };
-            }
-            Ok(Flow::Chunk(
-                flow.into_chunk().project(columns, schema.clone())?,
-            ))
+            let chunk = run(db, input, params, param_count, opts)?.into_chunk();
+            Ok(Flow::Chunk(chunk.project_opts(
+                columns,
+                schema.clone(),
+                opts,
+            )?))
         }
         PhysNode::HashJoin {
             left,
             right,
             on_idx,
-            on_names,
             schema,
         } => {
-            let l = run(db, left, params, param_count, opts)?;
-            let r = run(db, right, params, param_count, opts)?;
-            if !l.has_symbolic() && !r.has_symbolic() {
-                return Ok(Flow::Chunk(hash_join(
-                    l.into_chunk(),
-                    r.into_chunk(),
-                    on_idx,
-                    schema.clone(),
-                    opts,
-                )?));
-            }
-            // Symbolic join keys (or values): the token-weighted operator
-            // with its internal ground/symbolic partitioning.
-            let pairs: Vec<(&str, &str)> = on_names
-                .iter()
-                .map(|(a, b)| (a.as_str(), b.as_str()))
-                .collect();
-            Ok(Flow::Rel(
-                ops::join_on_opts(&l.into_rel()?, &r.into_rel()?, &pairs, opts)?,
-                None,
-            ))
+            let l = run(db, left, params, param_count, opts)?.into_chunk();
+            let r = run(db, right, params, param_count, opts)?.into_chunk();
+            Ok(Flow::Chunk(hash_join(l, r, on_idx, schema.clone(), opts)?))
         }
         PhysNode::Aggregate {
             input,
@@ -222,7 +171,7 @@ where
                 ops::group_by_opts(&rel, &group_refs, &specs, opts)?
             };
             if avg.is_empty() {
-                return Ok(Flow::Rel(grouped, None));
+                return Ok(Flow::Rel(grouped));
             }
             // AVG division is per-row; the result stays columnar so a
             // following HAVING filter or projection runs vectorized.
@@ -246,8 +195,8 @@ where
                 .into_rel()?
                 .with_schema(schema.clone())?;
             match op {
-                SetOp::Union => Ok(Flow::Rel(ops::union_opts(&l, &r, opts)?, None)),
-                SetOp::Except => Ok(Flow::Rel(difference::difference(&l, &r)?, None)),
+                SetOp::Union => Ok(Flow::Rel(ops::union_opts(&l, &r, opts)?)),
+                SetOp::Except => Ok(Flow::Rel(difference::difference(&l, &r)?)),
             }
         }
     }
@@ -288,39 +237,4 @@ fn bind_predicate(
         CmpOp::Gt => (right, BatchCmp::Pred(CmpPred::Lt), left),
         CmpOp::Ge => (right, BatchCmp::Pred(CmpPred::Le), left),
     })
-}
-
-/// The row-at-a-time projection fallback for symbolic inputs: the §4.3
-/// token projection over the distinct positions, then positional
-/// expansion of duplicated select items, built in bulk (one `BTreeMap`
-/// handed to `from_tuple_map`, no per-row `insert`).
-fn project_symbolic<A: AggAnnotation>(
-    rel: &MKRel<A>,
-    distinct: &[usize],
-    expand: &[usize],
-    schema: &Schema,
-    opts: &ExecOptions,
-) -> Result<MKRel<A>> {
-    let names: Vec<&str> = distinct
-        .iter()
-        .map(|i| {
-            rel.schema()
-                .attrs()
-                .get(*i)
-                .map(|a| a.name())
-                .ok_or_else(|| RelError::Internal(format!("projection position {i} out of range")))
-        })
-        .collect::<Result<_>>()?;
-    let projected = ops::project_opts(rel, &names, opts)?;
-    if distinct.len() == expand.len() {
-        return projected.with_schema(schema.clone());
-    }
-    // Expansion is injective on rows (every distinct position appears in
-    // `expand`), so the map keys never collide.
-    let mut out = BTreeMap::new();
-    for (t, k) in projected.iter() {
-        let row: Vec<Value<A>> = expand.iter().map(|i| t.get(*i).clone()).collect();
-        out.insert(Tuple::new(row), k.clone());
-    }
-    Relation::from_tuple_map(schema.clone(), out)
 }

@@ -48,6 +48,12 @@
 //!   commutative, so the reordered chain is bit-identical; a chain with
 //!   any possibly-symbolic input is left untouched (the §4.3 token cross
 //!   terms are order-sensitive expressions there).
+//! * **Identity projections** (`rename_identity_projections`): `Π` onto
+//!   every column in order of a statically fully ground input is a pure
+//!   rename (each row keeps its own annotation), so it becomes a
+//!   `Derived` node and the executor shares the input's tuple store
+//!   instead of rebuilding it. Over a possibly-symbolic input the same
+//!   projection carries cross-row token terms and is left alone.
 //! * **Filter fusion** happens one layer down, at physical lowering
 //!   (`phys::lower`): stacked `Filter` nodes become one physical node
 //!   narrowing a single selection vector.
@@ -124,8 +130,8 @@ impl Catalog {
 /// same output schema and — property-tested — produces bit-identical
 /// results over every input the gates admit rewrites for.
 pub fn optimize(plan: &Plan, catalog: &Catalog) -> Plan {
-    let pushed = push_filters(plan.clone(), catalog);
-    reorder_joins(pushed, catalog)
+    let renamed = rename_identity_projections(plan.clone(), catalog);
+    reorder_joins(push_filters(renamed, catalog), catalog)
 }
 
 // ---------------------------------------------------------------------------
@@ -232,21 +238,22 @@ fn remap_pred(pred: &Predicate, f: impl Fn(usize) -> usize) -> Predicate {
 // Predicate pushdown
 // ---------------------------------------------------------------------------
 
-/// The pushdown pass: recursively pushes every `Filter` with a statically
-/// ground predicate as deep as the soundness gate allows.
-fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
+/// Rebuilds `plan` with every direct input replaced by `f(input)`; the
+/// node itself (and so its output schema) is kept as is.
+fn map_inputs(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
+    let mut boxed = |input: Box<Plan>| Box::new(f(*input));
     match plan {
-        Plan::Filter { input, pred } => {
-            let input = push_filters(*input, catalog);
-            push_into(input, pred, catalog)
-        }
         Plan::Scan { .. } => plan,
         Plan::Derived { input, schema } => Plan::Derived {
-            input: Box::new(push_filters(*input, catalog)),
+            input: boxed(input),
             schema,
         },
+        Plan::Filter { input, pred } => Plan::Filter {
+            input: boxed(input),
+            pred,
+        },
         Plan::AddUnitColumn { input, schema } => Plan::AddUnitColumn {
-            input: Box::new(push_filters(*input, catalog)),
+            input: boxed(input),
             schema,
         },
         Plan::Project {
@@ -254,7 +261,7 @@ fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
             columns,
             schema,
         } => Plan::Project {
-            input: Box::new(push_filters(*input, catalog)),
+            input: boxed(input),
             columns,
             schema,
         },
@@ -265,7 +272,7 @@ fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
             avg,
             schema,
         } => Plan::Aggregate {
-            input: Box::new(push_filters(*input, catalog)),
+            input: boxed(input),
             group_by,
             aggs,
             avg,
@@ -276,8 +283,8 @@ fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
             right,
             schema,
         } => Plan::Product {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
+            left: boxed(left),
+            right: boxed(right),
             schema,
         },
         Plan::Join {
@@ -286,8 +293,8 @@ fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
             on,
             schema,
         } => Plan::Join {
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
+            left: boxed(left),
+            right: boxed(right),
             on,
             schema,
         },
@@ -298,10 +305,43 @@ fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
             schema,
         } => Plan::SetOp {
             op,
-            left: Box::new(push_filters(*left, catalog)),
-            right: Box::new(push_filters(*right, catalog)),
+            left: boxed(left),
+            right: boxed(right),
             schema,
         },
+    }
+}
+
+/// The identity-projection pass: `Π` onto every column, in order, of a
+/// statically fully ground input becomes the `Derived` rename it is
+/// (between constants every §4.3 token is `0`/`1`, so each row keeps
+/// exactly its own annotation). Over a possibly-symbolic input the same
+/// projection sums cross-row token terms and stays a `Project`.
+fn rename_identity_projections(plan: Plan, catalog: &Catalog) -> Plan {
+    let plan = map_inputs(plan, &mut |p| rename_identity_projections(p, catalog));
+    match plan {
+        Plan::Project {
+            input,
+            columns,
+            schema,
+        } if columns.iter().copied().eq(0..input.schema().arity())
+            && !symbolic_cols(&input, catalog).contains(&true) =>
+        {
+            Plan::Derived { input, schema }
+        }
+        other => other,
+    }
+}
+
+/// The pushdown pass: recursively pushes every `Filter` with a statically
+/// ground predicate as deep as the soundness gate allows.
+fn push_filters(plan: Plan, catalog: &Catalog) -> Plan {
+    match plan {
+        Plan::Filter { input, pred } => {
+            let input = push_filters(*input, catalog);
+            push_into(input, pred, catalog)
+        }
+        other => map_inputs(other, &mut |p| push_filters(p, catalog)),
     }
 }
 
@@ -505,52 +545,7 @@ fn estimate(plan: &Plan, catalog: &Catalog) -> f64 {
 fn reorder_joins(plan: Plan, catalog: &Catalog) -> Plan {
     match plan {
         chain @ (Plan::Join { .. } | Plan::Product { .. }) => reorder_chain(chain, catalog),
-        Plan::Scan { .. } => plan,
-        Plan::Filter { input, pred } => Plan::Filter {
-            input: Box::new(reorder_joins(*input, catalog)),
-            pred,
-        },
-        Plan::Derived { input, schema } => Plan::Derived {
-            input: Box::new(reorder_joins(*input, catalog)),
-            schema,
-        },
-        Plan::AddUnitColumn { input, schema } => Plan::AddUnitColumn {
-            input: Box::new(reorder_joins(*input, catalog)),
-            schema,
-        },
-        Plan::Project {
-            input,
-            columns,
-            schema,
-        } => Plan::Project {
-            input: Box::new(reorder_joins(*input, catalog)),
-            columns,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            avg,
-            schema,
-        } => Plan::Aggregate {
-            input: Box::new(reorder_joins(*input, catalog)),
-            group_by,
-            aggs,
-            avg,
-            schema,
-        },
-        Plan::SetOp {
-            op,
-            left,
-            right,
-            schema,
-        } => Plan::SetOp {
-            op,
-            left: Box::new(reorder_joins(*left, catalog)),
-            right: Box::new(reorder_joins(*right, catalog)),
-            schema,
-        },
+        other => map_inputs(other, &mut |p| reorder_joins(p, catalog)),
     }
 }
 
@@ -742,26 +737,9 @@ fn descend_original(plan: Plan, catalog: &Catalog) -> Plan {
     // sub-chain restores its column order with a compensating
     // projection), so each node keeps its own schema untouched.
     match plan {
-        Plan::Join {
-            left,
-            right,
-            on,
-            schema,
-        } => Plan::Join {
-            left: Box::new(descend_original(*left, catalog)),
-            right: Box::new(descend_original(*right, catalog)),
-            on,
-            schema,
-        },
-        Plan::Product {
-            left,
-            right,
-            schema,
-        } => Plan::Product {
-            left: Box::new(descend_original(*left, catalog)),
-            right: Box::new(descend_original(*right, catalog)),
-            schema,
-        },
+        chain @ (Plan::Join { .. } | Plan::Product { .. }) => {
+            map_inputs(chain, &mut |p| descend_original(p, catalog))
+        }
         other => reorder_joins(other, catalog),
     }
 }
@@ -1020,12 +998,36 @@ mod tests {
     }
 
     #[test]
+    fn identity_projection_over_ground_input_becomes_a_rename() {
+        let db = db();
+        // Every column in order over ground tables: a rename, at the root
+        // and inside the derived table alike.
+        let plan = optimized(&db, "SELECT q.a, q.b FROM (SELECT * FROM big) q");
+        assert_eq!(spine(&plan), vec!["Derived", "Derived", "Derived", "Scan"]);
+        // A permutation, a duplicate and a strict subset all move values.
+        for sql in [
+            "SELECT b, a FROM big",
+            "SELECT a, a AS a2 FROM big",
+            "SELECT a FROM big",
+        ] {
+            assert_eq!(spine(&optimized(&db, sql)), vec!["Project", "Scan"]);
+        }
+        // An aggregate output can be symbolic: Π over all of its columns
+        // sums cross-row token terms and must stay a projection.
+        let plan = optimized(&db, "SELECT b, SUM(a) AS s FROM big GROUP BY b");
+        assert_eq!(spine(&plan), vec!["Project", "Aggregate", "Scan"]);
+    }
+
+    #[test]
     fn pushdown_refuses_to_cross_aggregate_and_setop() {
         let db = db();
         // HAVING on the (ground) group key still must not cross the
         // aggregate: grouping sums annotations across rows, and an
         // ungrouped aggregate even changes support on empty input.
-        let plan = optimized(&db, "SELECT b FROM big GROUP BY b HAVING b = 3");
+        let plan = optimized(
+            &db,
+            "SELECT b, SUM(a) AS s FROM big GROUP BY b HAVING b = 3",
+        );
         assert_eq!(
             spine(&plan),
             vec!["Project", "Filter", "Aggregate", "Scan"],
@@ -1040,7 +1042,7 @@ mod tests {
         );
         assert_eq!(
             spine(&plan),
-            vec!["Project", "Derived", "Filter", "SetOp", "Project", "Scan"],
+            vec!["Derived", "Derived", "Filter", "SetOp", "Project", "Scan"],
             "the filter must sit directly above the SetOp, not inside a branch"
         );
     }
@@ -1179,7 +1181,7 @@ mod tests {
         // symbolic, vetoing every rule) and surface as an error at
         // physical lowering or execution — never as a panic here.
         let db = db();
-        let scan = lower_query(&db, &parse_query("SELECT a, b FROM big").unwrap())
+        let scan = lower_query(&db, &parse_query("SELECT b, a FROM big").unwrap())
             .unwrap()
             .plan;
         let lit = PlanOperand::Lit(aggprov_algebra::domain::Const::int(1));

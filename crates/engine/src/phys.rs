@@ -5,24 +5,25 @@
 //! Where the logical plan says *what* (relational semantics, resolved
 //! names), a physical node says *how*: every per-execution decision that
 //! does not depend on the data — join keys as column positions, the
-//! distinct/expand split of a duplicated projection, the sum/count column
-//! pairs of an `AVG` — is resolved here, once per prepare.
+//! sum/count column pairs of an `AVG`, stacked filters fused into one
+//! node — is resolved here, once per prepare. Decisions that *do* depend
+//! on the data are not plan state at all: a column's storage layout is
+//! probed from its values when a relation is split into columns, and
+//! whether a row is ground or symbolic is the kernels' business.
 //!
 //! The executor streams **chunks** (columnar ground batches plus a
 //! row-wise symbolic fringe, [`aggprov_core::ops::batch::Chunk`]) through
-//! Scan → Filter → Project → HashJoin segments; [`PhysNode::Aggregate`]
-//! and [`PhysNode::SetOp`] are the explicit **pipeline breakers** that
-//! materialize a relation (they need the whole input, and their symbolic
-//! semantics sums across rows). Any node whose batch kernel cannot
-//! represent the symbolic fringe falls back to the row-at-a-time
-//! `ops::*_opts` operators, so results are bit-identical to the
-//! `specops` reference either way.
+//! Scan → Filter → Project → HashJoin segments, one total kernel per
+//! node: each kernel takes whatever fringe its input carries and produces
+//! the §4.3 result, bit-identical to the `specops` reference.
+//! [`PhysNode::Aggregate`] and [`PhysNode::SetOp`] are the explicit
+//! **pipeline breakers** that materialize a relation (they need the whole
+//! input, and their symbolic semantics sums across rows).
 
 use crate::ast::SetOp;
 use crate::plan::{AvgSpec, Plan, PlanAgg, Predicate};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::ColHint;
 
 /// A physical operator. See the module docs for the pipeline/breaker
 /// split; every node carries its output [`Schema`].
@@ -34,13 +35,6 @@ pub(crate) enum PhysNode {
         table: String,
         /// The alias-prefixed output schema.
         schema: Schema,
-        /// Per-column typed-storage hints from the catalog's declared
-        /// column types (`NUM` → unboxed `i64` run, `TEXT` → dictionary
-        /// codes), pinned at lower time so the executor's chunk
-        /// conversion skips per-column variant probing. `None` for
-        /// tables registered without declared types — those columns
-        /// probe their variant from the data.
-        hints: Option<Vec<Option<ColHint>>>,
     },
     /// A pure schema replacement (derived-table re-aliasing).
     Rename {
@@ -71,28 +65,20 @@ pub(crate) enum PhysNode {
         /// The extended schema.
         schema: Schema,
     },
-    /// A projection. The batch kernel gathers `columns` directly
-    /// (duplicates and all); the row-at-a-time fallback projects the
-    /// `distinct` positions through the §4.3 token machinery and expands
-    /// duplicates positionally via `expand`.
+    /// A projection: the chunk kernel views `columns` (duplicates and
+    /// all) over ground rows and runs the §4.3 token projection when the
+    /// input carries a fringe.
     Project {
         /// Input node.
         input: Box<PhysNode>,
         /// Output column positions, in order, duplicates allowed.
         columns: Vec<usize>,
-        /// The distinct input positions, in first-appearance order.
-        distinct: Vec<usize>,
-        /// Per output column, its index into `distinct`.
-        expand: Vec<usize>,
-        /// True iff `columns` is exactly `0..arity` — over a symbol-free
-        /// input the projection is a pure schema rename (`Arc` share).
-        identity: bool,
         /// The display schema.
         schema: Schema,
     },
-    /// Hash equi-join: build right, probe left. Batched when both sides
-    /// are fully ground, token-weighted `ops::join_on_opts` otherwise.
-    /// A Cartesian product is the join with no keys.
+    /// Hash equi-join: build right, probe left; token-weighted inside the
+    /// kernel when either side carries a fringe. A Cartesian product is
+    /// the join with no keys.
     HashJoin {
         /// Left (probe) input.
         left: Box<PhysNode>,
@@ -100,8 +86,6 @@ pub(crate) enum PhysNode {
         right: Box<PhysNode>,
         /// Join-key column positions `(left, right)`; empty for a product.
         on_idx: Vec<(usize, usize)>,
-        /// The same keys by resolved name, for the row-at-a-time fallback.
-        on_names: Vec<(String, String)>,
         /// The concatenated schema.
         schema: Schema,
     },
@@ -143,34 +127,18 @@ fn internal(msg: impl Into<String>) -> RelError {
 }
 
 /// Lowers a logical plan to its physical form, resolving every
-/// data-independent decision (join-key positions, projection
-/// distinct/expand, AVG column pairs) exactly once. Scans carry no
-/// typed-column hints on this entry — see [`lower_with`] for the
-/// catalog-aware variant the database planner uses.
+/// data-independent decision (join-key positions, filter fusion, AVG
+/// column pairs) exactly once.
 ///
 /// A malformed plan (a join key or AVG part missing from its input
 /// schema) returns [`RelError::Internal`] instead of panicking — plans
 /// from `lower_query` are well-formed by construction, but a hand-built
 /// or future-optimizer plan must fail loudly *as an error*.
 pub(crate) fn lower(plan: &Plan) -> Result<PhysNode> {
-    lower_with(plan, &|_| None)
-}
-
-/// [`lower`] with a catalog lookup for per-table typed-column hints:
-/// `table_hints` maps a scanned table name to its declared column-type
-/// hints (or `None` when the table has no declared types), pinning the
-/// column representation at prepare time instead of probing it from the
-/// data on every execution.
-pub(crate) fn lower_with(
-    plan: &Plan,
-    table_hints: &dyn Fn(&str) -> Option<Vec<Option<ColHint>>>,
-) -> Result<PhysNode> {
-    let lower = |p: &Plan| lower_with(p, table_hints);
     Ok(match plan {
         Plan::Scan { table, schema } => PhysNode::Scan {
             table: table.clone(),
             schema: schema.clone(),
-            hints: table_hints(table),
         },
         Plan::Derived { input, schema } => PhysNode::Rename {
             input: Box::new(lower(input)?),
@@ -199,33 +167,11 @@ pub(crate) fn lower_with(
             input,
             columns,
             schema,
-        } => {
-            // The §4.3 symbolic projection is defined over a *set* of
-            // attributes: split duplicated select items into the distinct
-            // input positions plus a positional expansion, as the
-            // row-at-a-time executor always did — now once, at lower time.
-            let mut distinct: Vec<usize> = Vec::new();
-            let expand: Vec<usize> = columns
-                .iter()
-                .map(|i| {
-                    distinct.iter().position(|d| d == i).unwrap_or_else(|| {
-                        distinct.push(*i);
-                        distinct.len() - 1
-                    })
-                })
-                .collect();
-            let identity = distinct.len() == input.schema().arity()
-                && distinct.iter().enumerate().all(|(i, d)| i == *d)
-                && distinct.len() == columns.len();
-            PhysNode::Project {
-                input: Box::new(lower(input)?),
-                columns: columns.clone(),
-                distinct,
-                expand,
-                identity,
-                schema: schema.clone(),
-            }
-        }
+        } => PhysNode::Project {
+            input: Box::new(lower(input)?),
+            columns: columns.clone(),
+            schema: schema.clone(),
+        },
         Plan::Product {
             left,
             right,
@@ -234,7 +180,6 @@ pub(crate) fn lower_with(
             left: Box::new(lower(left)?),
             right: Box::new(lower(right)?),
             on_idx: Vec::new(),
-            on_names: Vec::new(),
             schema: schema.clone(),
         },
         Plan::Join {
@@ -261,7 +206,6 @@ pub(crate) fn lower_with(
                 left: Box::new(lower(left)?),
                 right: Box::new(lower(right)?),
                 on_idx,
-                on_names: on.clone(),
                 schema: schema.clone(),
             }
         }
@@ -341,51 +285,24 @@ mod tests {
         let PhysNode::Project { input, .. } = root else {
             panic!("expected projection root");
         };
-        let PhysNode::HashJoin {
-            on_idx, on_names, ..
-        } = *input
-        else {
+        let PhysNode::HashJoin { on_idx, .. } = *input else {
             panic!("expected a hash join under the projection");
         };
         assert_eq!(on_idx, vec![(1, 0)]);
-        assert_eq!(
-            on_names,
-            vec![("r.dept".to_string(), "heads.dept".to_string())]
-        );
     }
 
     #[test]
-    fn duplicated_projection_lowers_distinct_and_expand() {
+    fn duplicated_projection_lowers_to_its_positions() {
+        // Duplicates stay in `columns`; what a fringe needs of them (the
+        // distinct set, the positional expansion) is the kernel's to
+        // derive, only when it meets one.
         let db = db();
         let root = phys(&db, "SELECT dept AS a, dept AS b, sal FROM r");
-        let PhysNode::Project {
-            columns,
-            distinct,
-            expand,
-            identity,
-            ..
-        } = root
-        else {
+        let PhysNode::Project { columns, input, .. } = root else {
             panic!("expected projection root");
         };
         assert_eq!(columns, vec![1, 1, 2]);
-        assert_eq!(distinct, vec![1, 2]);
-        assert_eq!(expand, vec![0, 0, 1]);
-        assert!(!identity);
-    }
-
-    #[test]
-    fn identity_projection_is_marked() {
-        let db = db();
-        let PhysNode::Project { identity, .. } = phys(&db, "SELECT emp, dept, sal FROM r") else {
-            panic!("expected projection root");
-        };
-        assert!(identity);
-        // A permutation is not the identity.
-        let PhysNode::Project { identity, .. } = phys(&db, "SELECT sal, dept, emp FROM r") else {
-            panic!("expected projection root");
-        };
-        assert!(!identity);
+        assert!(matches!(*input, PhysNode::Scan { .. }));
     }
 
     #[test]

@@ -259,11 +259,10 @@ impl Plan {
     /// paths, so none of those count.
     ///
     /// The count is a static *upper bound*: some fast paths are
-    /// data-dependent and only decided at execution time (an identity
-    /// projection over a symbol-free relation is a pure schema rename; a
-    /// projection of the same plan over symbolic values runs the sharded
-    /// §4.3 merge), so a counted node may still execute serially on
-    /// friendly data.
+    /// data-dependent and only decided inside the kernels at execution
+    /// time (a projection over symbol-free rows is a column-view remap;
+    /// the same node over symbolic values runs the sharded §4.3 fold),
+    /// so a counted node may still execute serially on friendly data.
     pub fn partition_parallel_nodes(&self) -> usize {
         let own = match self {
             Plan::Join { .. } | Plan::Project { .. } => 1,

@@ -22,7 +22,7 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Relation, Tuple};
 use crate::schema::Schema;
-use crate::typed::{ColHint, IntoConsts, TypedColumn};
+use crate::typed::{IntoConsts, TypedColumn};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::collections::BTreeMap;
@@ -44,29 +44,6 @@ pub struct ColumnBatch<K> {
 }
 
 impl<K: CommutativeSemiring> ColumnBatch<K> {
-    /// An empty batch of the given arity, columns probing their variant
-    /// from the data.
-    pub fn new(arity: usize) -> Self {
-        Self::with_capacity(arity, 0)
-    }
-
-    /// An empty batch of the given arity with row capacity pre-reserved,
-    /// columns probing their variant from the data.
-    pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        Self::with_hints(arity, rows, &[])
-    }
-
-    /// An empty batch whose column `i` starts in the variant `hints[i]`
-    /// names; missing and `None` entries probe from the data.
-    pub fn with_hints(arity: usize, rows: usize, hints: &[Option<ColHint>]) -> Self {
-        ColumnBatch {
-            cols: (0..arity)
-                .map(|i| TypedColumn::with_hint(hints.get(i).copied().flatten(), rows))
-                .collect(),
-            anns: Vec::with_capacity(rows),
-        }
-    }
-
     /// Builds a batch from pre-assembled columns. All columns and the
     /// annotation vector must have the same length.
     pub fn from_columns(cols: Vec<TypedColumn>, anns: Vec<K>) -> Result<Self> {
@@ -102,15 +79,6 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
     /// The annotation column.
     pub fn anns(&self) -> &[K] {
         &self.anns
-    }
-
-    /// Appends one row. The row's arity must match the batch's.
-    pub fn push_row(&mut self, row: &[Const], ann: K) {
-        debug_assert_eq!(row.len(), self.arity());
-        for (col, v) in self.cols.iter_mut().zip(row) {
-            col.push(v.clone());
-        }
-        self.anns.push(ann);
     }
 
     /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG),
@@ -153,25 +121,18 @@ where
     K: CommutativeSemiring,
     V: Clone + Ord + Hash + fmt::Debug,
 {
-    /// Splits a relation with every column probing its variant from the
-    /// data; see [`GroundBatch::from_relation_with`].
-    pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
-        Self::from_relation_with(rel, as_const, &[])
-    }
-
     /// Splits a relation: rows whose every value reads back as a constant
-    /// through `as_const` fill the columnar ground batch (columns seeded
-    /// by the catalog `hints`, see [`ColumnBatch::with_hints`]); the rest
-    /// land on the row-wise fringe. Both partitions keep support order,
-    /// so the split (composed with [`GroundBatch::into_relation`]) is
-    /// lossless.
-    pub fn from_relation_with(
-        rel: &Relation<K, V>,
-        as_const: impl Fn(&V) -> Option<&Const>,
-        hints: &[Option<ColHint>],
-    ) -> Self {
+    /// through `as_const` fill the columnar ground batch (every column
+    /// probes its variant from the data, see [`TypedColumn::push`]); the
+    /// rest land on the row-wise fringe. Both partitions keep support
+    /// order, so the split (composed with [`GroundBatch::into_relation`])
+    /// is lossless.
+    pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
         let arity = rel.schema().arity();
-        let mut ground = ColumnBatch::with_hints(arity, rel.len(), hints);
+        let mut cols: Vec<TypedColumn> = (0..arity)
+            .map(|_| TypedColumn::Num(Vec::with_capacity(rel.len())))
+            .collect();
+        let mut anns = Vec::with_capacity(rel.len());
         let mut fringe = Vec::new();
         // One reused borrow buffer: the groundness check and the column
         // pushes share a single pass over the row's values.
@@ -189,12 +150,15 @@ where
                 fringe.push((t.clone(), k.clone()));
                 continue;
             }
-            for (col, c) in ground.cols.iter_mut().zip(&row) {
+            for (col, c) in cols.iter_mut().zip(&row) {
                 col.push((*c).clone());
             }
-            ground.anns.push(k.clone());
+            anns.push(k.clone());
         }
-        GroundBatch { ground, fringe }
+        GroundBatch {
+            ground: ColumnBatch { cols, anns },
+            fringe,
+        }
     }
 
     /// Wraps a batch produced by downstream kernels, with a fringe carried
@@ -344,6 +308,10 @@ mod tests {
         }
     }
 
+    fn nats<const N: usize>(ns: [u64; N]) -> Vec<Nat> {
+        ns.into_iter().map(Nat).collect()
+    }
+
     fn sample() -> Relation<NatPoly, Const> {
         Relation::from_rows(
             s(&["a", "b"]),
@@ -371,26 +339,26 @@ mod tests {
 
     #[test]
     fn boxed_layout_round_trips_identically() {
-        let rel = sample();
-        let probed = GroundBatch::from_relation(&rel, as_non_bool);
-        // Both hints are wrong for the data: the columns demote to boxed.
-        let hinted = GroundBatch::from_relation_with(
-            &rel,
-            as_non_bool,
-            &[Some(ColHint::Str), Some(ColHint::Num)],
-        );
-        assert_eq!(
-            hinted.ground().col(0).map(TypedColumn::variant),
-            Some("boxed")
-        );
-        assert_eq!(
-            probed.ground().col(0).map(TypedColumn::to_consts),
-            hinted.ground().col(0).map(TypedColumn::to_consts),
-        );
-        let a = probed.into_relation(rel.schema().clone(), |c| c).unwrap();
-        let b = hinted.into_relation(rel.schema().clone(), |c| c).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, rel);
+        // One half-integer in `a`, one number in `b`: the data demotes
+        // both columns to boxed, and the round trip is still the identity.
+        let mut rel = sample();
+        rel.insert(
+            vec![
+                Const::Num(aggprov_algebra::num::Num::ratio(7, 2)),
+                Const::int(9),
+            ],
+            NatPoly::token("p4"),
+        )
+        .unwrap();
+        let batch = GroundBatch::from_relation(&rel, as_non_bool);
+        for i in 0..2 {
+            assert_eq!(
+                batch.ground().col(i).map(TypedColumn::variant),
+                Some("boxed")
+            );
+        }
+        let back = batch.into_relation(rel.schema().clone(), |c| c).unwrap();
+        assert_eq!(back, rel);
     }
 
     #[test]
@@ -416,10 +384,9 @@ mod tests {
 
     #[test]
     fn into_relation_merges_duplicates_additively() {
-        let mut ground = ColumnBatch::new(1);
-        ground.push_row(&[Const::int(1)], Nat(2));
-        ground.push_row(&[Const::int(1)], Nat(3));
-        ground.push_row(&[Const::int(2)], Nat(1));
+        let ground =
+            ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1, 1, 2])], nats([2, 3, 1]))
+                .unwrap();
         let rel = GroundBatch::<Nat, Const>::from_parts(ground, Vec::new())
             .into_relation(s(&["a"]), |c| c)
             .unwrap();
@@ -449,8 +416,7 @@ mod tests {
             vec![Nat(1)]
         )
         .is_err());
-        let mut b = ColumnBatch::<Nat>::new(1);
-        b.push_row(&[Const::int(1)], Nat(1));
+        let mut b = ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
         assert!(b.push_column(vec![]).is_err());
         assert!(b.clone().push_column(vec![Const::int(9)]).is_ok());
         let gb = GroundBatch::<Nat, Const>::from_parts(b, Vec::new());
@@ -460,9 +426,9 @@ mod tests {
     #[test]
     fn zero_sums_leave_the_support() {
         use aggprov_algebra::semiring::IntZ;
-        let mut ground = ColumnBatch::new(1);
-        ground.push_row(&[Const::int(1)], IntZ(2));
-        ground.push_row(&[Const::int(1)], IntZ(-2));
+        let ground =
+            ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1, 1])], vec![IntZ(2), IntZ(-2)])
+                .unwrap();
         let rel = GroundBatch::<IntZ, Const>::from_parts(ground, Vec::new())
             .into_relation(s(&["a"]), |c| c)
             .unwrap();

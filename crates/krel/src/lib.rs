@@ -12,8 +12,8 @@
 //!   conversion, the substrate of the vectorized execution pipeline;
 //! * [`typed`] — the typed column storage those batches are made of
 //!   ([`TypedColumn`]: unboxed `Vec<i64>` integer runs,
-//!   dictionary-encoded strings, boxed fallback), with variant detection
-//!   at construction time, optionally seeded by catalog hints ([`ColHint`]);
+//!   dictionary-encoded strings, boxed fallback); the data alone decides
+//!   each column's variant, at construction time;
 //! * [`kset`] — `K`-sets and `SetAgg`;
 //! * [`monus`] — baseline difference semantics (set/bag monus,
 //!   ℤ-difference) used by the paper's §5.2 comparisons;
@@ -37,4 +37,4 @@ pub use batch::{ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
 pub use relation::{Relation, Tuple};
 pub use schema::{Attr, Schema};
-pub use typed::{ColHint, StrColumn, TypedColumn};
+pub use typed::{StrColumn, TypedColumn};

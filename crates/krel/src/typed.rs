@@ -16,14 +16,13 @@
 //! * [`TypedColumn::Boxed`] — the fallback `Vec<Const>` for mixed-type
 //!   columns, booleans, non-integer rationals, and `±∞`.
 //!
-//! The variant is detected at construction time by [`TypedColumn::push`]:
-//! a column starts in the probing `Num` state (or the variant named by a
-//! catalog [`ColHint`], pinned at `phys::lower` time), adopts the variant
-//! of its first value, and **demotes** itself to `Boxed` — re-boxing the
-//! prefix once — the moment a value arrives that the current variant
-//! cannot hold. Hints are advisory: a mispinned hint costs one demotion,
-//! never an error. Demotion is one-way, so a column changes
-//! representation at most twice and construction stays linear.
+//! The data alone decides the layout: the variant is detected at
+//! construction time by [`TypedColumn::push`]. A column starts in the
+//! probing (empty `Num`) state, adopts the variant of its first value, and
+//! **demotes** itself to `Boxed` — re-boxing the prefix once — the moment a
+//! value arrives that the current variant cannot hold. Demotion is
+//! one-way, so a column changes representation at most twice and
+//! construction stays linear.
 //!
 //! Round trips are exact: `Num` re-materializes through [`Const::int`]
 //! and `Rational` is kept in lowest terms, so the `i64 → Const` lift
@@ -33,37 +32,36 @@
 //! Equality on [`TypedColumn`] (and [`StrColumn`]) is **representational**:
 //! the same values held as `Num(vec![1])` and `Boxed(vec![Const::int(1)])`
 //! compare unequal, as do equal string columns whose dictionaries differ
-//! (e.g. after a [`StrColumn::gather`], which shares the parent
-//! dictionary). Compare decoded values ([`TypedColumn::to_consts`]) for
-//! semantic equality.
+//! (a [`StrColumn::gather`]ed column keeps its parent's whole dictionary,
+//! so it differs from a column interned from the gathered values alone).
+//! Compare decoded values ([`TypedColumn::to_consts`]) for semantic
+//! equality.
 
 use aggprov_algebra::domain::Const;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A catalog-supplied per-column type hint, mapped from declared
-/// `CREATE TABLE` types at `phys::lower` time. Booleans and untyped
-/// columns carry no hint and probe from the data instead.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ColHint {
-    /// Declared numeric: start the column in the unboxed `Vec<i64>` state.
-    Num,
-    /// Declared text: start the column dictionary-encoded.
-    Str,
+/// The interned strings of a [`StrColumn`], indexed by code, with the
+/// side map that makes interning and literal lookup O(1); `index` always
+/// mirrors `strs`.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct Dict {
+    strs: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 /// A dictionary-encoded string column: one `u32` code per row plus the
-/// interned dictionary it indexes. The side `index` map makes interning
-/// and literal lookup O(1); it always mirrors `dict`.
+/// interned dictionary it indexes.
 ///
 /// A gathered column ([`StrColumn::gather`]) shares its parent's
-/// dictionary wholesale (`Arc` bumps, no re-interning), so a dictionary
-/// may be a superset of the values actually present in `codes`.
+/// dictionary through one `Arc` (no copy, no re-interning), so a
+/// dictionary may be a superset of the values actually present in
+/// `codes`; interning a new string into a shared dictionary copies it
+/// first ([`StrColumn::push`]).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StrColumn {
     codes: Vec<u32>,
-    dict: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    dict: Arc<Dict>,
 }
 
 impl StrColumn {
@@ -76,8 +74,7 @@ impl StrColumn {
     pub fn with_capacity(rows: usize) -> Self {
         StrColumn {
             codes: Vec::with_capacity(rows),
-            dict: Vec::new(),
-            index: HashMap::new(),
+            dict: Arc::default(),
         }
     }
 
@@ -93,17 +90,20 @@ impl StrColumn {
 
     /// Interns `s` (if new) and appends its code. Returns `false`,
     /// leaving the column unchanged, iff the `u32` code space is
-    /// exhausted — the caller then demotes to boxed storage.
+    /// exhausted — the caller then demotes to boxed storage. A new string
+    /// going into a dictionary shared with another column copies the
+    /// dictionary first, so the other column never sees it.
     pub fn push(&mut self, s: &Arc<str>) -> bool {
-        if let Some(&code) = self.index.get(s.as_ref()) {
+        if let Some(&code) = self.dict.index.get(s.as_ref()) {
             self.codes.push(code);
             return true;
         }
-        let Ok(code) = u32::try_from(self.dict.len()) else {
+        let Ok(code) = u32::try_from(self.dict.strs.len()) else {
             return false;
         };
-        self.dict.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), code);
+        let dict = Arc::make_mut(&mut self.dict);
+        dict.strs.push(Arc::clone(s));
+        dict.index.insert(Arc::clone(s), code);
         self.codes.push(code);
         true
     }
@@ -115,17 +115,17 @@ impl StrColumn {
 
     /// The dictionary, indexed by code.
     pub fn dict(&self) -> &[Arc<str>] {
-        &self.dict
+        &self.dict.strs
     }
 
     /// The code interned for `s`, if `s` appears in the dictionary.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        self.dict.index.get(s).copied()
     }
 
     /// The string a code stands for.
     pub fn decode(&self, code: u32) -> Option<&Arc<str>> {
-        self.dict.get(code as usize)
+        self.dict.strs.get(code as usize)
     }
 
     /// The string at row `r`.
@@ -134,7 +134,8 @@ impl StrColumn {
     }
 
     /// Gathers the named rows into a new column **sharing this
-    /// dictionary** (no re-interning). `None` if any row is out of range.
+    /// dictionary** (one `Arc` bump: O(rows), whatever the dictionary's
+    /// size). `None` if any row is out of range.
     pub fn gather(&self, rows: &[u32]) -> Option<StrColumn> {
         let mut codes = Vec::with_capacity(rows.len());
         for &r in rows {
@@ -142,8 +143,7 @@ impl StrColumn {
         }
         Some(StrColumn {
             codes,
-            dict: self.dict.clone(),
-            index: self.index.clone(),
+            dict: Arc::clone(&self.dict),
         })
     }
 }
@@ -161,16 +161,6 @@ pub enum TypedColumn {
 }
 
 impl TypedColumn {
-    /// An empty column with row capacity pre-reserved, starting in the
-    /// variant `hint` names. Unhinted columns start in the probing `Num`
-    /// state and adopt the variant of their first value.
-    pub fn with_hint(hint: Option<ColHint>, rows: usize) -> TypedColumn {
-        match hint {
-            Some(ColHint::Str) => TypedColumn::Str(StrColumn::with_capacity(rows)),
-            Some(ColHint::Num) | None => TypedColumn::Num(Vec::with_capacity(rows)),
-        }
-    }
-
     /// Builds a column from boxed values by probing (variant detection
     /// with demotion, as in [`TypedColumn::push`]).
     pub fn from_consts(vals: Vec<Const>) -> TypedColumn {
@@ -330,7 +320,7 @@ enum ConstsInner {
     Num(std::vec::IntoIter<i64>),
     Str {
         codes: std::vec::IntoIter<u32>,
-        dict: Vec<Arc<str>>,
+        dict: Arc<Dict>,
     },
     Boxed(std::vec::IntoIter<Const>),
 }
@@ -343,7 +333,9 @@ impl Iterator for IntoConsts {
             ConstsInner::Num(it) => it.next().map(Const::int),
             ConstsInner::Str { codes, dict } => {
                 let code = codes.next()?;
-                dict.get(code as usize).map(|s| Const::Str(Arc::clone(s)))
+                dict.strs
+                    .get(code as usize)
+                    .map(|s| Const::Str(Arc::clone(s)))
             }
             ConstsInner::Boxed(it) => it.next(),
         }
@@ -417,26 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_controls_initial_variant() {
-        assert_eq!(
-            TypedColumn::with_hint(Some(ColHint::Str), 4).variant(),
-            "str"
-        );
-        assert_eq!(
-            TypedColumn::with_hint(Some(ColHint::Num), 4).variant(),
-            "num"
-        );
-        assert_eq!(TypedColumn::with_hint(None, 4).variant(), "num");
-
-        // A mispinned hint demotes instead of failing.
-        let mut col = TypedColumn::with_hint(Some(ColHint::Str), 4);
-        col.push(Const::str("s"));
-        col.push(Const::int(9));
-        assert_eq!(col.variant(), "boxed");
-        assert_eq!(col.to_consts(), vec![Const::str("s"), Const::int(9)]);
-    }
-
-    #[test]
     fn gather_shares_the_dictionary() {
         let col = TypedColumn::from_consts(vec![
             Const::str("a"),
@@ -457,5 +429,29 @@ mod tests {
 
         let n = TypedColumn::Num(vec![10, 20, 30]);
         assert_eq!(n.gather(&[2, 0]), Some(TypedColumn::Num(vec![30, 10])));
+    }
+
+    #[test]
+    fn gather_is_o_rows_over_a_large_dictionary() {
+        // 50 000 distinct strings; gathering 3 rows must not copy the
+        // dictionary (or its index) — parent and child share one `Arc`.
+        let mut parent = StrColumn::new();
+        for i in 0..50_000 {
+            assert!(parent.push(&Arc::from(format!("s{i}"))));
+        }
+        let mut g = parent.gather(&[49_999, 0, 7]).unwrap();
+        assert!(Arc::ptr_eq(&parent.dict, &g.dict), "dictionary copied");
+        let decoded: Vec<&str> = (0..3).filter_map(|r| g.get(r).map(|s| &**s)).collect();
+        assert_eq!(decoded, ["s49999", "s0", "s7"]);
+        // A known string reuses its code and keeps sharing…
+        assert!(g.push(&Arc::from("s7")));
+        assert!(Arc::ptr_eq(&parent.dict, &g.dict));
+        // …a new one copies on write: the parent never sees it.
+        assert!(g.push(&Arc::from("fresh")));
+        assert!(!Arc::ptr_eq(&parent.dict, &g.dict));
+        assert_eq!(g.get(4).map(|s| &**s), Some("fresh"));
+        assert_eq!(parent.dict().len(), 50_000);
+        assert_eq!(parent.code_of("fresh"), None);
+        assert_eq!(g.code_of("fresh"), Some(50_000));
     }
 }

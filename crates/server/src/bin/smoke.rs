@@ -1,8 +1,11 @@
 //! End-to-end smoke test against a **running** server (CI drives this
 //! against the release binary): seeds a table, queries it from three
-//! concurrent clients, interrogates provenance over the wire, sends two
-//! hostile over-deep requests (which must come back as error frames from
-//! a server that is still up), and shuts the server down.
+//! concurrent clients, interrogates provenance over the wire, opens and
+//! closes 1 500 short-lived connections (past the default 1 024-descriptor
+//! limit: a server that keeps a handle per closed connection stops
+//! accepting), sends two hostile over-deep requests (which must come back
+//! as error frames from a server that is still up), and shuts the server
+//! down.
 //!
 //! ```text
 //! smoke ADDR
@@ -90,6 +93,14 @@ fn run(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     );
     admin.delete_tokens(result, &["p2"], false)?;
     admin.close_result(result)?;
+
+    // Connection churn: more short-lived clients, one after another, than
+    // the server may hold descriptors for — each must get its `ping`.
+    for i in 0..1_500 {
+        Client::connect(addr)
+            .and_then(|mut c| c.ping())
+            .map_err(|e| format!("short-lived connection {i}: {e}"))?;
+    }
 
     // Hostile depth: a 10 000-deep JSON array and a query nesting 5 000
     // derived tables are error frames, and the server outlives both.

@@ -11,15 +11,29 @@
 //!   write section is the single writer's copy-on-write mutation;
 //! - `shutdown` flips a flag, wakes the blocking accept loop with a
 //!   self-connection, shuts down every open socket (readers see EOF),
-//!   and joins all session threads before returning.
+//!   and joins all session threads before returning;
+//! - a session's registered socket handle lives exactly as long as the
+//!   session: its thread drops the entry on exit, so closed connections
+//!   hold no file descriptors, and a failing `accept` (descriptor
+//!   exhaustion) backs off instead of spinning.
 
 use crate::session::{Control, Session};
 use aggprov_engine::ProvDb;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long the accept loop sleeps after a failed `accept` before trying
+/// again: long enough not to spin a core while the process is out of file
+/// descriptors, short enough that service resumes as soon as one frees.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// The sockets of the sessions still running, by connection number.
+type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A running server bound to a local address.
 pub struct Server {
@@ -27,8 +41,9 @@ pub struct Server {
     db: Arc<RwLock<ProvDb>>,
     stop: Arc<AtomicBool>,
     /// Live connection sockets, shut down on stop so blocked readers
-    /// wake with EOF instead of hanging the drain.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// wake with EOF instead of hanging the drain. Each entry is removed
+    /// by its session thread on exit.
+    conns: Conns,
 }
 
 impl std::fmt::Debug for Server {
@@ -52,7 +67,7 @@ impl Server {
             listener: TcpListener::bind(addr)?,
             db: Arc::new(RwLock::new(db)),
             stop: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
+            conns: Conns::default(),
         })
     }
 
@@ -76,29 +91,33 @@ impl Server {
     pub fn serve(self) -> std::io::Result<()> {
         let shutdown = self.shutdown_handle();
         let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-        for incoming in self.listener.incoming() {
+        for (id, incoming) in (0u64..).zip(self.listener.incoming()) {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match incoming {
                 Ok(stream) => stream,
-                // A refused/reset handshake is the peer's problem.
-                Err(_) => continue,
+                // A refused/reset handshake is the peer's problem; running
+                // out of descriptors is ours, and retrying at once would
+                // fail the same way until a session ends.
+                Err(_) => {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
             };
             // Request/response lines are small and latency-bound: send
             // each as soon as it is written. Best effort — a socket that
             // refuses the option still works.
             let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
-                self.conns
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(clone);
+                lock(&self.conns).insert(id, clone);
             }
             let db = Arc::clone(&self.db);
             let shutdown = shutdown.clone();
+            let conns = Arc::clone(&self.conns);
             sessions.push(std::thread::spawn(move || {
                 serve_connection(stream, db, shutdown);
+                lock(&conns).remove(&id);
             }));
             sessions.retain(|handle| !handle.is_finished());
         }
@@ -115,7 +134,7 @@ impl Server {
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
     addr: Option<std::net::SocketAddr>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
 }
 
 impl ShutdownHandle {
@@ -130,12 +149,7 @@ impl ShutdownHandle {
         if let Some(addr) = self.addr {
             let _ = TcpStream::connect(addr);
         }
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-        {
+        for (_, conn) in lock(&self.conns).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
@@ -144,6 +158,11 @@ impl ShutdownHandle {
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
+}
+
+/// Locks the connection table; a poisoned lock still holds valid sockets.
+fn lock(conns: &Conns) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One connection's loop: read a line, handle, write a line. Request

@@ -343,3 +343,42 @@ fn graceful_shutdown_wakes_idle_connections() {
     let n = (&idle).read(&mut buf).expect("read after shutdown");
     assert_eq!(n, 0, "idle connection sees EOF");
 }
+
+/// The number of file descriptors this process has open.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_descriptors() {
+    // Every accepted socket is registered (a dup'd handle) so shutdown
+    // can wake it; the entry must go when the session does, or each
+    // short-lived client leaks one descriptor until `accept` hits EMFILE.
+    const CYCLES: usize = 400;
+    // Headroom for the other tests of this binary running beside this
+    // one (a few dozen sockets at most) — far below the `CYCLES`
+    // descriptors a leak would leave behind.
+    const SLACK: usize = 100;
+    let (addr, server) = spawn_server("");
+    let baseline = open_fds();
+    for _ in 0..CYCLES {
+        let mut c = Client::connect(addr.as_str()).expect("connect");
+        c.ping().expect("ping");
+    }
+    // Sessions notice EOF on their own threads; give them a moment.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while open_fds() > baseline + SLACK && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let open = open_fds();
+    assert!(
+        open <= baseline + SLACK,
+        "{open} descriptors open after {CYCLES} closed connections (baseline {baseline})"
+    );
+    let mut last = Client::connect(addr.as_str()).expect("connect after churn");
+    last.ping().expect("ping after churn");
+    last.shutdown().expect("shutdown");
+    server.join().expect("serve thread");
+}
