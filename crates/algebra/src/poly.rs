@@ -35,23 +35,46 @@ use std::sync::Arc;
 
 /// The one normalization behind every canonical form in this crate:
 /// stable-sorts `items` by `key`, folds each run of equal keys into its
-/// first item with `combine` (left to right, in input order), then drops
-/// the items `keep` rejects.
+/// first item — `combine` receives that item and the rest of the run (one
+/// or more items, in input order), once per run, so a fold that can take a
+/// whole run at a time (a k-way [`CommutativeSemiring::sum`]) costs O(run),
+/// not the O(run²) of folding pair by pair — then drops the items `keep`
+/// rejects.
 pub(crate) fn sort_combine<T, Q: Ord + ?Sized>(
     items: &mut Vec<T>,
     key: impl Fn(&T) -> &Q,
-    mut combine: impl FnMut(&mut T, &T),
+    mut combine: impl FnMut(&mut T, &[T]),
     keep: impl FnMut(&T) -> bool,
 ) {
     items.sort_by(|a, b| key(a).cmp(key(b)));
-    items.dedup_by(|item, kept| {
-        let same = key(item) == key(kept);
-        if same {
-            combine(kept, item);
+    // `items[..kept]` holds the folded runs so far; the run being folded
+    // is `items[start]` and the `repeats` items after it.
+    let (mut kept, mut start) = (0, 0);
+    while start < items.len() {
+        let repeats = items[start + 1..]
+            .iter()
+            .take_while(|item| key(item) == key(&items[start]))
+            .count();
+        if repeats > 0 {
+            let (first, rest) = items[start..].split_at_mut(1);
+            combine(&mut first[0], &rest[..repeats]);
         }
-        same
-    });
+        items.swap(kept, start);
+        kept += 1;
+        start += 1 + repeats;
+    }
+    items.truncate(kept);
     items.retain(keep);
+}
+
+/// `Σ` over one run handed to a [`sort_combine`] fold: the first item's
+/// value and the rest's, in input order, through the k-way
+/// [`CommutativeSemiring::sum`].
+pub(crate) fn sum_run<'a, K: CommutativeSemiring>(
+    first: &'a K,
+    rest: impl Iterator<Item = &'a K>,
+) -> K {
+    K::sum(std::iter::once(first).chain(rest).cloned().collect())
 }
 
 /// A provenance token ("indeterminate"), e.g. a tuple identifier.
@@ -111,8 +134,10 @@ impl<A: Ord + Clone> Monomial<A> {
         sort_combine(
             &mut pairs,
             |(a, _)| a,
-            |(_, e), (_, more)| {
-                *e = e.checked_add(*more).expect("monomial exponent overflow");
+            |(_, e), rest| {
+                for (_, more) in rest {
+                    *e = e.checked_add(*more).expect("monomial exponent overflow");
+                }
             },
             |(_, e)| *e > 0,
         );
@@ -286,13 +311,14 @@ where
     A: Ord + Clone + Hash + fmt::Debug,
     C: CommutativeSemiring,
 {
-    /// Canonicalizes arbitrary terms: repeated monomials are summed (in
-    /// input order) and zero coefficients dropped.
+    /// Canonicalizes arbitrary terms: the coefficients of each repeated
+    /// monomial are summed (one `C::sum` per monomial, in input order) and
+    /// zero coefficients dropped.
     fn normalized(mut terms: Vec<Term<A, C>>) -> Self {
         sort_combine(
             &mut terms,
             |(m, _)| m,
-            |(_, c), (_, more)| *c = c.plus(more),
+            |(_, c), rest| *c = sum_run(c, rest.iter().map(|(_, c)| c)),
             |(_, c)| !c.is_zero(),
         );
         Self::from_canonical(terms)
@@ -498,8 +524,51 @@ where
         Self::from_canonical(out)
     }
 
+    /// One `sort` over the terms of all operands instead of a merge per
+    /// operand: the terms are gathered by reference, stable-sorted by
+    /// monomial (the operands are sorted runs, which the merge sort
+    /// detects), the coefficients of each run of equal monomials summed by
+    /// `C::sum` — recursively k-way for polynomial coefficients — and each
+    /// surviving term cloned exactly once. A single operand is returned as
+    /// the same shared storage.
+    fn sum(items: Vec<Self>) -> Self {
+        match items.as_slice() {
+            [] => return Self::zero(),
+            [p] => return p.clone(),
+            _ => {}
+        }
+        let mut terms: Vec<&Term<A, C>> = items.iter().flat_map(|p| p.as_slice()).collect();
+        terms.sort_by(|x, y| x.0.cmp(&y.0));
+        let mut out = Vec::with_capacity(terms.len());
+        for run in terms.chunk_by(|x, y| x.0 == y.0) {
+            if let [(m, first), rest @ ..] = run {
+                let c = match rest {
+                    [] => first.clone(),
+                    _ => sum_run(first, rest.iter().map(|(_, c)| c)),
+                };
+                if !c.is_zero() {
+                    out.push((m.clone(), c));
+                }
+            }
+        }
+        Self::from_canonical(out)
+    }
+
+    /// Multiplying by `1` shares the other operand's storage (as
+    /// multiplying by `0` allocates nothing), and two single-term operands
+    /// — a join of base rows — multiply without the product buffer and its
+    /// normalization.
     fn times(&self, other: &Self) -> Self {
+        if self.is_one() {
+            return other.clone();
+        }
+        if other.is_one() {
+            return self.clone();
+        }
         let (a, b) = (self.as_slice(), other.as_slice());
+        if let ([(m1, c1)], [(m2, c2)]) = (a, b) {
+            return Self::single(m1.times(m2), c1.times(c2));
+        }
         let mut products = Vec::with_capacity(a.len() * b.len());
         for (m1, c1) in a {
             for (m2, c2) in b {
@@ -639,18 +708,50 @@ mod tests {
 
     #[test]
     fn sort_combine_folds_runs_in_input_order() {
-        let mut items = vec![("b", "1"), ("a", "2"), ("b", "3"), ("c", ""), ("a", "4")]
-            .into_iter()
-            .map(|(k, v)| (k, v.to_string()))
-            .collect::<Vec<_>>();
+        let mut items = [
+            ("b", "1"),
+            ("a", "2"),
+            ("b", "3"),
+            ("c", ""),
+            ("a", "4"),
+            ("b", "5"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k, v.to_string()))
+        .collect::<Vec<_>>();
+        let mut runs = Vec::new();
         sort_combine(
             &mut items,
             |(k, _)| k,
-            |(_, acc), (_, more)| acc.push_str(more),
+            |(_, acc), rest| {
+                runs.push(1 + rest.len());
+                rest.iter().for_each(|(_, more)| acc.push_str(more));
+            },
             |(_, v)| !v.is_empty(),
         );
         let got: Vec<(&str, &str)> = items.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        assert_eq!(got, [("a", "24"), ("b", "13")]);
+        assert_eq!(got, [("a", "24"), ("b", "135")]);
+        assert_eq!(runs, [2, 3], "one call per repeated key, the whole run");
+    }
+
+    #[test]
+    fn sum_is_the_fold_of_plus_and_shares_a_lone_operand() {
+        let ps = [x(), y().times(&x()), x(), NatPoly::from_nat(2), y(), x()];
+        let folded = ps.iter().fold(NatPoly::zero(), |acc, p| acc.plus(p));
+        assert_eq!(NatPoly::sum(ps.to_vec()), folded);
+        assert_eq!(folded.to_string(), "2 + 3*x + x*y + y");
+        assert!(NatPoly::sum(Vec::new()).is_zero());
+        let p = x().plus(&y());
+        assert!(NatPoly::sum(vec![p.clone()]).shares_terms_with(&p));
+    }
+
+    #[test]
+    fn times_one_shares_storage() {
+        let p = x().plus(&y());
+        assert!(p.times(&NatPoly::one()).shares_terms_with(&p));
+        assert!(NatPoly::one().times(&p).shares_terms_with(&p));
+        assert_eq!(x().times(&y()).to_string(), "x*y");
+        assert!(x().times(&NatPoly::zero()).is_zero());
     }
 
     #[test]

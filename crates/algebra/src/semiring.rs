@@ -44,6 +44,28 @@ pub trait CommutativeSemiring:
     /// Joint use of data, `·_K`.
     fn times(&self, other: &Self) -> Self;
 
+    /// The k-way sum `Σ items` (`0_K` for no items) — the Σ of the paper's
+    /// `AGG_M(R) = Σ R(mᵢ) ⊗ mᵢ` (§3.2) and of §4.3's token-weighted sums.
+    /// Equal to the left fold of [`plus`](CommutativeSemiring::plus); the
+    /// default is a pairwise tree reduction, so summing n annotations of
+    /// size 1 costs O(n log n) rather than the fold's O(n²) (each `plus`
+    /// clones its left operand). Representations that can merge all
+    /// operands in one pass override it (see `Poly`).
+    fn sum(mut items: Vec<Self>) -> Self {
+        while items.len() > 1 {
+            let mut next = Vec::with_capacity(items.len().div_ceil(2));
+            let mut iter = items.into_iter();
+            while let Some(a) = iter.next() {
+                match iter.next() {
+                    Some(b) => next.push(a.plus(&b)),
+                    None => next.push(a),
+                }
+            }
+            items = next;
+        }
+        items.pop().unwrap_or_else(Self::zero)
+    }
+
     /// True iff `self == 0_K`.
     fn is_zero(&self) -> bool {
         *self == Self::zero()

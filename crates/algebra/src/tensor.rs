@@ -20,7 +20,7 @@
 //! canonicalizes to `ι(m)` and equality becomes decidable.
 
 use crate::monoid::CommutativeMonoid;
-use crate::poly::sort_combine;
+use crate::poly::{sort_combine, sum_run};
 use crate::semimodule::Semimodule;
 use crate::semiring::{compatible, CommutativeSemiring};
 use std::fmt;
@@ -85,7 +85,9 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
     ///
     /// This is exactly the content of `AGG_M(R)` in §3.2: for a relation
     /// with support `{m₁, …, mₙ}` and annotations `kᵢ = R(mᵢ)`, the
-    /// aggregate value is `Σ kᵢ ⊗ mᵢ`.
+    /// aggregate value is `Σ kᵢ ⊗ mᵢ`. The coefficients of each repeated
+    /// element are summed by one k-way [`CommutativeSemiring::sum`], so a
+    /// `COUNT`-shaped aggregate (every element equal) is one pass.
     pub fn from_terms<M>(m: &M, terms: impl IntoIterator<Item = (K, E)>) -> Self
     where
         M: CommutativeMonoid<Elem = E>,
@@ -98,7 +100,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
         sort_combine(
             &mut terms,
             |(_, e)| e,
-            |(k, _), (more, _)| *k = k.plus(more),
+            |(k, _), rest| *k = sum_run(k, rest.iter().map(|(k, _)| k)),
             |(k, _)| !k.is_zero(),
         );
         if m.is_idempotent() {
@@ -200,7 +202,11 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
         sort_combine(
             &mut by_coeff,
             |(k, _)| k,
-            |(_, e), (_, more)| *e = m.plus(e, more),
+            |(_, e), rest| {
+                for (_, more) in rest {
+                    *e = m.plus(e, more);
+                }
+            },
             |_| true,
         );
         Self::from_terms(m, by_coeff)

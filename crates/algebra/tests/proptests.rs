@@ -421,6 +421,10 @@ fn check_against_model<C: CommutativeSemiring>(
     assert_matches_model(&pb, &mb, &third, "from_terms");
     assert_matches_model(&pa.plus(&pb), &ma.plus(&mb), &third, "plus");
     assert_matches_model(&pa.times(&pb), &ma.times(&mb), &third, "times");
+    // Multiplying by 1 takes a shortcut (the other operand's storage).
+    let one = Poly::<Var, C>::one();
+    assert_matches_model(&pa.times(&one), &ma, &third, "times 1");
+    assert_matches_model(&one.times(&pa), &ma, &third, "1 times");
 
     let index = |v: &Var| VARS.iter().position(|n| *n == v.name()).unwrap();
     let is_dropped = |v: &Var| dropped[index(v)];
@@ -484,5 +488,92 @@ proptest! {
         killed in (-2i64..3).prop_map(IntZ),
     ) {
         check_against_model(a, b, c, &dropped, &image, &killed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The k-way `sum` and the run fold of `Tensor::from_terms`
+// ---------------------------------------------------------------------------
+
+/// `K::sum` of every prefix of `items` (the empty and the one-element sum
+/// included) against the left fold of `plus`: equal, and rendered alike.
+fn check_sum<K: CommutativeSemiring>(items: &[K]) {
+    for n in 0..=items.len() {
+        let folded = items[..n].iter().fold(K::zero(), |acc, k| acc.plus(k));
+        let summed = K::sum(items[..n].to_vec());
+        assert_eq!(summed, folded, "sum of {:?}", &items[..n]);
+        assert_eq!(summed.to_string(), folded.to_string());
+    }
+}
+
+fn arb_polys<C: CommutativeSemiring>(
+    coeff: impl Strategy<Value = C>,
+) -> impl Strategy<Value = Vec<Poly<Var, C>>> {
+    prop::collection::vec(arb_raw_terms(coeff).prop_map(Poly::from_terms), 0..7)
+}
+
+/// The reference model of `Tensor::from_terms`: per monoid element, the
+/// left fold of `plus` over its coefficients in input order; `0_M` and zero
+/// coefficients leave, idempotent elements keep `idem_normal` of theirs.
+fn model_tensor<K: CommutativeSemiring>(m: &MonoidKind, terms: &[(K, Const)]) -> Vec<(K, Const)> {
+    let mut by_elem: BTreeMap<Const, K> = BTreeMap::new();
+    for (k, e) in terms.iter().filter(|(_, e)| *e != m.zero()) {
+        let sum = by_elem.get(e).map_or_else(|| k.clone(), |old| old.plus(k));
+        by_elem.insert(e.clone(), sum);
+    }
+    let normal = |k: K| {
+        if m.is_idempotent() {
+            k.idem_normal()
+        } else {
+            k
+        }
+    };
+    by_elem
+        .into_iter()
+        .map(|(e, k)| (normal(k), e))
+        .filter(|(k, _)| !k.is_zero())
+        .collect()
+}
+
+/// Few distinct elements, many terms: every element is a long run.
+fn check_tensor_runs<K: CommutativeSemiring>(terms: Vec<(K, i64)>) {
+    let terms: Vec<(K, Const)> = terms.into_iter().map(|(k, v)| (k, Const::int(v))).collect();
+    for m in [MonoidKind::Sum, MonoidKind::Max, MonoidKind::Prod] {
+        let t = Tensor::from_terms(&m, terms.clone());
+        let got: Vec<(K, Const)> = t.terms().map(|(k, e)| (k.clone(), e.clone())).collect();
+        assert_eq!(got, model_tensor(&m, &terms), "{m} over {terms:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn sum_is_the_left_fold_of_plus(
+        nat in arb_polys((0u64..3).prop_map(Nat)),
+        boolean in arb_polys(any::<bool>().prop_map(Bool)),
+        // ℤ coefficients: a run cancels to zero in the middle of the sum.
+        int in arb_polys((-2i64..3).prop_map(IntZ)),
+        // Polynomial coefficients: every run recurses into `C::sum`.
+        nested in arb_polys(arb_raw_terms((-2i64..3).prop_map(IntZ)).prop_map(Poly::from_terms)),
+    ) {
+        check_sum(&nat);
+        check_sum(&boolean);
+        check_sum(&int);
+        check_sum(&nested);
+        // The default body (scalars) is the same fold.
+        check_sum(&int.iter().map(|p| IntZ(p.num_terms() as i64 - 2)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tensor_from_terms_folds_runs_as_the_model_does(
+        nat in prop::collection::vec((arb_natpoly(), -1i64..3), 0..14),
+        int in prop::collection::vec(
+            (arb_raw_terms((-2i64..3).prop_map(IntZ)).prop_map(Poly::from_terms), -1i64..3),
+            0..14,
+        ),
+        scalar in prop::collection::vec(((0u64..3).prop_map(Nat), -1i64..3), 0..14),
+    ) {
+        check_tensor_runs(nat);
+        check_tensor_runs::<Poly<Var, IntZ>>(int);
+        check_tensor_runs(scalar);
     }
 }

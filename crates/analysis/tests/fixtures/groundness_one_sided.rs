@@ -17,5 +17,5 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
             parts.push(part);
         }
     }
-    Ok(sum_many(parts))
+    Ok(A::sum(parts))
 }

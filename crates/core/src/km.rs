@@ -320,6 +320,9 @@ impl<K: CommutativeSemiring> CommutativeSemiring for Km<K> {
     fn times(&self, other: &Self) -> Self {
         Km(self.0.times(&other.0))
     }
+    fn sum(items: Vec<Self>) -> Self {
+        Km(Poly::sum(items.into_iter().map(|k| k.0).collect()))
+    }
     fn is_zero(&self) -> bool {
         self.0.is_zero()
     }

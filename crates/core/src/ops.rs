@@ -16,19 +16,30 @@
 //! into **ground** tuples (only constants at the positions the operator
 //! compares) and **symbolic** tuples (a tensor-valued aggregate at one of
 //! those positions): between constants every §4.3 equality token is `0` or
-//! `1` and structural equality decides it, so only the (typically tiny)
-//! symbolic fringe pays for token construction.
+//! `1` and structural equality decides it, so only symbolic tuples pay for
+//! token construction. How many those are is a property of the plan, not
+//! a small number by nature: a base table has none, but every row a
+//! `GROUP BY` with a symbolic aggregate emits is symbolic (measured: 500 of
+//! 500 on the benchmark's `embed_agg_prov`, 31 of 31 on `wire_report`), so
+//! whatever runs above one — `HAVING`, the select list — is all token path.
 //!
 //! The paper defines union, projection and grouping by one rule (§4.3
 //! items 2, 3 and 7): every candidate output key `p` collects
 //! `R(t') · Π_u [key(t')(u) = p(u)]` from every support tuple `t'`. That
 //! rule is written once, as the private `keyed_fold`: ground-keyed entries
-//! are hash-bucketed by key, every symbolic-keyed entry adds its
-//! token-weighted coefficient to each bucket, and each distinct symbolic
-//! key then forms its own candidate against every bucket (one token per
-//! bucket, not per member) and every symbolic-keyed entry. The three
-//! operators differ only in their key and in the *finisher* that turns a
-//! candidate's coefficients into an output row:
+//! are hash-bucketed by key, symbolic-keyed entries add their
+//! token-weighted coefficients to the buckets, and each distinct symbolic
+//! key then forms its own candidate against the buckets (one token per
+//! bucket, not per member) and the symbolic-keyed entries. Which pairs
+//! meet is narrowed by a **leading-run index** — symbolic keys and ground
+//! buckets hashed by the key positions, from the first, that are constant
+//! in every symbolic key — under an argument about the literal
+//! left-to-right evaluation order that `keyed_fold`'s own documentation
+//! gives; a key that is symbolic from its first position stays all-pairs.
+//! Every `Σ` is one k-way
+//! [`CommutativeSemiring::sum`](aggprov_algebra::semiring::CommutativeSemiring::sum).
+//! The three operators differ only in their key and in the *finisher* that
+//! turns a candidate's coefficients into an output row:
 //!
 //! | operator | key | finisher |
 //! |---|---|---|
@@ -88,7 +99,7 @@ use crate::annotation::AggAnnotation;
 use crate::par::{fan_out, plan_shards, split_by, ExecOptions};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
-use aggprov_algebra::monoid::MonoidKind;
+use aggprov_algebra::monoid::{CommutativeMonoid, MonoidKind};
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{shard_index, Relation, Tuple};
@@ -179,44 +190,17 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
     Ok(coefficient_sum(contributions))
 }
 
-/// Sums many annotations by pairwise tree reduction: summing n tokens of
-/// size 1 costs O(n log n) rather than the O(n²) of a left fold (each
-/// `plus` clones its left operand).
-pub(crate) fn sum_many<A: AggAnnotation>(mut items: Vec<A>) -> A {
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut iter = items.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(a.plus(&b)),
-                None => next.push(a),
-            }
-        }
-        items = next;
-    }
-    items.pop().unwrap_or_else(A::zero)
-}
-
-/// Pushes `k ∗ tv`'s simple tensors onto an accumulator without
-/// re-normalizing (the caller builds the tensor once at the end — turning
-/// per-tuple O(current-size) merges into a single O(n log n) build).
-pub(crate) fn accumulate_scaled<A: AggAnnotation>(
-    acc: &mut Vec<(A, Const)>,
-    tv: &Tensor<A, Const>,
-    k: &A,
-) {
-    for (ki, e) in tv.terms() {
-        let prod = k.times(ki);
-        if !prod.is_zero() {
-            acc.push((prod, e.clone()));
-        }
-    }
-}
-
 /// Accumulates one tuple's per-spec aggregate contributions scaled by
 /// `k`: `terms[i] += k ∗ t(sidx[i])` for each spec, walked as one zip so
-/// no position is ever out of bounds.
-pub(crate) fn accumulate_specs<A: AggAnnotation>(
+/// no position is ever out of bounds. The simple tensors are pushed
+/// without re-normalizing — the caller builds each tensor once at the end,
+/// a single O(n log n) build instead of a merge per tuple. A constant `c`
+/// contributes the pair `(k, c)` as it stands: `k ∗ ι(c) = (k·1_K) ⊗ c`,
+/// so neither `ι(c)` nor the product with its `1_K` is built — what stays
+/// is `ι`'s carrier check, its drop of `0_M`, and `∗`'s drop of a zero
+/// `k`. Only a tensor-valued input (nested aggregation) is scaled term by
+/// term.
+fn accumulate_specs<A: AggAnnotation>(
     t: &Tuple<Value<A>>,
     specs: &[AggSpec<'_>],
     sidx: &[usize],
@@ -224,27 +208,55 @@ pub(crate) fn accumulate_specs<A: AggAnnotation>(
     k: &A,
 ) -> Result<()> {
     for ((spec, si), acc) in specs.iter().zip(sidx).zip(terms.iter_mut()) {
-        let tv = t.get(*si).to_tensor(spec.kind)?;
-        accumulate_scaled(acc, &tv, k);
+        match t.get(*si) {
+            Value::Const(c) => {
+                Value::<A>::carrier_check(spec.kind, c)?;
+                if !k.is_zero() && *c != spec.kind.zero() {
+                    acc.push((k.clone(), c.clone()));
+                }
+            }
+            agg => {
+                for (ki, e) in agg.to_tensor(spec.kind)?.terms() {
+                    let prod = k.times(ki);
+                    if !prod.is_zero() {
+                        acc.push((prod, e.clone()));
+                    }
+                }
+            }
+        }
     }
     Ok(())
 }
 
-/// The product of per-attribute equality tokens `Π_u [t'(u) = t(u)]`.
-pub(crate) fn tuple_eq_token<A: AggAnnotation>(
+/// The product of per-attribute equality tokens `Π_u [t'(u) = t(u)]`,
+/// evaluated left to right with the literal rule's early exit at the
+/// first `0` — so a token that cannot be expressed fails here exactly when
+/// the literal evaluation reaches it. Two constants compare structurally
+/// without building a token, and no `1` is allocated while every factor so
+/// far resolved to `1`.
+fn tuple_eq_token<A: AggAnnotation>(
     a: &Tuple<Value<A>>,
     b: &Tuple<Value<A>>,
     positions: &[usize],
 ) -> Result<A> {
-    let mut acc = A::one();
+    let mut acc: Option<A> = None;
     for &i in positions {
-        let tok = A::value_eq(a.get(i), b.get(i))?;
+        let tok = match (a.get(i), b.get(i)) {
+            (Value::Const(x), Value::Const(y)) if x == y => continue,
+            (Value::Const(_), Value::Const(_)) => return Ok(A::zero()),
+            (x, y) => A::value_eq(x, y)?,
+        };
         if tok.is_zero() {
             return Ok(A::zero());
         }
-        acc = acc.times(&tok);
+        if !tok.is_one() {
+            acc = Some(match acc {
+                Some(acc) => acc.times(&tok),
+                None => tok,
+            });
+        }
     }
-    Ok(acc)
+    Ok(acc.unwrap_or_else(A::one))
 }
 
 // ---------------------------------------------------------------------------
@@ -262,6 +274,9 @@ type Contribution<'a, A> = (&'a Tuple<Value<A>>, A);
 
 /// The support tuples (with their annotations) that share one key.
 type Members<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
+
+/// A finished ground bucket of [`keyed_fold`]: its key and its members.
+type GroundBucket<'b, 'a, A> = (&'b Tuple<Value<A>>, &'b Members<'a, A>);
 
 /// Appends the coefficients of `members` — support tuples that share
 /// `key` — toward the candidate `p`: the token `Π_u [key(u) = p(u)]` is
@@ -288,7 +303,13 @@ fn push_coefficients<'a, A: AggAnnotation>(
 
 /// `Σ coeff` over a candidate's contributions.
 fn coefficient_sum<A: AggAnnotation>(contributions: Vec<Contribution<'_, A>>) -> A {
-    sum_many(contributions.into_iter().map(|(_, c)| c).collect())
+    A::sum(contributions.into_iter().map(|(_, c)| c).collect())
+}
+
+/// The first `run` values of a key (all of them, if the key is shorter).
+fn key_prefix<A: AggAnnotation>(key: &Tuple<Value<A>>, run: usize) -> &[Value<A>] {
+    let values = key.values();
+    values.get(..run).unwrap_or(values)
 }
 
 /// The §4.3 sum-of-weighted-contributions rule, written once: every
@@ -302,12 +323,27 @@ fn coefficient_sum<A: AggAnnotation>(contributions: Vec<Contribution<'_, A>>) ->
 /// members contribute with coefficient `R(t')` and no other ground tuple
 /// contributes at all. With more than one thread the buckets are sharded
 /// by key hash over [`fan_out`]; each worker finishes its buckets
-/// (including the token-weighted contributions of every symbolic-keyed
-/// entry — a constant key can equal a symbolic one under a valuation) and
-/// the per-shard rows fold in shard order. Each distinct **symbolic** key
-/// then forms its candidate on the sequential token path, against every
-/// ground bucket (one token per bucket, not per member) and every
-/// symbolic-keyed entry. The result is identical at every thread count.
+/// (including the token-weighted contributions of symbolic-keyed entries —
+/// a constant key can equal a symbolic one under a valuation) and the
+/// per-shard rows fold in shard order. Each distinct **symbolic** key then
+/// forms its candidate on the sequential token path, against the ground
+/// buckets (one token per bucket, not per member) and the symbolic-keyed
+/// entries. The result is identical at every thread count.
+///
+/// Symbolic keys are not a small fringe — every row a `GROUP BY` with a
+/// symbolic aggregate emits has one, so a projection over such a result is
+/// all symbolic-keyed — and pairing every candidate with every
+/// symbolic-keyed entry is quadratic. The **leading-run index** removes
+/// the pairs that provably vanish: `run` is the number of key positions,
+/// from the first, that hold a constant in *every* symbolic key; symbolic
+/// entries and ground buckets are hashed by those `run` values, and a
+/// candidate visits only the entries that agree with it there. Any other
+/// pair differs at a position `u < run` where both keys hold constants,
+/// and the literal left-to-right product reaches `u` through
+/// constant/constant comparisons alone, which cannot fail: the pair
+/// contributes `0` and no error, under every [`AggAnnotation`]. With an
+/// empty run the index has one bucket and every pair is visited — a key
+/// that is symbolic from its first position is all-pairs under §4.3.
 fn keyed_fold<'a, A: AggAnnotation + 'a>(
     entries: impl Iterator<Item = Keyed<'a, A>>,
     key_arity: usize,
@@ -317,6 +353,17 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
     let positions: Vec<usize> = (0..key_arity).collect();
     let (ground, sym): (Vec<Keyed<'a, A>>, Vec<Keyed<'a, A>>) =
         entries.partition(|(key, _, _)| is_ground_at(key, &positions));
+    let run = positions
+        .iter()
+        .take_while(|u| sym.iter().all(|(key, _, _)| !key.get(**u).is_agg()))
+        .count();
+    let mut sym_index: HashMap<&[Value<A>], Vec<&Keyed<'a, A>>> = HashMap::new();
+    for entry in &sym {
+        sym_index
+            .entry(key_prefix(&entry.0, run))
+            .or_default()
+            .push(entry);
+    }
     let nshards = plan_shards(opts, ground.len());
     let mut shards: Vec<Vec<Keyed<'a, A>>> = (0..nshards).map(|_| Vec::new()).collect();
     for entry in ground {
@@ -334,7 +381,7 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
         for (g, members) in &buckets {
             let mut contributions: Vec<Contribution<'a, A>> =
                 members.iter().map(|(t, k)| (*t, (*k).clone())).collect();
-            for (key, t, k) in &sym {
+            for (key, t, k) in sym_index.get(key_prefix(g, run)).into_iter().flatten() {
                 push_coefficients(&mut contributions, &[(*t, *k)], key, g, &positions)?;
             }
             let (row, ann) = finish(g, contributions)?;
@@ -350,16 +397,28 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
         }
         bucket_shards.push(buckets);
     }
+    // The ground buckets under the same index, for the symbolic candidates
+    // to probe — built only when there are any.
+    let mut ground_index: HashMap<&[Value<A>], Vec<GroundBucket<'_, 'a, A>>> = HashMap::new();
+    if !sym.is_empty() {
+        for (g, members) in bucket_shards.iter().flatten() {
+            ground_index
+                .entry(key_prefix(g, run))
+                .or_default()
+                .push((g, members));
+        }
+    }
     let mut seen = BTreeSet::new();
     for (p, _, _) in &sym {
         if !seen.insert(p) {
             continue;
         }
+        let at = key_prefix(p, run);
         let mut contributions = Vec::new();
-        for (g, members) in bucket_shards.iter().flatten() {
+        for (g, members) in ground_index.get(at).into_iter().flatten() {
             push_coefficients(&mut contributions, members, g, p, &positions)?;
         }
-        for (key, t, k) in &sym {
+        for (key, t, k) in sym_index.get(at).into_iter().flatten() {
             push_coefficients(&mut contributions, &[(*t, *k)], key, p, &positions)?;
         }
         let (row, ann) = finish(p, contributions)?;
@@ -916,13 +975,13 @@ pub fn group_state_update<A: AggAnnotation>(
                         .add(&Tensor::from_terms(&spec.kind, ts), &spec.kind);
                     row.push(Value::Agg(spec.kind, merged));
                 }
-                old_ann.plus(&sum_many(anns))
+                old_ann.plus(&A::sum(anns))
             }
             None => {
                 for (spec, ts) in specs.iter().zip(terms) {
                     row.push(Value::Agg(spec.kind, Tensor::from_terms(&spec.kind, ts)));
                 }
-                sum_many(anns)
+                A::sum(anns)
             }
         };
         // `add` drops zero annotations, so a group whose membership sum

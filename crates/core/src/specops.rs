@@ -13,9 +13,7 @@
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
-use crate::ops::{
-    accumulate_specs, from_map, insert_distinct, sum_many, tuple_eq_token, AggSpec, MKRel,
-};
+use crate::ops::{from_map, group_by_layout, insert_distinct, AggSpec, MKRel};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::tensor::Tensor;
@@ -23,6 +21,55 @@ use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
 use std::collections::BTreeMap;
+
+// The three literal helpers. `ops` has its own, optimized, forms of each
+// (a k-way sum, `ι`-free accumulation, a lazy token product); the oracle
+// keeps the paper's wording so that it pins them rather than runs them.
+
+/// `Σ` by the literal rule: a plain left fold of `+_K`.
+fn sum_many<A: AggAnnotation>(items: Vec<A>) -> A {
+    items.iter().fold(A::zero(), |acc, k| acc.plus(k))
+}
+
+/// `terms[i] += k ∗ t(sidx[i])` per spec by the literal rule: the value
+/// embeds through `ι` (a constant `c` becomes `1_K ⊗ c`) and every simple
+/// tensor of it is multiplied by `k`.
+fn accumulate_specs<A: AggAnnotation>(
+    t: &Tuple<Value<A>>,
+    specs: &[AggSpec<'_>],
+    sidx: &[usize],
+    terms: &mut [Vec<(A, Const)>],
+    k: &A,
+) -> Result<()> {
+    for ((spec, si), acc) in specs.iter().zip(sidx).zip(terms.iter_mut()) {
+        let tv = t.get(*si).to_tensor(spec.kind)?;
+        for (ki, e) in tv.terms() {
+            let prod = k.times(ki);
+            if !prod.is_zero() {
+                acc.push((prod, e.clone()));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `Π_u [t'(u) = t(u)]` by the literal rule: the product starts at `1_K`
+/// and takes one token per position, left to right, stopping at a `0`.
+fn tuple_eq_token<A: AggAnnotation>(
+    a: &Tuple<Value<A>>,
+    b: &Tuple<Value<A>>,
+    positions: &[usize],
+) -> Result<A> {
+    let mut acc = A::one();
+    for &i in positions {
+        let tok = A::value_eq(a.get(i), b.get(i))?;
+        if tok.is_zero() {
+            return Ok(A::zero());
+        }
+        acc = acc.times(&tok);
+    }
+    Ok(acc)
+}
 
 /// The extended annotation lookup `R(t)` by the literal §4.3 rule:
 /// `Σ_{t' ∈ supp(R)} R(t') · Π_u [t'(u) = t(u)]` — the token-weighted sum
@@ -292,18 +339,32 @@ pub fn natural_join<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MK
     from_map(schema, out)
 }
 
-/// Single-spec whole-relation aggregation — [`agg_all`] with one spec
-/// (§3.2 states a single linear rule, so spec and physical coincide).
+/// Single-spec whole-relation aggregation — [`agg_all`] with one spec.
 pub fn agg<A: AggAnnotation>(rel: &MKRel<A>, spec: AggSpec<'_>) -> Result<MKRel<A>> {
     agg_all(rel, &[spec])
 }
 
 /// Whole-relation aggregation by the literal §3.2 rule: one output tuple,
-/// annotated `1`, value `Σ_{t' ∈ supp(R)} R(t') ∗ t'(u)` per spec.
+/// annotated `1`, value `Σ_{t' ∈ supp(R)} R(t') ∗ t'(u)` per spec — a
+/// fold over the support, every value through `ι`.
 pub fn agg_all<A: AggAnnotation>(rel: &MKRel<A>, specs: &[AggSpec<'_>]) -> Result<MKRel<A>> {
-    // Already a single linear fold in the physical layer; the spec and the
-    // physical path coincide.
-    crate::ops::agg_all(rel, specs)
+    let sidx: Vec<usize> = specs
+        .iter()
+        .map(|s| rel.schema().index_of(s.attr))
+        .collect::<Result<_>>()?;
+    let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
+    for (t, k) in rel.iter() {
+        accumulate_specs(t, specs, &sidx, &mut terms, k)?;
+    }
+    let schema = Schema::new(specs.iter().map(|s| s.out))?;
+    let row: Vec<Value<A>> = specs
+        .iter()
+        .zip(terms)
+        .map(|(spec, ts)| Value::agg_normalized(spec.kind, Tensor::from_terms(&spec.kind, ts)))
+        .collect();
+    let mut out = BTreeMap::new();
+    insert_distinct(&mut out, Tuple::new(row), A::one());
+    from_map(schema, out)
 }
 
 /// `GB_{U', specs}(R)` by the literal §4.3 rule: every distinct group key
@@ -314,7 +375,7 @@ pub fn group_by<A: AggAnnotation>(
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
 ) -> Result<MKRel<A>> {
-    let (gidx, sidx, schema) = crate::ops::group_by_layout(rel, group_attrs, specs)?;
+    let (gidx, sidx, schema) = group_by_layout(rel, group_attrs, specs)?;
     let all: Vec<usize> = (0..gidx.len()).collect();
     let mut out = BTreeMap::new();
     let mut seen: Vec<Tuple<Value<A>>> = Vec::new();
@@ -364,7 +425,7 @@ pub fn group_state_update<A: AggAnnotation>(
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
 ) -> Result<MKRel<A>> {
-    let (gidx, sidx, schema) = crate::ops::group_by_layout(delta, group_attrs, specs)?;
+    let (gidx, sidx, schema) = group_by_layout(delta, group_attrs, specs)?;
     if state.schema() != &schema {
         return Err(RelError::SchemaMismatch {
             left: state.schema().to_string(),

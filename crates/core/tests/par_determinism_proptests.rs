@@ -15,10 +15,21 @@
 //! partition with a populated fringe), one symbolic key repeated on
 //! several rows (its candidate is formed once), and a larger
 //! deterministic workload where every shard is genuinely busy.
+//!
+//! A third arm aims at the keyed fold's **leading-run index** (symbolic
+//! keys hashed by the key positions that are constant in all of them):
+//! three-column keys whose columns are drawn ground / mixed / all-symbolic
+//! independently, so the symbolic column comes first, in the middle and
+//! last (runs of length 0, 1 and k−1) and some keys are ground where
+//! others are symbolic. Over `Bool`, where a `SUM` comparison cannot be
+//! expressed, the same shapes pin **error parity**: the index may only
+//! skip pairs the literal left-to-right evaluation would have resolved to
+//! `0` before reaching a token that fails.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
+use aggprov_algebra::semiring::Bool;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::Km;
 use aggprov_core::ops::{self, AggSpec, MKRel};
@@ -207,6 +218,147 @@ proptest! {
         let two = ops::union_opts(&r1, &r2, &ExecOptions::with_threads(2)).unwrap();
         let eight = ops::union_opts(&r1, &r2, &ExecOptions::with_threads(8)).unwrap();
         prop_assert_eq!(two, eight);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The leading-run index: column-wise key shapes, and error parity
+// ---------------------------------------------------------------------------
+
+/// Thread counts of the index arm: the serial fold and sharded buckets.
+const INDEX_THREADS: [usize; 2] = [1, 4];
+
+/// How one key column is populated: 0 all ground, 1 mixed, 2 all symbolic.
+type ColMode = u8;
+
+/// One cell of a key column under its mode: few distinct values either
+/// way, so key prefixes collide and differ.
+fn key_cell(mode: ColMode, raw: (bool, usize, i64)) -> Value<P> {
+    let (pick_sym, vi, n) = raw;
+    match (mode, pick_sym) {
+        (0, _) | (1, false) => Value::int(n),
+        _ => sym_val(vi, 1 + n),
+    }
+}
+
+/// A `(k1, k2, k3, v)` relation whose key columns follow `modes`.
+fn arb_keyed_rel(prefix: &'static str) -> impl Strategy<Value = MKRel<P>> {
+    let cell = || (prop::bool::ANY, 0usize..2, 0i64..2);
+    (
+        (0u8..3, 0u8..3, 0u8..3),
+        prop::collection::vec((cell(), cell(), cell(), 1i64..4), 0..7),
+    )
+        .prop_map(move |((m1, m2, m3), rows)| {
+            rel_from(
+                prefix,
+                sch(&["k1", "k2", "k3", "v"]),
+                rows.into_iter()
+                    .map(|(c1, c2, c3, v)| {
+                        vec![
+                            key_cell(m1, c1),
+                            key_cell(m2, c2),
+                            key_cell(m3, c3),
+                            Value::int(v),
+                        ]
+                    })
+                    .collect(),
+            )
+        })
+}
+
+/// A `Bool`-annotated relation over (`g`, `s`, `v`) in the given column
+/// order: `g` ground, `s` a `SUM`-valued cell (or, one time in three, the
+/// constant it could equal) — `Bool` cannot express a comparison between
+/// two distinct `SUM` tensors, so reaching one is an error.
+fn bool_rel(order: [&str; 3], rows: &[(i64, u8, i64, i64)]) -> MKRel<Bool> {
+    let mut rel = Relation::empty(sch(&order));
+    for (g, kind, n, v) in rows {
+        let s = if *kind == 0 {
+            Value::int(*n)
+        } else {
+            Value::Agg(
+                MonoidKind::Sum,
+                Tensor::from_terms(&MonoidKind::Sum, [(Bool(true), Const::int(*n))]),
+            )
+        };
+        let cell = |name: &str| match name {
+            "g" => Value::int(*g),
+            "s" => s.clone(),
+            _ => Value::int(*v),
+        };
+        rel.insert(order.map(cell).to_vec(), Bool(true)).unwrap();
+    }
+    rel
+}
+
+/// Both paths agree: equal relations, or the same error message.
+macro_rules! assert_same_outcome {
+    ($physical:expr, $spec:expr, $($ctx:tt)*) => {
+        match ($physical, $spec) {
+            (Ok(p), Ok(s)) => prop_assert_eq!(p, s, $($ctx)*),
+            (Err(p), Err(s)) => prop_assert_eq!(p.to_string(), s.to_string(), $($ctx)*),
+            (p, s) => prop_assert!(
+                false,
+                "paths diverge: physical ok={}, spec ok={} ({})",
+                p.is_ok(),
+                s.is_ok(),
+                format!($($ctx)*)
+            ),
+        }
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn column_wise_key_shapes_match_spec(r1 in arb_keyed_rel("a"), r2 in arb_keyed_rel("b")) {
+        let keys = ["k1", "k2", "k3"];
+        let gspecs = [AggSpec::new(MonoidKind::Sum, "v")];
+        let spec_union = specops::union(&r1, &r2).unwrap();
+        let spec_proj = specops::project(&r1, &keys).unwrap();
+        let spec_group = specops::group_by(&r1, &keys, &gspecs).unwrap();
+        for t in INDEX_THREADS {
+            let opts = ExecOptions::with_threads(t);
+            prop_assert_eq!(&ops::union_opts(&r1, &r2, &opts).unwrap(), &spec_union, "threads = {}", t);
+            prop_assert_eq!(&ops::project_opts(&r1, &keys, &opts).unwrap(), &spec_proj, "threads = {}", t);
+            prop_assert_eq!(
+                &ops::group_by_opts(&r1, &keys, &gspecs, &opts).unwrap(),
+                &spec_group,
+                "threads = {}",
+                t
+            );
+        }
+    }
+
+    #[test]
+    fn inexpressible_tokens_fail_on_both_paths_or_neither(
+        rows in prop::collection::vec((0i64..3, 0u8..3, 1i64..3, 1i64..3), 0..6),
+        more in prop::collection::vec((0i64..3, 0u8..3, 1i64..3, 1i64..3), 0..4),
+    ) {
+        let gspecs = [AggSpec::new(MonoidKind::Max, "v")];
+        for order in [["g", "s", "v"], ["s", "g", "v"]] {
+            let (r1, r2) = (bool_rel(order, &rows), bool_rel(order, &more));
+            let keys = &order[..2];
+            for t in INDEX_THREADS {
+                let opts = ExecOptions::with_threads(t);
+                assert_same_outcome!(
+                    ops::project_opts(&r1, keys, &opts),
+                    specops::project(&r1, keys),
+                    "project {:?}, threads = {}", order, t
+                );
+                assert_same_outcome!(
+                    ops::group_by_opts(&r1, keys, &gspecs, &opts),
+                    specops::group_by(&r1, keys, &gspecs),
+                    "group_by {:?}, threads = {}", order, t
+                );
+                assert_same_outcome!(
+                    ops::union_opts(&r1, &r2, &opts),
+                    specops::union(&r1, &r2),
+                    "union {:?}, threads = {}", order, t
+                );
+            }
+        }
     }
 }
 

@@ -1,13 +1,21 @@
 //! The annotation footprint guard: what one base-row annotation costs on
-//! the heap, and that copying one costs nothing — measured with a counting
-//! global allocator, so it holds on every host and in every profile.
+//! the heap, that copying one costs nothing, and what the aggregate path's
+//! sums allocate — measured with a counting global allocator, so it holds
+//! on every host and in every profile.
 //!
 //! Every tuple and every aggregate value carries a `Km<ℕ[X]>`, and a base
 //! table holds one single-token annotation per row: this is the number
-//! `peak_rss_mb` is made of. This binary is the only place in the
-//! workspace with `unsafe` (the `GlobalAlloc` impl); it holds one test, so
-//! nothing else allocates on the measuring thread.
+//! `peak_rss_mb` is made of. The budgets further down are counts, not
+//! times: allocations per input row of `Σ` and `GROUP BY`, and how the
+//! count grows when the input doubles (a quadratic sum shows as ≈ 4×
+//! without a clock). This binary is the only place in the workspace with
+//! `unsafe` (the `GlobalAlloc` impl); it holds one test, so nothing else
+//! allocates on the measuring thread, and every operator runs under
+//! `ExecOptions::serial()`.
 
+use aggprov::core::ops::{self, AggSpec, MKRel};
+use aggprov::krel::relation::Relation;
+use aggprov::krel::schema::Schema;
 use aggprov::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,6 +77,40 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, isize, usize) {
     )
 }
 
+fn token(name: &str) -> Prov {
+    Km::embed(NatPoly::token(name))
+}
+
+/// `rows` single-token rows `(emp, dept, sal, one)`: `emp` distinct,
+/// `depts` departments, seven salaries (so every group's `SUM` has runs of
+/// equal elements), `one` the unit column `COUNT(*)` sums.
+fn emp(rows: usize, depts: usize) -> MKRel<Prov> {
+    let schema = Schema::new(["emp", "dept", "sal", "one"]).unwrap();
+    Relation::from_rows(
+        schema,
+        (0..rows).map(|i| {
+            let row = vec![
+                Value::int(i as i64),
+                Value::int((i % depts) as i64),
+                Value::int(10 + (i % 7) as i64),
+                Value::int(1),
+            ];
+            (row, token(&format!("p{i}")))
+        }),
+    )
+    .unwrap()
+}
+
+/// Allocations of `f` at input sizes `n` and `2n` (inputs built outside
+/// the count).
+fn doubling<I, T>(n: usize, input: impl Fn(usize) -> I, f: impl Fn(&I) -> T) -> (usize, usize) {
+    let count = |n| {
+        let input = input(n);
+        measured(|| f(&input)).2
+    };
+    (count(n), count(2 * n))
+}
+
 #[test]
 fn single_token_annotations_are_small_and_clone_for_free() {
     const ROWS: usize = 10_000;
@@ -102,4 +144,65 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let (zero, _, allocations) = measured(Km::<NatPoly>::zero);
     assert!(zero.is_zero());
     assert_eq!(allocations, 0, "zero must not allocate");
+    // (a) Multiplying by 1 hands the other operand's storage back.
+    let (a, one) = (token("a"), Prov::one());
+    let ((left, right), _, allocations) = measured(|| (a.times(&one), one.times(&a)));
+    assert_eq!(allocations, 0, "times(1) must not allocate");
+    assert!(left.as_poly().shares_terms_with(a.as_poly()));
+    assert!(right.as_poly().shares_terms_with(a.as_poly()));
+
+    // (b) The k-way Σ clones each surviving term once (its monomial),
+    // where the pairwise tree re-cloned every term log n times (> 10·n).
+    const N: usize = 1_000;
+    let items = annotations[..N].to_vec();
+    let (total, _, allocations) = measured(|| Prov::sum(items));
+    assert_eq!(total.try_collapse().map(|p| p.num_terms()), Some(N));
+    assert!(
+        allocations <= 2 * N + 16,
+        "Σ of {N} tokens: {allocations} allocations"
+    );
+
+    // (c) GROUP BY with one SUM over ground keys: `ι`-free accumulation
+    // and one Σ per group (the ι/scale/tree path made 18–22 per row).
+    let serial = ExecOptions::serial();
+    let sum_sal = [AggSpec::new(MonoidKind::Sum, "sal")];
+    let rel = emp(2_000, 20);
+    let (grouped, _, allocations) =
+        measured(|| ops::group_by_opts(&rel, &["dept"], &sum_sal, &serial).unwrap());
+    assert_eq!(grouped.len(), 20);
+    assert!(
+        allocations <= 6 * rel.len(),
+        "GROUP BY: {allocations} allocations for {} rows",
+        rel.len()
+    );
+
+    // (d) COUNT-shaped AGG (every aggregated value equal): the run of
+    // equal elements is one Σ, so doubling the input doubles the count
+    // (the pair-by-pair fold of the run was quadratic: ≈ 4×).
+    let count = [AggSpec::new(MonoidKind::Sum, "one")];
+    let (small, large) = doubling(
+        2_000,
+        |n| emp(n, 20),
+        |rel| ops::agg_all(rel, &count).unwrap(),
+    );
+    assert!(
+        large * 10 <= small * 26,
+        "COUNT over 2000 → 4000 rows: {small} → {large} allocations"
+    );
+
+    // (e) Projecting n rows with n distinct (ground, symbolic SUM) keys:
+    // the leading-run index pairs a candidate only with the entries that
+    // share its ground prefix (all-pairs was ≈ 4× per doubling).
+    let (small, large) = doubling(
+        200,
+        |n| ops::group_by_opts(&emp(2 * n, n), &["dept"], &sum_sal, &serial).unwrap(),
+        |grouped| {
+            assert!(grouped.iter().all(|(t, _)| t.get(1).is_agg()));
+            ops::project_opts(grouped, &["dept", "sal"], &serial).unwrap()
+        },
+    );
+    assert!(
+        large * 10 <= small * 26,
+        "project over 200 → 400 symbolic rows: {small} → {large} allocations"
+    );
 }

@@ -3,6 +3,11 @@
 //! free-function `map_hom_mk` + `collapse` path, and the error surface.
 
 use aggprov::core::eval::{collapse, map_hom_mk, specialize};
+use aggprov::core::km::Atom;
+use aggprov::core::ops::{AggSpec, MKRel};
+use aggprov::core::specops;
+use aggprov::krel::relation::Relation;
+use aggprov::krel::schema::Schema;
 use aggprov::prelude::*;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::{Nat, Security};
@@ -515,6 +520,96 @@ fn bag_databases_expose_plain_results_only() {
         .unwrap();
     // Bag semantics resolve on the spot: 2·20 + 10 = 50.
     assert_eq!(out.first().unwrap().get("total").unwrap(), &Value::int(50));
+}
+
+// ------------------------------------------------------------ COUNT at size
+
+/// `rows` single-token employees `(emp, dept)` over `depts` departments.
+fn counted_db(rows: usize, depts: usize) -> ProvDb {
+    let emp: MKRel<Prov> = Relation::from_rows(
+        Schema::new(["emp", "dept"]).unwrap(),
+        (0..rows).map(|i| {
+            let row = vec![Value::int(i as i64), Value::int((i % depts) as i64)];
+            (row, Km::embed(NatPoly::token(&format!("p{i}"))))
+        }),
+    )
+    .unwrap();
+    let mut db = ProvDb::new();
+    db.register("emp", emp);
+    db
+}
+
+/// The number of tokens summed in `k`, a bare membership sum `p0 + p1 + …`.
+fn tokens_in(k: &Prov) -> usize {
+    k.try_collapse().expect("a sum of base tokens").num_terms()
+}
+
+// `COUNT(*)` sums one element, `1`, over the whole input: every row lands
+// in one run of equal tensor elements, which used to fold pair by pair —
+// quadratic, 16 000 rows took 11.5 s. No clock here (the allocation
+// budgets of `annotation_footprint` are the gate); this is the witness
+// that the statements finish at a size where a quadratic sum does not,
+// with the result the literal composition defines.
+#[test]
+fn count_star_is_the_literal_sum_at_every_size() {
+    const COUNT: &str = "SELECT COUNT(*) AS n FROM emp";
+    const COUNT_BY_DEPT: &str = "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept";
+    const DEPTS: usize = 4;
+
+    // 300 rows: bit-identical to the §3.2 / §4.3 composition — the unit
+    // column as a product with `{(1) ↦ 1}`, then AGG / GB, then Π.
+    let db = counted_db(300, DEPTS);
+    let unit = Relation::from_rows(
+        Schema::new(["one"]).unwrap(),
+        [(vec![Value::int(1)], Prov::one())],
+    )
+    .unwrap();
+    let with_one = specops::product(db.table("emp").unwrap(), &unit).unwrap();
+    let n = [AggSpec {
+        kind: MonoidKind::Sum,
+        attr: "one",
+        out: "n",
+    }];
+    let counted = specops::agg_all(&with_one, &n).unwrap();
+    assert_eq!(
+        db.query(COUNT).unwrap(),
+        specops::project(&counted, &["n"]).unwrap()
+    );
+    let grouped = specops::group_by(&with_one, &["dept"], &n).unwrap();
+    assert_eq!(
+        db.query(COUNT_BY_DEPT).unwrap(),
+        specops::project(&grouped, &["dept", "n"]).unwrap()
+    );
+
+    // 20 000 rows: one `SUM⟨(p0 + p1 + …)⊗1⟩` per output row, every input
+    // token in exactly one of them — read by size, not by rendering.
+    const ROWS: usize = 20_000;
+    let db = counted_db(ROWS, DEPTS);
+    let count_of = |value: &Value<Prov>| match value {
+        Value::Agg(MonoidKind::Sum, tensor) => {
+            let terms: Vec<_> = tensor.terms().collect();
+            assert_eq!(terms.len(), 1, "every element is 1: one simple tensor");
+            assert_eq!(terms[0].1, &Const::int(1));
+            tokens_in(terms[0].0)
+        }
+        other => panic!("COUNT over tokens stays symbolic, got {other}"),
+    };
+
+    let total = db.prepare(COUNT).unwrap().execute().unwrap();
+    assert_eq!(count_of(total.scalar().unwrap()), ROWS);
+    assert!(total.rows().all(|row| row.annotation().is_one()));
+
+    let by_dept = db.prepare(COUNT_BY_DEPT).unwrap().execute().unwrap();
+    assert_eq!(by_dept.len(), DEPTS);
+    for row in by_dept.rows() {
+        assert_eq!(count_of(row.get("n").unwrap()), ROWS / DEPTS);
+        // The group exists iff one of its members does: δ(p… + p…).
+        let delta: Vec<_> = row.annotation().as_poly().vars().collect();
+        match delta.as_slice() {
+            [Atom::Delta(members)] => assert_eq!(tokens_in(members), ROWS / DEPTS),
+            other => panic!("a single δ over the group's tokens, got {other:?}"),
+        }
+    }
 }
 
 // ------------------------------------------------------------ parallelism
