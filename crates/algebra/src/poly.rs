@@ -25,6 +25,15 @@
 //! the one `sort_combine` normalization. The slice order is the order an
 //! ordered map keyed by monomial iterates in, so `Ord`, `Hash`, `Display`
 //! and [`Poly::terms`] do not depend on how a polynomial was computed.
+//!
+//! A [`Monomial`] lives *inside* its term: no pair is nothing, one pair
+//! (a base row's token — nearly every monomial there is) is stored inline,
+//! and only two or more take a boxed slice. So `NatPoly::token` is two
+//! heap blocks (the term slice and the name), and cloning a term of
+//! degree ≤ 1 — all a `Σ`, `plus` or `drop_vars` over base tokens does
+//! per surviving term — allocates nothing. A monomial compares, hashes and
+//! iterates as its sorted pair sequence whichever layout holds it, so no
+//! order anywhere depends on the layout.
 //! `docs/ARCHITECTURE.md` ("Annotation representation") has the cost table.
 
 use crate::semiring::{Bool, CommutativeSemiring, Nat};
@@ -113,18 +122,86 @@ impl fmt::Debug for Var {
 
 /// A monomial: a finite product of indeterminates with positive integer
 /// exponents, kept sorted. The empty monomial is `1`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Monomial<A: Ord>(Vec<(A, u32)>);
+///
+/// No pair and one pair are held inline, two or more in a boxed slice (the
+/// module docs say why); equality, order and hash are those of the pair
+/// sequence [`Monomial::iter`] walks, whichever layout holds it.
+#[derive(Clone)]
+pub struct Monomial<A: Ord>(Pairs<A>);
+
+/// The (indeterminate, exponent) pairs of a [`Monomial`], by how many
+/// there are.
+#[derive(Clone)]
+enum Pairs<A> {
+    /// The unit monomial.
+    Unit,
+    /// One indeterminate, inline.
+    One((A, u32)),
+    /// Two or more, sorted by indeterminate.
+    Many(Box<[(A, u32)]>),
+}
+
+impl<A: Ord> Monomial<A> {
+    /// Wraps pairs that already are sorted, unique and of positive
+    /// exponent.
+    fn from_sorted(pairs: Vec<(A, u32)>) -> Self {
+        if pairs.len() > 1 {
+            return Monomial(Pairs::Many(pairs.into_boxed_slice()));
+        }
+        Monomial(pairs.into_iter().next().map_or(Pairs::Unit, Pairs::One))
+    }
+
+    fn as_slice(&self) -> &[(A, u32)] {
+        match &self.0 {
+            Pairs::Unit => &[],
+            Pairs::One(pair) => std::slice::from_ref(pair),
+            Pairs::Many(pairs) => pairs,
+        }
+    }
+}
+
+impl<A: Ord> PartialEq for Monomial<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<A: Ord> Eq for Monomial<A> {}
+
+impl<A: Ord> PartialOrd for Monomial<A> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<A: Ord> Ord for Monomial<A> {
+    /// Lexicographic over the sorted pair sequence.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl<A: Ord + Hash> Hash for Monomial<A> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl<A: Ord + fmt::Debug> fmt::Debug for Monomial<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Monomial").field(&self.as_slice()).finish()
+    }
+}
 
 impl<A: Ord + Clone> Monomial<A> {
     /// The unit monomial `1`.
     pub fn unit() -> Self {
-        Monomial(Vec::new())
+        Monomial(Pairs::Unit)
     }
 
     /// The monomial consisting of one indeterminate.
     pub fn var(a: A) -> Self {
-        Monomial(vec![(a, 1)])
+        Monomial(Pairs::One((a, 1)))
     }
 
     /// Builds a monomial from (indeterminate, exponent) pairs; zero
@@ -141,81 +218,89 @@ impl<A: Ord + Clone> Monomial<A> {
             },
             |(_, e)| *e > 0,
         );
-        Monomial(pairs)
+        Self::from_sorted(pairs)
     }
 
     /// True iff this is the unit monomial.
     pub fn is_unit(&self) -> bool {
-        self.0.is_empty()
+        matches!(self.0, Pairs::Unit)
     }
 
     /// The product of two monomials (exponents add).
     pub fn times(&self, other: &Self) -> Self {
-        let mut out: Vec<(A, u32)> = Vec::with_capacity(self.0.len() + other.0.len());
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if a.is_empty() {
+            return other.clone();
+        }
+        if b.is_empty() {
+            return self.clone();
+        }
+        let mut out: Vec<(A, u32)> = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].0.cmp(&other.0[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.0[i].clone());
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i].clone());
                     i += 1;
                 }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.0[j].clone());
+                Ordering::Greater => {
+                    out.push(b[j].clone());
                     j += 1;
                 }
-                std::cmp::Ordering::Equal => {
-                    let e = self.0[i]
+                Ordering::Equal => {
+                    let e = a[i]
                         .1
-                        .checked_add(other.0[j].1)
+                        .checked_add(b[j].1)
                         .expect("monomial exponent overflow");
-                    out.push((self.0[i].0.clone(), e));
+                    out.push((a[i].0.clone(), e));
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.0[i..]);
-        out.extend_from_slice(&other.0[j..]);
-        Monomial(out)
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Self::from_sorted(out)
     }
 
     /// The total degree (sum of exponents).
     pub fn degree(&self) -> u64 {
-        self.0.iter().map(|(_, e)| *e as u64).sum()
+        self.iter().map(|(_, e)| e as u64).sum()
     }
 
     /// The number of distinct indeterminates.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// True iff the monomial has no indeterminates (is the unit).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.is_unit()
     }
 
     /// Iterates over (indeterminate, exponent) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&A, u32)> {
-        self.0.iter().map(|(a, e)| (a, *e))
+        self.as_slice().iter().map(|(a, e)| (a, *e))
     }
 
     /// Drops all exponents to 1 (Trio's / Why's absorption of exponents).
     pub fn squarefree(&self) -> Self {
-        Monomial(self.0.iter().map(|(a, _)| (a.clone(), 1)).collect())
+        Self::from_sorted(self.iter().map(|(a, _)| (a.clone(), 1)).collect())
     }
 
     /// Maps the indeterminates, renormalizing (images may collide).
     pub fn map_vars<B: Ord + Clone>(&self, f: &mut impl FnMut(&A) -> B) -> Monomial<B> {
-        Monomial::from_pairs(self.0.iter().map(|(a, e)| (f(a), *e)))
+        Monomial::from_pairs(self.iter().map(|(a, e)| (f(a), e)))
     }
 }
 
 impl<A: Ord + fmt::Display> fmt::Display for Monomial<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
+        let pairs = self.as_slice();
+        if pairs.is_empty() {
             return write!(f, "1");
         }
-        for (i, (a, e)) in self.0.iter().enumerate() {
+        for (i, (a, e)) in pairs.iter().enumerate() {
             if i > 0 {
                 write!(f, "*")?;
             }
@@ -601,7 +686,13 @@ where
         Poly::constant(C::from_nat(n))
     }
 
+    /// A polynomial whose coefficients are all normal already (`ℕ[X]` with
+    /// unit coefficients: every base token) is returned as the same shared
+    /// storage.
     fn idem_normal(&self) -> Self {
+        if self.terms().all(|(_, c)| c.idem_normal() == *c) {
+            return self.clone();
+        }
         // The quotient acts coefficient-wise (k ~ k+k propagates to each
         // monomial's coefficient through additivity of the congruence).
         self.map_coeffs(&mut |c| c.idem_normal())
@@ -704,6 +795,20 @@ mod tests {
         assert_send_sync::<NatPoly>();
         assert_send_sync::<BoolPoly>();
         const { assert!(std::mem::size_of::<NatPoly>() <= 16) };
+        // A one-token monomial lives inside its term: no block of its own.
+        const { assert!(std::mem::size_of::<Monomial<Var>>() <= 32) };
+    }
+
+    /// Every `MIN`/`MAX`/`OR` tensor coefficient goes through
+    /// `idem_normal`; a base token's polynomial must come back as it is.
+    #[test]
+    fn idem_normal_shares_what_it_does_not_change() {
+        let p = x().plus(&y().times(&x()));
+        assert!(p.idem_normal().shares_terms_with(&p));
+        let q = x().plus(&x()).plus(&y());
+        assert_eq!(q.to_string(), "2*x + y");
+        assert_eq!(q.idem_normal().to_string(), "x + y");
+        assert!(NatPoly::zero().idem_normal().is_zero());
     }
 
     #[test]

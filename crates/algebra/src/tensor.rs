@@ -18,12 +18,25 @@
 //! exactly where the paper needs it (axiom (*) of §4.2): when `(K, M)` are
 //! *compatible* and all coefficients are ground, [`Tensor::try_resolve`]
 //! canonicalizes to `ι(m)` and equality becomes decidable.
+//!
+//! ## Representation
+//!
+//! The normal-form terms sit in one shared immutable slice
+//! (`Option<Arc<[(K, E)]>>`, as [`crate::poly::Poly`] keeps its own): the
+//! zero tensor holds no allocation, `clone` is a reference-count bump —
+//! an aggregate cell is copied by every `Tuple::project`, by `to_tensor`
+//! on a nested aggregate and twice into every comparison token — and
+//! `==`/`cmp` are the term sequence's, answered at once for two handles
+//! on the same storage.
 
 use crate::monoid::CommutativeMonoid;
 use crate::poly::{sort_combine, sum_run};
 use crate::semimodule::Semimodule;
 use crate::semiring::{compatible, CommutativeSemiring};
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// An element of `K ⊗ M` in normal form. `E` is the monoid element type
 /// (`M::Elem` for the monoid instance `M` supplied to the operations).
@@ -52,17 +65,63 @@ use std::fmt;
 /// let ground = t.map_coeffs(&sum, &mut |p| v.eval(p));
 /// assert_eq!(ground.try_resolve(&sum), Some(Const::int(80)));
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Debug)]
 pub struct Tensor<K, E: Ord> {
     /// `(coefficient, element)` pairs: sorted by element, elements unique,
-    /// no zero coefficients, no `0_M` elements.
-    terms: Vec<(K, E)>,
+    /// no zero coefficients, no `0_M` elements. `None` is the zero tensor
+    /// (no allocation); `Some` holds at least one term.
+    terms: Option<Arc<[(K, E)]>>,
 }
 
-impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tensor<K, E> {
+impl<K, E: Ord> Tensor<K, E> {
+    fn as_slice(&self) -> &[(K, E)] {
+        self.terms.as_deref().unwrap_or(&[])
+    }
+
+    /// True iff both tensors are non-zero and hold the same term storage
+    /// (sharing implies equality; the zero tensor holds no storage).
+    pub fn shares_terms_with(&self, other: &Self) -> bool {
+        match (&self.terms, &other.terms) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl<K: PartialEq, E: Ord> PartialEq for Tensor<K, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares_terms_with(other) || self.as_slice() == other.as_slice()
+    }
+}
+
+impl<K: Eq, E: Ord> Eq for Tensor<K, E> {}
+
+impl<K: Ord, E: Ord> PartialOrd for Tensor<K, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord, E: Ord> Ord for Tensor<K, E> {
+    /// Lexicographic over the normal-form term sequence.
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.shares_terms_with(other) {
+            return Ordering::Equal;
+        }
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl<K: Hash, E: Ord + Hash> Hash for Tensor<K, E> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl<K: CommutativeSemiring, E: Ord + Clone + Hash + fmt::Debug> Tensor<K, E> {
     /// The zero tensor `0_{K⊗M}` (the empty sum).
     pub fn zero() -> Self {
-        Tensor { terms: Vec::new() }
+        Tensor { terms: None }
     }
 
     /// The simple tensor `k ⊗ m`, normalized.
@@ -111,28 +170,30 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
             }
             terms.retain(|(k, _)| !k.is_zero());
         }
-        Tensor { terms }
+        Tensor {
+            terms: (!terms.is_empty()).then(|| Arc::from(terms)),
+        }
     }
 
     /// True iff this is the zero tensor.
     pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.is_none()
     }
 
     /// The number of simple-tensor summands (the representation size that
     /// the poly-size-overhead experiments measure).
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.as_slice().len()
     }
 
     /// True iff the tensor has no terms (same as [`Tensor::is_zero`]).
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.is_none()
     }
 
     /// Iterates over `(coefficient, element)` terms.
     pub fn terms(&self) -> impl Iterator<Item = (&K, &E)> {
-        self.terms.iter().map(|(k, e)| (k, e))
+        self.as_slice().iter().map(|(k, e)| (k, e))
     }
 
     /// Tensor addition `+_{K⊗M}` (bag union of simple tensors, normalized).
@@ -140,7 +201,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
     where
         M: CommutativeMonoid<Elem = E>,
     {
-        Self::from_terms(m, self.terms.iter().chain(other.terms.iter()).cloned())
+        Self::from_terms(m, self.as_slice().iter().chain(other.as_slice()).cloned())
     }
 
     /// Scalar multiplication `k ∗ Σ kᵢ⊗mᵢ = Σ (k·kᵢ)⊗mᵢ`, renormalized.
@@ -151,7 +212,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
         if k.is_zero() {
             return Self::zero();
         }
-        Self::from_terms(m, self.terms.iter().map(|(ki, e)| (k.times(ki), e.clone())))
+        Self::from_terms(m, self.terms().map(|(ki, e)| (k.times(ki), e.clone())))
     }
 
     /// The lifted homomorphism `h^M(Σ kᵢ⊗mᵢ) = Σ h(kᵢ)⊗mᵢ` (paper §2.3),
@@ -161,7 +222,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
         K2: CommutativeSemiring,
         M: CommutativeMonoid<Elem = E>,
     {
-        Tensor::from_terms(m, self.terms.iter().map(|(k, e)| (h(k), e.clone())))
+        Tensor::from_terms(m, self.terms().map(|(k, e)| (h(k), e.clone())))
     }
 
     /// Reads the tensor back as a monoid element through `ι⁻¹`, when sound:
@@ -180,7 +241,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
             return None;
         }
         let mut acc = m.zero();
-        for (k, e) in &self.terms {
+        for (k, e) in self.terms() {
             let n = k.as_nat()?;
             acc = m.plus(&acc, &m.nfold(n, e));
         }
@@ -198,7 +259,7 @@ impl<K: CommutativeSemiring, E: Ord + Clone + std::hash::Hash + fmt::Debug> Tens
     where
         M: CommutativeMonoid<Elem = E>,
     {
-        let mut by_coeff = self.terms.clone();
+        let mut by_coeff = self.as_slice().to_vec();
         sort_combine(
             &mut by_coeff,
             |(k, _)| k,
@@ -219,10 +280,10 @@ where
     E: Ord + fmt::Display,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if self.terms.is_none() {
             return write!(f, "0⊗");
         }
-        for (i, (k, e)) in self.terms.iter().enumerate() {
+        for (i, (k, e)) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, " + ")?;
             }

@@ -577,3 +577,89 @@ proptest! {
         check_tensor_runs(scalar);
     }
 }
+
+// ---------------------------------------------------------------------------
+// `Monomial` and `Tensor` against the vectors they replaced
+// ---------------------------------------------------------------------------
+
+type Pairs = Vec<(Var, u32)>;
+
+/// The reference model of `Monomial::from_pairs`: exponents summed per
+/// indeterminate, zero exponents dropped, sorted — the `Vec` a monomial
+/// used to hold (whose derived `==`/`cmp`/hash the monomial's must equal).
+fn model_pairs(pairs: impl IntoIterator<Item = (Var, u32)>) -> Pairs {
+    let mut by_var: BTreeMap<Var, u32> = BTreeMap::new();
+    for (v, e) in pairs {
+        *by_var.entry(v).or_insert(0) += e;
+    }
+    by_var.into_iter().filter(|(_, e)| *e > 0).collect()
+}
+
+fn hash_of(value: &impl std::hash::Hash) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
+}
+
+/// `m` walks the model's pair sequence, and compares and hashes as it
+/// does (against `other`, whose model is `other_model`).
+fn assert_monomial_is(m: &Monomial<Var>, model: &Pairs, other: (&Monomial<Var>, &Pairs)) {
+    let pairs: Pairs = m.iter().map(|(v, e)| (v.clone(), e)).collect();
+    assert_eq!(&pairs, model);
+    assert_eq!((m.len(), m.is_unit()), (model.len(), model.is_empty()));
+    assert_eq!(m.cmp(other.0), model.cmp(other.1), "{m} vs {}", other.0);
+    assert_eq!(m == other.0, model == other.1, "{m} vs {}", other.0);
+    assert_eq!(hash_of(m), hash_of(model), "{m}");
+}
+
+/// Zero to three pairs with repeats and zero exponents: normalizing lands
+/// on every layout (no pair, one inline, a boxed slice) from every length.
+fn arb_pairs() -> impl Strategy<Value = Pairs> {
+    prop::collection::vec((arb_var(), 0u32..3), 0..4)
+}
+
+proptest! {
+    #[test]
+    fn monomial_matches_the_pair_vector_model(
+        a in arb_pairs(),
+        b in arb_pairs(),
+        image in arb_var_image(),
+    ) {
+        let (ma, mb) = (Monomial::from_pairs(a.clone()), Monomial::from_pairs(b.clone()));
+        let (va, vb) = (model_pairs(a), model_pairs(b));
+        assert_monomial_is(&ma, &va, (&mb, &vb));
+        assert_monomial_is(&mb, &vb, (&ma, &va));
+        // 0 → 1 and 1 → 2 pairs (disjoint factors), 1 → 1 (a square).
+        let product = model_pairs(va.iter().chain(&vb).cloned());
+        assert_monomial_is(&ma.times(&mb), &product, (&ma, &va));
+        assert_monomial_is(&mb.times(&ma), &product, (&mb, &vb));
+        let flat: Pairs = va.iter().map(|(v, _)| (v.clone(), 1)).collect();
+        assert_monomial_is(&ma.squarefree(), &flat, (&mb, &vb));
+        // 2 → 1: images collide, exponents add.
+        let index = |v: &Var| VARS.iter().position(|n| *n == v.name()).unwrap();
+        let renamed = model_pairs(va.iter().map(|(v, e)| (image[index(v)].clone(), *e)));
+        let mapped = ma.map_vars(&mut |v| image[index(v)].clone());
+        assert_monomial_is(&mapped, &renamed, (&mb, &vb));
+    }
+
+    #[test]
+    fn tensor_orders_hashes_and_shares_as_its_term_vector(
+        a in prop::collection::vec((arb_natpoly(), -1i64..3), 0..4),
+        b in prop::collection::vec((arb_natpoly(), -1i64..3), 0..4),
+    ) {
+        let consts = |terms: Vec<(NatPoly, i64)>| -> Vec<(NatPoly, Const)> {
+            terms.into_iter().map(|(k, v)| (k, Const::int(v))).collect()
+        };
+        let (a, b) = (consts(a), consts(b));
+        for m in [MonoidKind::Sum, MonoidKind::Max] {
+            let (ta, tb) = (Tensor::from_terms(&m, a.clone()), Tensor::from_terms(&m, b.clone()));
+            let (va, vb) = (model_tensor(&m, &a), model_tensor(&m, &b));
+            prop_assert_eq!(ta.cmp(&tb), va.cmp(&vb));
+            prop_assert_eq!(ta == tb, va == vb);
+            prop_assert_eq!(hash_of(&ta), hash_of(&va));
+            // A clone is the same storage; the zero tensor holds none.
+            prop_assert_eq!(ta.clone().shares_terms_with(&ta), !va.is_empty());
+            prop_assert_eq!(ta.is_zero(), va.is_empty());
+            prop_assert!(ta.clone() == ta && ta.clone().cmp(&ta).is_eq());
+        }
+    }
+}

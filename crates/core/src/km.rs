@@ -16,6 +16,25 @@
 //! equality tokens and δ-applications (the paper's group-by construct,
 //! Definition 3.6, provided freely so any `K` gains a δ-structure).
 //!
+//! ## Representation
+//!
+//! The construction exists so that `K` *embeds with its own operations*,
+//! and almost every annotation lives in that image: every base row, every
+//! output of a scan/filter/join pipeline, every coefficient of a
+//! non-nested `SUM`. Such a **ground** element is held as `K` holds it —
+//! no polynomial over atoms around it — and ground operands add, multiply
+//! and `Σ` in `K` directly; only an element in which an atom occurs is a
+//! [`Poly`] over [`Atom`]s, and a ground operand meeting one is lifted to
+//! a constant polynomial for that operation. Every element has exactly
+//! one form (ground exactly when no atom occurs, zero included; every
+//! operation re-collapses, which matters over `ℤ` where symbolic terms
+//! cancel), so equality and hashing are structural, and [`Ord`] is
+//! *written* to be the order of the canonical term sequences of
+//! [`Km::as_poly`] — the order a polynomial-only representation derives —
+//! so nothing rendered or sorted depends on which form an element takes.
+//! `tests/km_model_proptests.rs` pins all of it to that polynomial-only
+//! model.
+//!
 //! Two engineering generalizations, both conservative:
 //! * tokens carry the [`MonoidKind`] they compare under, so one annotation
 //!   semiring serves queries mixing SUM/MIN/MAX/PROD/OR aggregates
@@ -29,6 +48,7 @@ use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::Poly;
 use aggprov_algebra::semiring::{CommutativeSemiring, DeltaSemiring};
 use aggprov_algebra::tensor::Tensor;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A comparison predicate on monoid elements, for the paper's noted
@@ -96,7 +116,8 @@ pub enum Atom<K: CommutativeSemiring> {
 }
 
 /// An element of the extended semiring `K^M`: a polynomial over symbolic
-/// [`Atom`]s with coefficients in `K`.
+/// [`Atom`]s with coefficients in `K` — held as the `K` element itself
+/// when no atom occurs (see the module docs).
 ///
 /// ```
 /// use aggprov_algebra::domain::Const;
@@ -127,29 +148,73 @@ pub enum Atom<K: CommutativeSemiring> {
 /// assert_eq!(at(1, 0), Nat(1)); // 20 = 20
 /// assert_eq!(at(1, 1), Nat(0)); // 30 ≠ 20 — adding data removed the tuple
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct Km<K: CommutativeSemiring>(Poly<Atom<K>, K>);
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Km<K: CommutativeSemiring>(Repr<K>);
+
+/// How a [`Km`] is held. Every element has exactly one form — `Ground`
+/// exactly when no atom occurs, zero included — so the derived equality
+/// and hash are the element's.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Repr<K: CommutativeSemiring> {
+    /// An element of the image of `K`, held as `K` holds it.
+    Ground(K),
+    /// A polynomial in which at least one atom occurs.
+    Symbolic(Poly<Atom<K>, K>),
+}
+
+impl<K: CommutativeSemiring> PartialOrd for Km<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: CommutativeSemiring> Ord for Km<K> {
+    /// The order of the canonical term sequences of [`Km::as_poly`]
+    /// (lexicographic, as [`Poly`] compares), without building them: a
+    /// ground `a` is the sequence `[(1, a)]` — empty for zero, so zero is
+    /// below everything — and a symbolic polynomial's constant term, if it
+    /// has one, comes first because the unit monomial is the least; past
+    /// it the ground side is the shorter sequence.
+    fn cmp(&self, other: &Self) -> Ordering {
+        let against = |a: &K, p: &Poly<Atom<K>, K>| match p.terms().next() {
+            Some((m, c)) if m.is_unit() && !a.is_zero() => a.cmp(c).then(Ordering::Less),
+            _ => Ordering::Less,
+        };
+        match (&self.0, &other.0) {
+            (Repr::Ground(a), Repr::Ground(b)) => match (a.is_zero(), b.is_zero()) {
+                (false, false) => a.cmp(b),
+                (a_zero, b_zero) => b_zero.cmp(&a_zero),
+            },
+            (Repr::Ground(a), Repr::Symbolic(p)) => against(a, p),
+            (Repr::Symbolic(p), Repr::Ground(a)) => against(a, p).reverse(),
+            (Repr::Symbolic(p), Repr::Symbolic(q)) => p.cmp(q),
+        }
+    }
+}
 
 impl<K: CommutativeSemiring> Km<K> {
     /// Embeds a base annotation `k ∈ K`.
     pub fn embed(k: K) -> Self {
-        Km(Poly::constant(k))
+        Km(Repr::Ground(k))
     }
 
     /// The embedded value, if this element lies in the image of `K`
     /// (no symbolic atoms) — Proposition 4.4's collapse.
     pub fn try_collapse(&self) -> Option<K> {
-        self.0.as_constant()
+        match &self.0 {
+            Repr::Ground(k) => Some(k.clone()),
+            Repr::Symbolic(_) => None,
+        }
     }
 
     /// `δ(e)`, normalized by the δ-laws: `δ(0) = 0`; constants with a native
     /// δ use it; ground naturals use `δ(n·1) = 1` (`n ≥ 1`); anything else
     /// stays a symbolic atom.
     pub fn delta(&self) -> Self {
-        if self.0.is_zero() {
+        if self.is_zero() {
             return Self::zero();
         }
-        if let Some(c) = self.0.as_constant() {
+        if let Repr::Ground(c) = &self.0 {
             if let Some(d) = c.native_delta() {
                 return Km::embed(d);
             }
@@ -157,7 +222,7 @@ impl<K: CommutativeSemiring> Km<K> {
                 return if n == 0 { Self::zero() } else { Self::one() };
             }
         }
-        Km(Poly::var(Atom::Delta(self.clone())))
+        Km::atom(Atom::Delta(self.clone()))
     }
 
     /// The equality token `[lhs = rhs]` under `kind`, normalized by
@@ -193,7 +258,7 @@ impl<K: CommutativeSemiring> Km<K> {
         } else {
             (right, left)
         };
-        Km(Poly::var(Atom::Eq(a, b)))
+        Km::atom(Atom::Eq(a, b))
     }
 
     /// The comparison token `[lhs ⋈ rhs]` for an arbitrary decidable
@@ -228,14 +293,19 @@ impl<K: CommutativeSemiring> Km<K> {
         } else {
             (left, right)
         };
-        Km(Poly::var(Atom::Cmp(pred, a, b)))
+        Km::atom(Atom::Cmp(pred, a, b))
     }
 
     /// Applies a homomorphism `h : K → K'` recursively (the lifting
     /// `h^M : K^M → K'^M` of paper §4.2), re-normalizing so that
     /// newly-decidable tokens and δ-applications resolve.
     pub fn map_hom<K2: CommutativeSemiring>(&self, h: &impl Fn(&K) -> K2) -> Km<K2> {
-        self.0.eval(
+        let p = match &self.0 {
+            Repr::Ground(k) if k.is_zero() => return Km::zero(),
+            Repr::Ground(k) => return Km::embed(h(k)),
+            Repr::Symbolic(p) => p,
+        };
+        p.eval(
             &mut |atom| match atom {
                 Atom::Delta(e) => e.map_hom(h).delta(),
                 Atom::Cmp(pred, (lk, a), (rk, b)) => {
@@ -260,7 +330,11 @@ impl<K: CommutativeSemiring> Km<K> {
     /// whole annotation.
     pub fn any_base(&self, pred: &impl Fn(&K) -> bool) -> bool {
         let in_tensor = |t: &Tensor<Km<K>, Const>| t.terms().any(|(k, _)| k.any_base(pred));
-        self.0.terms().any(|(m, c)| {
+        let p = match &self.0 {
+            Repr::Ground(k) => return !k.is_zero() && pred(k),
+            Repr::Symbolic(p) => p,
+        };
+        p.terms().any(|(m, c)| {
             pred(c)
                 || m.iter().any(|(atom, _)| match atom {
                     Atom::Delta(e) => e.any_base(pred),
@@ -274,8 +348,11 @@ impl<K: CommutativeSemiring> Km<K> {
     /// The number of symbolic atoms (recursively) plus polynomial size — a
     /// representation-size measure for the overhead experiments.
     pub fn size(&self) -> usize {
-        let mut n = self.0.size().max(1);
-        for (m, _) in self.0.terms() {
+        let Repr::Symbolic(p) = &self.0 else {
+            return 1;
+        };
+        let mut n = p.size();
+        for (m, _) in p.terms() {
             for (atom, _) in m.iter() {
                 n += match atom {
                     Atom::Delta(e) => e.size(),
@@ -291,43 +368,83 @@ impl<K: CommutativeSemiring> Km<K> {
         n
     }
 
-    /// Access to the underlying polynomial (read-only).
-    pub fn as_poly(&self) -> &Poly<Atom<K>, K> {
-        &self.0
+    /// This element as a polynomial over atoms: shared storage for a
+    /// symbolic element, a freshly built constant polynomial for a ground
+    /// one.
+    pub fn as_poly(&self) -> Poly<Atom<K>, K> {
+        match &self.0 {
+            Repr::Ground(k) => Poly::constant(k.clone()),
+            Repr::Symbolic(p) => p.clone(),
+        }
     }
 
-    /// Builds from a raw polynomial (used by tests and generators).
+    /// The element a polynomial over atoms denotes: ground when it is a
+    /// constant (which sums and products of symbolic operands can be —
+    /// over `ℤ` terms cancel).
     pub fn from_poly(p: Poly<Atom<K>, K>) -> Self {
-        Km(p)
+        match p.as_constant() {
+            Some(k) => Km(Repr::Ground(k)),
+            None => Km(Repr::Symbolic(p)),
+        }
     }
 
     /// Convenience: a single symbolic atom.
     pub fn atom(a: Atom<K>) -> Self {
-        Km(Poly::var(a))
+        Km(Repr::Symbolic(Poly::var(a)))
     }
 }
 
 impl<K: CommutativeSemiring> CommutativeSemiring for Km<K> {
     fn zero() -> Self {
-        Km(Poly::zero())
+        Km::embed(K::zero())
     }
     fn one() -> Self {
-        Km(Poly::one())
+        Km::embed(K::one())
     }
+    /// Ground operands add in `K`; otherwise the ground side, if any, is
+    /// lifted to a constant polynomial.
     fn plus(&self, other: &Self) -> Self {
-        Km(self.0.plus(&other.0))
+        match (&self.0, &other.0) {
+            (Repr::Ground(a), Repr::Ground(b)) => Km::embed(a.plus(b)),
+            _ if self.is_zero() => other.clone(),
+            _ if other.is_zero() => self.clone(),
+            _ => Km::from_poly(self.as_poly().plus(&other.as_poly())),
+        }
     }
+    /// Ground operands multiply in `K`; otherwise the ground side, if any,
+    /// is lifted to a constant polynomial.
     fn times(&self, other: &Self) -> Self {
-        Km(self.0.times(&other.0))
+        match (&self.0, &other.0) {
+            (Repr::Ground(a), Repr::Ground(b)) => Km::embed(a.times(b)),
+            _ if self.is_one() => other.clone(),
+            _ if other.is_one() => self.clone(),
+            _ => Km::from_poly(self.as_poly().times(&other.as_poly())),
+        }
     }
+    /// The ground operands are summed in `K` (an all-ground `Σ` never
+    /// builds a polynomial over atoms) and join the symbolic ones as one
+    /// constant.
     fn sum(items: Vec<Self>) -> Self {
-        Km(Poly::sum(items.into_iter().map(|k| k.0).collect()))
+        let mut ground = Vec::with_capacity(items.len());
+        let mut symbolic = Vec::new();
+        for Km(item) in items {
+            match item {
+                Repr::Ground(k) => ground.push(k),
+                Repr::Symbolic(p) => symbolic.push(p),
+            }
+        }
+        let ground = K::sum(ground);
+        if symbolic.is_empty() {
+            return Km::embed(ground);
+        }
+        symbolic.push(Poly::constant(ground));
+        Km::from_poly(Poly::sum(symbolic))
     }
     fn is_zero(&self) -> bool {
-        self.0.is_zero()
+        matches!(&self.0, Repr::Ground(k) if k.is_zero())
     }
     fn is_one(&self) -> bool {
-        self.0.is_one()
+        matches!(&self.0, Repr::Ground(k) if k.is_one())
     }
     const PLUS_IDEMPOTENT: bool = K::PLUS_IDEMPOTENT;
     const POSITIVE: bool = K::POSITIVE;
@@ -335,7 +452,10 @@ impl<K: CommutativeSemiring> CommutativeSemiring for Km<K> {
     // homomorphism, so existence transfers from K.
     const HAS_HOM_TO_NAT: bool = K::HAS_HOM_TO_NAT;
     fn as_nat(&self) -> Option<u64> {
-        self.0.as_nat()
+        match &self.0 {
+            Repr::Ground(k) => k.as_nat(),
+            Repr::Symbolic(_) => None,
+        }
     }
     fn from_nat(n: u64) -> Self {
         Km::embed(K::from_nat(n))
@@ -344,7 +464,10 @@ impl<K: CommutativeSemiring> CommutativeSemiring for Km<K> {
         Some(self.delta())
     }
     fn idem_normal(&self) -> Self {
-        Km(self.0.idem_normal())
+        match &self.0 {
+            Repr::Ground(k) => Km::embed(k.idem_normal()),
+            Repr::Symbolic(p) => Km::from_poly(p.idem_normal()),
+        }
     }
 }
 
@@ -356,7 +479,11 @@ impl<K: CommutativeSemiring> DeltaSemiring for Km<K> {
 
 impl<K: CommutativeSemiring> fmt::Display for Km<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        match &self.0 {
+            Repr::Ground(k) if k.is_zero() => write!(f, "0"),
+            Repr::Ground(k) => write!(f, "{k}"),
+            Repr::Symbolic(p) => write!(f, "{p}"),
+        }
     }
 }
 

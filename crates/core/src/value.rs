@@ -136,6 +136,18 @@ mod tests {
     use aggprov_algebra::poly::NatPoly;
     use aggprov_algebra::semiring::Nat;
 
+    /// Every tuple cell is a `Value`, every row carries a `Km` and every
+    /// aggregate a `Tensor`: a ground `Km` is `K` plus a tag, and a tensor
+    /// one shared pointer, so copying a cell never deep-copies terms.
+    #[test]
+    fn annotation_carriers_stay_small() {
+        use crate::km::Km;
+        type Prov = Km<NatPoly>;
+        const { assert!(std::mem::size_of::<Prov>() <= 24) };
+        const { assert!(std::mem::size_of::<Tensor<Prov, Const>>() <= 16) };
+        const { assert!(std::mem::size_of::<Value<Prov>>() <= 32) };
+    }
+
     #[test]
     fn const_embedding_via_iota() {
         let v: Value<NatPoly> = Value::int(20);

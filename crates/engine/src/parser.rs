@@ -38,6 +38,16 @@ type Result<T> = std::result::Result<T, RelError>;
 /// deepest accepted nesting inside a 2 MiB thread stack.
 pub const MAX_SELECT_BLOCKS: usize = 128;
 
+// What an aggregate call is told where only a column may stand: the
+// construct, and the way to write what was meant.
+const AGG_IN_WHERE: &str = "aggregates are not allowed in WHERE; \
+     name the aggregate with AS and filter with HAVING <alias>";
+const AGG_IN_HAVING: &str = "HAVING refers to an aggregate by its AS alias: \
+     SELECT SUM(x) AS total ... HAVING total > 5";
+const AGG_NESTED: &str = "aggregates cannot be nested; \
+     aggregate over a derived table: FROM (SELECT ... GROUP BY ...) AS t";
+const AGG_IN_GROUP_BY: &str = "GROUP BY takes columns, not aggregates";
+
 /// Parses a script of one or more statements.
 pub fn parse_script(input: &str) -> Result<Vec<Stmt>> {
     let spanned = lex_spanned(input)?;
@@ -347,19 +357,19 @@ impl Parser {
             stmt.joins.push(Join { table, on });
         }
         if self.eat_kw("WHERE") {
-            stmt.where_ = self.conditions()?;
+            stmt.where_ = self.conditions(AGG_IN_WHERE)?;
         }
         if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
             loop {
-                stmt.group_by.push(self.col_ref()?);
+                stmt.group_by.push(self.plain_col_ref(AGG_IN_GROUP_BY)?);
                 if !self.eat(&Token::Comma) {
                     break;
                 }
             }
         }
         if self.eat_kw("HAVING") {
-            stmt.having = self.conditions()?;
+            stmt.having = self.conditions(AGG_IN_HAVING)?;
         }
         Ok(stmt)
     }
@@ -368,35 +378,50 @@ impl Parser {
         if self.eat(&Token::Star) {
             return Ok(SelectItem::Star);
         }
-        // Aggregate?
-        if let Some(Token::Ident(name)) = self.peek() {
-            let func = match name.to_ascii_uppercase().as_str() {
-                "SUM" => Some(AggFunc::Sum),
-                "MIN" => Some(AggFunc::Min),
-                "MAX" => Some(AggFunc::Max),
-                "PROD" => Some(AggFunc::Prod),
-                "COUNT" => Some(AggFunc::Count),
-                "AVG" => Some(AggFunc::Avg),
-                "BOOL_OR" => Some(AggFunc::BoolOr),
-                _ => None,
+        if let Some(func) = self.agg_call() {
+            self.pos += 2;
+            let arg = if self.eat(&Token::Star) {
+                AggArg::Star
+            } else {
+                AggArg::Col(self.plain_col_ref(AGG_NESTED)?)
             };
-            if let Some(func) = func {
-                if self.tokens.get(self.pos + 1) == Some(&Token::LParen) {
-                    self.pos += 2;
-                    let arg = if self.eat(&Token::Star) {
-                        AggArg::Star
-                    } else {
-                        AggArg::Col(self.col_ref()?)
-                    };
-                    self.expect(&Token::RParen)?;
-                    let alias = self.alias()?;
-                    return Ok(SelectItem::Agg(func, arg, alias));
-                }
-            }
+            self.expect(&Token::RParen)?;
+            let alias = self.alias()?;
+            return Ok(SelectItem::Agg(func, arg, alias));
         }
         let col = self.col_ref()?;
         let alias = self.alias()?;
         Ok(SelectItem::Col(col, alias))
+    }
+
+    /// The aggregate function called at the current token: its name
+    /// followed by `(`.
+    fn agg_call(&self) -> Option<AggFunc> {
+        let Some(Token::Ident(name)) = self.peek() else {
+            return None;
+        };
+        if self.tokens.get(self.pos + 1) != Some(&Token::LParen) {
+            return None;
+        }
+        match name.to_ascii_uppercase().as_str() {
+            "SUM" => Some(AggFunc::Sum),
+            "MIN" => Some(AggFunc::Min),
+            "MAX" => Some(AggFunc::Max),
+            "PROD" => Some(AggFunc::Prod),
+            "COUNT" => Some(AggFunc::Count),
+            "AVG" => Some(AggFunc::Avg),
+            "BOOL_OR" => Some(AggFunc::BoolOr),
+            _ => None,
+        }
+    }
+
+    /// A column reference where only a column may stand: an aggregate
+    /// call there is answered with `why_not`, at the call's offset.
+    fn plain_col_ref(&mut self, why_not: &str) -> Result<ColRef> {
+        if self.agg_call().is_some() {
+            return Err(self.err(why_not));
+        }
+        self.col_ref()
     }
 
     fn alias(&mut self) -> Result<Option<String>> {
@@ -462,10 +487,12 @@ impl Parser {
         }
     }
 
-    fn conditions(&mut self) -> Result<Vec<Condition>> {
+    /// `no_agg` is what an aggregate call among the operands is told (see
+    /// [`Parser::plain_col_ref`]).
+    fn conditions(&mut self, no_agg: &str) -> Result<Vec<Condition>> {
         let mut out = Vec::new();
         loop {
-            out.push(self.condition()?);
+            out.push(self.condition(no_agg)?);
             if !self.eat_kw("AND") {
                 break;
             }
@@ -473,8 +500,8 @@ impl Parser {
         Ok(out)
     }
 
-    fn condition(&mut self) -> Result<Condition> {
-        let left = self.operand()?;
+    fn condition(&mut self, no_agg: &str) -> Result<Condition> {
+        let left = self.operand(no_agg)?;
         let op = match self.next() {
             Some(Token::Eq) => CmpOp::Eq,
             Some(Token::Ne) => CmpOp::Ne,
@@ -487,11 +514,11 @@ impl Parser {
             }
             None => return Err(self.err("expected comparison operator, found `end of input`")),
         };
-        let right = self.operand()?;
+        let right = self.operand(no_agg)?;
         Ok(Condition { left, op, right })
     }
 
-    fn operand(&mut self) -> Result<Operand> {
+    fn operand(&mut self, no_agg: &str) -> Result<Operand> {
         match self.peek() {
             Some(Token::Param(n)) => {
                 let n = *n;
@@ -504,7 +531,7 @@ impl Parser {
             {
                 Ok(Operand::Lit(self.literal()?))
             }
-            _ => Ok(Operand::Col(self.col_ref()?)),
+            _ => Ok(Operand::Col(self.plain_col_ref(no_agg)?)),
         }
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! Every tuple and every aggregate value carries a `Km<ℕ[X]>`, and a base
 //! table holds one single-token annotation per row: this is the number
-//! `peak_rss_mb` is made of. The budgets further down are counts, not
+//! `peak_rss_mb` is made of (a ground annotation is `ℕ[X]`'s own two
+//! blocks — the term slice with its monomial inline, and the token name). The budgets further down are counts, not
 //! times: allocations per input row of `Σ` and `GROUP BY`, and how the
 //! count grows when the input doubles (a quadratic sum shows as ≈ 4×
 //! without a clock). This binary is the only place in the workspace with
@@ -81,6 +82,12 @@ fn token(name: &str) -> Prov {
     Km::embed(NatPoly::token(name))
 }
 
+/// True iff both annotations are ground and hold the same `ℕ[X]` term
+/// storage (a ground `Km` has no outer polynomial to share).
+fn shares(a: &Prov, b: &Prov) -> bool {
+    matches!((a.try_collapse(), b.try_collapse()), (Some(a), Some(b)) if a.shares_terms_with(&b))
+}
+
 /// `rows` single-token rows `(emp, dept, sal, one)`: `emp` distinct,
 /// `depts` departments, seven salaries (so every group's `SUM` has runs of
 /// equal elements), `one` the unit column `COUNT(*)` sums.
@@ -118,27 +125,32 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let mut copies: Vec<Km<NatPoly>> = Vec::with_capacity(ROWS);
 
     // One token per row, as `INSERT … PROVENANCE t<i>` builds them: the
-    // outer `K^M` term, the inner `ℕ[X]` term, its monomial and the name.
-    // (The B-tree representation requested 960 bytes for the same value.)
-    let ((), live, _) = measured(|| {
-        for i in 0..ROWS {
-            annotations.push(Km::embed(NatPoly::token(&format!("t{i}"))));
+    // `ℕ[X]` term (its one-pair monomial inline) and the name, held ground
+    // in the `Km` itself. (With an outer `K^M` term and a monomial buffer
+    // it was 4 blocks and 152 bytes; the B-tree representation requested
+    // 960 bytes for the same value.)
+    let names: Vec<String> = (0..ROWS).map(|i| format!("t{i}")).collect();
+    let ((), live, allocations) = measured(|| {
+        for name in &names {
+            annotations.push(Km::embed(NatPoly::token(name)));
         }
     });
     let per_row = live as usize / ROWS;
-    assert!(per_row <= 200, "{per_row} live heap bytes per annotation");
+    assert!(per_row <= 100, "{per_row} live heap bytes per annotation");
     assert!(
         per_row >= 64,
         "{per_row} bytes: the counter is not counting"
     );
+    assert_eq!(allocations, 2 * ROWS, "allocations for {ROWS} tokens");
+    // Embedding a base annotation that already exists is a move.
+    let inner = NatPoly::token("e");
+    let (_, _, allocations) = measured(|| Km::embed(inner));
+    assert_eq!(allocations, 0, "embed must not allocate");
 
     // Cloning shares the term storage: a reference-count bump each.
     let ((), live, allocations) = measured(|| copies.extend(annotations.iter().cloned()));
     assert_eq!((allocations, live), (0, 0), "clone must not allocate");
-    assert!(copies
-        .iter()
-        .zip(&annotations)
-        .all(|(c, a)| c.as_poly().shares_terms_with(a.as_poly())));
+    assert!(copies.iter().zip(&annotations).all(|(c, a)| shares(c, a)));
 
     // Neither does the zero annotation.
     let (zero, _, allocations) = measured(Km::<NatPoly>::zero);
@@ -148,17 +160,31 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let (a, one) = (token("a"), Prov::one());
     let ((left, right), _, allocations) = measured(|| (a.times(&one), one.times(&a)));
     assert_eq!(allocations, 0, "times(1) must not allocate");
-    assert!(left.as_poly().shares_terms_with(a.as_poly()));
-    assert!(right.as_poly().shares_terms_with(a.as_poly()));
+    assert!(shares(&left, &a) && shares(&right, &a));
 
-    // (b) The k-way Σ clones each surviving term once (its monomial),
-    // where the pairwise tree re-cloned every term log n times (> 10·n).
+    // A tensor's terms are shared as a polynomial's are: copying an
+    // aggregate cell (every `Tuple::project` does) and the zero tensor
+    // allocate nothing.
+    let weighted = annotations
+        .iter()
+        .cloned()
+        .zip([10, 20, 30].map(Const::int));
+    let tensor = Tensor::<Prov, Const>::from_terms(&MonoidKind::Sum, weighted);
+    let ((copy, zero), _, allocations) =
+        measured(|| (tensor.clone(), Tensor::<Prov, Const>::zero()));
+    assert_eq!(allocations, 0, "tensor clone/zero must not allocate");
+    assert!(copy.len() == 3 && copy.shares_terms_with(&tensor) && zero.is_zero());
+
+    // (b) The k-way Σ of ground operands is `ℕ[X]`'s own, and cloning a
+    // surviving term's one-token monomial is a reference-count bump: what
+    // is left is the sort's and the result's buffers (cloning each
+    // monomial's `Vec` made it ≈ n; the pairwise tree > 10·n).
     const N: usize = 1_000;
     let items = annotations[..N].to_vec();
     let (total, _, allocations) = measured(|| Prov::sum(items));
     assert_eq!(total.try_collapse().map(|p| p.num_terms()), Some(N));
     assert!(
-        allocations <= 2 * N + 16,
+        allocations <= 32,
         "Σ of {N} tokens: {allocations} allocations"
     );
 
@@ -167,13 +193,25 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let serial = ExecOptions::serial();
     let sum_sal = [AggSpec::new(MonoidKind::Sum, "sal")];
     let rel = emp(2_000, 20);
-    let (grouped, _, allocations) =
-        measured(|| ops::group_by_opts(&rel, &["dept"], &sum_sal, &serial).unwrap());
-    assert_eq!(grouped.len(), 20);
+    let group_by = |specs: &[AggSpec<'_>]| {
+        let (grouped, _, allocations) =
+            measured(|| ops::group_by_opts(&rel, &["dept"], specs, &serial).unwrap());
+        assert_eq!(grouped.len(), 20);
+        allocations
+    };
+    let sum = group_by(&sum_sal);
     assert!(
-        allocations <= 6 * rel.len(),
-        "GROUP BY: {allocations} allocations for {} rows",
+        sum <= 3 * rel.len(),
+        "GROUP BY: {sum} allocations for {} rows",
         rel.len()
+    );
+    // MAX is idempotent, so every tensor coefficient goes through
+    // `idem_normal` — which hands a unit-coefficient `ℕ[X]` back as it is
+    // (rebuilding each one made 18 allocations per tensor term).
+    let max = group_by(&[AggSpec::new(MonoidKind::Max, "sal")]);
+    assert!(
+        max <= sum + 20 + 16,
+        "GROUP BY MAX: {max} allocations against {sum} for SUM"
     );
 
     // (d) COUNT-shaped AGG (every aggregated value equal): the run of

@@ -365,6 +365,68 @@ fn parse_errors_are_a_dedicated_variant_with_positions() {
     assert!(!matches!(err, RelError::Parse { .. }), "{err:?}");
 }
 
+// An aggregate call where only a column may stand gets its own message —
+// the construct and the way out — at the call's byte offset, not the
+// generic "expected …, found `(`" of the token after it.
+fn aggregate_misuse(sql: &str) -> (usize, String) {
+    match figure_1_db().prepare(sql).map(|_| ()).unwrap_err() {
+        aggprov_krel::error::RelError::Parse { pos, msg } => (pos, msg),
+        other => panic!("expected RelError::Parse for {sql}, got {other:?}"),
+    }
+}
+
+#[test]
+fn aggregate_in_where_points_at_having() {
+    let sql = "SELECT dept FROM r WHERE SUM(sal) > 3";
+    let (pos, msg) = aggregate_misuse(sql);
+    assert_eq!(pos, sql.find("SUM").unwrap());
+    assert!(
+        msg.starts_with("aggregates are not allowed in WHERE"),
+        "{msg}"
+    );
+    assert!(msg.contains("HAVING <alias>"), "{msg}");
+    // The right-hand operand is checked as well.
+    let sql = "SELECT dept FROM r WHERE 3 < max(sal)";
+    assert_eq!(aggregate_misuse(sql), (sql.find("max").unwrap(), msg));
+}
+
+#[test]
+fn aggregate_call_in_having_points_at_the_alias() {
+    let sql = "SELECT dept, SUM(sal) AS total FROM r GROUP BY dept HAVING SUM(sal) > 5";
+    let (pos, msg) = aggregate_misuse(sql);
+    assert_eq!(pos, sql.rfind("SUM").unwrap());
+    assert!(
+        msg.starts_with("HAVING refers to an aggregate by its AS alias"),
+        "{msg}"
+    );
+    // The alias form the message shows is accepted.
+    let by_alias = sql.replace("HAVING SUM(sal)", "HAVING total");
+    assert!(figure_1_db().prepare(&by_alias).is_ok());
+}
+
+#[test]
+fn nested_aggregate_points_at_a_derived_table() {
+    let sql = "SELECT dept, SUM(SUM(sal)) FROM r GROUP BY dept";
+    let (pos, msg) = aggregate_misuse(sql);
+    assert_eq!(pos, sql.rfind("SUM").unwrap());
+    assert!(msg.starts_with("aggregates cannot be nested"), "{msg}");
+    assert!(msg.contains("derived table"), "{msg}");
+}
+
+#[test]
+fn aggregate_in_group_by_is_named() {
+    let sql = "SELECT dept FROM r GROUP BY SUM(sal)";
+    let (pos, msg) = aggregate_misuse(sql);
+    assert_eq!(pos, sql.find("SUM").unwrap());
+    assert_eq!(msg, "GROUP BY takes columns, not aggregates");
+    // The planner's own aggregate error reads as before.
+    let err = figure_1_db()
+        .prepare("SELECT emp, SUM(sal) FROM r GROUP BY dept")
+        .map(|_| ())
+        .unwrap_err();
+    assert!(err.to_string().contains("must appear in GROUP BY"), "{err}");
+}
+
 #[test]
 fn ungrouped_avg_over_empty_input_returns_no_rows() {
     let mut db = ProvDb::new();
@@ -604,7 +666,8 @@ fn count_star_is_the_literal_sum_at_every_size() {
     for row in by_dept.rows() {
         assert_eq!(count_of(row.get("n").unwrap()), ROWS / DEPTS);
         // The group exists iff one of its members does: δ(p… + p…).
-        let delta: Vec<_> = row.annotation().as_poly().vars().collect();
+        let annotation = row.annotation().as_poly();
+        let delta: Vec<_> = annotation.vars().collect();
         match delta.as_slice() {
             [Atom::Delta(members)] => assert_eq!(tokens_in(members), ROWS / DEPTS),
             other => panic!("a single δ over the group's tokens, got {other:?}"),
