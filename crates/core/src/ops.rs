@@ -26,11 +26,15 @@
 //! The paper defines union, projection and grouping by one rule (§4.3
 //! items 2, 3 and 7): every candidate output key `p` collects
 //! `R(t') · Π_u [key(t')(u) = p(u)]` from every support tuple `t'`. That
-//! rule is written once, as the private `keyed_fold`: ground-keyed entries
-//! are hash-bucketed by key, symbolic-keyed entries add their
-//! token-weighted coefficients to the buckets, and each distinct symbolic
-//! key then forms its own candidate against the buckets (one token per
-//! bucket, not per member) and the symbolic-keyed entries. Which pairs
+//! rule is written once, as the private `keyed_fold`. A key is a *view* —
+//! the cells of a borrowed input tuple at the operator's key positions,
+//! hashed and compared where they lie — so no key tuple is built per input
+//! row; an owned key exists only inside the row a finisher builds, once
+//! per output row. Ground-keyed entries get a dense bucket id from one
+//! serial pass, symbolic-keyed entries add their token-weighted
+//! coefficients to the buckets, and each distinct symbolic key then forms
+//! its own candidate against the buckets (one token per bucket, not per
+//! member) and the symbolic-keyed entries. Which pairs
 //! meet is narrowed by a **leading-run index** — symbolic keys and ground
 //! buckets hashed by the key positions, from the first, that are constant
 //! in every symbolic key — under an argument about the literal
@@ -38,14 +42,19 @@
 //! gives; a key that is symbolic from its first position stays all-pairs.
 //! Every `Σ` is one k-way
 //! [`CommutativeSemiring::sum`](aggprov_algebra::semiring::CommutativeSemiring::sum).
-//! The three operators differ only in their key and in the *finisher* that
+//! The operators differ only in their key and in the *finisher* that
 //! turns a candidate's coefficients into an output row:
 //!
 //! | operator | key | finisher |
 //! |---|---|---|
 //! | [`union`] | the whole tuple, over both supports | `Σ coeff` |
 //! | [`project`] | the projected positions | `Σ coeff` |
-//! | [`group_by`] | the grouping positions | one tensor `Σ coeff ∗ t'(attr)` per spec, annotated `δ(Σ coeff)` |
+//! | group state ([`group_state_update`]'s delta) | the grouping positions | one raw tensor `Σ coeff ∗ t'(attr)` per spec, annotated `Σ coeff` |
+//! | [`group_by`] | the grouping positions | the group-state row under [`delta_collapse`]'s per-row map: tensors re-normalized, annotated `δ(Σ coeff)` |
+//!
+//! So `group_by = delta_collapse ∘ group state` holds by construction: an
+//! incrementally maintained `GROUP BY` and a from-scratch one are the same
+//! fold, with and without the rendering.
 //!
 //! [`union`] and [`project`] keep one shortcut, chosen from what the call
 //! observes: a fully ground input small enough for a single shard is the
@@ -72,14 +81,16 @@
 //!
 //! ## Partition-parallel execution
 //!
-//! The same key hashing is the seam for multi-threaded execution: under
-//! the `*_opts` variants, `keyed_fold` shards its ground buckets — and
-//! [`join_on_opts`] both ground sides — by operator-key hash across scoped
-//! worker threads (see [`crate::par`]). Equal keys co-locate, so shard
-//! outputs are disjoint; each worker finishes its own buckets (symbolic
-//! cross terms included) and the per-shard rows fold in deterministic
-//! shard order, while the symbolic candidates stay on the sequential token
-//! path. Results are bit-identical at every thread count (see
+//! The same bucketing is the seam for multi-threaded execution: under
+//! the `*_opts` variants, `keyed_fold` finishes contiguous ranges of its
+//! ground buckets — the sums, where the time goes; the bucketing pass
+//! itself is serial — and [`join_on_opts`] joins both ground sides,
+//! sharded by join-key hash, on scoped worker threads (see
+//! [`crate::par`]). Distinct keys finish into distinct rows, so the
+//! workers' outputs are disjoint; each worker finishes its own buckets
+//! (symbolic cross terms included) and the rows land in one ordered map,
+//! while the symbolic candidates stay on the sequential token path.
+//! Results are bit-identical at every thread count (see
 //! `tests/par_determinism_proptests.rs`).
 //!
 //! ## Output construction and duplicate groups
@@ -104,7 +115,8 @@ use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{shard_index, Relation, Tuple};
 use aggprov_krel::schema::Schema;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// An `(M, K)`-relation: tuples of [`Value`]s annotated with `A`.
 pub type MKRel<A> = Relation<A, Value<A>>;
@@ -185,9 +197,9 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
     let positions: Vec<usize> = (0..rel.schema().arity()).collect();
     let mut contributions = Vec::new();
     for (t2, k2) in rel.iter() {
-        push_coefficients(&mut contributions, &[(t2, k2)], t2, t, &positions)?;
+        push_coefficient(&mut contributions, (t2, k2), t, &positions)?;
     }
-    Ok(coefficient_sum(contributions))
+    Ok(coefficient_sum(&contributions))
 }
 
 /// Accumulates one tuple's per-spec aggregate contributions scaled by
@@ -228,20 +240,21 @@ fn accumulate_specs<A: AggAnnotation>(
     Ok(())
 }
 
-/// The product of per-attribute equality tokens `Π_u [t'(u) = t(u)]`,
-/// evaluated left to right with the literal rule's early exit at the
-/// first `0` — so a token that cannot be expressed fails here exactly when
-/// the literal evaluation reaches it. Two constants compare structurally
-/// without building a token, and no `1` is allocated while every factor so
-/// far resolved to `1`.
+/// The product of per-attribute equality tokens `Π_i [a(left[i]) =
+/// b(right[i])]`, evaluated left to right with the literal rule's early
+/// exit at the first `0` — so a token that cannot be expressed fails here
+/// exactly when the literal evaluation reaches it. Two constants compare
+/// structurally without building a token, and no `1` is allocated while
+/// every factor so far resolved to `1`.
 fn tuple_eq_token<A: AggAnnotation>(
     a: &Tuple<Value<A>>,
+    left: &[usize],
     b: &Tuple<Value<A>>,
-    positions: &[usize],
+    right: &[usize],
 ) -> Result<A> {
     let mut acc: Option<A> = None;
-    for &i in positions {
-        let tok = match (a.get(i), b.get(i)) {
+    for (&i, &j) in left.iter().zip(right) {
+        let tok = match (a.get(i), b.get(j)) {
             (Value::Const(x), Value::Const(y)) if x == y => continue,
             (Value::Const(_), Value::Const(_)) => return Ok(A::zero()),
             (x, y) => A::value_eq(x, y)?,
@@ -263,32 +276,63 @@ fn tuple_eq_token<A: AggAnnotation>(
 // The keyed token fold (§4.3 items 2, 3 and 7)
 // ---------------------------------------------------------------------------
 
-/// A keyed support entry of [`keyed_fold`]: (operator key, tuple,
-/// annotation). The key is owned (a projection allocates once, up front;
-/// cloning a tuple as its own key is an `Arc` bump).
-type Keyed<'a, A> = (Tuple<Value<A>>, &'a Tuple<Value<A>>, &'a A);
+/// A support entry of [`keyed_fold`]: a tuple and its annotation, both
+/// borrowed from the input relation. Its operator key is never built: it
+/// is the tuple's cells at the fold's key positions, read in place.
+type Entry<'a, A> = (&'a Tuple<Value<A>>, &'a A);
 
 /// One contribution to a candidate key: a support tuple and its non-zero
 /// §4.3 coefficient `R(t') · Π_u [key(t')(u) = p(u)]` toward that key.
 type Contribution<'a, A> = (&'a Tuple<Value<A>>, A);
 
-/// The support tuples (with their annotations) that share one key.
-type Members<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
+/// A ground bucket of [`keyed_fold`]: a tuple that carries the key (the
+/// first member's) and the ground-keyed entries that share it, each tagged
+/// with the bucket's dense id, in input order.
+type Bucket<'b, 'a, A> = (&'a Tuple<Value<A>>, &'b [(usize, Entry<'a, A>)]);
 
-/// A finished ground bucket of [`keyed_fold`]: its key and its members.
-type GroundBucket<'b, 'a, A> = (&'b Tuple<Value<A>>, &'b Members<'a, A>);
+/// What a candidate of [`keyed_fold`] meets under one leading run of the
+/// index: the symbolic-keyed entries and the ground buckets.
+type Neighbours<'b, 'a, A> = (Vec<Entry<'a, A>>, Vec<Bucket<'b, 'a, A>>);
 
-/// Appends the coefficients of `members` — support tuples that share
-/// `key` — toward the candidate `p`: the token `Π_u [key(u) = p(u)]` is
-/// built once per call, vanishing coefficients are dropped.
+/// An operator key by view: the cells of `t` at `positions`, hashed and
+/// compared where they lie. Two views of one map share their positions.
+struct KeyView<'a, A: AggAnnotation> {
+    t: &'a Tuple<Value<A>>,
+    positions: &'a [usize],
+}
+
+impl<A: AggAnnotation> KeyView<'_, A> {
+    fn cells(&self) -> impl Iterator<Item = &Value<A>> {
+        self.positions.iter().map(|i| self.t.get(*i))
+    }
+}
+
+impl<A: AggAnnotation> Hash for KeyView<'_, A> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.cells().for_each(|v| v.hash(state));
+    }
+}
+
+impl<A: AggAnnotation> PartialEq for KeyView<'_, A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells().eq(other.cells())
+    }
+}
+
+impl<A: AggAnnotation> Eq for KeyView<'_, A> {}
+
+/// Appends the coefficients of `members` — support tuples that share the
+/// key of `rep` — toward the candidate `p`: the token
+/// `Π_u [rep(u) = p(u)]` over the key `positions` is built once per call,
+/// vanishing coefficients are dropped.
 fn push_coefficients<'a, A: AggAnnotation>(
     out: &mut Vec<Contribution<'a, A>>,
-    members: &[(&'a Tuple<Value<A>>, &'a A)],
-    key: &Tuple<Value<A>>,
+    members: impl Iterator<Item = Entry<'a, A>>,
+    rep: &Tuple<Value<A>>,
     p: &Tuple<Value<A>>,
     positions: &[usize],
 ) -> Result<()> {
-    let tok = tuple_eq_token(key, p, positions)?;
+    let tok = tuple_eq_token(rep, positions, p, positions)?;
     if tok.is_zero() {
         return Ok(());
     }
@@ -301,34 +345,54 @@ fn push_coefficients<'a, A: AggAnnotation>(
     Ok(())
 }
 
-/// `Σ coeff` over a candidate's contributions.
-fn coefficient_sum<A: AggAnnotation>(contributions: Vec<Contribution<'_, A>>) -> A {
-    A::sum(contributions.into_iter().map(|(_, c)| c).collect())
+/// [`push_coefficients`] of one entry under its own key.
+fn push_coefficient<'a, A: AggAnnotation>(
+    out: &mut Vec<Contribution<'a, A>>,
+    (t, k): Entry<'a, A>,
+    p: &Tuple<Value<A>>,
+    positions: &[usize],
+) -> Result<()> {
+    push_coefficients(out, std::iter::once((t, k)), t, p, positions)
 }
 
-/// The first `run` values of a key (all of them, if the key is shorter).
-fn key_prefix<A: AggAnnotation>(key: &Tuple<Value<A>>, run: usize) -> &[Value<A>] {
-    let values = key.values();
+/// `Σ coeff` over a candidate's contributions (a single one is its own
+/// sum).
+fn coefficient_sum<A: AggAnnotation>(contributions: &[Contribution<'_, A>]) -> A {
+    match contributions {
+        [(_, only)] => only.clone(),
+        many => A::sum(many.iter().map(|(_, c)| c.clone()).collect()),
+    }
+}
+
+/// The first `run` values of a tuple (all of them, if it is shorter).
+fn key_prefix<A: AggAnnotation>(t: &Tuple<Value<A>>, run: usize) -> &[Value<A>] {
+    let values = t.values();
     values.get(..run).unwrap_or(values)
 }
 
-/// The §4.3 sum-of-weighted-contributions rule, written once: every
-/// distinct key `p` among `entries` is a candidate output, every support
-/// tuple `t'` contributes to it with the coefficient
-/// `R(t') · Π_u [key(t')(u) = p(u)]`, and `finish` turns a candidate and
-/// its non-zero contributions into the output row and annotation.
+/// The §4.3 sum-of-weighted-contributions rule, written once: the key of
+/// an entry is its tuple's cells at `positions`, every distinct key `p`
+/// among `entries` is a candidate output, every support tuple `t'`
+/// contributes to it with the coefficient
+/// `R(t') · Π_u [key(t')(u) = p(u)]`, and `finish` turns a candidate — a
+/// tuple that carries its key — and its non-zero contributions into the
+/// output row and annotation. Rows are kept as `finish` returns them;
+/// [`from_map`] drops the zero-annotated ones.
 ///
-/// Physical plan: entries with a **ground** key are hash-bucketed by key —
-/// between constants the token is structural equality, so a bucket's
-/// members contribute with coefficient `R(t')` and no other ground tuple
-/// contributes at all. With more than one thread the buckets are sharded
-/// by key hash over [`fan_out`]; each worker finishes its buckets
+/// Physical plan: one serial pass gives every entry with a **ground** key
+/// a dense bucket id, from a hash over the borrowed key cells — between
+/// constants the token is structural equality, so a bucket's members
+/// contribute with coefficient `R(t')` and no other ground tuple
+/// contributes at all. No key is built per row: an owned key exists only
+/// in the row `finish` builds, once per bucket. Finishing the buckets
 /// (including the token-weighted contributions of symbolic-keyed entries —
-/// a constant key can equal a symbolic one under a valuation) and the
-/// per-shard rows fold in shard order. Each distinct **symbolic** key then
-/// forms its candidate on the sequential token path, against the ground
-/// buckets (one token per bucket, not per member) and the symbolic-keyed
-/// entries. The result is identical at every thread count.
+/// a constant key can equal a symbolic one under a valuation) is where the
+/// time goes, and with more than one thread contiguous ranges of buckets
+/// fan out over [`fan_out`]; distinct keys finish into distinct rows, so
+/// all of them land in one map in any order. Each distinct **symbolic**
+/// key then forms its candidate on the sequential token path, against the
+/// ground buckets (one token per bucket, not per member) and the
+/// symbolic-keyed entries. The result is identical at every thread count.
 ///
 /// Symbolic keys are not a small fringe — every row a `GROUP BY` with a
 /// symbolic aggregate emits has one, so a projection over such a result is
@@ -336,7 +400,7 @@ fn key_prefix<A: AggAnnotation>(key: &Tuple<Value<A>>, run: usize) -> &[Value<A>
 /// symbolic-keyed entry is quadratic. The **leading-run index** removes
 /// the pairs that provably vanish: `run` is the number of key positions,
 /// from the first, that hold a constant in *every* symbolic key; symbolic
-/// entries and ground buckets are hashed by those `run` values, and a
+/// entries and ground buckets are hashed by those `run` cells, and a
 /// candidate visits only the entries that agree with it there. Any other
 /// pair differs at a position `u < run` where both keys hold constants,
 /// and the literal left-to-right product reaches `u` through
@@ -345,84 +409,89 @@ fn key_prefix<A: AggAnnotation>(key: &Tuple<Value<A>>, run: usize) -> &[Value<A>
 /// empty run the index has one bucket and every pair is visited — a key
 /// that is symbolic from its first position is all-pairs under §4.3.
 fn keyed_fold<'a, A: AggAnnotation + 'a>(
-    entries: impl Iterator<Item = Keyed<'a, A>>,
-    key_arity: usize,
+    entries: impl Iterator<Item = Entry<'a, A>>,
+    positions: &[usize],
     opts: &ExecOptions,
-    finish: impl Fn(&Tuple<Value<A>>, Vec<Contribution<'a, A>>) -> Result<(Tuple<Value<A>>, A)> + Sync,
+    finish: impl Fn(&Tuple<Value<A>>, &[Contribution<'a, A>]) -> Result<(Tuple<Value<A>>, A)> + Sync,
 ) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
-    let positions: Vec<usize> = (0..key_arity).collect();
-    let (ground, sym): (Vec<Keyed<'a, A>>, Vec<Keyed<'a, A>>) =
-        entries.partition(|(key, _, _)| is_ground_at(key, &positions));
+    let mut ids: HashMap<KeyView<'_, A>, usize> = HashMap::new();
+    let mut ground: Vec<(usize, Entry<'a, A>)> = Vec::new();
+    let mut sym: Vec<Entry<'a, A>> = Vec::new();
+    for (t, k) in entries {
+        if is_ground_at(t, positions) {
+            let next = ids.len();
+            let id = *ids.entry(KeyView { t, positions }).or_insert(next);
+            ground.push((id, (t, k)));
+        } else {
+            sym.push((t, k));
+        }
+    }
+    // Stable, so a bucket keeps its members in input order.
+    ground.sort_by_key(|(id, _)| *id);
+    let buckets: Vec<Bucket<'_, 'a, A>> = ground
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter_map(|members| Some((members.first()?.1 .0, members)))
+        .collect();
+
+    // The leading-run index: per run of leading constants that a symbolic
+    // key has, the symbolic-keyed entries and the ground buckets under it.
     let run = positions
         .iter()
-        .take_while(|u| sym.iter().all(|(key, _, _)| !key.get(**u).is_agg()))
+        .take_while(|u| sym.iter().all(|(t, _)| !t.get(**u).is_agg()))
         .count();
-    let mut sym_index: HashMap<&[Value<A>], Vec<&Keyed<'a, A>>> = HashMap::new();
+    let prefix = positions.get(..run).unwrap_or(positions);
+    let at = |t| KeyView {
+        t,
+        positions: prefix,
+    };
+    let mut index: HashMap<KeyView<'_, A>, Neighbours<'_, 'a, A>> = HashMap::new();
     for entry in &sym {
-        sym_index
-            .entry(key_prefix(&entry.0, run))
-            .or_default()
-            .push(entry);
+        index.entry(at(entry.0)).or_default().0.push(*entry);
     }
-    let nshards = plan_shards(opts, ground.len());
-    let mut shards: Vec<Vec<Keyed<'a, A>>> = (0..nshards).map(|_| Vec::new()).collect();
-    for entry in ground {
-        let shard = shard_index(&entry.0, nshards);
-        // lint:allow(index, reason = "shard_index is hash % nshards and shards has nshards slots")
-        shards[shard].push(entry);
+    for bucket in &buckets {
+        if let Some((_, ground)) = index.get_mut(&at(bucket.0)) {
+            ground.push(*bucket);
+        }
     }
 
-    let shard_results = fan_out(shards, |entries| {
-        let mut buckets: HashMap<Tuple<Value<A>>, Members<'a, A>> = HashMap::new();
-        for (key, t, k) in entries {
-            buckets.entry(key).or_default().push((t, k));
-        }
-        let mut rows = BTreeMap::new();
-        for (g, members) in &buckets {
-            let mut contributions: Vec<Contribution<'a, A>> =
-                members.iter().map(|(t, k)| (*t, (*k).clone())).collect();
-            for (key, t, k) in sym_index.get(key_prefix(g, run)).into_iter().flatten() {
-                push_coefficients(&mut contributions, &[(*t, *k)], key, g, &positions)?;
+    let per_shard = buckets
+        .len()
+        .div_ceil(plan_shards(opts, buckets.len()))
+        .max(1);
+    let shard_rows = fan_out(buckets.chunks(per_shard).collect(), |shard| {
+        let mut rows = Vec::with_capacity(shard.len());
+        let mut contributions: Vec<Contribution<'a, A>> = Vec::new();
+        for (g, members) in shard {
+            contributions.clear();
+            contributions.extend(members.iter().map(|(_, (t, k))| (*t, (*k).clone())));
+            for (t, k) in index.get(&at(*g)).iter().flat_map(|near| &near.0) {
+                push_coefficient(&mut contributions, (*t, *k), g, positions)?;
             }
-            let (row, ann) = finish(g, contributions)?;
-            insert_distinct(&mut rows, row, ann);
+            rows.push(finish(g, &contributions)?);
         }
-        Ok((rows, buckets))
+        Ok(rows)
     })?;
-    let mut out = BTreeMap::new();
-    let mut bucket_shards = Vec::with_capacity(shard_results.len());
-    for (rows, buckets) in shard_results {
-        for (t, k) in rows {
-            insert_distinct(&mut out, t, k);
-        }
-        bucket_shards.push(buckets);
-    }
-    // The ground buckets under the same index, for the symbolic candidates
-    // to probe — built only when there are any.
-    let mut ground_index: HashMap<&[Value<A>], Vec<GroundBucket<'_, 'a, A>>> = HashMap::new();
-    if !sym.is_empty() {
-        for (g, members) in bucket_shards.iter().flatten() {
-            ground_index
-                .entry(key_prefix(g, run))
-                .or_default()
-                .push((g, members));
-        }
-    }
-    let mut seen = BTreeSet::new();
-    for (p, _, _) in &sym {
-        if !seen.insert(p) {
+    let mut out: BTreeMap<Tuple<Value<A>>, A> = shard_rows.into_iter().flatten().collect();
+
+    let mut seen = HashSet::new();
+    let mut contributions = Vec::new();
+    for (p, _) in &sym {
+        if !seen.insert(KeyView { t: *p, positions }) {
             continue;
         }
-        let at = key_prefix(p, run);
-        let mut contributions = Vec::new();
-        for (g, members) in ground_index.get(at).into_iter().flatten() {
-            push_coefficients(&mut contributions, members, g, p, &positions)?;
+        let Some((near_sym, near_ground)) = index.get(&at(*p)) else {
+            continue;
+        };
+        contributions.clear();
+        for (g, members) in near_ground {
+            let members = members.iter().map(|(_, entry)| *entry);
+            push_coefficients(&mut contributions, members, g, p, positions)?;
         }
-        for (key, t, k) in sym_index.get(at).into_iter().flatten() {
-            push_coefficients(&mut contributions, &[(*t, *k)], key, p, &positions)?;
+        for (t, k) in near_sym {
+            push_coefficient(&mut contributions, (*t, *k), p, positions)?;
         }
-        let (row, ann) = finish(p, contributions)?;
-        insert_distinct(&mut out, row, ann);
+        let (row, ann) = finish(p, &contributions)?;
+        out.entry(row).or_insert(ann);
     }
     Ok(out)
 }
@@ -454,8 +523,9 @@ pub fn union_opts<A: AggAnnotation>(
     if plan_shards(opts, r1.len() + r2.len()) == 1 && !has_symbolic(r1) && !has_symbolic(r2) {
         return r1.union(r2);
     }
-    let entries = r1.iter().chain(r2.iter()).map(|(t, k)| (t.clone(), t, k));
-    let out = keyed_fold(entries, r1.schema().arity(), opts, |t, contributions| {
+    let whole: Vec<usize> = (0..r1.schema().arity()).collect();
+    let entries = r1.iter().chain(r2.iter());
+    let out = keyed_fold(entries, &whole, opts, |t, contributions| {
         Ok((t.clone(), coefficient_sum(contributions)))
     })?;
     from_map(r1.schema().clone(), out)
@@ -497,9 +567,8 @@ pub(crate) fn project_fold<A: AggAnnotation>(
     positions: &[usize],
     opts: &ExecOptions,
 ) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
-    let entries = rel.iter().map(|(t, k)| (t.project(positions), t, k));
-    keyed_fold(entries, positions.len(), opts, |p, contributions| {
-        Ok((p.clone(), coefficient_sum(contributions)))
+    keyed_fold(rel.iter(), positions, opts, |t, contributions| {
+        Ok((t.project(positions), coefficient_sum(contributions)))
     })
 }
 
@@ -722,13 +791,7 @@ pub(crate) fn join_at<A: AggAnnotation>(
     for (lhs, rhs) in [(&g1, &s2), (&s1, &g2), (&s1, &s2)] {
         for (t1, k1) in lhs.iter() {
             for (t2, k2) in rhs.iter() {
-                let mut tok = A::one();
-                for (i, j) in left.iter().zip(right) {
-                    if tok.is_zero() {
-                        break;
-                    }
-                    tok = tok.times(&A::value_eq(t1.get(*i), t2.get(*j))?);
-                }
+                let tok = tuple_eq_token(t1, left, t2, right)?;
                 if tok.is_zero() {
                     continue;
                 }
@@ -855,11 +918,52 @@ pub fn group_by<A: AggAnnotation>(
     group_by_opts(rel, group_attrs, specs, &ExecOptions::serial())
 }
 
+/// The raw group-state row of one candidate group: the key cells of `g`,
+/// then per spec the un-normalized tensor `Σ coeff(t') ∗ t'(attr)`,
+/// annotated with the pre-δ sum `Σ coeff(t')`. [`collapse_row`] turns it
+/// into the [`group_by`] row.
+fn state_row<A: AggAnnotation>(
+    g: &Tuple<Value<A>>,
+    gidx: &[usize],
+    specs: &[AggSpec<'_>],
+    sidx: &[usize],
+    contributions: &[Contribution<'_, A>],
+) -> Result<(Vec<Value<A>>, A)> {
+    let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
+    for (t, coeff) in contributions {
+        accumulate_specs(t, specs, sidx, &mut terms, coeff)?;
+    }
+    let mut row: Vec<Value<A>> = Vec::with_capacity(gidx.len() + specs.len());
+    row.extend(gidx.iter().map(|i| g.get(*i).clone()));
+    for (spec, ts) in specs.iter().zip(terms) {
+        row.push(Value::Agg(spec.kind, Tensor::from_terms(&spec.kind, ts)));
+    }
+    Ok((row, coefficient_sum(contributions)))
+}
+
+/// Renders one group-state row: every aggregate cell from position
+/// `from` on re-normalizes through [`Value::agg_normalized`] (a resolved
+/// tensor collapses to its constant) and the annotation takes its δ.
+fn collapse_row<A: AggAnnotation>(
+    mut row: Vec<Value<A>>,
+    from: usize,
+    k: &A,
+) -> (Tuple<Value<A>>, A) {
+    for cell in row.iter_mut().skip(from) {
+        if let Value::Agg(kind, tv) = cell {
+            *cell = Value::agg_normalized(*kind, tv.clone());
+        }
+    }
+    (Tuple::new(row), k.delta())
+}
+
 /// [`group_by`] with explicit [`ExecOptions`]: the keyed token fold with
 /// the grouping positions as key. Its finisher builds, per candidate
-/// group, one tensor `Σ coeff(t') ∗ t'(attr)` per spec (re-normalized, so
-/// a resolved tensor collapses to its constant) and annotates the row with
-/// `δ(Σ coeff(t'))`. The result is identical at every thread count.
+/// group, the group-state row ([`group_state_update`]'s: one tensor
+/// `Σ coeff(t') ∗ t'(attr)` per spec, annotated `Σ coeff(t')`) and renders
+/// it as [`delta_collapse`] does — the tensors re-normalized, the
+/// annotation `δ(Σ coeff(t'))` — leaving the key cells as they are. The
+/// result is identical at every thread count.
 pub fn group_by_opts<A: AggAnnotation>(
     rel: &MKRel<A>,
     group_attrs: &[&str],
@@ -867,20 +971,9 @@ pub fn group_by_opts<A: AggAnnotation>(
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let (gidx, sidx, schema) = group_by_layout(rel, group_attrs, specs)?;
-    let entries = rel.iter().map(|(t, k)| (t.project(&gidx), t, k));
-    let out = keyed_fold(entries, gidx.len(), opts, |g, contributions| {
-        let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-        for (t, coeff) in &contributions {
-            accumulate_specs(t, specs, &sidx, &mut terms, coeff)?;
-        }
-        let mut row: Vec<Value<A>> = g.values().to_vec();
-        for (spec, ts) in specs.iter().zip(terms) {
-            row.push(Value::agg_normalized(
-                spec.kind,
-                Tensor::from_terms(&spec.kind, ts),
-            ));
-        }
-        Ok((Tuple::new(row), coefficient_sum(contributions).delta()))
+    let out = keyed_fold(rel.iter(), &gidx, opts, |g, contributions| {
+        let (row, sum) = state_row(g, &gidx, specs, &sidx, contributions)?;
+        Ok(collapse_row(row, gidx.len(), &sum))
     })?;
     from_map(schema, out)
 }
@@ -899,6 +992,10 @@ pub fn group_by_opts<A: AggAnnotation>(
 /// (never collapsed to a constant) and every annotation is the pre-δ
 /// membership sum `Σ_{t' ∈ group} R(t')`. [`delta_collapse`] renders a
 /// state into the exact [`group_by`] output.
+///
+/// The delta is folded by the keyed fold of [`group_by_opts`] with the
+/// rendering left off, and the folded rows merge into the state rows of
+/// the groups they touch (an empty state has none to look for).
 ///
 /// Because tensors and annotations are kept in canonical normal form
 /// (sums merge and re-sort; zero coefficients drop), folding a relation
@@ -924,69 +1021,63 @@ pub fn group_state_update<A: AggAnnotation>(
             op: "group_state_update",
         });
     }
-    let all: Vec<usize> = (0..gidx.len()).collect();
-    let key_positions: Vec<usize> = (0..group_attrs.len()).collect();
-
-    // Accumulate the delta per ground group key in one pass.
-    type GroupAcc<A> = (Vec<A>, Vec<Vec<(A, Const)>>);
-    let mut touched: BTreeMap<Tuple<Value<A>>, GroupAcc<A>> = BTreeMap::new();
-    for (t, k) in delta.iter() {
-        let g = t.project(&gidx);
-        if !is_ground_at(&g, &all) {
-            return Err(RelError::Unsupported(
-                "group_state_update: symbolic group key in delta — incremental \
-                 grouping is defined on ground keys only"
-                    .to_string(),
-            ));
-        }
-        let (anns, terms) = touched
-            .entry(g)
-            .or_insert_with(|| (Vec::new(), vec![Vec::new(); specs.len()]));
-        accumulate_specs(t, specs, &sidx, terms, k)?;
-        anns.push(k.clone());
+    if delta.iter().any(|(t, _)| !is_ground_at(t, &gidx)) {
+        return Err(RelError::Unsupported(
+            "group_state_update: symbolic group key in delta — incremental \
+             grouping is defined on ground keys only"
+                .to_string(),
+        ));
+    }
+    let folded = keyed_fold(
+        delta.iter(),
+        &gidx,
+        &ExecOptions::serial(),
+        |g, contributions| {
+            let (row, sum) = state_row(g, &gidx, specs, &sidx, contributions)?;
+            Ok((Tuple::new(row), sum))
+        },
+    )?;
+    if state.is_empty() {
+        return from_map(schema, folded);
     }
 
     // One pass over the state finds the touched rows (clones are `Arc`
     // bumps); untouched groups are never visited again.
-    let mut old_rows: BTreeMap<Tuple<Value<A>>, Tuple<Value<A>>> = BTreeMap::new();
+    let n_keys = gidx.len();
+    let mut old_rows: HashMap<&[Value<A>], Option<Tuple<Value<A>>>> = folded
+        .keys()
+        .map(|row| (key_prefix(row, n_keys), None))
+        .collect();
     for (t, _) in state.iter() {
-        let key = t.project(&key_positions);
-        if touched.contains_key(&key) {
-            old_rows.insert(key, t.clone());
+        if let Some(old) = old_rows.get_mut(key_prefix(t, n_keys)) {
+            *old = Some(t.clone());
         }
     }
 
-    let n_keys = group_attrs.len();
     let mut out = state;
-    for (g, (anns, terms)) in touched {
-        let mut row: Vec<Value<A>> = g.values().to_vec();
-        let ann = match old_rows.get(&g) {
-            Some(old_t) => {
-                // Taking the old row out returns its annotation owned — no
-                // deep clone of the accumulated sum.
-                let old_ann = out.remove(old_t).unwrap_or_else(A::zero);
-                for ((spec, cell), ts) in specs
-                    .iter()
-                    .zip(old_t.values().iter().skip(n_keys))
-                    .zip(terms)
-                {
-                    let merged = cell
-                        .to_tensor(spec.kind)?
-                        .add(&Tensor::from_terms(&spec.kind, ts), &spec.kind);
-                    row.push(Value::Agg(spec.kind, merged));
-                }
-                old_ann.plus(&A::sum(anns))
-            }
-            None => {
-                for (spec, ts) in specs.iter().zip(terms) {
-                    row.push(Value::Agg(spec.kind, Tensor::from_terms(&spec.kind, ts)));
-                }
-                A::sum(anns)
-            }
+    for (row, sum) in &folded {
+        let Some(Some(old_t)) = old_rows.get(key_prefix(row, n_keys)) else {
+            // `add` drops zero annotations, so a group whose membership
+            // sum cancels never enters the state — matching from-scratch
+            // recomputation.
+            out.add(row.clone(), sum.clone())?;
+            continue;
         };
-        // `add` drops zero annotations, so a group whose membership sum
-        // cancels leaves the state — matching from-scratch recomputation.
-        out.add(Tuple::new(row), ann)?;
+        // Taking the old row out returns its annotation owned — no deep
+        // clone of the accumulated sum.
+        let old_ann = out.remove(old_t).unwrap_or_else(A::zero);
+        let mut merged: Vec<Value<A>> = key_prefix(row, n_keys).to_vec();
+        for ((spec, old), new) in specs
+            .iter()
+            .zip(old_t.values().iter().skip(n_keys))
+            .zip(row.values().iter().skip(n_keys))
+        {
+            let sum = old
+                .to_tensor(spec.kind)?
+                .add(&new.to_tensor(spec.kind)?, &spec.kind);
+            merged.push(Value::Agg(spec.kind, sum));
+        }
+        out.add(Tuple::new(merged), old_ann.plus(sum))?;
     }
     Ok(out)
 }
@@ -1000,15 +1091,8 @@ pub fn group_state_update<A: AggAnnotation>(
 pub fn delta_collapse<A: AggAnnotation>(state: &MKRel<A>) -> Result<MKRel<A>> {
     let mut out = BTreeMap::new();
     for (t, k) in state.iter() {
-        let row: Vec<Value<A>> = t
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Agg(kind, tv) => Value::agg_normalized(*kind, tv.clone()),
-                Value::Const(c) => Value::Const(c.clone()),
-            })
-            .collect();
-        insert_distinct(&mut out, Tuple::new(row), k.delta());
+        let (row, ann) = collapse_row(t.values().to_vec(), 0, k);
+        insert_distinct(&mut out, row, ann);
     }
     from_map(state.schema().clone(), out)
 }

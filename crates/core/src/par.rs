@@ -3,14 +3,15 @@
 //!
 //! The ground/symbolic split of [`crate::ops`] makes the expensive part of
 //! every operator embarrassingly parallel: ground tuples interact only
-//! through structural key equality, so hash-partitioning them by operator
-//! key (join key, group key, output tuple, projected tuple) yields shards
-//! whose outputs are disjoint. Each shard runs the ordinary single-threaded
-//! algorithm on a scoped worker thread ([`std::thread::scope`] — no
-//! dependencies, no `'static` bounds, shards borrow the input relations
-//! directly); the per-shard result maps are then folded **in shard order**
-//! into one output map, which keeps merge order — and therefore every
-//! produced relation — deterministic. The symbolic fringe stays on the
+//! through structural key equality, so partitioning them by operator key
+//! (a join's two sides by join-key hash; the keyed fold's buckets — one per
+//! group key, output tuple or projected tuple — by contiguous range) yields
+//! shards whose outputs are disjoint. Each shard runs the ordinary
+//! single-threaded algorithm on a scoped worker thread
+//! ([`std::thread::scope`] — no dependencies, no `'static` bounds, shards
+//! borrow the input relations directly); the per-shard results are then
+//! folded **in shard order** into one output map, which keeps merge order
+//! — and therefore every produced relation — deterministic. The symbolic fringe stays on the
 //! sequential token path of `ops`, so results are bit-identical to the
 //! [`crate::specops`] oracle at every thread count (property-tested in
 //! `tests/par_determinism_proptests.rs`).
@@ -24,6 +25,7 @@
 
 use aggprov_krel::error::{RelError, Result};
 pub use aggprov_krel::relation::shard_index;
+use std::sync::OnceLock;
 
 /// The environment variable overriding the executor thread count.
 pub const THREADS_ENV: &str = "AGGPROV_THREADS";
@@ -53,13 +55,16 @@ impl ExecOptions {
         }
     }
 
-    /// One worker per hardware thread the process can use.
+    /// One worker per hardware thread the process can use — the
+    /// parallelism the OS reports at first use: the query (cgroup and
+    /// affinity reads, microseconds) is made once per process and kept.
     pub fn available() -> Self {
-        Self::with_threads(
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
+        Self::with_threads(*AVAILABLE.get_or_init(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// The engine default: `AGGPROV_THREADS` when set, otherwise the

@@ -17,6 +17,7 @@ use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::Km;
 use aggprov_core::ops::{self, AggSpec, MKRel};
+use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
@@ -155,6 +156,22 @@ proptest! {
         // The rendering map is shared: spec and physical collapse coincide.
         let spec_collapsed = specops::delta_collapse(&state).unwrap();
         prop_assert_eq!(collapsed, spec_collapsed);
+    }
+
+    /// `group_by` *is* the collapsed state of the whole relation folded as
+    /// one delta — one keyed fold, with and without the rendering — at one
+    /// and at four worker threads.
+    #[test]
+    fn group_by_is_collapse_of_state(batches in arb_batches()) {
+        let full = full_rel(&batches);
+        let empty = Relation::empty(Schema::new(["g", "total", "peak"]).unwrap());
+        let state = ops::group_state_update(empty, &full, &["g"], &SPECS).unwrap();
+        let collapsed = ops::delta_collapse(&state).unwrap();
+        for threads in [1, 4] {
+            let opts = ExecOptions::with_threads(threads);
+            let grouped = ops::group_by_opts(&full, &["g"], &SPECS, &opts).unwrap();
+            prop_assert_eq!(&grouped, &collapsed, "{} threads", threads);
+        }
     }
 
     /// A symbolic group key in the delta is a pinned error on both paths.

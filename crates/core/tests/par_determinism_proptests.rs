@@ -331,6 +331,28 @@ proptest! {
         }
     }
 
+    /// A multi-column key whose positions are not a prefix of the tuple
+    /// (columns `[2, 0]`): the fold reads its keys in place, so the key
+    /// order — and with it the left-to-right token product and the
+    /// leading-run index — has to come from the positions, not the tuple.
+    #[test]
+    fn non_prefix_keys_match_spec(r1 in arb_keyed_rel("a")) {
+        let keys = ["k3", "k1"];
+        let gspecs = [AggSpec::new(MonoidKind::Sum, "v")];
+        let spec_proj = specops::project(&r1, &keys).unwrap();
+        let spec_group = specops::group_by(&r1, &keys, &gspecs).unwrap();
+        for t in INDEX_THREADS {
+            let opts = ExecOptions::with_threads(t);
+            prop_assert_eq!(&ops::project_opts(&r1, &keys, &opts).unwrap(), &spec_proj, "threads = {}", t);
+            prop_assert_eq!(
+                &ops::group_by_opts(&r1, &keys, &gspecs, &opts).unwrap(),
+                &spec_group,
+                "threads = {}",
+                t
+            );
+        }
+    }
+
     #[test]
     fn inexpressible_tokens_fail_on_both_paths_or_neither(
         rows in prop::collection::vec((0i64..3, 0u8..3, 1i64..3, 1i64..3), 0..6),

@@ -47,6 +47,8 @@ const AGG_IN_HAVING: &str = "HAVING refers to an aggregate by its AS alias: \
 const AGG_NESTED: &str = "aggregates cannot be nested; \
      aggregate over a derived table: FROM (SELECT ... GROUP BY ...) AS t";
 const AGG_IN_GROUP_BY: &str = "GROUP BY takes columns, not aggregates";
+const AGG_IN_JOIN_ON: &str = "aggregates are not allowed in JOIN … ON; \
+     aggregate in a derived table and join on its alias";
 
 /// Parses a script of one or more statements.
 pub fn parse_script(input: &str) -> Result<Vec<Stmt>> {
@@ -346,9 +348,9 @@ impl Parser {
             self.expect_kw("ON")?;
             let mut on = Vec::new();
             loop {
-                let l = self.col_ref()?;
+                let l = self.plain_col_ref(AGG_IN_JOIN_ON)?;
                 self.expect(&Token::Eq)?;
-                let r = self.col_ref()?;
+                let r = self.plain_col_ref(AGG_IN_JOIN_ON)?;
                 on.push((l, r));
                 if !self.eat_kw("AND") {
                     break;

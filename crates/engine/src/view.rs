@@ -1,9 +1,10 @@
 //! Materialized views with incremental semiring-delta maintenance.
 //!
-//! [`Database::materialize`] evaluates a query once, retains the annotated
-//! result (provenance polynomials intact), and registers the view in the
-//! current epoch. Every subsequent mutation then propagates an annotation
-//! **delta** through the stored plan instead of re-executing:
+//! [`Database::materialize`] classifies the query's plan, evaluates it
+//! once, retains the annotated result (provenance polynomials intact), and
+//! registers the view in the current epoch. Every subsequent mutation then
+//! propagates an annotation **delta** through the stored plan instead of
+//! re-executing:
 //!
 //! - `INSERT` builds a one-row delta database (the scanned table replaced
 //!   by just the new row, every other table at its current state) and runs
@@ -19,7 +20,8 @@
 //!
 //! ## Maintenance strategies
 //!
-//! The classifier inspects the *optimized* plan at materialization time:
+//! The classifier inspects the *optimized* plan at materialization time,
+//! before anything runs — the class decides what is run:
 //!
 //! - **SPJ** (no aggregation, no set ops, each table scanned once, all
 //!   base tables ground): deltas merge additively into the view relation.
@@ -28,7 +30,11 @@
 //!   one row per group holding the raw (un-normalized)
 //!   [`Value::Agg`] tensors and the pre-δ membership sums — updated by
 //!   [`ops::group_state_update`] and rendered by [`ops::delta_collapse`],
-//!   both oracled against their literal `specops` twins.
+//!   both oracled against their literal `specops` twins. Materializing
+//!   one runs the aggregate's *input* and folds it **once**, into the
+//!   state; the view's relation is the rendered state, not a second run of
+//!   the `GROUP BY` (a debug build runs that too, as an assertion — see
+//!   `build`).
 //! - Anything else (`HAVING`, `AVG`, ungrouped aggregates, set ops,
 //!   self-joins, symbolic base tables) degrades to **recomputation**:
 //!   still maintained eagerly and still correct, just not O(delta).
@@ -37,7 +43,9 @@
 //! marked *broken* (reads report the stored reason) and the `INSERT` /
 //! `delete_tokens` itself succeeds.
 
-use super::{next_version, scan_ground_cols, Database, DbSnapshot, EpochTables, PlanCache};
+use super::{
+    next_version, scan_ground_cols, CachedStatement, Database, DbSnapshot, EpochTables, PlanCache,
+};
 use crate::annot::ParseAnnotation;
 use crate::exec::execute_plan;
 use crate::phys::{self, PhysNode};
@@ -103,6 +111,18 @@ struct AggState<A: AggAnnotation> {
     /// The group state: `group keys ++ raw Value::Agg cells`, annotations
     /// the pre-δ membership sums (see [`ops::group_state_update`]).
     state: MKRel<A>,
+}
+
+impl<A: AggAnnotation> AggState<A> {
+    /// Folds a delta of the aggregate's input into the group state.
+    fn fold(&mut self, delta: &MKRel<A>) -> Result<()> {
+        let group_refs: Vec<&str> = self.group_by.iter().map(|s| s.as_str()).collect();
+        let specs: Vec<AggSpec<'_>> = self.aggs.iter().map(|a| a.as_spec()).collect();
+        let placeholder = Relation::empty(self.state.schema().clone());
+        let taken = std::mem::replace(&mut self.state, placeholder);
+        self.state = ops::group_state_update(taken, delta, &group_refs, &specs)?;
+        Ok(())
+    }
 }
 
 /// How the view's relation is brought up to date after a mutation.
@@ -239,14 +259,13 @@ fn agg_skeleton(plan: &Plan) -> Option<AggSkeleton<'_>> {
     }
 }
 
-/// Classifies the optimized plan and builds the maintenance machinery,
-/// degrading to [`Maint::Recompute`] whenever delta soundness is not
-/// syntactically evident.
-fn build_maint<A: AggAnnotation + ParseAnnotation>(
+/// Classifies the optimized plan by its shape alone — no result is needed
+/// — degrading to [`Maint::Recompute`] whenever delta soundness is not
+/// syntactically evident. The grouped class comes back with its machinery
+/// resolved and an **empty** group state; [`build`] folds the input into it.
+fn classify<A: AggAnnotation + ParseAnnotation>(
     db: &Database<A>,
     optimized: &Plan,
-    rel: &MKRel<A>,
-    opts: &ExecOptions,
 ) -> Result<Maint<A>> {
     let mut counts = BTreeMap::new();
     count_scans(optimized, &mut counts);
@@ -268,7 +287,6 @@ fn build_maint<A: AggAnnotation + ParseAnnotation>(
     let Some(sk) = agg_skeleton(optimized) else {
         return Ok(Maint::Recompute);
     };
-    let input_schema = sk.input.schema();
     let aggs: Vec<OwnedAgg> = sk
         .aggs
         .iter()
@@ -278,41 +296,56 @@ fn build_maint<A: AggAnnotation + ParseAnnotation>(
             out: a.out.clone(),
         })
         .collect();
-    let group_refs: Vec<&str> = sk.group_by.iter().map(|s| s.as_str()).collect();
-    for g in &group_refs {
-        input_schema.index_of(g)?;
+    for g in sk.group_by {
+        sk.input.schema().index_of(g)?;
     }
-    let specs: Vec<AggSpec<'_>> = aggs.iter().map(|a| a.as_spec()).collect();
-    let state_schema = Schema::new(
-        group_refs
-            .iter()
-            .copied()
-            .chain(aggs.iter().map(|a| a.out.as_str())),
-    )?;
-    // Build the initial group state from one full run of the aggregate's
-    // input subtree (the whole relation is the first "delta").
-    let input_phys = Arc::new(phys::lower(sk.input)?);
-    let input_rel = execute_plan(db, &input_phys, &[], 0, opts)?;
-    let state = ops::group_state_update(
-        Relation::empty(state_schema),
-        &input_rel,
-        &group_refs,
-        &specs,
-    )?;
-    let agg = AggState {
-        input_phys,
+    let keys = sk.group_by.iter().map(String::as_str);
+    let state_schema = Schema::new(keys.chain(aggs.iter().map(|a| a.out.as_str())))?;
+    Ok(Maint::Agg(AggState {
+        input_phys: Arc::new(phys::lower(sk.input)?),
         group_by: sk.group_by.to_vec(),
         aggs,
         out_cols: sk.out_cols,
-        state,
+        state: Relation::empty(state_schema),
+    }))
+}
+
+/// Builds a view from its planned statement: the maintenance machinery
+/// [`classify`] chose and the view's relation, from **one** run of the
+/// plan. `Recompute` and `Spj` views execute the full plan. A grouped view
+/// executes only the aggregate's input subtree, folds it into the group
+/// state (the whole input is the first "delta") and *renders* the relation
+/// from that state: the `GROUP BY` the full plan would run is the same
+/// keyed fold under [`ops::delta_collapse`], so running it too would sum
+/// every group twice.
+///
+/// `render_view(state)` equals the executor's result by construction
+/// ([`ops::group_by_opts`] *is* the collapsed state fold, and `out_cols`
+/// is the composed root projection). The `debug_assert!` compares them
+/// anyway: every debug-build test that materializes runs the full plan
+/// beside the fold, a release build has no second fold, and
+/// `view_maintenance_proptests` pins the equality over populated tables
+/// in either profile.
+fn build<A: AggAnnotation + ParseAnnotation>(
+    db: &Database<A>,
+    stmt: &CachedStatement,
+    opts: &ExecOptions,
+) -> Result<(Maint<A>, MKRel<A>)> {
+    let mut maint = classify(db, &stmt.optimized)?;
+    let rel = match &mut maint {
+        Maint::Recompute | Maint::Spj => execute_plan(db, &stmt.phys, &[], 0, opts)?,
+        Maint::Agg(agg) => {
+            let input = execute_plan(db, &agg.input_phys, &[], 0, opts)?;
+            agg.fold(&input)?;
+            let rel = render_view(agg, stmt.optimized.schema())?;
+            debug_assert!(
+                execute_plan(db, &stmt.phys, &[], 0, opts).is_ok_and(|full| full == rel),
+                "the rendered group state is not the executor's result"
+            );
+            rel
+        }
     };
-    // Canary: rendering the fresh state must reproduce the executor's
-    // result bit for bit; if it ever does not, recomputation is the
-    // always-correct fallback (and the proptest suite will be failing).
-    if render_view(&agg, rel.schema())? != *rel {
-        return Ok(Maint::Recompute);
-    }
-    Ok(Maint::Agg(agg))
+    Ok((maint, rel))
 }
 
 // ---------------------------------------------------------------------
@@ -421,20 +454,16 @@ fn apply_insert<A: AggAnnotation + ParseAnnotation>(
             let d = delta_db(db, table, row, ann)?;
             let delta = execute_plan(&d, &agg.input_phys, &[], 0, opts)?;
             if !delta.is_empty() {
-                let group_refs: Vec<&str> = agg.group_by.iter().map(|s| s.as_str()).collect();
-                let specs: Vec<AggSpec<'_>> = agg.aggs.iter().map(|a| a.as_spec()).collect();
                 // The touched group keys, projected out of the delta rows.
-                let mut gidx = Vec::with_capacity(group_refs.len());
-                for g in &group_refs {
+                let mut gidx = Vec::with_capacity(agg.group_by.len());
+                for g in &agg.group_by {
                     gidx.push(delta.schema().index_of(g)?);
                 }
                 let keys: BTreeSet<Tuple<Value<A>>> =
                     delta.iter().map(|(t, _)| t.project(&gidx)).collect();
-                let key_positions: Vec<usize> = (0..group_refs.len()).collect();
+                let key_positions: Vec<usize> = (0..gidx.len()).collect();
                 let old_sub = state_rows_for(&agg.state, &keys, &key_positions)?;
-                let placeholder = Relation::empty(agg.state.schema().clone());
-                let taken = std::mem::replace(&mut agg.state, placeholder);
-                agg.state = ops::group_state_update(taken, &delta, &group_refs, &specs)?;
+                agg.fold(&delta)?;
                 let new_sub = state_rows_for(&agg.state, &keys, &key_positions)?;
                 patch_rendered(&mut entry.rel, &agg.out_cols, &old_sub, &new_sub)?;
             }
@@ -519,16 +548,16 @@ pub(super) fn refresh_dependents<A: AggAnnotation + ParseAnnotation>(
     }
 }
 
-/// Re-plans and re-runs a view from its defining SQL, refreshing its
-/// plan, dependency set, strategy, and relation in place.
+/// Re-plans and rebuilds a view from its defining SQL (classification
+/// first, one run — see [`build`]), refreshing its plan, dependency set,
+/// strategy, and relation in place.
 fn rematerialize<A: AggAnnotation + ParseAnnotation>(
     db: &Database<A>,
     entry: &mut ViewEntry<A>,
 ) -> Result<()> {
     let stmt = db.cached_statement(&entry.sql)?;
     let opts = ExecOptions::from_env()?;
-    let rel = execute_plan(db, &stmt.phys, &[], 0, &opts)?;
-    let maint = build_maint(db, &stmt.optimized, &rel, &opts)?;
+    let (maint, rel) = build(db, &stmt, &opts)?;
     let deps: Vec<String> = stmt.logical.scanned_tables().into_iter().collect();
     entry.phys = stmt.phys;
     entry.deps = deps.into();
@@ -543,9 +572,12 @@ fn rematerialize<A: AggAnnotation + ParseAnnotation>(
 // ---------------------------------------------------------------------
 
 impl<A: AggAnnotation + ParseAnnotation> Database<A> {
-    /// Materializes `sql` as the view `name`: evaluates it once, retains
-    /// the annotated result, and maintains it under every subsequent
-    /// mutation — incrementally when the plan shape allows (see
+    /// Materializes `sql` as the view `name`: classifies its plan,
+    /// evaluates it once — a grouped incremental view by folding the
+    /// aggregate's input into its group state and rendering the result
+    /// from that, every other view by executing the plan — retains the
+    /// annotated result, and maintains it under every subsequent mutation:
+    /// incrementally when the plan shape allows (see
     /// [`view_strategy`](Database::view_strategy)), by eager
     /// recomputation otherwise.
     ///
@@ -578,8 +610,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
             ));
         }
         let opts = ExecOptions::from_env()?;
-        let rel = execute_plan(self, &stmt.phys, &[], 0, &opts)?;
-        let maint = build_maint(self, &stmt.optimized, &rel, &opts)?;
+        let (maint, rel) = build(self, &stmt, &opts)?;
         let deps: Vec<String> = stmt.logical.scanned_tables().into_iter().collect();
         let entry = ViewEntry {
             sql: sql.to_string(),

@@ -428,6 +428,21 @@ fn aggregate_in_group_by_is_named() {
 }
 
 #[test]
+fn aggregate_in_join_on_is_named() {
+    let sql = "SELECT r.dept FROM r JOIN r AS s ON r.dept = s.dept AND SUM(r.sal) = s.sal";
+    let (pos, msg) = aggregate_misuse(sql);
+    assert_eq!(pos, sql.find("SUM").unwrap());
+    assert!(
+        msg.starts_with("aggregates are not allowed in JOIN … ON"),
+        "{msg}"
+    );
+    assert!(msg.contains("derived table"), "{msg}");
+    // The right-hand operand is checked as well.
+    let sql = "SELECT r.dept FROM r JOIN r AS s ON r.sal = max(s.sal)";
+    assert_eq!(aggregate_misuse(sql), (sql.find("max").unwrap(), msg));
+}
+
+#[test]
 fn ungrouped_avg_over_empty_input_returns_no_rows() {
     let mut db = ProvDb::new();
     db.exec("CREATE TABLE t (x NUM);").unwrap();
