@@ -58,6 +58,13 @@ impl Const {
     }
 
     /// A short name for the constant's type, used in error messages.
+    ///
+    /// Every `Const` variant has its own arm — the cheapest total dispatch
+    /// over the domain: a new constant type must pick its name.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn type_name(&self) -> &'static str {
         match self {
             Const::Bool(_) => "bool",

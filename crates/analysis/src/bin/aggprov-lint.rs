@@ -3,15 +3,15 @@
 //! Usage: `cargo run -p analysis --bin aggprov-lint -- --workspace`
 //! (run from anywhere inside the repository; `--root <dir>` overrides
 //! discovery). Prints `path:line: [rule] message` per finding, sorted,
-//! and exits nonzero if any remain after waivers. With `--json`, prints
-//! one JSON object (`findings`, `waived`, `counts`) instead — same exit
-//! code contract, nothing else on stdout.
+//! and exits nonzero if there is any. With `--json`, prints one JSON
+//! object (`findings`, `counts`) instead — same exit code contract,
+//! nothing else on stdout.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use analysis::json::render;
-use analysis::rules::run_report;
+use analysis::rules::run_all;
 use analysis::walk::{find_root, load_workspace};
 
 fn main() -> ExitCode {
@@ -27,10 +27,8 @@ fn main() -> ExitCode {
                 println!(
                     "aggprov-lint: project-invariant static analysis\n\n\
                      USAGE: aggprov-lint [--workspace] [--json] [--root <dir>]\n\n\
-                     Rules: groundness, panic, index, lock, lock-order, dispatch,\n\
-                     \x20       oracle, wire, env, waiver\n\
-                     Waive a finding with: // lint:allow(<rule>, reason = \"...\")\n\
-                     --json emits {{\"findings\": [...], \"waived\": [...], \"counts\": ...}}"
+                     Rules: lock, lock-order, oracle, wire\n\
+                     --json emits {{\"findings\": [...], \"counts\": ...}}"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -48,23 +46,22 @@ fn main() -> ExitCode {
         }
     };
     let ws = load_workspace(&root);
-    let report = run_report(&ws);
+    let findings = run_all(&ws);
     if json {
-        println!("{}", render(&report));
+        println!("{}", render(&findings));
     } else {
-        for d in &report.findings {
+        for d in &findings {
             println!("{d}");
         }
     }
-    if report.findings.is_empty() {
+    if findings.is_empty() {
         eprintln!(
-            "aggprov-lint: clean ({} files, 10 rule kinds, 0 findings, {} waived)",
-            ws.files.len(),
-            report.waived.len()
+            "aggprov-lint: clean ({} files, 4 rule kinds, 0 findings)",
+            ws.files.len()
         );
         ExitCode::SUCCESS
     } else {
-        eprintln!("aggprov-lint: {} finding(s)", report.findings.len());
+        eprintln!("aggprov-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

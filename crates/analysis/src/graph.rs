@@ -12,13 +12,12 @@
 //! - per-function **guard events**: each `.lock()` / `.read()` /
 //!   `.write()` acquisition (empty argument lists — the `Mutex`/`RwLock`
 //!   methods take none), each stream-I/O call, and each resolvable call,
-//!   all annotated with the set of guards live at that point, using the
-//!   same guard lifetime model as the intra-procedural `lock` rule
-//!   (`let`-bound vs. temporary, `drop(guard)`, scope close);
-//! - every `match` statement's **arm patterns**, pre-split so the
-//!   `dispatch` rule can ask "which `Enum::Variant` patterns appear in
-//!   the arms of matches inside function F of file P?";
-//! - `enum` definitions with their variant names and lines.
+//!   all annotated with the set of guards live at that point — a guard
+//!   lives to the close of its scope if `let`-bound, to the end of its
+//!   statement if a temporary, or to its `drop(guard)`; both lock rules
+//!   read these events, so there is one lifetime model;
+//! - every `match` statement's **string-literal arm patterns** — the
+//!   wire-dispatch shape `"ping" => ...` the `wire` rule compares.
 //!
 //! Approximation limits, by design (documented in
 //! `docs/ARCHITECTURE.md`): no trait-object or closure resolution, no
@@ -33,8 +32,7 @@ use crate::lexer::{Tok, Token};
 use crate::{SourceFile, Workspace};
 use std::collections::BTreeMap;
 
-/// Method names that perform (possibly blocking) stream I/O. Kept in
-/// sync with the intra-procedural `lock` rule.
+/// Method names that perform (possibly blocking) stream I/O.
 pub const IO_METHODS: &[&str] = &[
     "write_all",
     "read_exact",
@@ -46,7 +44,8 @@ pub const IO_METHODS: &[&str] = &[
 ];
 
 /// True iff a `.name(` call is stream I/O: a known I/O method, or
-/// `read`/`write` with a non-empty argument list.
+/// `read`/`write` with a non-empty argument list (the `io` traits take
+/// buffers; the lock methods take nothing).
 pub fn is_io(name: &str, after_open: Option<&Tok>) -> bool {
     if IO_METHODS.contains(&name) {
         return true;
@@ -76,23 +75,11 @@ pub struct Event {
     pub line: u32,
     /// Lock names of guards live when the event fires, outermost first.
     pub live: Vec<String>,
+    /// The line the outermost live guard was acquired on (0 when none
+    /// is live).
+    pub held_since: u32,
     /// What the event is.
     pub kind: EventKind,
-}
-
-/// One `match` statement: the `Enum::Variant` paths appearing in its
-/// arm *patterns* (guards included, bodies excluded).
-#[derive(Clone, Debug, Default)]
-pub struct MatchSite {
-    /// 1-based line of the `match` keyword.
-    pub line: u32,
-    /// `(enum_name, variant_name)` pairs found in arm patterns.
-    pub arm_paths: Vec<(String, String)>,
-    /// String-literal arm patterns (quotes stripped) with their lines —
-    /// the wire-dispatch shape `"ping" => ...`.
-    pub arm_strings: Vec<(String, u32)>,
-    /// True iff some arm pattern is the wildcard `_` or a bare binding.
-    pub has_wildcard: bool,
 }
 
 /// One function item in the workspace.
@@ -108,30 +95,18 @@ pub struct FnInfo {
     pub in_test: bool,
     /// Guard/call/I-O events in body order.
     pub events: Vec<Event>,
-    /// `match` statements in the body.
-    pub matches: Vec<MatchSite>,
+    /// String literals in the `match` arm *patterns* of the body (guards
+    /// included, arm bodies excluded), quotes stripped, with their lines
+    /// — the wire-dispatch shape `"ping" => ...`.
+    pub arm_strings: Vec<(String, u32)>,
 }
 
-/// An `enum` definition.
-#[derive(Clone, Debug)]
-pub struct EnumDef {
-    /// Workspace-relative path of the defining file.
-    pub path: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-    /// Variant names with their declaration lines, in order.
-    pub variants: Vec<(String, u32)>,
-}
-
-/// The phase-1 result: every function, enum and resolvable call edge in
-/// the workspace.
+/// The phase-1 result: every function and resolvable call edge in the
+/// workspace.
 #[derive(Debug, Default)]
 pub struct SymbolGraph {
     /// All function items, in file/offset order.
     pub fns: Vec<FnInfo>,
-    /// Enum name → definition. First definition wins on (unlikely) name
-    /// collisions.
-    pub enums: BTreeMap<String, EnumDef>,
     /// Function name → indices into `fns` bearing it (resolution is only
     /// trusted when the list has exactly one entry).
     pub by_name: BTreeMap<String, Vec<usize>>,
@@ -142,7 +117,6 @@ impl SymbolGraph {
     pub fn build(ws: &Workspace) -> SymbolGraph {
         let mut g = SymbolGraph::default();
         for f in &ws.files {
-            collect_enums(f, &mut g.enums);
             collect_fns(f, &mut g.fns);
         }
         for (i, f) in g.fns.iter().enumerate() {
@@ -169,67 +143,7 @@ impl SymbolGraph {
     }
 }
 
-/// Collects `enum` definitions (any visibility) from one file.
-fn collect_enums(f: &SourceFile, out: &mut BTreeMap<String, EnumDef>) {
-    let toks = &f.tokens;
-    for i in 0..toks.len() {
-        if !toks[i].tok.is_ident("enum") || f.in_test(i) {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).and_then(|t| t.tok.ident()) else {
-            continue;
-        };
-        // Body `{` after the name (skipping generics).
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].tok.is(b'{') && !toks[j].tok.is(b';') {
-            j += 1;
-        }
-        let Some(&close) = f.matches.get(j).filter(|&&c| c != usize::MAX) else {
-            continue;
-        };
-        let variants = enum_variants(f, j + 1, close);
-        out.entry(name.to_string()).or_insert(EnumDef {
-            path: f.path.clone(),
-            line: toks[i].line,
-            variants,
-        });
-    }
-}
-
-/// Parses variant names out of an enum body token range: the first
-/// identifier of each top-level comma-separated segment, skipping
-/// `#[...]` attributes and each variant's payload.
-fn enum_variants(f: &SourceFile, start: usize, end: usize) -> Vec<(String, u32)> {
-    let toks = &f.tokens;
-    let mut out = Vec::new();
-    let mut j = start;
-    let mut want_name = true;
-    while j < end {
-        match &toks[j].tok {
-            Tok::Punct(b'#') if toks.get(j + 1).is_some_and(|t| t.tok.is(b'[')) => {
-                let c = f.matches[j + 1];
-                j = if c == usize::MAX { j + 2 } else { c + 1 };
-            }
-            Tok::Punct(b'(' | b'{' | b'[') => {
-                let c = f.matches[j];
-                j = if c == usize::MAX { j + 1 } else { c + 1 };
-            }
-            Tok::Punct(b',') => {
-                want_name = true;
-                j += 1;
-            }
-            Tok::Ident(name) if want_name => {
-                out.push((name.clone(), toks[j].line));
-                want_name = false;
-                j += 1;
-            }
-            _ => j += 1,
-        }
-    }
-    out
-}
-
-/// Collects function items and walks each body for events and matches.
+/// Collects function items and walks each body for events and arm strings.
 fn collect_fns(f: &SourceFile, out: &mut Vec<FnInfo>) {
     let toks = &f.tokens;
     let mut i = 0;
@@ -258,7 +172,7 @@ fn collect_fns(f: &SourceFile, out: &mut Vec<FnInfo>) {
             line: toks[i].line,
             in_test: f.in_test(i),
             events: Vec::new(),
-            matches: Vec::new(),
+            arm_strings: Vec::new(),
         };
         walk_body(f, open, close, &mut info);
         out.push(info);
@@ -300,14 +214,15 @@ fn body_open(f: &SourceFile, mut j: usize) -> Option<usize> {
 struct Guard {
     binding: Option<String>,
     lock: String,
+    line: u32,
     depth: i32,
     temporary: bool,
 }
 
 /// Walks one fn body, recording acquisition/call/I-O events with live
-/// guard sets, and collecting `match` sites. The guard lifetime model is
-/// the intra-procedural `lock` rule's: scope close kills deeper guards,
-/// `;` kills temporaries, `drop(name)` kills a named guard.
+/// guard sets, and collecting `match` arm strings. Guard lifetimes: scope close
+/// kills deeper guards, `;` kills temporaries, `drop(name)` kills a named
+/// guard.
 fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
     let toks = &f.tokens;
     let mut depth: i32 = 0;
@@ -338,17 +253,19 @@ fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
                 }
             }
             Tok::Ident(name) if name == "match" => {
-                if let Some((site, after)) = parse_match(f, i, close) {
-                    info.matches.push(site);
-                    // Keep walking *inside* the match for events; only
-                    // the site itself is recorded here, so no skip.
-                    let _ = after;
-                }
+                // Keep walking *inside* the match for events; only its arm
+                // strings are recorded here, so no skip.
+                collect_arm_strings(f, i, close, &mut info.arm_strings);
             }
             Tok::Ident(name) if toks.get(i + 1).is_some_and(|n| n.tok.is(b'(')) => {
                 let method = i > 0 && toks[i - 1].tok.is(b'.');
                 let empty_args = toks.get(i + 2).is_some_and(|n| n.tok.is(b')'));
-                let snapshot = || live.iter().map(|g| g.lock.clone()).collect::<Vec<_>>();
+                let event = |kind| Event {
+                    line: t.line,
+                    live: live.iter().map(|g| g.lock.clone()).collect(),
+                    held_since: live.first().map_or(0, |g| g.line),
+                    kind,
+                };
                 if method
                     && empty_args
                     && matches!(name.as_str(), "lock" | "read" | "write")
@@ -357,23 +274,17 @@ fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
                     // `.lock()` / `.read()` / `.write()` on a named
                     // field: an acquisition.
                     let lock = receiver_field(toks, i).unwrap_or_default();
-                    info.events.push(Event {
-                        line: t.line,
-                        live: snapshot(),
-                        kind: EventKind::Acquire(lock.clone()),
-                    });
+                    info.events.push(event(EventKind::Acquire(lock.clone())));
+                    let binding = let_binding(toks, stmt_start, i);
                     live.push(Guard {
-                        binding: let_binding(toks, stmt_start, i),
+                        temporary: binding.is_none(),
+                        binding,
                         lock,
+                        line: t.line,
                         depth,
-                        temporary: let_binding(toks, stmt_start, i).is_none(),
                     });
                 } else if method && is_io(name, toks.get(i + 2).map(|n| &n.tok)) {
-                    info.events.push(Event {
-                        line: t.line,
-                        live: snapshot(),
-                        kind: EventKind::Io(name.clone()),
-                    });
+                    info.events.push(event(EventKind::Io(name.clone())));
                 } else if !(KEYWORD_CALLS.contains(&name.as_str())
                     || method && STD_METHODS.contains(&name.as_str()))
                 {
@@ -383,11 +294,7 @@ fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
                     // `conn.shutdown(..)` is `TcpStream::shutdown`, and
                     // resolving it to a same-named workspace fn would
                     // fabricate edges.
-                    info.events.push(Event {
-                        line: t.line,
-                        live: snapshot(),
-                        kind: EventKind::Call(name.clone()),
-                    });
+                    info.events.push(event(EventKind::Call(name.clone())));
                 }
             }
             _ => {}
@@ -444,11 +351,9 @@ fn let_binding(toks: &[Token], stmt_start: usize, before: usize) -> Option<Strin
 }
 
 /// Parses the `match` at token `at`: finds the body `{`, splits arms at
-/// top-level `=>`, and collects `Enum::Variant` paths and string
-/// literals from the pattern (and guard) segments only — constructions
-/// in arm *bodies* never count as handled variants. Returns the site and
-/// the token index just past the match body.
-fn parse_match(f: &SourceFile, at: usize, limit: usize) -> Option<(MatchSite, usize)> {
+/// top-level `=>`, and collects string literals from the pattern (and
+/// guard) segments only — literals in arm *bodies* never count.
+fn collect_arm_strings(f: &SourceFile, at: usize, limit: usize, out: &mut Vec<(String, u32)>) {
     let toks = &f.tokens;
     // Scrutinee runs to the first `{` at relative depth 0 (struct
     // literals are illegal in match scrutinees, same as `if`).
@@ -460,17 +365,13 @@ fn parse_match(f: &SourceFile, at: usize, limit: usize) -> Option<(MatchSite, us
         j += 1;
     }
     if j >= limit {
-        return None;
+        return;
     }
     let body_open = j;
     let body_close = f.matches[body_open];
     if body_close == usize::MAX || body_close > limit {
-        return None;
+        return;
     }
-    let mut site = MatchSite {
-        line: toks[at].line,
-        ..MatchSite::default()
-    };
     let mut k = body_open + 1;
     while k < body_close {
         // Pattern (+ optional guard): tokens up to the arm's `=>`.
@@ -494,7 +395,15 @@ fn parse_match(f: &SourceFile, at: usize, limit: usize) -> Option<(MatchSite, us
             p += 1;
         }
         let Some(arrow) = arrow else { break };
-        collect_arm_pattern(f, pat_start, arrow, &mut site);
+        for t in &toks[pat_start..arrow] {
+            if let Tok::Str(text) = &t.tok {
+                let stripped = text
+                    .trim_start_matches(['b', 'r', '#'])
+                    .trim_matches(['"', '#'])
+                    .to_string();
+                out.push((stripped, t.line));
+            }
+        }
         // Body: a brace block, or an expression up to the top-level `,`.
         let mut b = arrow + 2;
         if toks.get(b).is_some_and(|t| t.tok.is(b'{')) && f.matches[b] != usize::MAX {
@@ -516,56 +425,6 @@ fn parse_match(f: &SourceFile, at: usize, limit: usize) -> Option<(MatchSite, us
         }
         k = b;
     }
-    Some((site, body_close + 1))
-}
-
-/// Collects `Enum::Variant` paths, string-literal patterns, and the
-/// wildcard flag from one arm's pattern segment.
-fn collect_arm_pattern(f: &SourceFile, start: usize, end: usize, site: &mut MatchSite) {
-    let toks = &f.tokens;
-    let mut saw_anything = false;
-    for k in start..end {
-        match &toks[k].tok {
-            Tok::Ident(head)
-                if head.starts_with(|c: char| c.is_ascii_uppercase())
-                    && toks.get(k + 1).is_some_and(|t| t.tok.is(b':'))
-                    && toks.get(k + 2).is_some_and(|t| t.tok.is(b':')) =>
-            {
-                if let Some(variant) = toks.get(k + 3).and_then(|t| t.tok.ident()) {
-                    let pair = (head.clone(), variant.to_string());
-                    if !site.arm_paths.contains(&pair) {
-                        site.arm_paths.push(pair);
-                    }
-                }
-                saw_anything = true;
-            }
-            Tok::Str(text) => {
-                let stripped = text
-                    .trim_start_matches(['b', 'r', '#'])
-                    .trim_matches(['"', '#'])
-                    .to_string();
-                site.arm_strings.push((stripped, toks[k].line));
-                saw_anything = true;
-            }
-            Tok::Ident(name) if name == "_" => {
-                site.has_wildcard = true;
-                saw_anything = true;
-            }
-            _ => {
-                saw_anything = true;
-            }
-        }
-    }
-    // A pattern that is a single lowercase identifier is a catch-all
-    // binding (`other => ...`).
-    if end == start + 1 {
-        if let Some(name) = toks[start].tok.ident() {
-            if name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_') {
-                site.has_wildcard = true;
-            }
-        }
-    }
-    let _ = saw_anything;
 }
 
 #[cfg(test)]
@@ -636,36 +495,6 @@ impl S {
     }
 
     #[test]
-    fn enums_and_match_arm_patterns() {
-        let src = "\
-pub enum Color { Red, Green(u8), Blue { x: u8 } }
-fn paint(c: &Color) -> u8 {
-    match c {
-        Color::Red => 0,
-        Color::Green(g) => make(Color::Blue { x: 1 }),
-        other => 9,
-    }
-}
-";
-        let g = graph(vec![("x.rs", src)]);
-        let def = &g.enums["Color"];
-        let names: Vec<&str> = def.variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Red", "Green", "Blue"]);
-        let paint = &g.fns[g.resolve("paint").unwrap()];
-        assert_eq!(paint.matches.len(), 1);
-        let site = &paint.matches[0];
-        // `Color::Blue` appears only in an arm *body* — not collected.
-        assert_eq!(
-            site.arm_paths,
-            vec![
-                ("Color".to_string(), "Red".to_string()),
-                ("Color".to_string(), "Green".to_string()),
-            ]
-        );
-        assert!(site.has_wildcard, "the catch-all binding must register");
-    }
-
-    #[test]
     fn string_arm_patterns_for_wire_dispatch() {
         let src = "\
 fn dispatch(op: &str) -> u8 {
@@ -678,11 +507,7 @@ fn dispatch(op: &str) -> u8 {
 ";
         let g = graph(vec![("x.rs", src)]);
         let d = &g.fns[g.resolve("dispatch").unwrap()];
-        let ops: Vec<&str> = d.matches[0]
-            .arm_strings
-            .iter()
-            .map(|(s, _)| s.as_str())
-            .collect();
+        let ops: Vec<&str> = d.arm_strings.iter().map(|(s, _)| s.as_str()).collect();
         assert_eq!(ops, vec!["ping", "sql", "query"]);
     }
 

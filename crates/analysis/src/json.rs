@@ -1,13 +1,12 @@
 //! Machine-readable lint output (`aggprov-lint --json`).
 //!
-//! Renders a [`crate::rules::LintReport`] as one JSON object:
+//! Renders the findings as one JSON object:
 //!
 //! ```json
 //! {
 //!   "findings": [ {"rule": "...", "path": "...", "line": N,
-//!                  "message": "...", "waived": false}, ... ],
-//!   "waived":   [ ...same shape with "waived": true... ],
-//!   "counts":   {"findings": N, "waived": N}
+//!                  "message": "..."}, ... ],
+//!   "counts":   {"findings": N}
 //! }
 //! ```
 //!
@@ -18,46 +17,29 @@
 //! `tests/json_roundtrip.rs` parses this output with that very parser,
 //! so the two dialects can't drift.
 
-use crate::rules::LintReport;
 use crate::Diagnostic;
 use std::fmt::Write;
 
-/// Renders the report as a single-object JSON document (no trailing
+/// Renders the findings as a single-object JSON document (no trailing
 /// newline).
-pub fn render(report: &LintReport) -> String {
+pub fn render(findings: &[Diagnostic]) -> String {
     let mut out = String::new();
     out.push_str("{\"findings\":[");
-    for (i, d) in report.findings.iter().enumerate() {
+    for (i, d) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_diag(&mut out, d, false);
+        out.push_str("{\"rule\":");
+        push_escaped(&mut out, d.rule);
+        out.push_str(",\"path\":");
+        push_escaped(&mut out, &d.path);
+        let _ = write!(out, ",\"line\":{}", d.line);
+        out.push_str(",\"message\":");
+        push_escaped(&mut out, &d.message);
+        out.push('}');
     }
-    out.push_str("],\"waived\":[");
-    for (i, d) in report.waived.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_diag(&mut out, d, true);
-    }
-    let _ = write!(
-        out,
-        "],\"counts\":{{\"findings\":{},\"waived\":{}}}}}",
-        report.findings.len(),
-        report.waived.len()
-    );
+    let _ = write!(out, "],\"counts\":{{\"findings\":{}}}}}", findings.len());
     out
-}
-
-fn push_diag(out: &mut String, d: &Diagnostic, waived: bool) {
-    out.push_str("{\"rule\":");
-    push_escaped(out, d.rule);
-    out.push_str(",\"path\":");
-    push_escaped(out, &d.path);
-    let _ = write!(out, ",\"line\":{}", d.line);
-    out.push_str(",\"message\":");
-    push_escaped(out, &d.message);
-    let _ = write!(out, ",\"waived\":{waived}}}");
 }
 
 /// Escapes a string the same way the server's JSON printer does.
@@ -94,28 +76,18 @@ mod tests {
 
     #[test]
     fn renders_counts_and_escapes() {
-        let report = LintReport {
-            findings: vec![diag("panic", "don't \"unwrap\"\nhere")],
-            waived: vec![diag("index", "tab\there")],
-        };
-        let s = render(&report);
+        let s = render(&[
+            diag("lock", "don't \"nest\"\nhere"),
+            diag("wire", "tab\there"),
+        ]);
         assert!(s.starts_with("{\"findings\":["), "{s}");
-        assert!(s.contains("\\\"unwrap\\\"\\nhere"), "{s}");
+        assert!(s.contains("\\\"nest\\\"\\nhere"), "{s}");
         assert!(s.contains("tab\\there"), "{s}");
-        assert!(s.contains("\"waived\":false"));
-        assert!(s.contains("\"waived\":true"));
-        assert!(
-            s.ends_with("\"counts\":{\"findings\":1,\"waived\":1}}"),
-            "{s}"
-        );
+        assert!(s.ends_with("\"counts\":{\"findings\":2}}"), "{s}");
     }
 
     #[test]
     fn empty_report_is_a_complete_object() {
-        let s = render(&LintReport::default());
-        assert_eq!(
-            s,
-            "{\"findings\":[],\"waived\":[],\"counts\":{\"findings\":0,\"waived\":0}}"
-        );
+        assert_eq!(render(&[]), "{\"findings\":[],\"counts\":{\"findings\":0}}");
     }
 }

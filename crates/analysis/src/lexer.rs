@@ -3,11 +3,9 @@
 //! The same approach as the SQL lexer in `engine/src/lexer.rs`: a single
 //! forward pass over the bytes, producing tokens tagged with the line
 //! they start on. It understands exactly as much Rust as the lint rules
-//! need — identifiers, punctuation, string/char/lifetime literals,
-//! numbers, and (crucially) comments, which are captured separately so
-//! waiver annotations (`// lint:allow(...)`) can be recovered. It does
-//! **not** build a syntax tree; rules work over the token stream plus a
-//! bracket match map.
+//! need — identifiers, punctuation, string/char/lifetime literals and
+//! numbers; comments are skipped. It does **not** build a syntax tree;
+//! rules work over the token stream plus a bracket match map.
 
 /// One lexical token.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,24 +37,6 @@ pub struct Token {
     pub tok: Tok,
     /// 1-based line number of the token's first byte.
     pub line: u32,
-}
-
-/// A comment with the 1-based line it starts on (waiver parsing input).
-#[derive(Clone, Debug)]
-pub struct Comment {
-    /// The comment text, including its `//` / `/*` delimiters.
-    pub text: String,
-    /// 1-based line number of the comment's first byte.
-    pub line: u32,
-}
-
-/// The scan result: code tokens and comments, separately.
-#[derive(Debug, Default)]
-pub struct Scan {
-    /// All non-comment tokens in order.
-    pub tokens: Vec<Token>,
-    /// All comments in order.
-    pub comments: Vec<Comment>,
 }
 
 impl Tok {
@@ -95,12 +75,13 @@ impl Tok {
     }
 }
 
-/// Scans Rust source into tokens + comments. Never fails: unexpected
-/// bytes are skipped (the analyzer lints files that already compile, so
-/// anything unrecognized is at worst inside an exotic literal).
-pub fn scan(input: &str) -> Scan {
+/// Scans Rust source into its non-comment tokens. Never fails:
+/// unexpected bytes are skipped (the analyzer lints files that already
+/// compile, so anything unrecognized is at worst inside an exotic
+/// literal).
+pub fn scan(input: &str) -> Vec<Token> {
     let bytes = input.as_bytes();
-    let mut out = Scan::default();
+    let mut out = Vec::new();
     let mut i = 0;
     let mut line: u32 = 1;
     while i < bytes.len() {
@@ -113,17 +94,11 @@ pub fn scan(input: &str) -> Scan {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                out.comments.push(Comment {
-                    text: input[start..i].to_string(),
-                    line: start_line,
-                });
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let start = i;
                 let mut depth = 1;
                 i += 2;
                 while i < bytes.len() && depth > 0 {
@@ -140,15 +115,11 @@ pub fn scan(input: &str) -> Scan {
                         i += 1;
                     }
                 }
-                out.comments.push(Comment {
-                    text: input[start..i].to_string(),
-                    line: start_line,
-                });
             }
             b'"' => {
                 let (text, nl) = read_string(input, &mut i, 0);
                 line += nl;
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Str(text),
                     line: start_line,
                 });
@@ -156,7 +127,7 @@ pub fn scan(input: &str) -> Scan {
             b'r' | b'b' if starts_raw_or_byte_string(bytes, i) => {
                 let (text, nl) = read_prefixed_string(input, &mut i);
                 line += nl;
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Str(text),
                     line: start_line,
                 });
@@ -170,7 +141,7 @@ pub fn scan(input: &str) -> Scan {
                     j += 1;
                 }
                 if j > i + 1 && bytes.get(j) != Some(&b'\'') {
-                    out.tokens.push(Token {
+                    out.push(Token {
                         tok: Tok::Lifetime,
                         line: start_line,
                     });
@@ -191,7 +162,7 @@ pub fn scan(input: &str) -> Scan {
                         }
                     }
                     i += 1; // closing quote (or EOF)
-                    out.tokens.push(Token {
+                    out.push(Token {
                         tok: Tok::Char,
                         line: start_line,
                     });
@@ -210,7 +181,7 @@ pub fn scan(input: &str) -> Scan {
                 {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Num(input[start..i].to_string()),
                     line: start_line,
                 });
@@ -220,13 +191,13 @@ pub fn scan(input: &str) -> Scan {
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Ident(input[start..i].to_string()),
                     line: start_line,
                 });
             }
             other => {
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Punct(other),
                     line: start_line,
                 });
@@ -336,7 +307,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         scan(src)
-            .tokens
             .iter()
             .filter_map(|t| t.tok.ident().map(str::to_string))
             .collect()
@@ -345,66 +315,51 @@ mod tests {
     #[test]
     fn basic_tokens_and_lines() {
         let s = scan("fn f() {\n    x.unwrap()\n}\n");
-        assert_eq!(s.tokens[0].tok, Tok::Ident("fn".into()));
-        let unwrap = s.tokens.iter().find(|t| t.tok.is_ident("unwrap")).unwrap();
+        assert_eq!(s[0].tok, Tok::Ident("fn".into()));
+        let unwrap = s.iter().find(|t| t.tok.is_ident("unwrap")).unwrap();
         assert_eq!(unwrap.line, 2);
     }
 
     #[test]
-    fn comments_are_captured_separately() {
-        let s = scan("a // lint:allow(panic, reason = \"x\")\n/* block\nspans */ b");
+    fn comments_are_skipped_and_lines_still_count() {
+        let s = scan("a // line [comment]\n/* block\nspans */ b");
         assert_eq!(idents("a // c\nb"), vec!["a", "b"]);
-        assert_eq!(s.comments.len(), 2);
-        assert!(s.comments[0].text.contains("lint:allow"));
-        assert_eq!(s.comments[0].line, 1);
-        assert_eq!(s.comments[1].line, 2);
-        assert_eq!(s.tokens[1].tok, Tok::Ident("b".into()));
-        assert_eq!(s.tokens[1].line, 3);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s[1].tok, Tok::Ident("b".into()));
+        assert_eq!(s[1].line, 3);
     }
 
     #[test]
     fn strings_hide_their_contents() {
         // Brackets and `//` inside strings must not produce tokens.
         let s = scan(r#"let x = "a[0] // not a comment"; y"#);
-        assert!(s.comments.is_empty());
-        assert!(!s.tokens.iter().any(|t| t.tok.is(b'[')));
-        assert!(s.tokens.iter().any(|t| t.tok.is_ident("y")));
+        assert!(s
+            .iter()
+            .any(|t| matches!(&t.tok, Tok::Str(x) if x.contains("not a comment"))));
+        assert!(!s.iter().any(|t| t.tok.is(b'[')));
+        assert!(s.iter().any(|t| t.tok.is_ident("y")));
     }
 
     #[test]
     fn raw_strings_and_hashes() {
         let s = scan("r#\"has \"quotes\" inside\"# z");
-        assert!(matches!(&s.tokens[0].tok, Tok::Str(t) if t.contains("quotes")));
-        assert!(s.tokens[1].tok.is_ident("z"));
+        assert!(matches!(&s[0].tok, Tok::Str(t) if t.contains("quotes")));
+        assert!(s[1].tok.is_ident("z"));
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let s = scan("fn f<'a>(x: &'a str) { let c = 'x'; }");
-        let lifetimes = s
-            .tokens
-            .iter()
-            .filter(|t| matches!(t.tok, Tok::Lifetime))
-            .count();
-        let chars = s
-            .tokens
-            .iter()
-            .filter(|t| matches!(t.tok, Tok::Char))
-            .count();
+        let lifetimes = s.iter().filter(|t| matches!(t.tok, Tok::Lifetime)).count();
+        let chars = s.iter().filter(|t| matches!(t.tok, Tok::Char)).count();
         assert_eq!((lifetimes, chars), (2, 1));
     }
 
     #[test]
     fn escaped_char_literals() {
         let s = scan(r"let a = '\n'; let b = '\''; let c = '\u{1F600}'; d");
-        assert!(s.tokens.iter().any(|t| t.tok.is_ident("d")));
-        assert_eq!(
-            s.tokens
-                .iter()
-                .filter(|t| matches!(t.tok, Tok::Char))
-                .count(),
-            3
-        );
+        assert!(s.iter().any(|t| t.tok.is_ident("d")));
+        assert_eq!(s.iter().filter(|t| matches!(t.tok, Tok::Char)).count(), 3);
     }
 
     #[test]
@@ -419,7 +374,6 @@ mod tests {
     fn numbers_carry_their_value() {
         let s = scan("with_threads(4); serial(); n(1_000i64); f(2.5)");
         let nums: Vec<Option<u64>> = s
-            .tokens
             .iter()
             .filter(|t| matches!(t.tok, Tok::Num(_)))
             .map(|t| t.tok.num_value())

@@ -1,49 +1,42 @@
 //! `aggprov-lint` — project-invariant static analysis for the aggprov
-//! workspace.
+//! workspace: the invariants that neither a type nor a compiler lint can
+//! state.
 //!
-//! The engine's correctness story rests on disciplines that used to live
-//! only in reviewers' heads: every ground/symbolic fast path must gate on
-//! *both* operands (the PR 4 `annotation_at` bug class), the execute path
-//! must never panic, lock acquisitions must not nest or straddle socket
-//! I/O, every physical operator must have a `specops::` oracle referenced
-//! from a property test, and every `AGGPROV_*` environment variable must
-//! be declared in one registry and documented in the README. This crate
-//! re-checks those invariants mechanically on every commit.
+//! Most of the engine's disciplines are held by the compiler. A columnar
+//! fast path cannot be gated on one operand because its kernel takes two
+//! fringe-free `Ground` views (`core::ops::batch`); the execute, prepare
+//! and serving paths cannot panic because their modules `#![deny]`
+//! clippy's `indexing_slicing`/`unwrap_used`/`expect_used`/`panic` family,
+//! with each exception an `#[expect(…, reason = "…")]` on the statement;
+//! a new enum variant cannot slip past a designated dispatch function
+//! because rustc's exhaustiveness check plus
+//! `#[deny(clippy::wildcard_enum_match_arm)]` on that function demand an
+//! arm. What is left for this crate are whole-program facts: the order
+//! in which locks are taken across functions, which property test calls
+//! which oracle, and whether three hand-written tables of wire ops agree.
 //!
 //! It is a **two-phase analyzer** built on a lightweight token scanner
 //! ([`lexer`]) in the same hand-rolled, zero-dependency style as the SQL
 //! lexer (`engine/src/lexer.rs`) and the server's JSON parser — no
 //! `syn`, no network. Phase 1 ([`graph`]) walks the workspace once and
 //! builds a symbol graph: functions with spans, an approximate call
-//! graph from unique-name resolution, per-function lock-guard events,
-//! `match` dispatch sites, and enum definitions. Phase 2 ([`rules`])
-//! runs line-local rules over each file's token stream plus graph-aware
-//! rules over the whole program. Everything is deliberately conservative
-//! pattern matching for *this repository's* idioms, not a general Rust
-//! analyzer, and every rule is pinned by fixture tests in
-//! `tests/fixtures/`.
+//! graph from unique-name resolution, per-function lock-guard events and
+//! the string arms of `match` dispatch sites. Phase 2 ([`rules`]) runs
+//! the rules over that graph and the token streams. Everything is
+//! deliberately conservative pattern matching for *this repository's*
+//! idioms, not a general Rust analyzer, and every rule is pinned by
+//! fixture tests in `tests/fixtures/`.
 //!
 //! # Rules
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | `groundness` | two-sided ground/symbolic gates in `core::ops` |
-//! | `panic` | no `unwrap`/`expect`/`panic!`-family on the execute path |
-//! | `index` | no bare slice indexing on the execute path |
-//! | `lock` | no nested guards; no lock held across socket I/O (one file) |
+//! | `lock` | no nested guards; no lock held across socket I/O (one function) |
 //! | `lock-order` | no cycle in the global guard-acquisition order; no lock held across I/O *transitively through callees* |
-//! | `dispatch` | every variant of a registered enum has an arm at its designated dispatch sites |
 //! | `oracle` | every `core::ops` operator's `specops::` twin is *called* from a proptest that also runs the physical path (threads 1 and 4 for `_opts` operators) |
 //! | `wire` | server dispatch arms, `Client` methods and the `WIRE_PROTOCOL.md` op table agree |
-//! | `env` | every `AGGPROV_*` literal is registered and README-documented |
 //!
-//! # Waivers
-//!
-//! A finding is suppressed by a comment on the same line or the line
-//! above: `// lint:allow(<rule>, reason = "...")`. The reason is
-//! mandatory — a reason-less waiver is itself a diagnostic — and so is
-//! being load-bearing: a waiver that suppresses nothing is reported as
-//! unused.
+//! There is no waiver syntax: a finding is fixed, not annotated.
 //!
 //! Run locally with `cargo run -p analysis --bin aggprov-lint` from the
 //! workspace root.
@@ -59,7 +52,7 @@ pub mod registry;
 pub mod rules;
 pub mod walk;
 
-use lexer::{scan, Scan, Tok, Token};
+use lexer::{scan, Tok, Token};
 
 /// One lint finding, anchored to a file and line.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,8 +61,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: u32,
-    /// Rule id (`groundness`, `panic`, `index`, `lock`, `lock-order`,
-    /// `dispatch`, `oracle`, `wire`, `env`, `waiver`).
+    /// Rule id (`lock`, `lock-order`, `oracle`, `wire`).
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -85,31 +77,14 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// A parsed waiver annotation: `// lint:allow(<rule>, reason = "...")`.
-#[derive(Clone, Debug)]
-pub struct Waiver {
-    /// The waived rule id.
-    pub rule: String,
-    /// The mandatory justification (`None` when the comment omitted it —
-    /// reported by the driver).
-    pub reason: Option<String>,
-    /// 1-based line of the waiver comment. The waiver covers findings on
-    /// this line and the next (for standalone comment lines).
-    pub line: u32,
-}
-
 /// A scanned source file plus everything rules need: tokens, bracket
-/// match map, `#[cfg(test)]` spans, and waivers.
+/// match map and `#[cfg(test)]` spans.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, forward slashes.
     pub path: String,
-    /// The raw text (the env rule and README checks substring-match it).
-    pub text: String,
     /// The token stream.
     pub tokens: Vec<Token>,
-    /// Waivers parsed from comments.
-    pub waivers: Vec<Waiver>,
     /// For each token index: the index of the matching close/open
     /// bracket, for `(` `)` `[` `]` `{` `}` tokens; `usize::MAX`
     /// elsewhere or when unbalanced.
@@ -121,18 +96,14 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Scans `text` into a rule-ready source file.
-    pub fn new(path: impl Into<String>, text: impl Into<String>) -> SourceFile {
+    pub fn new(path: impl Into<String>, text: impl AsRef<str>) -> SourceFile {
         let path = path.into();
-        let text = text.into();
-        let Scan { tokens, comments } = scan(&text);
-        let waivers = comments.iter().filter_map(parse_waiver).collect();
+        let tokens = scan(text.as_ref());
         let matches = match_brackets(&tokens);
         let test_ranges = find_test_ranges(&tokens, &matches);
         SourceFile {
             path,
-            text,
             tokens,
-            waivers,
             matches,
             test_ranges,
         }
@@ -143,71 +114,6 @@ impl SourceFile {
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= i && i <= b)
     }
-
-    /// True iff a waiver for `rule` covers `line` (same line or the line
-    /// directly above). Reason-less waivers still suppress — the missing
-    /// reason is reported separately, so one sloppy comment yields one
-    /// diagnostic, not two.
-    pub fn waived(&self, rule: &str, line: u32) -> bool {
-        self.waivers
-            .iter()
-            .any(|w| w.rule == rule && (w.line == line || w.line + 1 == line))
-    }
-}
-
-/// Parses `lint:allow(<rule>, reason = "...")` out of a comment. Doc
-/// comments don't count — they *describe* the waiver syntax (this crate
-/// does, at length) rather than invoke it.
-fn parse_waiver(c: &lexer::Comment) -> Option<Waiver> {
-    if c.text.starts_with("///")
-        || c.text.starts_with("//!")
-        || c.text.starts_with("/**")
-        || c.text.starts_with("/*!")
-    {
-        return None;
-    }
-    let at = c.text.find("lint:allow(")?;
-    let rest = &c.text[at + "lint:allow(".len()..];
-    // The closing paren is the first one *outside* the quoted reason —
-    // reasons like `selected() rows are in bounds` contain their own.
-    let mut end = None;
-    let mut in_str = false;
-    for (i, ch) in rest.char_indices() {
-        match ch {
-            '"' => in_str = !in_str,
-            ')' if !in_str => {
-                end = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let inner = &rest[..end?];
-    let (rule, reason) = match inner.find(',') {
-        None => (inner.trim(), None),
-        Some(comma) => {
-            let rule = inner[..comma].trim();
-            let tail = inner[comma + 1..].trim();
-            let reason = tail
-                .strip_prefix("reason")
-                .map(str::trim_start)
-                .and_then(|t| t.strip_prefix('='))
-                .map(str::trim)
-                .and_then(|t| t.strip_prefix('"'))
-                .and_then(|t| t.strip_suffix('"'))
-                .filter(|t| !t.trim().is_empty())
-                .map(str::to_string);
-            (rule, reason)
-        }
-    };
-    if rule.is_empty() {
-        return None;
-    }
-    Some(Waiver {
-        rule: rule.to_string(),
-        reason,
-        line: c.line,
-    })
 }
 
 /// Builds the bracket match map over the token stream.
@@ -291,15 +197,12 @@ fn attr_is_test(inner: &[Token]) -> bool {
     }
 }
 
-/// A loaded workspace: all scanned sources plus the README text (for the
-/// env-registry documentation check) and the wire-protocol spec (for the
-/// `wire` drift check).
+/// A loaded workspace: all scanned sources plus the wire-protocol spec
+/// (for the `wire` drift check).
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// All scanned `.rs` files.
     pub files: Vec<SourceFile>,
-    /// `README.md` contents (empty when absent).
-    pub readme: String,
     /// `docs/WIRE_PROTOCOL.md` contents (empty when absent).
     pub wire_doc: String,
 }
@@ -314,43 +217,6 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn waiver_parsing() {
-        let f = SourceFile::new(
-            "x.rs",
-            "// lint:allow(index, reason = \"selection vector is in-bounds\")\n\
-             let x = a[i];\n\
-             // lint:allow(panic)\n\
-             y.unwrap();\n",
-        );
-        assert_eq!(f.waivers.len(), 2);
-        assert_eq!(f.waivers[0].rule, "index");
-        assert!(f.waivers[0].reason.is_some());
-        assert!(f.waivers[1].reason.is_none());
-        assert!(f.waived("index", 2));
-        assert!(!f.waived("index", 4));
-        assert!(f.waived("panic", 4));
-    }
-
-    #[test]
-    fn reason_may_contain_parens() {
-        let f = SourceFile::new(
-            "x.rs",
-            "// lint:allow(index, reason = \"selected() rows are < ground.len()\")\n",
-        );
-        assert_eq!(f.waivers.len(), 1);
-        assert_eq!(
-            f.waivers[0].reason.as_deref(),
-            Some("selected() rows are < ground.len()")
-        );
-    }
-
-    #[test]
-    fn empty_reason_counts_as_missing() {
-        let f = SourceFile::new("x.rs", "// lint:allow(panic, reason = \"\")\n");
-        assert!(f.waivers[0].reason.is_none());
-    }
 
     #[test]
     fn cfg_test_ranges_cover_test_modules() {

@@ -37,11 +37,9 @@ pub fn check(ws: &Workspace, graph: &SymbolGraph) -> Vec<Diagnostic> {
         return Vec::new();
     };
     let mut server_ops: Vec<(String, u32)> = Vec::new();
-    for m in &dispatch.matches {
-        for (op, line) in &m.arm_strings {
-            if !server_ops.iter().any(|(o, _)| o == op) {
-                server_ops.push((op.clone(), *line));
-            }
+    for (op, line) in &dispatch.arm_strings {
+        if !server_ops.iter().any(|(o, _)| o == op) {
+            server_ops.push((op.clone(), *line));
         }
     }
     let mut out = Vec::new();
@@ -229,7 +227,6 @@ impl Client {
                 SourceFile::new(CLIENT_PATH, client),
             ],
             wire_doc: doc.to_string(),
-            ..Workspace::default()
         };
         let graph = SymbolGraph::build(&ws);
         check(&ws, &graph)

@@ -1,9 +1,20 @@
-//! Rule `lock-order`: global guard-acquisition order, interprocedurally.
+//! Rules `lock` and `lock-order`: guard discipline, within one function
+//! and across the call graph, both read off the phase-1 guard events.
 //!
-//! The intra-procedural `lock` rule enforces "one guard at a time"
-//! within a single function. This rule closes the cross-function gap:
+//! **`lock`** — one guard at a time on the serving path. Two
+//! deadlock/stall classes for the epoch-publish vs. plan-cache `RwLock`
+//! pair and the session table `Mutex`:
 //!
-//! 1. **Acquisition-order cycles.** Every acquisition event contributes
+//! 1. *Nested acquisition* — an `Acquire` event with a guard already
+//!    live in the same function. `drop(guard)` ends a guard's life early
+//!    (the `op_sql` idiom in `session.rs`).
+//! 2. *Lock held across socket I/O* — an `Io` event with a guard live:
+//!    a blocking `TcpStream` read or write stalls every other session on
+//!    that lock for as long as the peer cares to dawdle.
+//!
+//! **`lock-order`** closes the cross-function gap:
+//!
+//! 1. *Acquisition-order cycles.* Every acquisition event contributes
 //!    edges `H → L` for each guard `H` live when lock `L` is taken —
 //!    directly, or transitively when a call is made under `H` to a
 //!    function that (transitively) acquires `L`. A cycle in the union of
@@ -12,21 +23,63 @@
 //!    orders. The canonical order (documented in
 //!    `docs/ARCHITECTURE.md`) is *database lock before plan-cache
 //!    lock*; this rule is what keeps that sentence true.
-//! 2. **Transitive I/O under a guard.** The `lock` rule flags stream
-//!    I/O while a guard is live in the same function; here the check
-//!    follows the call graph, so holding a guard while calling a helper
-//!    that blocks on a socket is flagged at the call site.
+//! 2. *Transitive I/O under a guard.* Holding a guard while calling a
+//!    helper that blocks on a socket is flagged at the call site.
 //!
-//! Both checks run on the phase-1 symbol graph: per-function guard
-//! events with live sets, and unique-name call resolution (see
-//! `graph.rs` for the approximation limits). `does_io` and
-//! `locks_acquired` are computed as fixpoints over the call graph, so
-//! arbitrarily deep helper chains are seen through; recursion converges
-//! because the sets only grow.
+//! Name resolution is unique-name (see `graph.rs` for the approximation
+//! limits). `does_io` and `locks_acquired` are computed as fixpoints over
+//! the call graph, so arbitrarily deep helper chains are seen through;
+//! recursion converges because the sets only grow.
 
-use crate::graph::{EventKind, SymbolGraph};
-use crate::{Diagnostic, Workspace};
+use crate::graph::{Event, EventKind, FnInfo, SymbolGraph};
+use crate::Diagnostic;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Files subject to the `lock` rule: the execute and serving path — the
+/// operator kernels and their columnar storage, the engine's
+/// plan/execute pipeline, and all of the server crate.
+fn lock_scope(path: &str) -> bool {
+    path.starts_with("crates/core/src/ops")
+        || path.starts_with("crates/server/src/")
+        || matches!(
+            path,
+            "crates/core/src/par.rs"
+                | "crates/krel/src/batch.rs"
+                | "crates/krel/src/typed.rs"
+                | "crates/engine/src/exec.rs"
+                | "crates/engine/src/phys.rs"
+                | "crates/engine/src/opt.rs"
+                | "crates/engine/src/view.rs"
+        )
+}
+
+/// The `lock` finding of one event, if any: an acquisition or stream I/O
+/// in a [`lock_scope`] file while a guard is live in the same function.
+fn lock_finding(f: &FnInfo, e: &Event) -> Option<Diagnostic> {
+    if e.live.is_empty() || !lock_scope(&f.path) {
+        return None;
+    }
+    let (what, why) = match &e.kind {
+        EventKind::Acquire(lock) => (
+            format!("`{lock}` locked"),
+            "drop it first (one guard at a time)",
+        ),
+        EventKind::Io(method) => (
+            format!("stream I/O (`.{method}`)"),
+            "a slow peer stalls every session on that lock",
+        ),
+        EventKind::Call(_) => return None,
+    };
+    Some(Diagnostic {
+        path: f.path.clone(),
+        line: e.line,
+        rule: "lock",
+        message: format!(
+            "{what} while the guard acquired on line {} is still live — {why}",
+            e.held_since
+        ),
+    })
+}
 
 /// Files whose functions participate in the global lock graph: crate
 /// sources only (tests construct deadlocks on purpose).
@@ -34,9 +87,9 @@ pub fn lock_order_scope(path: &str) -> bool {
     path.starts_with("crates/") && path.contains("/src/")
 }
 
-/// Checks acquisition-order cycles and transitive I/O under guards.
-pub fn check(ws: &Workspace, graph: &SymbolGraph) -> Vec<Diagnostic> {
-    let _ = ws;
+/// Checks nesting and I/O under a guard per function, then
+/// acquisition-order cycles and transitive I/O across the call graph.
+pub fn check(graph: &SymbolGraph) -> Vec<Diagnostic> {
     let in_scope: Vec<usize> = (0..graph.fns.len())
         .filter(|&i| lock_order_scope(&graph.fns[i].path) && !graph.fns[i].in_test)
         .collect();
@@ -89,6 +142,7 @@ pub fn check(ws: &Workspace, graph: &SymbolGraph) -> Vec<Diagnostic> {
     for &i in &in_scope {
         let f = &graph.fns[i];
         for e in &f.events {
+            out.extend(lock_finding(f, e));
             let targets: BTreeSet<String> = match &e.kind {
                 EventKind::Acquire(lock) => std::iter::once(lock.clone()).collect(),
                 EventKind::Call(callee) => {
@@ -178,7 +232,7 @@ pub fn check(ws: &Workspace, graph: &SymbolGraph) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SourceFile;
+    use crate::{SourceFile, Workspace};
 
     fn run(files: Vec<(&str, &str)>) -> Vec<Diagnostic> {
         let ws = Workspace {
@@ -188,8 +242,87 @@ mod tests {
                 .collect(),
             ..Workspace::default()
         };
-        let graph = SymbolGraph::build(&ws);
-        check(&ws, &graph)
+        check(&SymbolGraph::build(&ws))
+    }
+
+    /// The `lock` findings on one serving-path file.
+    fn locks(src: &str) -> Vec<Diagnostic> {
+        let mut d = run(vec![("crates/server/src/server.rs", src)]);
+        d.retain(|x| x.rule == "lock");
+        d
+    }
+
+    #[test]
+    fn nested_guards_are_flagged() {
+        let src = "fn f(&self) {\n\
+                   let db = self.db.read();\n\
+                   let cache = self.cache.lock();\n\
+                   }\n";
+        let d = locks(src);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].line, 3);
+        assert!(d[0].message.contains("line 2"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn drop_ends_the_guard() {
+        let src = "fn f(&self) {\n\
+                   let db = self.db.read();\n\
+                   drop(db);\n\
+                   let cache = self.cache.lock();\n\
+                   }\n";
+        assert!(locks(src).is_empty());
+    }
+
+    #[test]
+    fn scope_close_ends_the_guard() {
+        let src = "fn f(&self) {\n\
+                   { let db = self.db.read(); use_it(&db); }\n\
+                   let cache = self.cache.lock();\n\
+                   }\n";
+        assert!(locks(src).is_empty());
+    }
+
+    #[test]
+    fn io_under_a_guard_is_flagged() {
+        let src = "fn f(&self, w: &mut TcpStream) {\n\
+                   let db = self.db.read();\n\
+                   w.write_all(b\"x\");\n\
+                   }\n";
+        let d = locks(src);
+        assert_eq!(d.len(), 1);
+        assert!(d[0].message.contains("stream I/O"));
+    }
+
+    #[test]
+    fn io_read_write_are_not_acquisitions() {
+        let src = "fn f(r: &mut TcpStream) {\n\
+                   let mut buf = [0u8; 4];\n\
+                   r.read(&mut buf);\n\
+                   r.write(&buf);\n\
+                   r.flush();\n\
+                   }\n";
+        assert!(locks(src).is_empty());
+    }
+
+    #[test]
+    fn temporary_guard_dies_at_statement_end() {
+        let src = "fn f(&self) {\n\
+                   touch(self.a.lock());\n\
+                   touch(self.b.lock());\n\
+                   }\n";
+        // Neither acquisition is let-bound, so each guard is a
+        // temporary dead at its own `;`.
+        assert!(locks(src).is_empty());
+    }
+
+    #[test]
+    fn lock_findings_stop_at_the_serving_path() {
+        // `engine::database` nests db → cache on purpose; that pair is
+        // `lock-order`'s to judge, not `lock`'s.
+        let src = "fn f(&self) { let a = self.a.lock(); let b = self.b.lock(); }\n";
+        let d = run(vec![("crates/engine/src/database.rs", src)]);
+        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
@@ -221,7 +354,7 @@ impl S {
     fn two(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }
 }
 ";
-        assert!(run(vec![("crates/server/src/x.rs", consistent)]).is_empty());
+        assert!(run(vec![("crates/engine/src/x.rs", consistent)]).is_empty());
 
         // The cycle only closes through the call graph: `backward` takes
         // beta then *calls* a helper that takes alpha.

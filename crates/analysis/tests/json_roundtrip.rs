@@ -1,12 +1,11 @@
 //! The `--json` output contract: whatever `analysis::json::render`
 //! emits must parse with the server's vendored JSON module and carry
-//! the findings losslessly — rule, path, line, message, waived flag,
-//! and the counts object. The two printers share escaping conventions;
+//! the findings losslessly — rule, path, line, message, and the counts
+//! object. The two printers share escaping conventions;
 //! this test is what keeps that sentence true.
 
 use aggprov_server::Json;
 use analysis::json::render;
-use analysis::rules::LintReport;
 use analysis::Diagnostic;
 
 fn diag(rule: &'static str, path: &str, line: u32, message: &str) -> Diagnostic {
@@ -20,30 +19,21 @@ fn diag(rule: &'static str, path: &str, line: u32, message: &str) -> Diagnostic 
 
 #[test]
 fn rendered_report_round_trips_through_the_server_parser() {
-    let report = LintReport {
-        findings: vec![
-            diag(
-                "panic",
-                "crates/engine/src/exec.rs",
-                5,
-                "don't \"unwrap\" on the execute path\n(second line)",
-            ),
-            diag("wire", "docs/WIRE_PROTOCOL.md", 9, "stale row: op `flush`"),
-        ],
-        waived: vec![diag(
-            "index",
-            "crates/core/src/ops.rs",
-            12,
-            "bare index xs[i]\twaived upstream",
-        )],
-    };
-    let text = render(&report);
+    let text = render(&[
+        diag(
+            "lock",
+            "crates/engine/src/exec.rs",
+            5,
+            "don't \"nest\" on the execute path\n(second line)",
+        ),
+        diag("wire", "docs/WIRE_PROTOCOL.md", 9, "stale row:\top `flush`"),
+    ]);
     let v = Json::parse(&text).expect("server parser accepts --json output");
 
     let findings = v.get("findings").and_then(Json::as_arr).unwrap();
     assert_eq!(findings.len(), 2);
     let f0 = &findings[0];
-    assert_eq!(f0.get("rule").and_then(Json::as_str), Some("panic"));
+    assert_eq!(f0.get("rule").and_then(Json::as_str), Some("lock"));
     assert_eq!(
         f0.get("path").and_then(Json::as_str),
         Some("crates/engine/src/exec.rs")
@@ -51,28 +41,21 @@ fn rendered_report_round_trips_through_the_server_parser() {
     assert_eq!(f0.get("line").and_then(Json::as_int), Some(5));
     assert_eq!(
         f0.get("message").and_then(Json::as_str),
-        Some("don't \"unwrap\" on the execute path\n(second line)")
+        Some("don't \"nest\" on the execute path\n(second line)")
     );
-    assert_eq!(f0.get("waived").and_then(Json::as_bool), Some(false));
-
-    let waived = v.get("waived").and_then(Json::as_arr).unwrap();
-    assert_eq!(waived.len(), 1);
-    assert_eq!(waived[0].get("waived").and_then(Json::as_bool), Some(true));
     assert_eq!(
-        waived[0].get("message").and_then(Json::as_str),
-        Some("bare index xs[i]\twaived upstream")
+        findings[1].get("message").and_then(Json::as_str),
+        Some("stale row:\top `flush`")
     );
 
     let counts = v.get("counts").unwrap();
     assert_eq!(counts.get("findings").and_then(Json::as_int), Some(2));
-    assert_eq!(counts.get("waived").and_then(Json::as_int), Some(1));
 }
 
 #[test]
 fn empty_report_parses_to_empty_arrays() {
-    let v = Json::parse(&render(&LintReport::default())).unwrap();
+    let v = Json::parse(&render(&[])).unwrap();
     assert_eq!(v.get("findings").and_then(Json::as_arr), Some(&[][..]));
-    assert_eq!(v.get("waived").and_then(Json::as_arr), Some(&[][..]));
     assert_eq!(
         v.get("counts")
             .and_then(|c| c.get("findings"))

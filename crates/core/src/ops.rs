@@ -103,6 +103,12 @@
 //! This is different from the additive merge of `K`-relations, which is why
 //! output maps are built with `insert_distinct`.
 
+// The execute path returns errors, it never panics — here and in the
+// `batch` and `typed` submodules below.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 pub mod batch;
 pub(crate) mod typed;
 

@@ -327,7 +327,10 @@ impl<A: AggAnnotation> Chunk<A> {
         };
         let mut kept = Vec::new();
         for r in self.selected() {
-            // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "selected() rows are < ground.len() by construction"
+            )]
             let v = &vals[r as usize];
             let keep = if lit_on_left {
                 const_cmp(lit, cmp, v)?
@@ -497,9 +500,11 @@ impl<A: AggAnnotation> Chunk<A> {
         // (rows outside the selection hold a placeholder).
         for col in avg_cols {
             let mut full = vec![Const::int(0); nrows];
+            // Kept rows come from `selected()` and are < nrows.
             for (&r, v) in kept.iter().zip(col) {
-                // lint:allow(index, reason = "kept rows come from selected() and are < nrows")
-                full[r as usize] = v;
+                if let Some(slot) = full.get_mut(r as usize) {
+                    *slot = v;
+                }
             }
             self.ground.push_column(full)?;
             self.view.push(self.ground.arity() - 1);
@@ -620,7 +625,7 @@ pub fn hash_join<A: AggAnnotation>(
         .iter()
         .map(|(_, j)| right.col(*j))
         .collect::<Result<_>>()?;
-    if left.has_fringe() || right.has_fringe() {
+    let (Some(lg), Some(rg)) = (left.ground(), right.ground()) else {
         let (lpos, rpos): (Vec<usize>, Vec<usize>) = on.iter().copied().unzip();
         let joined = ops::join_at(
             &left.into_relation()?,
@@ -631,13 +636,54 @@ pub fn hash_join<A: AggAnnotation>(
             opts,
         )?;
         return Ok(Chunk::from_relation(&joined));
+    };
+    columnar_join(lg, rg, &lkeys, &rkeys, schema, opts)
+}
+
+use witness::Ground;
+
+/// The fringe-free witness, in a module of its own so that its field is
+/// out of this file's reach: [`Chunk::ground`] is the only way to a
+/// `Ground`, so a columnar kernel that takes two of them cannot be called
+/// after checking one operand (the PR 4 `annotation_at` bug class).
+mod witness {
+    use super::{AggAnnotation, Chunk};
+
+    /// A chunk that carries no symbolic rows: between its rows and another
+    /// `Ground`'s every §4.3 equality token is structural equality.
+    pub(super) struct Ground<'a, A: AggAnnotation>(&'a Chunk<A>);
+
+    impl<A: AggAnnotation> Chunk<A> {
+        /// The chunk as a fringe-free view; `None` iff it has a fringe.
+        pub(super) fn ground(&self) -> Option<Ground<'_, A>> {
+            self.fringe.is_empty().then_some(Ground(self))
+        }
     }
+
+    impl<'a, A: AggAnnotation> Ground<'a, A> {
+        pub(super) fn chunk(&self) -> &'a Chunk<A> {
+            self.0
+        }
+    }
+}
+
+/// The classical columnar equi-join of two fringe-free chunks over the
+/// already-resolved key columns: build (right), probe (left) — the same
+/// sides as the row-at-a-time hash join — collecting matching row pairs
+/// first, then gathering the output column by column (better locality
+/// than row-wise assembly).
+fn columnar_join<A: AggAnnotation>(
+    left: Ground<'_, A>,
+    right: Ground<'_, A>,
+    lkeys: &[&TypedColumn],
+    rkeys: &[&TypedColumn],
+    schema: Schema,
+    opts: &ExecOptions,
+) -> Result<Chunk<A>> {
+    let (left, right) = (left.chunk(), right.chunk());
     let lsel = left.selected();
     let rsel = right.selected();
-    // Build (right), probe (left) — the same sides as the row-at-a-time
-    // hash join — collecting matching row pairs first, then gathering the
-    // output column by column (better locality than row-wise assembly).
-    let pairs: Vec<(u32, u32)> = match (lkeys.as_slice(), rkeys.as_slice()) {
+    let pairs: Vec<(u32, u32)> = match (lkeys, rkeys) {
         ([TypedColumn::Num(l)], [TypedColumn::Num(r)]) => {
             typed::join_pairs_num(l, r, &lsel, &rsel, opts)?
         }
@@ -650,17 +696,23 @@ pub fn hash_join<A: AggAnnotation>(
             // keys simply never match typed storage of the other type,
             // which is exactly structural equality's answer; with no key
             // columns every row shares the one empty key.
-            let lcols: Vec<Cow<'_, [Const]>> = lkeys.into_iter().map(key_consts).collect();
-            let rcols: Vec<Cow<'_, [Const]>> = rkeys.into_iter().map(key_consts).collect();
+            let lcols: Vec<Cow<'_, [Const]>> = lkeys.iter().copied().map(key_consts).collect();
+            let rcols: Vec<Cow<'_, [Const]>> = rkeys.iter().copied().map(key_consts).collect();
             let mut index: HashMap<Vec<&Const>, Vec<u32>> = HashMap::new();
             for &rr in &rsel {
-                // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "selected() rows are < ground.len() by construction"
+                )]
                 let key: Vec<&Const> = rcols.iter().map(|c| &c[rr as usize]).collect();
                 index.entry(key).or_default().push(rr);
             }
             let mut pairs = Vec::new();
             for &lr in &lsel {
-                // lint:allow(index, reason = "selected() rows are < ground.len() by construction")
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "selected() rows are < ground.len() by construction"
+                )]
                 let key: Vec<&Const> = lcols.iter().map(|c| &c[lr as usize]).collect();
                 if let Some(matches) = index.get(&key) {
                     pairs.extend(matches.iter().map(|&rr| (lr, rr)));
@@ -669,10 +721,14 @@ pub fn hash_join<A: AggAnnotation>(
             pairs
         }
     };
+    let (lanns, ranns) = (left.ground.anns(), right.ground.anns());
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pair rows come from selected() and are < ground.len()"
+    )]
     let anns: Vec<A> = pairs
         .iter()
-        // lint:allow(index, reason = "pair rows come from selected() and are < ground.len()")
-        .map(|&(lr, rr)| left.ground.anns()[lr as usize].times(&right.ground.anns()[rr as usize]))
+        .map(|&(lr, rr)| lanns[lr as usize].times(&ranns[rr as usize]))
         .collect();
     // Gather the output columns monomorphically per variant: an i64 run
     // copies machine words, a dictionary column copies codes and shares
@@ -749,6 +805,21 @@ mod tests {
         assert_eq!(c.ground_len(), 2);
         assert_eq!(c.fringe().len(), 1);
         assert_eq!(c.into_relation().unwrap(), rel);
+    }
+
+    #[test]
+    fn ground_view_exists_exactly_without_a_fringe() {
+        let mut chunk = Chunk::from_relation(&mixed());
+        assert!(!chunk.fringe().is_empty());
+        assert!(chunk.ground().is_none());
+        // `a = 1` is a comparison between constants on the symbolic row
+        // too (its `a` is 2), so the filter drops it: no fringe is left.
+        let (a, one) = (BatchOperand::Col(0), BatchOperand::Lit(Const::int(1)));
+        chunk.filter(&a, BatchCmp::Eq, &one, &serial()).unwrap();
+        assert!(chunk.fringe().is_empty());
+        assert!(chunk.ground().is_some());
+        let empty = Chunk::from_relation(&MKRel::<P>::empty(sch(&["a"])));
+        assert!(empty.fringe().is_empty() && empty.ground().is_some());
     }
 
     #[test]

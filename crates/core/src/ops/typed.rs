@@ -92,6 +92,14 @@ pub(crate) enum ColTest {
 /// the boxed variant — the caller keeps its `Const` row loop. The
 /// orientation flag preserves both the comparison direction and the
 /// operand order in error messages (`>`/`≥` arrive literal-on-left).
+///
+/// Every `TypedColumn` variant has its own arm: a new column
+/// representation needs a typed-kernel decision for predicate compilation
+/// (or an explicit boxed fallback).
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn compile_lit_test(
     col: &TypedColumn,
     cmp: BatchCmp,
@@ -284,7 +292,10 @@ pub(crate) fn run_filter(
                 ));
             }
             let tbl: &[bool] = tbl;
-            // lint:allow(index, reason = "codes index the dictionary by construction and tbl covers it (checked above)")
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "codes index the dictionary by construction and tbl covers it (checked above)"
+            )]
             filter_rows(sc.codes(), sel, opts, move |v| tbl[v as usize])
         }
     }
@@ -363,8 +374,12 @@ fn compact_dense<T: Copy>(vals: &[T], start: usize, keep: impl Fn(T) -> bool) ->
     let mut out = vec![0u32; vals.len()];
     let mut k = 0usize;
     for (i, &v) in vals.iter().enumerate() {
-        // lint:allow(index, reason = "branchless compaction: k <= i < out.len() by construction")
-        out[k] = (start + i) as u32;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "branchless compaction: k <= i < out.len() by construction"
+        )]
+        let slot = &mut out[k];
+        *slot = (start + i) as u32;
         k += usize::from(keep(v));
     }
     out.truncate(k);
@@ -383,8 +398,12 @@ fn compact_sparse<T: Copy>(vals: &[T], sel: &[u32], keep: impl Fn(T) -> bool) ->
                 vals.len()
             )));
         };
-        // lint:allow(index, reason = "branchless compaction: k never exceeds the rows visited")
-        out[k] = r;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "branchless compaction: k never exceeds the rows visited"
+        )]
+        let slot = &mut out[k];
+        *slot = r;
         k += usize::from(keep(v));
     }
     out.truncate(k);

@@ -23,6 +23,10 @@
 //! loud [`RelError::InvalidEnv`] naming the variable and the bad value —
 //! never a silent fallback to serial execution.
 
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use aggprov_krel::error::{RelError, Result};
 pub use aggprov_krel::relation::shard_index;
 use std::sync::OnceLock;
@@ -131,7 +135,10 @@ pub(crate) fn split_by<T: Copy>(
 ) -> Vec<Vec<T>> {
     let mut shards: Vec<Vec<T>> = (0..n.max(1)).map(|_| Vec::new()).collect();
     for e in entries {
-        // lint:allow(index, reason = "shard_of returns hash % n, always < shards.len()")
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of returns hash % n, always < shards.len()"
+        )]
         shards[shard_of(e)].push(*e);
     }
     shards

@@ -129,9 +129,13 @@ fn arb_group_rel() -> impl Strategy<Value = MKRel<P>> {
 
 /// A fully ground `(a, b)` relation with more rows than the largest
 /// thread count and few distinct values, so whole tuples repeat across
-/// two draws and keys repeat after projecting or grouping on `a`.
+/// two draws and keys repeat after projecting or grouping on `a`: two of
+/// its rows always share their `a` and differ in `b`, whatever the rest
+/// draws.
 fn arb_ground_rel(prefix: &'static str) -> impl Strategy<Value = MKRel<P>> {
-    prop::collection::vec((0i64..4, 0i64..3), 9..24).prop_map(move |rows| {
+    let rows = prop::collection::vec((0i64..4, 0i64..3), 7..22);
+    (0i64..4, rows).prop_map(move |(shared, mut rows)| {
+        rows.extend([(shared, 0), (shared, 1)]);
         rel_from(
             prefix,
             Schema::new(["a", "b"]).unwrap(),

@@ -303,9 +303,9 @@ struct TableEntry<A: AggAnnotation> {
 fn scan_ground_cols<A: AggAnnotation>(rel: &MKRel<A>) -> Vec<bool> {
     let mut ground = vec![true; rel.schema().arity()];
     for (t, _) in rel.iter() {
-        for (i, v) in t.values().iter().enumerate() {
+        for (g, v) in ground.iter_mut().zip(t.values()) {
             if v.is_agg() {
-                ground[i] = false;
+                *g = false;
             }
         }
         if ground.iter().all(|g| !g) {
@@ -637,7 +637,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
         let entry = self
             .tables_mut()
             .get_mut(table)
-            .expect("existence checked above");
+            .ok_or_else(|| RelError::Internal(format!("table `{table}` vanished mid-INSERT")))?;
         entry.version = version;
         let t = Tuple::new(row);
         entry.rel.add(t.clone(), ann.clone())?;

@@ -90,6 +90,12 @@ where
     run(db, phys, params, param_count, opts)?.into_rel()
 }
 
+/// One kernel call per `PhysNode`. Every variant has its own arm: a new
+/// physical node must say how it executes.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn run<A>(
     db: &Database<A>,
     phys: &PhysNode,

@@ -72,6 +72,16 @@ fn err_at(pos: usize, msg: String) -> RelError {
     }
 }
 
+/// The end of the number whose first digit is at `j`: a dot is part of
+/// it only if followed by a digit (so `r.a` lexes as ident-dot-ident).
+fn number_end(bytes: &[u8], mut j: usize) -> usize {
+    let digit = |k: usize| bytes.get(k).is_some_and(u8::is_ascii_digit);
+    while digit(j) || (bytes.get(j) == Some(&b'.') && digit(j + 1)) {
+        j += 1;
+    }
+    j
+}
+
 /// Tokenizes an input string. `--` starts a line comment. Convenience
 /// wrapper over [`lex_spanned`] for callers that do not need positions.
 pub fn lex(input: &str) -> Result<Vec<Token>, RelError> {
@@ -84,13 +94,13 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(&b) = bytes.get(i) {
+        let c = b as char;
         let tok_start = i;
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
             '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
+                while bytes.get(i).is_some_and(|&b| b != b'\n') {
                     i += 1;
                 }
             }
@@ -150,7 +160,7 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
             '$' => {
                 let start = i + 1;
                 let mut j = start;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                while bytes.get(j).is_some_and(u8::is_ascii_digit) {
                     j += 1;
                 }
                 if j == start {
@@ -174,7 +184,7 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
             '\'' => {
                 let start = i + 1;
                 let mut j = start;
-                while j < bytes.len() && bytes[j] != b'\'' {
+                while bytes.get(j).is_some_and(|&b| b != b'\'') {
                     j += 1;
                 }
                 if j >= bytes.len() {
@@ -184,21 +194,8 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
                 i = j + 1;
             }
             '0'..='9' => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && ((bytes[j] as char).is_ascii_digit() || bytes[j] == b'.') {
-                    // A dot is part of the number only if followed by a digit
-                    // (so `r.a` lexes as ident-dot-ident).
-                    if bytes[j] == b'.'
-                        && !bytes
-                            .get(j + 1)
-                            .is_some_and(|b| (*b as char).is_ascii_digit())
-                    {
-                        break;
-                    }
-                    j += 1;
-                }
-                let text = &input[start..j];
+                let j = number_end(bytes, i);
+                let text = &input[i..j];
                 let n = Num::parse(text)
                     .ok_or_else(|| err_at(tok_start, format!("invalid number `{text}`")))?;
                 out.push((Token::Number(n), tok_start));
@@ -210,23 +207,14 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
                 // comment case was handled above, so a `-` followed by
                 // another `-` (even after spaces) is stray.
                 let mut j = i + 1;
-                while j < bytes.len() && (bytes[j] as char).is_whitespace() {
+                while bytes.get(j).is_some_and(|&b| (b as char).is_whitespace()) {
                     j += 1;
                 }
                 let digits_start = j;
-                if !bytes.get(j).is_some_and(|b| (*b as char).is_ascii_digit()) {
+                if !bytes.get(j).is_some_and(u8::is_ascii_digit) {
                     return Err(err_at(tok_start, "stray `-`".into()));
                 }
-                while j < bytes.len() && ((bytes[j] as char).is_ascii_digit() || bytes[j] == b'.') {
-                    if bytes[j] == b'.'
-                        && !bytes
-                            .get(j + 1)
-                            .is_some_and(|b| (*b as char).is_ascii_digit())
-                    {
-                        break;
-                    }
-                    j += 1;
-                }
+                let j = number_end(bytes, j);
                 let text = format!("-{}", &input[digits_start..j]);
                 let n = Num::parse(&text)
                     .ok_or_else(|| err_at(tok_start, format!("invalid number `{text}`")))?;
@@ -236,8 +224,9 @@ pub fn lex_spanned(input: &str) -> Result<Vec<(Token, usize)>, RelError> {
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
                 let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
+                while bytes
+                    .get(j)
+                    .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
                 {
                     j += 1;
                 }

@@ -38,6 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod annot;
 pub mod ast;

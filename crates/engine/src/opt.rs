@@ -141,6 +141,13 @@ pub fn optimize(plan: &Plan, catalog: &Catalog) -> Plan {
 /// Per output column of `plan`, `true` iff the column can possibly hold a
 /// symbolic aggregate value. Conservative: aggregate outputs are always
 /// flagged; scans read the catalog's observed per-column groundness.
+///
+/// Every `Plan` variant has its own arm: a new plan node must declare
+/// which output columns can go symbolic, or every rewrite is vetoed.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn symbolic_cols(plan: &Plan, catalog: &Catalog) -> Vec<bool> {
     match plan {
         Plan::Scan { table, schema } => catalog

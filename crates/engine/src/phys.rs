@@ -134,6 +134,13 @@ fn internal(msg: impl Into<String>) -> RelError {
 /// schema) returns [`RelError::Internal`] instead of panicking — plans
 /// from `lower_query` are well-formed by construction, but a hand-built
 /// or future-optimizer plan must fail loudly *as an error*.
+///
+/// Every `Plan` variant has its own arm: a new plan node needs a
+/// physical form.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn lower(plan: &Plan) -> Result<PhysNode> {
     Ok(match plan {
         Plan::Scan { table, schema } => PhysNode::Scan {

@@ -349,9 +349,9 @@ pub(crate) fn resolve_col(schema: &Schema, col: &ColRef) -> Result<String> {
             .map(|a| a.name())
             .filter(|n| n.ends_with(suffix.as_str()))
             .collect();
-        match matches.len() {
-            1 => return Ok(matches[0].to_string()),
-            0 => {}
+        match matches.as_slice() {
+            [only] => return Ok(only.to_string()),
+            [] => {}
             _ => {
                 return Err(unsup(format!(
                     "ambiguous column `{}` (candidates: {})",
@@ -504,12 +504,12 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
     }
 
     fn select(&mut self, s: &SelectStmt) -> Result<Plan> {
-        if s.from.is_empty() {
+        let Some((first, rest)) = s.from.split_first() else {
             return Err(unsup("FROM clause is required"));
-        }
+        };
         // FROM and JOIN.
-        let mut plan = self.table_ref(&s.from[0])?;
-        for tref in &s.from[1..] {
+        let mut plan = self.table_ref(first)?;
+        for tref in rest {
             let right = self.table_ref(tref)?;
             let schema = plan.schema().concat(right.schema())?;
             plan = Plan::Product {
@@ -600,7 +600,9 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                     internal.push(name);
                     display.push(alias.clone().unwrap_or_else(|| c.column.clone()));
                 }
-                SelectItem::Agg(..) => unreachable!("plain path has no aggregates"),
+                SelectItem::Agg(..) => {
+                    return Err(RelError::Internal("plain path has no aggregates".into()))
+                }
             }
         }
         Ok(Planned { internal, display })

@@ -272,13 +272,13 @@ impl<A: CommutativeSemiring> ResultSet<A> {
     /// The single value of a one-row, one-column result — the fluent way
     /// to read `SELECT AGG(x) FROM …` outputs.
     pub fn scalar(&self) -> Result<&Value<A>> {
-        if self.rel.len() != 1 || self.rel.schema().arity() != 1 {
-            return Err(RelError::Unsupported(format!(
+        match self.rel.iter().next() {
+            Some((t, _)) if self.rel.len() == 1 && self.rel.schema().arity() == 1 => Ok(t.get(0)),
+            _ => Err(RelError::Unsupported(format!(
                 "scalar() needs a 1×1 result, got {} row(s) × {} column(s)",
                 self.rel.len(),
                 self.rel.schema().arity()
-            )));
+            ))),
         }
-        Ok(self.rel.iter().next().expect("len checked").0.get(0))
     }
 }

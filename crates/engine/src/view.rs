@@ -165,6 +165,13 @@ fn unknown_view(name: &str) -> RelError {
 /// Counts how often each base table is scanned (NOT deduplicated —
 /// `Plan::scanned_tables` is — because a table scanned twice makes the
 /// plan quadratic in that table's annotations and rules deltas out).
+///
+/// Every `Plan` variant has its own arm: a new plan node must make a
+/// delta-maintenance decision (linear or recompute).
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn count_scans(plan: &Plan, counts: &mut BTreeMap<String, usize>) {
     match plan {
         Plan::Scan { table, .. } => *counts.entry(table.clone()).or_insert(0) += 1,
@@ -185,6 +192,13 @@ fn count_scans(plan: &Plan, counts: &mut BTreeMap<String, usize>) {
 /// `true` if the plan contains an `Aggregate` or `SetOp` node anywhere —
 /// the nodes that are not linear in a single table's annotations
 /// (`EXCEPT` is the §5 difference guard; aggregation folds into tensors).
+///
+/// Every `Plan` variant has its own arm, for the same reason as in
+/// `count_scans`.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn contains_agg_or_setop(plan: &Plan) -> bool {
     match plan {
         Plan::Aggregate { .. } | Plan::SetOp { .. } => true,

@@ -19,6 +19,10 @@
 //! these batches live in `aggprov_core::ops::batch`; this module is only
 //! the container and the conversion.
 
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::error::{RelError, Result};
 use crate::relation::{Relation, Tuple};
 use crate::schema::Schema;

@@ -71,6 +71,12 @@ pub enum RelError {
 }
 
 impl fmt::Display for RelError {
+    /// Every `RelError` variant has its own arm: a new error must say how
+    /// it reads.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RelError::SchemaMismatch { left, right, op } => {

@@ -37,6 +37,10 @@
 //! Compare decoded values ([`TypedColumn::to_consts`]) for semantic
 //! equality.
 
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use aggprov_algebra::domain::Const;
 use std::collections::HashMap;
 use std::sync::Arc;

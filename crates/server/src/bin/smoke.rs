@@ -13,6 +13,10 @@
 //!
 //! Exits 0 iff every step (including the shutdown handshake) succeeds.
 
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use aggprov_server::{Client, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -110,9 +114,9 @@ fn run(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let deep_sql = (0..5_000).fold("SELECT dept FROM emp".to_string(), |q, i| {
         format!("SELECT dept FROM ({q}) t{i}")
     });
-    let err = admin
-        .query(&deep_sql)
-        .expect_err("deep SQL must be refused");
+    let Err(err) = admin.query(&deep_sql) else {
+        return Err("deep SQL must be refused".into());
+    };
     assert!(err.to_string().contains("SELECT blocks"), "deep SQL: {err}");
     admin.ping()?;
 

@@ -8,7 +8,8 @@
 //! and an optional `id` (echoed back verbatim); responses carry
 //! `"ok": true` plus op-specific fields, or `"ok": false` with an
 //! `error` string. A failed request never closes the connection and
-//! never takes the server down.
+//! never takes the server down; only a request line longer than
+//! [`MAX_REQUEST_BYTES`] is answered with an error and a disconnect.
 //!
 //! ```text
 //! → {"id":1,"op":"sql","sql":"CREATE TABLE r (d TEXT, s NUM); INSERT INTO r VALUES ('d1', 20) PROVENANCE p1;"}
@@ -60,6 +61,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(missing_debug_implementations)]
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod client;
 pub mod json;
@@ -68,5 +72,5 @@ pub mod session;
 
 pub use client::{Client, ClientError};
 pub use json::Json;
-pub use server::{Server, ShutdownHandle};
+pub use server::{Server, ShutdownHandle, MAX_REQUEST_BYTES};
 pub use session::Session;

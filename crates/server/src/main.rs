@@ -7,6 +7,10 @@
 //! `ADDR` defaults to `127.0.0.1:7878`; `--init FILE` runs a SQL script
 //! into the database before serving (tables survive for every client).
 
+#![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use aggprov_engine::ProvDb;
 use aggprov_server::Server;
 use std::process::ExitCode;

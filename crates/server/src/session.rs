@@ -496,6 +496,13 @@ impl Session {
 }
 
 /// Wire rendering of a view's maintenance strategy.
+///
+/// Every `MaintenanceStrategy` variant has its own arm: a new strategy
+/// must pick its protocol name.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn strategy_name(strategy: MaintenanceStrategy) -> &'static str {
     match strategy {
         MaintenanceStrategy::Incremental => "incremental",
@@ -503,7 +510,8 @@ fn strategy_name(strategy: MaintenanceStrategy) -> &'static str {
     }
 }
 
-fn error_response(id: Json, message: &str) -> Json {
+/// An `"ok": false` frame.
+pub(crate) fn error_response(id: Json, message: &str) -> Json {
     Json::obj([
         ("id", id),
         ("ok", Json::Bool(false)),

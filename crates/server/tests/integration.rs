@@ -344,6 +344,45 @@ fn graceful_shutdown_wakes_idle_connections() {
     assert_eq!(n, 0, "idle connection sees EOF");
 }
 
+#[test]
+fn an_oversized_request_line_is_refused_and_the_server_lives() {
+    use aggprov_server::MAX_REQUEST_BYTES;
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (addr, server) = spawn_server("");
+
+    // A line of exactly the limit is an ordinary (here: malformed)
+    // request on a connection that stays open.
+    let at_limit = "x".repeat(MAX_REQUEST_BYTES);
+    let (reply, mut stream) = raw_roundtrip(&addr, &at_limit);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    writeln!(stream, "{{\"op\":\"ping\"}}").expect("write");
+    let mut pong = String::new();
+    BufReader::new(&stream).read_line(&mut pong).expect("read");
+    assert!(pong.contains("\"ok\":true"), "same connection: {pong}");
+
+    // One byte more and no newline in sight: one error frame naming the
+    // limit, then the connection closes.
+    let mut hostile = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    hostile
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("write");
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error frame");
+    let reply = Json::parse(line.trim()).expect("parse");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+    let error = reply.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains(&MAX_REQUEST_BYTES.to_string()), "{error}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("eof"), 0);
+
+    // The next connection still gets its ping.
+    let mut next = Client::connect(addr.as_str()).expect("connect");
+    next.ping().expect("ping after the refusal");
+    next.shutdown().expect("shutdown");
+    server.join().expect("serve thread");
+}
+
 /// The number of file descriptors this process has open.
 #[cfg(target_os = "linux")]
 fn open_fds() -> usize {
