@@ -17,11 +17,8 @@ use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::semiring::{Bool, CommutativeSemiring, Nat};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::reference::BagRel;
-use aggprov_krel::relation::{Relation, Tuple};
-use std::collections::BTreeMap;
-
-/// The tuple store of an `(M, K)`-relation, keyed for first-wins merging.
-type Rows<A> = BTreeMap<Tuple<Value<A>>, A>;
+use aggprov_krel::relation::{Merge, Relation, Tuple};
+use std::collections::HashSet;
 
 /// One row under `h_Rel`: `h` on the annotation and on every value
 /// coefficient.
@@ -45,14 +42,8 @@ pub fn map_mk<A: AggAnnotation, B: AggAnnotation>(
     rel: &MKRel<A>,
     h: &impl Fn(&A) -> B,
 ) -> MKRel<B> {
-    let mut map: Rows<B> = BTreeMap::new();
-    for (t, k) in rel.iter() {
-        let (t2, ann) = map_row(t, k, h);
-        if !ann.is_zero() {
-            map.entry(t2).or_insert(ann);
-        }
-    }
-    Relation::from_tuple_map(rel.schema().clone(), map).expect("arity preserved")
+    let rows = rel.iter().map(|(t, k)| map_row(t, k, h));
+    Relation::from_tuples(rel.schema().clone(), rows, Merge::First).expect("arity preserved")
 }
 
 /// Applies a base-semiring homomorphism under `Km` (the lifting
@@ -65,39 +56,62 @@ where
     map_mk(rel, &|km: &Km<K1>| km.map_hom(h))
 }
 
+/// True iff `moved` accepts a base element of the row's annotation or of a
+/// tensor coefficient in one of its values — the rows a homomorphism that
+/// fixes everything `moved` rejects can change.
+pub fn row_mentions<K: CommutativeSemiring>(
+    t: &Tuple<Value<Km<K>>>,
+    k: &Km<K>,
+    moved: &impl Fn(&K) -> bool,
+) -> bool {
+    k.any_base(moved)
+        || t.values().iter().any(|v| match v {
+            Value::Agg(_, tv) => tv.terms().any(|(a, _)| a.any_base(moved)),
+            Value::Const(_) => false,
+        })
+}
+
 /// [`map_hom_mk`] for an endomorphism `h` of `K` that fixes every element
 /// `moved` rejects: a row none of whose annotation and value coefficients
-/// is moved is its own image and is carried over by `clone` (shared
-/// storage), only the others go through `h`. `None` means no row is
-/// touched — the relation is its own image and the caller keeps it, store
-/// and all.
+/// is moved is its own image and stays where it is; the others are taken
+/// out and their images put back, so the work is one scan plus an edit
+/// per touched row, and every block of the store without one stays shared
+/// with `rel`. `None` means no row is touched — the relation is its own
+/// image and the caller keeps it, store and all.
 pub fn map_hom_mk_where<K: CommutativeSemiring>(
     rel: &MKRel<Km<K>>,
     moved: &impl Fn(&K) -> bool,
     h: &impl Fn(&K) -> K,
 ) -> Option<MKRel<Km<K>>> {
-    let touched = |t: &Tuple<Value<Km<K>>>, k: &Km<K>| {
-        k.any_base(moved)
-            || t.values().iter().any(|v| match v {
-                Value::Agg(_, tv) => tv.terms().any(|(a, _)| a.any_base(moved)),
-                Value::Const(_) => false,
-            })
-    };
     let lifted = |km: &Km<K>| km.map_hom(h);
-    let first = rel.iter().position(|(t, k)| touched(t, k))?;
-    let mut map: Rows<Km<K>> = BTreeMap::new();
-    for (i, (t, k)) in rel.iter().enumerate() {
-        // Rows before `first` are known untouched and are not walked again.
-        let (t2, ann) = if i >= first && touched(t, k) {
-            map_row(t, k, &lifted)
-        } else {
-            (t.clone(), k.clone())
-        };
-        if !ann.is_zero() {
-            map.entry(t2).or_insert(ann);
-        }
+    let images: Vec<_> = rel
+        .iter()
+        .filter(|(t, k)| row_mentions(t, k, moved))
+        .map(|(t, k)| (t.clone(), map_row(t, k, &lifted)))
+        .collect();
+    if images.is_empty() {
+        return None;
     }
-    Some(Relation::from_tuple_map(rel.schema().clone(), map).expect("arity preserved"))
+    let mut out = rel.clone();
+    for (t, _) in &images {
+        out.remove(t);
+    }
+    // Colliding tuples keep the first annotation in `rel`'s order, as
+    // `map_mk` does: an image that lands on an untouched row wins only if
+    // its source came before that row, and loses to any earlier image.
+    let mut placed = HashSet::new();
+    for (t, (image, ann)) in images {
+        if ann.is_zero() || !placed.insert(image.clone()) {
+            continue;
+        }
+        if t < image {
+            out.remove(&image);
+        } else if t > image && !out.annotation(&image).is_zero() {
+            continue;
+        }
+        out.add(image, ann).expect("arity preserved");
+    }
+    Some(out)
 }
 
 /// Specializes a provenance-annotated relation under a token valuation —
@@ -270,6 +284,30 @@ mod tests {
         let out = fire("r3").unwrap();
         assert_eq!(out, full("r3"));
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn map_hom_mk_where_is_the_full_image_from_few_rows_to_all() {
+        // 40 single-token rows: firing two of them touches two rows, firing
+        // the token they all share touches every one; both are the full
+        // `h_Rel` image.
+        let rel: MKRel<P> = Relation::from_rows(
+            Schema::new(["emp"]).unwrap(),
+            (0..40).map(|i| {
+                (
+                    vec![Value::int(i)],
+                    tok(&format!("e{i}")).times(&tok("all")),
+                )
+            }),
+        )
+        .unwrap();
+        for (fired, left) in [(vec!["e3", "e17"], 38), (vec!["all"], 0)] {
+            let gone = |v: &aggprov_algebra::poly::Var| fired.contains(&v.name());
+            let h = |p: &NatPoly| p.drop_vars(&mut |v| gone(v));
+            let out = map_hom_mk_where(&rel, &|p: &NatPoly| p.vars().any(gone), &h).unwrap();
+            assert_eq!(out, map_hom_mk(&rel, &h));
+            assert_eq!(out.len(), left);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! left-to-right evaluation order that `keyed_fold`'s own documentation
 //! gives; a key that is symbolic from its first position stays all-pairs.
 //! Every `Σ` is one k-way
-//! [`CommutativeSemiring::sum`](aggprov_algebra::semiring::CommutativeSemiring::sum).
+//! [`CommutativeSemiring::sum`].
 //! The operators differ only in their key and in the *finisher* that
 //! turns a candidate's coefficients into an output row:
 //!
@@ -74,7 +74,7 @@
 //! ([`aggprov_krel::batch::ColumnBatch`]) through selection-vector kernels
 //! (filter, gather/project, unit-column append, AVG division, hash join),
 //! so a filter→project→join chain over ground tuples never materializes a
-//! `BTreeMap` between nodes. The cross-row kernels there
+//! relation between nodes. The cross-row kernels there
 //! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) decide for
 //! themselves: handed a chunk with a symbolic fringe, they run this
 //! module's token path (`keyed_fold`, the pairwise join) by position.
@@ -88,8 +88,8 @@
 //! sharded by join-key hash, on scoped worker threads (see
 //! [`crate::par`]). Distinct keys finish into distinct rows, so the
 //! workers' outputs are disjoint; each worker finishes its own buckets
-//! (symbolic cross terms included) and the rows land in one ordered map,
-//! while the symbolic candidates stay on the sequential token path.
+//! (symbolic cross terms included) and the rows are concatenated in shard
+//! order, while the symbolic candidates stay on the sequential token path.
 //! Results are bit-identical at every thread count (see
 //! `tests/par_determinism_proptests.rs`).
 //!
@@ -101,7 +101,12 @@
 //! same (fully cross-weighted) annotation, so on collision we keep one copy
 //! — the paper's "duplicates are ignored" (appendix, commutation proof).
 //! This is different from the additive merge of `K`-relations, which is why
-//! output maps are built with `insert_distinct`.
+//! an operator hands its output rows to the relation's bulk builder under
+//! [`Merge::First`] (`from_map`), which also drops the zero-annotated ones:
+//! the rows go into a `Vec` in the order the operator produces them — the
+//! concatenation of the shard outputs in shard order, so "first" does not
+//! depend on the thread count — and the builder sorts them once if they
+//! did not arrive ascending. No ordered map is built row by row.
 
 // The execute path returns errors, it never panics — here and in the
 // `batch` and `typed` submodules below.
@@ -117,9 +122,10 @@ use crate::par::{fan_out, plan_shards, split_by, ExecOptions};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::{CommutativeMonoid, MonoidKind};
+use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::{shard_index, Relation, Tuple};
+use aggprov_krel::relation::{shard_index, Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -167,25 +173,29 @@ pub fn lift<A: AggAnnotation>(rel: &Relation<A, Const>) -> MKRel<A> {
 }
 
 /// Inserts with the §4.3 collision rule: annotations of colliding tuples
-/// are equal by construction, so the first copy is kept.
-pub(crate) fn insert_distinct<A: AggAnnotation>(
-    map: &mut BTreeMap<Tuple<Value<A>>, A>,
-    t: Tuple<Value<A>>,
-    ann: A,
+/// are equal by construction, so the first copy is kept. Only the literal
+/// oracle ([`crate::specops`]) collects its rows this way — a row-at-a-time
+/// ordered map is what it is there to be; the operators here push theirs
+/// onto a `Vec` and leave zeros and collisions to [`from_map`].
+pub(crate) fn insert_distinct<T: Ord, K: CommutativeSemiring>(
+    rows: &mut BTreeMap<T, K>,
+    t: T,
+    ann: K,
 ) {
-    if ann.is_zero() {
-        return;
+    if !ann.is_zero() {
+        rows.entry(t).or_insert(ann);
     }
-    map.entry(t).or_insert(ann);
 }
 
+/// The relation of an operator's output `rows` under the §4.3 collision
+/// rule: the first of several rows with one tuple stays, zero-annotated
+/// rows are dropped, and an arity mismatch surfaces as an error rather
+/// than a panic.
 pub(crate) fn from_map<A: AggAnnotation>(
     schema: Schema,
-    map: BTreeMap<Tuple<Value<A>>, A>,
+    rows: impl IntoIterator<Item = (Tuple<Value<A>>, A)>,
 ) -> Result<MKRel<A>> {
-    // Keys are distinct by construction, so the map *is* the tuple store;
-    // an arity mismatch surfaces as an error rather than a panic.
-    Relation::from_tuple_map(schema, map)
+    Relation::from_tuples(schema, rows, Merge::First)
 }
 
 /// The extended annotation lookup, i.e. the §4.3 reading of `R(t)` on
@@ -394,8 +404,8 @@ fn key_prefix<A: AggAnnotation>(t: &Tuple<Value<A>>, run: usize) -> &[Value<A>] 
 /// (including the token-weighted contributions of symbolic-keyed entries —
 /// a constant key can equal a symbolic one under a valuation) is where the
 /// time goes, and with more than one thread contiguous ranges of buckets
-/// fan out over [`fan_out`]; distinct keys finish into distinct rows, so
-/// all of them land in one map in any order. Each distinct **symbolic**
+/// fan out over [`fan_out`]; distinct keys finish into distinct rows, and
+/// the ranges' rows are concatenated in range order. Each distinct **symbolic**
 /// key then forms its candidate on the sequential token path, against the
 /// ground buckets (one token per bucket, not per member) and the
 /// symbolic-keyed entries. The result is identical at every thread count.
@@ -419,7 +429,7 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
     positions: &[usize],
     opts: &ExecOptions,
     finish: impl Fn(&Tuple<Value<A>>, &[Contribution<'a, A>]) -> Result<(Tuple<Value<A>>, A)> + Sync,
-) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
+) -> Result<Vec<(Tuple<Value<A>>, A)>> {
     let mut ids: HashMap<KeyView<'_, A>, usize> = HashMap::new();
     let mut ground: Vec<(usize, Entry<'a, A>)> = Vec::new();
     let mut sym: Vec<Entry<'a, A>> = Vec::new();
@@ -477,7 +487,7 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
         }
         Ok(rows)
     })?;
-    let mut out: BTreeMap<Tuple<Value<A>>, A> = shard_rows.into_iter().flatten().collect();
+    let mut out: Vec<(Tuple<Value<A>>, A)> = shard_rows.into_iter().flatten().collect();
 
     let mut seen = HashSet::new();
     let mut contributions = Vec::new();
@@ -496,8 +506,7 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
         for (t, k) in near_sym {
             push_coefficient(&mut contributions, (*t, *k), p, positions)?;
         }
-        let (row, ann) = finish(p, &contributions)?;
-        out.entry(row).or_insert(ann);
+        out.push(finish(p, &contributions)?);
     }
     Ok(out)
 }
@@ -572,7 +581,7 @@ pub(crate) fn project_fold<A: AggAnnotation>(
     rel: &MKRel<A>,
     positions: &[usize],
     opts: &ExecOptions,
-) -> Result<BTreeMap<Tuple<Value<A>>, A>> {
+) -> Result<Vec<(Tuple<Value<A>>, A)>> {
     keyed_fold(rel.iter(), positions, opts, |t, contributions| {
         Ok((t.project(positions), coefficient_sum(contributions)))
     })
@@ -612,7 +621,7 @@ pub fn select_with_token<A: AggAnnotation>(
     rel: &MKRel<A>,
     token: impl Fn(&Schema, &Tuple<Value<A>>) -> Result<A>,
 ) -> Result<MKRel<A>> {
-    let mut out = BTreeMap::new();
+    let mut out = Vec::new();
     for (t, k) in rel.iter() {
         let tok = token(rel.schema(), t)?;
         // Ground fast path: a predicate over constants yields `0`/`1`, so
@@ -626,7 +635,7 @@ pub fn select_with_token<A: AggAnnotation>(
         } else {
             k.times(&tok)
         };
-        insert_distinct(&mut out, t.clone(), ann);
+        out.push((t.clone(), ann));
     }
     from_map(rel.schema().clone(), out)
 }
@@ -662,10 +671,10 @@ pub fn select_where<A: AggAnnotation>(
     rel: &MKRel<A>,
     pred: impl Fn(&Schema, &Tuple<Value<A>>) -> Result<bool>,
 ) -> Result<MKRel<A>> {
-    let mut out = BTreeMap::new();
+    let mut out = Vec::new();
     for (t, k) in rel.iter() {
         if pred(rel.schema(), t)? {
-            insert_distinct(&mut out, t.clone(), k.clone());
+            out.push((t.clone(), k.clone()));
         }
     }
     from_map(rel.schema().clone(), out)
@@ -692,7 +701,7 @@ fn hash_join_ground<A: AggAnnotation>(
     g2: &[(&Tuple<Value<A>>, &A)],
     left: &[usize],
     right: &[usize],
-    out: &mut BTreeMap<Tuple<Value<A>>, A>,
+    out: &mut Vec<(Tuple<Value<A>>, A)>,
 ) {
     type Bucket<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
     let mut index: HashMap<Vec<&Value<A>>, Bucket<'_, A>> = HashMap::new();
@@ -704,7 +713,7 @@ fn hash_join_ground<A: AggAnnotation>(
         let key: Vec<&Value<A>> = left.iter().map(|i| t1.get(*i)).collect();
         if let Some(matches) = index.get(&key) {
             for (t2, k2) in matches {
-                insert_distinct(out, t1.concat(t2.values()), k1.times(k2));
+                out.push((t1.concat(t2.values()), k1.times(k2)));
             }
         }
     }
@@ -764,7 +773,7 @@ pub(crate) fn join_at<A: AggAnnotation>(
     let (g1, s1): (Side<'_, A>, Side<'_, A>) = r1.iter().partition(|(t, _)| is_ground_at(t, left));
     let (g2, s2): (Side<'_, A>, Side<'_, A>) = r2.iter().partition(|(t, _)| is_ground_at(t, right));
 
-    let mut out = BTreeMap::new();
+    let mut out = Vec::new();
     let nshards = plan_shards(opts, g1.len().max(g2.len()));
     if nshards == 1 {
         hash_join_ground(&g1, &g2, left, right, &mut out);
@@ -781,16 +790,12 @@ pub(crate) fn join_at<A: AggAnnotation>(
             )
         });
         let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
-        let maps = fan_out(pairs, move |(p1, p2)| {
-            let mut m = BTreeMap::new();
-            hash_join_ground(&p1, &p2, left, right, &mut m);
-            Ok(m)
+        let shard_rows = fan_out(pairs, move |(p1, p2)| {
+            let mut rows = Vec::new();
+            hash_join_ground(&p1, &p2, left, right, &mut rows);
+            Ok(rows)
         })?;
-        for m in maps {
-            for (t, k) in m {
-                insert_distinct(&mut out, t, k);
-            }
-        }
+        out = shard_rows.into_iter().flatten().collect();
     }
     // Symbolic fringes: every pair with a symbolic key on at least one side
     // carries a genuine §4.3 token product.
@@ -801,7 +806,7 @@ pub(crate) fn join_at<A: AggAnnotation>(
                 if tok.is_zero() {
                     continue;
                 }
-                insert_distinct(&mut out, t1.concat(t2.values()), k1.times(k2).times(&tok));
+                out.push((t1.concat(t2.values()), k1.times(k2).times(&tok)));
             }
         }
     }
@@ -1051,8 +1056,8 @@ pub fn group_state_update<A: AggAnnotation>(
     // bumps); untouched groups are never visited again.
     let n_keys = gidx.len();
     let mut old_rows: HashMap<&[Value<A>], Option<Tuple<Value<A>>>> = folded
-        .keys()
-        .map(|row| (key_prefix(row, n_keys), None))
+        .iter()
+        .map(|(row, _)| (key_prefix(row, n_keys), None))
         .collect();
     for (t, _) in state.iter() {
         if let Some(old) = old_rows.get_mut(key_prefix(t, n_keys)) {
@@ -1095,12 +1100,10 @@ pub fn group_state_update<A: AggAnnotation>(
 /// (an empty membership sum) leave the result, exactly as an empty
 /// candidate group never appears in [`group_by`].
 pub fn delta_collapse<A: AggAnnotation>(state: &MKRel<A>) -> Result<MKRel<A>> {
-    let mut out = BTreeMap::new();
-    for (t, k) in state.iter() {
-        let (row, ann) = collapse_row(t.values().to_vec(), 0, k);
-        insert_distinct(&mut out, row, ann);
-    }
-    from_map(state.schema().clone(), out)
+    let rows = state
+        .iter()
+        .map(|(t, k)| collapse_row(t.values().to_vec(), 0, k));
+    from_map(state.schema().clone(), rows)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! algorithms over the ground batch: between constants every §4.3
 //! equality token is `0`/`1`, so the token machinery degenerates to plain
 //! comparisons and a filter→project→join chain never materializes a
-//! `BTreeMap` between nodes.
+//! relation between nodes.
 //!
 //! Over typed columns, filtering and join-key probing take the
 //! monomorphic fast paths of `ops::typed`: the literal operand

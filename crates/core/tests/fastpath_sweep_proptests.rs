@@ -51,7 +51,7 @@ use aggprov_core::km::{CmpPred, Km};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{specops, Value};
-use aggprov_krel::relation::{Relation, Tuple};
+use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -276,7 +276,7 @@ proptest! {
                     out.insert(t.clone(), ann);
                 }
             }
-            Relation::from_tuple_map(rel.schema().clone(), out).unwrap()
+            Relation::from_tuples(rel.schema().clone(), out, Merge::First).unwrap()
         };
 
         // Ground rows against a symbolic comparison value: every kept

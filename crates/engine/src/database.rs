@@ -6,9 +6,16 @@
 //! The table map lives behind an [`Arc`]: every mutation goes through
 //! [`Arc::make_mut`], so a mutation either edits the map in place (no
 //! snapshot outstanding) or copies it out first — whole-database
-//! copy-on-write, the same discipline [`Relation`]'s tuple store already
-//! uses one level down (and the per-table copies are themselves `Arc`
-//! bumps, so "copying the map" never duplicates tuple data).
+//! copy-on-write, the same discipline [`Relation`]'s tuple store uses two
+//! levels down (the per-table copies are themselves `Arc` bumps, so
+//! "copying the map" never duplicates tuple data). Inside a table,
+//! copy-on-write is **per block**: the rows sit in sorted blocks of 512,
+//! each behind its own `Arc`, so the first `INSERT` after a snapshot
+//! copies the table's block pointers and the one block the row lands in,
+//! a `delete_tokens` the blocks its fired rows sit in, and every block a
+//! writer has not touched since stays shared with the snapshots that pin
+//! it — a pinned snapshot costs a writer a block per first touch, never
+//! the table.
 //! [`Database::snapshot`] clones the `Arc` — an immutable **epoch** any
 //! number of reader threads can prepare and execute against with no
 //! locks, while the single writer (`&mut self` — Rust enforces the

@@ -11,7 +11,7 @@
 //! count, whatever fringe its input carries.
 //!
 //! * **pipeline segments** (Filter → Project → AddUnitColumn → HashJoin)
-//!   stay in chunk form, so over ground rows no `BTreeMap` relation is
+//!   stay in chunk form, so over ground rows no relation is
 //!   materialized between nodes — filters narrow a selection vector,
 //!   projections remap a column view, joins hash build/probe over
 //!   columns — and the kernels run the token path themselves over

@@ -55,12 +55,12 @@ use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_core::annotation::AggAnnotation;
-use aggprov_core::eval::{map_hom_mk, map_hom_mk_where};
+use aggprov_core::eval::{map_hom_mk, map_hom_mk_where, row_mentions};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{Prov, Value};
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::{Relation, Tuple};
+use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -751,7 +751,7 @@ impl Database<Prov> {
             let Some(mut entry) = Arc::make_mut(&mut self.epoch).views.remove(&name) else {
                 continue;
             };
-            if let Err(e) = apply_delete(self, &mut entry, &h, &opts) {
+            if let Err(e) = apply_delete(self, &mut entry, &fired, &h, &opts) {
                 entry.broken = Some(format!("maintenance failed after delete_tokens: {e}"));
             }
             Arc::make_mut(&mut self.epoch).views.insert(name, entry);
@@ -764,6 +764,7 @@ impl Database<Prov> {
 fn apply_delete(
     db: &Database<Prov>,
     entry: &mut ViewEntry<Prov>,
+    fired: &impl Fn(&NatPoly) -> bool,
     h: &impl Fn(&NatPoly) -> NatPoly,
     opts: &ExecOptions,
 ) -> Result<()> {
@@ -778,22 +779,28 @@ fn apply_delete(
             entry.rel = map_hom_mk(&entry.rel, h);
         }
         Maint::Agg(agg) => {
-            // Map the group state in place: membership sums through the
-            // hom (zero ⇒ the whole group is gone), tensor coefficients
-            // through the lifted hom — the canonical form drops the
-            // deleted members' terms, exactly matching a from-scratch
-            // fold over the surviving rows. Cells stay *raw* (`map_hom`
-            // on a `Value` would normalize and lose the tensor). Group
-            // keys are ground, so the hom never merges two state rows,
-            // and only the rows it actually changed re-render.
+            // Edit the group state: only a row whose membership sum or
+            // tensor coefficients mention a fired token is taken out,
+            // mapped and put back — the sum through the hom (zero ⇒ the
+            // whole group is gone), the coefficients through the lifted
+            // hom, whose canonical form drops the deleted members' terms,
+            // exactly matching a from-scratch fold over the surviving
+            // rows. Cells stay *raw* (`map_hom` on a `Value` would
+            // normalize and lose the tensor). Group keys are ground, so
+            // the hom never merges two state rows, and only the rows it
+            // changed re-render.
             let schema = agg.state.schema().clone();
-            let mut mapped: BTreeMap<Tuple<Value<Prov>>, Prov> = BTreeMap::new();
-            let mut old_sub = Relation::empty(schema.clone());
+            let touched: Vec<(Tuple<Value<Prov>>, Prov)> = agg
+                .state
+                .iter()
+                .filter(|(t, k)| row_mentions(t, k, fired))
+                .map(|(t, k)| (t.clone(), k.clone()))
+                .collect();
             let mut new_sub = Relation::empty(schema.clone());
-            for (t, k) in agg.state.iter() {
+            for (t, k) in &touched {
+                agg.state.remove(t);
                 let ann = k.map_hom(h);
                 if ann.is_zero() {
-                    old_sub.add(t.clone(), k.clone())?;
                     continue;
                 }
                 let row: Vec<Value<Prov>> = t
@@ -807,13 +814,10 @@ fn apply_delete(
                     })
                     .collect();
                 let new_t = Tuple::new(row);
-                if new_t != *t || ann != *k {
-                    old_sub.add(t.clone(), k.clone())?;
-                    new_sub.add(new_t.clone(), ann.clone())?;
-                }
-                mapped.insert(new_t, ann);
+                new_sub.add(new_t.clone(), ann.clone())?;
+                agg.state.add(new_t, ann)?;
             }
-            agg.state = Relation::from_tuple_map(schema, mapped)?;
+            let old_sub = Relation::from_tuples(schema, touched, Merge::Sum)?;
             patch_rendered(&mut entry.rel, &agg.out_cols, &old_sub, &new_sub)?;
         }
     }

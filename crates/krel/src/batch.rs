@@ -1,6 +1,6 @@
 //! Columnar batches over the ground partition of a relation.
 //!
-//! The row-at-a-time `BTreeMap` store of [`Relation`] is the right shape
+//! The row-wise sorted store of [`Relation`] is the right shape
 //! for the §4.3 token semantics — symbolic values force sums over the
 //! whole support — but it is the wrong shape for the ground hot path,
 //! where every equality token is `0`/`1` and execution degenerates to
@@ -24,12 +24,11 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 
 use crate::error::{RelError, Result};
-use crate::relation::{Relation, Tuple};
+use crate::relation::{Merge, Relation, Tuple};
 use crate::schema::Schema;
 use crate::typed::{IntoConsts, TypedColumn};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
 
@@ -207,10 +206,14 @@ where
     }
 
     /// [`GroundBatch::into_relation`] restricted to the ground rows named
-    /// by an ascending selection vector (`None` = all rows). Values and
-    /// annotations are **moved** out of the columns (an `Arc` bump for
-    /// dictionary strings) — a pipeline's final materialization never
-    /// re-clones what its kernels already built.
+    /// by a strictly ascending selection vector (`None` = all rows); a
+    /// selection that is not ascending or names a row the batch does not
+    /// have is an internal error. The selected rows are gathered first, so
+    /// the work is proportional to the selection, not to the batch, and
+    /// values and annotations are **moved** into the relation (an `Arc`
+    /// bump for dictionary strings) through [`Relation::from_tuples`] — a
+    /// pipeline's final materialization never re-clones what its kernels
+    /// already built, and builds no map on the way.
     pub fn into_relation_selected(
         self,
         schema: Schema,
@@ -223,72 +226,46 @@ where
                 got: self.ground.arity(),
             });
         }
-        let mut map: BTreeMap<Tuple<V>, K> = BTreeMap::new();
-        let merge = |map: &mut BTreeMap<Tuple<V>, K>, t: Tuple<V>, k: K| {
-            if k.is_zero() {
-                return;
-            }
-            match map.entry(t) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(k);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let sum = e.get().plus(&k);
-                    if sum.is_zero() {
-                        e.remove();
-                    } else {
-                        *e.get_mut() = sum;
-                    }
-                }
-            }
-        };
-        let nrows = self.ground.len();
-        let mut cols: Vec<IntoConsts> = self
-            .ground
-            .cols
-            .into_iter()
-            .map(TypedColumn::into_consts)
-            .collect();
-        let mut anns = self.ground.anns.into_iter();
-        let mut sel_iter = sel.map(|s| s.iter().copied().peekable());
-        for r in 0..nrows {
-            let keep = match &mut sel_iter {
-                None => true,
-                Some(s) => {
-                    if s.peek() == Some(&(r as u32)) {
-                        s.next();
-                        true
-                    } else {
-                        false
-                    }
-                }
+        let ColumnBatch { mut cols, mut anns } = self.ground;
+        if let Some(sel) = sel {
+            let nrows = anns.len();
+            let bad_selection = || {
+                RelError::Internal(format!(
+                    "selection vector not strictly ascending within the batch's {nrows} rows"
+                ))
             };
-            if keep {
-                let row: Vec<V> = cols
-                    .iter_mut()
-                    .map(|c| {
-                        c.next().map(&lift).ok_or_else(|| {
-                            RelError::Internal("batch column shorter than its row count".into())
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let ann = anns.next().ok_or_else(|| {
-                    RelError::Internal("batch annotation column shorter than its row count".into())
-                })?;
-                merge(&mut map, Tuple::new(row), ann);
-            } else {
-                // Skipped rows are consumed (and dropped) to keep the
-                // column iterators aligned.
-                for c in cols.iter_mut() {
-                    c.next();
-                }
-                anns.next();
+            if !sel.is_sorted_by(|a, b| a < b) {
+                return Err(bad_selection());
             }
+            let gathered = cols.iter().map(|c| c.gather(sel)).collect::<Option<_>>();
+            cols = gathered.ok_or_else(bad_selection)?;
+            let taken = sel
+                .iter()
+                .map(|r| Some(std::mem::replace(anns.get_mut(*r as usize)?, K::zero())))
+                .collect::<Option<_>>();
+            anns = taken.ok_or_else(bad_selection)?;
         }
-        for (t, k) in self.fringe {
-            merge(&mut map, t, k);
+        let mut cols: Vec<IntoConsts> = cols.into_iter().map(TypedColumn::into_consts).collect();
+        // One allocation per row, the tuple itself: the cells are collected
+        // straight into it, so a column that ends early (a corrupt
+        // dictionary code) is flagged and padded, and reported afterwards.
+        let mut short = false;
+        let ground = anns.into_iter().map(|k| {
+            let cells = cols.iter_mut().map(|c| {
+                c.next().unwrap_or_else(|| {
+                    short = true;
+                    Const::Bool(false)
+                })
+            });
+            (cells.map(&lift).collect::<Tuple<V>>(), k)
+        });
+        let rel = Relation::from_tuples(schema, ground.chain(self.fringe), Merge::Sum)?;
+        if short {
+            return Err(RelError::Internal(
+                "batch column shorter than its row count".into(),
+            ));
         }
-        Relation::from_tuple_map(schema, map)
+        Ok(rel)
     }
 }
 
@@ -411,6 +388,27 @@ mod tests {
             compacted.annotation(&Tuple::from([Const::int(3), Const::str("y")])),
             NatPoly::token("p3")
         );
+    }
+
+    #[test]
+    fn a_descending_selection_is_refused() {
+        let batch = GroundBatch::from_relation(&sample(), as_non_bool);
+        for sel in [[1, 0], [1, 1]] {
+            let out = batch
+                .clone()
+                .into_relation_selected(s(&["a", "b"]), |c| c, Some(&sel));
+            assert!(
+                matches!(out, Err(RelError::Internal(_))),
+                "{sel:?}: {out:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_selection_is_refused() {
+        let batch = GroundBatch::from_relation(&sample(), as_non_bool);
+        let out = batch.into_relation_selected(s(&["a", "b"]), |c| c, Some(&[0, 2]));
+        assert!(matches!(out, Err(RelError::Internal(_))), "{out:?}");
     }
 
     #[test]

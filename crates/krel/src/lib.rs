@@ -6,7 +6,12 @@
 //!
 //! * [`schema`], [`relation`] — named-perspective schemas, tuples, and
 //!   `K`-relations with union / projection / selection / join / product /
-//!   rename and homomorphism application (`h_Rel`);
+//!   rename and homomorphism application (`h_Rel`). A relation's rows sit
+//!   in tuple order in copy-on-write blocks of 512 (the private `store`
+//!   module): `R(t) += k` past the last row is a push, every operator
+//!   output goes through one bulk builder
+//!   ([`Relation::from_tuples`]) instead of an ordered map, and a write
+//!   through a clone copies one block, not the table;
 //! * [`batch`] — column-major batches over the ground partition
 //!   ([`ColumnBatch`], [`GroundBatch`]) with lossless `Relation ⇄ batch`
 //!   conversion, the substrate of the vectorized execution pipeline;
@@ -31,10 +36,11 @@ pub mod monus;
 pub mod reference;
 pub mod relation;
 pub mod schema;
+mod store;
 pub mod typed;
 
 pub use batch::{ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
-pub use relation::{Relation, Tuple};
+pub use relation::{Merge, Relation, Tuple};
 pub use schema::{Attr, Schema};
 pub use typed::{StrColumn, TypedColumn};

@@ -2,8 +2,26 @@
 //! Appendix A, after Green, Karvounarakis & Tannen, PODS 2007).
 //!
 //! A `K`-relation is a function `R : D^U → K` of finite support. We store
-//! the support as an ordered map from tuples to (non-zero) annotations, so
-//! iteration order, equality and rendering are deterministic.
+//! the support as rows in tuple order — tuples with their (non-zero)
+//! annotations — so iteration order, equality and rendering are
+//! deterministic.
+//!
+//! ## The tuple store
+//!
+//! The rows sit, strictly ascending, in blocks of at most 512 (the private
+//! `store` module): the paper's one mutation, `R(t) += k`, is a compare
+//! with the last row and a push when `t` is greater than every tuple
+//! present — how a table is loaded and how every ascending operator output
+//! arrives — and a binary search over the block heads and inside one block
+//! otherwise. [`Relation::from_tuples`] is the one bulk builder: rows in
+//! any order, appended while they ascend, the rest sorted once (stably)
+//! and merged in arrival order by the caller's [`Merge`] rule.
+//!
+//! The store sits behind one [`Arc`] and every block behind its own, so
+//! cloning a relation shares everything, and the first write through a
+//! clone copies the block pointers and then one block per block it
+//! touches — never the table. Two equal relations built by different
+//! routes have different block boundaries, so `==` compares rows.
 //!
 //! The value type `V` is generic: plain relations use
 //! [`Const`](aggprov_algebra::domain::Const); the aggregate-provenance layer
@@ -11,8 +29,10 @@
 
 use crate::error::{RelError, Result};
 use crate::schema::Schema;
+use crate::store::Store;
 use aggprov_algebra::semiring::CommutativeSemiring;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -53,6 +73,14 @@ impl<V: Clone> Tuple<V> {
     }
 }
 
+/// Collects the values of a tuple; an iterator of known length (a mapped
+/// slice, say) fills the shared storage directly, in one allocation.
+impl<V> FromIterator<V> for Tuple<V> {
+    fn from_iter<I: IntoIterator<Item = V>>(values: I) -> Self {
+        Tuple(values.into_iter().collect())
+    }
+}
+
 impl<V: Clone, const N: usize> From<[V; N]> for Tuple<V> {
     fn from(values: [V; N]) -> Self {
         Tuple::new(values.to_vec())
@@ -72,18 +100,38 @@ impl<V: fmt::Display> fmt::Display for Tuple<V> {
     }
 }
 
+/// How [`Relation::from_tuples`] merges rows that carry equal tuples, in
+/// the order they arrive. Zero annotations never enter under either rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The `K`-relation update `R(t) += k`: annotations add, and a row
+    /// whose sum is `0` leaves the support.
+    Sum,
+    /// The first row stays (paper §4.3: the annotations of colliding
+    /// output tuples are equal by construction, so duplicates are
+    /// ignored).
+    First,
+}
+
 /// A `K`-relation: a schema plus a finite-support map from tuples to
 /// non-zero annotations.
 ///
 /// The tuple store sits behind an [`Arc`]: cloning a relation (a plan
 /// `Scan`, a rename, a set-op alignment) shares the base data, and the
-/// first mutation of a shared relation copies it out — copy-on-write. A
+/// first mutation of a shared relation copies out the block it touches,
+/// not the table — copy-on-write, per block (see the module docs). A
 /// prepared statement re-executed with different `$n` parameters therefore
 /// never duplicates its base tables.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation<K, V> {
     schema: Schema,
-    tuples: Arc<BTreeMap<Tuple<V>, K>>,
+    tuples: Arc<Store<Tuple<V>, K>>,
+}
+
+/// `R(t) += k` on a row that is present: false when the sum is `0`.
+fn add_annotation<K: CommutativeSemiring>(old: &mut K, k: K) -> bool {
+    *old = old.plus(&k);
+    !old.is_zero()
 }
 
 impl<K, V> Relation<K, V>
@@ -95,7 +143,7 @@ where
     pub fn empty(schema: Schema) -> Self {
         Relation {
             schema,
-            tuples: Arc::new(BTreeMap::new()),
+            tuples: Arc::new(Store::new()),
         }
     }
 
@@ -104,11 +152,83 @@ where
     where
         R: Into<Vec<V>>,
     {
-        let mut rel = Relation::empty(schema);
-        for (row, k) in rows {
-            rel.insert(row, k)?;
+        let rows = rows.into_iter().map(|(row, k)| (Tuple::new(row), k));
+        Relation::from_tuples(schema, rows, Merge::Sum)
+    }
+
+    /// The bulk builder: a relation of `rows`, which may arrive in any
+    /// order and repeat tuples; equal tuples merge in arrival order under
+    /// `merge`, and every tuple's arity is checked against the schema.
+    ///
+    /// Rows are appended for as long as they arrive in ascending order —
+    /// a scan, a filter and a materialization keep the order of their
+    /// input, so their output never leaves this path — and from the first
+    /// row that does not, the rest is collected and everything is sorted
+    /// once, stably. No ordered map is built on the way.
+    pub fn from_tuples(
+        schema: Schema,
+        rows: impl IntoIterator<Item = (Tuple<V>, K)>,
+        merge: Merge,
+    ) -> Result<Self> {
+        let expected = schema.arity();
+        let mut mismatch = None;
+        let checked = rows.into_iter().map_while(|(t, k)| {
+            mismatch = (t.arity() != expected).then_some(t.arity());
+            mismatch.is_none().then_some((t, k))
+        });
+        let rel = Relation::build(schema, checked, merge);
+        match mismatch {
+            Some(got) => Err(RelError::ArityMismatch { expected, got }),
+            None => Ok(rel),
         }
-        Ok(rel)
+    }
+
+    /// [`from_tuples`](Relation::from_tuples) over rows of the schema's
+    /// arity.
+    fn build(schema: Schema, rows: impl Iterator<Item = (Tuple<V>, K)>, merge: Merge) -> Self {
+        let on_equal = |old: &mut K, k: K| match merge {
+            Merge::Sum => add_annotation(old, k),
+            Merge::First => true,
+        };
+        let mut store = Store::new();
+        let mut late: Vec<(Tuple<V>, K)> = Vec::new();
+        for (t, k) in rows {
+            if k.is_zero() {
+                continue;
+            }
+            if !late.is_empty() {
+                late.push((t, k));
+                continue;
+            }
+            match store.last().map_or(Ordering::Greater, |last| t.cmp(last)) {
+                Ordering::Greater => store.push(t, k),
+                // A repeat of the last row, which first-wins leaves alone.
+                Ordering::Equal if merge == Merge::First => {}
+                Ordering::Equal => store.upsert(t, k, add_annotation),
+                Ordering::Less => late.push((t, k)),
+            }
+        }
+        if !late.is_empty() {
+            let mut all = store.into_rows();
+            all.append(&mut late);
+            all.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut merged: Vec<(Tuple<V>, K)> = Vec::with_capacity(all.len());
+            for (t, k) in all {
+                match merged.last_mut() {
+                    Some((last, old)) if *last == t => {
+                        if !on_equal(old, k) {
+                            merged.pop();
+                        }
+                    }
+                    _ => merged.push((t, k)),
+                }
+            }
+            store = Store::from_sorted(merged);
+        }
+        Relation {
+            schema,
+            tuples: Arc::new(store),
+        }
     }
 
     /// The schema.
@@ -151,10 +271,8 @@ where
     /// maintained materialization replace a stale row with its re-collapsed
     /// form.
     pub fn remove(&mut self, t: &Tuple<V>) -> Option<K> {
-        if !self.tuples.contains_key(t) {
-            // Avoid cloning a shared store just to remove nothing.
-            return None;
-        }
+        // Avoid copying anything out of a shared store to remove nothing.
+        self.tuples.get(t)?;
         Arc::make_mut(&mut self.tuples).remove(t)
     }
 
@@ -162,20 +280,9 @@ where
         if k.is_zero() {
             return;
         }
-        // Copy-on-write: clones the store only if it is currently shared.
-        match Arc::make_mut(&mut self.tuples).entry(t) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(k);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let sum = e.get().plus(&k);
-                if sum.is_zero() {
-                    e.remove();
-                } else {
-                    *e.get_mut() = sum;
-                }
-            }
-        }
+        // Copy-on-write: of the block pointers if the store is shared, and
+        // of the one block the row lands in if that is.
+        Arc::make_mut(&mut self.tuples).upsert(t, k, add_annotation);
     }
 
     /// `R(t)`: the annotation of a tuple (`0_K` outside the support).
@@ -190,7 +297,7 @@ where
 
     /// True iff the support is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples.len() == 0
     }
 
     /// Iterates over the support with annotations.
@@ -205,37 +312,18 @@ where
     }
 
     /// True iff another handle (a snapshot, a cached plan input, a reader
-    /// thread) aliases this tuple store, i.e. the next mutation through
-    /// this handle will copy the store out instead of editing in place.
+    /// thread) aliases this *whole* tuple store, i.e. the next mutation
+    /// through this handle first copies the block pointers out. `false`
+    /// does not mean nothing is shared: a writer that has diverged from a
+    /// snapshot still shares every block neither side has written, and
+    /// pays one block copy the first time it touches each.
     ///
     /// Epoch-snapshot diagnostics for the serving layer: a freshly
     /// published epoch whose tables all report `false` proves the writer
-    /// holds the only reference and mutations stay O(log n); `true` means
-    /// some reader still pins the previous epoch's storage.
+    /// holds the only reference to each store; `true` means some reader
+    /// still pins the previous epoch's.
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.tuples) > 1
-    }
-
-    /// Builds a relation directly from a map of **distinct** tuples,
-    /// reusing the map as the tuple store (no per-tuple re-insertion).
-    /// Zero annotations are dropped to maintain the finite-support
-    /// invariant; every tuple's arity is checked against the schema.
-    ///
-    /// This is the merge step of partition-parallel operators: shards
-    /// produce disjoint sorted runs, the caller folds them into one
-    /// `BTreeMap`, and the map becomes the relation wholesale.
-    pub fn from_tuple_map(schema: Schema, mut tuples: BTreeMap<Tuple<V>, K>) -> Result<Self> {
-        if let Some(t) = tuples.keys().find(|t| t.arity() != schema.arity()) {
-            return Err(RelError::ArityMismatch {
-                expected: schema.arity(),
-                got: t.arity(),
-            });
-        }
-        tuples.retain(|_, k| !k.is_zero());
-        Ok(Relation {
-            schema,
-            tuples: Arc::new(tuples),
-        })
     }
 
     // ------------------------------------------------------------ algebra
@@ -249,34 +337,25 @@ where
                 op: "union",
             });
         }
-        let mut out = self.clone();
-        for (t, k) in other.tuples.iter() {
-            out.add_tuple(t.clone(), k.clone());
-        }
-        Ok(out)
+        let rows = self.iter().chain(other.iter());
+        let rows = rows.map(|(t, k)| (t.clone(), k.clone()));
+        Ok(Relation::build(self.schema.clone(), rows, Merge::Sum))
     }
 
     /// Projection: `(Π_{U'} R)(t) = Σ { R(t') : t'|_{U'} = t }`.
     pub fn project(&self, attrs: &[&str]) -> Result<Self> {
         let indices = self.schema.indices_of(attrs)?;
         let schema = self.schema.project(attrs)?;
-        let mut out = Relation::empty(schema);
-        for (t, k) in self.tuples.iter() {
-            out.add_tuple(t.project(&indices), k.clone());
-        }
-        Ok(out)
+        let rows = self.iter().map(|(t, k)| (t.project(&indices), k.clone()));
+        Ok(Relation::build(schema, rows, Merge::Sum))
     }
 
     /// Selection with a boolean predicate: `(σ_P R)(t) = R(t) · P(t)` where
     /// `P(t) ∈ {0_K, 1_K}`.
     pub fn select(&self, pred: impl Fn(&Schema, &Tuple<V>) -> bool) -> Self {
-        let mut out = Relation::empty(self.schema.clone());
-        for (t, k) in self.tuples.iter() {
-            if pred(&self.schema, t) {
-                out.add_tuple(t.clone(), k.clone());
-            }
-        }
-        out
+        let kept = self.iter().filter(|(t, _)| pred(&self.schema, t));
+        let rows = kept.map(|(t, k)| (t.clone(), k.clone()));
+        Relation::build(self.schema.clone(), rows, Merge::Sum)
     }
 
     /// Selection of tuples whose attribute equals a constant.
@@ -300,24 +379,21 @@ where
         // Hash-index the right side by its shared-key projection (build),
         // then stream the left side through it (probe).
         let mut index: HashMap<Tuple<V>, Vec<(&Tuple<V>, &K)>> = HashMap::new();
-        for (t, k) in other.tuples.iter() {
+        for (t, k) in other.iter() {
             index
                 .entry(t.project(&right_keys))
                 .or_default()
                 .push((t, k));
         }
 
-        let mut out = Relation::empty(schema);
-        for (t, k) in self.tuples.iter() {
-            let key = t.project(&left_keys);
-            if let Some(matches) = index.get(&key) {
-                for (t2, k2) in matches {
-                    let extra: Vec<V> = right_extra.iter().map(|i| t2.get(*i).clone()).collect();
-                    out.add_tuple(t.concat(&extra), k.times(k2));
-                }
-            }
-        }
-        Ok(out)
+        let rows = self.iter().flat_map(|(t, k)| {
+            let matches = index.get(&t.project(&left_keys));
+            matches.into_iter().flatten().map(|(t2, k2)| {
+                let extra: Vec<V> = right_extra.iter().map(|i| t2.get(*i).clone()).collect();
+                (t.concat(&extra), k.times(k2))
+            })
+        });
+        Ok(Relation::build(schema, rows, Merge::Sum))
     }
 
     /// Cartesian product (natural join with disjoint schemas).
@@ -366,11 +442,8 @@ where
         &self,
         h: &mut impl FnMut(&K) -> K2,
     ) -> Relation<K2, V> {
-        let mut out = Relation::empty(self.schema.clone());
-        for (t, k) in self.tuples.iter() {
-            out.add_tuple(t.clone(), h(k));
-        }
-        out
+        let rows = self.iter().map(|(t, k)| (t.clone(), h(k)));
+        Relation::build(self.schema.clone(), rows, Merge::Sum)
     }
 
     /// Maps tuple values (e.g. applying `h^M` inside aggregate values);
@@ -379,20 +452,17 @@ where
         &self,
         f: &mut impl FnMut(&V) -> V2,
     ) -> Relation<K, V2> {
-        let mut out = Relation::empty(self.schema.clone());
-        for (t, k) in self.tuples.iter() {
-            out.add_tuple(
-                Tuple::new(t.values().iter().map(&mut *f).collect::<Vec<_>>()),
-                k.clone(),
-            );
-        }
-        out
+        let rows = self.iter().map(|(t, k)| {
+            let values: Vec<V2> = t.values().iter().map(&mut *f).collect();
+            (Tuple::new(values), k.clone())
+        });
+        Relation::build(self.schema.clone(), rows, Merge::Sum)
     }
 
     /// Total annotation size under a user-supplied measure (for the
     /// overhead experiments).
     pub fn annotation_size(&self, measure: impl Fn(&K) -> usize) -> usize {
-        self.tuples.values().map(measure).sum()
+        self.iter().map(|(_, k)| measure(k)).sum()
     }
 }
 
@@ -417,7 +487,7 @@ where
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "[{}]", self.schema)?;
-        for (t, k) in self.tuples.iter() {
+        for (t, k) in self.iter() {
             writeln!(f, "  {t}  @ {k}")?;
         }
         Ok(())
@@ -638,20 +708,85 @@ mod tests {
     }
 
     #[test]
-    fn from_tuple_map_wraps_without_reinsertion() {
+    fn from_tuples_builds_without_reinsertion() {
         let r = figure_1a();
-        let map: BTreeMap<_, _> = r.iter().map(|(t, k)| (t.clone(), k.clone())).collect();
-        let rebuilt = Relation::from_tuple_map(r.schema().clone(), map).unwrap();
+        let rows = r.iter().map(|(t, k)| (t.clone(), k.clone()));
+        let rebuilt = Relation::from_tuples(r.schema().clone(), rows, Merge::First).unwrap();
         assert_eq!(rebuilt, r);
         // Zero annotations are dropped; arity mismatches are errors.
-        let mut map = BTreeMap::new();
-        map.insert(Tuple::from([Const::int(1)]), Nat(0));
-        map.insert(Tuple::from([Const::int(2)]), Nat(3));
-        let rel = Relation::from_tuple_map(s(&["a"]), map).unwrap();
+        let rows = [
+            (Tuple::from([Const::int(1)]), Nat(0)),
+            (Tuple::from([Const::int(2)]), Nat(3)),
+        ];
+        let rel = Relation::from_tuples(s(&["a"]), rows, Merge::Sum).unwrap();
         assert_eq!(rel.len(), 1);
-        let mut bad = BTreeMap::new();
-        bad.insert(Tuple::from([Const::int(1), Const::int(2)]), Nat(1));
-        assert!(Relation::from_tuple_map(s(&["a"]), bad).is_err());
+        let bad = [(Tuple::from([Const::int(1), Const::int(2)]), Nat(1))];
+        assert!(Relation::from_tuples(s(&["a"]), bad, Merge::Sum).is_err());
+    }
+
+    #[test]
+    fn merge_rules_apply_in_arrival_order() {
+        let one = |i| Tuple::from([Const::int(i)]);
+        let rows = || {
+            [
+                (one(2), Nat(5)),
+                (one(1), Nat(0)),
+                (one(1), Nat(7)),
+                (one(2), Nat(1)),
+            ]
+        };
+        let sum = Relation::from_tuples(s(&["a"]), rows(), Merge::Sum).unwrap();
+        assert_eq!(
+            (sum.annotation(&one(1)), sum.annotation(&one(2))),
+            (Nat(7), Nat(6))
+        );
+        // A zero is skipped before it can be "first".
+        let first = Relation::from_tuples(s(&["a"]), rows(), Merge::First).unwrap();
+        assert_eq!(
+            (first.annotation(&one(1)), first.annotation(&one(2))),
+            (Nat(7), Nat(5))
+        );
+        // ℤ: a sum that cancels leaves the support, and a later row re-enters.
+        use aggprov_algebra::semiring::IntZ;
+        let rows = [
+            (one(1), IntZ(2)),
+            (one(0), IntZ(1)),
+            (one(1), IntZ(-2)),
+            (one(1), IntZ(4)),
+        ];
+        let z = Relation::from_tuples(s(&["a"]), rows, Merge::Sum).unwrap();
+        assert_eq!((z.len(), z.annotation(&one(1))), (2, IntZ(4)));
+    }
+
+    #[test]
+    fn equality_and_debug_are_row_wise() {
+        // 1 300 rows by ascending inserts (full blocks, then a tail) and by
+        // the sorting bulk path (descending input): different block
+        // boundaries, equal relations.
+        let row = |i: i64| (Tuple::from([Const::int(i)]), Nat(1));
+        let mut grown: Relation<Nat, Const> = Relation::empty(s(&["a"]));
+        (0..1300).for_each(|i| grown.add(row(i).0, Nat(1)).unwrap());
+        for split in [0, 650] {
+            grown.remove(&row(split).0);
+            grown.add(row(split).0, Nat(1)).unwrap();
+        }
+        let bulk = Relation::from_tuples(s(&["a"]), (0..1300).rev().map(row), Merge::Sum).unwrap();
+        assert_eq!(grown, bulk);
+        assert_eq!(format!("{grown:?}"), format!("{bulk:?}"));
+        assert_ne!(grown, bulk.rename("a", "b").unwrap());
+        let mut fewer = bulk.clone();
+        fewer.remove(&row(7).0);
+        assert_ne!(grown, fewer);
+        let small = Relation::from_tuples(s(&["a"]), [row(1)], Merge::Sum).unwrap();
+        assert_eq!(
+            format!("{small:?}"),
+            format!(
+                "Relation {{ schema: {:?}, tuples: {{{:?}: {:?}}} }}",
+                small.schema(),
+                row(1).0,
+                Nat(1)
+            )
+        );
     }
 
     #[test]
