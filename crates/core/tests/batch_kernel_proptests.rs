@@ -461,6 +461,169 @@ proptest! {
     }
 }
 
+/// One `σ` over a join's output, by the literal §4.3 rule: `Eq` as
+/// `select_attrs_eq` / `select_eq`, an order or `≠` as `select_attrs_cmp`
+/// / `select_cmp`.
+fn spec_filter(
+    rel: &MKRel<P>,
+    attr: &str,
+    cmp: BatchCmp,
+    other: &BatchOperand,
+) -> Result<MKRel<P>> {
+    match (cmp, other) {
+        (BatchCmp::Eq, BatchOperand::Col(j)) => {
+            specops::select_attrs_eq(rel, attr, rel.schema().attrs()[*j].name())
+        }
+        (BatchCmp::Pred(p), BatchOperand::Col(j)) => {
+            specops::select_attrs_cmp(rel, attr, p, rel.schema().attrs()[*j].name())
+        }
+        (BatchCmp::Eq, BatchOperand::Lit(c)) => {
+            specops::select_eq(rel, attr, &Value::Const(c.clone()))
+        }
+        (BatchCmp::Pred(p), BatchOperand::Lit(c)) => {
+            specops::select_cmp(rel, attr, p, &Value::Const(c.clone()))
+        }
+    }
+}
+
+const CMPS: [BatchCmp; 4] = [
+    BatchCmp::Eq,
+    BatchCmp::Pred(CmpPred::Lt),
+    BatchCmp::Pred(CmpPred::Le),
+    BatchCmp::Pred(CmpPred::Ne),
+];
+
+/// `⋈ → σ → ⋈ → Π → materialize` against the `specops` composition, at
+/// threads 1 and 4. The first join's output — its product deferred when
+/// both operands are ground — is filtered by a cross-side `b ⋈ d` and by
+/// `a ⋈ v`, then joined with `r3` once as the probe side and once as the
+/// build side. Both orders project `(a, d, f)`. Ordering across value
+/// types is a type error on both paths; which row raises it first
+/// depends on row order, so only the error itself must agree.
+fn check_deferred_pipeline(
+    r1: &MKRel<P>,
+    r2: &MKRel<P>,
+    r3: &MKRel<P>,
+    (cross, lit, v): (BatchCmp, BatchCmp, i64),
+) {
+    let (bd, av) = (BatchOperand::Col(3), BatchOperand::Lit(Const::int(v)));
+    let spec_j1 = specops::join_on(r1, r2, &[("a", "c")])
+        .and_then(|j| spec_filter(&j, "b", cross, &bd))
+        .and_then(|j| spec_filter(&j, "a", lit, &av));
+    let spec = |probe: bool| {
+        spec_j1.clone().and_then(|f| {
+            let j = if probe {
+                specops::join_on(&f, r3, &[("c", "e")])
+            } else {
+                specops::join_on(r3, &f, &[("e", "c")])
+            }?;
+            specops::project(&j, &["a", "d", "f"])
+        })
+    };
+    let abcd = Schema::new(["a", "b", "c", "d"]).unwrap();
+    let adf = Schema::new(["a", "d", "f"]).unwrap();
+    for threads in [1usize, 4] {
+        let opts = ExecOptions::with_threads(threads);
+        let filtered = hash_join(
+            Chunk::from_relation(r1),
+            Chunk::from_relation(r2),
+            &[(0, 0)],
+            abcd.clone(),
+            &opts,
+        )
+        .and_then(|mut j| {
+            j.filter(&BatchOperand::Col(1), cross, &bd, &opts)?;
+            j.filter(&BatchOperand::Col(0), lit, &av, &opts)?;
+            Ok(j)
+        });
+        let filtered = match (filtered, &spec_j1) {
+            (Ok(f), Ok(_)) => f,
+            (Err(_), Err(_)) => continue,
+            (got, want) => panic!("threads {threads}: σ disagrees: {got:?} vs {want:?}"),
+        };
+        let got = hash_join(
+            filtered.clone(),
+            Chunk::from_relation(r3),
+            &[(2, 0)],
+            Schema::new(["a", "b", "c", "d", "e", "f"]).unwrap(),
+            &opts,
+        )
+        .and_then(|j| j.project_opts(&[0, 3, 5], adf.clone(), &opts))
+        .and_then(Chunk::into_relation);
+        assert_matches_spec(&got, &spec(true), &format!("probe side, threads {threads}"));
+        let got = hash_join(
+            Chunk::from_relation(r3),
+            filtered,
+            &[(0, 2)],
+            Schema::new(["e", "f", "a", "b", "c", "d"]).unwrap(),
+            &opts,
+        )
+        .and_then(|j| j.project_opts(&[2, 5, 1], adf.clone(), &opts))
+        .and_then(Chunk::into_relation);
+        assert_matches_spec(
+            &got,
+            &spec(false),
+            &format!("build side, threads {threads}"),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn deferred_join_pipeline_matches_spec_on_ground(
+        r1 in arb_ground("a", "a", "b"),
+        r2 in arb_ground("b", "c", "d"),
+        r3 in arb_ground("c", "e", "f"),
+        cross in 0usize..4,
+        lit in 0usize..4,
+        v in -2i64..5,
+    ) {
+        check_deferred_pipeline(&r1, &r2, &r3, (CMPS[cross], CMPS[lit], v));
+    }
+
+    #[test]
+    fn deferred_join_pipeline_matches_spec_over_fringes(
+        r1 in arb_shaped("a", "a", "b"),
+        r2 in arb_shaped("b", "c", "d"),
+        r3 in arb_shaped("c", "e", "f"),
+        cross in 0usize..4,
+        lit in 0usize..4,
+        v in -2i64..5,
+    ) {
+        check_deferred_pipeline(&r1, &r2, &r3, (CMPS[cross], CMPS[lit], v));
+    }
+
+    #[test]
+    fn a_cloned_deferred_chunk_materializes_like_the_original(
+        r1 in arb_ground("a", "a", "b"),
+        r2 in arb_ground("b", "c", "d"),
+        v in -2i64..5,
+    ) {
+        // Cloned straight out of the join and again after a filter has
+        // narrowed the original: each copy materializes as its original.
+        let mut joined = hash_join(
+            Chunk::from_relation(&r1),
+            Chunk::from_relation(&r2),
+            &[(0, 0)],
+            Schema::new(["a", "b", "c", "d"]).unwrap(),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        let unfiltered = joined.clone();
+        joined
+            .filter(&BatchOperand::Col(3), BatchCmp::Pred(CmpPred::Ne), &BatchOperand::Lit(Const::int(v)), &ExecOptions::serial())
+            .unwrap();
+        let copy = joined.clone();
+        let spec = specops::join_on(&r1, &r2, &[("a", "c")]).unwrap();
+        prop_assert_eq!(unfiltered.into_relation().unwrap(), spec.clone());
+        let want = specops::select_cmp(&spec, "d", CmpPred::Ne, &Value::int(v)).unwrap();
+        prop_assert_eq!(copy.into_relation().unwrap(), want.clone());
+        prop_assert_eq!(joined.into_relation().unwrap(), want);
+    }
+}
+
 #[test]
 fn empty_relation_through_every_kernel() {
     let schema = Schema::new(["a", "b"]).unwrap();

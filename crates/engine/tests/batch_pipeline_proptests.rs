@@ -18,7 +18,7 @@ use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::{CmpPred, Km};
 use aggprov_core::ops::{AggSpec, MKRel};
 use aggprov_core::{difference, specops, ExecOptions, Value};
-use aggprov_engine::ProvDb;
+use aggprov_engine::{Prepared, ProvDb};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
@@ -91,7 +91,11 @@ fn prefixed(rel: &MKRel<P>, names: &[&str]) -> MKRel<P> {
 /// Executes a prepared query at `threads ∈ {1, 4}`, asserts both agree,
 /// and returns the result.
 fn run_both(db: &ProvDb, sql: &str) -> MKRel<P> {
-    let stmt = db.prepare(sql).unwrap();
+    run_stmt(&db.prepare(sql).unwrap())
+}
+
+/// [`run_both`] for a statement prepared either way.
+fn run_stmt(stmt: &Prepared<'_, P>) -> MKRel<P> {
     let t1 = stmt
         .execute_with_opts(&[], &ExecOptions::serial())
         .unwrap()
@@ -243,6 +247,45 @@ proptest! {
                 "AVG for group {:?}", g
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn three_way_join_with_a_cross_side_where_matches_spec(
+        r_rows in arb_rows(),
+        s_rows in arb_rows(),
+        t_rows in arb_rows(),
+    ) {
+        // Two joins and a predicate over both sides of the first, which no
+        // pushdown can move below it: the join's deferred product meets a
+        // filter, then a second join, in the optimized plan and in the
+        // unoptimized one (filter over both joins), against the literal
+        // composition.
+        let r = rel2("r", "a", "b", r_rows);
+        let s = rel2("s", "c", "d", s_rows);
+        let t = rel2("t", "e", "f", t_rows);
+        let mut db = ProvDb::new();
+        db.register("r", r.clone());
+        db.register("s", s.clone());
+        db.register("t", t.clone());
+        let sql = "SELECT r.a, s.d, t.f FROM r JOIN s ON r.a = s.c \
+                   JOIN t ON s.c = t.e WHERE r.b < s.d";
+
+        let rs = specops::join_on(
+            &prefixed(&r, &["r.a", "r.b"]),
+            &prefixed(&s, &["s.c", "s.d"]),
+            &[("r.a", "s.c")],
+        )
+        .unwrap();
+        let rst = specops::join_on(&rs, &prefixed(&t, &["t.e", "t.f"]), &[("s.c", "t.e")]).unwrap();
+        let f = specops::select_attrs_cmp(&rst, "r.b", CmpPred::Lt, "s.d").unwrap();
+        let p = specops::project(&f, &["r.a", "s.d", "t.f"]).unwrap();
+        let want = p.with_schema(Schema::new(["a", "d", "f"]).unwrap()).unwrap();
+        prop_assert_eq!(run_both(&db, sql), want.clone());
+        prop_assert_eq!(run_stmt(&db.prepare_unoptimized(sql).unwrap()), want);
     }
 }
 

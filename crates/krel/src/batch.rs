@@ -7,9 +7,20 @@
 //! classical columnar work. A [`ColumnBatch`] holds that ground partition
 //! column-major: one [`TypedColumn`] per attribute (unboxed `Vec<i64>`
 //! for integer runs, dictionary codes for strings, boxed `Vec<Const>` as
-//! the fallback — see [`crate::typed`]) plus a dense annotation column,
-//! so a filter touches only the compared columns and a projection is a
-//! column remap instead of a per-tuple rebuild.
+//! the fallback — see [`crate::typed`]) plus an annotation column, so a
+//! filter touches only the compared columns and a projection is a column
+//! remap instead of a per-tuple rebuild.
+//!
+//! The annotation column has two forms, private to this module. It is
+//! either dense — one annotation per row — or a join's **deferred
+//! product**: row `r` is `left[lrows[r]] ⊗ right[rrows[r]]` over the two
+//! input annotation vectors ([`ColumnBatch::from_join`]). In the paper a
+//! join annotates each output tuple with `R₁(t₁) · R₂(t₂)` (§2.1, §4.3),
+//! and that product is observable only on the rows that reach the
+//! result. A deferred product is therefore multiplied in exactly one
+//! place, [`GroundBatch::into_relation_selected`], and only for the rows
+//! the selection keeps. The one other reader is a second join over the
+//! batch, which multiplies out the rows its own pairs name first.
 //!
 //! [`GroundBatch`] pairs a `ColumnBatch` with the **symbolic fringe** — the
 //! rows that hold a non-constant value somewhere — kept row-wise, exactly
@@ -29,22 +40,131 @@ use crate::schema::Schema;
 use crate::typed::{IntoConsts, TypedColumn};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::Hash;
 
 /// A column-major batch of fully ground rows: `arity` parallel
-/// [`TypedColumn`]s plus one dense annotation column. Row `r` is
-/// `(cols[0][r], …, cols[arity-1][r])` annotated `anns[r]`.
+/// [`TypedColumn`]s plus one annotation column. Row `r` is
+/// `(cols[0][r], …, cols[arity-1][r])` annotated with the column's `r`-th
+/// annotation, held dense or as a join's deferred product (see the module
+/// docs).
 ///
 /// A batch is a *bag* of rows — unlike a [`Relation`], equal rows may
 /// appear more than once (a pipeline defers the additive merge to its
 /// next breaker); [`GroundBatch::into_relation`] merges duplicates
 /// additively, which by distributivity agrees with merging eagerly.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Equality is row-wise: two batches are equal when they hold the same
+/// columns and the same annotation on every row, whichever form holds it.
+#[derive(Clone, Debug)]
 pub struct ColumnBatch<K> {
     cols: Vec<TypedColumn>,
-    anns: Vec<K>,
+    anns: Anns<K>,
 }
+
+/// The annotation column of a [`ColumnBatch`].
+#[derive(Clone, Debug)]
+enum Anns<K> {
+    /// One annotation per row.
+    Dense(Vec<K>),
+    /// A join's output before its semiring product: row `r` is
+    /// `left[lrows[r]] ⊗ right[rrows[r]]`, in the eager join's operand
+    /// order. `lrows` and `rrows` have the same length and index inside
+    /// `left` and `right` (checked by [`ColumnBatch::from_join`]).
+    Product {
+        left: Vec<K>,
+        right: Vec<K>,
+        lrows: Vec<u32>,
+        rrows: Vec<u32>,
+    },
+}
+
+impl<K: CommutativeSemiring> Anns<K> {
+    fn len(&self) -> usize {
+        match self {
+            Anns::Dense(v) => v.len(),
+            Anns::Product { lrows, .. } => lrows.len(),
+        }
+    }
+
+    /// The annotation of row `r`, borrowed when it is stored and
+    /// multiplied when it is deferred. `None` past the end.
+    fn get(&self, r: usize) -> Option<Cow<'_, K>> {
+        match self {
+            Anns::Dense(v) => v.get(r).map(Cow::Borrowed),
+            Anns::Product {
+                left,
+                right,
+                lrows,
+                rrows,
+            } => {
+                let (l, rr) = (*lrows.get(r)?, *rrows.get(r)?);
+                Some(Cow::Owned(
+                    left.get(l as usize)?.times(right.get(rr as usize)?),
+                ))
+            }
+        }
+    }
+
+    /// The annotations of the rows `sel` names (`None` = every row), in
+    /// that order. A stored column is consumed, as before any join was
+    /// deferred: its annotations are moved out and the rows `sel` skips
+    /// are freed here. A deferred one is multiplied — here and nowhere
+    /// else — into a vector sized up front, and keeps its operands. `None`
+    /// if `sel` names a row past the end.
+    fn take(&mut self, sel: Option<&[u32]>) -> Option<Vec<K>> {
+        if let Anns::Dense(v) = self {
+            let mut v = std::mem::take(v);
+            let Some(sel) = sel else { return Some(v) };
+            return sel
+                .iter()
+                .map(|&r| Some(std::mem::replace(v.get_mut(r as usize)?, K::zero())))
+                .collect();
+        }
+        let (named, all) = match sel {
+            Some(sel) => (sel, 0),
+            None => (&[][..], self.len()),
+        };
+        let mut out = Vec::with_capacity(named.len() + all);
+        for r in named.iter().map(|&r| r as usize).chain(0..all) {
+            out.push(self.get(r)?.into_owned());
+        }
+        Some(out)
+    }
+
+    /// The column as one annotation per row, for a join that pairs its
+    /// rows `named`: a stored column is moved, a deferred one is
+    /// multiplied out at the rows `named` mentions — each once — and is
+    /// `0` at the others, which no pair reads. `None` if `named` names a
+    /// row past the end.
+    fn into_operand(self, named: &[u32]) -> Option<Vec<K>> {
+        if let Anns::Dense(v) = self {
+            return Some(v);
+        }
+        // `0` marks a row not multiplied yet (the zero element allocates
+        // nothing). A product that is itself `0` — only in a semiring with
+        // zero divisors — is recomputed when named again.
+        let mut out = vec![K::zero(); self.len()];
+        for &r in named {
+            let slot = out.get_mut(r as usize)?;
+            if slot.is_zero() {
+                *slot = self.get(r as usize)?.into_owned();
+            }
+        }
+        Some(out)
+    }
+}
+
+impl<K: CommutativeSemiring> PartialEq for ColumnBatch<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols
+            && self.len() == other.len()
+            && (0..self.len()).all(|r| self.anns.get(r) == other.anns.get(r))
+    }
+}
+
+impl<K: CommutativeSemiring> Eq for ColumnBatch<K> {}
 
 impl<K: CommutativeSemiring> ColumnBatch<K> {
     /// Builds a batch from pre-assembled columns. All columns and the
@@ -56,7 +176,58 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
                 got: c.len(),
             });
         }
-        Ok(ColumnBatch { cols, anns })
+        Ok(ColumnBatch {
+            cols,
+            anns: Anns::Dense(anns),
+        })
+    }
+
+    /// Builds a join's output batch without taking its semiring product:
+    /// row `r` holds `cols`' `r`-th values and is annotated
+    /// `left[lrows[r]] ⊗ right[rrows[r]]`, where `left` and `right` are the
+    /// two input batches' annotation columns — moved in, and multiplied
+    /// only when the row is materialized
+    /// ([`GroundBatch::into_relation_selected`]). The inputs' own columns
+    /// are dropped: `cols` already holds what the join gathered from them.
+    ///
+    /// An input that is itself a deferred product is multiplied out first,
+    /// at the rows its pairs name and nowhere else, so nested joins never
+    /// compute more products than eager ones would.
+    ///
+    /// `lrows` and `rrows` must have one entry per row of `cols`, and must
+    /// index inside `left` and `right`.
+    pub fn from_join(
+        cols: Vec<TypedColumn>,
+        left: ColumnBatch<K>,
+        lrows: Vec<u32>,
+        right: ColumnBatch<K>,
+        rrows: Vec<u32>,
+    ) -> Result<Self> {
+        let len = lrows.len();
+        if let Some(got) = cols
+            .iter()
+            .map(TypedColumn::len)
+            .chain([rrows.len()])
+            .find(|&n| n != len)
+        {
+            return Err(RelError::ArityMismatch { expected: len, got });
+        }
+        let out_of_range = || RelError::Internal("join pair names a row past its input".into());
+        let fits = |rows: &[u32], n: usize| rows.iter().all(|&r| (r as usize) < n);
+        if !fits(&lrows, left.len()) || !fits(&rrows, right.len()) {
+            return Err(out_of_range());
+        }
+        let left = left.anns.into_operand(&lrows).ok_or_else(out_of_range)?;
+        let right = right.anns.into_operand(&rrows).ok_or_else(out_of_range)?;
+        Ok(ColumnBatch {
+            cols,
+            anns: Anns::Product {
+                left,
+                right,
+                lrows,
+                rrows,
+            },
+        })
     }
 
     /// The number of columns.
@@ -71,17 +242,12 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
 
     /// True iff the batch has no rows.
     pub fn is_empty(&self) -> bool {
-        self.anns.is_empty()
+        self.len() == 0
     }
 
     /// One column, typed. `None` if `i` is out of range.
     pub fn col(&self, i: usize) -> Option<&TypedColumn> {
         self.cols.get(i)
-    }
-
-    /// The annotation column.
-    pub fn anns(&self) -> &[K] {
-        &self.anns
     }
 
     /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG),
@@ -103,21 +269,44 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
         Ok(())
     }
 
-    /// Decomposes the batch into its columns and annotation vector
-    /// (e.g. to reorder columns wholesale through a projection view).
-    pub fn into_columns(self) -> (Vec<TypedColumn>, Vec<K>) {
-        (self.cols, self.anns)
+    /// Replaces the columns with what `f` makes of them (e.g. reordered
+    /// wholesale through a projection view), keeping the annotation
+    /// column as it is. Every returned column must have one value per row.
+    pub fn map_columns(
+        self,
+        f: impl FnOnce(Vec<TypedColumn>) -> Result<Vec<TypedColumn>>,
+    ) -> Result<Self> {
+        let len = self.len();
+        let cols = f(self.cols)?;
+        if let Some(c) = cols.iter().find(|c| c.len() != len) {
+            return Err(RelError::ArityMismatch {
+                expected: len,
+                got: c.len(),
+            });
+        }
+        Ok(ColumnBatch {
+            cols,
+            anns: self.anns,
+        })
     }
 }
 
 /// A relation split for vectorized execution: the fully ground rows as a
 /// [`ColumnBatch`] plus the symbolic fringe as a row-wise side table, in
 /// support order on both sides.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Debug)]
 pub struct GroundBatch<K, V> {
     ground: ColumnBatch<K>,
     fringe: Vec<(Tuple<V>, K)>,
 }
+
+impl<K: CommutativeSemiring, V: PartialEq> PartialEq for GroundBatch<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.ground == other.ground && self.fringe == other.fringe
+    }
+}
+
+impl<K: CommutativeSemiring, V: Eq> Eq for GroundBatch<K, V> {}
 
 impl<K, V> GroundBatch<K, V>
 where
@@ -159,7 +348,10 @@ where
             anns.push(k.clone());
         }
         GroundBatch {
-            ground: ColumnBatch { cols, anns },
+            ground: ColumnBatch {
+                cols,
+                anns: Anns::Dense(anns),
+            },
             fringe,
         }
     }
@@ -214,6 +406,9 @@ where
     /// bump for dictionary strings) through [`Relation::from_tuples`] — a
     /// pipeline's final materialization never re-clones what its kernels
     /// already built, and builds no map on the way.
+    ///
+    /// This is where a join's deferred product is taken: exactly the
+    /// selected rows are multiplied, `l.times(r)` as the eager join did.
     pub fn into_relation_selected(
         self,
         schema: Schema,
@@ -226,25 +421,28 @@ where
                 got: self.ground.arity(),
             });
         }
-        let ColumnBatch { mut cols, mut anns } = self.ground;
+        let ColumnBatch {
+            mut cols,
+            anns: mut column,
+        } = self.ground;
+        let nrows = column.len();
+        let bad_selection = || {
+            RelError::Internal(format!(
+                "selection vector not strictly ascending within the batch's {nrows} rows"
+            ))
+        };
         if let Some(sel) = sel {
-            let nrows = anns.len();
-            let bad_selection = || {
-                RelError::Internal(format!(
-                    "selection vector not strictly ascending within the batch's {nrows} rows"
-                ))
-            };
             if !sel.is_sorted_by(|a, b| a < b) {
                 return Err(bad_selection());
             }
             let gathered = cols.iter().map(|c| c.gather(sel)).collect::<Option<_>>();
             cols = gathered.ok_or_else(bad_selection)?;
-            let taken = sel
-                .iter()
-                .map(|r| Some(std::mem::replace(anns.get_mut(*r as usize)?, K::zero())))
-                .collect::<Option<_>>();
-            anns = taken.ok_or_else(bad_selection)?;
         }
+        // Every product before any tuple, as the eager join had them:
+        // taking each product beside its tuple measured ≈ 1 ms slower on
+        // an unfiltered 20 000-row join (the tuples no longer lie together
+        // for `Relation::from_tuples` to sort).
+        let anns = column.take(sel).ok_or_else(bad_selection)?;
         let mut cols: Vec<IntoConsts> = cols.into_iter().map(TypedColumn::into_consts).collect();
         // One allocation per row, the tuple itself: the cells are collected
         // straight into it, so a column that ends early (a corrupt
@@ -260,6 +458,15 @@ where
             (cells.map(&lift).collect::<Tuple<V>>(), k)
         });
         let rel = Relation::from_tuples(schema, ground.chain(self.fringe), Merge::Sum)?;
+        // A deferred product's operands — the join inputs' whole annotation
+        // columns — are freed only now, with the relation built (a stored
+        // column is already empty). Freed before the tuples, they left a
+        // large block on top of the heap for glibc to trim and the next
+        // execute to fault back in: ≈ 1 190 page faults per
+        // `embed_scan_join` execute on both seeds measured, against 40–150
+        // at the eager join. Freed here, no seed of ten did; that depends
+        // on the heap's history, not on work done here.
+        drop(column);
         if short {
             return Err(RelError::Internal(
                 "batch column shorter than its row count".into(),
@@ -421,8 +628,72 @@ mod tests {
         let mut b = ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
         assert!(b.push_column(vec![]).is_err());
         assert!(b.clone().push_column(vec![Const::int(9)]).is_ok());
+        assert!(b
+            .clone()
+            .map_columns(|_| Ok(vec![TypedColumn::Num(vec![])]))
+            .is_err());
         let gb = GroundBatch::<Nat, Const>::from_parts(b, Vec::new());
         assert!(gb.into_relation(s(&["a", "b"]), |c| c).is_err());
+    }
+
+    #[test]
+    fn a_deferred_product_reads_as_the_eager_one() {
+        let tok = NatPoly::token;
+        let batch = |vals: Vec<i64>, anns: Vec<NatPoly>| {
+            ColumnBatch::from_columns(vec![TypedColumn::Num(vals)], anns).unwrap()
+        };
+        let (l, r) = (
+            vec![tok("l0"), tok("l1"), tok("l2")],
+            vec![tok("r0"), tok("r1")],
+        );
+        let (lrows, rrows) = (vec![0u32, 2, 2], vec![1u32, 0, 1]);
+        let cols = || {
+            vec![
+                TypedColumn::Num(vec![1, 3, 3]),
+                TypedColumn::Num(vec![20, 10, 20]),
+            ]
+        };
+        let products = lrows.iter().zip(&rrows);
+        let products = products.map(|(&a, &b)| l[a as usize].times(&r[b as usize]));
+        let eager = ColumnBatch::from_columns(cols(), products.collect()).unwrap();
+        let deferred = ColumnBatch::from_join(
+            cols(),
+            batch(vec![1, 2, 3], l),
+            lrows,
+            batch(vec![10, 20], r),
+            rrows,
+        )
+        .unwrap();
+        // Equality is row-wise, whichever form holds the annotations.
+        assert_eq!(deferred, eager);
+        let rel = |b: &ColumnBatch<NatPoly>, sel: Option<&[u32]>| {
+            GroundBatch::<NatPoly, Const>::from_parts(b.clone(), Vec::new())
+                .into_relation_selected(s(&["a", "b"]), |c| c, sel)
+                .unwrap()
+        };
+        assert_eq!(rel(&deferred, None), rel(&eager, None));
+        assert_eq!(rel(&deferred, Some(&[0, 2])), rel(&eager, Some(&[0, 2])));
+        // A deferred batch as one side of a second join: its products are
+        // multiplied out first, at the rows the pairs name.
+        let third = || batch(vec![7], vec![tok("t0")]);
+        let cols = || vec![TypedColumn::Num(vec![1, 3]), TypedColumn::Num(vec![7, 7])];
+        let nested = ColumnBatch::from_join(cols(), deferred, vec![0, 2], third(), vec![0, 0]);
+        let flat = ColumnBatch::from_join(cols(), eager, vec![0, 2], third(), vec![0, 0]);
+        assert_eq!(nested.unwrap(), flat.unwrap());
+    }
+
+    #[test]
+    fn from_join_refuses_pairs_past_its_inputs() {
+        let one = || ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
+        let col = || vec![TypedColumn::Num(vec![0])];
+        let join = |lrows, rrows| ColumnBatch::from_join(col(), one(), lrows, one(), rrows);
+        assert!(join(vec![0], vec![0]).is_ok());
+        assert!(matches!(join(vec![1], vec![0]), Err(RelError::Internal(_))));
+        assert!(matches!(join(vec![0], vec![1]), Err(RelError::Internal(_))));
+        assert!(matches!(
+            join(vec![0], vec![0, 0]),
+            Err(RelError::ArityMismatch { .. })
+        ));
     }
 
     #[test]
