@@ -27,7 +27,7 @@ fn main() -> ExitCode {
                 println!(
                     "aggprov-lint: project-invariant static analysis\n\n\
                      USAGE: aggprov-lint [--workspace] [--json] [--root <dir>]\n\n\
-                     Rules: lock, lock-order, oracle, wire\n\
+                     Rules: lock, lock-order, oracle\n\
                      --json emits {{\"findings\": [...], \"counts\": ...}}"
                 );
                 return ExitCode::SUCCESS;
@@ -56,7 +56,7 @@ fn main() -> ExitCode {
     }
     if findings.is_empty() {
         eprintln!(
-            "aggprov-lint: clean ({} files, 4 rule kinds, 0 findings)",
+            "aggprov-lint: clean ({} files, 3 rule kinds, 0 findings)",
             ws.files.len()
         );
         ExitCode::SUCCESS

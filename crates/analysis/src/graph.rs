@@ -15,9 +15,7 @@
 //!   all annotated with the set of guards live at that point — a guard
 //!   lives to the close of its scope if `let`-bound, to the end of its
 //!   statement if a temporary, or to its `drop(guard)`; both lock rules
-//!   read these events, so there is one lifetime model;
-//! - every `match` statement's **string-literal arm patterns** — the
-//!   wire-dispatch shape `"ping" => ...` the `wire` rule compares.
+//!   read these events, so there is one lifetime model.
 //!
 //! Approximation limits, by design (documented in
 //! `docs/ARCHITECTURE.md`): no trait-object or closure resolution, no
@@ -95,10 +93,6 @@ pub struct FnInfo {
     pub in_test: bool,
     /// Guard/call/I-O events in body order.
     pub events: Vec<Event>,
-    /// String literals in the `match` arm *patterns* of the body (guards
-    /// included, arm bodies excluded), quotes stripped, with their lines
-    /// — the wire-dispatch shape `"ping" => ...`.
-    pub arm_strings: Vec<(String, u32)>,
 }
 
 /// The phase-1 result: every function and resolvable call edge in the
@@ -133,17 +127,9 @@ impl SymbolGraph {
             _ => None,
         }
     }
-
-    /// The non-test functions named `name` defined in `path`.
-    pub fn fns_in<'g>(&'g self, path: &str, name: &str) -> Vec<&'g FnInfo> {
-        self.fns
-            .iter()
-            .filter(|f| f.path == path && f.name == name && !f.in_test)
-            .collect()
-    }
 }
 
-/// Collects function items and walks each body for events and arm strings.
+/// Collects function items and walks each body for events.
 fn collect_fns(f: &SourceFile, out: &mut Vec<FnInfo>) {
     let toks = &f.tokens;
     let mut i = 0;
@@ -172,7 +158,6 @@ fn collect_fns(f: &SourceFile, out: &mut Vec<FnInfo>) {
             line: toks[i].line,
             in_test: f.in_test(i),
             events: Vec::new(),
-            arm_strings: Vec::new(),
         };
         walk_body(f, open, close, &mut info);
         out.push(info);
@@ -220,7 +205,7 @@ struct Guard {
 }
 
 /// Walks one fn body, recording acquisition/call/I-O events with live
-/// guard sets, and collecting `match` arm strings. Guard lifetimes: scope close
+/// guard sets. Guard lifetimes: scope close
 /// kills deeper guards, `;` kills temporaries, `drop(name)` kills a named
 /// guard.
 fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
@@ -251,11 +236,6 @@ fn walk_body(f: &SourceFile, open: usize, close: usize, info: &mut FnInfo) {
                 if let Some(arg) = toks.get(i + 2).and_then(|a| a.tok.ident()) {
                     live.retain(|g| g.binding.as_deref() != Some(arg));
                 }
-            }
-            Tok::Ident(name) if name == "match" => {
-                // Keep walking *inside* the match for events; only its arm
-                // strings are recorded here, so no skip.
-                collect_arm_strings(f, i, close, &mut info.arm_strings);
             }
             Tok::Ident(name) if toks.get(i + 1).is_some_and(|n| n.tok.is(b'(')) => {
                 let method = i > 0 && toks[i - 1].tok.is(b'.');
@@ -350,83 +330,6 @@ fn let_binding(toks: &[Token], stmt_start: usize, before: usize) -> Option<Strin
     toks.get(k).and_then(|t| t.tok.ident()).map(str::to_string)
 }
 
-/// Parses the `match` at token `at`: finds the body `{`, splits arms at
-/// top-level `=>`, and collects string literals from the pattern (and
-/// guard) segments only — literals in arm *bodies* never count.
-fn collect_arm_strings(f: &SourceFile, at: usize, limit: usize, out: &mut Vec<(String, u32)>) {
-    let toks = &f.tokens;
-    // Scrutinee runs to the first `{` at relative depth 0 (struct
-    // literals are illegal in match scrutinees, same as `if`).
-    let mut j = at + 1;
-    while j < limit && !toks[j].tok.is(b'{') {
-        if (toks[j].tok.is(b'(') || toks[j].tok.is(b'[')) && f.matches[j] != usize::MAX {
-            j = f.matches[j];
-        }
-        j += 1;
-    }
-    if j >= limit {
-        return;
-    }
-    let body_open = j;
-    let body_close = f.matches[body_open];
-    if body_close == usize::MAX || body_close > limit {
-        return;
-    }
-    let mut k = body_open + 1;
-    while k < body_close {
-        // Pattern (+ optional guard): tokens up to the arm's `=>`.
-        let pat_start = k;
-        let mut arrow = None;
-        let mut p = k;
-        while p < body_close {
-            match &toks[p].tok {
-                Tok::Punct(b'=') if toks.get(p + 1).is_some_and(|n| n.tok.is(b'>')) => {
-                    arrow = Some(p);
-                    break;
-                }
-                Tok::Punct(b'(' | b'[' | b'{') => {
-                    let c = f.matches[p];
-                    if c != usize::MAX && c < body_close {
-                        p = c;
-                    }
-                }
-                _ => {}
-            }
-            p += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        for t in &toks[pat_start..arrow] {
-            if let Tok::Str(text) = &t.tok {
-                let stripped = text
-                    .trim_start_matches(['b', 'r', '#'])
-                    .trim_matches(['"', '#'])
-                    .to_string();
-                out.push((stripped, t.line));
-            }
-        }
-        // Body: a brace block, or an expression up to the top-level `,`.
-        let mut b = arrow + 2;
-        if toks.get(b).is_some_and(|t| t.tok.is(b'{')) && f.matches[b] != usize::MAX {
-            b = f.matches[b] + 1;
-            if toks.get(b).is_some_and(|t| t.tok.is(b',')) {
-                b += 1;
-            }
-        } else {
-            while b < body_close && !toks[b].tok.is(b',') {
-                if let Tok::Punct(b'(' | b'[' | b'{') = toks[b].tok {
-                    let c = f.matches[b];
-                    if c != usize::MAX && c < body_close {
-                        b = c;
-                    }
-                }
-                b += 1;
-            }
-            b += 1; // past the `,` (or the body close)
-        }
-        k = b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,7 +341,6 @@ mod tests {
                 .into_iter()
                 .map(|(p, s)| SourceFile::new(p, s))
                 .collect(),
-            ..Workspace::default()
         };
         SymbolGraph::build(&ws)
     }
@@ -492,23 +394,6 @@ impl S {
         );
         assert_eq!(f.events[1].live, vec!["db".to_string()]);
         assert!(f.events[2].live.is_empty(), "drops must clear the live set");
-    }
-
-    #[test]
-    fn string_arm_patterns_for_wire_dispatch() {
-        let src = "\
-fn dispatch(op: &str) -> u8 {
-    match op {
-        \"ping\" => 1,
-        \"sql\" | \"query\" => 2,
-        other => 0,
-    }
-}
-";
-        let g = graph(vec![("x.rs", src)]);
-        let d = &g.fns[g.resolve("dispatch").unwrap()];
-        let ops: Vec<&str> = d.arm_strings.iter().map(|(s, _)| s.as_str()).collect();
-        assert_eq!(ops, vec!["ping", "sql", "query"]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! whitespace escapes by name, all other control characters as
 //! `\u00XX`, everything else verbatim. The round-trip test in
 //! `tests/json_roundtrip.rs` parses this output with that very parser,
-//! so the two dialects can't drift.
+//! so the two dialects cannot part ways.
 
 use crate::Diagnostic;
 use std::fmt::Write;
@@ -78,7 +78,7 @@ mod tests {
     fn renders_counts_and_escapes() {
         let s = render(&[
             diag("lock", "don't \"nest\"\nhere"),
-            diag("wire", "tab\there"),
+            diag("oracle", "tab\there"),
         ]);
         assert!(s.starts_with("{\"findings\":["), "{s}");
         assert!(s.contains("\\\"nest\\\"\\nhere"), "{s}");

@@ -11,18 +11,20 @@
 //! a new enum variant cannot slip past a designated dispatch function
 //! because rustc's exhaustiveness check plus
 //! `#[deny(clippy::wildcard_enum_match_arm)]` on that function demand an
-//! arm. What is left for this crate are whole-program facts: the order
-//! in which locks are taken across functions, which property test calls
-//! which oracle, and whether three hand-written tables of wire ops agree.
+//! arm; the wire protocol's op set is one table in the server crate
+//! (`aggprov_server::Op`) that dispatch, `Client` and a doc test key off.
+//! What is left for this crate are whole-program facts: the order in
+//! which locks are taken across functions, and which property test calls
+//! which oracle.
 //!
 //! It is a **two-phase analyzer** built on a lightweight token scanner
 //! ([`lexer`]) in the same hand-rolled, zero-dependency style as the SQL
 //! lexer (`engine/src/lexer.rs`) and the server's JSON parser — no
 //! `syn`, no network. Phase 1 ([`graph`]) walks the workspace once and
 //! builds a symbol graph: functions with spans, an approximate call
-//! graph from unique-name resolution, per-function lock-guard events and
-//! the string arms of `match` dispatch sites. Phase 2 ([`rules`]) runs
-//! the rules over that graph and the token streams. Everything is
+//! graph from unique-name resolution and per-function lock-guard events.
+//! Phase 2 ([`rules`]) runs the rules over that graph and the token
+//! streams. Everything is
 //! deliberately conservative pattern matching for *this repository's*
 //! idioms, not a general Rust analyzer, and every rule is pinned by
 //! fixture tests in `tests/fixtures/`.
@@ -34,7 +36,6 @@
 //! | `lock` | no nested guards; no lock held across socket I/O (one function) |
 //! | `lock-order` | no cycle in the global guard-acquisition order; no lock held across I/O *transitively through callees* |
 //! | `oracle` | every `core::ops` operator's `specops::` twin is *called* from a proptest that also runs the physical path (threads 1 and 4 for `_opts` operators) |
-//! | `wire` | server dispatch arms, `Client` methods and the `WIRE_PROTOCOL.md` op table agree |
 //!
 //! There is no waiver syntax: a finding is fixed, not annotated.
 //!
@@ -61,7 +62,7 @@ pub struct Diagnostic {
     pub path: String,
     /// 1-based line number.
     pub line: u32,
-    /// Rule id (`lock`, `lock-order`, `oracle`, `wire`).
+    /// Rule id (`lock`, `lock-order`, `oracle`).
     pub rule: &'static str,
     /// Human-readable message.
     pub message: String,
@@ -197,14 +198,11 @@ fn attr_is_test(inner: &[Token]) -> bool {
     }
 }
 
-/// A loaded workspace: all scanned sources plus the wire-protocol spec
-/// (for the `wire` drift check).
+/// A loaded workspace: all scanned sources.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// All scanned `.rs` files.
     pub files: Vec<SourceFile>,
-    /// `docs/WIRE_PROTOCOL.md` contents (empty when absent).
-    pub wire_doc: String,
 }
 
 impl Workspace {

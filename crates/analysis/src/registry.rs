@@ -104,7 +104,7 @@ mod tests {
             let row = format!("| `{name}` | {desc} |");
             assert!(
                 readme.contains(&row),
-                "README env table drifted from the registry: expected the row {row:?}"
+                "README env table disagrees with the registry: expected the row {row:?}"
             );
         }
         for line in readme.lines().filter(|l| l.starts_with("| `AGGPROV_")) {

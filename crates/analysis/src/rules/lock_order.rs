@@ -240,7 +240,6 @@ mod tests {
                 .into_iter()
                 .map(|(p, s)| SourceFile::new(p, s))
                 .collect(),
-            ..Workspace::default()
         };
         check(&SymbolGraph::build(&ws))
     }

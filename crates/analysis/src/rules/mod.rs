@@ -11,7 +11,6 @@
 //! the designated functions), and the env-var registry (unit tests in
 //! [`crate::registry`]).
 
-pub mod drift;
 pub mod lock_order;
 pub mod oracle;
 
@@ -24,7 +23,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let graph = SymbolGraph::build(ws);
     let mut findings = oracle::check(ws);
     findings.extend(lock_order::check(&graph));
-    findings.extend(drift::check(ws, &graph));
     findings.sort();
     findings.dedup();
     findings

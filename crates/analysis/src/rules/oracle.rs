@@ -278,7 +278,6 @@ mod tests {
                 SourceFile::new(SPECOPS_PATH, spec),
                 SourceFile::new("crates/core/tests/hash_vs_spec_proptests.rs", prop),
             ],
-            ..Workspace::default()
         }
     }
 

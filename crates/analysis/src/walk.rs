@@ -13,10 +13,10 @@ fn skip_dir(rel: &str) -> bool {
     last == "target" || last.starts_with('.') || rel == "crates/analysis/tests/fixtures"
 }
 
-/// Walks `root` and loads every workspace `.rs` file plus the
-/// wire-protocol spec into a [`Workspace`]. Paths are stored root-relative with forward
-/// slashes. I/O errors on individual files are skipped (the driver lints
-/// a tree that already builds).
+/// Walks `root` and loads every workspace `.rs` file into a
+/// [`Workspace`]. Paths are stored root-relative with forward slashes.
+/// I/O errors on individual files are skipped (`aggprov-lint` lints a
+/// tree that already builds).
 pub fn load_workspace(root: &Path) -> Workspace {
     let mut ws = Workspace::default();
     let mut stack: Vec<PathBuf> = vec![root.to_path_buf()];
@@ -40,7 +40,6 @@ pub fn load_workspace(root: &Path) -> Workspace {
         }
     }
     ws.files.sort_by(|a, b| a.path.cmp(&b.path));
-    ws.wire_doc = fs::read_to_string(root.join("docs/WIRE_PROTOCOL.md")).unwrap_or_default();
     ws
 }
 

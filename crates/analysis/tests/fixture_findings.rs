@@ -22,7 +22,6 @@ fn ws(files: Vec<(&str, String)>) -> Workspace {
             .into_iter()
             .map(|(p, text)| SourceFile::new(p, text))
             .collect(),
-        ..Workspace::default()
     }
 }
 
@@ -70,30 +69,6 @@ fn lock_order_cycle_fires_across_files_at_the_witness_call() {
     assert!(lo[0].message.contains("cycle"), "{}", lo[0].message);
     assert!(lo[0].message.contains("cache"), "{}", lo[0].message);
     assert!(lo[0].message.contains("db"), "{}", lo[0].message);
-}
-
-#[test]
-fn wire_fires_on_undocumented_op_and_stale_doc_row() {
-    let mut w = ws(vec![
-        ("crates/server/src/session.rs", fixture("wire_session.rs")),
-        ("crates/server/src/client.rs", fixture("wire_client.rs")),
-    ]);
-    w.wire_doc = fixture("wire_protocol_stale.md");
-    let d = run_all(&w);
-    let wire = of_rule(&d, "wire");
-    assert_eq!(wire.len(), 2, "{d:?}");
-    // `bye` is dispatched (session line 9) but not in the doc table.
-    assert_eq!(
-        (wire[0].path.as_str(), wire[0].line),
-        ("crates/server/src/session.rs", 9)
-    );
-    assert!(wire[0].message.contains("`bye`"), "{}", wire[0].message);
-    // `flush` is a stale row (doc line 9) the server never dispatches.
-    assert_eq!(
-        (wire[1].path.as_str(), wire[1].line),
-        ("docs/WIRE_PROTOCOL.md", 9)
-    );
-    assert!(wire[1].message.contains("`flush`"), "{}", wire[1].message);
 }
 
 #[test]

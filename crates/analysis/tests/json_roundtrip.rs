@@ -26,7 +26,12 @@ fn rendered_report_round_trips_through_the_server_parser() {
             5,
             "don't \"nest\" on the execute path\n(second line)",
         ),
-        diag("wire", "docs/WIRE_PROTOCOL.md", 9, "stale row:\top `flush`"),
+        diag(
+            "oracle",
+            "crates/core/src/ops.rs",
+            9,
+            "no proptest calls:\t`specops::flush`",
+        ),
     ]);
     let v = Json::parse(&text).expect("server parser accepts --json output");
 
@@ -45,7 +50,7 @@ fn rendered_report_round_trips_through_the_server_parser() {
     );
     assert_eq!(
         findings[1].get("message").and_then(Json::as_str),
-        Some("stale row:\top `flush`")
+        Some("no proptest calls:\t`specops::flush`")
     );
 
     let counts = v.get("counts").unwrap();

@@ -17,7 +17,7 @@
 #![deny(clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
 
-use aggprov_server::{Client, Json};
+use aggprov_server::{Client, Json, Op};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -78,7 +78,7 @@ fn run(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
 
     // Provenance interrogation over the wire: store, then delete p2.
     let stored = admin.request(Json::obj([
-        ("op", Json::str("query")),
+        ("op", Json::str(Op::Query.name())),
         (
             "sql",
             Json::str("SELECT dept, SUM(sal) AS total FROM emp GROUP BY dept"),

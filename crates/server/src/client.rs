@@ -3,6 +3,7 @@
 //! integration tests.
 
 use crate::json::Json;
+use crate::op::Op;
 use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -82,39 +83,40 @@ impl Client {
         }
     }
 
+    /// Sends `op` with `fields`: every typed method below goes through here.
+    fn call(
+        &mut self,
+        op: Op,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> Result<Json> {
+        let op = std::iter::once(("op", Json::str(op.name())));
+        self.request(Json::obj(op.chain(fields)))
+    }
+
     /// `ping`, returning the session's pinned epoch.
     pub fn ping(&mut self) -> Result<i64> {
-        let r = self.request(Json::obj([("op", Json::str("ping"))]))?;
+        let r = self.call(Op::Ping, [])?;
         Ok(r.get("epoch").and_then(Json::as_int).unwrap_or(0))
     }
 
     /// Runs a SQL script on the live database (the write path).
     pub fn sql(&mut self, script: &str) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("sql")),
-            ("sql", Json::str(script)),
-        ]))
+        self.call(Op::Sql, [("sql", Json::str(script))])
     }
 
     /// Re-pins the session snapshot to the newest epoch.
     pub fn refresh(&mut self) -> Result<Json> {
-        self.request(Json::obj([("op", Json::str("refresh"))]))
+        self.call(Op::Refresh, [])
     }
 
     /// One-shot query against the pinned snapshot.
     pub fn query(&mut self, sql: &str) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("query")),
-            ("sql", Json::str(sql)),
-        ]))
+        self.call(Op::Query, [("sql", Json::str(sql))])
     }
 
     /// Prepares a statement, returning its handle.
     pub fn prepare(&mut self, sql: &str) -> Result<i64> {
-        let r = self.request(Json::obj([
-            ("op", Json::str("prepare")),
-            ("sql", Json::str(sql)),
-        ]))?;
+        let r = self.call(Op::Prepare, [("sql", Json::str(sql))])?;
         r.get("stmt")
             .and_then(Json::as_int)
             .ok_or_else(|| ClientError("prepare: no stmt handle in response".into()))
@@ -122,35 +124,24 @@ impl Client {
 
     /// Executes a prepared statement with positional args.
     pub fn execute(&mut self, stmt: i64, args: Vec<Json>) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("execute")),
-            ("stmt", Json::Int(stmt)),
-            ("args", Json::Arr(args)),
-        ]))
+        self.call(
+            Op::Execute,
+            [("stmt", Json::Int(stmt)), ("args", Json::Arr(args))],
+        )
     }
 
     /// Lists the snapshot's tables.
     pub fn tables(&mut self) -> Result<Vec<String>> {
-        let r = self.request(Json::obj([("op", Json::str("tables"))]))?;
-        Ok(r.get("tables")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|t| t.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default())
+        self.call(Op::Tables, []).map(|r| names(&r, "tables"))
     }
 
     /// Materializes a view on the live database, returning the server's
     /// chosen maintenance strategy (`"incremental"` or `"recompute"`).
     pub fn materialize(&mut self, name: &str, sql: &str) -> Result<String> {
-        let r = self.request(Json::obj([
-            ("op", Json::str("materialize")),
-            ("name", Json::str(name)),
-            ("sql", Json::str(sql)),
-        ]))?;
+        let r = self.call(
+            Op::Materialize,
+            [("name", Json::str(name)), ("sql", Json::str(sql))],
+        )?;
         Ok(r.get("strategy")
             .and_then(Json::as_str)
             .unwrap_or_default()
@@ -159,44 +150,23 @@ impl Client {
 
     /// Reads a maintained view from the pinned snapshot.
     pub fn view(&mut self, name: &str) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("view")),
-            ("name", Json::str(name)),
-        ]))
+        self.call(Op::View, [("name", Json::str(name))])
     }
 
     /// Lists the snapshot's materialized views.
     pub fn views(&mut self) -> Result<Vec<String>> {
-        let r = self.request(Json::obj([("op", Json::str("views"))]))?;
-        Ok(r.get("views")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|t| t.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default())
+        self.call(Op::Views, []).map(|r| names(&r, "views"))
     }
 
     /// Drops a materialized view on the live database.
     pub fn drop_view(&mut self, name: &str) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("drop_view")),
-            ("name", Json::str(name)),
-        ]))
+        self.call(Op::DropView, [("name", Json::str(name))])
     }
 
     /// Database-level deletion propagation: zeroes the tokens in every
     /// base table and maintains every materialized view.
     pub fn db_delete_tokens(&mut self, tokens: &[&str]) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("db_delete_tokens")),
-            (
-                "tokens",
-                Json::Arr(tokens.iter().map(|t| Json::str(*t)).collect()),
-            ),
-        ]))
+        self.call(Op::DbDeleteTokens, [("tokens", strs(tokens))])
     }
 
     /// Valuates a stored result: `bindings` maps provenance tokens to
@@ -207,85 +177,86 @@ impl Client {
         bindings: &[(&str, i64)],
         default: Option<i64>,
     ) -> Result<Json> {
-        let mut req = vec![
-            ("op", Json::str("valuate")),
+        let bindings = bindings
+            .iter()
+            .map(|(t, v)| (t.to_string(), Json::Int(*v)))
+            .collect();
+        let fields = [
             ("result", Json::Int(result)),
-            (
-                "bindings",
-                Json::Obj(
-                    bindings
-                        .iter()
-                        .map(|(t, v)| (t.to_string(), Json::Int(*v)))
-                        .collect(),
-                ),
-            ),
+            ("bindings", Json::Obj(bindings)),
         ];
-        if let Some(d) = default {
-            req.push(("default", Json::Int(d)));
-        }
-        self.request(Json::obj(req))
+        let default = default.map(|d| ("default", Json::Int(d)));
+        self.call(Op::Valuate, fields.into_iter().chain(default))
     }
 
     /// Deletion propagation on a stored result: zeroes the given tokens,
     /// keeps the rest symbolic. `store` parks the shrunken result under
     /// a fresh handle.
     pub fn delete_tokens(&mut self, result: i64, tokens: &[&str], store: bool) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("delete_tokens")),
-            ("result", Json::Int(result)),
-            (
-                "tokens",
-                Json::Arr(tokens.iter().map(|t| Json::str(*t)).collect()),
-            ),
-            ("store", Json::Bool(store)),
-        ]))
+        self.call(
+            Op::DeleteTokens,
+            [
+                ("result", Json::Int(result)),
+                ("tokens", strs(tokens)),
+                ("store", Json::Bool(store)),
+            ],
+        )
     }
 
     /// Security reading of a stored result (paper Example 3.5): `levels`
     /// maps tokens to clearance levels, `cred` is the principal's
     /// credential.
     pub fn clearance(&mut self, result: i64, cred: &str, levels: &[(&str, &str)]) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("clearance")),
-            ("result", Json::Int(result)),
-            ("cred", Json::str(cred)),
-            (
-                "levels",
-                Json::Obj(
-                    levels
-                        .iter()
-                        .map(|(t, l)| (t.to_string(), Json::str(*l)))
-                        .collect(),
-                ),
-            ),
-        ]))
+        let levels = levels
+            .iter()
+            .map(|(t, l)| (t.to_string(), Json::str(*l)))
+            .collect();
+        self.call(
+            Op::Clearance,
+            [
+                ("result", Json::Int(result)),
+                ("cred", Json::str(cred)),
+                ("levels", Json::Obj(levels)),
+            ],
+        )
     }
 
     /// Releases a stored result handle.
     pub fn close_result(&mut self, result: i64) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("close")),
-            ("result", Json::Int(result)),
-        ]))
+        self.call(Op::Close, [("result", Json::Int(result))])
     }
 
     /// Releases a prepared-statement handle.
     pub fn close_stmt(&mut self, stmt: i64) -> Result<Json> {
-        self.request(Json::obj([
-            ("op", Json::str("close")),
-            ("stmt", Json::Int(stmt)),
-        ]))
+        self.call(Op::Close, [("stmt", Json::Int(stmt))])
     }
 
     /// Says goodbye: the server acknowledges and closes this connection.
     pub fn bye(&mut self) -> Result<()> {
-        self.request(Json::obj([("op", Json::str("bye"))]))?;
-        Ok(())
+        self.call(Op::Bye, []).map(drop)
     }
 
     /// Asks the server to stop (drains and exits).
     pub fn shutdown(&mut self) -> Result<()> {
-        self.request(Json::obj([("op", Json::str("shutdown"))]))?;
-        Ok(())
+        self.call(Op::Shutdown, []).map(drop)
     }
+}
+
+/// A JSON array of strings.
+fn strs(items: &[&str]) -> Json {
+    Json::Arr(items.iter().map(|t| Json::str(*t)).collect())
+}
+
+/// The string items of the array field `field` of a reply.
+fn names(reply: &Json, field: &str) -> Vec<String> {
+    reply
+        .get(field)
+        .and_then(Json::as_arr)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|t| t.as_str().map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default()
 }

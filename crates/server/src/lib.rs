@@ -36,27 +36,12 @@
 //!
 //! ## Ops
 //!
-//! | op | fields | effect |
-//! |----|--------|--------|
-//! | `ping` | | liveness + pinned epoch |
-//! | `tables` | | table names in the snapshot |
-//! | `sql` | `sql` | run a SQL script on the live database |
-//! | `refresh` | | re-pin to the newest epoch |
-//! | `prepare` | `sql` | plan once → `stmt` handle |
-//! | `execute` | `stmt`, `args?`, `store?` | run a prepared statement |
-//! | `query` | `sql`, `args?`, `store?` | one-shot prepare + execute |
-//! | `valuate` | `result`, `bindings?`, `default?` | ℕ-valuate a stored result |
-//! | `delete_tokens` | `result`, `tokens`, `store?` | deletion propagation |
-//! | `clearance` | `result`, `levels?`, `default_level?`, `cred` | security view |
-//! | `close` | `stmt` \| `result` | drop a handle |
-//! | `bye` | | close the connection |
-//! | `shutdown` | | stop the server (drain + exit) |
-//!
-//! `"store": true` on `execute`/`query`/`delete_tokens` parks the
-//! **symbolic** result under a `result` handle, so the paper's "evaluate
-//! once, interrogate many times" workflow works over the wire: the
-//! interrogation ops re-read the stored annotations without ever
-//! re-running the query.
+//! The op set is [`Op`], declared once in [`op`]; `docs/WIRE_PROTOCOL.md`
+//! specifies each op's fields and replies. `"store": true` on
+//! `execute`/`query`/`view`/`delete_tokens` parks the **symbolic** result
+//! under a `result` handle, so the paper's "evaluate once, interrogate
+//! many times" workflow works over the wire: the interrogation ops
+//! re-read the stored annotations without ever re-running the query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,10 +52,12 @@
 
 pub mod client;
 pub mod json;
+pub mod op;
 pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError};
 pub use json::Json;
+pub use op::{Op, OpKind};
 pub use server::{Server, ShutdownHandle, MAX_REQUEST_BYTES};
 pub use session::Session;

@@ -10,6 +10,7 @@
 //! connection drops everything.
 
 use crate::json::Json;
+use crate::op::Op;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::semiring::{CommutativeSemiring, Nat, Security};
@@ -19,7 +20,7 @@ use aggprov_engine::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// What the connection loop should do after a response is sent.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,10 +64,7 @@ impl Session {
     /// published epoch is a consistent database (mutations validate
     /// before they publish), so recovering the inner value is safe.
     pub fn new(db: Arc<RwLock<ProvDb>>) -> Session {
-        let snap = db
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .snapshot();
+        let snap = db.read().unwrap_or_else(PoisonError::into_inner).snapshot();
         Session {
             db,
             snap,
@@ -93,10 +91,10 @@ impl Session {
         };
         let id = req.get("id").cloned().unwrap_or(Json::Null);
         let op = match req.get("op").and_then(Json::as_str) {
-            Some(op) => op.to_string(),
-            None => return (error_response(id, "missing \"op\""), Control::Continue),
+            Some(name) => Op::parse(name).ok_or_else(|| format!("unknown op {name:?}")),
+            None => Err("missing \"op\"".to_string()),
         };
-        match self.dispatch(&op, &req) {
+        match op.and_then(|op| self.dispatch(op, &req)) {
             Ok((mut body, control)) => {
                 if let Json::Obj(map) = &mut body {
                     map.insert("id".into(), id);
@@ -108,66 +106,53 @@ impl Session {
         }
     }
 
-    fn dispatch(&mut self, op: &str, req: &Json) -> Result<(Json, Control), String> {
-        match op {
-            "ping" => Ok((
-                Json::obj([
-                    ("pong", Json::Bool(true)),
-                    ("epoch", Json::Int(self.snap.epoch() as i64)),
-                ]),
-                Control::Continue,
-            )),
-            "tables" => {
-                let tables = self.snap.table_names().map(Json::str).collect::<Vec<_>>();
-                Ok((
-                    Json::obj([
-                        ("tables", Json::Arr(tables)),
-                        ("epoch", Json::Int(self.snap.epoch() as i64)),
-                    ]),
-                    Control::Continue,
-                ))
+    /// Runs one op. Every [`Op`] has its own arm: a row added to the op
+    /// table does not compile until the session serves it.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn dispatch(&mut self, op: Op, req: &Json) -> Result<(Json, Control), String> {
+        let body = match op {
+            Op::Ping => Json::obj([("pong", Json::Bool(true)), ("epoch", self.epoch())]),
+            Op::Tables => {
+                let tables = self.snap.table_names().map(Json::str).collect();
+                Json::obj([("tables", Json::Arr(tables)), ("epoch", self.epoch())])
             }
-            "views" => {
-                let views = self.snap.view_names().map(Json::str).collect::<Vec<_>>();
-                Ok((
-                    Json::obj([
-                        ("views", Json::Arr(views)),
-                        ("epoch", Json::Int(self.snap.epoch() as i64)),
-                    ]),
-                    Control::Continue,
-                ))
+            Op::Views => {
+                let views = self.snap.view_names().map(Json::str).collect();
+                Json::obj([("views", Json::Arr(views)), ("epoch", self.epoch())])
             }
-            "sql" => self.op_sql(req),
-            "materialize" => self.op_materialize(req),
-            "view" => self.op_view(req),
-            "drop_view" => self.op_drop_view(req),
-            "db_delete_tokens" => self.op_db_delete_tokens(req),
-            "refresh" => self.op_refresh(),
-            "prepare" => self.op_prepare(req),
-            "execute" => self.op_execute(req),
-            "query" => self.op_query(req),
-            "valuate" => self.op_valuate(req),
-            "delete_tokens" => self.op_delete_tokens(req),
-            "clearance" => self.op_clearance(req),
-            "close" => self.op_close(req),
-            "bye" => Ok((Json::obj([]), Control::Close)),
-            "shutdown" => Ok((Json::obj([]), Control::Shutdown)),
-            other => Err(format!("unknown op {other:?}")),
-        }
+            Op::Sql => self.op_sql(req)?,
+            Op::Materialize => self.op_materialize(req)?,
+            Op::View => self.op_view(req)?,
+            Op::DropView => self.op_drop_view(req)?,
+            Op::DbDeleteTokens => self.op_db_delete_tokens(req)?,
+            Op::Refresh => self.op_refresh(),
+            Op::Prepare => self.op_prepare(req)?,
+            Op::Execute => self.op_execute(req)?,
+            Op::Query => self.op_query(req)?,
+            Op::Valuate => self.op_valuate(req)?,
+            Op::DeleteTokens => self.op_delete_tokens(req)?,
+            Op::Clearance => self.op_clearance(req)?,
+            Op::Close => self.op_close(req)?,
+            Op::Bye => return Ok((Json::obj([]), Control::Close)),
+            Op::Shutdown => return Ok((Json::obj([]), Control::Shutdown)),
+        };
+        Ok((body, Control::Continue))
+    }
+
+    /// The pinned epoch, as a reply field.
+    fn epoch(&self) -> Json {
+        Json::Int(self.snap.epoch() as i64)
     }
 
     /// The write path: executes a SQL script on the **live** database
     /// under the write lock. The session's snapshot stays pinned — call
     /// `refresh` to observe the new epoch.
-    fn op_sql(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let script = req
-            .get("sql")
-            .and_then(Json::as_str)
-            .ok_or("sql: missing \"sql\"")?;
-        let mut db = self
-            .db
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn op_sql(&mut self, req: &Json) -> Result<Json, String> {
+        let script = str_field(req, Op::Sql, "sql")?;
+        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
         let out = db.exec(script).map_err(|e| e.to_string())?;
         let mut body = vec![("epoch", Json::Int(db.epoch() as i64))];
         drop(db);
@@ -175,37 +160,25 @@ impl Session {
             let rendered = render_relation_body(&ResultSet::from_relation(rel));
             body.extend(rendered);
         }
-        Ok((Json::obj(body), Control::Continue))
+        Ok(Json::obj(body))
     }
 
     /// Materializes a view on the **live** database under the write lock:
     /// the SQL is evaluated once and the annotated result is retained and
     /// delta-maintained from then on. Like `sql`, the session's own
     /// snapshot stays pinned — `refresh` to observe the view.
-    fn op_materialize(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let name = req
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("materialize: missing \"name\"")?;
-        let sql = req
-            .get("sql")
-            .and_then(Json::as_str)
-            .ok_or("materialize: missing \"sql\"")?;
-        let mut db = self
-            .db
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn op_materialize(&mut self, req: &Json) -> Result<Json, String> {
+        let name = str_field(req, Op::Materialize, "name")?;
+        let sql = str_field(req, Op::Materialize, "sql")?;
+        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
         db.materialize(name, sql).map_err(|e| e.to_string())?;
         let strategy = db.view_strategy(name).map_err(|e| e.to_string())?;
         let epoch = db.epoch();
         drop(db);
-        Ok((
-            Json::obj([
-                ("epoch", Json::Int(epoch as i64)),
-                ("strategy", Json::str(strategy_name(strategy))),
-            ]),
-            Control::Continue,
-        ))
+        Ok(Json::obj([
+            ("epoch", Json::Int(epoch as i64)),
+            ("strategy", Json::str(strategy_name(strategy))),
+        ]))
     }
 
     /// Reads a maintained view from the session's **pinned snapshot** —
@@ -214,46 +187,25 @@ impl Session {
     /// annotated relation under a result handle so the provenance
     /// interrogation ops (`valuate`, `delete_tokens`, `clearance`) can
     /// run against it.
-    fn op_view(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let name = req
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("view: missing \"name\"")?;
+    fn op_view(&mut self, req: &Json) -> Result<Json, String> {
+        let name = str_field(req, Op::View, "name")?;
         let rel = self.snap.view(name).map_err(|e| e.to_string())?.clone();
         let strategy = self.snap.view_strategy(name).map_err(|e| e.to_string())?;
         let out = ResultSet::from_relation(rel);
         let mut body = render_relation_body(&out);
         body.push(("strategy", Json::str(strategy_name(strategy))));
-        body.push(("epoch", Json::Int(self.snap.epoch() as i64)));
-        if req.get("store").and_then(Json::as_bool) == Some(true) {
-            if self.results.len() >= MAX_HANDLES {
-                return Err(format!("store: session holds {MAX_HANDLES} results"));
-            }
-            let handle = self.next_handle;
-            self.next_handle += 1;
-            self.results.insert(handle, out);
-            body.push(("result", Json::Int(handle)));
-        }
-        Ok((Json::obj(body), Control::Continue))
+        body.push(("epoch", self.epoch()));
+        self.reply_storing(req, body, out)
     }
 
     /// Drops a materialized view on the live database.
-    fn op_drop_view(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let name = req
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("drop_view: missing \"name\"")?;
-        let mut db = self
-            .db
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn op_drop_view(&mut self, req: &Json) -> Result<Json, String> {
+        let name = str_field(req, Op::DropView, "name")?;
+        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
         db.drop_view(name).map_err(|e| e.to_string())?;
         let epoch = db.epoch();
         drop(db);
-        Ok((
-            Json::obj([("epoch", Json::Int(epoch as i64))]),
-            Control::Continue,
-        ))
+        Ok(Json::obj([("epoch", Json::Int(epoch as i64))]))
     }
 
     /// Database-level deletion propagation: zeroes the tokens in every
@@ -261,68 +213,47 @@ impl Session {
     /// the **live** database under the write lock. (Contrast with
     /// `delete_tokens`, which rewrites one stored result and leaves the
     /// database alone.)
-    fn op_db_delete_tokens(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let tokens = req
-            .get("tokens")
-            .and_then(Json::as_arr)
-            .ok_or("db_delete_tokens: missing \"tokens\" array")?;
-        let names: Vec<&str> = tokens
-            .iter()
-            .map(|t| t.as_str().ok_or("db_delete_tokens: tokens must be strings"))
-            .collect::<Result<_, _>>()?;
-        let mut db = self
-            .db
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn op_db_delete_tokens(&mut self, req: &Json) -> Result<Json, String> {
+        let names = token_names(req, Op::DbDeleteTokens)?;
+        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
         db.delete_tokens(names).map_err(|e| e.to_string())?;
         let epoch = db.epoch();
         drop(db);
-        Ok((
-            Json::obj([("epoch", Json::Int(epoch as i64))]),
-            Control::Continue,
-        ))
+        Ok(Json::obj([("epoch", Json::Int(epoch as i64))]))
     }
 
     /// Re-pins the session to the newest published epoch and re-prepares
     /// every held statement against it. Statements whose SQL no longer
-    /// plans (a dropped table, say) are closed and reported.
-    fn op_refresh(&mut self) -> Result<(Json, Control), String> {
+    /// plans (a dropped table, say) are closed and reported, in ascending
+    /// handle order.
+    fn op_refresh(&mut self) -> Json {
         self.snap = self
             .db
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .snapshot();
         let mut invalidated = Vec::new();
-        let handles: Vec<i64> = self.stmts.keys().copied().collect();
-        for handle in handles {
-            let Some((sql, _)) = self.stmts.get(&handle) else {
-                continue;
-            };
-            let sql = sql.clone();
-            match self.snap.prepare(&sql) {
-                Ok(stmt) => {
-                    self.stmts.insert(handle, (sql, stmt));
-                }
-                Err(_) => {
-                    self.stmts.remove(&handle);
-                    invalidated.push(Json::Int(handle));
-                }
+        for (handle, (sql, stmt)) in &mut self.stmts {
+            match self.snap.prepare(sql) {
+                Ok(fresh) => *stmt = fresh,
+                Err(_) => invalidated.push(*handle),
             }
         }
-        Ok((
-            Json::obj([
-                ("epoch", Json::Int(self.snap.epoch() as i64)),
-                ("invalidated", Json::Arr(invalidated)),
-            ]),
-            Control::Continue,
-        ))
+        invalidated.sort_unstable();
+        for handle in &invalidated {
+            self.stmts.remove(handle);
+        }
+        Json::obj([
+            ("epoch", self.epoch()),
+            (
+                "invalidated",
+                Json::Arr(invalidated.into_iter().map(Json::Int).collect()),
+            ),
+        ])
     }
 
-    fn op_prepare(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let sql = req
-            .get("sql")
-            .and_then(Json::as_str)
-            .ok_or("prepare: missing \"sql\"")?;
+    fn op_prepare(&mut self, req: &Json) -> Result<Json, String> {
+        let sql = str_field(req, Op::Prepare, "sql")?;
         if self.stmts.len() >= MAX_HANDLES {
             return Err(format!("prepare: session holds {MAX_HANDLES} statements"));
         }
@@ -337,10 +268,10 @@ impl Session {
             ("epoch", Json::Int(stmt.epoch() as i64)),
         ]);
         self.stmts.insert(handle, (sql.to_string(), stmt));
-        Ok((body, Control::Continue))
+        Ok(body)
     }
 
-    fn op_execute(&mut self, req: &Json) -> Result<(Json, Control), String> {
+    fn op_execute(&mut self, req: &Json) -> Result<Json, String> {
         let handle = req
             .get("stmt")
             .and_then(Json::as_int)
@@ -351,30 +282,27 @@ impl Session {
             .ok_or_else(|| format!("execute: unknown stmt {handle}"))?;
         let params = parse_params(req.get("args"))?;
         let out = stmt.execute_with(&params).map_err(|e| e.to_string())?;
-        self.respond_with_result(req, out)
+        self.reply_storing(req, render_relation_body(&out), out)
     }
 
     /// One-shot prepare + execute against the pinned snapshot, without
     /// taking a statement handle.
-    fn op_query(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let sql = req
-            .get("sql")
-            .and_then(Json::as_str)
-            .ok_or("query: missing \"sql\"")?;
+    fn op_query(&mut self, req: &Json) -> Result<Json, String> {
+        let sql = str_field(req, Op::Query, "sql")?;
         let stmt = self.snap.prepare(sql).map_err(|e| e.to_string())?;
         let params = parse_params(req.get("args"))?;
         let out = stmt.execute_with(&params).map_err(|e| e.to_string())?;
-        self.respond_with_result(req, out)
+        self.reply_storing(req, render_relation_body(&out), out)
     }
 
-    /// Renders an execution result; `"store": true` additionally parks
-    /// the `ResultSet` under a result handle for later interrogation.
-    fn respond_with_result(
+    /// Answers with `body`; `"store": true` additionally parks `out`
+    /// under a fresh result handle for later interrogation.
+    fn reply_storing(
         &mut self,
         req: &Json,
+        mut body: Vec<(&'static str, Json)>,
         out: ResultSet<Prov>,
-    ) -> Result<(Json, Control), String> {
-        let mut body = render_relation_body(&out);
+    ) -> Result<Json, String> {
         if req.get("store").and_then(Json::as_bool) == Some(true) {
             if self.results.len() >= MAX_HANDLES {
                 return Err(format!("store: session holds {MAX_HANDLES} results"));
@@ -384,10 +312,12 @@ impl Session {
             self.results.insert(handle, out);
             body.push(("result", Json::Int(handle)));
         }
-        Ok((Json::obj(body), Control::Continue))
+        Ok(Json::obj(body))
     }
 
-    fn stored(&self, req: &Json, op: &str) -> Result<&ResultSet<Prov>, String> {
+    /// The stored result a request for `op` names.
+    fn stored(&self, req: &Json, op: Op) -> Result<&ResultSet<Prov>, String> {
+        let op = op.name();
         let handle = req
             .get("result")
             .and_then(Json::as_int)
@@ -401,8 +331,8 @@ impl Session {
     /// `bindings` maps token names to naturals, everything else gets
     /// `default` (1 when omitted). This interrogates the **stored**
     /// symbolic result — the query is not re-evaluated.
-    fn op_valuate(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let out = self.stored(req, "valuate")?;
+    fn op_valuate(&mut self, req: &Json) -> Result<Json, String> {
+        let out = self.stored(req, Op::Valuate)?;
         let default = match req.get("default") {
             None => Nat(1),
             Some(v) => Nat(nat_binding(v, "default")?),
@@ -417,46 +347,26 @@ impl Session {
             }
         }
         let valuated = out.valuate(&val);
-        render_km_result(&valuated)
+        Ok(render_km_result(&valuated))
     }
 
     /// Deletion propagation: zeroes the given tokens, keeps the rest
     /// symbolic. `"store": true` parks the shrunken (still symbolic)
     /// result under a fresh handle so interrogation can continue.
-    fn op_delete_tokens(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let out = self.stored(req, "delete_tokens")?;
-        let tokens = req
-            .get("tokens")
-            .and_then(Json::as_arr)
-            .ok_or("delete_tokens: missing \"tokens\" array")?;
-        let names: Vec<&str> = tokens
-            .iter()
-            .map(|t| t.as_str().ok_or("delete_tokens: tokens must be strings"))
-            .collect::<Result<_, _>>()?;
+    fn op_delete_tokens(&mut self, req: &Json) -> Result<Json, String> {
+        let out = self.stored(req, Op::DeleteTokens)?;
+        let names = token_names(req, Op::DeleteTokens)?;
         let deleted = out.delete_tokens(names);
-        let mut body = render_relation_body(&deleted);
-        if req.get("store").and_then(Json::as_bool) == Some(true) {
-            if self.results.len() >= MAX_HANDLES {
-                return Err(format!("store: session holds {MAX_HANDLES} results"));
-            }
-            let handle = self.next_handle;
-            self.next_handle += 1;
-            self.results.insert(handle, deleted);
-            body.push(("result", Json::Int(handle)));
-        }
-        Ok((Json::obj(body), Control::Continue))
+        self.reply_storing(req, render_relation_body(&deleted), deleted)
     }
 
     /// Security reading (paper Example 3.5): `levels` maps tokens to
     /// clearance levels (`PUBLIC`/`C`/`S`/`T`/`NEVER`), `cred` is the
     /// principal's credential; tuples and aggregate contributions visible
     /// at that clearance survive, the rest vanish.
-    fn op_clearance(&mut self, req: &Json) -> Result<(Json, Control), String> {
-        let out = self.stored(req, "clearance")?;
-        let cred = req
-            .get("cred")
-            .and_then(Json::as_str)
-            .ok_or("clearance: missing \"cred\"")?;
+    fn op_clearance(&mut self, req: &Json) -> Result<Json, String> {
+        let out = self.stored(req, Op::Clearance)?;
+        let cred = str_field(req, Op::Clearance, "cred")?;
         let cred = parse_level(cred)?;
         let default = match req.get("default_level").and_then(Json::as_str) {
             None => Security::Public,
@@ -475,23 +385,22 @@ impl Session {
             }
         }
         let view = out.valuate(&val).clearance(cred);
-        render_km_result(&view)
+        Ok(render_km_result(&view))
     }
 
-    fn op_close(&mut self, req: &Json) -> Result<(Json, Control), String> {
+    fn op_close(&mut self, req: &Json) -> Result<Json, String> {
         if let Some(handle) = req.get("stmt").and_then(Json::as_int) {
             self.stmts
                 .remove(&handle)
                 .ok_or_else(|| format!("close: unknown stmt {handle}"))?;
-            return Ok((Json::obj([]), Control::Continue));
-        }
-        if let Some(handle) = req.get("result").and_then(Json::as_int) {
+        } else if let Some(handle) = req.get("result").and_then(Json::as_int) {
             self.results
                 .remove(&handle)
                 .ok_or_else(|| format!("close: unknown result {handle}"))?;
-            return Ok((Json::obj([]), Control::Continue));
+        } else {
+            return Err("close: pass \"stmt\" or \"result\"".into());
         }
-        Err("close: pass \"stmt\" or \"result\"".into())
+        Ok(Json::obj([]))
     }
 }
 
@@ -517,6 +426,29 @@ pub(crate) fn error_response(id: Json, message: &str) -> Json {
         ("ok", Json::Bool(false)),
         ("error", Json::str(message)),
     ])
+}
+
+/// The string field `field` of a request for `op`.
+fn str_field<'r>(req: &'r Json, op: Op, field: &str) -> Result<&'r str, String> {
+    req.get(field)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{}: missing {field:?}", op.name()))
+}
+
+/// The `tokens` array of a request for `op`, every item a string.
+fn token_names(req: &Json, op: Op) -> Result<Vec<&str>, String> {
+    let op = op.name();
+    let tokens = req
+        .get("tokens")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{op}: missing \"tokens\" array"))?;
+    tokens
+        .iter()
+        .map(|t| {
+            t.as_str()
+                .ok_or_else(|| format!("{op}: tokens must be strings"))
+        })
+        .collect()
 }
 
 fn parse_level(text: &str) -> Result<Security, String> {
@@ -585,24 +517,17 @@ where
 /// Renders a valuated `Km<K>` result, collapsing to the base semiring
 /// when every symbolic atom has resolved (`"collapsed": true`) and
 /// falling back to the symbolic rendering otherwise.
-fn render_km_result<K>(out: &ResultSet<aggprov_core::Km<K>>) -> Result<(Json, Control), String>
+fn render_km_result<K>(out: &ResultSet<aggprov_core::Km<K>>) -> Json
 where
     K: CommutativeSemiring + fmt::Display,
     Value<K>: fmt::Display,
     Value<aggprov_core::Km<K>>: fmt::Display,
     aggprov_core::Km<K>: CommutativeSemiring + fmt::Display,
 {
-    let body = match out.collapse() {
-        Ok(collapsed) => {
-            let mut body = render_relation_body(&collapsed);
-            body.push(("collapsed", Json::Bool(true)));
-            body
-        }
-        Err(_) => {
-            let mut body = render_relation_body(out);
-            body.push(("collapsed", Json::Bool(false)));
-            body
-        }
+    let (mut body, collapsed) = match out.collapse() {
+        Ok(collapsed) => (render_relation_body(&collapsed), true),
+        Err(_) => (render_relation_body(out), false),
     };
-    Ok((Json::obj(body), Control::Continue))
+    body.push(("collapsed", Json::Bool(collapsed)));
+    Json::obj(body)
 }

@@ -2,7 +2,7 @@
 //! clients on real threads.
 
 use aggprov_engine::ProvDb;
-use aggprov_server::{Client, Json, Server};
+use aggprov_server::{Client, Json, Op, Server};
 use std::thread::JoinHandle;
 
 /// Spawns a server on an OS-assigned port over a seeded database,
@@ -154,6 +154,131 @@ fn sessions_pin_epochs_until_refresh() {
     assert!(reader.execute(stmt, vec![]).is_err());
 
     writer.shutdown().expect("shutdown");
+    server.join().expect("serve thread");
+}
+
+#[test]
+fn refresh_reports_invalidated_handles_in_ascending_order() {
+    let (addr, server) = spawn_server(SEED);
+    let mut c = Client::connect(addr.as_str()).expect("connect");
+    c.sql("CREATE TABLE keep (x NUM)").expect("ddl");
+    c.refresh().expect("refresh");
+    // Sixteen statements, alternating between the table about to go and
+    // one that stays.
+    let mut doomed = Vec::new();
+    for i in 0..16 {
+        let table = if i % 2 == 0 { "emp" } else { "keep" };
+        let stmt = c
+            .prepare(&format!("SELECT * FROM {table} WHERE {i} = {i}"))
+            .expect("prepare");
+        if table == "emp" {
+            doomed.push(Json::Int(stmt));
+        }
+    }
+    c.sql("DROP TABLE emp").expect("drop");
+    let refreshed = c.refresh().expect("refresh");
+    assert_eq!(refreshed.get("invalidated"), Some(&Json::Arr(doomed)));
+    c.shutdown().expect("shutdown");
+    server.join().expect("serve thread");
+}
+
+/// Stores the result of `sql` under a result handle.
+fn store(c: &mut Client, sql: &str) -> i64 {
+    let stored = c
+        .request(Json::obj([
+            ("op", Json::str(Op::Query.name())),
+            ("sql", Json::str(sql)),
+            ("store", Json::Bool(true)),
+        ]))
+        .expect("store");
+    stored.get("result").and_then(Json::as_int).expect("handle")
+}
+
+/// Drives every op of the table through its `Client` method, in dispatch
+/// order, against a live server. The `match` has no wildcard arm, so an
+/// op without a client call does not compile.
+#[test]
+fn every_op_goes_through_its_client_method() {
+    let (addr, server) = spawn_server(SEED);
+    let mut c = Client::connect(addr.as_str()).expect("connect");
+    let (mut stmt, mut result) = (0, 0);
+    for &op in Op::ALL {
+        match op {
+            Op::Ping => assert!(c.ping().expect("ping") > 0),
+            Op::Tables => assert_eq!(c.tables().expect("tables"), ["emp"]),
+            Op::Views => assert!(c.views().expect("views").is_empty()),
+            Op::Sql => {
+                let r = c
+                    .sql("INSERT INTO emp VALUES ('d3', 5) PROVENANCE p4")
+                    .expect("sql");
+                assert!(r.get("epoch").is_some(), "{r}");
+            }
+            Op::Materialize => {
+                let strategy = c.materialize("mass", GROUPED).expect("materialize");
+                assert_eq!(strategy, "incremental");
+            }
+            Op::View => {
+                c.refresh().expect("refresh");
+                let mass = c.view("mass").expect("view");
+                assert_eq!(mass.get("count"), Some(&Json::Int(3)));
+            }
+            Op::DropView => {
+                c.drop_view("mass").expect("drop_view");
+                assert!(c.drop_view("mass").is_err());
+            }
+            Op::DbDeleteTokens => {
+                c.db_delete_tokens(&["p4"]).expect("db_delete_tokens");
+            }
+            Op::Refresh => {
+                let r = c.refresh().expect("refresh");
+                assert_eq!(r.get("invalidated"), Some(&Json::Arr(vec![])));
+                assert!(c.views().expect("views").is_empty());
+            }
+            Op::Prepare => {
+                stmt = c
+                    .prepare("SELECT sal FROM emp WHERE dept = $1")
+                    .expect("prepare");
+            }
+            Op::Execute => {
+                let d1 = c.execute(stmt, vec![Json::str("d1")]).expect("execute");
+                assert_eq!(d1.get("count"), Some(&Json::Int(2)));
+            }
+            Op::Query => {
+                // p4 was deleted, so d3 is gone again.
+                let grouped = c.query(GROUPED).expect("query");
+                assert_eq!(grouped.get("count"), Some(&Json::Int(2)));
+                result = store(&mut c, GROUPED);
+            }
+            Op::Valuate => {
+                let plain = c.valuate(result, &[("p2", 0)], None).expect("valuate");
+                assert_eq!(plain.get("collapsed"), Some(&Json::Bool(true)));
+                let rows = plain.get("rows").map(Json::to_string).unwrap_or_default();
+                assert!(rows.contains("20") && !rows.contains("30"), "{rows}");
+            }
+            Op::DeleteTokens => {
+                let deleted = c.delete_tokens(result, &["p2"], true).expect("delete");
+                assert!(deleted.get("result").and_then(Json::as_int).is_some());
+            }
+            Op::Clearance => {
+                let levels = [("p1", "C"), ("p2", "C"), ("p3", "S")];
+                let view = c.clearance(result, "C", &levels).expect("clearance");
+                let rows = view.get("rows").map(Json::to_string).unwrap_or_default();
+                assert!(rows.contains("d1") && !rows.contains("d2"), "{rows}");
+            }
+            Op::Close => {
+                c.close_stmt(stmt).expect("close stmt");
+                assert!(c.execute(stmt, vec![Json::str("d1")]).is_err());
+                c.close_result(result).expect("close result");
+                assert!(c.close_result(result).is_err());
+            }
+            Op::Bye => {
+                let mut other = Client::connect(addr.as_str()).expect("connect");
+                other.bye().expect("bye");
+                assert!(other.ping().is_err(), "bye closes the connection");
+            }
+            Op::Shutdown => c.shutdown().expect("shutdown"),
+        }
+    }
     server.join().expect("serve thread");
 }
 
