@@ -50,10 +50,14 @@
 //! makes that exactly the eager merge the row-at-a-time path performs.
 //! It defers a columnar join's product the same way: `⊗` is taken at
 //! materialization, only for the rows a later filter has not dropped.
+//! And it copies no annotation on the way in: a chunk split from a
+//! relation reads its ground rows' annotations in the relation's tuple
+//! store, so only the rows that reach materialization are cloned.
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
-use crate::ops::{self, typed, MKRel};
+use crate::ops::typed::{self, Selection};
+use crate::ops::{self, MKRel};
 use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
@@ -95,7 +99,7 @@ pub enum BatchCmp {
 #[derive(Clone, Debug)]
 pub struct Chunk<A: AggAnnotation> {
     schema: Schema,
-    ground: ColumnBatch<A>,
+    ground: ColumnBatch<A, Value<A>>,
     /// Logical column `i` lives in physical column `view[i]`.
     view: Vec<usize>,
     /// Selected ground-row indices, ascending; `None` = all rows.
@@ -106,7 +110,9 @@ pub struct Chunk<A: AggAnnotation> {
 impl<A: AggAnnotation> Chunk<A> {
     /// Splits a relation into a chunk (ground columns + symbolic fringe),
     /// preserving support order in both partitions. Every ground column
-    /// probes its variant from the data.
+    /// probes its variant from the data. The ground rows' annotations are
+    /// read in place from the relation's tuple store, not copied: only the
+    /// rows that reach [`Chunk::into_relation`] are ever cloned.
     pub fn from_relation(rel: &MKRel<A>) -> Self {
         let (ground, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
         Chunk {
@@ -212,12 +218,10 @@ impl<A: AggAnnotation> Chunk<A> {
         !self.fringe.is_empty()
     }
 
-    /// The selected ground-row indices, ascending.
-    fn selected(&self) -> Vec<u32> {
-        match &self.sel {
-            None => (0..self.ground.len() as u32).collect(),
-            Some(s) => s.clone(),
-        }
+    /// The selected ground rows, ascending — iterated, not collected: an
+    /// unfiltered chunk has no selection vector to copy.
+    fn selected(&self) -> Selection<'_> {
+        Selection::new(self.sel.as_deref(), self.ground.len())
     }
 
     /// The physical column backing logical position `i`. A logical
@@ -264,16 +268,17 @@ impl<A: AggAnnotation> Chunk<A> {
         right: &BatchOperand,
         opts: &ExecOptions,
     ) -> Result<()> {
-        let kept: Vec<u32> = match (left, right) {
+        // `None`: the selection stands as it is.
+        let kept: Option<Vec<u32>> = match (left, right) {
             // The common column-vs-literal shapes (either orientation —
             // `>`/`≥` arrive with the literal on the left after operand
             // swapping): the literal is bound/encoded once per kernel
             // invocation, never touched per row.
             (BatchOperand::Col(i), BatchOperand::Lit(c)) => {
-                self.filter_col_lit(*i, cmp, c, false, opts)?
+                Some(self.filter_col_lit(*i, cmp, c, false, opts)?)
             }
             (BatchOperand::Lit(c), BatchOperand::Col(i)) => {
-                self.filter_col_lit(*i, cmp, c, true, opts)?
+                Some(self.filter_col_lit(*i, cmp, c, true, opts)?)
             }
             (BatchOperand::Col(li), BatchOperand::Col(ri)) => {
                 let mut kept = Vec::new();
@@ -282,21 +287,18 @@ impl<A: AggAnnotation> Chunk<A> {
                         kept.push(r);
                     }
                 }
-                kept
+                Some(kept)
             }
+            // Row-independent: decide once. An empty selection never
+            // reaches the comparison (so it cannot raise), exactly as the
+            // row loop behaves.
             (BatchOperand::Lit(lc), BatchOperand::Lit(rc)) => {
-                // Row-independent: decide once. An empty selection never
-                // reaches the comparison (so it cannot raise), exactly as
-                // the row loop behaves.
-                let sel = self.selected();
-                if sel.is_empty() || const_cmp(lc, cmp, rc)? {
-                    sel
-                } else {
-                    Vec::new()
-                }
+                (self.ground_len() > 0 && !const_cmp(lc, cmp, rc)?).then(Vec::new)
             }
         };
-        self.sel = Some(kept);
+        if let Some(kept) = kept {
+            self.sel = Some(kept);
+        }
         // Fringe rows: genuine §4.3 tokens. Each operand is resolved once,
         // outside the row loop — a constant (literal or bound `$n`
         // parameter) is lifted to a `Value` here, not cloned per row.
@@ -712,14 +714,13 @@ fn columnar_join<A: AggAnnotation>(
     opts: &ExecOptions,
 ) -> Result<(Vec<TypedColumn>, Vec<u32>, Vec<u32>)> {
     let (left, right) = (left.chunk(), right.chunk());
-    let lsel = left.selected();
-    let rsel = right.selected();
+    let (lsel, rsel) = (left.selected(), right.selected());
     let pairs: Vec<(u32, u32)> = match (lkeys, rkeys) {
         ([TypedColumn::Num(l)], [TypedColumn::Num(r)]) => {
-            typed::join_pairs_num(l, r, &lsel, &rsel, opts)?
+            typed::join_pairs_num(l, r, lsel, rsel, opts)?
         }
         ([TypedColumn::Str(l)], [TypedColumn::Str(r)]) => {
-            typed::join_pairs_str(l, r, &lsel, &rsel, opts)?
+            typed::join_pairs_str(l, r, lsel, rsel, opts)?
         }
         _ => {
             // Structural `Const` equality over owned-or-borrowed key
@@ -730,7 +731,7 @@ fn columnar_join<A: AggAnnotation>(
             let lcols: Vec<Cow<'_, [Const]>> = lkeys.iter().copied().map(key_consts).collect();
             let rcols: Vec<Cow<'_, [Const]>> = rkeys.iter().copied().map(key_consts).collect();
             let mut index: HashMap<Vec<&Const>, Vec<u32>> = HashMap::new();
-            for &rr in &rsel {
+            for rr in rsel {
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "selected() rows are < ground.len() by construction"
@@ -739,7 +740,7 @@ fn columnar_join<A: AggAnnotation>(
                 index.entry(key).or_default().push(rr);
             }
             let mut pairs = Vec::new();
-            for &lr in &lsel {
+            for lr in lsel {
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "selected() rows are < ground.len() by construction"

@@ -351,6 +351,73 @@ fn filter_rows<T: Copy + Send + Sync>(
     Ok(concat(parts))
 }
 
+/// The rows a kernel visits: those a selection vector names, or all `n`
+/// rows of a chunk without one — iterated, never collected.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Selection<'a> {
+    sel: Option<&'a [u32]>,
+    n: usize,
+}
+
+impl<'a> Selection<'a> {
+    /// The rows `sel` names, or (`None`) all of `0..n`.
+    pub(crate) fn new(sel: Option<&'a [u32]>, n: usize) -> Self {
+        Selection { sel, n }
+    }
+
+    /// How many rows are selected.
+    pub(crate) fn len(&self) -> usize {
+        self.sel.map_or(self.n, <[u32]>::len)
+    }
+
+    /// The `start..end`-th selected rows, in order; `None` past the end.
+    fn range(self, start: usize, end: usize) -> Option<Rows<'a>> {
+        match self.sel {
+            Some(s) => s.get(start..end).map(|s| Rows::Named(s.iter())),
+            None => {
+                let rows = Rows::All(start as u32..end as u32);
+                (start <= end && end <= self.n).then_some(rows)
+            }
+        }
+    }
+}
+
+impl<'a> IntoIterator for Selection<'a> {
+    type Item = u32;
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        match self.sel {
+            Some(s) => Rows::Named(s.iter()),
+            None => Rows::All(0..self.n as u32),
+        }
+    }
+}
+
+/// A [`Selection`]'s rows, in order.
+pub(crate) enum Rows<'a> {
+    Named(std::slice::Iter<'a, u32>),
+    All(std::ops::Range<u32>),
+}
+
+impl Iterator for Rows<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Rows::Named(rows) => rows.next().copied(),
+            Rows::All(rows) => rows.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Rows::Named(rows) => rows.size_hint(),
+            Rows::All(rows) => rows.size_hint(),
+        }
+    }
+}
+
 fn shard_oob() -> RelError {
     RelError::Internal("shard range exceeds the input length".into())
 }
@@ -457,21 +524,21 @@ type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 pub(crate) fn join_pairs_num(
     lcol: &[i64],
     rcol: &[i64],
-    lsel: &[u32],
-    rsel: &[u32],
+    lsel: Selection<'_>,
+    rsel: Selection<'_>,
     opts: &ExecOptions,
 ) -> Result<Vec<(u32, u32)>> {
     let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
-    for &rr in rsel {
+    for rr in rsel {
         let Some(&k) = rcol.get(rr as usize) else {
             return Err(join_row_oob());
         };
         index.entry(k).or_default().push(rr);
     }
     let parts = par::fan_out(ranges(lsel.len(), opts), |(start, end)| {
-        let rows = lsel.get(start..end).ok_or_else(shard_oob)?;
+        let rows = lsel.range(start, end).ok_or_else(shard_oob)?;
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &lr in rows {
+        for lr in rows {
             let Some(k) = lcol.get(lr as usize) else {
                 return Err(join_row_oob());
             };
@@ -496,8 +563,8 @@ pub(crate) fn join_pairs_num(
 pub(crate) fn join_pairs_str(
     lcol: &StrColumn,
     rcol: &StrColumn,
-    lsel: &[u32],
-    rsel: &[u32],
+    lsel: Selection<'_>,
+    rsel: Selection<'_>,
     opts: &ExecOptions,
 ) -> Result<Vec<(u32, u32)>> {
     // buckets[right_code] = right rows with that code; the extra last
@@ -505,7 +572,7 @@ pub(crate) fn join_pairs_str(
     let sentinel = rcol.dict().len();
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); sentinel + 1];
     let rcodes = rcol.codes();
-    for &rr in rsel {
+    for rr in rsel {
         let Some(&code) = rcodes.get(rr as usize) else {
             return Err(join_row_oob());
         };
@@ -521,9 +588,9 @@ pub(crate) fn join_pairs_str(
         .collect();
     let lcodes = lcol.codes();
     let parts = par::fan_out(ranges(lsel.len(), opts), |(start, end)| {
-        let rows = lsel.get(start..end).ok_or_else(shard_oob)?;
+        let rows = lsel.range(start, end).ok_or_else(shard_oob)?;
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &lr in rows {
+        for lr in rows {
             let matched = lcodes
                 .get(lr as usize)
                 .and_then(|&c| xlat.get(c as usize))
@@ -699,32 +766,24 @@ mod tests {
     fn join_pairs_probe_in_left_order() {
         let l = [1i64, 2, 3, 2];
         let r = [2i64, 9, 2];
-        let lsel: Vec<u32> = (0..l.len() as u32).collect();
-        let rsel: Vec<u32> = (0..r.len() as u32).collect();
-        let pairs = join_pairs_num(&l, &r, &lsel, &rsel, &ExecOptions::serial()).unwrap();
+        let all = |n: usize| Selection::new(None, n);
+        let serial = ExecOptions::serial();
+        let pairs = join_pairs_num(&l, &r, all(l.len()), all(r.len()), &serial).unwrap();
         assert_eq!(pairs, vec![(1, 0), (1, 2), (3, 0), (3, 2)]);
-        // Sharded probing concatenates to the same order.
+        // A selection vector on either side narrows the pairs.
+        let (lsel, rsel) = ([1u32, 2], [2u32]);
+        let named = |s| Selection::new(Some(s), 4);
+        let pairs = join_pairs_num(&l, &r, named(&lsel), named(&rsel), &serial).unwrap();
+        assert_eq!(pairs, vec![(1, 2)]);
+        // Sharded probing concatenates to the same order, over a selection
+        // vector and over all rows.
         let big_l: Vec<i64> = (0..20_000).map(|i| i % 16).collect();
-        let big_lsel: Vec<u32> = (0..big_l.len() as u32).collect();
+        let evens: Vec<u32> = (0..20_000).step_by(2).collect();
         let small_r: Vec<i64> = (0..16).collect();
-        let small_rsel: Vec<u32> = (0..16).collect();
-        let a = join_pairs_num(
-            &big_l,
-            &small_r,
-            &big_lsel,
-            &small_rsel,
-            &ExecOptions::serial(),
-        )
-        .unwrap();
-        let b = join_pairs_num(
-            &big_l,
-            &small_r,
-            &big_lsel,
-            &small_rsel,
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(a, b);
+        for lsel in [all(big_l.len()), Selection::new(Some(&evens), big_l.len())] {
+            let probe = |opts| join_pairs_num(&big_l, &small_r, lsel, all(16), opts).unwrap();
+            assert_eq!(probe(&serial), probe(&ExecOptions::with_threads(4)));
+        }
     }
 
     #[test]
@@ -737,9 +796,8 @@ mod tests {
         };
         let l = mk(&["x", "y", "z", "y"]);
         let r = mk(&["y", "w", "x"]);
-        let lsel: Vec<u32> = (0..4).collect();
-        let rsel: Vec<u32> = (0..3).collect();
-        let pairs = join_pairs_str(&l, &r, &lsel, &rsel, &ExecOptions::serial()).unwrap();
+        let (lsel, rsel) = (Selection::new(None, 4), Selection::new(None, 3));
+        let pairs = join_pairs_str(&l, &r, lsel, rsel, &ExecOptions::serial()).unwrap();
         // "x" matches right row 2, "y" right row 0, "z" nothing.
         assert_eq!(pairs, vec![(0, 2), (1, 0), (3, 0)]);
     }

@@ -14,6 +14,12 @@
 //! `specops` operator — same relation or same error message — at threads
 //! 1 and 4. The ground-only suites pin the columnar fast paths; empty and
 //! all-symbolic inputs get dedicated tests for every kernel.
+//!
+//! A chunk reads its ground rows' annotations in place, from the tuple
+//! store of the relation it was split from. Two suites pin that form: one
+//! to the dense annotation vector it replaced (same batch operations, same
+//! relation out, and both equal to `specops`), one to isolation (an edit of
+//! the source relation after the split is not seen by the chunk).
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
@@ -23,9 +29,10 @@ use aggprov_core::km::{CmpPred, Km};
 use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
 use aggprov_core::ops::{self, MKRel};
 use aggprov_core::par::ExecOptions;
-use aggprov_core::{specops, Value};
+use aggprov_core::{eval, specops, Value};
+use aggprov_krel::batch::{ColumnBatch, GroundBatch};
 use aggprov_krel::error::Result;
-use aggprov_krel::relation::Relation;
+use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 
@@ -621,6 +628,265 @@ proptest! {
         let want = specops::select_cmp(&spec, "d", CmpPred::Ne, &Value::int(v)).unwrap();
         prop_assert_eq!(copy.into_relation().unwrap(), want.clone());
         prop_assert_eq!(joined.into_relation().unwrap(), want);
+    }
+}
+
+/// A mixed relation over `(a, b)` with its fringe rows where the generator
+/// says: row `i` has `a = i / 2`, so support order follows row order, and
+/// `b` is a ground int or a symbolic tensor — at random positions, and
+/// at the first and the last `a` when the two drawn flags say so, so that
+/// a fringe row can be the first or the last row of the support.
+fn arb_positioned(
+    prefix: &'static str,
+    a: &'static str,
+    b: &'static str,
+) -> impl Strategy<Value = MKRel<P>> {
+    let rows = prop::collection::vec((0u8..10, raw_val()), 0..10);
+    let ends = (prop::bool::ANY, prop::bool::ANY);
+    (rows, ends).prop_map(move |(rows, (first, last))| {
+        let end = rows.len().saturating_sub(1) / 2;
+        let cells = rows.into_iter().enumerate().map(|(i, (dice, (_, vi, n)))| {
+            let key = i / 2;
+            let b = if dice < 3 || (first && key == 0) || (last && key == end) {
+                decode_num_val((5, vi, n.abs() + 1))
+            } else {
+                Value::int(n)
+            };
+            vec![Value::int(key as i64), b]
+        });
+        rel_from(prefix, Schema::new([a, b]).unwrap(), cells.collect())
+    })
+}
+
+type Batch = ColumnBatch<P, Value<P>>;
+
+/// The ground batch of `rel` as `Chunk::from_relation` splits it — the
+/// annotations read in place — and its dense twin: the same columns, the
+/// annotations copied into a `ColumnBatch::from_columns` vector. Also the
+/// ground rows alone, as a relation.
+fn split_both(rel: &MKRel<P>) -> (Batch, Batch, MKRel<P>) {
+    let shared = GroundBatch::from_relation(rel, Value::as_const);
+    let ground: Vec<_> = rel
+        .iter()
+        .filter(|(t, _)| t.values().iter().all(|v| v.as_const().is_some()))
+        .map(|(t, k)| (t.clone(), k.clone()))
+        .collect();
+    let arity = rel.schema().arity();
+    let cols = (0..arity).map(|i| shared.ground().col(i).unwrap().clone());
+    let anns = ground.iter().map(|(_, k)| k.clone()).collect();
+    let dense = ColumnBatch::from_columns(cols.collect(), anns).unwrap();
+    let ground = Relation::from_tuples(rel.schema().clone(), ground, Merge::Sum).unwrap();
+    (shared.into_parts().0, dense, ground)
+}
+
+/// The rows of `batch` whose column `i` is `< v`, ascending (σ).
+fn rows_below(batch: &Batch, i: usize, v: i64) -> Vec<u32> {
+    let col = batch.col(i).unwrap();
+    (0..batch.len() as u32)
+        .filter(|&r| CmpPred::Lt.decide(&col.get(r as usize).unwrap(), &Const::int(v)))
+        .collect()
+}
+
+/// `left ⋈ right` on `left[i] = right[j]` over the rows `lsel` and `rsel`
+/// name, probing with the left, its product deferred.
+fn join_batches(
+    left: Batch,
+    lsel: &[u32],
+    i: usize,
+    right: Batch,
+    rsel: &[u32],
+    j: usize,
+) -> Batch {
+    let key = |b: &Batch, c: usize, r: u32| b.col(c).unwrap().get(r as usize).unwrap();
+    let pairs = lsel.iter().flat_map(|&l| rsel.iter().map(move |&r| (l, r)));
+    let pairs = pairs.filter(|&(l, r)| key(&left, i, l) == key(&right, j, r));
+    let (lrows, rrows): (Vec<u32>, Vec<u32>) = pairs.unzip();
+    let gather = |b: &Batch, rows: &[u32]| {
+        (0..b.arity())
+            .map(|c| b.col(c).unwrap().gather(rows).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let cols = [gather(&left, &lrows), gather(&right, &rrows)].concat();
+    ColumnBatch::from_join(cols, left, lrows, right, rrows).unwrap()
+}
+
+/// The ground rows `sel` names (all with `None`), projected onto
+/// `columns`, materialized under `schema`.
+fn materialize(batch: Batch, columns: &[usize], schema: &Schema, sel: Option<&[u32]>) -> MKRel<P> {
+    let projected = batch
+        .map_columns(|cols| Ok(columns.iter().map(|&c| cols[c].clone()).collect()))
+        .unwrap();
+    GroundBatch::from_parts(projected, Vec::new())
+        .into_relation_selected(schema.clone(), Value::Const, sel)
+        .unwrap()
+}
+
+/// Both forms through `σ(b < v)` on `r1`, `⋈ (a = c)` with `r2` under every
+/// shared/dense pairing of the operands, a second `⋈ (c = e)` with `r3`,
+/// and `Π(a, d, f)`; and the first join's output itself, under `σ(d < v)`
+/// and a duplicated projection. Every form materializes the same relation,
+/// and that relation is the `specops` composition over the ground rows.
+fn check_shared_against_dense(r1: &MKRel<P>, r2: &MKRel<P>, r3: &MKRel<P>, v: i64) {
+    let ((s1, d1, g1), (s2, d2, g2), (s3, d3, g3)) =
+        (split_both(r1), split_both(r2), split_both(r3));
+    // Row-wise equality reads through either form.
+    assert!(s1 == d1 && s2 == d2 && s3 == d3);
+    let all = |b: &Batch| (0..b.len() as u32).collect::<Vec<u32>>();
+    let sel1 = rows_below(&s1, 1, v);
+    assert_eq!(sel1, rows_below(&d1, 1, v));
+    let (all2, all3) = (all(&s2), all(&s3));
+
+    let below =
+        |rel: &MKRel<P>, attr: &str| specops::select_cmp(rel, attr, CmpPred::Lt, &Value::int(v));
+    let j12 = specops::join_on(&below(&g1, "b").unwrap(), &g2, &[("a", "c")]).unwrap();
+    let j123 = specops::join_on(&j12, &g3, &[("c", "e")]).unwrap();
+    let adf = Schema::new(["a", "d", "f"]).unwrap();
+    let want_nested = specops::project(&j123, &["a", "d", "f"]).unwrap();
+    let want_filtered = below(&j12, "d").unwrap();
+    let dup = Schema::new(["d1", "a", "d2"]).unwrap();
+    let want_dup = {
+        let mut out = Relation::empty(dup.clone());
+        for (t, k) in specops::project(&j12, &["d", "a"]).unwrap().iter() {
+            let row = vec![t.get(0).clone(), t.get(1).clone(), t.get(0).clone()];
+            out.insert(row, k.clone()).unwrap();
+        }
+        out
+    };
+
+    for (shared_left, shared_right, shared_third) in
+        (0..8).map(|m| (m & 1 == 1, m & 2 == 2, m & 4 == 4))
+    {
+        let ctx =
+            format!("shared: probe {shared_left}, build {shared_right}, third {shared_third}");
+        let pick = |shared: bool, s: &Batch, d: &Batch| if shared { s.clone() } else { d.clone() };
+        let (left, right) = (pick(shared_left, &s1, &d1), pick(shared_right, &s2, &d2));
+        let joined = join_batches(left, &sel1, 0, right, &all2, 0);
+        let third = pick(shared_third, &s3, &d3);
+        // The first join's output probing the third operand…
+        let nested = join_batches(joined.clone(), &all(&joined), 2, third.clone(), &all3, 0);
+        assert_eq!(
+            materialize(nested, &[0, 3, 5], &adf, None),
+            want_nested,
+            "{ctx}"
+        );
+        // … and probed by it: the same rows, `e, f` in front.
+        let efabcd = join_batches(third, &all3, 0, joined.clone(), &all(&joined), 2);
+        assert_eq!(
+            materialize(efabcd, &[2, 5, 1], &adf, None),
+            want_nested,
+            "{ctx}"
+        );
+        let kept = rows_below(&joined, 3, v);
+        let abcd = Schema::new(["a", "b", "c", "d"]).unwrap();
+        assert_eq!(
+            materialize(joined.clone(), &[0, 1, 2, 3], &abcd, Some(&kept)),
+            want_filtered,
+            "{ctx}"
+        );
+        assert_eq!(
+            materialize(joined, &[3, 0, 3], &dup, None),
+            want_dup,
+            "{ctx}"
+        );
+    }
+    // A scan's own materialization, under σ and whole.
+    let ab = r1.schema().clone();
+    assert_eq!(
+        materialize(s1.clone(), &[0, 1], &ab, Some(&sel1)),
+        materialize(d1.clone(), &[0, 1], &ab, Some(&sel1))
+    );
+    assert_eq!(materialize(s1, &[0, 1], &ab, None), g1);
+}
+
+/// Builds a chunk from a copy of `rel` — one sharing its store with a
+/// pinned clone when `pinned` — edits the copy with `edit`, and checks
+/// that the chunk materializes `rel` as it was (after `σ(b ≠ v)`, or
+/// whole), the copy shows the edit, and the pinned clone does not.
+fn check_isolation(rel: &MKRel<P>, v: i64, pinned: bool, edit: impl Fn(&mut MKRel<P>)) {
+    let fresh = || {
+        Relation::from_tuples(
+            rel.schema().clone(),
+            rel.iter().map(|(t, k)| (t.clone(), k.clone())),
+            Merge::Sum,
+        )
+        .unwrap()
+    };
+    let mut table = fresh();
+    let pin = pinned.then(|| table.clone());
+    let whole = Chunk::from_relation(&table);
+    let mut filtered = Chunk::from_relation(&table);
+    let (b, ne) = (BatchOperand::Col(1), BatchCmp::Pred(CmpPred::Ne));
+    let lit = BatchOperand::Lit(Const::int(v));
+    let opts = ExecOptions::serial();
+    filtered.filter(&b, ne, &lit, &opts).unwrap();
+    let mut edited = fresh();
+    edit(&mut table);
+    edit(&mut edited);
+    assert_eq!(table, edited, "the edit shows in the relation");
+    assert_eq!(whole.into_relation().unwrap(), *rel);
+    let want = specops::select_cmp(rel, "b", CmpPred::Ne, &Value::int(v)).unwrap();
+    assert_eq!(filtered.into_relation().unwrap(), want);
+    if let Some(pin) = pin {
+        assert_eq!(pin, *rel);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_shared_annotation_column_reads_as_the_dense_one(
+        r1 in arb_positioned("a", "a", "b"),
+        r2 in arb_positioned("b", "c", "d"),
+        r3 in arb_positioned("c", "e", "f"),
+        v in -2i64..5,
+    ) {
+        check_shared_against_dense(&r1, &r2, &r3, v);
+    }
+
+    #[test]
+    fn deferred_join_pipeline_matches_spec_over_positioned_fringes(
+        r1 in arb_positioned("a", "a", "b"),
+        r2 in arb_positioned("b", "c", "d"),
+        r3 in arb_positioned("c", "e", "f"),
+        cross in 0usize..4,
+        lit in 0usize..4,
+        v in -2i64..5,
+    ) {
+        check_deferred_pipeline(&r1, &r2, &r3, (CMPS[cross], CMPS[lit], v));
+    }
+
+    #[test]
+    fn a_chunk_does_not_see_its_relation_edited(
+        rel in arb_positioned("a", "a", "b"),
+        at in 0usize..16,
+        v in -2i64..5,
+    ) {
+        // An existing row (its annotation grows, or it goes), a new one at
+        // the front, in the middle or past the end, and the deletion of
+        // one token through `map_hom_mk_where`.
+        let rows: Vec<Tuple<Value<P>>> = rel.iter().map(|(t, _)| t.clone()).collect();
+        let existing = rows.get(at % rows.len().max(1)).cloned();
+        let new_row = |key: i64| Tuple::new(vec![Value::int(key), Value::int(v)]);
+        let gone = format!("a{}", at % 10);
+        for pinned in [false, true] {
+            if let Some(t) = &existing {
+                check_isolation(&rel, v, pinned, |r| r.add(t.clone(), tok("new")).unwrap());
+                check_isolation(&rel, v, pinned, |r| {
+                    r.remove(t);
+                });
+            }
+            for key in [-1, 2, 9] {
+                check_isolation(&rel, v, pinned, |r| r.add(new_row(key), tok("new")).unwrap());
+            }
+            check_isolation(&rel, v, pinned, |r| {
+                let moved = |p: &NatPoly| p.vars().any(|x| x.name() == gone);
+                let drop = |p: &NatPoly| p.drop_vars(&mut |x| x.name() == gone);
+                if let Some(out) = eval::map_hom_mk_where(r, &moved, &drop) {
+                    *r = out;
+                }
+            });
+        }
     }
 }
 

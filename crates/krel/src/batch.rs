@@ -11,16 +11,34 @@
 //! filter touches only the compared columns and a projection is a column
 //! remap instead of a per-tuple rebuild.
 //!
-//! The annotation column has two forms, private to this module. It is
-//! either dense — one annotation per row — or a join's **deferred
-//! product**: row `r` is `left[lrows[r]] ⊗ right[rrows[r]]` over the two
-//! input annotation vectors ([`ColumnBatch::from_join`]). In the paper a
-//! join annotates each output tuple with `R₁(t₁) · R₂(t₂)` (§2.1, §4.3),
-//! and that product is observable only on the rows that reach the
-//! result. A deferred product is therefore multiplied in exactly one
-//! place, [`GroundBatch::into_relation_selected`], and only for the rows
-//! the selection keeps. The one other reader is a second join over the
-//! batch, which multiplies out the rows its own pairs name first.
+//! The annotation column has three forms, private to this module. In the
+//! paper a selection annotates a kept tuple with `R(t) · P(t)` and a join
+//! with `R₁(t₁) · R₂(t₂)` (§2.1, §4.3): a row's annotation is observable
+//! only if the row reaches the result, so no form copies or multiplies an
+//! annotation before then.
+//!
+//! * **Shared** — the annotations of the relation the batch was split
+//!   from, read in place: an `Arc` on the relation's tuple store, the
+//!   store's block-start index, and one support position per ground row
+//!   only when a fringe row precedes a ground row. This is the form
+//!   [`GroundBatch::from_relation`] builds, so a scan clones no
+//!   annotation. An edit of the source relation copies out what it writes
+//!   before writing (copy-on-write, see [`Relation`]), so the batch keeps
+//!   reading the annotations it was split from.
+//! * **Dense** — one annotation per row, for a column a kernel builds
+//!   ([`ColumnBatch::from_columns`], or a deferred product multiplied out
+//!   by a second join).
+//! * A join's **deferred product** — row `r` is
+//!   `left[lrows[r]] ⊗ right[rrows[r]]` over the two input columns, each
+//!   kept shared or dense as it came ([`ColumnBatch::from_join`]).
+//!
+//! Who reads them: [`GroundBatch::into_relation_selected`] is the one
+//! place annotations leave a batch — a dense column's are moved out, a
+//! shared column's selected rows are cloned, a product's selected rows
+//! are multiplied, and nothing else is. A join over the batch keeps a
+//! shared or dense column as its operand, unread, and multiplies out a
+//! product only at the rows its own pairs name. Row-wise equality reads
+//! every form through one accessor.
 //!
 //! [`GroundBatch`] pairs a `ColumnBatch` with the **symbolic fringe** — the
 //! rows that hold a non-constant value somewhere — kept row-wise, exactly
@@ -37,18 +55,21 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Merge, Relation, Tuple};
 use crate::schema::Schema;
+use crate::store::Store;
 use crate::typed::{IntoConsts, TypedColumn};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::borrow::Cow;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A column-major batch of fully ground rows: `arity` parallel
 /// [`TypedColumn`]s plus one annotation column. Row `r` is
 /// `(cols[0][r], …, cols[arity-1][r])` annotated with the column's `r`-th
-/// annotation, held dense or as a join's deferred product (see the module
-/// docs).
+/// annotation, read in place from the relation the batch was split from,
+/// held dense, or held as a join's deferred product (see the module docs).
+/// `V` is the value type of that relation.
 ///
 /// A batch is a *bag* of rows — unlike a [`Relation`], equal rows may
 /// appear more than once (a pipeline defers the additive merge to its
@@ -58,33 +79,95 @@ use std::hash::Hash;
 /// Equality is row-wise: two batches are equal when they hold the same
 /// columns and the same annotation on every row, whichever form holds it.
 #[derive(Clone, Debug)]
-pub struct ColumnBatch<K> {
+pub struct ColumnBatch<K, V> {
     cols: Vec<TypedColumn>,
-    anns: Anns<K>,
+    anns: Anns<K, V>,
 }
 
 /// The annotation column of a [`ColumnBatch`].
 #[derive(Clone, Debug)]
-enum Anns<K> {
-    /// One annotation per row.
-    Dense(Vec<K>),
-    /// A join's output before its semiring product: row `r` is
-    /// `left[lrows[r]] ⊗ right[rrows[r]]`, in the eager join's operand
-    /// order. `lrows` and `rrows` have the same length and index inside
-    /// `left` and `right` (checked by [`ColumnBatch::from_join`]).
-    Product {
-        left: Vec<K>,
-        right: Vec<K>,
-        lrows: Vec<u32>,
-        rrows: Vec<u32>,
-    },
+enum Anns<K, V> {
+    /// Every row's annotation is stored, in the batch or in its source.
+    Stored(Stored<K, V>),
+    /// A join's output before its semiring product; boxed, so that a batch
+    /// — and every chunk — stays the size of a stored column.
+    Product(Box<Product<K, V>>),
 }
 
-impl<K: CommutativeSemiring> Anns<K> {
+/// A join's output before its semiring product: row `r` is
+/// `left[lrows[r]] ⊗ right[rrows[r]]`, in the eager join's operand order.
+/// `lrows` and `rrows` have the same length and index inside `left` and
+/// `right` (checked by [`ColumnBatch::from_join`]).
+#[derive(Clone, Debug)]
+struct Product<K, V> {
+    left: Stored<K, V>,
+    right: Stored<K, V>,
+    lrows: Vec<u32>,
+    rrows: Vec<u32>,
+}
+
+/// A column whose every row has its annotation stored somewhere to read.
+#[derive(Clone, Debug)]
+enum Stored<K, V> {
+    /// One annotation per row, built by a kernel.
+    Dense(Vec<K>),
+    /// The annotations of the relation the batch was split from.
+    Shared(Shared<K, V>),
+}
+
+/// The annotations of the relation a batch was split from, read where
+/// they lie: ground row `r` is support position `positions[r]`, or `r`
+/// itself when `positions` is `None` (no fringe row precedes a ground
+/// row).
+#[derive(Clone)]
+struct Shared<K, V> {
+    store: Arc<Store<Tuple<V>, K>>,
+    /// `store.block_starts()`.
+    starts: Vec<usize>,
+    positions: Option<Vec<u32>>,
+    /// The number of ground rows.
+    len: usize,
+}
+
+/// The row count, not the store: a base table's worth of rows.
+impl<K, V> fmt::Debug for Shared<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shared")
+            .field("len", &self.len)
+            .field("positions", &self.positions.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<K, V> Stored<K, V> {
     fn len(&self) -> usize {
         match self {
-            Anns::Dense(v) => v.len(),
-            Anns::Product { lrows, .. } => lrows.len(),
+            Stored::Dense(v) => v.len(),
+            Stored::Shared(s) => s.len,
+        }
+    }
+
+    /// The annotation of row `r`; `None` past the end.
+    fn get(&self, r: usize) -> Option<&K> {
+        match self {
+            Stored::Dense(v) => v.get(r),
+            Stored::Shared(s) => {
+                let p = match &s.positions {
+                    Some(positions) => *positions.get(r)? as usize,
+                    None if r < s.len => r,
+                    None => return None,
+                };
+                s.store.at(&s.starts, p).map(|(_, k)| k)
+            }
+        }
+    }
+}
+
+impl<K: CommutativeSemiring, V> Anns<K, V> {
+    fn len(&self) -> usize {
+        match self {
+            Anns::Stored(s) => s.len(),
+            Anns::Product(p) => p.lrows.len(),
         }
     }
 
@@ -92,29 +175,24 @@ impl<K: CommutativeSemiring> Anns<K> {
     /// multiplied when it is deferred. `None` past the end.
     fn get(&self, r: usize) -> Option<Cow<'_, K>> {
         match self {
-            Anns::Dense(v) => v.get(r).map(Cow::Borrowed),
-            Anns::Product {
-                left,
-                right,
-                lrows,
-                rrows,
-            } => {
-                let (l, rr) = (*lrows.get(r)?, *rrows.get(r)?);
-                Some(Cow::Owned(
-                    left.get(l as usize)?.times(right.get(rr as usize)?),
-                ))
+            Anns::Stored(s) => s.get(r).map(Cow::Borrowed),
+            Anns::Product(p) => {
+                let (l, rr) = (*p.lrows.get(r)?, *p.rrows.get(r)?);
+                let (l, rr) = (p.left.get(l as usize)?, p.right.get(rr as usize)?);
+                Some(Cow::Owned(l.times(rr)))
             }
         }
     }
 
     /// The annotations of the rows `sel` names (`None` = every row), in
-    /// that order. A stored column is consumed, as before any join was
-    /// deferred: its annotations are moved out and the rows `sel` skips
-    /// are freed here. A deferred one is multiplied — here and nowhere
-    /// else — into a vector sized up front, and keeps its operands. `None`
-    /// if `sel` names a row past the end.
+    /// that order. A dense column is consumed: its annotations are moved
+    /// out and the rows `sel` skips are freed here. A shared column's
+    /// named rows are cloned — the only annotations a scan ever copies —
+    /// and a deferred product's are multiplied, here and nowhere else,
+    /// into a vector sized up front. `None` if `sel` names a row past the
+    /// end.
     fn take(&mut self, sel: Option<&[u32]>) -> Option<Vec<K>> {
-        if let Anns::Dense(v) = self {
+        if let Anns::Stored(Stored::Dense(v)) = self {
             let mut v = std::mem::take(v);
             let Some(sel) = sel else { return Some(v) };
             return sel
@@ -133,14 +211,14 @@ impl<K: CommutativeSemiring> Anns<K> {
         Some(out)
     }
 
-    /// The column as one annotation per row, for a join that pairs its
-    /// rows `named`: a stored column is moved, a deferred one is
-    /// multiplied out at the rows `named` mentions — each once — and is
-    /// `0` at the others, which no pair reads. `None` if `named` names a
-    /// row past the end.
-    fn into_operand(self, named: &[u32]) -> Option<Vec<K>> {
-        if let Anns::Dense(v) = self {
-            return Some(v);
+    /// The column as a join operand whose rows `named` are paired: a
+    /// stored column stays as it is — shared or dense, read only where a
+    /// pair is materialized — and a deferred one is multiplied out at the
+    /// rows `named` mentions, each once, and is `0` at the others, which
+    /// no pair reads. `None` if `named` names a row past the end.
+    fn into_operand(self, named: &[u32]) -> Option<Stored<K, V>> {
+        if let Anns::Stored(s) = self {
+            return Some(s);
         }
         // `0` marks a row not multiplied yet (the zero element allocates
         // nothing). A product that is itself `0` — only in a semiring with
@@ -152,11 +230,11 @@ impl<K: CommutativeSemiring> Anns<K> {
                 *slot = self.get(r as usize)?.into_owned();
             }
         }
-        Some(out)
+        Some(Stored::Dense(out))
     }
 }
 
-impl<K: CommutativeSemiring> PartialEq for ColumnBatch<K> {
+impl<K: CommutativeSemiring, V> PartialEq for ColumnBatch<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.cols == other.cols
             && self.len() == other.len()
@@ -164,9 +242,9 @@ impl<K: CommutativeSemiring> PartialEq for ColumnBatch<K> {
     }
 }
 
-impl<K: CommutativeSemiring> Eq for ColumnBatch<K> {}
+impl<K: CommutativeSemiring, V> Eq for ColumnBatch<K, V> {}
 
-impl<K: CommutativeSemiring> ColumnBatch<K> {
+impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     /// Builds a batch from pre-assembled columns. All columns and the
     /// annotation vector must have the same length.
     pub fn from_columns(cols: Vec<TypedColumn>, anns: Vec<K>) -> Result<Self> {
@@ -178,14 +256,15 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
         }
         Ok(ColumnBatch {
             cols,
-            anns: Anns::Dense(anns),
+            anns: Anns::Stored(Stored::Dense(anns)),
         })
     }
 
     /// Builds a join's output batch without taking its semiring product:
     /// row `r` holds `cols`' `r`-th values and is annotated
     /// `left[lrows[r]] ⊗ right[rrows[r]]`, where `left` and `right` are the
-    /// two input batches' annotation columns — moved in, and multiplied
+    /// two input batches' annotation columns — moved in as they are (a
+    /// shared column keeps reading its relation's store), and multiplied
     /// only when the row is materialized
     /// ([`GroundBatch::into_relation_selected`]). The inputs' own columns
     /// are dropped: `cols` already holds what the join gathered from them.
@@ -198,9 +277,9 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
     /// index inside `left` and `right`.
     pub fn from_join(
         cols: Vec<TypedColumn>,
-        left: ColumnBatch<K>,
+        left: ColumnBatch<K, V>,
         lrows: Vec<u32>,
-        right: ColumnBatch<K>,
+        right: ColumnBatch<K, V>,
         rrows: Vec<u32>,
     ) -> Result<Self> {
         let len = lrows.len();
@@ -221,12 +300,12 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
         let right = right.anns.into_operand(&rrows).ok_or_else(out_of_range)?;
         Ok(ColumnBatch {
             cols,
-            anns: Anns::Product {
+            anns: Anns::Product(Box::new(Product {
                 left,
                 right,
                 lrows,
                 rrows,
-            },
+            })),
         })
     }
 
@@ -296,9 +375,12 @@ impl<K: CommutativeSemiring> ColumnBatch<K> {
 /// support order on both sides.
 #[derive(Clone, Debug)]
 pub struct GroundBatch<K, V> {
-    ground: ColumnBatch<K>,
-    fringe: Vec<(Tuple<V>, K)>,
+    ground: ColumnBatch<K, V>,
+    fringe: Fringe<K, V>,
 }
+
+/// The symbolic rows of a [`GroundBatch`], row-wise.
+type Fringe<K, V> = Vec<(Tuple<V>, K)>;
 
 impl<K: CommutativeSemiring, V: PartialEq> PartialEq for GroundBatch<K, V> {
     fn eq(&self, other: &Self) -> bool {
@@ -319,17 +401,22 @@ where
     /// rest land on the row-wise fringe. Both partitions keep support
     /// order, so the split (composed with [`GroundBatch::into_relation`])
     /// is lossless.
+    ///
+    /// The ground rows' annotations are not copied: the batch shares the
+    /// relation's tuple store and reads them there, by support position
+    /// (see the module docs). Fringe rows are cloned, tuple and annotation.
     pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
         let arity = rel.schema().arity();
         let mut cols: Vec<TypedColumn> = (0..arity)
             .map(|_| TypedColumn::Num(Vec::with_capacity(rel.len())))
             .collect();
-        let mut anns = Vec::with_capacity(rel.len());
+        let mut ground = 0;
+        let mut positions: Option<Vec<u32>> = None;
         let mut fringe = Vec::new();
         // One reused borrow buffer: the groundness check and the column
         // pushes share a single pass over the row's values.
         let mut row: Vec<&Const> = Vec::with_capacity(arity);
-        for (t, k) in rel.iter() {
+        for (p, (t, k)) in rel.iter().enumerate() {
             let vals = t.values();
             row.clear();
             for v in vals {
@@ -345,12 +432,30 @@ where
             for (col, c) in cols.iter_mut().zip(&row) {
                 col.push((*c).clone());
             }
-            anns.push(k.clone());
+            // From the first ground row a fringe row precedes on, ground
+            // row and support position differ: record every position.
+            if p != ground {
+                positions
+                    .get_or_insert_with(|| {
+                        let mut all = Vec::with_capacity(ground + rel.len() - p);
+                        all.extend(0..ground as u32);
+                        all
+                    })
+                    .push(p as u32);
+            }
+            ground += 1;
         }
+        let store = rel.store();
+        let shared = Shared {
+            store: Arc::clone(store),
+            starts: store.block_starts(),
+            positions,
+            len: ground,
+        };
         GroundBatch {
             ground: ColumnBatch {
                 cols,
-                anns: Anns::Dense(anns),
+                anns: Anns::Stored(Stored::Shared(shared)),
             },
             fringe,
         }
@@ -358,12 +463,12 @@ where
 
     /// Wraps a batch produced by downstream kernels, with a fringe carried
     /// alongside (possibly empty).
-    pub fn from_parts(ground: ColumnBatch<K>, fringe: Vec<(Tuple<V>, K)>) -> Self {
+    pub fn from_parts(ground: ColumnBatch<K, V>, fringe: Fringe<K, V>) -> Self {
         GroundBatch { ground, fringe }
     }
 
     /// The columnar ground partition.
-    pub fn ground(&self) -> &ColumnBatch<K> {
+    pub fn ground(&self) -> &ColumnBatch<K, V> {
         &self.ground
     }
 
@@ -378,7 +483,7 @@ where
     }
 
     /// Decomposes into the ground batch and the fringe.
-    pub fn into_parts(self) -> (ColumnBatch<K>, Vec<(Tuple<V>, K)>) {
+    pub fn into_parts(self) -> (ColumnBatch<K, V>, Fringe<K, V>) {
         (self.ground, self.fringe)
     }
 
@@ -402,13 +507,15 @@ where
     /// selection that is not ascending or names a row the batch does not
     /// have is an internal error. The selected rows are gathered first, so
     /// the work is proportional to the selection, not to the batch, and
-    /// values and annotations are **moved** into the relation (an `Arc`
-    /// bump for dictionary strings) through [`Relation::from_tuples`] — a
-    /// pipeline's final materialization never re-clones what its kernels
-    /// already built, and builds no map on the way.
+    /// values and dense annotations are **moved** into the relation (an
+    /// `Arc` bump for dictionary strings) through [`Relation::from_tuples`]
+    /// — a pipeline's final materialization never re-clones what its
+    /// kernels already built, and builds no map on the way.
     ///
-    /// This is where a join's deferred product is taken: exactly the
-    /// selected rows are multiplied, `l.times(r)` as the eager join did.
+    /// This is where annotations leave the batch: a shared column's
+    /// selected rows are cloned out of the source relation's store, and a
+    /// join's deferred product is taken for exactly the selected rows,
+    /// `l.times(r)` as the eager join did.
     pub fn into_relation_selected(
         self,
         schema: Schema,
@@ -459,8 +566,9 @@ where
         });
         let rel = Relation::from_tuples(schema, ground.chain(self.fringe), Merge::Sum)?;
         // A deferred product's operands — the join inputs' whole annotation
-        // columns — are freed only now, with the relation built (a stored
-        // column is already empty). Freed before the tuples, they left a
+        // columns, where they are dense — are freed only now, with the
+        // relation built (a dense column is already empty, a shared one
+        // frees no annotation). Freed before the tuples, they left a
         // large block on top of the heap for glibc to trim and the next
         // execute to fault back in: ≈ 1 190 page faults per
         // `embed_scan_join` execute on both seeds measured, against 40–150
@@ -620,7 +728,7 @@ mod tests {
 
     #[test]
     fn arity_and_length_checks() {
-        assert!(ColumnBatch::<Nat>::from_columns(
+        assert!(ColumnBatch::<Nat, Const>::from_columns(
             vec![TypedColumn::Num(vec![1]), TypedColumn::Num(vec![])],
             vec![Nat(1)]
         )
@@ -666,7 +774,7 @@ mod tests {
         .unwrap();
         // Equality is row-wise, whichever form holds the annotations.
         assert_eq!(deferred, eager);
-        let rel = |b: &ColumnBatch<NatPoly>, sel: Option<&[u32]>| {
+        let rel = |b: &ColumnBatch<NatPoly, Const>, sel: Option<&[u32]>| {
             GroundBatch::<NatPoly, Const>::from_parts(b.clone(), Vec::new())
                 .into_relation_selected(s(&["a", "b"]), |c| c, sel)
                 .unwrap()
@@ -682,9 +790,83 @@ mod tests {
         assert_eq!(nested.unwrap(), flat.unwrap());
     }
 
+    /// The shared column of `batch`, and the annotations it reads.
+    fn shared<K: CommutativeSemiring>(
+        batch: &GroundBatch<K, Const>,
+    ) -> (&Shared<K, Const>, Vec<K>) {
+        let Anns::Stored(Stored::Shared(shared)) = &batch.ground().anns else {
+            panic!("a split reads its relation's annotations in place");
+        };
+        let read =
+            (0..batch.ground().len()).map(|r| batch.ground().anns.get(r).unwrap().into_owned());
+        (shared, read.collect())
+    }
+
+    #[test]
+    fn a_split_resolves_every_position_through_block_splits_and_merges() {
+        // 3 000 rows inserted out of order (an insert into a full block
+        // splits it), then every third from the second on removed (a block
+        // under a quarter full merges into a neighbour); a `true` marks a
+        // fringe row — the first, the last and every seventh.
+        let row = |i: u64| {
+            let fringe = i == 0 || i == 2_999 || i % 7 == 3;
+            let mark = if fringe {
+                Const::Bool(true)
+            } else {
+                Const::int(0)
+            };
+            vec![Const::int(i as i64), mark]
+        };
+        let mut rel = Relation::empty(s(&["a", "b"]));
+        for i in (0..3_000).map(|i| i * 1_009 % 3_000) {
+            rel.insert(row(i), Nat(i + 1)).unwrap();
+        }
+        for i in (1..3_000).step_by(3) {
+            rel.remove(&Tuple::new(row(i)));
+        }
+        let starts = rel.store().block_starts();
+        let sizes: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(sizes.iter().any(|&n| n != sizes[0]), "{sizes:?}");
+        let batch = GroundBatch::from_relation(&rel, as_non_bool);
+        let (column, read) = shared(&batch);
+        assert!(column.positions.is_some(), "a fringe row comes first");
+        let want: Vec<Nat> = rel
+            .iter()
+            .filter(|(t, _)| t.get(1) != &Const::Bool(true))
+            .map(|(_, k)| *k)
+            .collect();
+        assert_eq!(read, want);
+        assert!(batch.ground().anns.get(want.len()).is_none());
+        assert_eq!(
+            batch.into_relation(rel.schema().clone(), |c| c).unwrap(),
+            rel
+        );
+
+        // With the fringe rows after every ground row no position is
+        // recorded: ground row `r` is support position `r`.
+        let ground = rel
+            .iter()
+            .skip(1)
+            .take_while(|(t, _)| t.get(1) != &Const::Bool(true));
+        let leading = ground
+            .chain(rel.iter().last())
+            .map(|(t, k)| (t.clone(), *k));
+        let leading = Relation::from_tuples(s(&["a", "b"]), leading, Merge::Sum).unwrap();
+        let ground = leading.len() - 1;
+        let batch = GroundBatch::from_relation(&leading, as_non_bool);
+        let (column, read) = shared(&batch);
+        assert!(column.positions.is_none());
+        assert_eq!(read.len(), ground);
+        assert_eq!(batch.fringe().len(), 1);
+        assert_eq!(batch.into_relation(s(&["a", "b"]), |c| c).unwrap(), leading);
+    }
+
     #[test]
     fn from_join_refuses_pairs_past_its_inputs() {
-        let one = || ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
+        let one = || {
+            ColumnBatch::<Nat, Const>::from_columns(vec![TypedColumn::Num(vec![1])], nats([1]))
+                .unwrap()
+        };
         let col = || vec![TypedColumn::Num(vec![0])];
         let join = |lrows, rrows| ColumnBatch::from_join(col(), one(), lrows, one(), rrows);
         assert!(join(vec![0], vec![0]).is_ok());

@@ -305,6 +305,11 @@ where
         self.tuples.iter()
     }
 
+    /// The tuple store, for a batch that reads its annotations in place.
+    pub(crate) fn store(&self) -> &Arc<Store<Tuple<V>, K>> {
+        &self.tuples
+    }
+
     /// True iff the two relations share the same physical tuple store
     /// (copy-on-write diagnostics; sharing implies equal support).
     pub fn shares_tuples_with(&self, other: &Self) -> bool {

@@ -33,6 +33,25 @@ impl<T, K> Store<T, K> {
         let rows = self.blocks.iter().flat_map(|b| b.iter());
         Counted(rows.map(|(t, k)| (t, k)), self.len)
     }
+
+    /// The position of each block's first row: the index [`Store::at`]
+    /// searches. One allocation of one word per block.
+    pub(crate) fn block_starts(&self) -> Vec<usize> {
+        let mut starts = Vec::with_capacity(self.blocks.len());
+        let mut next = 0;
+        for block in &self.blocks {
+            starts.push(next);
+            next += block.len();
+        }
+        starts
+    }
+
+    /// The row at position `p` in iteration order, given this store's
+    /// [`block_starts`](Store::block_starts).
+    pub(crate) fn at(&self, starts: &[usize], p: usize) -> Option<&(T, K)> {
+        let b = starts.partition_point(|&s| s <= p).checked_sub(1)?;
+        self.blocks.get(b)?.get(p - starts.get(b)?)
+    }
 }
 
 /// `I` with the count it has left: a `collect` over a store allocates once.

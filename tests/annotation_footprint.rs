@@ -31,6 +31,7 @@ thread_local! {
 }
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static PEAK_BYTES: AtomicIsize = AtomicIsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting what the measuring thread requests.
@@ -42,7 +43,9 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if MEASURING.get() {
-            LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            let size = layout.size() as isize;
+            let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `layout` is the caller's, passed through as is.
@@ -63,12 +66,14 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Runs `f` with this thread's allocations counted; returns its result,
-/// the live heap bytes it left behind and the allocations it made.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, isize, usize) {
+/// the live heap bytes it left behind, the allocations it made and the
+/// most bytes it held live at once (its high-water mark).
+fn measured<T>(f: impl FnOnce() -> T) -> (T, isize, usize, isize) {
     let (bytes, allocs) = (
         LIVE_BYTES.load(Ordering::Relaxed),
         ALLOCATIONS.load(Ordering::Relaxed),
     );
+    PEAK_BYTES.store(bytes, Ordering::Relaxed);
     MEASURING.set(true);
     let out = f();
     MEASURING.set(false);
@@ -76,6 +81,7 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, isize, usize) {
         out,
         LIVE_BYTES.load(Ordering::Relaxed) - bytes,
         ALLOCATIONS.load(Ordering::Relaxed) - allocs,
+        PEAK_BYTES.load(Ordering::Relaxed) - bytes,
     )
 }
 
@@ -131,7 +137,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // it was 4 blocks and 152 bytes; the B-tree representation requested
     // 960 bytes for the same value.)
     let names: Vec<String> = (0..ROWS).map(|i| format!("t{i}")).collect();
-    let ((), live, allocations) = measured(|| {
+    let ((), live, allocations, _) = measured(|| {
         for name in &names {
             annotations.push(Km::embed(NatPoly::token(name)));
         }
@@ -145,21 +151,21 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     assert_eq!(allocations, 2 * ROWS, "allocations for {ROWS} tokens");
     // Embedding a base annotation that already exists is a move.
     let inner = NatPoly::token("e");
-    let (_, _, allocations) = measured(|| Km::embed(inner));
+    let (_, _, allocations, _) = measured(|| Km::embed(inner));
     assert_eq!(allocations, 0, "embed must not allocate");
 
     // Cloning shares the term storage: a reference-count bump each.
-    let ((), live, allocations) = measured(|| copies.extend(annotations.iter().cloned()));
+    let ((), live, allocations, _) = measured(|| copies.extend(annotations.iter().cloned()));
     assert_eq!((allocations, live), (0, 0), "clone must not allocate");
     assert!(copies.iter().zip(&annotations).all(|(c, a)| shares(c, a)));
 
     // Neither does the zero annotation.
-    let (zero, _, allocations) = measured(Km::<NatPoly>::zero);
+    let (zero, _, allocations, _) = measured(Km::<NatPoly>::zero);
     assert!(zero.is_zero());
     assert_eq!(allocations, 0, "zero must not allocate");
     // (a) Multiplying by 1 hands the other operand's storage back.
     let (a, one) = (token("a"), Prov::one());
-    let ((left, right), _, allocations) = measured(|| (a.times(&one), one.times(&a)));
+    let ((left, right), _, allocations, _) = measured(|| (a.times(&one), one.times(&a)));
     assert_eq!(allocations, 0, "times(1) must not allocate");
     assert!(shares(&left, &a) && shares(&right, &a));
 
@@ -171,7 +177,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         .cloned()
         .zip([10, 20, 30].map(Const::int));
     let tensor = Tensor::<Prov, Const>::from_terms(&MonoidKind::Sum, weighted);
-    let ((copy, zero), _, allocations) =
+    let ((copy, zero), _, allocations, _) =
         measured(|| (tensor.clone(), Tensor::<Prov, Const>::zero()));
     assert_eq!(allocations, 0, "tensor clone/zero must not allocate");
     assert!(copy.len() == 3 && copy.shares_terms_with(&tensor) && zero.is_zero());
@@ -182,7 +188,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // monomial's `Vec` made it ≈ n; the pairwise tree > 10·n).
     const N: usize = 1_000;
     let items = annotations[..N].to_vec();
-    let (total, _, allocations) = measured(|| Prov::sum(items));
+    let (total, _, allocations, _) = measured(|| Prov::sum(items));
     assert_eq!(total.try_collapse().map(|p| p.num_terms()), Some(N));
     assert!(
         allocations <= 32,
@@ -195,7 +201,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let sum_sal = [AggSpec::new(MonoidKind::Sum, "sal")];
     let rel = emp(2_000, 20);
     let group_by = |specs: &[AggSpec<'_>]| {
-        let (grouped, _, allocations) =
+        let (grouped, _, allocations, _) =
             measured(|| ops::group_by_opts(&rel, &["dept"], specs, &serial).unwrap());
         assert_eq!(grouped.len(), 20);
         allocations
@@ -237,7 +243,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     assert!(symbolic.len() == 2 && symbolic.iter().all(|(t, _)| t.get(3).is_agg()));
     let mixed = ops::union_opts(&rel, &symbolic, &serial).unwrap();
     assert_eq!(mixed.len(), rel.len() + symbolic.len());
-    let (projected, _, allocations) =
+    let (projected, _, allocations, _) =
         measured(|| ops::project_opts(&mixed, &["dept", "one"], &serial).unwrap());
     assert_eq!(projected.len(), 20 + symbolic.len());
     assert!(
@@ -245,7 +251,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "project with symbolic rows present: {allocations} allocations for {} rows",
         mixed.len()
     );
-    let (_, _, allocations) = measured(|| ops::union_opts(&rel, &symbolic, &serial).unwrap());
+    let (_, _, allocations, _) = measured(|| ops::union_opts(&rel, &symbolic, &serial).unwrap());
     assert!(
         allocations <= mixed.len(),
         "union over ground rows: {allocations} allocations for {} rows",
@@ -258,7 +264,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // inside the `debug_assert!` that compares the two.
     let mut db = ProvDb::new();
     db.register("emp", rel.clone());
-    let ((), _, materialize) = measured(|| {
+    let ((), _, materialize, _) = measured(|| {
         db.materialize(
             "mass",
             "SELECT dept, SUM(sal) AS total FROM emp GROUP BY dept",
@@ -279,7 +285,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let unary = Schema::new(["emp"]).unwrap();
     let key = |i: usize| Tuple::from([Value::<Prov>::int(i as i64)]);
     let prebuilt: Vec<_> = (0..LOAD).map(|i| (key(2 * i), Prov::one())).collect();
-    let (table, live, allocations) = measured(|| {
+    let (table, live, allocations, _) = measured(|| {
         let mut table = Relation::empty(unary.clone());
         for (t, k) in &prebuilt {
             table.add(t.clone(), k.clone()).unwrap();
@@ -305,7 +311,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     ] {
         let pinned = table.clone();
         let t = key(i);
-        let ((), live, allocations) = measured(|| {
+        let ((), live, allocations, _) = measured(|| {
             if remove {
                 table.remove(&t).unwrap();
             } else {
@@ -322,7 +328,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // … and materializing a chunk allocates each row's tuple and nothing
     // else per row: no map node, no row vector on the way.
     let chunk = ops::batch::Chunk::from_relation(&table);
-    let (back, _, allocations) = measured(|| chunk.into_relation().unwrap());
+    let (back, _, allocations, _) = measured(|| chunk.into_relation().unwrap());
     assert_eq!(back, table);
     assert!(
         allocations * 100 <= table.len() * 105,
@@ -381,33 +387,58 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let execute = |sql: &str| {
         let stmt = db.prepare(sql).unwrap();
         stmt.execute_with_opts(&[], &serial).unwrap();
-        let (out, _, allocations) = measured(|| stmt.execute_with_opts(&[], &serial).unwrap());
-        (out.len(), allocations)
+        let (out, _, allocations, peak) =
+            measured(|| stmt.execute_with_opts(&[], &serial).unwrap());
+        (out.len(), allocations, peak as usize)
     };
     let join = "SELECT e.emp, d.cap FROM emp e JOIN dim d ON e.dept = d.dept2";
-    // 947 rows kept: 3 634 allocations, 0.18 per join row (2.09 when every
+    // 947 rows kept: 3 632 allocations, 0.18 per join row (2.09 when every
     // join row was multiplied before the filter ran).
-    let (rows, cross_side) = execute(&format!("{join} WHERE e.sal < d.cap"));
+    let (rows, cross_side, _) = execute(&format!("{join} WHERE e.sal < d.cap"));
     assert_eq!(rows, 947);
     assert!(
         cross_side * 100 <= JOIN_ROWS * 25,
         "cross-side filter over a join: {cross_side} allocations for {JOIN_ROWS} join rows"
     );
-    // Every row kept: 60 865 allocations, 3.04 per row, as when the join
+    // Every row kept: 60 864 allocations, 3.04 per row, as when the join
     // multiplied eagerly. Deferring adds nothing when nothing is dropped.
-    let (rows, unfiltered) = execute(join);
+    let (rows, unfiltered, _) = execute(join);
     assert_eq!(rows, JOIN_ROWS);
     assert!(
         unfiltered * 100 <= JOIN_ROWS * 305,
         "unfiltered join: {unfiltered} allocations for {JOIN_ROWS} rows"
     );
     // A join whose probe side is a deferred join: the inner products are
-    // multiplied out once each, for the rows the outer pairs name. 121 009
-    // allocations here and at the parent commit, which multiplied eagerly.
-    let (rows, nested) = execute(&format!("{join} JOIN dim f ON e.dept = f.dept2"));
+    // multiplied out once each, for the rows the outer pairs name. 121 007
+    // allocations; 121 009 when the join multiplied eagerly and every scan
+    // collected an identity selection vector.
+    let (rows, nested, _) = execute(&format!("{join} JOIN dim f ON e.dept = f.dept2"));
     assert_eq!(rows, JOIN_ROWS);
     assert!(
         nested <= 121_009,
         "join over a deferred join: {nested} allocations"
     );
+
+    // (g) A scan copies no annotation: the chunk reads the table's in
+    // place, and only the rows that reach the result are cloned. At its
+    // high-water mark an execute holds the scanned columns (three `i64`
+    // runs, 24 bytes a row) and little else: 28.9 bytes per `emp` row for
+    // the scan, 30.7 joined to `dim`. Cloning every scanned row's
+    // annotation into the chunk read 52.9 and 55.0.
+    for (what, sql, budget) in [
+        (
+            "scan",
+            "SELECT emp, sal FROM emp WHERE sal < 20".to_string(),
+            32,
+        ),
+        ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 34),
+    ] {
+        let (rows, _, peak) = execute(&sql);
+        assert_eq!(rows, 1_054);
+        assert!(
+            peak <= budget * JOIN_ROWS,
+            "{what}: {:.1} bytes at the high-water mark per emp row",
+            peak as f64 / JOIN_ROWS as f64
+        );
+    }
 }
