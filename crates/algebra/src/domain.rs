@@ -6,10 +6,15 @@
 //! [`crate::num`]), strings, and booleans; booleans double as the carrier of
 //! the monoid `B̂ = ({⊥,⊤}, ∨, ⊥)` used to encode relational difference
 //! (paper §5).
+//!
+//! A string is a [`Name`]: at most 7 bytes are held inline, so a short
+//! string cell (`'d1'`, `'region3'`) allocates nothing, and a longer one
+//! is one shared block. A `Const` is 24 bytes either way — the name's 16
+//! and a tag — and strings order by their bytes whichever form holds them.
 
+use crate::name::Name;
 use crate::num::Num;
 use std::fmt;
-use std::sync::Arc;
 
 /// A first-order constant of the database domain `D`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -18,8 +23,8 @@ pub enum Const {
     Bool(bool),
     /// A number.
     Num(Num),
-    /// A string.
-    Str(Arc<str>),
+    /// A string, inline when at most 7 bytes long.
+    Str(Name),
 }
 
 impl Const {
@@ -30,7 +35,7 @@ impl Const {
 
     /// Builds a string constant.
     pub fn str(s: &str) -> Self {
-        Const::Str(Arc::from(s))
+        Const::Str(Name::new(s))
     }
 
     /// Returns the number if this is a numeric constant.

@@ -20,7 +20,9 @@
 //! * [`boolexpr`] — boolean expressions with negation (the c-table
 //!   baseline of paper §1);
 //! * [`laws`] — executable algebraic laws shared by all test suites;
-//! * [`num`], [`domain`] — the exact numeric and constant domain.
+//! * [`num`], [`domain`] — the exact numeric and constant domain;
+//! * [`name`] — the 16-byte string behind tokens and string constants,
+//!   inline when short.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,7 @@ pub mod hierarchy;
 pub mod hom;
 pub mod laws;
 pub mod monoid;
+pub mod name;
 pub mod num;
 pub mod poly;
 pub mod semimodule;

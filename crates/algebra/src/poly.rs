@@ -28,14 +28,17 @@
 //!
 //! A [`Monomial`] lives *inside* its term: no pair is nothing, one pair
 //! (a base row's token — nearly every monomial there is) is stored inline,
-//! and only two or more take a boxed slice. So `NatPoly::token` is two
-//! heap blocks (the term slice and the name), and cloning a term of
-//! degree ≤ 1 — all a `Σ`, `plus` or `drop_vars` over base tokens does
-//! per surviving term — allocates nothing. A monomial compares, hashes and
-//! iterates as its sorted pair sequence whichever layout holds it, so no
-//! order anywhere depends on the layout.
+//! and only two or more take a boxed slice. A [`Var`]'s name of at most
+//! 7 bytes lives inline too (`crate::name`), so `NatPoly::token("p42")`
+//! is one heap block — the term slice — and a longer name adds its own
+//! shared block. Cloning a term of degree ≤ 1 — all a `Σ`, `plus` or
+//! `drop_vars` over base tokens does per surviving term — allocates
+//! nothing, and over an inline name touches no reference count. A
+//! monomial compares, hashes and iterates as its sorted pair sequence
+//! whichever layout holds it, so no order anywhere depends on the layout.
 //! `docs/ARCHITECTURE.md` ("Annotation representation") has the cost table.
 
+use crate::name::Name;
 use crate::semiring::{Bool, CommutativeSemiring, Nat};
 use std::cmp::Ordering;
 use std::fmt;
@@ -86,19 +89,22 @@ pub(crate) fn sum_run<'a, K: CommutativeSemiring>(
     K::sum(std::iter::once(first).chain(rest).cloned().collect())
 }
 
-/// A provenance token ("indeterminate"), e.g. a tuple identifier.
+/// A provenance token ("indeterminate"), e.g. a tuple identifier. Its
+/// [`Name`] is held inline when at most 7 bytes long, so a token like
+/// `p99999` costs no heap block of its own; order, equality and hash are
+/// the name's string's.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Var(Arc<str>);
+pub struct Var(Name);
 
 impl Var {
     /// Creates a token with the given name.
     pub fn new(name: &str) -> Self {
-        Var(Arc::from(name))
+        Var(Name::new(name))
     }
 
     /// The token's name.
     pub fn name(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 

@@ -30,7 +30,7 @@
 //! ```
 
 use aggprov_algebra::hom::Valuation;
-use aggprov_algebra::poly::NatPoly;
+use aggprov_algebra::poly::{NatPoly, Var};
 use aggprov_algebra::semiring::{CommutativeSemiring, Security};
 use aggprov_core::eval::{collapse, map_hom_mk};
 use aggprov_core::km::Km;
@@ -212,10 +212,18 @@ impl ResultSet<Km<NatPoly>> {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let deleted: BTreeSet<String> =
-            tokens.into_iter().map(|t| t.as_ref().to_string()).collect();
-        self.map_hom(deletion_hom(&deleted))
+        self.map_hom(deletion_hom(&deleted_vars(tokens)))
     }
+}
+
+/// The tokens to delete, each named once as a [`Var`]: a fired set is
+/// probed with the polynomial's own variables, no name lookup per probe.
+pub(crate) fn deleted_vars<I, S>(tokens: I) -> BTreeSet<Var>
+where
+    I: IntoIterator<Item = S>,
+    S: AsRef<str>,
+{
+    tokens.into_iter().map(|t| Var::new(t.as_ref())).collect()
 }
 
 /// The deletion homomorphism `ℕ[X] → ℕ[X]`: each token in `deleted` ↦ `0`,
@@ -226,8 +234,8 @@ impl ResultSet<Km<NatPoly>> {
 /// shared storage. [`ResultSet::delete_tokens`] and
 /// [`Database::delete_tokens`](crate::Database::delete_tokens) both apply
 /// exactly this function.
-pub(crate) fn deletion_hom(deleted: &BTreeSet<String>) -> impl Fn(&NatPoly) -> NatPoly + '_ {
-    move |p| p.drop_vars(&mut |v| deleted.contains(v.name()))
+pub(crate) fn deletion_hom(deleted: &BTreeSet<Var>) -> impl Fn(&NatPoly) -> NatPoly + '_ {
+    move |p| p.drop_vars(&mut |v| deleted.contains(v))
 }
 
 impl ResultSet<Km<Security>> {

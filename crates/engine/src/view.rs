@@ -50,7 +50,7 @@ use crate::annot::ParseAnnotation;
 use crate::exec::execute_plan;
 use crate::phys::{self, PhysNode};
 use crate::plan::{Plan, PlanAgg};
-use crate::result::deletion_hom;
+use crate::result::{deleted_vars, deletion_hom};
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
@@ -700,13 +700,12 @@ impl Database<Prov> {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let deleted: BTreeSet<String> =
-            tokens.into_iter().map(|t| t.as_ref().to_string()).collect();
+        let deleted = deleted_vars(tokens);
         if deleted.is_empty() {
             return Ok(());
         }
         let h = deletion_hom(&deleted);
-        let fired = |p: &NatPoly| p.vars().any(|v| deleted.contains(v.name()));
+        let fired = |p: &NatPoly| p.vars().any(|v| deleted.contains(v));
         // 1) Fire the tokens in every base table. A row that mentions no
         //    fired token is carried over as is, and a table without such a
         //    row is not touched at all — the tables that come back are the

@@ -10,7 +10,7 @@
 //!   comparison is a single machine compare and rustc can autovectorize
 //!   the loop;
 //! * [`TypedColumn::Str`] — an all-string column as dictionary codes
-//!   ([`StrColumn`]: `Vec<u32>` codes plus an interned `Arc<str>`
+//!   ([`StrColumn`]: `Vec<u32>` codes plus an interned [`Name`]
 //!   dictionary), so equality is a `u32` compare and a join probe is an
 //!   integer table lookup;
 //! * [`TypedColumn::Boxed`] — the fallback `Vec<Const>` for mixed-type
@@ -27,7 +27,8 @@
 //! Round trips are exact: `Num` re-materializes through [`Const::int`]
 //! and `Rational` is kept in lowest terms, so the `i64 → Const` lift
 //! reproduces the input bit for bit; `Str` re-materializes by cloning the
-//! interned `Arc<str>` out of the dictionary.
+//! interned [`Name`] out of the dictionary (a 16-byte copy for a short
+//! string, a reference-count bump for a long one).
 //!
 //! Equality on [`TypedColumn`] (and [`StrColumn`]) is **representational**:
 //! the same values held as `Num(vec![1])` and `Boxed(vec![Const::int(1)])`
@@ -42,6 +43,7 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 
 use aggprov_algebra::domain::Const;
+use aggprov_algebra::name::Name;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,8 +52,8 @@ use std::sync::Arc;
 /// mirrors `strs`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 struct Dict {
-    strs: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+    strs: Vec<Name>,
+    index: HashMap<Name, u32>,
 }
 
 /// A dictionary-encoded string column: one `u32` code per row plus the
@@ -97,8 +99,8 @@ impl StrColumn {
     /// exhausted — the caller then demotes to boxed storage. A new string
     /// going into a dictionary shared with another column copies the
     /// dictionary first, so the other column never sees it.
-    pub fn push(&mut self, s: &Arc<str>) -> bool {
-        if let Some(&code) = self.dict.index.get(s.as_ref()) {
+    pub fn push(&mut self, s: &Name) -> bool {
+        if let Some(&code) = self.dict.index.get(s) {
             self.codes.push(code);
             return true;
         }
@@ -106,8 +108,8 @@ impl StrColumn {
             return false;
         };
         let dict = Arc::make_mut(&mut self.dict);
-        dict.strs.push(Arc::clone(s));
-        dict.index.insert(Arc::clone(s), code);
+        dict.strs.push(s.clone());
+        dict.index.insert(s.clone(), code);
         self.codes.push(code);
         true
     }
@@ -118,7 +120,7 @@ impl StrColumn {
     }
 
     /// The dictionary, indexed by code.
-    pub fn dict(&self) -> &[Arc<str>] {
+    pub fn dict(&self) -> &[Name] {
         &self.dict.strs
     }
 
@@ -128,12 +130,12 @@ impl StrColumn {
     }
 
     /// The string a code stands for.
-    pub fn decode(&self, code: u32) -> Option<&Arc<str>> {
+    pub fn decode(&self, code: u32) -> Option<&Name> {
         self.dict.strs.get(code as usize)
     }
 
     /// The string at row `r`.
-    pub fn get(&self, r: usize) -> Option<&Arc<str>> {
+    pub fn get(&self, r: usize) -> Option<&Name> {
         self.decode(*self.codes.get(r)?)
     }
 
@@ -239,7 +241,7 @@ impl TypedColumn {
                 let boxed: Vec<Const> = sc
                     .codes()
                     .iter()
-                    .filter_map(|&code| sc.decode(code).map(|s| Const::Str(Arc::clone(s))))
+                    .filter_map(|&code| sc.decode(code).cloned().map(Const::Str))
                     .collect();
                 debug_assert_eq!(boxed.len(), sc.len());
                 *self = TypedColumn::Boxed(boxed);
@@ -249,12 +251,12 @@ impl TypedColumn {
         }
     }
 
-    /// The value at row `r`, re-materialized as a `Const` (an `Arc` bump
-    /// for strings, a fresh integer `Num` for unboxed values).
+    /// The value at row `r`, re-materialized as a `Const` (a [`Name`]
+    /// clone for strings, a fresh integer `Num` for unboxed values).
     pub fn get(&self, r: usize) -> Option<Const> {
         match self {
             TypedColumn::Num(v) => v.get(r).map(|&i| Const::int(i)),
-            TypedColumn::Str(sc) => sc.get(r).map(|s| Const::Str(Arc::clone(s))),
+            TypedColumn::Str(sc) => sc.get(r).cloned().map(Const::Str),
             TypedColumn::Boxed(v) => v.get(r).cloned(),
         }
     }
@@ -289,7 +291,7 @@ impl TypedColumn {
             TypedColumn::Str(sc) => sc
                 .codes()
                 .iter()
-                .filter_map(|&code| sc.decode(code).map(|s| Const::Str(Arc::clone(s))))
+                .filter_map(|&code| sc.decode(code).cloned().map(Const::Str))
                 .collect(),
             TypedColumn::Boxed(v) => v.clone(),
         }
@@ -337,9 +339,7 @@ impl Iterator for IntoConsts {
             ConstsInner::Num(it) => it.next().map(Const::int),
             ConstsInner::Str { codes, dict } => {
                 let code = codes.next()?;
-                dict.strs
-                    .get(code as usize)
-                    .map(|s| Const::Str(Arc::clone(s)))
+                dict.strs.get(code as usize).cloned().map(Const::Str)
             }
             ConstsInner::Boxed(it) => it.next(),
         }
@@ -441,17 +441,17 @@ mod tests {
         // dictionary (or its index) — parent and child share one `Arc`.
         let mut parent = StrColumn::new();
         for i in 0..50_000 {
-            assert!(parent.push(&Arc::from(format!("s{i}"))));
+            assert!(parent.push(&Name::new(&format!("s{i}"))));
         }
         let mut g = parent.gather(&[49_999, 0, 7]).unwrap();
         assert!(Arc::ptr_eq(&parent.dict, &g.dict), "dictionary copied");
         let decoded: Vec<&str> = (0..3).filter_map(|r| g.get(r).map(|s| &**s)).collect();
         assert_eq!(decoded, ["s49999", "s0", "s7"]);
         // A known string reuses its code and keeps sharing…
-        assert!(g.push(&Arc::from("s7")));
+        assert!(g.push(&Name::new("s7")));
         assert!(Arc::ptr_eq(&parent.dict, &g.dict));
         // …a new one copies on write: the parent never sees it.
-        assert!(g.push(&Arc::from("fresh")));
+        assert!(g.push(&Name::new("fresh")));
         assert!(!Arc::ptr_eq(&parent.dict, &g.dict));
         assert_eq!(g.get(4).map(|s| &**s), Some("fresh"));
         assert_eq!(parent.dict().len(), 50_000);

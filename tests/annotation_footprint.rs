@@ -5,10 +5,11 @@
 //!
 //! Every tuple and every aggregate value carries a `Km<ℕ[X]>`, and a base
 //! table holds one single-token annotation per row: this is the number
-//! `peak_rss_mb` is made of (a ground annotation is `ℕ[X]`'s own two
-//! blocks — the term slice with its monomial inline, and the token name). The budgets further down are counts, not
-//! times: allocations per input row of `Σ` and `GROUP BY`, per join row of
-//! a filtered and an unfiltered join, and how the
+//! `peak_rss_mb` is made of (a ground annotation is `ℕ[X]`'s own one
+//! block — the term slice, with its monomial and a short token name
+//! inline). The budgets further down are counts, not times: allocations
+//! per loaded row, per input row of `Σ` and `GROUP BY`, per join row of a
+//! filtered and an unfiltered join, and how the
 //! count grows when the input doubles (a quadratic sum shows as ≈ 4×
 //! without a clock). This binary is the only place in the workspace with
 //! `unsafe` (the `GlobalAlloc` impl); it holds one test, so nothing else
@@ -131,11 +132,12 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let mut annotations: Vec<Km<NatPoly>> = Vec::with_capacity(ROWS);
     let mut copies: Vec<Km<NatPoly>> = Vec::with_capacity(ROWS);
 
-    // One token per row, as `INSERT … PROVENANCE t<i>` builds them: the
-    // `ℕ[X]` term (its one-pair monomial inline) and the name, held ground
-    // in the `Km` itself. (With an outer `K^M` term and a monomial buffer
-    // it was 4 blocks and 152 bytes; the B-tree representation requested
-    // 960 bytes for the same value.)
+    // One token per row, as `INSERT … PROVENANCE t<i>` builds them: one
+    // block, the `ℕ[X]` term slice, with the one-pair monomial and the
+    // short name inline in it, held ground in the `Km` itself. (With the
+    // name in a block of its own it was 2 blocks and 80 bytes; with an
+    // outer `K^M` term and a monomial buffer 4 blocks and 152 bytes; the
+    // B-tree representation requested 960 bytes for the same value.)
     let names: Vec<String> = (0..ROWS).map(|i| format!("t{i}")).collect();
     let ((), live, allocations, _) = measured(|| {
         for name in &names {
@@ -143,12 +145,50 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         }
     });
     let per_row = live as usize / ROWS;
-    assert!(per_row <= 100, "{per_row} live heap bytes per annotation");
+    assert!(per_row <= 56, "{per_row} live heap bytes per annotation");
     assert!(
-        per_row >= 64,
+        per_row >= 48,
         "{per_row} bytes: the counter is not counting"
     );
-    assert_eq!(allocations, 2 * ROWS, "allocations for {ROWS} tokens");
+    assert_eq!(allocations, ROWS, "allocations for {ROWS} tokens");
+    // A base table of the benchmark's `emp` shape, three integers and a
+    // `p<i>` token a row, loaded through `Relation::insert`: the row
+    // vector, its tuple and the token's term slice, 3.004 allocations and
+    // 208.2 bytes a row (4.004 and 232.2 with each name in a block of its
+    // own).
+    let names: Vec<String> = (0..LOAD).map(|i| format!("p{i}")).collect();
+    let schema = Schema::new(["emp", "dept", "sal"]).unwrap();
+    let (table, live, allocations, _) = measured(|| {
+        let mut table = Relation::empty(schema);
+        for (i, name) in names.iter().enumerate() {
+            let row = [i, i % 100, 10 + i % 190].map(|v| Value::<Prov>::int(v as i64));
+            table.insert(row.to_vec(), token(name)).unwrap();
+        }
+        table
+    });
+    assert_eq!(table.len(), LOAD);
+    assert!(
+        allocations * 100 <= LOAD * 301 && live as usize <= 212 * LOAD,
+        "{LOAD} emp rows inserted: {allocations} allocations, {live} bytes"
+    );
+    drop((table, names));
+    // A short string cell is held in the cell: a ground row with one costs
+    // what an all-integer row costs (one more block a row when a string
+    // was always an `Arc<str>`).
+    let cells: Vec<String> = (0..1_000).map(|i| format!("d{i}")).collect();
+    let rows = |cell: &dyn Fn(&str) -> Value<Prov>| {
+        let (rows, live, allocations, _) = measured(|| {
+            let row = |(i, c): (usize, &String)| Tuple::from([Value::int(i as i64), cell(c)]);
+            cells.iter().enumerate().map(row).collect::<Vec<_>>()
+        });
+        assert_eq!(rows.len(), cells.len());
+        (allocations, live)
+    };
+    let (with_str, with_int) = (rows(&|c| Value::str(c)), rows(&|_| Value::int(7)));
+    assert_eq!(
+        with_str, with_int,
+        "rows with a short string cell against integer rows"
+    );
     // Embedding a base annotation that already exists is a move.
     let inner = NatPoly::token("e");
     let (_, _, allocations, _) = measured(|| Km::embed(inner));

@@ -1,0 +1,26 @@
+//! The layout guard: the sizes of the types every stored row is made of.
+//!
+//! A base row is one `Tuple` (a shared slice of `Value` cells) and one
+//! `Prov` annotation, and each cell holds a `Const` or an aggregate, so
+//! one more byte in any of them is paid once per cell or per row of every
+//! table (a `Const` of 25 bytes would make every cell 40). The sizes are
+//! those of a 64-bit target.
+
+use aggprov::algebra::name::Name;
+use aggprov::krel::relation::Tuple;
+use aggprov::prelude::*;
+use std::mem::size_of;
+
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn per_row_types_keep_their_sizes() {
+    // A name is the `Arc<str>` it replaced, with up to 7 bytes in place.
+    assert_eq!(size_of::<Name>(), 16, "Name");
+    assert_eq!(size_of::<Var>(), 16, "Var");
+    // The name and a tag.
+    assert_eq!(size_of::<Const>(), 24, "Const");
+    assert_eq!(size_of::<Value<Prov>>(), 32, "Value<Prov>");
+    // A ground `ℕ[X]` (its term slice) held in the `Km` itself.
+    assert_eq!(size_of::<Prov>(), 24, "Prov");
+    assert_eq!(size_of::<Tuple<Value<Prov>>>(), 16, "Tuple<Value<Prov>>");
+}
