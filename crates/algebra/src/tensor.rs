@@ -21,13 +21,23 @@
 //!
 //! ## Representation
 //!
-//! The normal-form terms sit in one shared immutable slice
-//! (`Option<Arc<[(K, E)]>>`, as [`crate::poly::Poly`] keeps its own): the
-//! zero tensor holds no allocation, `clone` is a reference-count bump —
-//! an aggregate cell is copied by every `Tuple::project`, by `to_tensor`
-//! on a nested aggregate and twice into every comparison token — and
-//! `==`/`cmp` are the term sequence's, answered at once for two handles
-//! on the same storage.
+//! The normal-form terms sit in one shared immutable slice behind a thin
+//! handle, `Option<Arc<Box<[(K, E)]>>>`: the zero tensor holds no
+//! allocation, `clone` is a reference-count bump — an aggregate cell is
+//! copied by every `Tuple::project`, by `to_tensor` on a nested aggregate
+//! and twice into every comparison token — and `==`/`cmp` are the term
+//! sequence's, answered at once for two handles on the same storage.
+//!
+//! The handle is one pointer, not the fat `Arc<[_]>` (pointer and length)
+//! that [`crate::poly::Poly`] keeps, because a tensor is the payload of
+//! every cell's other variant: `Value::Agg(MonoidKind, Tensor)` is then a
+//! tag byte and 8 bytes, which rustc places in the bytes a `Const` leaves
+//! free, so a cell is exactly a `Const` (24 bytes, where 16 bytes of
+//! handle made it 32) and every base-table cell — which only ever holds a
+//! constant — stops paying for the tensor it could hold. The price is a
+//! second block per non-zero tensor (the `Arc` around the boxed slice)
+//! and one more pointer hop to read the terms, paid only by aggregate
+//! values. Safe Rust has no thin pointer to a slice in a single block.
 
 use crate::monoid::CommutativeMonoid;
 use crate::poly::{sort_combine, sum_run};
@@ -70,12 +80,23 @@ pub struct Tensor<K, E: Ord> {
     /// `(coefficient, element)` pairs: sorted by element, elements unique,
     /// no zero coefficients, no `0_M` elements. `None` is the zero tensor
     /// (no allocation); `Some` holds at least one term.
-    terms: Option<Arc<[(K, E)]>>,
+    terms: Option<Terms<K, E>>,
 }
+
+/// A tensor's shared term storage: an `Arc` around a boxed slice, so that
+/// the handle is one pointer (see the module docs).
+type Terms<K, E> = Arc<Box<[(K, E)]>>;
 
 impl<K, E: Ord> Tensor<K, E> {
     fn as_slice(&self) -> &[(K, E)] {
-        self.terms.as_deref().unwrap_or(&[])
+        self.terms.as_deref().map_or(&[], |terms| terms)
+    }
+
+    /// Wraps normal-form terms (at least one) in a shared handle.
+    fn from_normal(terms: Box<[(K, E)]>) -> Self {
+        Tensor {
+            terms: Some(Arc::new(terms)),
+        }
     }
 
     /// True iff both tensors are non-zero and hold the same term storage
@@ -124,12 +145,25 @@ impl<K: CommutativeSemiring, E: Ord + Clone + Hash + fmt::Debug> Tensor<K, E> {
         Tensor { terms: None }
     }
 
-    /// The simple tensor `k ⊗ m`, normalized.
+    /// The simple tensor `k ⊗ m`, normalized: what [`Tensor::from_terms`]
+    /// makes of the one term, built in its final block (no buffer to
+    /// shrink).
     pub fn simple<M>(m: &M, k: K, elem: E) -> Self
     where
         M: CommutativeMonoid<Elem = E>,
     {
-        Self::from_terms(m, [(k, elem)])
+        if k.is_zero() || elem == m.zero() {
+            return Self::zero();
+        }
+        let k = if m.is_idempotent() {
+            k.idem_normal()
+        } else {
+            k
+        };
+        if k.is_zero() {
+            return Self::zero();
+        }
+        Self::from_normal(Box::new([(k, elem)]))
     }
 
     /// The embedding `ι(m) = 1_K ⊗ m` of the monoid into `K ⊗ M`.
@@ -170,9 +204,10 @@ impl<K: CommutativeSemiring, E: Ord + Clone + Hash + fmt::Debug> Tensor<K, E> {
             }
             terms.retain(|(k, _)| !k.is_zero());
         }
-        Tensor {
-            terms: (!terms.is_empty()).then(|| Arc::from(terms)),
+        if terms.is_empty() {
+            return Self::zero();
         }
+        Self::from_normal(terms.into_boxed_slice())
     }
 
     /// True iff this is the zero tensor.

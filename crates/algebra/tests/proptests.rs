@@ -18,6 +18,7 @@ use aggprov_algebra::semiring::{
 };
 use aggprov_algebra::sn::Sn;
 use aggprov_algebra::tensor::{Tensor, TensorModule};
+use aggprov_core::Value;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -595,6 +596,14 @@ fn model_pairs(pairs: impl IntoIterator<Item = (Var, u32)>) -> Pairs {
     by_var.into_iter().filter(|(_, e)| *e > 0).collect()
 }
 
+/// The model of a `Value<NatPoly>` cell: the same variants, with the term
+/// vector where the tensor handle is.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+enum CellModel {
+    Const(Const),
+    Agg(MonoidKind, Vec<(NatPoly, Const)>),
+}
+
 fn hash_of(value: &impl std::hash::Hash) -> u64 {
     use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
     BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
@@ -643,23 +652,54 @@ proptest! {
 
     #[test]
     fn tensor_orders_hashes_and_shares_as_its_term_vector(
-        a in prop::collection::vec((arb_natpoly(), -1i64..3), 0..4),
-        b in prop::collection::vec((arb_natpoly(), -1i64..3), 0..4),
+        a in prop::collection::vec((arb_natpoly(), -1i64..3), 0..6),
+        b in prop::collection::vec((arb_natpoly(), -1i64..3), 0..6),
+        same_terms in any::<bool>(),
+        cells in ((any::<bool>(), -1i64..3), (any::<bool>(), -1i64..3)),
     ) {
         let consts = |terms: Vec<(NatPoly, i64)>| -> Vec<(NatPoly, Const)> {
             terms.into_iter().map(|(k, v)| (k, Const::int(v))).collect()
         };
-        let (a, b) = (consts(a), consts(b));
-        for m in [MonoidKind::Sum, MonoidKind::Max] {
-            let (ta, tb) = (Tensor::from_terms(&m, a.clone()), Tensor::from_terms(&m, b.clone()));
-            let (va, vb) = (model_tensor(&m, &a), model_tensor(&m, &b));
+        // Zero, one and several terms on each side; equal term vectors in
+        // distinct storage when `same_terms`.
+        let a = consts(a);
+        let b = if same_terms { a.clone() } else { consts(b) };
+        let kinds = [MonoidKind::Sum, MonoidKind::Max];
+        for (ma, mb) in kinds.into_iter().flat_map(|ma| kinds.map(|mb| (ma, mb))) {
+            let (ta, tb) = (Tensor::from_terms(&ma, a.clone()), Tensor::from_terms(&mb, b.clone()));
+            let (va, vb) = (model_tensor(&ma, &a), model_tensor(&mb, &b));
             prop_assert_eq!(ta.cmp(&tb), va.cmp(&vb));
             prop_assert_eq!(ta == tb, va == vb);
             prop_assert_eq!(hash_of(&ta), hash_of(&va));
-            // A clone is the same storage; the zero tensor holds none.
+            // `simple` builds one term in place: it must normalize as the
+            // general path does (zero coefficient, `0_M`, `idem_normal`).
+            if let [(k, e)] = a.as_slice() {
+                prop_assert_eq!(&Tensor::simple(&ma, k.clone(), e.clone()), &ta);
+            }
+            // A clone is the same storage; the zero tensor holds none, and
+            // two builds of one term vector are equal without sharing.
             prop_assert_eq!(ta.clone().shares_terms_with(&ta), !va.is_empty());
+            prop_assert!(!ta.shares_terms_with(&tb));
             prop_assert_eq!(ta.is_zero(), va.is_empty());
             prop_assert!(ta.clone() == ta && ta.clone().cmp(&ta).is_eq());
+            // As a cell: a constant or the tagged tensor, ordered, compared
+            // and hashed as its `(variant, kind, term vector)` model, and
+            // cloned by sharing the terms.
+            let cell = |(agg, c): (bool, i64), kind, t: &Tensor<NatPoly, Const>, v: &Vec<_>| {
+                if agg {
+                    (Value::Agg(kind, t.clone()), CellModel::Agg(kind, v.clone()))
+                } else {
+                    (Value::Const(Const::int(c)), CellModel::Const(Const::int(c)))
+                }
+            };
+            let (ca, cma) = cell(cells.0, ma, &ta, &va);
+            let (cb, cmb) = cell(cells.1, mb, &tb, &vb);
+            prop_assert_eq!(ca.cmp(&cb), cma.cmp(&cmb));
+            prop_assert_eq!(ca == cb, cma == cmb);
+            prop_assert_eq!((hash_of(&ca), hash_of(&cb)), (hash_of(&cma), hash_of(&cmb)));
+            if let (Value::Agg(_, copy), Value::Agg(_, t)) = (ca.clone(), &ca) {
+                prop_assert_eq!(copy.shares_terms_with(t), !va.is_empty());
+            }
         }
     }
 }

@@ -154,8 +154,8 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // A base table of the benchmark's `emp` shape, three integers and a
     // `p<i>` token a row, loaded through `Relation::insert`: the row
     // vector, its tuple and the token's term slice, 3.004 allocations and
-    // 208.2 bytes a row (4.004 and 232.2 with each name in a block of its
-    // own).
+    // 184.2 bytes a row (208.2 while a cell was 32 bytes, 232.2 with each
+    // name in a block of its own besides).
     let names: Vec<String> = (0..LOAD).map(|i| format!("p{i}")).collect();
     let schema = Schema::new(["emp", "dept", "sal"]).unwrap();
     let (table, live, allocations, _) = measured(|| {
@@ -168,7 +168,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     });
     assert_eq!(table.len(), LOAD);
     assert!(
-        allocations * 100 <= LOAD * 301 && live as usize <= 212 * LOAD,
+        allocations * 100 <= LOAD * 301 && live as usize <= 188 * LOAD,
         "{LOAD} emp rows inserted: {allocations} allocations, {live} bytes"
     );
     drop((table, names));
@@ -221,6 +221,27 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         measured(|| (tensor.clone(), Tensor::<Prov, Const>::zero()));
     assert_eq!(allocations, 0, "tensor clone/zero must not allocate");
     assert!(copy.len() == 3 && copy.shares_terms_with(&tensor) && zero.is_zero());
+    // A non-zero tensor is two blocks, its term slice and the handle's
+    // `Arc` around it: a simple tensor `k⊗m` is built in them directly,
+    // normal-form terms are boxed where they lie, and a copy of either is
+    // a reference-count bump.
+    let kind = MonoidKind::Sum;
+    let k = annotations[0].clone();
+    let (simple, _, allocations, _) = measured(|| Tensor::simple(&kind, k, Const::int(20)));
+    assert!(allocations <= 2, "k⊗20: {allocations} allocations");
+    let terms: Vec<_> = annotations[..3]
+        .iter()
+        .cloned()
+        .zip([10, 20, 30].map(Const::int))
+        .collect();
+    let (tensor, _, allocations, _) = measured(|| Tensor::<Prov, Const>::from_terms(&kind, terms));
+    assert!(
+        allocations <= 2,
+        "a 3-term tensor: {allocations} allocations"
+    );
+    let ((a, b), _, allocations, _) = measured(|| (simple.clone(), tensor.clone()));
+    assert_eq!(allocations, 0, "tensor clone must not allocate");
+    assert!(a.shares_terms_with(&simple) && b.shares_terms_with(&tensor) && b.len() == 3);
 
     // (b) The k-way Σ of ground operands is `ℕ[X]`'s own, and cloning a
     // surviving term's one-token monomial is a reference-count bump: what

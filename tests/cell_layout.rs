@@ -3,10 +3,12 @@
 //! A base row is one `Tuple` (a shared slice of `Value` cells) and one
 //! `Prov` annotation, and each cell holds a `Const` or an aggregate, so
 //! one more byte in any of them is paid once per cell or per row of every
-//! table (a `Const` of 25 bytes would make every cell 40). The sizes are
-//! those of a 64-bit target.
+//! table (a `Const` of 25 bytes would make every cell 40, and so would a
+//! `Tensor` of 16: its payload then no longer fits around `Const`'s tag).
+//! The sizes are those of a 64-bit target.
 
 use aggprov::algebra::name::Name;
+use aggprov::core::km::Atom;
 use aggprov::krel::relation::Tuple;
 use aggprov::prelude::*;
 use std::mem::size_of;
@@ -19,7 +21,13 @@ fn per_row_types_keep_their_sizes() {
     assert_eq!(size_of::<Var>(), 16, "Var");
     // The name and a tag.
     assert_eq!(size_of::<Const>(), 24, "Const");
-    assert_eq!(size_of::<Value<Prov>>(), 32, "Value<Prov>");
+    // One thin pointer: an aggregate cell's payload is a monoid tag and
+    // this handle, which fit in the bytes a `Const` leaves free, so a cell
+    // is a `Const` with no tag of its own.
+    assert_eq!(size_of::<Tensor<Prov, Const>>(), 8, "Tensor<Prov, Const>");
+    assert_eq!(size_of::<Value<Prov>>(), 24, "Value<Prov>");
+    // A comparison token's atom holds two tensors.
+    assert_eq!(size_of::<Atom<NatPoly>>(), 40, "Atom<NatPoly>");
     // A ground `ℕ[X]` (its term slice) held in the `Km` itself.
     assert_eq!(size_of::<Prov>(), 24, "Prov");
     assert_eq!(size_of::<Tuple<Value<Prov>>>(), 16, "Tuple<Value<Prov>>");
