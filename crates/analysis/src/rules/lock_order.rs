@@ -47,7 +47,6 @@ fn lock_scope(path: &str) -> bool {
                 | "crates/krel/src/batch.rs"
                 | "crates/krel/src/typed.rs"
                 | "crates/engine/src/exec.rs"
-                | "crates/engine/src/phys.rs"
                 | "crates/engine/src/opt.rs"
                 | "crates/engine/src/view.rs"
         )

@@ -29,7 +29,6 @@ use crate::ast::{ColType, Lit, Stmt};
 use crate::exec::execute_plan;
 use crate::opt::{self, Catalog};
 use crate::parser::parse_script;
-use crate::phys::PhysNode;
 use crate::plan::{lower_query, Plan};
 use crate::result::ResultSet;
 use aggprov_algebra::domain::Const;
@@ -133,10 +132,8 @@ impl<A: AggAnnotation> EpochTables<A> {
 struct CachedStatement {
     /// The lowered logical plan, pre-optimization.
     logical: Arc<Plan>,
-    /// The optimized logical plan.
+    /// The optimized logical plan — what executes.
     optimized: Arc<Plan>,
-    /// The physical plan lowered from the optimized plan.
-    phys: Arc<PhysNode>,
     /// The number of `$n` slots.
     param_count: usize,
     /// The `(table, version)` states the optimizer snapshot was taken
@@ -449,9 +446,12 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
                     );
                 }
                 Stmt::DropTable { name } => {
-                    self.tables_mut()
-                        .remove(&name)
-                        .ok_or_else(|| RelError::UnknownAttr(format!("table `{name}`")))?;
+                    // Checked against the current epoch: a failed DROP
+                    // must not publish a new one.
+                    if !self.epoch.tables.contains_key(&name) {
+                        return Err(RelError::UnknownAttr(format!("table `{name}`")));
+                    }
+                    self.tables_mut().remove(&name);
                     self.cache.invalidate_table(&name);
                     view::break_dependents(self, &name, "base table dropped");
                 }
@@ -465,7 +465,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
                     view::maintain_after_insert(self, &table, row, ann)?;
                 }
                 Stmt::Query(q) => {
-                    // The same lower→optimize→phys pipeline as prepare()
+                    // The same lower→optimize pipeline as prepare()
                     // (scripts have no SQL-text key per statement, so the
                     // plan cache does not apply here).
                     let stmt = self.plan_query(&q)?;
@@ -476,7 +476,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
                     }
                     last = Some(execute_plan(
                         self,
-                        &stmt.phys,
+                        &stmt.optimized,
                         &[],
                         0,
                         &ExecOptions::from_env()?,
@@ -489,10 +489,10 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
 
     /// Prepares a query: parses, lowers to the logical-plan IR, resolves
     /// and validates every name, runs the semiring-sound optimizer
-    /// ([`crate::opt`]) against a snapshot of the current catalog, and
-    /// lowers the optimized plan to its physical form — once. The
-    /// returned [`Prepared`] can be executed any number of times (with
-    /// different `$n` parameters) without re-parsing or re-resolving.
+    /// ([`crate::opt`]) against a snapshot of the current catalog — once.
+    /// The returned [`Prepared`] executes the optimized plan any number
+    /// of times (with different `$n` parameters) without re-parsing or
+    /// re-resolving.
     ///
     /// Plans are cached by SQL text: preparing the same statement again
     /// (before a mutation of any table it scans) is a lookup, not a
@@ -515,12 +515,11 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
     }
 
     /// The shared planning pipeline behind [`prepare`](Database::prepare)
-    /// and [`exec`](Database::exec): lower, optimize against the
-    /// plan-restricted catalog snapshot, lower to physical form.
+    /// and [`exec`](Database::exec): lower, then optimize against the
+    /// plan-restricted catalog snapshot.
     fn plan_query(&self, q: &crate::ast::Query) -> Result<CachedStatement> {
         let lowered = lower_query(self, q)?;
         let optimized = opt::optimize(&lowered.plan, &Catalog::of_plan(self, &lowered.plan));
-        let phys = crate::phys::lower(&optimized)?;
         let deps: Vec<(String, u64)> = lowered
             .plan
             .scanned_tables()
@@ -530,7 +529,6 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
         Ok(CachedStatement {
             logical: Arc::new(lowered.plan),
             optimized: Arc::new(optimized),
-            phys: Arc::new(phys),
             param_count: lowered.param_count,
             deps: deps.into(),
         })
@@ -544,14 +542,12 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
     pub fn prepare_unoptimized(&self, sql: &str) -> Result<Prepared<'_, A>> {
         let q = crate::parser::parse_query(sql)?;
         let lowered = lower_query(self, &q)?;
-        let phys = crate::phys::lower(&lowered.plan)?;
         let logical = Arc::new(lowered.plan);
         Ok(Prepared {
             db: self,
             stmt: CachedStatement {
                 optimized: logical.clone(),
                 logical,
-                phys: Arc::new(phys),
                 param_count: lowered.param_count,
                 deps: Arc::from(Vec::new()),
             },
@@ -607,13 +603,14 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
             .tables
             .get(table)
             .ok_or_else(|| RelError::UnknownAttr(format!("table `{table}`")))?;
+        let arity = entry.rel.schema().arity();
+        if values.len() != arity {
+            return Err(RelError::ArityMismatch {
+                expected: arity,
+                got: values.len(),
+            });
+        }
         if let Some(types) = &entry.types {
-            if types.len() != values.len() {
-                return Err(RelError::ArityMismatch {
-                    expected: types.len(),
-                    got: values.len(),
-                });
-            }
             for (lit, ty) in values.iter().zip(types) {
                 let ok = matches!(
                     (lit, ty),
@@ -652,16 +649,17 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
     }
 }
 
-/// A prepared query: the logical plan with all names resolved — plus its
-/// lowered physical form — bound to the database it was prepared against.
+/// A prepared query: the logical plan with all names resolved, and its
+/// optimized form, bound to the database it was prepared against.
 ///
-/// Executing a `Prepared` drives the physical pipeline lowered from the
-/// stored [`Plan`] at prepare time — no re-parsing, no re-resolution, no
-/// per-execution position lookups. Because it borrows the database
-/// immutably, the catalog cannot change under a live prepared statement
-/// (the borrow checker enforces what other engines need epoch counters
-/// for). For an owned handle that outlives the borrow — the serving
-/// layer's session model — see [`DbSnapshot::prepare`].
+/// Executing a `Prepared` runs the optimized [`Plan`] — no re-parsing and
+/// no re-resolution of SQL identifiers; a join key or `AVG` part maps to
+/// its column position by one scan of a node's schema. Because it
+/// borrows the database immutably, the catalog cannot change under a
+/// live prepared statement (the borrow checker enforces what other
+/// engines need epoch counters for). For an owned handle that outlives
+/// the borrow — the serving layer's session model — see
+/// [`DbSnapshot::prepare`].
 ///
 /// ```
 /// use aggprov_engine::ProvDb;
@@ -703,7 +701,7 @@ fn execute_stmt<A: AggAnnotation + ParseAnnotation>(
     }
     Ok(ResultSet::from_relation(execute_plan(
         db,
-        &stmt.phys,
+        &stmt.optimized,
         params,
         stmt.param_count,
         opts,

@@ -49,7 +49,6 @@ pub mod exec;
 pub mod lexer;
 pub mod opt;
 pub mod parser;
-pub(crate) mod phys;
 pub mod plan;
 pub mod result;
 
@@ -369,6 +368,40 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_insert_keeps_the_epoch() {
+        // A registered table declares no column types: arity is all there
+        // is to check, and it must be checked before anything is copied,
+        // stamped or re-versioned.
+        let mut db = ProvDb::new();
+        let rel = aggprov_krel::relation::Relation::from_rows(
+            aggprov_krel::schema::Schema::new(["a", "b"]).unwrap(),
+            [(
+                vec![Value::int(1), Value::int(2)],
+                Km::embed(NatPoly::token("p1")),
+            )],
+        )
+        .unwrap();
+        db.register("t", rel);
+        let before = db.prepare("SELECT a FROM t").unwrap().plan() as *const Plan;
+        let epoch = db.epoch();
+        let err = db.exec("INSERT INTO t VALUES (1)").unwrap_err();
+        assert!(matches!(err, RelError::ArityMismatch { .. }), "{err:?}");
+        assert_eq!(db.epoch(), epoch);
+        // The table kept its version, so the cached plan is still served.
+        let after = db.prepare("SELECT a FROM t").unwrap().plan() as *const Plan;
+        assert!(std::ptr::eq(before, after));
+    }
+
+    #[test]
+    fn a_failed_drop_keeps_the_epoch() {
+        let mut db = figure_1_db();
+        let epoch = db.epoch();
+        let err = db.exec("DROP TABLE missing").unwrap_err();
+        assert!(matches!(err, RelError::UnknownAttr(_)), "{err:?}");
+        assert_eq!(db.epoch(), epoch);
+    }
+
+    #[test]
     fn hostile_depth_is_a_typed_error_not_a_stack_overflow() {
         // Each statement is a few hundred KB of valid SQL; unbounded
         // recursion (parser, lowering, `Drop`) overflowed the stack of a
@@ -417,6 +450,16 @@ mod tests {
                 vec!["a = 1"; 16].join(" AND ")
             );
             assert_eq!(db.query(&ok).unwrap().len(), 1);
+            // The deepest conjunction `lower_query` accepts (one conjunct
+            // more is refused) prepares and executes: the executor runs
+            // the stacked filters in one frame.
+            let deepest = format!(
+                "SELECT a FROM r WHERE {}",
+                vec!["a = 1"; plan::MAX_PLAN_DEPTH - 3].join(" AND ")
+            );
+            assert_eq!(db.query(&deepest).unwrap().len(), 1);
+            let literal = db.prepare_unoptimized(&deepest).unwrap();
+            assert_eq!(literal.execute().unwrap().len(), 1);
         };
         std::thread::Builder::new()
             .stack_size(2 << 20)

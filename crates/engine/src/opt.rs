@@ -1,5 +1,5 @@
 //! The plan optimizer: semiring-sound rewrites between [`Plan`] lowering
-//! and physical lowering.
+//! and execution.
 //!
 //! Classic relational rewrites are **not** free under the paper's extended
 //! semantics: a rewrite may only fire if it provably preserves the output
@@ -30,14 +30,19 @@
 //! * **Predicate pushdown** (`push_filters`): a `Filter` whose column
 //!   operands are all statically ground moves through `Derived` renames,
 //!   `Project` (operand positions remapped across the projection map),
-//!   other `Filter`s, and into the matching side of `Product`/`Join`.
+//!   and into the matching side of `Product`/`Join`.
 //!   It never crosses `Aggregate`, `AddUnitColumn`, or `SetOp`: those
 //!   operators sum annotations *across* rows (δ-groups, unit counting,
 //!   union/difference cross terms), so selection before and after them
-//!   are genuinely different queries. Predicates over possibly-symbolic
-//!   columns (e.g. a `HAVING` over an aggregate output) never move —
-//!   their tokens multiply into annotations and multiplication order is
-//!   part of the recorded provenance expression.
+//!   are genuinely different queries. Nor does it cross another
+//!   `Filter`: annotations would not change, but stacked conjuncts keep
+//!   the order they were written in, because the order decides which
+//!   rows reach an ordering comparison across types — swapped, the
+//!   optimized plan could fail with a `TypeError` where the literal plan
+//!   returns rows, or the other way round. Predicates over
+//!   possibly-symbolic columns (e.g. a `HAVING` over an aggregate output)
+//!   never move — their tokens multiply into annotations and
+//!   multiplication order is part of the recorded provenance expression.
 //! * **Join/product reordering** (`reorder_joins`): a maximal
 //!   `Join`/`Product` chain whose every input is statically fully ground
 //!   is re-sequenced greedily by estimated cardinality (smallest
@@ -54,9 +59,8 @@
 //!   `Derived` node and the executor shares the input's tuple store
 //!   instead of rebuilding it. Over a possibly-symbolic input the same
 //!   projection carries cross-row token terms and is left alone.
-//! * **Filter fusion** happens one layer down, at physical lowering
-//!   (`phys::lower`): stacked `Filter` nodes become one physical node
-//!   narrowing a single selection vector.
+//! * **Stacked filters** need no rewrite: the executor runs a chain of
+//!   `Filter` nodes in one frame, narrowing a single selection vector.
 //!
 //! Equivalence is enforced the way PR 2–4 enforced their layers:
 //! property tests assert optimized plans are bit-identical to
@@ -168,7 +172,7 @@ fn symbolic_cols(plan: &Plan, catalog: &Catalog) -> Vec<bool> {
         Plan::Project { input, columns, .. } => {
             // An out-of-range position can only come from a malformed
             // hand-built plan; flagging it symbolic vetoes every rewrite,
-            // so the plan passes through for phys::lower to reject.
+            // so the plan passes through for execution to reject.
             let inner = symbolic_cols(input, catalog);
             columns
                 .iter()
@@ -366,15 +370,6 @@ fn push_into(input: Plan, pred: Predicate, catalog: &Catalog) -> Plan {
         };
     }
     match input {
-        // A ground filter commutes with any other filter: it only drops
-        // rows, so k·tok products of the stationary filter are untouched.
-        Plan::Filter {
-            input: inner,
-            pred: stay,
-        } => Plan::Filter {
-            input: Box::new(push_into(*inner, pred, catalog)),
-            pred: stay,
-        },
         // A derived-table rename does not move columns: descend as is.
         Plan::Derived {
             input: inner,
@@ -416,83 +411,64 @@ fn push_into(input: Plan, pred: Predicate, catalog: &Catalog) -> Plan {
                 schema,
             }
         }
-        // Into the matching side of a product/join; predicates straddling
-        // both sides stay above the node.
         Plan::Product {
             left,
             right,
             schema,
-        } => {
-            let la = left.schema().arity();
-            let cols = pred_cols(&pred);
-            if cols.iter().all(|c| *c < la) {
-                Plan::Product {
-                    left: Box::new(push_into(*left, pred, catalog)),
-                    right,
-                    schema,
-                }
-            } else if cols.iter().all(|c| *c >= la) {
-                let remapped = remap_pred(&pred, |i| i - la);
-                Plan::Product {
-                    left,
-                    right: Box::new(push_into(*right, remapped, catalog)),
-                    schema,
-                }
-            } else {
-                Plan::Filter {
-                    input: Box::new(Plan::Product {
-                        left,
-                        right,
-                        schema,
-                    }),
-                    pred,
-                }
-            }
-        }
+        } => push_beside(left, right, pred, catalog, |left, right| Plan::Product {
+            left,
+            right,
+            schema,
+        }),
         Plan::Join {
             left,
             right,
             on,
             schema,
-        } => {
-            let la = left.schema().arity();
-            let cols = pred_cols(&pred);
-            if cols.iter().all(|c| *c < la) {
-                Plan::Join {
-                    left: Box::new(push_into(*left, pred, catalog)),
-                    right,
-                    on,
-                    schema,
-                }
-            } else if cols.iter().all(|c| *c >= la) {
-                let remapped = remap_pred(&pred, |i| i - la);
-                Plan::Join {
-                    left,
-                    right: Box::new(push_into(*right, remapped, catalog)),
-                    on,
-                    schema,
-                }
-            } else {
-                Plan::Filter {
-                    input: Box::new(Plan::Join {
-                        left,
-                        right,
-                        on,
-                        schema,
-                    }),
-                    pred,
-                }
-            }
-        }
+        } => push_beside(left, right, pred, catalog, |left, right| Plan::Join {
+            left,
+            right,
+            on,
+            schema,
+        }),
         // The hard boundaries: Aggregate, AddUnitColumn and SetOp sum
         // annotations across rows — selection before ≠ selection after.
+        // A Filter is a boundary too: stacked conjuncts keep their
+        // written order, which decides the rows an ordering comparison
+        // across types sees, and so whether the query errors.
         boundary @ (Plan::Scan { .. }
+        | Plan::Filter { .. }
         | Plan::AddUnitColumn { .. }
         | Plan::Aggregate { .. }
         | Plan::SetOp { .. }) => Plan::Filter {
             input: Box::new(boundary),
             pred,
         },
+    }
+}
+
+/// Pushes `pred` into the side of a product or join (rebuilt by `node`)
+/// whose columns it reads; a predicate straddling both sides stays above
+/// the node.
+fn push_beside(
+    left: Box<Plan>,
+    right: Box<Plan>,
+    pred: Predicate,
+    catalog: &Catalog,
+    node: impl FnOnce(Box<Plan>, Box<Plan>) -> Plan,
+) -> Plan {
+    let la = left.schema().arity();
+    let cols = pred_cols(&pred);
+    if cols.iter().all(|c| *c < la) {
+        node(Box::new(push_into(*left, pred, catalog)), right)
+    } else if cols.iter().all(|c| *c >= la) {
+        let remapped = remap_pred(&pred, |i| i - la);
+        node(left, Box::new(push_into(*right, remapped, catalog)))
+    } else {
+        Plan::Filter {
+            input: Box::new(node(left, right)),
+            pred,
+        }
     }
 }
 
@@ -1186,7 +1162,7 @@ mod tests {
         // A hand-built plan with out-of-range column positions must flow
         // through the optimizer unrewritten (out-of-range counts as
         // symbolic, vetoing every rule) and surface as an error at
-        // physical lowering or execution — never as a panic here.
+        // execution — never as a panic here.
         let db = db();
         let scan = lower_query(&db, &parse_query("SELECT b, a FROM big").unwrap())
             .unwrap()

@@ -24,6 +24,7 @@ use crate::database::Database;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_core::annotation::AggAnnotation;
+use aggprov_core::ops::AggSpec;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::schema::Schema;
 
@@ -35,11 +36,12 @@ fn unsup(msg: impl Into<String>) -> RelError {
 pub(crate) const ONE_COL: &str = "__one";
 
 /// The deepest plan [`lower_query`] builds, in operators stacked on one
-/// root-to-leaf path. Optimization, physical lowering, execution and
-/// `Drop` all recurse once per level, so without a cap one statement of
-/// `AND` conjuncts, joined tables, `UNION` arms or nested derived tables
-/// overflows the stack and aborts the process. Sized so the deepest
-/// accepted plan runs well inside a 2 MiB thread stack in a release build.
+/// root-to-leaf path. Optimization, execution and `Drop` all recurse
+/// once per level (execution runs a chain of stacked filters in one
+/// frame), so without a cap one statement of `AND` conjuncts, joined
+/// tables, `UNION` arms or nested derived tables overflows the stack and
+/// aborts the process. Sized so the deepest accepted plan runs well
+/// inside a 2 MiB thread stack in a release build.
 pub const MAX_PLAN_DEPTH: usize = 512;
 
 /// A resolved operand of a [`Predicate`]: a column position, a constant, or
@@ -74,6 +76,17 @@ pub struct PlanAgg {
     pub attr: String,
     /// The output column name.
     pub out: String,
+}
+
+impl PlanAgg {
+    /// The borrowed spec the aggregation operators take.
+    pub(crate) fn spec(&self) -> AggSpec<'_> {
+        AggSpec {
+            kind: self.kind,
+            attr: &self.attr,
+            out: &self.out,
+        }
+    }
 }
 
 /// An `AVG` output computed from its SUM/COUNT parts after aggregation.

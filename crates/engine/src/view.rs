@@ -8,7 +8,7 @@
 //!
 //! - `INSERT` builds a one-row delta database (the scanned table replaced
 //!   by just the new row, every other table at its current state) and runs
-//!   the stored physical plan over it. Because every incremental plan
+//!   the stored optimized plan over it. Because every incremental plan
 //!   scans each base table at most once, the plan is *linear* in that
 //!   table's annotations — `P(T + Δ) = P(T) + P(Δ)` — so the delta result
 //!   merges additively into the view.
@@ -48,10 +48,8 @@ use super::{
 };
 use crate::annot::ParseAnnotation;
 use crate::exec::execute_plan;
-use crate::phys::{self, PhysNode};
 use crate::plan::{Plan, PlanAgg};
 use crate::result::{deleted_vars, deletion_hom};
-use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_core::annotation::AggAnnotation;
@@ -76,35 +74,17 @@ pub enum MaintenanceStrategy {
     Recompute,
 }
 
-/// One aggregate spec with owned names (the plan outlives no borrow).
-#[derive(Clone, Debug)]
-struct OwnedAgg {
-    kind: MonoidKind,
-    attr: String,
-    out: String,
-}
-
-impl OwnedAgg {
-    fn as_spec(&self) -> AggSpec<'_> {
-        AggSpec {
-            kind: self.kind,
-            attr: &self.attr,
-            out: &self.out,
-        }
-    }
-}
-
 /// The retained delta-maintenance machinery of one grouped-aggregation
 /// view.
 #[derive(Clone, Debug)]
 struct AggState<A: AggAnnotation> {
-    /// The physical plan of the `Aggregate` node's input subtree: the
+    /// The `Aggregate` node's input subtree of the optimized plan: the
     /// delta pipeline (one table swapped for the delta row) runs this.
-    input_phys: Arc<PhysNode>,
+    input: Arc<Plan>,
     /// The resolved grouping column names (in the input schema).
     group_by: Vec<String>,
     /// The aggregate computations, in state-column order.
-    aggs: Vec<OwnedAgg>,
+    aggs: Vec<PlanAgg>,
     /// For each view output column, the position it reads in the collapsed
     /// aggregate row (the composed root projection; retains every key).
     out_cols: Vec<usize>,
@@ -117,7 +97,7 @@ impl<A: AggAnnotation> AggState<A> {
     /// Folds a delta of the aggregate's input into the group state.
     fn fold(&mut self, delta: &MKRel<A>) -> Result<()> {
         let group_refs: Vec<&str> = self.group_by.iter().map(|s| s.as_str()).collect();
-        let specs: Vec<AggSpec<'_>> = self.aggs.iter().map(|a| a.as_spec()).collect();
+        let specs: Vec<AggSpec<'_>> = self.aggs.iter().map(PlanAgg::spec).collect();
         let placeholder = Relation::empty(self.state.schema().clone());
         let taken = std::mem::replace(&mut self.state, placeholder);
         self.state = ops::group_state_update(taken, delta, &group_refs, &specs)?;
@@ -141,8 +121,8 @@ enum Maint<A: AggAnnotation> {
 pub(crate) struct ViewEntry<A: AggAnnotation> {
     /// The defining SQL (re-planned on [`Database::register`] refreshes).
     sql: String,
-    /// The full physical plan (the recomputation path).
-    phys: Arc<PhysNode>,
+    /// The full optimized plan (the recomputation path).
+    plan: Arc<Plan>,
     /// The base tables the view reads — its invalidation footprint.
     deps: Arc<[String]>,
     /// The maintenance machinery chosen at materialization time.
@@ -301,22 +281,14 @@ fn classify<A: AggAnnotation + ParseAnnotation>(
     let Some(sk) = agg_skeleton(optimized) else {
         return Ok(Maint::Recompute);
     };
-    let aggs: Vec<OwnedAgg> = sk
-        .aggs
-        .iter()
-        .map(|a| OwnedAgg {
-            kind: a.kind,
-            attr: a.attr.clone(),
-            out: a.out.clone(),
-        })
-        .collect();
+    let aggs = sk.aggs.to_vec();
     for g in sk.group_by {
         sk.input.schema().index_of(g)?;
     }
     let keys = sk.group_by.iter().map(String::as_str);
     let state_schema = Schema::new(keys.chain(aggs.iter().map(|a| a.out.as_str())))?;
     Ok(Maint::Agg(AggState {
-        input_phys: Arc::new(phys::lower(sk.input)?),
+        input: Arc::new(sk.input.clone()),
         group_by: sk.group_by.to_vec(),
         aggs,
         out_cols: sk.out_cols,
@@ -347,13 +319,13 @@ fn build<A: AggAnnotation + ParseAnnotation>(
 ) -> Result<(Maint<A>, MKRel<A>)> {
     let mut maint = classify(db, &stmt.optimized)?;
     let rel = match &mut maint {
-        Maint::Recompute | Maint::Spj => execute_plan(db, &stmt.phys, &[], 0, opts)?,
+        Maint::Recompute | Maint::Spj => execute_plan(db, &stmt.optimized, &[], 0, opts)?,
         Maint::Agg(agg) => {
-            let input = execute_plan(db, &agg.input_phys, &[], 0, opts)?;
+            let input = execute_plan(db, &agg.input, &[], 0, opts)?;
             agg.fold(&input)?;
             let rel = render_view(agg, stmt.optimized.schema())?;
             debug_assert!(
-                execute_plan(db, &stmt.phys, &[], 0, opts).is_ok_and(|full| full == rel),
+                execute_plan(db, &stmt.optimized, &[], 0, opts).is_ok_and(|full| full == rel),
                 "the rendered group state is not the executor's result"
             );
             rel
@@ -453,11 +425,11 @@ fn apply_insert<A: AggAnnotation + ParseAnnotation>(
 ) -> Result<()> {
     match &mut entry.maint {
         Maint::Recompute => {
-            entry.rel = execute_plan(db, &entry.phys, &[], 0, opts)?;
+            entry.rel = execute_plan(db, &entry.plan, &[], 0, opts)?;
         }
         Maint::Spj => {
             let d = delta_db(db, table, row, ann)?;
-            let delta = execute_plan(&d, &entry.phys, &[], 0, opts)?;
+            let delta = execute_plan(&d, &entry.plan, &[], 0, opts)?;
             // Additive merge: `Relation::add` sums annotations of equal
             // tuples and drops zero rows — exactly bag-semiring union.
             for (t, k) in delta.iter() {
@@ -466,7 +438,7 @@ fn apply_insert<A: AggAnnotation + ParseAnnotation>(
         }
         Maint::Agg(agg) => {
             let d = delta_db(db, table, row, ann)?;
-            let delta = execute_plan(&d, &agg.input_phys, &[], 0, opts)?;
+            let delta = execute_plan(&d, &agg.input, &[], 0, opts)?;
             if !delta.is_empty() {
                 // The touched group keys, projected out of the delta rows.
                 let mut gidx = Vec::with_capacity(agg.group_by.len());
@@ -573,7 +545,7 @@ fn rematerialize<A: AggAnnotation + ParseAnnotation>(
     let opts = ExecOptions::from_env()?;
     let (maint, rel) = build(db, &stmt, &opts)?;
     let deps: Vec<String> = stmt.logical.scanned_tables().into_iter().collect();
-    entry.phys = stmt.phys;
+    entry.plan = stmt.optimized;
     entry.deps = deps.into();
     entry.maint = maint;
     entry.rel = rel;
@@ -628,7 +600,7 @@ impl<A: AggAnnotation + ParseAnnotation> Database<A> {
         let deps: Vec<String> = stmt.logical.scanned_tables().into_iter().collect();
         let entry = ViewEntry {
             sql: sql.to_string(),
-            phys: stmt.phys,
+            plan: stmt.optimized,
             deps: deps.into(),
             maint,
             rel,
@@ -769,7 +741,7 @@ fn apply_delete(
 ) -> Result<()> {
     match &mut entry.maint {
         Maint::Recompute => {
-            entry.rel = execute_plan(db, &entry.phys, &[], 0, opts)?;
+            entry.rel = execute_plan(db, &entry.plan, &[], 0, opts)?;
         }
         Maint::Spj => {
             // The plan is linear in base annotations and all cells are

@@ -1,6 +1,6 @@
 //! End-to-end property tests for the engine's columnar batch pipeline:
-//! prepared queries executed through the physical-plan driver
-//! (Scan → Filter → Project → HashJoin chunks, Aggregate/SetOp breakers)
+//! prepared queries executed through the plan executor
+//! (Scan → Filter → Project → Join chunks, Aggregate/SetOp breakers)
 //! must be **bit-identical** to hand-composed `specops` oracles over
 //! mixed ground/symbolic inputs, at `threads ∈ {1, 4}`.
 //!

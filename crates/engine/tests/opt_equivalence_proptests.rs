@@ -400,3 +400,51 @@ fn parameterized_statements_cache_and_rebind() {
     assert_eq!(s1.execute_with(&[Const::int(10)]).unwrap().len(), 1);
     assert_eq!(s2.execute_with(&[Const::int(99)]).unwrap().len(), 0);
 }
+
+/// Stacked conjuncts keep their written order in the optimized plan: the
+/// order decides which rows reach an ordering comparison across types
+/// (`dept < 5` compares text with a number and fails on any row it sees),
+/// so the optimized and literal plans must agree on `Ok` versus `Err` —
+/// and on the rows, when both succeed — at either thread count.
+#[test]
+fn stacked_conjuncts_fail_or_succeed_as_written() {
+    let mut db = ProvDb::new();
+    db.exec(
+        "CREATE TABLE r (emp NUM, dept TEXT, sal NUM);
+         INSERT INTO r VALUES (1, 'd1', 20) PROVENANCE p1;
+         INSERT INTO r VALUES (2, 'd2', 30) PROVENANCE p2;",
+    )
+    .unwrap();
+    // No row has `sal > 1000`: written first, it leaves `dept < 5` no
+    // rows to fail on.
+    let cases = [
+        ("SELECT emp FROM r WHERE sal > 1000 AND dept < 5", true),
+        ("SELECT emp FROM r WHERE dept < 5 AND sal > 1000", false),
+        (
+            "SELECT q.e FROM (SELECT emp AS e, dept AS d FROM r WHERE sal > 1000) q WHERE q.d < 5",
+            true,
+        ),
+    ];
+    for (sql, ok) in cases {
+        let optimized = db.prepare(sql).unwrap();
+        let literal = db.prepare_unoptimized(sql).unwrap();
+        for opts in [ExecOptions::serial(), ExecOptions::with_threads(4)] {
+            let opt = optimized
+                .execute_with_opts(&[], &opts)
+                .map(|r| r.into_relation());
+            let lit = literal
+                .execute_with_opts(&[], &opts)
+                .map(|r| r.into_relation());
+            assert_eq!(lit.is_ok(), ok, "literal plan of {sql}: {lit:?}");
+            assert_eq!(
+                opt.is_ok(),
+                lit.is_ok(),
+                "optimized {opt:?} vs literal {lit:?} for {sql}\nplans:\n{}",
+                optimized.plan_display()
+            );
+            if let (Ok(o), Ok(l)) = (&opt, &lit) {
+                assert_eq!(o, l, "{sql}");
+            }
+        }
+    }
+}

@@ -51,7 +51,7 @@ pub enum RelError {
         msg: String,
     },
     /// An internal invariant was violated on the execute path — e.g. a
-    /// physical plan referenced a column its input schema does not have.
+    /// plan referenced a column its input schema does not have.
     /// Well-formed plans produced by `lower_query` never raise this; it
     /// exists so a malformed or future hand-built plan surfaces as an
     /// error instead of a panic in the middle of execution.
