@@ -47,15 +47,15 @@ pub fn difference<A: AggAnnotation>(r: &MKRel<A>, s: &MKRel<A>) -> Result<MKRel<
         // equal under a homomorphism, so membership is token-weighted
         // across the whole support.
         let (r_ann, s_ann) = if ground {
-            (k.clone(), s.annotation(t))
+            (k.clone(), s.annotation(&t))
         } else {
             (ops::annotation_at(r, t)?, ops::annotation_at(s, t)?)
         };
         let lhs = Tensor::simple(&or, s_ann, Const::Bool(true));
         let token = A::eq_token(or, &lhs, &Tensor::zero())?;
         let ann = token.times(&r_ann);
-        if !ann.is_zero() && out.annotation(t).is_zero() {
-            out.insert(t.values().to_vec(), ann)?;
+        if !ann.is_zero() && out.annotation(&t).is_zero() {
+            out.add(t, ann)?;
         }
     }
     Ok(out)

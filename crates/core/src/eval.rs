@@ -17,13 +17,13 @@ use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::semiring::{Bool, CommutativeSemiring, Nat};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::reference::BagRel;
-use aggprov_krel::relation::{Merge, Relation, Tuple};
+use aggprov_krel::relation::{Merge, Relation, Tuple, TupleRef};
 use std::collections::HashSet;
 
 /// One row under `h_Rel`: `h` on the annotation and on every value
 /// coefficient.
 fn map_row<A: AggAnnotation, B: AggAnnotation>(
-    t: &Tuple<Value<A>>,
+    t: TupleRef<'_, Value<A>>,
     k: &A,
     h: &impl Fn(&A) -> B,
 ) -> (Tuple<Value<B>>, B) {
@@ -60,7 +60,7 @@ where
 /// tensor coefficient in one of its values — the rows a homomorphism that
 /// fixes everything `moved` rejects can change.
 pub fn row_mentions<K: CommutativeSemiring>(
-    t: &Tuple<Value<Km<K>>>,
+    t: TupleRef<'_, Value<Km<K>>>,
     k: &Km<K>,
     moved: &impl Fn(&K) -> bool,
 ) -> bool {
@@ -86,8 +86,8 @@ pub fn map_hom_mk_where<K: CommutativeSemiring>(
     let lifted = |km: &Km<K>| km.map_hom(h);
     let images: Vec<_> = rel
         .iter()
-        .filter(|(t, k)| row_mentions(t, k, moved))
-        .map(|(t, k)| (t.clone(), map_row(t, k, &lifted)))
+        .filter(|(t, k)| row_mentions(*t, k, moved))
+        .map(|(t, k)| (t.to_tuple(), map_row(t, k, &lifted)))
         .collect();
     if images.is_empty() {
         return None;

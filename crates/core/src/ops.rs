@@ -125,8 +125,9 @@ use aggprov_algebra::monoid::{CommutativeMonoid, MonoidKind};
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::{shard_index, Merge, Relation, Tuple};
+use aggprov_krel::relation::{shard_index, Merge, Relation, Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -163,7 +164,7 @@ pub fn has_symbolic<A: AggAnnotation>(rel: &MKRel<A>) -> bool {
 
 /// True iff a tuple holds only constants at the given positions — the
 /// ground/symbolic partition criterion of the physical operators.
-fn is_ground_at<A: AggAnnotation>(t: &Tuple<Value<A>>, positions: &[usize]) -> bool {
+fn is_ground_at<A: AggAnnotation>(t: TupleRef<'_, Value<A>>, positions: &[usize]) -> bool {
     positions.iter().all(|i| !t.get(*i).is_agg())
 }
 
@@ -191,9 +192,9 @@ pub(crate) fn insert_distinct<T: Ord, K: CommutativeSemiring>(
 /// rule: the first of several rows with one tuple stays, zero-annotated
 /// rows are dropped, and an arity mismatch surfaces as an error rather
 /// than a panic.
-pub(crate) fn from_map<A: AggAnnotation>(
+pub(crate) fn from_map<A: AggAnnotation, R: Borrow<[Value<A>]>>(
     schema: Schema,
-    rows: impl IntoIterator<Item = (Tuple<Value<A>>, A)>,
+    rows: impl IntoIterator<Item = (R, A)>,
 ) -> Result<MKRel<A>> {
     Relation::from_tuples(schema, rows, Merge::First)
 }
@@ -202,13 +203,17 @@ pub(crate) fn from_map<A: AggAnnotation>(
 /// relations whose values may be symbolic:
 /// `Σ_{t' ∈ supp(R)} R(t') · Π_u [t'(u) = t(u)]`. Coincides with the
 /// structural lookup when no symbolic values are present.
-pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> Result<A> {
+pub fn annotation_at<'t, A: AggAnnotation + 't>(
+    rel: &MKRel<A>,
+    t: impl Into<TupleRef<'t, Value<A>>>,
+) -> Result<A> {
+    let t = t.into();
     // The structural fast path needs *both* sides ground: a symbolic
     // lookup tuple carries nonzero equality tokens against ground support
     // tuples (and vice versa), so the token-weighted sum below is the only
     // correct reading whenever either side is symbolic.
     if !has_symbolic(rel) && !t.values().iter().any(Value::is_agg) {
-        return Ok(rel.annotation(t));
+        return Ok(rel.annotation(&t));
     }
     let positions: Vec<usize> = (0..rel.schema().arity()).collect();
     let mut contributions = Vec::new();
@@ -229,7 +234,7 @@ pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> R
 /// `k`. Only a tensor-valued input (nested aggregation) is scaled term by
 /// term.
 fn accumulate_specs<A: AggAnnotation>(
-    t: &Tuple<Value<A>>,
+    t: TupleRef<'_, Value<A>>,
     specs: &[AggSpec<'_>],
     sidx: &[usize],
     terms: &mut [Vec<(A, Const)>],
@@ -263,9 +268,9 @@ fn accumulate_specs<A: AggAnnotation>(
 /// structurally without building a token, and no `1` is allocated while
 /// every factor so far resolved to `1`.
 fn tuple_eq_token<A: AggAnnotation>(
-    a: &Tuple<Value<A>>,
+    a: TupleRef<'_, Value<A>>,
     left: &[usize],
-    b: &Tuple<Value<A>>,
+    b: TupleRef<'_, Value<A>>,
     right: &[usize],
 ) -> Result<A> {
     let mut acc: Option<A> = None;
@@ -295,16 +300,16 @@ fn tuple_eq_token<A: AggAnnotation>(
 /// A support entry of [`keyed_fold`]: a tuple and its annotation, both
 /// borrowed from the input relation. Its operator key is never built: it
 /// is the tuple's cells at the fold's key positions, read in place.
-type Entry<'a, A> = (&'a Tuple<Value<A>>, &'a A);
+type Entry<'a, A> = (TupleRef<'a, Value<A>>, &'a A);
 
 /// One contribution to a candidate key: a support tuple and its non-zero
 /// §4.3 coefficient `R(t') · Π_u [key(t')(u) = p(u)]` toward that key.
-type Contribution<'a, A> = (&'a Tuple<Value<A>>, A);
+type Contribution<'a, A> = (TupleRef<'a, Value<A>>, A);
 
 /// A ground bucket of [`keyed_fold`]: a tuple that carries the key (the
 /// first member's) and the ground-keyed entries that share it, each tagged
 /// with the bucket's dense id, in input order.
-type Bucket<'b, 'a, A> = (&'a Tuple<Value<A>>, &'b [(usize, Entry<'a, A>)]);
+type Bucket<'b, 'a, A> = (TupleRef<'a, Value<A>>, &'b [(usize, Entry<'a, A>)]);
 
 /// What a candidate of [`keyed_fold`] meets under one leading run of the
 /// index: the symbolic-keyed entries and the ground buckets.
@@ -313,7 +318,7 @@ type Neighbours<'b, 'a, A> = (Vec<Entry<'a, A>>, Vec<Bucket<'b, 'a, A>>);
 /// An operator key by view: the cells of `t` at `positions`, hashed and
 /// compared where they lie. Two views of one map share their positions.
 struct KeyView<'a, A: AggAnnotation> {
-    t: &'a Tuple<Value<A>>,
+    t: TupleRef<'a, Value<A>>,
     positions: &'a [usize],
 }
 
@@ -344,8 +349,8 @@ impl<A: AggAnnotation> Eq for KeyView<'_, A> {}
 fn push_coefficients<'a, A: AggAnnotation>(
     out: &mut Vec<Contribution<'a, A>>,
     members: impl Iterator<Item = Entry<'a, A>>,
-    rep: &Tuple<Value<A>>,
-    p: &Tuple<Value<A>>,
+    rep: TupleRef<'_, Value<A>>,
+    p: TupleRef<'_, Value<A>>,
     positions: &[usize],
 ) -> Result<()> {
     let tok = tuple_eq_token(rep, positions, p, positions)?;
@@ -365,7 +370,7 @@ fn push_coefficients<'a, A: AggAnnotation>(
 fn push_coefficient<'a, A: AggAnnotation>(
     out: &mut Vec<Contribution<'a, A>>,
     (t, k): Entry<'a, A>,
-    p: &Tuple<Value<A>>,
+    p: TupleRef<'_, Value<A>>,
     positions: &[usize],
 ) -> Result<()> {
     push_coefficients(out, std::iter::once((t, k)), t, p, positions)
@@ -380,9 +385,8 @@ fn coefficient_sum<A: AggAnnotation>(contributions: &[Contribution<'_, A>]) -> A
     }
 }
 
-/// The first `run` values of a tuple (all of them, if it is shorter).
-fn key_prefix<A: AggAnnotation>(t: &Tuple<Value<A>>, run: usize) -> &[Value<A>] {
-    let values = t.values();
+/// The first `run` values of a row (all of them, if it is shorter).
+fn key_prefix<A: AggAnnotation>(values: &[Value<A>], run: usize) -> &[Value<A>] {
     values.get(..run).unwrap_or(values)
 }
 
@@ -424,12 +428,12 @@ fn key_prefix<A: AggAnnotation>(t: &Tuple<Value<A>>, run: usize) -> &[Value<A>] 
 /// contributes `0` and no error, under every [`AggAnnotation`]. With an
 /// empty run the index has one bucket and every pair is visited — a key
 /// that is symbolic from its first position is all-pairs under §4.3.
-fn keyed_fold<'a, A: AggAnnotation + 'a>(
+fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send>(
     entries: impl Iterator<Item = Entry<'a, A>>,
     positions: &[usize],
     opts: &ExecOptions,
-    finish: impl Fn(&Tuple<Value<A>>, &[Contribution<'a, A>]) -> Result<(Tuple<Value<A>>, A)> + Sync,
-) -> Result<Vec<(Tuple<Value<A>>, A)>> {
+    finish: impl Fn(TupleRef<'a, Value<A>>, &[Contribution<'a, A>]) -> Result<(R, A)> + Sync,
+) -> Result<Vec<(R, A)>> {
     let mut ids: HashMap<KeyView<'_, A>, usize> = HashMap::new();
     let mut ground: Vec<(usize, Entry<'a, A>)> = Vec::new();
     let mut sym: Vec<Entry<'a, A>> = Vec::new();
@@ -481,13 +485,13 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
             contributions.clear();
             contributions.extend(members.iter().map(|(_, (t, k))| (*t, (*k).clone())));
             for (t, k) in index.get(&at(*g)).iter().flat_map(|near| &near.0) {
-                push_coefficient(&mut contributions, (*t, *k), g, positions)?;
+                push_coefficient(&mut contributions, (*t, *k), *g, positions)?;
             }
-            rows.push(finish(g, &contributions)?);
+            rows.push(finish(*g, &contributions)?);
         }
         Ok(rows)
     })?;
-    let mut out: Vec<(Tuple<Value<A>>, A)> = shard_rows.into_iter().flatten().collect();
+    let mut out: Vec<(R, A)> = shard_rows.into_iter().flatten().collect();
 
     let mut seen = HashSet::new();
     let mut contributions = Vec::new();
@@ -501,12 +505,12 @@ fn keyed_fold<'a, A: AggAnnotation + 'a>(
         contributions.clear();
         for (g, members) in near_ground {
             let members = members.iter().map(|(_, entry)| *entry);
-            push_coefficients(&mut contributions, members, g, p, positions)?;
+            push_coefficients(&mut contributions, members, *g, *p, positions)?;
         }
         for (t, k) in near_sym {
-            push_coefficient(&mut contributions, (*t, *k), p, positions)?;
+            push_coefficient(&mut contributions, (*t, *k), *p, positions)?;
         }
-        out.push(finish(p, &contributions)?);
+        out.push(finish(*p, &contributions)?);
     }
     Ok(out)
 }
@@ -541,7 +545,7 @@ pub fn union_opts<A: AggAnnotation>(
     let whole: Vec<usize> = (0..r1.schema().arity()).collect();
     let entries = r1.iter().chain(r2.iter());
     let out = keyed_fold(entries, &whole, opts, |t, contributions| {
-        Ok((t.clone(), coefficient_sum(contributions)))
+        Ok((t, coefficient_sum(contributions)))
     })?;
     from_map(r1.schema().clone(), out)
 }
@@ -619,7 +623,7 @@ pub fn select_attrs_eq<A: AggAnnotation>(
 /// `select_cmp` and the engine's WHERE/HAVING all reduce to it.
 pub fn select_with_token<A: AggAnnotation>(
     rel: &MKRel<A>,
-    token: impl Fn(&Schema, &Tuple<Value<A>>) -> Result<A>,
+    token: impl Fn(&Schema, TupleRef<'_, Value<A>>) -> Result<A>,
 ) -> Result<MKRel<A>> {
     let mut out = Vec::new();
     for (t, k) in rel.iter() {
@@ -635,7 +639,7 @@ pub fn select_with_token<A: AggAnnotation>(
         } else {
             k.times(&tok)
         };
-        out.push((t.clone(), ann));
+        out.push((t, ann));
     }
     from_map(rel.schema().clone(), out)
 }
@@ -673,8 +677,9 @@ pub fn select_where<A: AggAnnotation>(
 ) -> Result<MKRel<A>> {
     let mut out = Vec::new();
     for (t, k) in rel.iter() {
-        if pred(rel.schema(), t)? {
-            out.push((t.clone(), k.clone()));
+        let t = t.to_tuple();
+        if pred(rel.schema(), &t)? {
+            out.push((t, k.clone()));
         }
     }
     from_map(rel.schema().clone(), out)
@@ -697,17 +702,17 @@ pub fn join_on<A: AggAnnotation>(
 /// whole ground partition) and the parallel path (one call per hash
 /// shard).
 fn hash_join_ground<A: AggAnnotation>(
-    g1: &[(&Tuple<Value<A>>, &A)],
-    g2: &[(&Tuple<Value<A>>, &A)],
+    g1: &[(TupleRef<'_, Value<A>>, &A)],
+    g2: &[(TupleRef<'_, Value<A>>, &A)],
     left: &[usize],
     right: &[usize],
     out: &mut Vec<(Tuple<Value<A>>, A)>,
 ) {
-    type Bucket<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
+    type Bucket<'a, A> = Vec<(TupleRef<'a, Value<A>>, &'a A)>;
     let mut index: HashMap<Vec<&Value<A>>, Bucket<'_, A>> = HashMap::new();
     for (t2, k2) in g2 {
         let key: Vec<&Value<A>> = right.iter().map(|j| t2.get(*j)).collect();
-        index.entry(key).or_default().push((t2, k2));
+        index.entry(key).or_default().push((*t2, *k2));
     }
     for (t1, k1) in g1 {
         let key: Vec<&Value<A>> = left.iter().map(|i| t1.get(*i)).collect();
@@ -769,9 +774,10 @@ pub(crate) fn join_at<A: AggAnnotation>(
     schema: Schema,
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
-    type Side<'a, A> = Vec<(&'a Tuple<Value<A>>, &'a A)>;
-    let (g1, s1): (Side<'_, A>, Side<'_, A>) = r1.iter().partition(|(t, _)| is_ground_at(t, left));
-    let (g2, s2): (Side<'_, A>, Side<'_, A>) = r2.iter().partition(|(t, _)| is_ground_at(t, right));
+    type Side<'a, A> = Vec<(TupleRef<'a, Value<A>>, &'a A)>;
+    let (g1, s1): (Side<'_, A>, Side<'_, A>) = r1.iter().partition(|(t, _)| is_ground_at(*t, left));
+    let (g2, s2): (Side<'_, A>, Side<'_, A>) =
+        r2.iter().partition(|(t, _)| is_ground_at(*t, right));
 
     let mut out = Vec::new();
     let nshards = plan_shards(opts, g1.len().max(g2.len()));
@@ -802,7 +808,7 @@ pub(crate) fn join_at<A: AggAnnotation>(
     for (lhs, rhs) in [(&g1, &s2), (&s1, &g2), (&s1, &s2)] {
         for (t1, k1) in lhs.iter() {
             for (t2, k2) in rhs.iter() {
-                let tok = tuple_eq_token(t1, left, t2, right)?;
+                let tok = tuple_eq_token(*t1, left, *t2, right)?;
                 if tok.is_zero() {
                     continue;
                 }
@@ -934,7 +940,7 @@ pub fn group_by<A: AggAnnotation>(
 /// annotated with the pre-δ sum `Σ coeff(t')`. [`collapse_row`] turns it
 /// into the [`group_by`] row.
 fn state_row<A: AggAnnotation>(
-    g: &Tuple<Value<A>>,
+    g: TupleRef<'_, Value<A>>,
     gidx: &[usize],
     specs: &[AggSpec<'_>],
     sidx: &[usize],
@@ -942,7 +948,7 @@ fn state_row<A: AggAnnotation>(
 ) -> Result<(Vec<Value<A>>, A)> {
     let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
     for (t, coeff) in contributions {
-        accumulate_specs(t, specs, sidx, &mut terms, coeff)?;
+        accumulate_specs(*t, specs, sidx, &mut terms, coeff)?;
     }
     let mut row: Vec<Value<A>> = Vec::with_capacity(gidx.len() + specs.len());
     row.extend(gidx.iter().map(|i| g.get(*i).clone()));
@@ -1052,32 +1058,32 @@ pub fn group_state_update<A: AggAnnotation>(
         return from_map(schema, folded);
     }
 
-    // One pass over the state finds the touched rows (clones are `Arc`
-    // bumps); untouched groups are never visited again.
+    // One pass over the state finds the touched rows, copied out of the
+    // state's store; untouched groups are never visited again.
     let n_keys = gidx.len();
     let mut old_rows: HashMap<&[Value<A>], Option<Tuple<Value<A>>>> = folded
         .iter()
-        .map(|(row, _)| (key_prefix(row, n_keys), None))
+        .map(|(row, _)| (key_prefix(row.values(), n_keys), None))
         .collect();
     for (t, _) in state.iter() {
-        if let Some(old) = old_rows.get_mut(key_prefix(t, n_keys)) {
-            *old = Some(t.clone());
+        if let Some(old) = old_rows.get_mut(key_prefix(t.values(), n_keys)) {
+            *old = Some(t.to_tuple());
         }
     }
 
     let mut out = state;
     for (row, sum) in &folded {
-        let Some(Some(old_t)) = old_rows.get(key_prefix(row, n_keys)) else {
+        let Some(Some(old_t)) = old_rows.get(key_prefix(row.values(), n_keys)) else {
             // `add` drops zero annotations, so a group whose membership
             // sum cancels never enters the state — matching from-scratch
             // recomputation.
-            out.add(row.clone(), sum.clone())?;
+            out.add(row.values(), sum.clone())?;
             continue;
         };
         // Taking the old row out returns its annotation owned — no deep
         // clone of the accumulated sum.
         let old_ann = out.remove(old_t).unwrap_or_else(A::zero);
-        let mut merged: Vec<Value<A>> = key_prefix(row, n_keys).to_vec();
+        let mut merged: Vec<Value<A>> = key_prefix(row.values(), n_keys).to_vec();
         for ((spec, old), new) in specs
             .iter()
             .zip(old_t.values().iter().skip(n_keys))
@@ -1088,7 +1094,7 @@ pub fn group_state_update<A: AggAnnotation>(
                 .add(&new.to_tensor(spec.kind)?, &spec.kind);
             merged.push(Value::Agg(spec.kind, sum));
         }
-        out.add(Tuple::new(merged), old_ann.plus(sum))?;
+        out.insert(merged, old_ann.plus(sum))?;
     }
     Ok(out)
 }

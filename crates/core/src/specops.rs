@@ -18,7 +18,7 @@ use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::Tuple;
+use aggprov_krel::relation::{Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 use std::collections::BTreeMap;
 
@@ -35,7 +35,7 @@ fn sum_many<A: AggAnnotation>(items: Vec<A>) -> A {
 /// embeds through `ι` (a constant `c` becomes `1_K ⊗ c`) and every simple
 /// tensor of it is multiplied by `k`.
 fn accumulate_specs<A: AggAnnotation>(
-    t: &Tuple<Value<A>>,
+    t: TupleRef<'_, Value<A>>,
     specs: &[AggSpec<'_>],
     sidx: &[usize],
     terms: &mut [Vec<(A, Const)>],
@@ -56,8 +56,8 @@ fn accumulate_specs<A: AggAnnotation>(
 /// `Π_u [t'(u) = t(u)]` by the literal rule: the product starts at `1_K`
 /// and takes one token per position, left to right, stopping at a `0`.
 fn tuple_eq_token<A: AggAnnotation>(
-    a: &Tuple<Value<A>>,
-    b: &Tuple<Value<A>>,
+    a: TupleRef<'_, Value<A>>,
+    b: TupleRef<'_, Value<A>>,
     positions: &[usize],
 ) -> Result<A> {
     let mut acc = A::one();
@@ -75,7 +75,11 @@ fn tuple_eq_token<A: AggAnnotation>(
 /// `Σ_{t' ∈ supp(R)} R(t') · Π_u [t'(u) = t(u)]` — the token-weighted sum
 /// over *all* support tuples, with no structural fast path for the
 /// all-ground case.
-pub fn annotation_at<A: AggAnnotation>(rel: &MKRel<A>, t: &Tuple<Value<A>>) -> Result<A> {
+pub fn annotation_at<'t, A: AggAnnotation + 't>(
+    rel: &MKRel<A>,
+    t: impl Into<TupleRef<'t, Value<A>>>,
+) -> Result<A> {
+    let t = t.into();
     let positions: Vec<usize> = (0..rel.schema().arity()).collect();
     let mut parts = Vec::new();
     for (t2, k2) in rel.iter() {
@@ -101,7 +105,7 @@ pub fn union<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>>
     let all_positions: Vec<usize> = (0..r1.schema().arity()).collect();
     let mut out = BTreeMap::new();
     for (t, _) in r1.iter().chain(r2.iter()) {
-        if out.contains_key(t) {
+        if out.contains_key(t.values()) {
             continue;
         }
         let mut parts = Vec::new();
@@ -115,7 +119,7 @@ pub fn union<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>>
                 parts.push(part);
             }
         }
-        insert_distinct(&mut out, t.clone(), sum_many(parts));
+        insert_distinct(&mut out, t.to_tuple(), sum_many(parts));
     }
     from_map(r1.schema().clone(), out)
 }
@@ -134,7 +138,7 @@ pub fn project<A: AggAnnotation>(rel: &MKRel<A>, attrs: &[&str]) -> Result<MKRel
         }
         let mut parts = Vec::new();
         for (t2, k2) in rel.iter() {
-            let tok = tuple_eq_token(&t2.project(&positions), &proj, &all)?;
+            let tok = tuple_eq_token((&t2.project(&positions)).into(), (&proj).into(), &all)?;
             if tok.is_zero() {
                 continue;
             }
@@ -198,8 +202,9 @@ pub fn select_with_token<A: AggAnnotation>(
 ) -> Result<MKRel<A>> {
     let mut out = BTreeMap::new();
     for (t, k) in rel.iter() {
-        let tok = token(rel.schema(), t)?;
-        insert_distinct(&mut out, t.clone(), k.times(&tok));
+        let t = t.to_tuple();
+        let tok = token(rel.schema(), &t)?;
+        insert_distinct(&mut out, t, k.times(&tok));
     }
     from_map(rel.schema().clone(), out)
 }
@@ -261,8 +266,9 @@ pub fn select_where<A: AggAnnotation>(
 ) -> Result<MKRel<A>> {
     let mut out = BTreeMap::new();
     for (t, k) in rel.iter() {
-        if pred(rel.schema(), t)? {
-            insert_distinct(&mut out, t.clone(), k.clone());
+        let t = t.to_tuple();
+        if pred(rel.schema(), &t)? {
+            insert_distinct(&mut out, t, k.clone());
         }
     }
     from_map(rel.schema().clone(), out)
@@ -389,7 +395,7 @@ pub fn group_by<A: AggAnnotation>(
         let mut terms: Vec<Vec<(A, aggprov_algebra::domain::Const)>> =
             vec![Vec::new(); specs.len()];
         for (t2, k2) in rel.iter() {
-            let tok = tuple_eq_token(&t2.project(&gidx), &g, &all)?;
+            let tok = tuple_eq_token((&t2.project(&gidx)).into(), (&g).into(), &all)?;
             if tok.is_zero() {
                 continue;
             }
@@ -450,7 +456,7 @@ pub fn group_state_update<A: AggAnnotation>(
         let old = out
             .iter()
             .find(|(t2, _)| t2.project(&key_positions) == g)
-            .map(|(t2, _)| t2.clone());
+            .map(|(t2, _)| t2.to_tuple());
         let mut row: Vec<Value<A>> = g.values().to_vec();
         let ann = match old {
             Some(old_t) => {

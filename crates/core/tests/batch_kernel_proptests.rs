@@ -669,7 +669,7 @@ fn split_both(rel: &MKRel<P>) -> (Batch, Batch, MKRel<P>) {
     let ground: Vec<_> = rel
         .iter()
         .filter(|(t, _)| t.values().iter().all(|v| v.as_const().is_some()))
-        .map(|(t, k)| (t.clone(), k.clone()))
+        .map(|(t, k)| (t, k.clone()))
         .collect();
     let arity = rel.schema().arity();
     let cols = (0..arity).map(|i| shared.ground().col(i).unwrap().clone());
@@ -806,7 +806,7 @@ fn check_isolation(rel: &MKRel<P>, v: i64, pinned: bool, edit: impl Fn(&mut MKRe
     let fresh = || {
         Relation::from_tuples(
             rel.schema().clone(),
-            rel.iter().map(|(t, k)| (t.clone(), k.clone())),
+            rel.iter().map(|(t, k)| (t, k.clone())),
             Merge::Sum,
         )
         .unwrap()
@@ -865,7 +865,7 @@ proptest! {
         // An existing row (its annotation grows, or it goes), a new one at
         // the front, in the middle or past the end, and the deletion of
         // one token through `map_hom_mk_where`.
-        let rows: Vec<Tuple<Value<P>>> = rel.iter().map(|(t, _)| t.clone()).collect();
+        let rows: Vec<Tuple<Value<P>>> = rel.iter().map(|(t, _)| t.to_tuple()).collect();
         let existing = rows.get(at % rows.len().max(1)).cloned();
         let new_row = |key: i64| Tuple::new(vec![Value::int(key), Value::int(v)]);
         let gone = format!("a{}", at % 10);

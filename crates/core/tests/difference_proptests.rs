@@ -94,7 +94,7 @@ fn arb_mixed_rel(prefix: &'static str) -> impl Strategy<Value = MKRel<P>> {
 fn membership_reference(r: &MKRel<Nat>, s: &MKRel<Nat>) -> MKRel<Nat> {
     let mut out = Relation::empty(r.schema().clone());
     for (t, k) in r.iter() {
-        if s.annotation(t) == Nat(0) {
+        if s.annotation(&t) == Nat(0) {
             out.insert(t.values().to_vec(), *k).unwrap();
         }
     }
@@ -178,7 +178,7 @@ proptest! {
         let r_res = collapse(&map_hom_mk(&r, &|p: &NatPoly| val.eval(p))).unwrap();
         let s_res = collapse(&map_hom_mk(&s, &|p: &NatPoly| val.eval(p))).unwrap();
         let rhs = difference(&r_res, &s_res).unwrap();
-        let support = |rel: &MKRel<Nat>| -> Vec<_> { rel.iter().map(|(t, _)| t.clone()).collect() };
+        let support = |rel: &MKRel<Nat>| -> Vec<_> { rel.iter().map(|(t, _)| t.to_tuple()).collect() };
         prop_assert_eq!(support(&lhs), support(&rhs));
         let collision_free = r_res.len() == r.len() && s_res.len() == s.len();
         if collision_free {

@@ -169,7 +169,7 @@ proptest! {
         let s_res = collapse(&map_hom_mk(&s, &|p: &NatPoly| val.eval(p))).unwrap();
         let rhs = ops::union(&g_res, &s_res).unwrap();
         let support = |rel: &MKRel<Nat>| -> Vec<_> {
-            rel.iter().map(|(t, _)| t.clone()).collect()
+            rel.iter().map(|(t, _)| t.to_tuple()).collect()
         };
         prop_assert_eq!(support(&lhs), support(&rhs));
         if g_res.len() == g.len() && s_res.len() == s.len() {
@@ -185,7 +185,7 @@ proptest! {
         // One relation mixing ground rows and symbolic-at-`a` rows.
         let mut mixed = g.clone();
         for (t, k) in s.iter() {
-            if mixed.annotation(t).is_zero() {
+            if mixed.annotation(&t).is_zero() {
                 mixed.insert(t.values().to_vec(), k.clone()).unwrap();
             }
         }
@@ -232,7 +232,7 @@ proptest! {
     ) {
         let mut mixed = g.clone();
         for (t, k) in s.iter() {
-            if mixed.annotation(t).is_zero() {
+            if mixed.annotation(&t).is_zero() {
                 mixed.insert(t.values().to_vec(), k.clone()).unwrap();
             }
         }
@@ -273,7 +273,7 @@ proptest! {
                 };
                 let ann = k.times(&tok);
                 if !ann.is_zero() {
-                    out.insert(t.clone(), ann);
+                    out.insert(t.to_tuple(), ann);
                 }
             }
             Relation::from_tuples(rel.schema().clone(), out, Merge::First).unwrap()

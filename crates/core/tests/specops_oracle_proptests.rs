@@ -157,7 +157,7 @@ proptest! {
         // Probe with a generated tuple — and, when possible, with an exact
         // support tuple (the case the structural fast path serves).
         let t = if pick && !rel.is_empty() {
-            rel.iter().next().map(|(t, _)| t.clone()).unwrap()
+            rel.iter().next().map(|(t, _)| t.to_tuple()).unwrap()
         } else {
             Tuple::new(vec![decode_val(probe.0), decode_val(probe.1)])
         };

@@ -37,7 +37,7 @@ use aggprov_core::km::Km;
 use aggprov_core::ops::MKRel;
 use aggprov_core::Value;
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::Tuple;
+use aggprov_krel::relation::{Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -104,7 +104,7 @@ impl<A: CommutativeSemiring> ResultSet<A> {
     }
 
     /// Iterates over `(tuple, annotation)` pairs (the raw relation view).
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple<Value<A>>, &A)> {
+    pub fn iter(&self) -> impl Iterator<Item = (TupleRef<'_, Value<A>>, &A)> {
         self.rel.iter()
     }
 
@@ -129,7 +129,7 @@ impl<A: CommutativeSemiring> ResultSet<A> {
 #[derive(Clone, Copy, Debug)]
 pub struct Row<'a, A: CommutativeSemiring> {
     schema: &'a Schema,
-    tuple: &'a Tuple<Value<A>>,
+    tuple: TupleRef<'a, Value<A>>,
     annotation: &'a A,
 }
 
@@ -150,7 +150,7 @@ impl<'a, A: CommutativeSemiring> Row<'a, A> {
     }
 
     /// The underlying tuple.
-    pub fn tuple(&self) -> &'a Tuple<Value<A>> {
+    pub fn tuple(&self) -> TupleRef<'a, Value<A>> {
         self.tuple
     }
 }

@@ -53,7 +53,7 @@ use crate::result::{deleted_vars, deletion_hom};
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_core::annotation::AggAnnotation;
-use aggprov_core::eval::{map_hom_mk, map_hom_mk_where, row_mentions};
+use aggprov_core::eval::{map_hom_mk_where, row_mentions};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_core::{Prov, Value};
@@ -361,7 +361,7 @@ fn state_rows_for<A: AggAnnotation>(
     let mut out = Relation::empty(state.schema().clone());
     for (t, k) in state.iter() {
         if keys.contains(&t.project(key_positions)) {
-            out.add(t.clone(), k.clone())?;
+            out.add(t, k.clone())?;
         }
     }
     Ok(out)
@@ -433,7 +433,7 @@ fn apply_insert<A: AggAnnotation + ParseAnnotation>(
             // Additive merge: `Relation::add` sums annotations of equal
             // tuples and drops zero rows — exactly bag-semiring union.
             for (t, k) in delta.iter() {
-                entry.rel.add(t.clone(), k.clone())?;
+                entry.rel.add(t, k.clone())?;
             }
         }
         Maint::Agg(agg) => {
@@ -747,7 +747,12 @@ fn apply_delete(
             // The plan is linear in base annotations and all cells are
             // ground, so the lifted hom commutes with the plan: mapping
             // the retained result *is* re-executing over mapped inputs.
-            entry.rel = map_hom_mk(&entry.rel, h);
+            // Only the rows that mention a fired token are edited; a view
+            // no fired token reaches keeps its store, shared with any
+            // snapshot.
+            if let Some(mapped) = map_hom_mk_where(&entry.rel, fired, h) {
+                entry.rel = mapped;
+            }
         }
         Maint::Agg(agg) => {
             // Edit the group state: only a row whose membership sum or
@@ -764,8 +769,8 @@ fn apply_delete(
             let touched: Vec<(Tuple<Value<Prov>>, Prov)> = agg
                 .state
                 .iter()
-                .filter(|(t, k)| row_mentions(t, k, fired))
-                .map(|(t, k)| (t.clone(), k.clone()))
+                .filter(|(t, k)| row_mentions(*t, k, fired))
+                .map(|(t, k)| (t.to_tuple(), k.clone()))
                 .collect();
             let mut new_sub = Relation::empty(schema.clone());
             for (t, k) in &touched {

@@ -53,7 +53,7 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 
 use crate::error::{RelError, Result};
-use crate::relation::{Merge, Relation, Tuple};
+use crate::relation::{Builder, Merge, Relation, Tuple};
 use crate::schema::Schema;
 use crate::store::Store;
 use crate::typed::{IntoConsts, TypedColumn};
@@ -121,7 +121,7 @@ enum Stored<K, V> {
 /// row).
 #[derive(Clone)]
 struct Shared<K, V> {
-    store: Arc<Store<Tuple<V>, K>>,
+    store: Arc<Store<V, K>>,
     /// `store.block_starts()`.
     starts: Vec<usize>,
     positions: Option<Vec<u32>>,
@@ -157,7 +157,7 @@ impl<K, V> Stored<K, V> {
                     None if r < s.len => r,
                     None => return None,
                 };
-                s.store.at(&s.starts, p).map(|(_, k)| k)
+                s.store.ann_at(&s.starts, p)
             }
         }
     }
@@ -426,7 +426,7 @@ where
                 }
             }
             if row.len() != vals.len() {
-                fringe.push((t.clone(), k.clone()));
+                fringe.push((t.to_tuple(), k.clone()));
                 continue;
             }
             for (col, c) in cols.iter_mut().zip(&row) {
@@ -545,26 +545,33 @@ where
             let gathered = cols.iter().map(|c| c.gather(sel)).collect::<Option<_>>();
             cols = gathered.ok_or_else(bad_selection)?;
         }
-        // Every product before any tuple, as the eager join had them:
-        // taking each product beside its tuple measured ≈ 1 ms slower on
-        // an unfiltered 20 000-row join (the tuples no longer lie together
-        // for `Relation::from_tuples` to sort).
+        // Every product before any row, as the eager join had them:
+        // taking each product beside its row measured ≈ 1 ms slower on an
+        // unfiltered 20 000-row join (the tuples then built no longer lay
+        // together for the relation's builder to sort).
         let anns = column.take(sel).ok_or_else(bad_selection)?;
         let mut cols: Vec<IntoConsts> = cols.into_iter().map(TypedColumn::into_consts).collect();
-        // One allocation per row, the tuple itself: the cells are collected
-        // straight into it, so a column that ends early (a corrupt
-        // dictionary code) is flagged and padded, and reported afterwards.
+        // No allocation per row: each row's cells are collected into one
+        // reused buffer and moved from there into the store's blocks. A
+        // column that ends early (a corrupt dictionary code) is flagged
+        // and padded, and reported afterwards.
         let mut short = false;
-        let ground = anns.into_iter().map(|k| {
-            let cells = cols.iter_mut().map(|c| {
-                c.next().unwrap_or_else(|| {
+        let mut builder = Builder::new(schema.arity(), Merge::Sum);
+        let mut row = Vec::with_capacity(schema.arity());
+        for k in anns {
+            row.clear();
+            row.extend(cols.iter_mut().map(|c| {
+                lift(c.next().unwrap_or_else(|| {
                     short = true;
                     Const::Bool(false)
-                })
-            });
-            (cells.map(&lift).collect::<Tuple<V>>(), k)
-        });
-        let rel = Relation::from_tuples(schema, ground.chain(self.fringe), Merge::Sum)?;
+                }))
+            }));
+            builder.push(&mut row, k);
+        }
+        for (t, k) in self.fringe {
+            builder.push_checked(t.values(), k)?;
+        }
+        let rel = builder.finish(schema);
         // A deferred product's operands — the join inputs' whole annotation
         // columns, where they are dense — are freed only now, with the
         // relation built (a dense column is already empty, a shared one
@@ -848,9 +855,7 @@ mod tests {
             .iter()
             .skip(1)
             .take_while(|(t, _)| t.get(1) != &Const::Bool(true));
-        let leading = ground
-            .chain(rel.iter().last())
-            .map(|(t, k)| (t.clone(), *k));
+        let leading = ground.chain(rel.iter().last()).map(|(t, k)| (t, *k));
         let leading = Relation::from_tuples(s(&["a", "b"]), leading, Merge::Sum).unwrap();
         let ground = leading.len() - 1;
         let batch = GroundBatch::from_relation(&leading, as_non_bool);

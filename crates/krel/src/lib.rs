@@ -8,7 +8,8 @@
 //!   `K`-relations with union / projection / selection / join / product /
 //!   rename and homomorphism application (`h_Rel`). A relation's rows sit
 //!   in tuple order in copy-on-write blocks of 512 (the private `store`
-//!   module): `R(t) += k` past the last row is a push, every operator
+//!   module), each block's cells in one row-major buffer and each row read
+//!   in place as a [`TupleRef`]: `R(t) += k` past the last row is a push, every operator
 //!   output goes through one bulk builder
 //!   ([`Relation::from_tuples`]) instead of an ordered map, and a write
 //!   through a clone copies one block, not the table;
@@ -41,6 +42,6 @@ pub mod typed;
 
 pub use batch::{ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
-pub use relation::{Merge, Relation, Tuple};
+pub use relation::{Merge, Relation, Tuple, TupleRef};
 pub use schema::{Attr, Schema};
 pub use typed::{StrColumn, TypedColumn};

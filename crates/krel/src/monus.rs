@@ -54,9 +54,9 @@ where
     }
     let mut out = Relation::empty(r.schema().clone());
     for (t, k) in r.iter() {
-        let diff = k.monus(&s.annotation(t));
+        let diff = k.monus(&s.annotation(&t));
         if !diff.is_zero() {
-            out.insert(t.values().to_vec(), diff)?;
+            out.add(t, diff)?;
         }
     }
     Ok(out)

@@ -17,6 +17,15 @@
 //! any order, appended while they ascend, the rest sorted once (stably)
 //! and merged in arrival order by the caller's [`Merge`] rule.
 //!
+//! A block is row-major: its rows' cells in one buffer, `arity` cells a
+//! row, beside one buffer of their annotations — no allocation per row.
+//! [`Relation::iter`] hands each row out where it lies, as a
+//! [`TupleRef`]; an owned [`Tuple`] is what keys, operator outputs and a
+//! batch's fringe rows are, and a row becomes one only through
+//! [`TupleRef::to_tuple`]. A tuple and a row with the same values compare,
+//! order and hash alike, so a map keyed by tuples is probed with a row's
+//! values.
+//!
 //! The store sits behind one [`Arc`] and every block behind its own, so
 //! cloning a relation shares everything, and the first write through a
 //! clone copies the block pointers and then one block per block it
@@ -29,8 +38,9 @@
 
 use crate::error::{RelError, Result};
 use crate::schema::Schema;
-use crate::store::Store;
+use crate::store::{Block, Row, Store};
 use aggprov_algebra::semiring::CommutativeSemiring;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -64,12 +74,20 @@ impl<V: Clone> Tuple<V> {
 
     /// The restriction `t|_{U'}` to the given positions.
     pub fn project(&self, indices: &[usize]) -> Tuple<V> {
-        Tuple(indices.iter().map(|i| self.0[*i].clone()).collect())
+        TupleRef(&self.0).project(indices)
     }
 
     /// Concatenation (for joins/products).
     pub fn concat(&self, other: &[V]) -> Tuple<V> {
-        Tuple(self.0.iter().chain(other.iter()).cloned().collect())
+        TupleRef(&self.0).concat(other)
+    }
+}
+
+/// A tuple and the row it is read from compare, hash and order as one
+/// slice, so a map keyed by tuples can be probed with a row.
+impl<V> Borrow<[V]> for Tuple<V> {
+    fn borrow(&self) -> &[V] {
+        &self.0
     }
 }
 
@@ -88,6 +106,84 @@ impl<V: Clone, const N: usize> From<[V; N]> for Tuple<V> {
 }
 
 impl<V: fmt::Display> fmt::Display for Tuple<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        TupleRef(&self.0).fmt(f)
+    }
+}
+
+/// A row of a [`Relation`], borrowed where the relation's store holds it:
+/// what [`Relation::iter`] hands out. It reads as a [`Tuple`] does, and
+/// compares, orders and hashes as its slice of values — as the tuple with
+/// the same values does; [`to_tuple`](TupleRef::to_tuple) copies it out.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TupleRef<'a, V>(&'a [V]);
+
+impl<V> Clone for TupleRef<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for TupleRef<'_, V> {}
+
+impl<'a, V> TupleRef<'a, V> {
+    pub(crate) fn new(values: &'a [V]) -> Self {
+        TupleRef(values)
+    }
+
+    /// The values.
+    pub fn values(self) -> &'a [V] {
+        self.0
+    }
+
+    /// The arity.
+    pub fn arity(self) -> usize {
+        self.0.len()
+    }
+
+    /// The value at a position.
+    pub fn get(self, idx: usize) -> &'a V {
+        &self.0[idx]
+    }
+}
+
+impl<V: Clone> TupleRef<'_, V> {
+    /// The restriction `t|_{U'}` to the given positions.
+    pub fn project(self, indices: &[usize]) -> Tuple<V> {
+        indices.iter().map(|i| self.0[*i].clone()).collect()
+    }
+
+    /// Concatenation (for joins/products).
+    pub fn concat(self, other: &[V]) -> Tuple<V> {
+        Tuple(self.0.iter().chain(other.iter()).cloned().collect())
+    }
+
+    /// The row as an owned tuple: its values copied into one allocation.
+    pub fn to_tuple(self) -> Tuple<V> {
+        Tuple(self.0.into())
+    }
+}
+
+impl<'a, V> From<&'a Tuple<V>> for TupleRef<'a, V> {
+    fn from(t: &'a Tuple<V>) -> Self {
+        TupleRef(&t.0)
+    }
+}
+
+impl<V> Borrow<[V]> for TupleRef<'_, V> {
+    fn borrow(&self) -> &[V] {
+        self.0
+    }
+}
+
+/// As the tuple with the same values prints.
+impl<V: fmt::Debug> fmt::Debug for TupleRef<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Tuple").field(&self.0).finish()
+    }
+}
+
+impl<V: fmt::Display> fmt::Display for TupleRef<'_, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
         for (i, v) in self.0.iter().enumerate() {
@@ -125,13 +221,92 @@ pub enum Merge {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Relation<K, V> {
     schema: Schema,
-    tuples: Arc<Store<Tuple<V>, K>>,
+    tuples: Arc<Store<V, K>>,
 }
 
 /// `R(t) += k` on a row that is present: false when the sum is `0`.
 fn add_annotation<K: CommutativeSemiring>(old: &mut K, k: K) -> bool {
     *old = old.plus(&k);
     !old.is_zero()
+}
+
+/// The one bulk builder behind [`Relation::from_tuples`]: rows are
+/// appended for as long as they arrive in ascending order, and from the
+/// first row that does not, the rest is collected flat and everything is
+/// sorted once, stably, and merged in arrival order under `merge`.
+pub(crate) struct Builder<V, K> {
+    store: Store<V, K>,
+    late: Block<V, K>,
+    merge: Merge,
+}
+
+impl<V, K> Builder<V, K>
+where
+    K: CommutativeSemiring,
+    V: Clone + Ord,
+{
+    pub(crate) fn new(arity: usize, merge: Merge) -> Self {
+        Builder {
+            store: Store::new(arity),
+            late: Block::new(arity),
+            merge,
+        }
+    }
+
+    /// Takes one row; a row of another arity is an error.
+    pub(crate) fn push_checked(&mut self, row: impl Row<V>, k: K) -> Result<()> {
+        let (expected, got) = (self.late.arity(), row.cells().len());
+        if got != expected {
+            return Err(RelError::ArityMismatch { expected, got });
+        }
+        self.push(row, k);
+        Ok(())
+    }
+
+    /// Takes one row of the builder's arity.
+    pub(crate) fn push(&mut self, row: impl Row<V>, k: K) {
+        if k.is_zero() {
+            return;
+        }
+        if !self.late.is_empty() {
+            return self.late.push(row, k);
+        }
+        match self
+            .store
+            .last()
+            .map_or(Ordering::Greater, |last| row.cells().cmp(last))
+        {
+            Ordering::Greater => self.store.push(row, k),
+            // A repeat of the last row, which first-wins leaves alone.
+            Ordering::Equal if self.merge == Merge::First => {}
+            Ordering::Equal => self.store.upsert(row, k, add_annotation),
+            Ordering::Less => self.late.push(row, k),
+        }
+    }
+
+    pub(crate) fn finish(self, schema: Schema) -> Relation<K, V> {
+        let Builder {
+            mut store,
+            mut late,
+            merge,
+        } = self;
+        if !late.is_empty() {
+            let mut all = store.into_rows();
+            all.append(&mut late);
+            store = Store::from_unsorted(
+                all,
+                |k| std::mem::replace(k, K::zero()),
+                |old, k| match merge {
+                    Merge::Sum => add_annotation(old, k),
+                    Merge::First => true,
+                },
+            );
+        }
+        Relation {
+            schema,
+            tuples: Arc::new(store),
+        }
+    }
 }
 
 impl<K, V> Relation<K, V>
@@ -142,22 +317,28 @@ where
     /// The empty relation `∅_K` over a schema.
     pub fn empty(schema: Schema) -> Self {
         Relation {
+            tuples: Arc::new(Store::new(schema.arity())),
             schema,
-            tuples: Arc::new(Store::new()),
         }
     }
 
     /// Builds a relation from `(row, annotation)` pairs; repeated rows sum.
+    /// Each row vector's cells move into the store.
     pub fn from_rows<R>(schema: Schema, rows: impl IntoIterator<Item = (R, K)>) -> Result<Self>
     where
         R: Into<Vec<V>>,
     {
-        let rows = rows.into_iter().map(|(row, k)| (Tuple::new(row), k));
-        Relation::from_tuples(schema, rows, Merge::Sum)
+        let mut builder = Builder::new(schema.arity(), Merge::Sum);
+        for (row, k) in rows {
+            builder.push_checked(row.into(), k)?;
+        }
+        Ok(builder.finish(schema))
     }
 
-    /// The bulk builder: a relation of `rows`, which may arrive in any
-    /// order and repeat tuples; equal tuples merge in arrival order under
+    /// The bulk builder: a relation of `rows` — [`Tuple`]s, borrowed
+    /// [`TupleRef`]s, anything that reads as a slice of values, whose
+    /// values are copied into the store — which may arrive in any order
+    /// and repeat tuples; equal tuples merge in arrival order under
     /// `merge`, and every tuple's arity is checked against the schema.
     ///
     /// Rows are appended for as long as they arrive in ascending order —
@@ -165,70 +346,16 @@ where
     /// input, so their output never leaves this path — and from the first
     /// row that does not, the rest is collected and everything is sorted
     /// once, stably. No ordered map is built on the way.
-    pub fn from_tuples(
+    pub fn from_tuples<R: Borrow<[V]>>(
         schema: Schema,
-        rows: impl IntoIterator<Item = (Tuple<V>, K)>,
+        rows: impl IntoIterator<Item = (R, K)>,
         merge: Merge,
     ) -> Result<Self> {
-        let expected = schema.arity();
-        let mut mismatch = None;
-        let checked = rows.into_iter().map_while(|(t, k)| {
-            mismatch = (t.arity() != expected).then_some(t.arity());
-            mismatch.is_none().then_some((t, k))
-        });
-        let rel = Relation::build(schema, checked, merge);
-        match mismatch {
-            Some(got) => Err(RelError::ArityMismatch { expected, got }),
-            None => Ok(rel),
-        }
-    }
-
-    /// [`from_tuples`](Relation::from_tuples) over rows of the schema's
-    /// arity.
-    fn build(schema: Schema, rows: impl Iterator<Item = (Tuple<V>, K)>, merge: Merge) -> Self {
-        let on_equal = |old: &mut K, k: K| match merge {
-            Merge::Sum => add_annotation(old, k),
-            Merge::First => true,
-        };
-        let mut store = Store::new();
-        let mut late: Vec<(Tuple<V>, K)> = Vec::new();
+        let mut builder = Builder::new(schema.arity(), merge);
         for (t, k) in rows {
-            if k.is_zero() {
-                continue;
-            }
-            if !late.is_empty() {
-                late.push((t, k));
-                continue;
-            }
-            match store.last().map_or(Ordering::Greater, |last| t.cmp(last)) {
-                Ordering::Greater => store.push(t, k),
-                // A repeat of the last row, which first-wins leaves alone.
-                Ordering::Equal if merge == Merge::First => {}
-                Ordering::Equal => store.upsert(t, k, add_annotation),
-                Ordering::Less => late.push((t, k)),
-            }
+            builder.push_checked(t.borrow(), k)?;
         }
-        if !late.is_empty() {
-            let mut all = store.into_rows();
-            all.append(&mut late);
-            all.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut merged: Vec<(Tuple<V>, K)> = Vec::with_capacity(all.len());
-            for (t, k) in all {
-                match merged.last_mut() {
-                    Some((last, old)) if *last == t => {
-                        if !on_equal(old, k) {
-                            merged.pop();
-                        }
-                    }
-                    _ => merged.push((t, k)),
-                }
-            }
-            store = Store::from_sorted(merged);
-        }
-        Relation {
-            schema,
-            tuples: Arc::new(store),
-        }
+        Ok(builder.finish(schema))
     }
 
     /// The schema.
@@ -238,30 +365,31 @@ where
 
     /// Adds `k` to the annotation of a row (the `K`-relation update
     /// `R(t) += k`); rows whose annotation becomes `0` leave the support.
+    /// The row vector's cells move into the store.
     pub fn insert(&mut self, row: impl Into<Vec<V>>, k: K) -> Result<()> {
-        let row: Vec<V> = row.into();
-        if row.len() != self.schema.arity() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        self.add_tuple(Tuple::new(row), k);
-        Ok(())
+        self.add_row(row.into(), k)
     }
 
-    /// Adds `k` to the annotation of an existing [`Tuple`] (the same
-    /// `R(t) += k` update as [`insert`](Relation::insert), without
-    /// rebuilding the tuple from a row vector). Rows whose annotation
-    /// becomes `0` leave the support.
-    pub fn add(&mut self, t: Tuple<V>, k: K) -> Result<()> {
-        if t.arity() != self.schema.arity() {
+    /// Adds `k` to the annotation of an existing tuple or row (the same
+    /// `R(t) += k` update as [`insert`](Relation::insert), its values
+    /// copied into the store). Rows whose annotation becomes `0` leave the
+    /// support.
+    pub fn add(&mut self, t: impl Borrow<[V]>, k: K) -> Result<()> {
+        self.add_row(t.borrow(), k)
+    }
+
+    fn add_row(&mut self, row: impl Row<V>, k: K) -> Result<()> {
+        if row.cells().len() != self.schema.arity() {
             return Err(RelError::ArityMismatch {
                 expected: self.schema.arity(),
-                got: t.arity(),
+                got: row.cells().len(),
             });
         }
-        self.add_tuple(t, k);
+        if !k.is_zero() {
+            // Copy-on-write: of the block pointers if the store is shared,
+            // and of the one block the row lands in if that is.
+            Arc::make_mut(&mut self.tuples).upsert(row, k, add_annotation);
+        }
         Ok(())
     }
 
@@ -270,24 +398,16 @@ where
     /// semirings have no subtraction — but the primitive that lets a
     /// maintained materialization replace a stale row with its re-collapsed
     /// form.
-    pub fn remove(&mut self, t: &Tuple<V>) -> Option<K> {
+    pub fn remove(&mut self, t: &(impl Borrow<[V]> + ?Sized)) -> Option<K> {
+        let t = t.borrow();
         // Avoid copying anything out of a shared store to remove nothing.
         self.tuples.get(t)?;
         Arc::make_mut(&mut self.tuples).remove(t)
     }
 
-    fn add_tuple(&mut self, t: Tuple<V>, k: K) {
-        if k.is_zero() {
-            return;
-        }
-        // Copy-on-write: of the block pointers if the store is shared, and
-        // of the one block the row lands in if that is.
-        Arc::make_mut(&mut self.tuples).upsert(t, k, add_annotation);
-    }
-
     /// `R(t)`: the annotation of a tuple (`0_K` outside the support).
-    pub fn annotation(&self, t: &Tuple<V>) -> K {
-        self.tuples.get(t).cloned().unwrap_or_else(K::zero)
+    pub fn annotation(&self, t: &(impl Borrow<[V]> + ?Sized)) -> K {
+        self.tuples.get(t.borrow()).cloned().unwrap_or_else(K::zero)
     }
 
     /// The support size `|supp(R)|`.
@@ -300,13 +420,14 @@ where
         self.tuples.len() == 0
     }
 
-    /// Iterates over the support with annotations.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple<V>, &K)> {
+    /// Iterates over the support with annotations, each row borrowed
+    /// where the store holds it.
+    pub fn iter(&self) -> impl Iterator<Item = (TupleRef<'_, V>, &K)> {
         self.tuples.iter()
     }
 
     /// The tuple store, for a batch that reads its annotations in place.
-    pub(crate) fn store(&self) -> &Arc<Store<Tuple<V>, K>> {
+    pub(crate) fn store(&self) -> &Arc<Store<V, K>> {
         &self.tuples
     }
 
@@ -343,24 +464,32 @@ where
             });
         }
         let rows = self.iter().chain(other.iter());
-        let rows = rows.map(|(t, k)| (t.clone(), k.clone()));
-        Ok(Relation::build(self.schema.clone(), rows, Merge::Sum))
+        let rows = rows.map(|(t, k)| (t, k.clone()));
+        Relation::from_tuples(self.schema.clone(), rows, Merge::Sum)
     }
 
     /// Projection: `(Π_{U'} R)(t) = Σ { R(t') : t'|_{U'} = t }`.
     pub fn project(&self, attrs: &[&str]) -> Result<Self> {
         let indices = self.schema.indices_of(attrs)?;
         let schema = self.schema.project(attrs)?;
-        let rows = self.iter().map(|(t, k)| (t.project(&indices), k.clone()));
-        Ok(Relation::build(schema, rows, Merge::Sum))
+        let mut builder = Builder::new(schema.arity(), Merge::Sum);
+        let mut row = Vec::with_capacity(indices.len());
+        for (t, k) in self.iter() {
+            row.clear();
+            row.extend(indices.iter().map(|&i| t.get(i).clone()));
+            builder.push(&mut row, k.clone());
+        }
+        Ok(builder.finish(schema))
     }
 
     /// Selection with a boolean predicate: `(σ_P R)(t) = R(t) · P(t)` where
     /// `P(t) ∈ {0_K, 1_K}`.
-    pub fn select(&self, pred: impl Fn(&Schema, &Tuple<V>) -> bool) -> Self {
-        let kept = self.iter().filter(|(t, _)| pred(&self.schema, t));
-        let rows = kept.map(|(t, k)| (t.clone(), k.clone()));
-        Relation::build(self.schema.clone(), rows, Merge::Sum)
+    pub fn select(&self, pred: impl Fn(&Schema, TupleRef<'_, V>) -> bool) -> Self {
+        let mut builder = Builder::new(self.schema.arity(), Merge::Sum);
+        for (t, k) in self.iter().filter(|(t, _)| pred(&self.schema, *t)) {
+            builder.push(t.values(), k.clone());
+        }
+        builder.finish(self.schema.clone())
     }
 
     /// Selection of tuples whose attribute equals a constant.
@@ -383,7 +512,7 @@ where
 
         // Hash-index the right side by its shared-key projection (build),
         // then stream the left side through it (probe).
-        let mut index: HashMap<Tuple<V>, Vec<(&Tuple<V>, &K)>> = HashMap::new();
+        let mut index: HashMap<Tuple<V>, Vec<(TupleRef<'_, V>, &K)>> = HashMap::new();
         for (t, k) in other.iter() {
             index
                 .entry(t.project(&right_keys))
@@ -391,14 +520,18 @@ where
                 .push((t, k));
         }
 
-        let rows = self.iter().flat_map(|(t, k)| {
-            let matches = index.get(&t.project(&left_keys));
-            matches.into_iter().flatten().map(|(t2, k2)| {
-                let extra: Vec<V> = right_extra.iter().map(|i| t2.get(*i).clone()).collect();
-                (t.concat(&extra), k.times(k2))
-            })
-        });
-        Ok(Relation::build(schema, rows, Merge::Sum))
+        let mut builder = Builder::new(schema.arity(), Merge::Sum);
+        let mut row = Vec::with_capacity(schema.arity());
+        for (t, k) in self.iter() {
+            let key = t.project(&left_keys);
+            for (t2, k2) in index.get(&key).into_iter().flatten() {
+                row.clear();
+                row.extend_from_slice(t.values());
+                row.extend(right_extra.iter().map(|i| t2.get(*i).clone()));
+                builder.push(&mut row, k.times(k2));
+            }
+        }
+        Ok(builder.finish(schema))
     }
 
     /// Cartesian product (natural join with disjoint schemas).
@@ -447,8 +580,11 @@ where
         &self,
         h: &mut impl FnMut(&K) -> K2,
     ) -> Relation<K2, V> {
-        let rows = self.iter().map(|(t, k)| (t.clone(), h(k)));
-        Relation::build(self.schema.clone(), rows, Merge::Sum)
+        let mut builder = Builder::new(self.schema.arity(), Merge::Sum);
+        for (t, k) in self.iter() {
+            builder.push(t.values(), h(k));
+        }
+        builder.finish(self.schema.clone())
     }
 
     /// Maps tuple values (e.g. applying `h^M` inside aggregate values);
@@ -457,11 +593,14 @@ where
         &self,
         f: &mut impl FnMut(&V) -> V2,
     ) -> Relation<K, V2> {
-        let rows = self.iter().map(|(t, k)| {
-            let values: Vec<V2> = t.values().iter().map(&mut *f).collect();
-            (Tuple::new(values), k.clone())
-        });
-        Relation::build(self.schema.clone(), rows, Merge::Sum)
+        let mut builder = Builder::new(self.schema.arity(), Merge::Sum);
+        let mut row = Vec::with_capacity(self.schema.arity());
+        for (t, k) in self.iter() {
+            row.clear();
+            row.extend(t.values().iter().map(&mut *f));
+            builder.push(&mut row, k.clone());
+        }
+        builder.finish(self.schema.clone())
     }
 
     /// Total annotation size under a user-supplied measure (for the
@@ -715,7 +854,7 @@ mod tests {
     #[test]
     fn from_tuples_builds_without_reinsertion() {
         let r = figure_1a();
-        let rows = r.iter().map(|(t, k)| (t.clone(), k.clone()));
+        let rows = r.iter().map(|(t, k)| (t, k.clone()));
         let rebuilt = Relation::from_tuples(r.schema().clone(), rows, Merge::First).unwrap();
         assert_eq!(rebuilt, r);
         // Zero annotations are dropped; arity mismatches are errors.

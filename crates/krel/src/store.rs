@@ -1,6 +1,10 @@
 //! The tuple store behind [`Relation`](crate::relation::Relation):
 //! strictly ascending rows in [`Arc`]'d blocks of at most [`BLOCK_CAP`].
 //!
+//! A block is row-major: its rows' cells lie in one `Vec<V>`, `arity`
+//! cells a row, beside one `Vec<K>` of their annotations, so a stored row
+//! is its cells and its annotation and no allocation of its own.
+//!
 //! Appending a row greater than the last one is a compare and a push; any
 //! other write is a binary search over the block heads, then inside one
 //! block. A full block splits in half, one left under `BLOCK_CAP / 4` by a
@@ -8,33 +12,191 @@
 //! block has its own `Arc`: a clone shares every block, and a write copies
 //! only the one it lands in.
 
+use crate::relation::TupleRef;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-/// The most rows one block holds. 512 rows of a base table are ≈ 20 KiB —
+/// The most rows one block holds. 512 rows of a base table are ≈ 48 KiB —
 /// what one write under a pinned snapshot copies; see the "Tuple store"
 /// section of `docs/ARCHITECTURE.md` for the 128/256/512/1024 sweep.
 pub(crate) const BLOCK_CAP: usize = 512;
 
-type Block<T, K> = Arc<Vec<(T, K)>>;
+/// A row a store takes: read as a slice to find its place, then its cells
+/// appended to a block — moved out of a vector, cloned out of a slice.
+pub(crate) trait Row<V> {
+    fn cells(&self) -> &[V];
+    fn append_to(self, cells: &mut Vec<V>);
+}
+
+/// A row vector's cells move in.
+impl<V> Row<V> for Vec<V> {
+    fn cells(&self) -> &[V] {
+        self
+    }
+
+    fn append_to(mut self, cells: &mut Vec<V>) {
+        cells.append(&mut self);
+    }
+}
+
+/// A reused row buffer's cells move in; the buffer is left empty, its
+/// capacity kept for the next row.
+impl<V> Row<V> for &mut Vec<V> {
+    fn cells(&self) -> &[V] {
+        self
+    }
+
+    fn append_to(self, cells: &mut Vec<V>) {
+        cells.append(self);
+    }
+}
+
+/// A borrowed row's cells are cloned in.
+impl<V: Clone> Row<V> for &[V] {
+    fn cells(&self) -> &[V] {
+        self
+    }
+
+    fn append_to(self, cells: &mut Vec<V>) {
+        cells.extend_from_slice(self);
+    }
+}
+
+/// Rows of `arity` cells, row-major: row `i` is
+/// `cells[i * arity..(i + 1) * arity]`, annotated `anns[i]`. An arity of 0
+/// (the nullary relation) has rows and no cells.
+#[derive(Clone)]
+pub(crate) struct Block<V, K> {
+    arity: usize,
+    cells: Vec<V>,
+    anns: Vec<K>,
+}
+
+impl<V, K> Block<V, K> {
+    pub(crate) fn new(arity: usize) -> Self {
+        Block {
+            arity,
+            cells: Vec::new(),
+            anns: Vec::new(),
+        }
+    }
+
+    fn with_capacity(arity: usize, rows: usize) -> Self {
+        Block {
+            arity,
+            cells: Vec::with_capacity(arity * rows),
+            anns: Vec::with_capacity(rows),
+        }
+    }
+
+    pub(crate) fn arity(&self) -> usize {
+        self.arity
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.anns.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.anns.is_empty()
+    }
+
+    fn row(&self, i: usize) -> &[V] {
+        &self.cells[i * self.arity..(i + 1) * self.arity]
+    }
+
+    fn last(&self) -> Option<&[V]> {
+        let n = self.len();
+        (n > 0).then(|| self.row(n - 1))
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (TupleRef<'_, V>, &K)> {
+        let rows = self.anns.iter().enumerate();
+        rows.map(|(i, k)| (TupleRef::new(self.row(i)), k))
+    }
+
+    pub(crate) fn push(&mut self, row: impl Row<V>, k: K) {
+        debug_assert_eq!(row.cells().len(), self.arity);
+        row.append_to(&mut self.cells);
+        self.anns.push(k);
+    }
+
+    /// Puts a row in at position `i`, shifting the rows after it.
+    fn insert(&mut self, i: usize, row: impl Row<V>, k: K) {
+        self.push(row, k);
+        self.cells[i * self.arity..].rotate_right(self.arity);
+        self.anns[i..].rotate_right(1);
+    }
+
+    fn remove(&mut self, i: usize) -> K {
+        self.cells.drain(i * self.arity..(i + 1) * self.arity);
+        self.anns.remove(i)
+    }
+
+    /// The rows from `at` on, moved into a block of their own.
+    fn split_off(&mut self, at: usize) -> Self {
+        Block {
+            arity: self.arity,
+            cells: self.cells.split_off(at * self.arity),
+            anns: self.anns.split_off(at),
+        }
+    }
+
+    pub(crate) fn append(&mut self, other: &mut Self) {
+        self.cells.append(&mut other.cells);
+        self.anns.append(&mut other.anns);
+    }
+
+    /// Swaps two distinct rows.
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        let a = self.arity;
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (head, tail) = self.cells.split_at_mut(hi * a);
+        head[lo * a..(lo + 1) * a].swap_with_slice(&mut tail[..a]);
+        self.anns.swap(i, j);
+    }
+
+    fn truncate(&mut self, rows: usize) {
+        self.cells.truncate(rows * self.arity);
+        self.anns.truncate(rows);
+    }
+}
+
+impl<V: Ord, K> Block<V, K> {
+    /// Where `t` is (`Ok`) or would go (`Err`).
+    fn search(&self, t: &[V]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid).cmp(t) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+}
 
 #[derive(Clone)]
-pub(crate) struct Store<T, K> {
-    blocks: Vec<Block<T, K>>,
+pub(crate) struct Store<V, K> {
+    arity: usize,
+    blocks: Vec<Arc<Block<V, K>>>,
     len: usize,
 }
 
-impl<T, K> Store<T, K> {
+impl<V, K> Store<V, K> {
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&T, &K)> {
-        let rows = self.blocks.iter().flat_map(|b| b.iter());
-        Counted(rows.map(|(t, k)| (t, k)), self.len)
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleRef<'_, V>, &K)> {
+        let rows = self.blocks.iter().flat_map(|b| b.rows());
+        Counted(rows, self.len)
     }
 
-    /// The position of each block's first row: the index [`Store::at`]
+    /// The position of each block's first row: the index [`Store::ann_at`]
     /// searches. One allocation of one word per block.
     pub(crate) fn block_starts(&self) -> Vec<usize> {
         let mut starts = Vec::with_capacity(self.blocks.len());
@@ -46,11 +208,11 @@ impl<T, K> Store<T, K> {
         starts
     }
 
-    /// The row at position `p` in iteration order, given this store's
-    /// [`block_starts`](Store::block_starts).
-    pub(crate) fn at(&self, starts: &[usize], p: usize) -> Option<&(T, K)> {
+    /// The annotation at position `p` in iteration order, given this
+    /// store's [`block_starts`](Store::block_starts).
+    pub(crate) fn ann_at(&self, starts: &[usize], p: usize) -> Option<&K> {
         let b = starts.partition_point(|&s| s <= p).checked_sub(1)?;
-        self.blocks.get(b)?.get(p - starts.get(b)?)
+        self.blocks.get(b)?.anns.get(p - starts.get(b)?)
     }
 }
 
@@ -72,110 +234,111 @@ impl<I: Iterator> Iterator for Counted<I> {
 
 /// Row-wise: two equal stores built by different routes have different
 /// block boundaries.
-impl<T: PartialEq, K: PartialEq> PartialEq for Store<T, K> {
+impl<V: PartialEq, K: PartialEq> PartialEq for Store<V, K> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
-impl<T: Eq, K: Eq> Eq for Store<T, K> {}
+impl<V: Eq, K: Eq> Eq for Store<V, K> {}
 
 /// A map of rows, whatever the blocks.
-impl<T: fmt::Debug, K: fmt::Debug> fmt::Debug for Store<T, K> {
+impl<V: fmt::Debug, K: fmt::Debug> fmt::Debug for Store<V, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
 }
 
-impl<T: Ord + Clone, K: Clone> Store<T, K> {
-    pub(crate) fn new() -> Self {
+impl<V: Ord + Clone, K: Clone> Store<V, K> {
+    pub(crate) fn new(arity: usize) -> Self {
         Store {
+            arity,
             blocks: Vec::new(),
             len: 0,
         }
     }
 
-    /// The greatest row's tuple.
-    pub(crate) fn last(&self) -> Option<&T> {
-        Some(&self.blocks.last()?.last()?.0)
+    /// The greatest row.
+    pub(crate) fn last(&self) -> Option<&[V]> {
+        self.blocks.last()?.last()
     }
 
     /// Where `t` is or would go: the last block whose head is `≤ t` (the
     /// first block before every head) and the search result inside it.
-    fn locate(&self, t: &T) -> (usize, Result<usize, usize>) {
+    fn locate(&self, t: &[V]) -> (usize, Result<usize, usize>) {
         let b = self
             .blocks
-            .partition_point(|b| b.first().is_some_and(|(head, _)| head <= t))
+            .partition_point(|b| b.row(0) <= t)
             .saturating_sub(1);
-        let at = self
-            .blocks
-            .get(b)
-            .map_or(Err(0), |rows| rows.binary_search_by(|(row, _)| row.cmp(t)));
+        let at = self.blocks.get(b).map_or(Err(0), |rows| rows.search(t));
         (b, at)
     }
 
-    pub(crate) fn get(&self, t: &T) -> Option<&K> {
+    pub(crate) fn get(&self, t: &[V]) -> Option<&K> {
         let (b, at) = self.locate(t);
-        Some(&self.blocks.get(b)?.get(at.ok()?)?.1)
+        self.blocks.get(b)?.anns.get(at.ok()?)
     }
 
     /// Appends a row greater than every row present: no search, and a
     /// fresh block instead of a split when the last one is full.
-    pub(crate) fn push(&mut self, t: T, k: K) {
-        debug_assert!(self.last().is_none_or(|last| *last < t));
+    pub(crate) fn push(&mut self, row: impl Row<V>, k: K) {
+        debug_assert!(self.last().is_none_or(|last| last < row.cells()));
         match self.blocks.last_mut() {
-            Some(rows) if rows.len() < BLOCK_CAP => Arc::make_mut(rows).push((t, k)),
+            Some(rows) if rows.len() < BLOCK_CAP => Arc::make_mut(rows).push(row, k),
             Some(_) => {
-                let mut rows = Vec::with_capacity(BLOCK_CAP);
-                rows.push((t, k));
+                let mut rows = Block::with_capacity(self.arity, BLOCK_CAP);
+                rows.push(row, k);
                 self.blocks.push(Arc::new(rows));
             }
-            None => self.blocks.push(Arc::new(vec![(t, k)])),
+            None => {
+                let mut rows = Block::new(self.arity);
+                rows.push(row, k);
+                self.blocks.push(Arc::new(rows));
+            }
         }
         self.len += 1;
     }
 
-    /// Stores `k` under `t`. Where `t` already holds a row, `merge` writes
-    /// that row's annotation from `k` and says whether the row stays; the
+    /// Stores `k` under `row`. Where the row is already present, `merge`
+    /// writes its annotation from `k` and says whether the row stays; the
     /// block is unshared first, so a rule that keeps the old row skips this.
-    pub(crate) fn upsert(&mut self, t: T, k: K, merge: impl FnOnce(&mut K, K) -> bool) {
-        if self.last().is_none_or(|last| *last < t) {
-            return self.push(t, k);
+    pub(crate) fn upsert(&mut self, row: impl Row<V>, k: K, merge: impl FnOnce(&mut K, K) -> bool) {
+        if self.last().is_none_or(|last| last < row.cells()) {
+            return self.push(row, k);
         }
-        let (b, at) = self.locate(&t);
+        let (b, at) = self.locate(row.cells());
         let rows = Arc::make_mut(&mut self.blocks[b]);
         match at {
             Ok(i) => {
-                if !merge(&mut rows[i].1, k) {
+                if !merge(&mut rows.anns[i], k) {
                     self.remove_at(b, i);
                 }
             }
             Err(i) => {
                 self.len += 1;
                 if rows.len() < BLOCK_CAP {
-                    rows.insert(i, (t, k));
+                    rows.insert(i, row, k);
                     return;
                 }
-                let mut upper = Vec::with_capacity(BLOCK_CAP);
-                upper.extend(rows.drain(BLOCK_CAP / 2..));
+                let mut upper = rows.split_off(BLOCK_CAP / 2);
                 match i.checked_sub(rows.len()) {
-                    Some(j) if j > 0 => upper.insert(j, (t, k)),
-                    _ => rows.insert(i, (t, k)),
+                    Some(j) if j > 0 => upper.insert(j, row, k),
+                    _ => rows.insert(i, row, k),
                 }
                 self.blocks.insert(b + 1, Arc::new(upper));
             }
         }
     }
 
-    /// Takes the row under `t` out.
-    pub(crate) fn remove(&mut self, t: &T) -> Option<K> {
+    /// Takes the row `t` out.
+    pub(crate) fn remove(&mut self, t: &[V]) -> Option<K> {
         let (b, at) = self.locate(t);
         Some(self.remove_at(b, at.ok()?))
     }
 
     fn remove_at(&mut self, b: usize, i: usize) -> K {
         let rows = Arc::make_mut(&mut self.blocks[b]);
-        let (_, k) = rows.remove(i);
+        let k = rows.remove(i);
         self.len -= 1;
         let left = rows.len();
         if left == 0 {
@@ -183,7 +346,8 @@ impl<T: Ord + Clone, K: Clone> Store<T, K> {
         } else if left < BLOCK_CAP / 4 {
             // Into the previous block if the two fit in one, else the next
             // one into this.
-            let fits = |n: Option<&Block<T, K>>| n.is_some_and(|n| n.len() + left <= BLOCK_CAP);
+            let fits =
+                |n: Option<&Arc<Block<V, K>>>| n.is_some_and(|n| n.len() + left <= BLOCK_CAP);
             let into = if b > 0 && fits(self.blocks.get(b - 1)) {
                 Some(b - 1)
             } else if fits(self.blocks.get(b + 1)) {
@@ -192,17 +356,17 @@ impl<T: Ord + Clone, K: Clone> Store<T, K> {
                 None
             };
             if let Some(into) = into {
-                let upper = Arc::unwrap_or_clone(self.blocks.remove(into + 1));
-                Arc::make_mut(&mut self.blocks[into]).extend(upper);
+                let mut upper = Arc::unwrap_or_clone(self.blocks.remove(into + 1));
+                Arc::make_mut(&mut self.blocks[into]).append(&mut upper);
             }
         }
         k
     }
 
     /// A store of `rows`, which must be strictly ascending.
-    pub(crate) fn from_sorted(mut rows: Vec<(T, K)>) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
-        let len = rows.len();
+    pub(crate) fn from_sorted(mut rows: Block<V, K>) -> Self {
+        debug_assert!((1..rows.len()).all(|i| rows.row(i - 1) < rows.row(i)));
+        let (arity, len) = (rows.arity, rows.len());
         let mut blocks = Vec::with_capacity(len.div_ceil(BLOCK_CAP));
         // Blocks come off the back, so each row moves once.
         while rows.len() > BLOCK_CAP {
@@ -210,18 +374,63 @@ impl<T: Ord + Clone, K: Clone> Store<T, K> {
             blocks.push(Arc::new(rows.split_off(at)));
         }
         if !rows.is_empty() {
-            rows.shrink_to_fit();
+            rows.cells.shrink_to_fit();
+            rows.anns.shrink_to_fit();
             blocks.push(Arc::new(rows));
         }
         blocks.reverse();
-        Store { blocks, len }
+        Store { arity, blocks, len }
     }
 
-    /// All rows, in order.
-    pub(crate) fn into_rows(self) -> Vec<(T, K)> {
-        let mut rows = Vec::with_capacity(self.len);
+    /// A store of `rows` in any order: sorted once, stably, and each run of
+    /// equal rows merged in arrival order — `merge` folds a later row's
+    /// annotation (moved out of its slot by `take`) into the kept one and
+    /// says whether the kept row stays; a row that leaves lets an equal
+    /// row after it in again. Positions are sorted, not rows, and then
+    /// the permutation's cycles are followed with swaps that each put one
+    /// row in its place: no cell is cloned.
+    pub(crate) fn from_unsorted(
+        mut rows: Block<V, K>,
+        mut take: impl FnMut(&mut K) -> K,
+        mut merge: impl FnMut(&mut K, K) -> bool,
+    ) -> Self {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&i, &j| rows.row(i).cmp(rows.row(j)));
+        // Position `p` takes the row at `order[p]`; a placed position
+        // points at itself.
+        for start in 0..order.len() {
+            let mut p = start;
+            while order[p] != start {
+                let from = order[p];
+                rows.swap_rows(p, from);
+                order[p] = p;
+                p = from;
+            }
+            order[p] = p;
+        }
+        let mut kept = 0;
+        for r in 0..rows.len() {
+            if kept > 0 && rows.row(kept - 1) == rows.row(r) {
+                let k = take(&mut rows.anns[r]);
+                if !merge(&mut rows.anns[kept - 1], k) {
+                    kept -= 1;
+                }
+            } else {
+                if kept != r {
+                    rows.swap_rows(kept, r);
+                }
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        Store::from_sorted(rows)
+    }
+
+    /// All rows, in order, in one block.
+    pub(crate) fn into_rows(self) -> Block<V, K> {
+        let mut rows = Block::with_capacity(self.arity, self.len);
         for block in self.blocks {
-            rows.extend(Arc::unwrap_or_clone(block));
+            rows.append(&mut Arc::unwrap_or_clone(block));
         }
         rows
     }
@@ -231,14 +440,15 @@ impl<T: Ord + Clone, K: Clone> Store<T, K> {
 mod tests {
     use super::*;
 
-    /// No empty block, at most `BLOCK_CAP` rows a block, strictly ascending
-    /// inside blocks and across block heads, `len` the row count.
+    /// No empty block, at most `BLOCK_CAP` rows a block, `arity` cells a
+    /// row, strictly ascending inside blocks and across block heads, `len`
+    /// the row count.
     fn check(s: &Store<u32, u32>) {
         assert!(s
             .blocks
             .iter()
-            .all(|b| !b.is_empty() && b.len() <= BLOCK_CAP));
-        let keys: Vec<u32> = s.iter().map(|(t, _)| *t).collect();
+            .all(|b| !b.is_empty() && b.len() <= BLOCK_CAP && b.cells.len() == s.arity * b.len()));
+        let keys: Vec<&[u32]> = s.iter().map(|(t, _)| t.values()).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(keys.len(), s.len());
     }
@@ -248,63 +458,78 @@ mod tests {
         true
     }
 
+    /// A two-cell row, so that a misplaced cell shows.
+    fn row(i: u32) -> Vec<u32> {
+        vec![i / 7, i]
+    }
+
+    fn unary(rows: impl Iterator<Item = (u32, u32)>) -> Block<u32, u32> {
+        let mut block = Block::new(1);
+        rows.for_each(|(t, k)| block.push(vec![t], k));
+        block
+    }
+
     #[test]
     fn ascending_appends_fill_blocks_without_splitting() {
-        let mut s = Store::new();
+        let mut s = Store::new(2);
         for i in 0..3 * BLOCK_CAP as u32 + 1 {
-            s.upsert(i, i, replace);
+            s.upsert(row(i), i, replace);
         }
         check(&s);
         let sizes: Vec<usize> = s.blocks.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, [BLOCK_CAP, BLOCK_CAP, BLOCK_CAP, 1]);
-        assert_eq!(s.last(), Some(&(3 * BLOCK_CAP as u32)));
+        assert_eq!(s.last(), Some(&row(3 * BLOCK_CAP as u32)[..]));
     }
 
     #[test]
     fn any_insertion_order_keeps_the_invariants() {
         // Descending, then a stride that lands in the middle of blocks.
         let n = 5 * BLOCK_CAP as u32;
-        let mut s = Store::new();
+        let mut s = Store::new(2);
         for i in (0..n).rev().step_by(2) {
-            s.upsert(i, i, replace);
+            s.upsert(row(i), i, replace);
         }
         for i in (0..n).map(|i| i * 7919 % n) {
-            s.upsert(i, i + 1, replace);
+            s.upsert(&row(i)[..], i + 1, replace);
         }
         check(&s);
         assert_eq!(s.len(), n as usize);
-        assert!((0..n).all(|i| s.get(&i) == Some(&(i + 1))));
-        assert_eq!(s.get(&n), None);
+        assert!((0..n).all(|i| s.get(&row(i)) == Some(&(i + 1))));
+        assert!(s
+            .iter()
+            .enumerate()
+            .all(|(i, (t, _))| *t.values() == row(i as u32)));
+        assert_eq!(s.get(&row(n)), None);
         // A merge that says "gone" removes the row.
-        s.upsert(7, 0, |_, _| false);
-        assert_eq!((s.get(&7), s.len()), (None, n as usize - 1));
+        s.upsert(row(7), 0, |_, _| false);
+        assert_eq!((s.get(&row(7)), s.len()), (None, n as usize - 1));
         check(&s);
     }
 
     #[test]
     fn a_shrinking_store_merges_its_blocks() {
-        let mut s = Store::from_sorted((0..100_000).map(|i| (i, i)).collect());
+        let mut s = Store::from_sorted(unary((0..100_000).map(|i| (i, i))));
         assert_eq!(s.blocks.len(), 100_000usize.div_ceil(BLOCK_CAP));
         check(&s);
         for i in (0..100_000).filter(|i| i % 100 != 0) {
-            assert_eq!(s.remove(&i), Some(i));
+            assert_eq!(s.remove(&[i]), Some(i));
         }
         check(&s);
         assert_eq!(s.len(), 1_000);
         assert!(s.blocks.len() <= 8, "{} blocks", s.blocks.len());
-        assert_eq!(s.remove(&1), None);
+        assert_eq!(s.remove(&[1]), None);
         for i in (0..100_000).step_by(100) {
-            assert_eq!(s.remove(&i), Some(i));
+            assert_eq!(s.remove(&[i]), Some(i));
         }
         assert!(s.blocks.is_empty() && s.len() == 0);
     }
 
     #[test]
     fn a_write_copies_one_block_of_a_shared_store() {
-        let pinned = Store::from_sorted((0..4 * BLOCK_CAP as u32).map(|i| (2 * i, i)).collect());
+        let pinned = Store::from_sorted(unary((0..4 * BLOCK_CAP as u32).map(|i| (2 * i, i))));
         let mut s = pinned.clone();
-        s.upsert(3, 0, replace);
-        s.remove(&(6 * BLOCK_CAP as u32));
+        s.upsert(vec![3], 0, replace);
+        s.remove(&[6 * BLOCK_CAP as u32]);
         // The insert split the first block, the removal hit the last.
         let shared = |p| s.blocks.iter().any(|b| Arc::ptr_eq(b, p));
         let still: Vec<bool> = pinned.blocks.iter().map(shared).collect();
@@ -313,7 +538,39 @@ mod tests {
         check(&s);
         check(&pinned);
         assert_eq!(pinned.len(), 4 * BLOCK_CAP);
-        assert_eq!(pinned.get(&3), None);
+        assert_eq!(pinned.get(&[3]), None);
         assert_eq!(s.into_rows().len(), 4 * BLOCK_CAP);
+    }
+
+    #[test]
+    fn a_nullary_store_holds_one_row() {
+        let mut s = Store::new(0);
+        s.upsert(Vec::new(), 2, replace);
+        s.upsert(Vec::new(), 5, replace);
+        check(&s);
+        assert_eq!((s.len(), s.get(&[])), (1, Some(&5)));
+        assert!(s.iter().all(|(t, _)| t.arity() == 0));
+        assert_eq!(s.remove(&[]), Some(5));
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn an_unsorted_build_is_stable_and_merges_in_arrival_order() {
+        // Keys descend and repeat; the annotation records arrival.
+        let keys = [5u32, 3, 5, 1, 3, 5, 0];
+        let mut rows = Block::new(2);
+        for (arrival, key) in keys.iter().enumerate() {
+            rows.push(vec![*key, 9 - *key], arrival as u32);
+        }
+        // Sum each run, and let a sum of 7 leave: 5's run is 0+2 = 2, then
+        // 2+5 = 7 leaves; 3's run is 1+4 = 5.
+        let s = Store::from_unsorted(rows, std::mem::take, |old, k| {
+            *old += k;
+            *old != 7
+        });
+        check(&s);
+        let got: Vec<(u32, u32)> = s.iter().map(|(t, k)| (*t.get(0), *k)).collect();
+        assert_eq!(got, [(0, 6), (1, 3), (3, 5)]);
+        assert!(s.iter().all(|(t, _)| t.get(0) + t.get(1) == 9));
     }
 }

@@ -1,21 +1,26 @@
 //! The blocked tuple store against the representation it replaced.
 //!
 //! [`Relation`] used to keep its rows in a `BTreeMap<Tuple, K>`; it now
-//! keeps them in sorted copy-on-write blocks of 512. The model here *is*
-//! that map: random edits, pins and bulk builds run on both, and after
-//! every step the relation must read back as the map does — same `iter()`,
-//! `len`, `annotation`, `==` and `Display` — while a pinned clone stays
-//! what it was. Sizes sit around one to three blocks, so appends, splits,
-//! merges and block copies under a pin all happen. Annotations are in ℤ,
+//! keeps them in sorted copy-on-write blocks of 512, each block's cells in
+//! one row-major buffer. The model here *is* that map: random edits, pins
+//! and bulk builds run on both, and after every step the relation must
+//! read back as the map does — same `iter()`, `len`, `annotation`, `==`
+//! and `Display` — while a pinned clone stays what it was. Sizes sit
+//! around one to three blocks, so appends, splits, merges and block copies
+//! under a pin all happen. Every sequence runs at arities 0 to 3: the
+//! slicing of a block's buffer into rows serves each, and arity 0 is the
+//! nullary relation, which holds at most one row. Annotations are in ℤ,
 //! so sums cancel and rows leave the support.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::{CommutativeSemiring, IntZ};
-use aggprov_krel::relation::{Merge, Relation, Tuple};
+use aggprov_krel::relation::{Merge, Relation, Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 
 type Rel = Relation<IntZ, Const>;
 type Model = BTreeMap<Tuple<Const>, IntZ>;
@@ -23,16 +28,29 @@ type Model = BTreeMap<Tuple<Const>, IntZ>;
 /// Keys are drawn from `0..KEYS`; fills hold about half of them.
 const KEYS: i64 = 1_600;
 
-fn schema() -> Schema {
-    Schema::new(["a"]).unwrap()
+fn schema(arity: usize) -> Schema {
+    Schema::new(["a", "b", "c"].into_iter().take(arity)).unwrap()
 }
 
-fn key(i: i64) -> Tuple<Const> {
-    Tuple::from([Const::int(i)])
+/// The `i`-th tuple of an arity, ascending in `i`: `(i)`, `(i / 40,
+/// "s<i % 40>")`, `(i / 400, "s<i / 40 % 10>", i % 40)` — a string cell
+/// among the integers — and `()` for every `i` at arity 0.
+fn key(arity: usize, i: i64) -> Tuple<Const> {
+    let cells = match arity {
+        0 => vec![],
+        1 => vec![Const::int(i)],
+        2 => vec![Const::int(i / 40), Const::str(&format!("s{:02}", i % 40))],
+        _ => vec![
+            Const::int(i / 400),
+            Const::str(&format!("s{}", i / 40 % 10)),
+            Const::int(i % 40),
+        ],
+    };
+    Tuple::new(cells)
 }
 
-fn rows(raw: &[(i64, i64)]) -> impl Iterator<Item = (Tuple<Const>, IntZ)> + '_ {
-    raw.iter().map(|(i, k)| (key(*i), IntZ(*k)))
+fn rows(arity: usize, raw: &[(i64, i64)]) -> impl Iterator<Item = (Tuple<Const>, IntZ)> + '_ {
+    raw.iter().map(move |(i, k)| (key(arity, *i), IntZ(*k)))
 }
 
 /// `R(t) += k` on the map, as `Relation::add` documents it.
@@ -49,27 +67,65 @@ fn model_add(m: &mut Model, t: Tuple<Const>, k: IntZ) {
 }
 
 /// What `Display` printed off the map.
-fn render(m: &Model) -> String {
-    let mut out = format!("[{}]\n", schema());
+fn render(arity: usize, m: &Model) -> String {
+    let mut out = format!("[{}]\n", schema(arity));
     for (t, k) in m {
         writeln!(out, "  {t}  @ {k}").unwrap();
     }
     out
 }
 
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
 /// Every way of reading `r` agrees with the map.
-fn assert_reads_as(r: &Rel, m: &Model, probes: &[i64]) {
+fn assert_reads_as(arity: usize, r: &Rel, m: &Model, probes: &[i64]) {
     assert_eq!(r.len(), m.len());
     assert_eq!(r.is_empty(), m.is_empty());
-    assert!(r.iter().eq(m.iter()), "iteration differs from the model");
+    assert!(m.len() <= 1 || arity > 0, "a nullary relation has one row");
+    let read = r.iter().map(|(t, k)| (t.to_tuple(), *k));
+    assert!(
+        read.eq(m.iter().map(|(t, k)| (t.clone(), *k))),
+        "iteration differs from the model"
+    );
     for i in probes {
-        let want = m.get(&key(*i)).copied().unwrap_or(IntZ(0));
-        assert_eq!(r.annotation(&key(*i)), want, "annotation of {i}");
+        let want = m.get(&key(arity, *i)).copied().unwrap_or(IntZ(0));
+        assert_eq!(r.annotation(&key(arity, *i)), want, "annotation of {i}");
     }
     // `==` against the same rows under a different block layout.
-    let rebuilt = Relation::from_tuples(schema(), m.clone(), Merge::First).unwrap();
+    let rebuilt = Relation::from_tuples(schema(arity), m.clone(), Merge::First).unwrap();
     assert_eq!(*r, rebuilt);
-    assert_eq!(r.to_string(), render(m));
+    assert_eq!(r.to_string(), render(arity, m));
+}
+
+/// A borrowed row and the tuple it came from are one key: `==`, `cmp`,
+/// `DefaultHasher` output and `Display` agree pairwise, and a map keyed by
+/// tuples finds the same entry by the row as by the tuple.
+fn assert_rows_read_as_tuples(r: &Rel) {
+    let rows: Vec<(TupleRef<'_, Const>, Tuple<Const>)> =
+        r.iter().map(|(t, _)| (t, t.to_tuple())).collect();
+    let index: HashMap<Tuple<Const>, usize> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, (_, t))| (t.clone(), i))
+        .collect();
+    // Each row against its neighbours and the first: equal, less, greater.
+    for (i, (row, tuple)) in rows.iter().enumerate() {
+        assert_eq!(hash_of(row), hash_of(tuple));
+        assert_eq!(row.to_string(), tuple.to_string());
+        assert_eq!(row.values(), tuple.values());
+        assert_eq!(index.get(row.values()), Some(&i));
+        assert_eq!(index.get(row.values()), index.get(tuple));
+        for j in [0, i.saturating_sub(1), i, (i + 1).min(rows.len() - 1)] {
+            let (other_row, other_tuple) = &rows[j];
+            assert_eq!(row == other_row, tuple == other_tuple);
+            assert_eq!(row.cmp(other_row), tuple.cmp(other_tuple));
+            assert_eq!(row.partial_cmp(other_row), tuple.partial_cmp(other_tuple));
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -103,14 +159,16 @@ proptest! {
 
     #[test]
     fn edits_pins_and_bulk_builds_match_the_map(
+        arity in 0usize..4,
         fill in arb_raw(500..1_400),
         ops in prop::collection::vec(arb_op(), 1..16),
     ) {
-        let mut rel = Relation::from_tuples(schema(), rows(&fill), Merge::Sum).unwrap();
+        let key = |i| key(arity, i);
+        let mut rel = Relation::from_tuples(schema(arity), rows(arity, &fill), Merge::Sum).unwrap();
         let mut model = Model::new();
-        rows(&fill).for_each(|(t, k)| model_add(&mut model, t, k));
+        rows(arity, &fill).for_each(|(t, k)| model_add(&mut model, t, k));
         let mut pinned = (rel.clone(), model.clone());
-        assert_reads_as(&rel, &model, &[0, KEYS / 2, KEYS - 1]);
+        assert_reads_as(arity, &rel, &model, &[0, KEYS / 2, KEYS - 1]);
         for op in ops {
             let mut probes = vec![0, KEYS - 1];
             match op {
@@ -130,43 +188,43 @@ proptest! {
                 Op::Bulk(extra) => {
                     probes.extend(extra.iter().map(|(i, _)| *i));
                     // Descending, so the builder has to sort.
-                    let old: Vec<_> = rel.iter().map(|(t, k)| (t.clone(), *k)).collect();
-                    let all = old.into_iter().rev().chain(rows(&extra));
-                    rel = Relation::from_tuples(schema(), all, Merge::Sum).unwrap();
-                    rows(&extra).for_each(|(t, k)| model_add(&mut model, t, k));
+                    let old: Vec<_> = rel.iter().map(|(t, k)| (t.to_tuple(), *k)).collect();
+                    let all = old.into_iter().rev().chain(rows(arity, &extra));
+                    rel = Relation::from_tuples(schema(arity), all, Merge::Sum).unwrap();
+                    rows(arity, &extra).for_each(|(t, k)| model_add(&mut model, t, k));
                 }
             }
-            assert_reads_as(&rel, &model, &probes);
+            assert_reads_as(arity, &rel, &model, &probes);
             // The writer moved (or did not); the pin did not.
-            assert_reads_as(&pinned.0, &pinned.1, &probes);
+            assert_reads_as(arity, &pinned.0, &pinned.1, &probes);
         }
+        assert_rows_read_as_tuples(&rel);
     }
 
     #[test]
     fn five_routes_reach_one_relation(
+        arity in 0usize..4,
         raw in arb_raw(0..1_500),
         junk in arb_raw(0..700),
         salt in 1i64..1_000,
     ) {
+        let key = |i| key(arity, i);
         let mut model = Model::new();
-        rows(&raw).for_each(|(t, k)| model_add(&mut model, t, k));
+        rows(arity, &raw).for_each(|(t, k)| model_add(&mut model, t, k));
         let sorted: Vec<(Tuple<Const>, IntZ)> = model.clone().into_iter().collect();
         let mut shuffled = sorted.clone();
-        shuffled.sort_by_key(|(t, _)| match t.get(0) {
-            Const::Num(n) => n.as_int().map(|i| (i * salt * 7_919) % 1_601),
-            _ => None,
-        });
+        shuffled.sort_by_key(|(t, _)| hash_of(&(t, salt)));
         let by_adds = |order: &[(Tuple<Const>, IntZ)]| {
-            let mut r: Rel = Relation::empty(schema());
+            let mut r: Rel = Relation::empty(schema(arity));
             order.iter().for_each(|(t, k)| r.add(t.clone(), *k).unwrap());
             r
         };
         let ascending = by_adds(&sorted);
         let descending = by_adds(&sorted.iter().rev().cloned().collect::<Vec<_>>());
         let shuffled_adds = by_adds(&shuffled);
-        let bulk = Relation::from_tuples(schema(), shuffled.clone(), Merge::Sum).unwrap();
+        let bulk = Relation::from_tuples(schema(arity), shuffled.clone(), Merge::Sum).unwrap();
         // Churn: junk rows go in between the real ones and come out again.
-        let mut churned: Rel = Relation::empty(schema());
+        let mut churned: Rel = Relation::empty(schema(arity));
         let junk_keys: Vec<_> = junk
             .iter()
             .map(|(i, _)| key(*i))
@@ -176,7 +234,7 @@ proptest! {
         shuffled.iter().for_each(|(t, k)| churned.add(t.clone(), *k).unwrap());
         junk_keys.iter().for_each(|t| { churned.remove(t); });
 
-        let want = render(&model);
+        let want = render(arity, &model);
         for (route, r) in [
             ("descending", &descending),
             ("shuffled", &shuffled_adds),
@@ -188,23 +246,25 @@ proptest! {
             prop_assert_eq!(format!("{r:?}"), format!("{ascending:?}"), "{}", route);
         }
         prop_assert_eq!(ascending.to_string(), want);
+        assert_rows_read_as_tuples(&bulk);
     }
 
     #[test]
-    fn bulk_rules_are_loops_of_the_row_rules(raw in arb_raw(0..900)) {
+    fn bulk_rules_are_loops_of_the_row_rules(arity in 0usize..4, raw in arb_raw(0..900)) {
         // Additive ≡ a loop of `add`.
-        let bulk = Relation::from_tuples(schema(), rows(&raw), Merge::Sum).unwrap();
-        let mut looped: Rel = Relation::empty(schema());
-        rows(&raw).for_each(|(t, k)| looped.add(t, k).unwrap());
+        let bulk = Relation::from_tuples(schema(arity), rows(arity, &raw), Merge::Sum).unwrap();
+        let mut looped: Rel = Relation::empty(schema(arity));
+        rows(arity, &raw).for_each(|(t, k)| looped.add(t, k).unwrap());
         prop_assert_eq!(&bulk, &looped);
         // First-wins ≡ a loop of `insert_distinct`: zeros skipped, then the
         // first arrival stays.
-        let first = Relation::from_tuples(schema(), rows(&raw), Merge::First).unwrap();
+        let first = Relation::from_tuples(schema(arity), rows(arity, &raw), Merge::First).unwrap();
         let mut model = Model::new();
-        for (t, k) in rows(&raw).filter(|(_, k)| !k.is_zero()) {
+        for (t, k) in rows(arity, &raw).filter(|(_, k)| !k.is_zero()) {
             model.entry(t).or_insert(k);
         }
-        prop_assert!(first.iter().eq(model.iter()));
-        prop_assert_eq!(first.to_string(), render(&model));
+        let read = first.iter().map(|(t, k)| (t.to_tuple(), *k));
+        prop_assert!(read.eq(model.iter().map(|(t, k)| (t.clone(), *k))));
+        prop_assert_eq!(first.to_string(), render(arity, &model));
     }
 }

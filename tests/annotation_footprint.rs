@@ -153,9 +153,12 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     assert_eq!(allocations, ROWS, "allocations for {ROWS} tokens");
     // A base table of the benchmark's `emp` shape, three integers and a
     // `p<i>` token a row, loaded through `Relation::insert`: the row
-    // vector, its tuple and the token's term slice, 3.004 allocations and
-    // 184.2 bytes a row (208.2 while a cell was 32 bytes, 232.2 with each
-    // name in a block of its own besides).
+    // vector (its cells move into the store's block, and it is freed) and
+    // the token's term slice, 2.006 allocations and 152.6 bytes a row —
+    // 72 bytes of cells, a 24-byte annotation and the 56-byte term slice
+    // (3.004 / 184.2 while every row was a tuple of its own behind a
+    // 40-byte block entry, 208.2 while a cell was 32 bytes, 232.2 with
+    // each name in a block of its own besides).
     let names: Vec<String> = (0..LOAD).map(|i| format!("p{i}")).collect();
     let schema = Schema::new(["emp", "dept", "sal"]).unwrap();
     let (table, live, allocations, _) = measured(|| {
@@ -168,7 +171,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     });
     assert_eq!(table.len(), LOAD);
     assert!(
-        allocations * 100 <= LOAD * 301 && live as usize <= 188 * LOAD,
+        allocations * 100 <= LOAD * 201 && live as usize <= 156 * LOAD,
         "{LOAD} emp rows inserted: {allocations} allocations, {live} bytes"
     );
     drop((table, names));
@@ -339,9 +342,14 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     );
 
     // The tuple store. Loading a table in tuple order is a compare with
-    // the last row and a push into a 512-row block (two allocations a
-    // block; an ordered map made one node per six rows: 0.167 per row, 78
-    // bytes), …
+    // the last row and a push of the row's cells into a 512-row block
+    // (three allocations a block: its `Arc`, its cells, its annotations;
+    // an ordered map made one node per six rows: 0.167 per row, 78 bytes).
+    // The store's own bytes are the row's cell and annotation and a share
+    // of the block: 610 allocations and 48.3 bytes a unary row (the last
+    // block is sized for 512 rows). This budget counts the cell the store
+    // now owns; it was 48 bytes while a row was a 40-byte block entry
+    // pointing at a tuple allocated outside the measured closure, …
     const LOAD: usize = 100_000;
     let unary = Schema::new(["emp"]).unwrap();
     let key = |i: usize| Tuple::from([Value::<Prov>::int(i as i64)]);
@@ -355,7 +363,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     });
     assert_eq!(table.len(), LOAD);
     assert!(
-        allocations * 100 <= LOAD && live as usize <= 48 * LOAD,
+        allocations * 100 <= LOAD && live as usize <= 49 * LOAD,
         "{LOAD} ascending adds: {allocations} allocations, {live} bytes"
     );
     // … a write under a pinned clone copies the block pointers and the
@@ -386,13 +394,15 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         );
         table = pinned;
     }
-    // … and materializing a chunk allocates each row's tuple and nothing
-    // else per row: no map node, no row vector on the way.
+    // … and materializing a chunk allocates nothing per row: each row's
+    // cells are moved from one reused buffer into the blocks (145
+    // allocations for 20 000 rows; 20 098 while every row was a tuple, 2
+    // a row while the tuple was built in a `Vec` and copied again).
     let chunk = ops::batch::Chunk::from_relation(&table);
     let (back, _, allocations, _) = measured(|| chunk.into_relation().unwrap());
     assert_eq!(back, table);
     assert!(
-        allocations * 100 <= table.len() * 105,
+        allocations * 100 <= table.len(),
         "chunk → relation: {allocations} allocations for {} rows",
         table.len()
     );
@@ -453,30 +463,34 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         (out.len(), allocations, peak as usize)
     };
     let join = "SELECT e.emp, d.cap FROM emp e JOIN dim d ON e.dept = d.dept2";
-    // 947 rows kept: 3 632 allocations, 0.18 per join row (2.09 when every
-    // join row was multiplied before the filter ran).
+    // 947 rows kept: 2 705 allocations, 0.14 per join row (0.18 while
+    // every kept row was a tuple of its own, 2.09 when every join row was
+    // multiplied before the filter ran).
     let (rows, cross_side, _) = execute(&format!("{join} WHERE e.sal < d.cap"));
     assert_eq!(rows, 947);
     assert!(
         cross_side * 100 <= JOIN_ROWS * 25,
         "cross-side filter over a join: {cross_side} allocations for {JOIN_ROWS} join rows"
     );
-    // Every row kept: 60 864 allocations, 3.04 per row, as when the join
-    // multiplied eagerly. Deferring adds nothing when nothing is dropped.
+    // Every row kept: 40 930 allocations, 2.05 per row — the two of each
+    // row's `⊗`, as when the join multiplied eagerly (deferring adds
+    // nothing when nothing is dropped), and no tuple (3.04 while every
+    // output row was a tuple of its own).
     let (rows, unfiltered, _) = execute(join);
     assert_eq!(rows, JOIN_ROWS);
     assert!(
-        unfiltered * 100 <= JOIN_ROWS * 305,
+        unfiltered * 100 <= JOIN_ROWS * 205,
         "unfiltered join: {unfiltered} allocations for {JOIN_ROWS} rows"
     );
     // A join whose probe side is a deferred join: the inner products are
-    // multiplied out once each, for the rows the outer pairs name. 121 007
-    // allocations; 121 009 when the join multiplied eagerly and every scan
+    // multiplied out once each, for the rows the outer pairs name. 101 074
+    // allocations; 121 007 while every output row was a tuple of its own,
+    // and 121 009 when besides the join multiplied eagerly and every scan
     // collected an identity selection vector.
     let (rows, nested, _) = execute(&format!("{join} JOIN dim f ON e.dept = f.dept2"));
     assert_eq!(rows, JOIN_ROWS);
     assert!(
-        nested <= 121_009,
+        nested <= 101_100,
         "join over a deferred join: {nested} allocations"
     );
 

@@ -95,7 +95,40 @@ fn deletion_touches_only_what_mentions_a_fired_token() {
     assert_eq!(emp.len(), frozen.len() - fired.len());
     for (t, k) in emp.iter() {
         // Base rows are ground: the shared storage is the `ℕ[X]` token's.
-        let (k, old) = (k.try_collapse(), frozen.annotation(t).try_collapse());
+        let (k, old) = (k.try_collapse(), frozen.annotation(&t).try_collapse());
         assert!(k.unwrap().shares_terms_with(&old.unwrap()), "row {t}");
     }
+}
+
+#[test]
+fn an_spj_view_no_fired_token_reaches_keeps_its_store() {
+    const LOW: &str = "SELECT emp, sal FROM r WHERE sal < 16";
+    let mut db = ProvDb::new();
+    db.exec(
+        "CREATE TABLE r (emp NUM, dept TEXT, sal NUM);
+         INSERT INTO r VALUES (1, 'd1', 20) PROVENANCE p1;
+         INSERT INTO r VALUES (2, 'd1', 10) PROVENANCE p2;
+         INSERT INTO r VALUES (3, 'd2', 15) PROVENANCE p3;",
+    )
+    .unwrap();
+    db.materialize("low", LOW).unwrap();
+    assert_eq!(
+        db.view_strategy("low").unwrap(),
+        MaintenanceStrategy::Incremental
+    );
+    let before = db.snapshot();
+
+    // `p1` annotates a row of `r` that the view's WHERE drops: the table
+    // loses it, and the view is not rebuilt — it keeps its store.
+    db.delete_tokens(["p1"]).unwrap();
+    assert_eq!(db.table("r").unwrap().len(), 2);
+    let (live, frozen) = (db.view("low").unwrap(), before.view("low").unwrap());
+    assert!(live.shares_tuples_with(frozen), "the view was rebuilt");
+
+    // A token that reaches a view row edits that row, as re-execution
+    // over the remaining rows reads it.
+    db.delete_tokens(["p2"]).unwrap();
+    let fresh = db.prepare(LOW).unwrap().execute().unwrap();
+    assert_eq!(db.view("low").unwrap(), fresh.relation());
+    assert_eq!(fresh.len(), 1);
 }
