@@ -70,9 +70,10 @@
 //! ## Vectorized batch execution
 //!
 //! The [`batch`] submodule carries the same ground/symbolic split one step
-//! further: the ground partition moves column-major
-//! ([`aggprov_krel::batch::ColumnBatch`]) through selection-vector kernels
-//! (filter, gather/project, unit-column append, AVG division, hash join),
+//! further: the ground partition is read column by column where the
+//! relation's store keeps it ([`aggprov_krel::batch::ColumnBatch`]) by
+//! selection-vector kernels (filter, project, unit-column append, AVG
+//! division, hash join),
 //! so a filter→project→join chain over ground tuples never materializes a
 //! relation between nodes. The cross-row kernels there
 //! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) decide for

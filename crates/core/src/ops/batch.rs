@@ -1,10 +1,10 @@
 //! Vectorized batch kernels over the ground partition — the columnar
 //! execution layer behind the engine's physical-plan pipeline.
 //!
-//! A [`Chunk`] is a relation mid-pipeline: the fully ground rows live
-//! column-major in a [`ColumnBatch`] of typed columns (unboxed `Vec<i64>`
-//! runs, dictionary-encoded strings, boxed fallback — see
-//! [`aggprov_krel::typed`]), plus a live selection vector, so a filter
+//! A [`Chunk`] is a relation mid-pipeline: the fully ground rows are a
+//! [`ColumnBatch`] whose columns read their cells where they lie — in the
+//! scanned relation's tuple store, or through a join's match rows (see
+//! [`aggprov_krel::batch`]) — plus a live selection vector, so a filter
 //! never moves data, and the symbolic fringe rides alongside row-wise,
 //! exactly as [`GroundBatch`] splits it. The kernels here —
 //! [`Chunk::filter`], [`Chunk::project`], [`Chunk::add_unit_column`],
@@ -14,15 +14,16 @@
 //! comparisons and a filter→project→join chain never materializes a
 //! relation between nodes.
 //!
-//! Over typed columns, filtering and join-key probing take the
-//! monomorphic fast paths of `ops::typed`: the literal operand
-//! is compiled once per kernel invocation (a `i64` threshold, a
-//! dictionary code, or a per-dictionary-entry decision table), the row
-//! loop compacts the selection vector branchlessly, and large kernels
-//! shard the selection across the `par::fan_out` workers in
-//! contiguous ranges — bit-identical to the serial loop, including which
-//! row raises a type error first. Boxed columns (mixed types, booleans,
-//! non-integer rationals) keep the `Const` row loop below.
+//! Filtering and join probing take the monomorphic loops of `ops::typed`:
+//! the literal operand is compiled once per kernel invocation (an `i64`
+//! threshold for integral cells; every other cell — a string, a boolean,
+//! a non-integer rational — takes the structural `Const` comparison), the
+//! row loop compacts the selection vector branchlessly, and large kernels
+//! shard the selection across the `par::fan_out` workers in contiguous
+//! ranges — bit-identical to the serial loop, including which row raises
+//! a type error first. A join types only its build side's key, over its
+//! selected rows, and gathers no column: its output reads its inputs'
+//! columns through the match rows.
 //!
 //! Division of labour: **every kernel here is total** — handed a chunk
 //! with a non-empty fringe it produces the §4.3 result itself, so no
@@ -35,8 +36,8 @@
 //!   token, as in [`crate::ops::select_with_token`]);
 //! * **projection** and **join** sum token-weighted contributions *across*
 //!   rows when symbolic values are present. Over fringe-free input
-//!   [`Chunk::project_opts`] remaps the view and [`hash_join`] probes
-//!   columns; with a fringe (on either operand, for the join) the same
+//!   [`Chunk::project_opts`] picks column handles and [`hash_join`]
+//!   probes columns; with a fringe (on either operand, for the join) the same
 //!   kernels materialize their input and run the token path of
 //!   [`crate::ops`] by position — the keyed fold behind
 //!   `ops::project_opts`, the pairwise `ops::join_on_opts` — then split the
@@ -50,8 +51,8 @@
 //! makes that exactly the eager merge the row-at-a-time path performs.
 //! It defers a columnar join's product the same way: `⊗` is taken at
 //! materialization, only for the rows a later filter has not dropped.
-//! And it copies no annotation on the way in: a chunk split from a
-//! relation reads its ground rows' annotations in the relation's tuple
+//! And it copies nothing on the way in: a chunk split from a relation
+//! reads its ground rows' cells and annotations in the relation's tuple
 //! store, so only the rows that reach materialization are cloned.
 
 use crate::annotation::AggAnnotation;
@@ -62,13 +63,12 @@ use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
-use aggprov_krel::batch::{ColumnBatch, GroundBatch};
+use aggprov_krel::batch::{ColumnBatch, ColumnReader, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
 use aggprov_krel::typed::TypedColumn;
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// One side of a batched comparison: a column of the chunk or a constant
 /// (literals and already-bound `$n` parameters look the same down here).
@@ -93,15 +93,12 @@ pub enum BatchCmp {
 /// A relation mid-pipeline: columnar ground rows + live selection vector
 /// + row-wise symbolic fringe, under the current schema.
 ///
-/// Columns are addressed through a **view** (logical position → physical
-/// column), so a projection is a view update — no values move until the
-/// next pipeline breaker materializes.
+/// A projection picks the batch's column handles, so no values move until
+/// the next pipeline breaker materializes.
 #[derive(Clone, Debug)]
 pub struct Chunk<A: AggAnnotation> {
     schema: Schema,
     ground: ColumnBatch<A, Value<A>>,
-    /// Logical column `i` lives in physical column `view[i]`.
-    view: Vec<usize>,
     /// Selected ground-row indices, ascending; `None` = all rows.
     sel: Option<Vec<u32>>,
     fringe: Vec<(Tuple<Value<A>>, A)>,
@@ -109,77 +106,53 @@ pub struct Chunk<A: AggAnnotation> {
 
 impl<A: AggAnnotation> Chunk<A> {
     /// Splits a relation into a chunk (ground columns + symbolic fringe),
-    /// preserving support order in both partitions. Every ground column
-    /// probes its variant from the data. The ground rows' annotations are
-    /// read in place from the relation's tuple store, not copied: only the
-    /// rows that reach [`Chunk::into_relation`] are ever cloned.
+    /// preserving support order in both partitions. The ground rows' cells
+    /// and annotations are read in place from the relation's tuple store,
+    /// not copied: only the rows that reach [`Chunk::into_relation`] are
+    /// ever cloned.
     pub fn from_relation(rel: &MKRel<A>) -> Self {
         let (ground, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
         Chunk {
             schema: rel.schema().clone(),
-            view: (0..ground.arity()).collect(),
             ground,
             sel: None,
             fringe,
         }
     }
 
+    /// A chunk of every row of `batch` under `schema` — a batch a caller
+    /// assembled itself, e.g. from owned columns
+    /// ([`ColumnBatch::from_columns`]). The schema's arity must be the
+    /// batch's, and every fringe row's.
+    pub fn from_parts(schema: Schema, batch: GroundBatch<A, Value<A>>) -> Result<Self> {
+        let (ground, fringe) = batch.into_parts();
+        let mut arities =
+            std::iter::once(ground.arity()).chain(fringe.iter().map(|(t, _)| t.arity()));
+        if let Some(got) = arities.find(|&n| n != schema.arity()) {
+            return Err(RelError::ArityMismatch {
+                expected: schema.arity(),
+                got,
+            });
+        }
+        Ok(Chunk {
+            schema,
+            ground,
+            sel: None,
+            fringe,
+        })
+    }
+
     /// Materializes the chunk back into a relation: selected ground rows
-    /// lift to `Value::Const` tuples (columns reordered through the view
-    /// wholesale, values and annotations moved, not re-cloned), duplicates
-    /// merge additively, and the fringe rows merge in after them. A join's
-    /// deferred product is taken here, for the selected rows only.
+    /// come back as `Value` tuples (stored cells cloned, owned ones lifted
+    /// to `Value::Const`), duplicates merge additively, and the fringe
+    /// rows merge in after them. A join's deferred product is taken here,
+    /// for the selected rows only.
     pub fn into_relation(self) -> Result<MKRel<A>> {
-        let view = &self.view;
-        // The physical columns the view leaves out, freed only once the
-        // relation is built. Freed before it, next to the annotation column
-        // freed there, they made one block on top of the heap that glibc
-        // trimmed and the next execute faulted back in: `SELECT sal … WHERE
-        // dept = 7` over 20 000 rows took 202 page faults per execute,
-        // against 0.1.
-        let mut unused: Vec<Option<TypedColumn>> = Vec::new();
-        let ground = self.ground.map_columns(|phys| {
-            // Move each physical column into its (last) logical slot; only
-            // a column viewed more than once (duplicate select items) is
-            // cloned.
-            let mut uses = vec![0usize; phys.len()];
-            for &p in view {
-                if let Some(u) = uses.get_mut(p) {
-                    *u += 1;
-                }
-            }
-            let mut slots: Vec<Option<TypedColumn>> = phys.into_iter().map(Some).collect();
-            let mut logical: Vec<TypedColumn> = Vec::with_capacity(view.len());
-            for &p in view {
-                let col = match uses.get_mut(p).zip(slots.get_mut(p)) {
-                    Some((u, slot)) => {
-                        *u -= 1;
-                        if *u == 0 {
-                            slot.take()
-                        } else {
-                            slot.clone()
-                        }
-                    }
-                    None => None,
-                };
-                let Some(col) = col else {
-                    return Err(RelError::Internal(format!(
-                        "chunk view references physical column {p} out of {}",
-                        uses.len()
-                    )));
-                };
-                logical.push(col);
-            }
-            unused = slots;
-            Ok(logical)
-        })?;
-        let rel = GroundBatch::from_parts(ground, self.fringe).into_relation_selected(
+        GroundBatch::from_parts(self.ground, self.fringe).into_relation_selected(
             self.schema,
             Value::Const,
             self.sel.as_deref(),
-        );
-        drop(unused);
-        rel
+        )
     }
 
     /// The current schema.
@@ -224,27 +197,21 @@ impl<A: AggAnnotation> Chunk<A> {
         Selection::new(self.sel.as_deref(), self.ground.len())
     }
 
-    /// The physical column backing logical position `i`. A logical
-    /// position outside the view (a planner bug) is an error, not a
-    /// panic — these kernels sit on the serving path.
-    fn col(&self, i: usize) -> Result<&TypedColumn> {
-        let p = self.view.get(i).copied().ok_or_else(|| {
+    /// A reader of column `i`. A position outside the chunk (a planner
+    /// bug) is an error, not a panic — these kernels sit on the serving
+    /// path.
+    fn column(&self, i: usize) -> Result<ColumnReader<'_, A, Value<A>>> {
+        self.ground.column(i).ok_or_else(|| {
             RelError::Internal(format!(
-                "logical column {i} out of range for a {}-column chunk",
-                self.view.len()
-            ))
-        })?;
-        self.ground.col(p).ok_or_else(|| {
-            RelError::Internal(format!(
-                "chunk view maps logical column {i} to missing physical column {p}"
+                "column {i} out of range for a {}-column chunk",
+                self.ground.arity()
             ))
         })
     }
 
-    /// The value at logical column `i`, selected row `r`, re-materialized
-    /// (an `Arc` bump for dictionary strings).
-    fn at(&self, i: usize, r: u32) -> Result<Const> {
-        self.col(i)?.get(r as usize).ok_or_else(|| {
+    /// The constant at column `i`, ground row `r`, borrowed where it lies.
+    fn at(&self, i: usize, r: u32) -> Result<Cow<'_, Const>> {
+        self.ground.cell(r, i).ok_or_else(|| {
             RelError::Internal(format!("ground row {r} out of range in chunk column {i}"))
         })
     }
@@ -255,12 +222,11 @@ impl<A: AggAnnotation> Chunk<A> {
     /// the §4.3 token path over the fringe rows (annotation × token).
     /// `>`/`≥` callers pass swapped operands with `Pred(Lt)`/`Pred(Le)`.
     ///
-    /// Typed columns compared against a literal take the monomorphic
-    /// branchless kernels of `ops::typed` (sharded across
-    /// `opts`' workers when large); boxed columns keep the `Const` row
-    /// loop. Matches [`crate::ops::select_with_token`] row for row,
-    /// including the type errors ordering comparisons raise across value
-    /// types.
+    /// A column compared against a literal takes the monomorphic
+    /// branchless loop of `ops::typed` over its cells in place (sharded
+    /// across `opts`' workers when large). Matches
+    /// [`crate::ops::select_with_token`] row for row, including the type
+    /// errors ordering comparisons raise across value types.
     pub fn filter(
         &mut self,
         left: &BatchOperand,
@@ -281,9 +247,12 @@ impl<A: AggAnnotation> Chunk<A> {
                 Some(self.filter_col_lit(*i, cmp, c, true, opts)?)
             }
             (BatchOperand::Col(li), BatchOperand::Col(ri)) => {
+                let (mut left, mut right) = (self.column(*li)?, self.column(*ri)?);
                 let mut kept = Vec::new();
                 for r in self.selected() {
-                    if const_cmp(&self.at(*li, r)?, cmp, &self.at(*ri, r)?)? {
+                    let oob = || RelError::Internal(format!("ground row {r} out of range"));
+                    let (lv, rv) = (left.get(r).ok_or_else(oob)?, right.get(r).ok_or_else(oob)?);
+                    if const_cmp(&lv, cmp, &rv)? {
                         kept.push(r);
                     }
                 }
@@ -322,10 +291,10 @@ impl<A: AggAnnotation> Chunk<A> {
         Ok(())
     }
 
-    /// One column-vs-literal filter pass over the ground rows: typed
-    /// columns compile the literal once and run the branchless kernels;
-    /// boxed columns run the `Const` comparison loop (the literal still
-    /// bound once — it is borrowed, never cloned, per row).
+    /// One column-vs-literal filter pass over the ground rows: the
+    /// literal is compiled once for the column's integral cells, and
+    /// every other cell is compared structurally (the literal borrowed,
+    /// never cloned, per row).
     fn filter_col_lit(
         &self,
         i: usize,
@@ -334,32 +303,16 @@ impl<A: AggAnnotation> Chunk<A> {
         lit_on_left: bool,
         opts: &ExecOptions,
     ) -> Result<Vec<u32>> {
-        let col = self.col(i)?;
-        if let Some(test) = typed::compile_lit_test(col, cmp, lit, lit_on_left) {
-            return typed::run_filter(col, self.sel.as_deref(), &test, opts);
-        }
-        let TypedColumn::Boxed(vals) = col else {
-            return Err(RelError::Internal(
-                "typed column declined literal-test compilation".into(),
-            ));
-        };
-        let mut kept = Vec::new();
-        for r in self.selected() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "selected() rows are < ground.len() by construction"
-            )]
-            let v = &vals[r as usize];
-            let keep = if lit_on_left {
-                const_cmp(lit, cmp, v)?
+        let col = self.column(i)?;
+        let test = typed::compile_int_test(cmp, lit, lit_on_left);
+        let other = |cell: &Const| {
+            if lit_on_left {
+                const_cmp(lit, cmp, cell)
             } else {
-                const_cmp(v, cmp, lit)?
-            };
-            if keep {
-                kept.push(r);
+                const_cmp(cell, cmp, lit)
             }
-        }
-        Ok(kept)
+        };
+        typed::filter_lit(&col, self.selected(), test, other, opts)
     }
 
     /// [`Chunk::project_opts`] on one thread.
@@ -369,9 +322,9 @@ impl<A: AggAnnotation> Chunk<A> {
 
     /// The projection kernel, total over ground and symbolic rows.
     ///
-    /// Without a fringe it remaps the view to the requested columns
-    /// (indices may repeat — duplicate select items view one physical
-    /// column twice). No values move, no selection is lost; duplicate
+    /// Without a fringe it picks the requested column handles (indices may
+    /// repeat — duplicate select items read one column twice). No values
+    /// move, no selection is lost; duplicate
     /// *rows* stay unmerged until the next materialization, which merges
     /// them additively — for ground data exactly the §4.3 projection.
     ///
@@ -394,25 +347,19 @@ impl<A: AggAnnotation> Chunk<A> {
                 got: schema.arity(),
             });
         }
-        let view = columns
-            .iter()
-            .map(|&c| {
-                self.view.get(c).copied().ok_or_else(|| {
-                    RelError::Internal(format!(
-                        "projection column {c} out of range for a {}-column chunk",
-                        self.view.len()
-                    ))
-                })
-            })
-            .collect::<Result<_>>()?;
         if self.fringe.is_empty() {
             return Ok(Chunk {
                 schema,
-                ground: self.ground,
-                view,
+                ground: self.ground.project(columns)?,
                 sel: self.sel,
                 fringe: self.fringe,
             });
+        }
+        if let Some(&c) = columns.iter().find(|&&c| c >= self.schema.arity()) {
+            return Err(RelError::Internal(format!(
+                "projection column {c} out of range for a {}-column chunk",
+                self.schema.arity()
+            )));
         }
         // `distinct`: the requested positions in first-appearance order;
         // `expand[i]`: where output column `i` sits in `distinct`.
@@ -451,7 +398,6 @@ impl<A: AggAnnotation> Chunk<A> {
         }
         let ones = TypedColumn::Num(vec![1i64; self.ground.len()]);
         self.ground.push_typed_column(ones)?;
-        self.view.push(self.ground.arity() - 1);
         for (t, _) in &mut self.fringe {
             let mut row = t.values().to_vec();
             row.push(Value::int(1));
@@ -525,7 +471,6 @@ impl<A: AggAnnotation> Chunk<A> {
                 }
             }
             self.ground.push_column(full)?;
-            self.view.push(self.ground.arity() - 1);
         }
         self.sel = Some(kept);
         let mut kept_fringe = Vec::with_capacity(self.fringe.len());
@@ -590,15 +535,6 @@ impl<A: AggAnnotation> FringeOperand<A> {
     }
 }
 
-/// A join-key column in probe-ready form: boxed columns borrow their
-/// storage; typed ones re-materialize once per kernel.
-fn key_consts(col: &TypedColumn) -> Cow<'_, [Const]> {
-    match col {
-        TypedColumn::Boxed(v) => Cow::Borrowed(v.as_slice()),
-        other => Cow::Owned(other.to_consts()),
-    }
-}
-
 /// The batched equi-join kernel, total over ground and symbolic rows: the
 /// output chunk's columns are the left's followed by the right's,
 /// annotated with the semiring product (times the §4.3 key tokens, where
@@ -606,21 +542,21 @@ fn key_consts(col: &TypedColumn) -> Cow<'_, [Const]> {
 /// product.
 ///
 /// When **neither** chunk carries a fringe, every key token is structural
-/// equality between constants and this is the classical join: build a
-/// hash index over the right chunk's join-key columns, probe with the
-/// left, emit a dense ground chunk. Single-column keys dispatch on the
-/// typed variants: two unboxed `i64` columns build an integer-hashed
-/// index, two dictionary-encoded columns probe through a dictionary
-/// translation table (see `ops::typed`), with the probe loop sharded
-/// across `opts`' workers; every other key shape (mixed or boxed
-/// variants, several columns, none) goes through one structural `Const`
-/// index. Output columns gather monomorphically per variant either way.
-/// The product is **deferred**: the output batch holds both inputs'
-/// annotation columns and the match pairs
-/// ([`ColumnBatch::from_join`]), filters narrow its selection and
-/// projections remap its view without reading it, and `⊗` runs at
-/// [`Chunk::into_relation`] on the rows still selected — or, for a join
-/// over this output, on the rows its pairs name.
+/// equality between constants and this is the classical join: index the
+/// right chunk's selected rows by their key cells, probe with the left's
+/// key cells read in place. A single key column is typed over the build
+/// rows only: an integral one builds an integer-hashed index, a string
+/// one a dictionary with a bucket per code (see `ops::typed`); every
+/// other key shape (mixed types, several columns, none) goes through one
+/// structural `Const` index. The probe loop shards across `opts`'
+/// workers and writes the match rows straight into the output's two index
+/// vectors. Nothing else is built: the output batch
+/// ([`ColumnBatch::from_join`]) reads both inputs' columns through those
+/// vectors and defers the product — filters narrow its selection and
+/// projections pick its columns without reading the annotations, and `⊗`
+/// runs at [`Chunk::into_relation`] on the rows still selected — or, for
+/// a join over this output, on the rows its pairs name. A cell is cloned
+/// only there too, for the selected rows.
 ///
 /// When **either** chunk carries a fringe, both materialize and the
 /// token-weighted pairwise join of [`crate::ops::join_on_opts`] runs by
@@ -641,13 +577,13 @@ pub fn hash_join<A: AggAnnotation>(
     }
     // Resolving the key columns up front also rejects an out-of-range key
     // position before either path indexes a row with it.
-    let lkeys: Vec<&TypedColumn> = on
+    let lkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
         .iter()
-        .map(|(i, _)| left.col(*i))
+        .map(|(i, _)| left.column(*i))
         .collect::<Result<_>>()?;
-    let rkeys: Vec<&TypedColumn> = on
+    let rkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
         .iter()
-        .map(|(_, j)| right.col(*j))
+        .map(|(_, j)| right.column(*j))
         .collect::<Result<_>>()?;
     let (Some(lg), Some(rg)) = (left.ground(), right.ground()) else {
         let (lpos, rpos): (Vec<usize>, Vec<usize>) = on.iter().copied().unzip();
@@ -661,12 +597,12 @@ pub fn hash_join<A: AggAnnotation>(
         )?;
         return Ok(Chunk::from_relation(&joined));
     };
-    let (cols, lrows, rrows) = columnar_join(lg, rg, &lkeys, &rkeys, opts)?;
-    // The inputs' annotation columns move into the output, unmultiplied.
-    let ground = ColumnBatch::from_join(cols, left.ground, lrows, right.ground, rrows)?;
+    let (lrows, rrows) = columnar_join(lg, rg, &lkeys, &rkeys, opts)?;
+    // The inputs' columns and annotation columns move into the output,
+    // read through the match rows, unmultiplied.
+    let ground = ColumnBatch::from_join(left.ground, lrows, right.ground, rrows)?;
     Ok(Chunk {
         schema,
-        view: (0..ground.arity()).collect(),
         ground,
         sel: None,
         fringe: Vec::new(),
@@ -702,72 +638,18 @@ mod witness {
 
 /// The classical columnar equi-join of two fringe-free chunks over the
 /// already-resolved key columns: build (right), probe (left) — the same
-/// sides as the row-at-a-time hash join — collecting matching row pairs
-/// first, then gathering the output column by column (better locality
-/// than row-wise assembly). Returns the gathered columns and the pairs'
-/// left and right rows; no annotation is multiplied here.
+/// sides as the row-at-a-time hash join — over each side's selected rows.
+/// Returns the pairs' left and right rows; no cell is copied and no
+/// annotation is multiplied here.
 fn columnar_join<A: AggAnnotation>(
     left: Ground<'_, A>,
     right: Ground<'_, A>,
-    lkeys: &[&TypedColumn],
-    rkeys: &[&TypedColumn],
+    lkeys: &[ColumnReader<'_, A, Value<A>>],
+    rkeys: &[ColumnReader<'_, A, Value<A>>],
     opts: &ExecOptions,
-) -> Result<(Vec<TypedColumn>, Vec<u32>, Vec<u32>)> {
-    let (left, right) = (left.chunk(), right.chunk());
-    let (lsel, rsel) = (left.selected(), right.selected());
-    let pairs: Vec<(u32, u32)> = match (lkeys, rkeys) {
-        ([TypedColumn::Num(l)], [TypedColumn::Num(r)]) => {
-            typed::join_pairs_num(l, r, lsel, rsel, opts)?
-        }
-        ([TypedColumn::Str(l)], [TypedColumn::Str(r)]) => {
-            typed::join_pairs_str(l, r, lsel, rsel, opts)?
-        }
-        _ => {
-            // Structural `Const` equality over owned-or-borrowed key
-            // columns, resolved once outside the row loops. Cross-variant
-            // keys simply never match typed storage of the other type,
-            // which is exactly structural equality's answer; with no key
-            // columns every row shares the one empty key.
-            let lcols: Vec<Cow<'_, [Const]>> = lkeys.iter().copied().map(key_consts).collect();
-            let rcols: Vec<Cow<'_, [Const]>> = rkeys.iter().copied().map(key_consts).collect();
-            let mut index: HashMap<Vec<&Const>, Vec<u32>> = HashMap::new();
-            for rr in rsel {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "selected() rows are < ground.len() by construction"
-                )]
-                let key: Vec<&Const> = rcols.iter().map(|c| &c[rr as usize]).collect();
-                index.entry(key).or_default().push(rr);
-            }
-            let mut pairs = Vec::new();
-            for lr in lsel {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "selected() rows are < ground.len() by construction"
-                )]
-                let key: Vec<&Const> = lcols.iter().map(|c| &c[lr as usize]).collect();
-                if let Some(matches) = index.get(&key) {
-                    pairs.extend(matches.iter().map(|&rr| (lr, rr)));
-                }
-            }
-            pairs
-        }
-    };
-    // Gather the output columns monomorphically per variant: an i64 run
-    // copies machine words, a dictionary column copies codes and shares
-    // its dictionary, boxed values clone.
-    let (lrows, rrows): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-    let gather_oob =
-        || RelError::Internal("join output gather referenced a row out of range".into());
-    let (larity, rarity) = (left.schema.arity(), right.schema.arity());
-    let mut cols: Vec<TypedColumn> = Vec::with_capacity(larity + rarity);
-    for i in 0..larity {
-        cols.push(left.col(i)?.gather(&lrows).ok_or_else(gather_oob)?);
-    }
-    for j in 0..rarity {
-        cols.push(right.col(j)?.gather(&rrows).ok_or_else(gather_oob)?);
-    }
-    Ok((cols, lrows, rrows))
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let (lsel, rsel) = (left.chunk().selected(), right.chunk().selected());
+    typed::join_rows(lkeys, rkeys, lsel, rsel, opts)
 }
 
 #[cfg(test)]

@@ -1,47 +1,55 @@
-//! Monomorphic kernels over typed columns: branchless selection and
-//! unboxed join probing for the batch pipeline.
+//! Monomorphic row loops for the batch kernels: branchless selection over
+//! cells read in place, and a join that types only its build key.
 //!
-//! The boxed kernels in [`crate::ops::batch`] compare one `Const` enum per
-//! row — a discriminant branch plus (for numbers) a rational
-//! numerator/denominator pair per cell. This module is the typed fast
-//! path: the filter literal is **compiled once per kernel invocation**
-//! into a [`ColTest`] (an `i64` threshold, a dictionary code, a
-//! per-dictionary-entry decision table, or a keep-all/keep-none/type-error
-//! verdict), and the row loop then runs over the unboxed `Vec<i64>` run or
-//! the `Vec<u32>` code column with **branchless selection compaction** —
-//! `out[k] = row; k += keep as usize` — so rustc autovectorizes it. Join
-//! probing gets the same treatment: `i64` keys hash through a
-//! multiply-based hasher into an integer index, and dictionary-encoded
-//! keys probe through a left-dictionary → right-code translation table
-//! plus dense per-code buckets, with no string comparison on the probe
-//! loop.
+//! A chunk's columns are read where they lie — in the scanned relation's
+//! tuple store, through a join's match rows, or in a column a kernel
+//! built — by an [`aggprov_krel::batch::ColumnReader`], one `&Const` a
+//! row; no kernel copies a column first. Two things keep the row loops
+//! tight:
+//!
+//! * **Filters** compile the literal **once per kernel invocation** into
+//!   an [`IntTest`] — an `i64` threshold, or a keep-all/keep-none/type-error
+//!   verdict — which decides every integral `Num` cell with one machine
+//!   compare; every other cell (a string, a boolean, a non-integer
+//!   rational, `±∞`) takes the structural comparison it always had. The
+//!   row loop compacts the selection vector branchlessly,
+//!   `out[k] = row; k += keep as usize`.
+//! * **Joins** type only the build side's key, and only over its selected
+//!   rows: an integral key column becomes an integer-hashed index (a
+//!   multiply-based hasher), a string column a dictionary with one bucket
+//!   per code, anything else (mixed types, several key columns, none) one
+//!   structural index over the key's constants. The probe side reads its
+//!   key cells in place and writes the match rows straight into the two
+//!   index vectors the deferred join output reads through.
 //!
 //! Large kernels additionally **shard across the [`crate::par::fan_out`]
-//! workers**: the row range (or selection vector) splits into contiguous
-//! ascending sub-ranges, each worker compacts its own range, and the
+//! workers**: the selection splits into contiguous ascending sub-ranges,
+//! each worker reads its own range through its own reader, and the
 //! per-shard results concatenate in shard order. Because the ranges are
 //! contiguous and ascending, the concatenation is bit-identical to the
 //! serial loop — including *which* row raises a type error first, since
 //! the first error in shard order belongs to the globally first offending
 //! row.
 //!
-//! Everything here is semantics-preserving by construction against the
-//! boxed row loop ([`crate::ops::batch::const_cmp`] semantics: `=` is
-//! structural, `≠` is total across types, ordering across types is a type
-//! error raised only if a row actually reaches the comparison) and is
-//! property-tested bit-identical to [`crate::specops`] through the batch
-//! pipeline at threads 1 and 4. These kernels only ever see the ground
-//! partition: [`crate::ops::batch::Chunk`] keeps its symbolic fringe on
-//! the token path, and the join entry points here are reached only past
-//! `hash_join`'s two-sided fringe gate.
+//! Everything here is semantics-preserving by construction against
+//! [`crate::ops::batch::const_cmp`] (`=` is structural, `≠` is total
+//! across types, ordering across types is a type error raised only if a
+//! row actually reaches the comparison) and is property-tested
+//! bit-identical to [`crate::specops`] through the batch pipeline at
+//! threads 1 and 4. These kernels only ever see the ground partition:
+//! [`crate::ops::batch::Chunk`] keeps its symbolic fringe on the token
+//! path, and the join entry point here is reached only past `hash_join`'s
+//! two-sided fringe gate.
 
 use crate::km::CmpPred;
 use crate::ops::batch::BatchCmp;
 use crate::par::{self, ExecOptions};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
+use aggprov_krel::batch::{AsConst, ColumnReader};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::typed::{StrColumn, TypedColumn};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -49,37 +57,31 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// across workers; below this the spawn cost dwarfs the scan.
 pub(crate) const SHARD_MIN_ROWS: usize = 8192;
 
-/// A column-vs-literal comparison compiled against one typed column: the
-/// literal is bound (and, for strings, dictionary-encoded) exactly once
-/// per kernel invocation, and the row loop reduces to a machine compare.
-#[derive(Clone, Debug)]
-pub(crate) enum ColTest {
-    /// Every row passes (e.g. `≠` against a value of another type).
+/// A column-vs-literal comparison compiled for the integral cells of a
+/// column: the literal is bound exactly once per kernel invocation, and an
+/// integral `Num` cell is decided by a machine compare.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum IntTest {
+    /// Every integral cell passes (e.g. `≠` against a value of another
+    /// type).
     KeepAll,
-    /// No row passes (e.g. `=` against a value of another type).
+    /// No integral cell passes (e.g. `=` against a value of another type).
     KeepNone,
-    /// `v == c` over an unboxed `i64` run.
-    NumEq(i64),
+    /// `v == c`.
+    Eq(i64),
     /// `v != c`.
-    NumNe(i64),
+    Ne(i64),
     /// `v < c`.
-    NumLt(i64),
+    Lt(i64),
     /// `v <= c` (also carries `col < q` / `col ≤ q` for a non-integer
     /// rational `q`, via `floor(q)`).
-    NumLe(i64),
+    Le(i64),
     /// `v > c` (also `q < col` / `q ≤ col` for non-integer `q`).
-    NumGt(i64),
+    Gt(i64),
     /// `v >= c`.
-    NumGe(i64),
-    /// `code == c` over a dictionary-encoded column.
-    CodeEq(u32),
-    /// `code != c`.
-    CodeNe(u32),
-    /// String ordering: one pre-decided boolean per dictionary entry,
-    /// indexed by code.
-    CodeTable(Vec<bool>),
-    /// Ordering across types: an error, but only if a row reaches it —
-    /// the row loop never raises on an empty selection.
+    Ge(i64),
+    /// Ordering a number against another type: an error, but only if a
+    /// row reaches it.
     TypeErr {
         /// `type_name` of the left operand, as the row loop would report.
         left: &'static str,
@@ -88,65 +90,38 @@ pub(crate) enum ColTest {
     },
 }
 
-/// Compiles a column-vs-literal test against a typed column. `None` for
-/// the boxed variant — the caller keeps its `Const` row loop. The
+/// Compiles a column-vs-literal test for a column's integral cells. The
 /// orientation flag preserves both the comparison direction and the
 /// operand order in error messages (`>`/`≥` arrive literal-on-left).
-///
-/// Every `TypedColumn` variant has its own arm: a new column
-/// representation needs a typed-kernel decision for predicate compilation
-/// (or an explicit boxed fallback).
-#[deny(
-    clippy::wildcard_enum_match_arm,
-    clippy::match_wildcard_for_single_variants
-)]
-pub(crate) fn compile_lit_test(
-    col: &TypedColumn,
-    cmp: BatchCmp,
-    lit: &Const,
-    lit_on_left: bool,
-) -> Option<ColTest> {
-    match col {
-        TypedColumn::Num(_) => Some(compile_num_test(cmp, lit, lit_on_left)),
-        TypedColumn::Str(sc) => Some(compile_str_test(sc, cmp, lit, lit_on_left)),
-        TypedColumn::Boxed(_) => None,
-    }
-}
-
-/// The cross-type verdict shared by both typed variants: structural `=`
-/// never holds, `≠` always holds, ordering is a (lazy) type error.
-fn cross_type(cmp: BatchCmp, col_ty: &'static str, lit: &Const, lit_on_left: bool) -> ColTest {
-    match cmp {
-        BatchCmp::Eq => ColTest::KeepNone,
-        BatchCmp::Pred(CmpPred::Ne) => ColTest::KeepAll,
-        BatchCmp::Pred(_) => {
-            let (left, right) = if lit_on_left {
-                (lit.type_name(), col_ty)
-            } else {
-                (col_ty, lit.type_name())
-            };
-            ColTest::TypeErr { left, right }
-        }
-    }
-}
-
-/// Compiles a test for an unboxed `i64` column. Non-integer rational
-/// literals fold into integer thresholds (`col < q ⟺ col ≤ ⌊q⌋` when `q`
-/// is not an integer); `±∞` and other-type literals fold to
-/// keep-all/keep-none/type-error verdicts.
-fn compile_num_test(cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> ColTest {
+/// Non-integer rational literals fold into integer thresholds (`col < q ⟺
+/// col ≤ ⌊q⌋` when `q` is not an integer); `±∞` and other-type literals
+/// fold to keep-all/keep-none/type-error verdicts.
+pub(crate) fn compile_int_test(cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> IntTest {
     let Const::Num(n) = lit else {
-        return cross_type(cmp, "num", lit, lit_on_left);
+        // Across types: structural `=` never holds, `≠` always holds,
+        // ordering is a (lazy) type error.
+        return match cmp {
+            BatchCmp::Eq => IntTest::KeepNone,
+            BatchCmp::Pred(CmpPred::Ne) => IntTest::KeepAll,
+            BatchCmp::Pred(_) => {
+                let (left, right) = if lit_on_left {
+                    (lit.type_name(), "num")
+                } else {
+                    ("num", lit.type_name())
+                };
+                IntTest::TypeErr { left, right }
+            }
+        };
     };
     match cmp {
         BatchCmp::Eq => match n.as_int() {
-            Some(k) => ColTest::NumEq(k),
+            Some(k) => IntTest::Eq(k),
             // A non-integer rational or ±∞ structurally equals no `i64`.
-            None => ColTest::KeepNone,
+            None => IntTest::KeepNone,
         },
         BatchCmp::Pred(CmpPred::Ne) => match n.as_int() {
-            Some(k) => ColTest::NumNe(k),
-            None => ColTest::KeepAll,
+            Some(k) => IntTest::Ne(k),
+            None => IntTest::KeepAll,
         },
         BatchCmp::Pred(p) => {
             let strict = p == CmpPred::Lt;
@@ -154,25 +129,25 @@ fn compile_num_test(cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> ColTest {
                 Num::PosInf => {
                     // v < +∞ / v ≤ +∞ always; +∞ < v / +∞ ≤ v never.
                     if lit_on_left {
-                        ColTest::KeepNone
+                        IntTest::KeepNone
                     } else {
-                        ColTest::KeepAll
+                        IntTest::KeepAll
                     }
                 }
                 Num::NegInf => {
                     if lit_on_left {
-                        ColTest::KeepAll
+                        IntTest::KeepAll
                     } else {
-                        ColTest::KeepNone
+                        IntTest::KeepNone
                     }
                 }
                 Num::Rat(q) if q.is_integer() => {
                     let k = q.numer();
                     match (lit_on_left, strict) {
-                        (false, true) => ColTest::NumLt(k),
-                        (false, false) => ColTest::NumLe(k),
-                        (true, true) => ColTest::NumGt(k),
-                        (true, false) => ColTest::NumGe(k),
+                        (false, true) => IntTest::Lt(k),
+                        (false, false) => IntTest::Le(k),
+                        (true, true) => IntTest::Gt(k),
+                        (true, false) => IntTest::Ge(k),
                     }
                 }
                 Num::Rat(q) => {
@@ -182,9 +157,9 @@ fn compile_num_test(cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> ColTest {
                     // runs in i128 since the denominator is a full u64.
                     let floor = (i128::from(q.numer())).div_euclid(i128::from(q.denom())) as i64;
                     if lit_on_left {
-                        ColTest::NumGt(floor)
+                        IntTest::Gt(floor)
                     } else {
-                        ColTest::NumLe(floor)
+                        IntTest::Le(floor)
                     }
                 }
             }
@@ -192,120 +167,96 @@ fn compile_num_test(cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> ColTest {
     }
 }
 
-/// Compiles a test for a dictionary-encoded column: one dictionary lookup
-/// for `=`/`≠`, one pre-decided boolean per dictionary entry for ordering.
-fn compile_str_test(sc: &StrColumn, cmp: BatchCmp, lit: &Const, lit_on_left: bool) -> ColTest {
-    let Const::Str(s) = lit else {
-        return cross_type(cmp, "text", lit, lit_on_left);
-    };
-    match cmp {
-        BatchCmp::Eq => match sc.code_of(s) {
-            Some(c) => ColTest::CodeEq(c),
-            None => ColTest::KeepNone,
-        },
-        BatchCmp::Pred(CmpPred::Ne) => match sc.code_of(s) {
-            Some(c) => ColTest::CodeNe(c),
-            None => ColTest::KeepAll,
-        },
-        BatchCmp::Pred(p) => {
-            let strict = p == CmpPred::Lt;
-            let lit: &str = s;
-            let decide = |v: &str| -> bool {
-                match (lit_on_left, strict) {
-                    (false, true) => v < lit,
-                    (false, false) => v <= lit,
-                    (true, true) => lit < v,
-                    (true, false) => lit <= v,
-                }
-            };
-            ColTest::CodeTable(sc.dict().iter().map(|d| decide(d)).collect())
-        }
+/// The cell as an `i64`, if it is an integral number.
+fn as_int(cell: &Const) -> Option<i64> {
+    match cell {
+        Const::Num(n) => n.as_int(),
+        _ => None,
     }
 }
 
-/// Runs a compiled test over a typed column, narrowing the selection
-/// vector (`None` = all rows). The output is ascending; with more than
-/// [`SHARD_MIN_ROWS`] selected rows and a non-serial `opts` the scan
-/// shards across workers in contiguous ranges (bit-identical to serial,
-/// including which row errors first).
-pub(crate) fn run_filter(
-    col: &TypedColumn,
-    sel: Option<&[u32]>,
-    test: &ColTest,
+/// Runs a column-vs-literal filter over the rows `sel` names, in order:
+/// integral cells are decided by `test`, every other cell by `other` (the
+/// structural comparison `test` specializes). One monomorphic row loop per
+/// comparison; with more than [`SHARD_MIN_ROWS`] selected rows and a
+/// non-serial `opts` the scan shards across workers in contiguous ranges
+/// (bit-identical to serial, including which row errors first).
+pub(crate) fn filter_lit<K: Send + Sync, V: AsConst + Send + Sync>(
+    col: &ColumnReader<'_, K, V>,
+    sel: Selection<'_>,
+    test: IntTest,
+    other: impl Fn(&Const) -> Result<bool> + Sync,
     opts: &ExecOptions,
 ) -> Result<Vec<u32>> {
-    let selected = sel.map_or_else(|| col.len(), <[u32]>::len);
+    let other = &other;
+    // One monomorphic row loop per comparison: the integral cells' verdict
+    // is resolved before the loop.
     match test {
-        ColTest::KeepAll => Ok(match sel {
-            Some(s) => s.to_vec(),
-            None => (0..col.len() as u32).collect(),
-        }),
-        ColTest::KeepNone => Ok(Vec::new()),
-        ColTest::TypeErr { left, right } => {
-            if selected == 0 {
-                Ok(Vec::new())
-            } else {
+        IntTest::KeepAll => filter_rows(col, sel, opts, by_int(|_| Ok(true), other)),
+        IntTest::KeepNone => filter_rows(col, sel, opts, by_int(|_| Ok(false), other)),
+        IntTest::Eq(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v == c), other)),
+        IntTest::Ne(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v != c), other)),
+        IntTest::Lt(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v < c), other)),
+        IntTest::Le(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v <= c), other)),
+        IntTest::Gt(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v > c), other)),
+        IntTest::Ge(c) => filter_rows(col, sel, opts, by_int(move |v| Ok(v >= c), other)),
+        IntTest::TypeErr { left, right } => {
+            let err = move |_| {
                 Err(RelError::TypeError(format!(
                     "cannot order {left} against {right}"
                 )))
-            }
-        }
-        ColTest::NumEq(c)
-        | ColTest::NumNe(c)
-        | ColTest::NumLt(c)
-        | ColTest::NumLe(c)
-        | ColTest::NumGt(c)
-        | ColTest::NumGe(c) => {
-            let TypedColumn::Num(vals) = col else {
-                return Err(variant_mismatch("num", col));
             };
-            let c = *c;
-            // One monomorphic instantiation per comparison: the closure is
-            // resolved before the row loop, so each arm compiles to a
-            // straight-line compare-and-compact loop.
-            match test {
-                ColTest::NumEq(_) => filter_rows(vals, sel, opts, move |v| v == c),
-                ColTest::NumNe(_) => filter_rows(vals, sel, opts, move |v| v != c),
-                ColTest::NumLt(_) => filter_rows(vals, sel, opts, move |v| v < c),
-                ColTest::NumLe(_) => filter_rows(vals, sel, opts, move |v| v <= c),
-                ColTest::NumGt(_) => filter_rows(vals, sel, opts, move |v| v > c),
-                _ => filter_rows(vals, sel, opts, move |v| v >= c),
-            }
-        }
-        ColTest::CodeEq(c) | ColTest::CodeNe(c) => {
-            let TypedColumn::Str(sc) = col else {
-                return Err(variant_mismatch("str", col));
-            };
-            let c = *c;
-            match test {
-                ColTest::CodeEq(_) => filter_rows(sc.codes(), sel, opts, move |v| v == c),
-                _ => filter_rows(sc.codes(), sel, opts, move |v| v != c),
-            }
-        }
-        ColTest::CodeTable(tbl) => {
-            let TypedColumn::Str(sc) = col else {
-                return Err(variant_mismatch("str", col));
-            };
-            if tbl.len() < sc.dict().len() {
-                return Err(RelError::Internal(
-                    "string decision table shorter than the dictionary".into(),
-                ));
-            }
-            let tbl: &[bool] = tbl;
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "codes index the dictionary by construction and tbl covers it (checked above)"
-            )]
-            filter_rows(sc.codes(), sel, opts, move |v| tbl[v as usize])
+            filter_rows(col, sel, opts, by_int(err, other))
         }
     }
 }
 
-fn variant_mismatch(expected: &str, col: &TypedColumn) -> RelError {
-    RelError::Internal(format!(
-        "typed test compiled for a {expected} column applied to a {} column",
-        col.variant()
-    ))
+/// A cell test that decides integral cells by `int` and the rest by
+/// `other`.
+fn by_int<'f>(
+    int: impl Fn(i64) -> Result<bool> + Sync + 'f,
+    other: &'f (impl Fn(&Const) -> Result<bool> + Sync),
+) -> impl Fn(&Const) -> Result<bool> + Sync + 'f {
+    move |cell| match as_int(cell) {
+        Some(v) => int(v),
+        None => other(cell),
+    }
+}
+
+/// The sharded compaction loop: each shard reads a contiguous ascending
+/// range of the selection through its own reader and compacts it, so
+/// concatenating in shard order reproduces the serial output exactly.
+fn filter_rows<K: Send + Sync, V: AsConst + Send + Sync>(
+    col: &ColumnReader<'_, K, V>,
+    sel: Selection<'_>,
+    opts: &ExecOptions,
+    keep: impl Fn(&Const) -> Result<bool> + Sync,
+) -> Result<Vec<u32>> {
+    let parts = par::fan_out(ranges(sel.len(), opts), |(start, end)| {
+        let rows = sel.range(start, end).ok_or_else(shard_oob)?;
+        let mut col = col.clone();
+        let mut out = vec![0u32; end - start];
+        let mut k = 0usize;
+        for r in rows {
+            let Some(cell) = col.get(r) else {
+                return Err(RelError::Internal(format!(
+                    "selection row {r} out of range for a {}-row column",
+                    col.len()
+                )));
+            };
+            let kept = keep(&cell)?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "branchless compaction: k never exceeds the rows visited"
+            )]
+            let slot = &mut out[k];
+            *slot = r;
+            k += usize::from(kept);
+        }
+        out.truncate(k);
+        Ok(out)
+    })?;
+    Ok(concat(parts))
 }
 
 /// Cuts `n` work items into contiguous ascending ranges, one per planned
@@ -326,29 +277,6 @@ fn ranges(n: usize, opts: &ExecOptions) -> Vec<(usize, usize)> {
         start += len;
     }
     out
-}
-
-/// The sharded compaction driver: dense mode scans `vals` directly,
-/// sparse mode gathers through the selection vector. Each shard compacts
-/// a contiguous ascending range, so concatenating in shard order
-/// reproduces the serial output exactly.
-fn filter_rows<T: Copy + Send + Sync>(
-    vals: &[T],
-    sel: Option<&[u32]>,
-    opts: &ExecOptions,
-    keep: impl Fn(T) -> bool + Copy + Sync,
-) -> Result<Vec<u32>> {
-    let parts = match sel {
-        None => par::fan_out(ranges(vals.len(), opts), |(start, end)| {
-            let chunk = vals.get(start..end).ok_or_else(shard_oob)?;
-            Ok(compact_dense(chunk, start, keep))
-        })?,
-        Some(s) => par::fan_out(ranges(s.len(), opts), |(start, end)| {
-            let rows = s.get(start..end).ok_or_else(shard_oob)?;
-            compact_sparse(vals, rows, keep)
-        })?,
-    };
-    Ok(concat(parts))
 }
 
 /// The rows a kernel visits: those a selection vector names, or all `n`
@@ -434,49 +362,6 @@ fn concat<T>(mut parts: Vec<Vec<T>>) -> Vec<T> {
     out
 }
 
-/// Branchless compaction over a dense row range: the write index advances
-/// by the predicate's boolean, no taken branch in the loop body.
-#[inline]
-fn compact_dense<T: Copy>(vals: &[T], start: usize, keep: impl Fn(T) -> bool) -> Vec<u32> {
-    let mut out = vec![0u32; vals.len()];
-    let mut k = 0usize;
-    for (i, &v) in vals.iter().enumerate() {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "branchless compaction: k <= i < out.len() by construction"
-        )]
-        let slot = &mut out[k];
-        *slot = (start + i) as u32;
-        k += usize::from(keep(v));
-    }
-    out.truncate(k);
-    out
-}
-
-/// Branchless compaction through an existing selection vector.
-#[inline]
-fn compact_sparse<T: Copy>(vals: &[T], sel: &[u32], keep: impl Fn(T) -> bool) -> Result<Vec<u32>> {
-    let mut out = vec![0u32; sel.len()];
-    let mut k = 0usize;
-    for &r in sel {
-        let Some(&v) = vals.get(r as usize) else {
-            return Err(RelError::Internal(format!(
-                "selection row {r} out of range for a {}-row column",
-                vals.len()
-            )));
-        };
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "branchless compaction: k never exceeds the rows visited"
-        )]
-        let slot = &mut out[k];
-        *slot = r;
-        k += usize::from(keep(v));
-    }
-    out.truncate(k);
-    Ok(out)
-}
-
 /// A multiply-based hasher for integer join keys (fxhash-style): one
 /// xor-multiply per `u64`, far cheaper than the default SipHash and
 /// irrelevant to determinism — output order is probe order × bucket
@@ -516,93 +401,157 @@ impl Hasher for IntHasher {
 
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
-/// Collects matching `(left_row, right_row)` pairs for a single-column
-/// equi-join over two unboxed `i64` key columns: build an integer-hashed
-/// index over the right selection, probe with the left. Probe order (and
-/// bucket insertion order) reproduce the boxed kernel's pair order
-/// exactly; large probes shard across workers in contiguous ranges.
-pub(crate) fn join_pairs_num(
-    lcol: &[i64],
-    rcol: &[i64],
-    lsel: Selection<'_>,
-    rsel: Selection<'_>,
-    opts: &ExecOptions,
-) -> Result<Vec<(u32, u32)>> {
-    let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
-    for rr in rsel {
-        let Some(&k) = rcol.get(rr as usize) else {
-            return Err(join_row_oob());
-        };
-        index.entry(k).or_default().push(rr);
-    }
-    let parts = par::fan_out(ranges(lsel.len(), opts), |(start, end)| {
-        let rows = lsel.range(start, end).ok_or_else(shard_oob)?;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for lr in rows {
-            let Some(k) = lcol.get(lr as usize) else {
-                return Err(join_row_oob());
-            };
-            if let Some(matches) = index.get(k) {
-                for &rr in matches {
-                    pairs.push((lr, rr));
+/// The build side of a join, keyed by its selected rows' key cells: an
+/// integer-hashed index over an integral key column, one bucket per code
+/// of a dictionary-encoded string column, or a structural index over the
+/// key's constants for every other shape (mixed types, several key
+/// columns, none). Each bucket holds build rows in selection order.
+enum BuildIndex {
+    Int(IntMap<i64, Vec<u32>>),
+    Str(StrColumn, Vec<Vec<u32>>),
+    Consts(HashMap<Vec<Const>, Vec<u32>>),
+}
+
+impl BuildIndex {
+    /// Types the build key over the rows `sel` names — one column, only
+    /// those rows; a key of several columns goes structural directly.
+    ///
+    /// Every `TypedColumn` variant has its own arm: a new column
+    /// representation needs a decision on how a join indexes it.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn build<K, V: AsConst>(keys: &[ColumnReader<'_, K, V>], sel: Selection<'_>) -> Result<Self> {
+        let mut keys = keys.to_vec();
+        let mut index: HashMap<Vec<Const>, Vec<u32>> = HashMap::new();
+        if let [key] = keys.as_mut_slice() {
+            let mut col = TypedColumn::Num(Vec::with_capacity(sel.len()));
+            for r in sel {
+                col.push(key.get(r).ok_or_else(join_row_oob)?.into_owned());
+            }
+            match col {
+                TypedColumn::Num(vals) => {
+                    let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
+                    for (v, r) in vals.into_iter().zip(sel) {
+                        index.entry(v).or_default().push(r);
+                    }
+                    return Ok(BuildIndex::Int(index));
+                }
+                TypedColumn::Str(col) => {
+                    let mut buckets = vec![Vec::new(); col.dict().len()];
+                    for (&code, r) in col.codes().iter().zip(sel) {
+                        let bucket = buckets.get_mut(code as usize).ok_or_else(join_row_oob)?;
+                        bucket.push(r);
+                    }
+                    return Ok(BuildIndex::Str(col, buckets));
+                }
+                TypedColumn::Boxed(vals) => {
+                    for (v, r) in vals.into_iter().zip(sel) {
+                        index.entry(vec![v]).or_default().push(r);
+                    }
+                    return Ok(BuildIndex::Consts(index));
                 }
             }
         }
-        Ok(pairs)
-    })?;
-    Ok(concat(parts))
+        let mut key = Vec::with_capacity(keys.len());
+        for r in sel {
+            read_key(&mut keys, r, &mut key)?;
+            match index.get_mut(key.as_slice()) {
+                Some(rows) => rows.push(r),
+                None => {
+                    index.insert(key.clone(), vec![r]);
+                }
+            }
+        }
+        Ok(BuildIndex::Consts(index))
+    }
+
+    /// The build rows whose key structurally equals probe row `r`'s, read
+    /// through `keys` (`buf` is the reused key buffer of the structural
+    /// index). A cell of another type than an integral or string index
+    /// holds matches nothing, as structural equality says.
+    fn probe<K, V: AsConst>(
+        &self,
+        keys: &mut [ColumnReader<'_, K, V>],
+        r: u32,
+        buf: &mut Vec<Const>,
+    ) -> Result<&[u32]> {
+        let rows = match self {
+            BuildIndex::Int(index) => as_int(&*one_key(keys, r)?).and_then(|v| index.get(&v)),
+            BuildIndex::Str(col, buckets) => match &*one_key(keys, r)? {
+                Const::Str(s) => col.code_of(s).and_then(|c| buckets.get(c as usize)),
+                _ => None,
+            },
+            BuildIndex::Consts(index) => {
+                read_key(keys, r, buf)?;
+                index.get(buf.as_slice())
+            }
+        };
+        Ok(rows.map_or(&[], Vec::as_slice))
+    }
 }
 
-/// Collects matching pairs for a single-column equi-join over two
-/// dictionary-encoded key columns: dense buckets indexed by right code,
-/// plus a left-dictionary → bucket translation table built once per
-/// *dictionary entry* (not per row), so the probe loop is pure integer
-/// indexing — no string hashing or comparison per row. Left codes whose
-/// string is absent from the right dictionary translate to a shared empty
-/// sentinel bucket.
-pub(crate) fn join_pairs_str(
-    lcol: &StrColumn,
-    rcol: &StrColumn,
+/// Row `r`'s cell of a one-column key.
+fn one_key<'a, K, V: AsConst>(
+    keys: &mut [ColumnReader<'a, K, V>],
+    r: u32,
+) -> Result<Cow<'a, Const>> {
+    match keys {
+        [key] => key.get(r).ok_or_else(join_row_oob),
+        _ => Err(RelError::Internal(
+            "a typed join index probed with several key columns".into(),
+        )),
+    }
+}
+
+/// Row `r`'s key cells, into `key`.
+fn read_key<K, V: AsConst>(
+    keys: &mut [ColumnReader<'_, K, V>],
+    r: u32,
+    key: &mut Vec<Const>,
+) -> Result<()> {
+    key.clear();
+    for col in keys {
+        key.push(col.get(r).ok_or_else(join_row_oob)?.into_owned());
+    }
+    Ok(())
+}
+
+/// The equi-join of the rows `lsel` and `rsel` name on structural
+/// equality of their key cells: build (right), probe (left). Returns the
+/// match rows of each side, pair `i` being `(lrows[i], rrows[i])`, in
+/// probe order and, within one probe row, in build selection order —
+/// written straight into the two vectors, sized for one match a probe
+/// row. Large probes shard across workers in contiguous ranges.
+pub(crate) fn join_rows<K: Send + Sync, V: AsConst + Send + Sync>(
+    lkeys: &[ColumnReader<'_, K, V>],
+    rkeys: &[ColumnReader<'_, K, V>],
     lsel: Selection<'_>,
     rsel: Selection<'_>,
     opts: &ExecOptions,
-) -> Result<Vec<(u32, u32)>> {
-    // buckets[right_code] = right rows with that code; the extra last
-    // bucket stays empty and absorbs unmatched left codes.
-    let sentinel = rcol.dict().len();
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); sentinel + 1];
-    let rcodes = rcol.codes();
-    for rr in rsel {
-        let Some(&code) = rcodes.get(rr as usize) else {
-            return Err(join_row_oob());
-        };
-        let Some(bucket) = buckets.get_mut(code as usize) else {
-            return Err(join_row_oob());
-        };
-        bucket.push(rr);
-    }
-    let xlat: Vec<usize> = lcol
-        .dict()
-        .iter()
-        .map(|s| rcol.code_of(s).map_or(sentinel, |c| c as usize))
-        .collect();
-    let lcodes = lcol.codes();
-    let parts = par::fan_out(ranges(lsel.len(), opts), |(start, end)| {
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    let index = BuildIndex::build(rkeys, rsel)?;
+    let mut parts = par::fan_out(ranges(lsel.len(), opts), |(start, end)| {
         let rows = lsel.range(start, end).ok_or_else(shard_oob)?;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for lr in rows {
-            let matched = lcodes
-                .get(lr as usize)
-                .and_then(|&c| xlat.get(c as usize))
-                .and_then(|&b| buckets.get(b))
-                .ok_or_else(join_row_oob)?;
-            for &rr in matched {
-                pairs.push((lr, rr));
-            }
+        let mut keys = lkeys.to_vec();
+        let mut buf = Vec::with_capacity(keys.len());
+        let (mut lrows, mut rrows) = (
+            Vec::with_capacity(end - start),
+            Vec::with_capacity(end - start),
+        );
+        for r in rows {
+            let matched = index.probe(&mut keys, r, &mut buf)?;
+            lrows.extend(std::iter::repeat_n(r, matched.len()));
+            rrows.extend_from_slice(matched);
         }
-        Ok(pairs)
+        Ok((lrows, rrows))
     })?;
-    Ok(concat(parts))
+    if parts.len() == 1 {
+        return Ok(parts.swap_remove(0));
+    }
+    let (lrows, rrows) = parts.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
+    Ok((concat(lrows), concat(rrows)))
 }
 
 fn join_row_oob() -> RelError {
@@ -612,23 +561,52 @@ fn join_row_oob() -> RelError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aggprov_algebra::semiring::Nat;
+    use aggprov_krel::batch::ColumnBatch;
 
-    fn num_col(vals: &[i64]) -> TypedColumn {
-        TypedColumn::Num(vals.to_vec())
+    type Batch = ColumnBatch<Nat, Const>;
+
+    /// A one-column batch of owned constants.
+    fn batch(vals: Vec<Const>) -> Batch {
+        let anns = vec![Nat(1); vals.len()];
+        ColumnBatch::from_columns(vec![TypedColumn::from_consts(vals)], anns).unwrap()
     }
 
-    fn str_col(vals: &[&str]) -> TypedColumn {
-        TypedColumn::from_consts(vals.iter().map(|s| Const::str(s)).collect())
+    fn ints(vals: &[i64]) -> Batch {
+        batch(vals.iter().map(|&v| Const::int(v)).collect())
     }
 
-    fn run(col: &TypedColumn, sel: Option<&[u32]>, cmp: BatchCmp, lit: &Const) -> Result<Vec<u32>> {
-        let test = compile_lit_test(col, cmp, lit, false).expect("typed column");
-        run_filter(col, sel, &test, &ExecOptions::serial())
+    fn strs(vals: &[&str]) -> Batch {
+        batch(vals.iter().map(|s| Const::str(s)).collect())
+    }
+
+    fn run_opts(
+        b: &Batch,
+        sel: Option<&[u32]>,
+        cmp: BatchCmp,
+        lit: &Const,
+        lit_on_left: bool,
+        opts: &ExecOptions,
+    ) -> Result<Vec<u32>> {
+        let test = compile_int_test(cmp, lit, lit_on_left);
+        let other = |cell: &Const| {
+            if lit_on_left {
+                crate::ops::batch::const_cmp(lit, cmp, cell)
+            } else {
+                crate::ops::batch::const_cmp(cell, cmp, lit)
+            }
+        };
+        let col = b.column(0).unwrap();
+        filter_lit(&col, Selection::new(sel, b.len()), test, other, opts)
+    }
+
+    fn run(b: &Batch, sel: Option<&[u32]>, cmp: BatchCmp, lit: &Const) -> Result<Vec<u32>> {
+        run_opts(b, sel, cmp, lit, false, &ExecOptions::serial())
     }
 
     #[test]
     fn num_literal_compiles_once_and_filters() {
-        let col = num_col(&[5, 1, 9, 5, -2]);
+        let col = ints(&[5, 1, 9, 5, -2]);
         let got = run(&col, None, BatchCmp::Eq, &Const::int(5)).unwrap();
         assert_eq!(got, vec![0, 3]);
         let got = run(&col, None, BatchCmp::Pred(CmpPred::Lt), &Const::int(5)).unwrap();
@@ -647,164 +625,172 @@ mod tests {
 
     #[test]
     fn rational_and_infinite_literals_fold_to_thresholds() {
-        let col = num_col(&[1, 2, 3]);
+        let col = ints(&[1, 2, 3]);
+        let serial = ExecOptions::serial();
         // v < 5/2 ⟺ v ≤ 2; v ≤ 5/2 likewise.
         let q = Const::Num(Num::ratio(5, 2));
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Lt), &q).unwrap(),
-            vec![0, 1]
-        );
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Le), &q).unwrap(),
-            vec![0, 1]
-        );
+        let lt = BatchCmp::Pred(CmpPred::Lt);
+        let le = BatchCmp::Pred(CmpPred::Le);
+        assert_eq!(run(&col, None, lt, &q).unwrap(), vec![0, 1]);
+        assert_eq!(run(&col, None, le, &q).unwrap(), vec![0, 1]);
         // Literal on the left: 5/2 < v ⟺ v ≥ 3.
-        let test = compile_lit_test(&col, BatchCmp::Pred(CmpPred::Lt), &q, true).unwrap();
         assert_eq!(
-            run_filter(&col, None, &test, &ExecOptions::serial()).unwrap(),
+            run_opts(&col, None, lt, &q, true, &serial).unwrap(),
             vec![2]
         );
         // Negative floors: v < -5/2 ⟺ v ≤ -3.
         let nq = Const::Num(Num::ratio(-5, 2));
-        assert_eq!(
-            run(
-                &num_col(&[-3, -2, 0]),
-                None,
-                BatchCmp::Pred(CmpPred::Lt),
-                &nq
-            )
-            .unwrap(),
-            vec![0]
-        );
+        assert_eq!(run(&ints(&[-3, -2, 0]), None, lt, &nq).unwrap(), vec![0]);
         // No i64 equals a non-integer rational; every one differs from it.
-        assert_eq!(
-            run(&col, None, BatchCmp::Eq, &q).unwrap(),
-            Vec::<u32>::new()
-        );
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Ne), &q).unwrap(),
-            vec![0, 1, 2]
-        );
+        assert!(run(&col, None, BatchCmp::Eq, &q).unwrap().is_empty());
+        let ne = BatchCmp::Pred(CmpPred::Ne);
+        assert_eq!(run(&col, None, ne, &q).unwrap(), vec![0, 1, 2]);
         // ±∞.
         let inf = Const::Num(Num::PosInf);
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Lt), &inf).unwrap(),
-            vec![0, 1, 2]
-        );
-        let test = compile_lit_test(&col, BatchCmp::Pred(CmpPred::Le), &inf, true).unwrap();
-        assert_eq!(
-            run_filter(&col, None, &test, &ExecOptions::serial()).unwrap(),
-            Vec::<u32>::new()
-        );
+        assert_eq!(run(&col, None, lt, &inf).unwrap(), vec![0, 1, 2]);
+        assert!(run_opts(&col, None, le, &inf, true, &serial)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
-    fn string_literal_encodes_once_and_orders_via_table() {
-        let col = str_col(&["b", "a", "c", "b"]);
+    fn other_cells_take_the_structural_comparison() {
+        let col = strs(&["b", "a", "c", "b"]);
         assert_eq!(
             run(&col, None, BatchCmp::Eq, &Const::str("b")).unwrap(),
             vec![0, 3]
         );
-        // A literal absent from the dictionary: = keeps none, ≠ keeps all.
+        assert!(run(&col, None, BatchCmp::Eq, &Const::str("zz"))
+            .unwrap()
+            .is_empty());
+        let ne = BatchCmp::Pred(CmpPred::Ne);
         assert_eq!(
-            run(&col, None, BatchCmp::Eq, &Const::str("zz")).unwrap(),
-            Vec::<u32>::new()
-        );
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Ne), &Const::str("zz")).unwrap(),
+            run(&col, None, ne, &Const::str("zz")).unwrap(),
             vec![0, 1, 2, 3]
         );
-        // Ordering decides per dictionary entry.
+        let le = BatchCmp::Pred(CmpPred::Le);
         assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Le), &Const::str("b")).unwrap(),
+            run(&col, None, le, &Const::str("b")).unwrap(),
             vec![0, 1, 3]
         );
+        // A mixed column: each cell by its own type.
+        let mixed = batch(vec![Const::int(1), Const::str("a"), Const::int(3)]);
+        assert_eq!(
+            run(&mixed, None, BatchCmp::Eq, &Const::int(3)).unwrap(),
+            [2]
+        );
+        assert_eq!(run(&mixed, None, ne, &Const::str("a")).unwrap(), vec![0, 2]);
     }
 
     #[test]
     fn cross_type_errors_only_when_rows_are_selected() {
-        let col = num_col(&[1, 2]);
+        let col = ints(&[1, 2]);
         let lit = Const::str("s");
-        let err = run(&col, None, BatchCmp::Pred(CmpPred::Lt), &lit).unwrap_err();
+        let lt = BatchCmp::Pred(CmpPred::Lt);
+        let err = run(&col, None, lt, &lit).unwrap_err();
         assert_eq!(err.to_string(), "type error: cannot order num against text");
         // Orientation is preserved in the message.
-        let test = compile_lit_test(&col, BatchCmp::Pred(CmpPred::Lt), &lit, true).unwrap();
-        let err = run_filter(&col, None, &test, &ExecOptions::serial()).unwrap_err();
+        let err = run_opts(&col, None, lt, &lit, true, &ExecOptions::serial()).unwrap_err();
         assert_eq!(err.to_string(), "type error: cannot order text against num");
         // An empty selection never reaches the comparison.
-        let got = run(&col, Some(&[]), BatchCmp::Pred(CmpPred::Lt), &lit).unwrap();
-        assert!(got.is_empty());
+        assert!(run(&col, Some(&[]), lt, &lit).unwrap().is_empty());
         // = / ≠ stay total across types.
-        assert_eq!(
-            run(&col, None, BatchCmp::Eq, &lit).unwrap(),
-            Vec::<u32>::new()
-        );
-        assert_eq!(
-            run(&col, None, BatchCmp::Pred(CmpPred::Ne), &lit).unwrap(),
-            vec![0, 1]
-        );
+        assert!(run(&col, None, BatchCmp::Eq, &lit).unwrap().is_empty());
+        let ne = BatchCmp::Pred(CmpPred::Ne);
+        assert_eq!(run(&col, None, ne, &lit).unwrap(), vec![0, 1]);
     }
 
     #[test]
     fn sharded_filter_matches_serial() {
-        let vals: Vec<i64> = (0..20_000).map(|i| i * 7 % 101).collect();
-        let col = num_col(&vals);
+        let col = ints(&(0..20_000).map(|i| i * 7 % 101).collect::<Vec<_>>());
         let lit = Const::int(50);
-        let serial = run(&col, None, BatchCmp::Pred(CmpPred::Lt), &lit).unwrap();
-        let test = compile_lit_test(&col, BatchCmp::Pred(CmpPred::Lt), &lit, false).unwrap();
-        let sharded = run_filter(&col, None, &test, &ExecOptions::with_threads(4)).unwrap();
-        assert_eq!(serial, sharded);
+        let four = ExecOptions::with_threads(4);
+        let lt = BatchCmp::Pred(CmpPred::Lt);
+        let serial = run(&col, None, lt, &lit).unwrap();
+        assert_eq!(
+            serial,
+            run_opts(&col, None, lt, &lit, false, &four).unwrap()
+        );
         // Sparse sharding too.
         let sel: Vec<u32> = (0..20_000).step_by(2).collect();
-        let serial = run(&col, Some(&sel), BatchCmp::Pred(CmpPred::Le), &lit).unwrap();
-        let test = compile_lit_test(&col, BatchCmp::Pred(CmpPred::Le), &lit, false).unwrap();
-        let sharded = run_filter(&col, Some(&sel), &test, &ExecOptions::with_threads(4)).unwrap();
-        assert_eq!(serial, sharded);
+        let le = BatchCmp::Pred(CmpPred::Le);
+        let serial = run(&col, Some(&sel), le, &lit).unwrap();
+        assert_eq!(
+            serial,
+            run_opts(&col, Some(&sel), le, &lit, false, &four).unwrap()
+        );
+    }
+
+    fn join(
+        l: &Batch,
+        r: &Batch,
+        lsel: Selection<'_>,
+        rsel: Selection<'_>,
+        opts: &ExecOptions,
+    ) -> Vec<(u32, u32)> {
+        let (lkeys, rkeys) = ([l.column(0).unwrap()], [r.column(0).unwrap()]);
+        let (lrows, rrows) = join_rows(&lkeys, &rkeys, lsel, rsel, opts).unwrap();
+        lrows.into_iter().zip(rrows).collect()
     }
 
     #[test]
     fn join_pairs_probe_in_left_order() {
-        let l = [1i64, 2, 3, 2];
-        let r = [2i64, 9, 2];
+        let (l, r) = (ints(&[1, 2, 3, 2]), ints(&[2, 9, 2]));
         let all = |n: usize| Selection::new(None, n);
         let serial = ExecOptions::serial();
-        let pairs = join_pairs_num(&l, &r, all(l.len()), all(r.len()), &serial).unwrap();
+        let pairs = join(&l, &r, all(4), all(3), &serial);
         assert_eq!(pairs, vec![(1, 0), (1, 2), (3, 0), (3, 2)]);
         // A selection vector on either side narrows the pairs.
         let (lsel, rsel) = ([1u32, 2], [2u32]);
         let named = |s| Selection::new(Some(s), 4);
-        let pairs = join_pairs_num(&l, &r, named(&lsel), named(&rsel), &serial).unwrap();
-        assert_eq!(pairs, vec![(1, 2)]);
+        assert_eq!(
+            join(&l, &r, named(&lsel), named(&rsel), &serial),
+            vec![(1, 2)]
+        );
         // Sharded probing concatenates to the same order, over a selection
         // vector and over all rows.
-        let big_l: Vec<i64> = (0..20_000).map(|i| i % 16).collect();
+        let big_l = ints(&(0..20_000).map(|i| i % 16).collect::<Vec<_>>());
         let evens: Vec<u32> = (0..20_000).step_by(2).collect();
-        let small_r: Vec<i64> = (0..16).collect();
-        for lsel in [all(big_l.len()), Selection::new(Some(&evens), big_l.len())] {
-            let probe = |opts| join_pairs_num(&big_l, &small_r, lsel, all(16), opts).unwrap();
+        let small_r = ints(&(0..16).collect::<Vec<_>>());
+        for lsel in [all(20_000), Selection::new(Some(&evens), 20_000)] {
+            let probe = |opts| join(&big_l, &small_r, lsel, all(16), opts);
             assert_eq!(probe(&serial), probe(&ExecOptions::with_threads(4)));
         }
     }
 
+    /// The probe cells of a join over a string build key.
+    fn probe_cells() -> Batch {
+        let cells = ["x", "y", "z", "y"].map(Const::str);
+        batch(cells.into_iter().chain([Const::int(1)]).collect())
+    }
+
     #[test]
     fn str_join_translates_dictionaries() {
-        let mk = |vals: &[&str]| {
-            let TypedColumn::Str(sc) = str_col(vals) else {
-                panic!("expected dictionary column");
-            };
-            sc
-        };
-        let l = mk(&["x", "y", "z", "y"]);
-        let r = mk(&["y", "w", "x"]);
-        let (lsel, rsel) = (Selection::new(None, 4), Selection::new(None, 3));
-        let pairs = join_pairs_str(&l, &r, lsel, rsel, &ExecOptions::serial()).unwrap();
-        // "x" matches right row 2, "y" right row 0, "z" nothing.
+        let all = |n: usize| Selection::new(None, n);
+        // "x" matches right row 2, "y" right row 0, "z" nothing, and an
+        // integer probe cell no string.
+        let r = strs(&["y", "w", "x"]);
+        let pairs = join(&probe_cells(), &r, all(5), all(3), &ExecOptions::serial());
         assert_eq!(pairs, vec![(0, 2), (1, 0), (3, 0)]);
     }
 
     #[test]
-    fn boxed_columns_decline_compilation() {
-        let col = TypedColumn::Boxed(Vec::new());
-        assert!(compile_lit_test(&col, BatchCmp::Eq, &Const::int(1), false).is_none());
+    fn a_mixed_build_key_goes_structural() {
+        let all = |n: usize| Selection::new(None, n);
+        let serial = ExecOptions::serial();
+        let l = probe_cells();
+        // Structural equality still matches by type and value: the string
+        // "1" is not the number 1.
+        let r = batch(vec![Const::int(1), Const::str("y"), Const::str("1")]);
+        assert_eq!(
+            join(&l, &r, all(5), all(3), &serial),
+            vec![(1, 1), (3, 1), (4, 0)]
+        );
+        // A non-integer probe cell matches no integral key.
+        let l = batch(vec![Const::Num(Num::ratio(3, 2)), Const::int(2)]);
+        assert_eq!(
+            join(&l, &ints(&[2, 3]), all(2), all(2), &serial),
+            vec![(1, 0)]
+        );
     }
 }

@@ -10,6 +10,7 @@ use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
+use aggprov_krel::batch::AsConst;
 use aggprov_krel::error::{RelError, Result};
 use std::fmt;
 
@@ -28,6 +29,14 @@ pub enum Value<A: Ord> {
     Const(Const),
     /// An aggregate value over the tagged monoid.
     Agg(MonoidKind, Tensor<A, Const>),
+}
+
+/// A batch reads a ground row's cell as its constant.
+impl<A: CommutativeSemiring> AsConst for Value<A> {
+    #[inline]
+    fn as_const(&self) -> Option<&Const> {
+        Value::as_const(self)
+    }
 }
 
 impl<A: CommutativeSemiring> Value<A> {

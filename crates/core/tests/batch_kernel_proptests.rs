@@ -23,6 +23,7 @@
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
+use aggprov_algebra::num::Num;
 use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::{CmpPred, Km};
@@ -34,6 +35,7 @@ use aggprov_krel::batch::{ColumnBatch, GroundBatch};
 use aggprov_krel::error::Result;
 use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
+use aggprov_krel::typed::TypedColumn;
 use proptest::prelude::*;
 
 type P = Km<NatPoly>;
@@ -658,150 +660,213 @@ fn arb_positioned(
     })
 }
 
-type Batch = ColumnBatch<P, Value<P>>;
+/// The join key of a wide relation: an integer, a string or — under the
+/// mixed flavour — one of the two or a boolean, by `x`.
+fn wide_key(flavour: u8, x: u8) -> Value<P> {
+    match (flavour, x % 3) {
+        (0, _) | (2, 0) => Value::int(i64::from(x)),
+        (1, _) | (2, 1) => Value::str(&format!("k{x}")),
+        _ => Value::Const(Const::Bool(x.is_multiple_of(2))),
+    }
+}
 
-/// The ground batch of `rel` as `Chunk::from_relation` splits it — the
-/// annotations read in place — and its dense twin: the same columns, the
-/// annotations copied into a `ColumnBatch::from_columns` vector. Also the
-/// ground rows alone, as a relation.
-fn split_both(rel: &MKRel<P>) -> (Batch, Batch, MKRel<P>) {
-    let shared = GroundBatch::from_relation(rel, Value::as_const);
+/// Any constant: an integer, a short or a long string, a boolean, a
+/// non-integer rational.
+fn wide_const(kind: u8, n: i64) -> Const {
+    match kind {
+        0..=2 => Const::int(n),
+        3 => Const::str(["s0", "s1", "a string past seven bytes"][n.rem_euclid(3) as usize]),
+        4 => Const::Bool(n % 2 == 0),
+        _ => Const::Num(Num::ratio(2 * n + 1, 2)),
+    }
+}
+
+/// A relation over three columns of up to `max` rows — at 1 200, the
+/// store's 512-row blocks are crossed: a join key of the drawn flavour
+/// (integers, strings or mixed), a numeric column — an integer, a
+/// non-integer rational or, on a fringe row, a symbolic tensor, so that
+/// fringe rows interleave with ground ones in support order — and a
+/// column of any constant type.
+fn arb_wide(
+    prefix: &'static str,
+    names: [&'static str; 3],
+    max: usize,
+) -> impl Strategy<Value = MKRel<P>> {
+    let row = (0u8..24, 0u8..10, 0u8..6, -3i64..6);
+    (0u8..3, prop::collection::vec(row, 0..max)).prop_map(move |(flavour, rows)| {
+        let cells = rows.into_iter().map(|(x, num, any, n)| {
+            let num = match num {
+                0..=5 => Value::int(n),
+                6 | 7 => Value::Const(Const::Num(Num::ratio(2 * n + 1, 2))),
+                _ => decode_num_val((5, n.rem_euclid(4) as usize, n.abs() + 1)),
+            };
+            vec![wide_key(flavour, x), num, Value::Const(wide_const(any, n))]
+        });
+        rel_from(prefix, Schema::new(names).unwrap(), cells.collect())
+    })
+}
+
+/// `rel` as a chunk in both forms: split in place (its cells and
+/// annotations read in the relation's store), and assembled from owned
+/// columns — every ground cell copied into a `TypedColumn`, every ground
+/// annotation into a dense vector (`ColumnBatch::from_columns`) — beside
+/// the same fringe, or, with `ground_only`, without one. Also the
+/// relation the chunks hold.
+fn both_forms(rel: &MKRel<P>, ground_only: bool) -> ([Chunk<P>; 2], MKRel<P>) {
+    let (in_place, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
     let ground: Vec<_> = rel
         .iter()
         .filter(|(t, _)| t.values().iter().all(|v| v.as_const().is_some()))
-        .map(|(t, k)| (t, k.clone()))
         .collect();
-    let arity = rel.schema().arity();
-    let cols = (0..arity).map(|i| shared.ground().col(i).unwrap().clone());
-    let anns = ground.iter().map(|(_, k)| k.clone()).collect();
-    let dense = ColumnBatch::from_columns(cols.collect(), anns).unwrap();
-    let ground = Relation::from_tuples(rel.schema().clone(), ground, Merge::Sum).unwrap();
-    (shared.into_parts().0, dense, ground)
-}
-
-/// The rows of `batch` whose column `i` is `< v`, ascending (σ).
-fn rows_below(batch: &Batch, i: usize, v: i64) -> Vec<u32> {
-    let col = batch.col(i).unwrap();
-    (0..batch.len() as u32)
-        .filter(|&r| CmpPred::Lt.decide(&col.get(r as usize).unwrap(), &Const::int(v)))
-        .collect()
-}
-
-/// `left ⋈ right` on `left[i] = right[j]` over the rows `lsel` and `rsel`
-/// name, probing with the left, its product deferred.
-fn join_batches(
-    left: Batch,
-    lsel: &[u32],
-    i: usize,
-    right: Batch,
-    rsel: &[u32],
-    j: usize,
-) -> Batch {
-    let key = |b: &Batch, c: usize, r: u32| b.col(c).unwrap().get(r as usize).unwrap();
-    let pairs = lsel.iter().flat_map(|&l| rsel.iter().map(move |&r| (l, r)));
-    let pairs = pairs.filter(|&(l, r)| key(&left, i, l) == key(&right, j, r));
-    let (lrows, rrows): (Vec<u32>, Vec<u32>) = pairs.unzip();
-    let gather = |b: &Batch, rows: &[u32]| {
-        (0..b.arity())
-            .map(|c| b.col(c).unwrap().gather(rows).unwrap())
-            .collect::<Vec<_>>()
+    let column = |i: usize| {
+        let cells = ground
+            .iter()
+            .map(|(t, _)| t.get(i).as_const().unwrap().clone());
+        TypedColumn::from_consts(cells.collect())
     };
-    let cols = [gather(&left, &lrows), gather(&right, &rrows)].concat();
-    ColumnBatch::from_join(cols, left, lrows, right, rrows).unwrap()
+    let cols = (0..rel.schema().arity()).map(column).collect();
+    let anns = ground.iter().map(|(_, k)| (*k).clone()).collect();
+    let owned = ColumnBatch::from_columns(cols, anns).unwrap();
+    let held = if ground_only {
+        let rows = ground.iter().map(|(t, k)| (*t, (*k).clone()));
+        Relation::from_tuples(rel.schema().clone(), rows, Merge::Sum).unwrap()
+    } else {
+        rel.clone()
+    };
+    let fringe = if ground_only { Vec::new() } else { fringe };
+    let chunk = |batch| {
+        Chunk::from_parts(
+            rel.schema().clone(),
+            GroundBatch::from_parts(batch, fringe.clone()),
+        )
+    };
+    ([chunk(in_place).unwrap(), chunk(owned).unwrap()], held)
 }
 
-/// The ground rows `sel` names (all with `None`), projected onto
-/// `columns`, materialized under `schema`.
-fn materialize(batch: Batch, columns: &[usize], schema: &Schema, sel: Option<&[u32]>) -> MKRel<P> {
-    let projected = batch
-        .map_columns(|cols| Ok(columns.iter().map(|&c| cols[c].clone()).collect()))
-        .unwrap();
-    GroundBatch::from_parts(projected, Vec::new())
-        .into_relation_selected(schema.clone(), Value::Const, sel)
-        .unwrap()
-}
+const FORMS: [&str; 2] = ["in place", "owned"];
 
-/// Both forms through `σ(b < v)` on `r1`, `⋈ (a = c)` with `r2` under every
-/// shared/dense pairing of the operands, a second `⋈ (c = e)` with `r3`,
-/// and `Π(a, d, f)`; and the first join's output itself, under `σ(d < v)`
-/// and a duplicated projection. Every form materializes the same relation,
-/// and that relation is the `specops` composition over the ground rows.
-fn check_shared_against_dense(r1: &MKRel<P>, r2: &MKRel<P>, r3: &MKRel<P>, v: i64) {
-    let ((s1, d1, g1), (s2, d2, g2), (s3, d3, g3)) =
-        (split_both(r1), split_both(r2), split_both(r3));
-    // Row-wise equality reads through either form.
-    assert!(s1 == d1 && s2 == d2 && s3 == d3);
-    let all = |b: &Batch| (0..b.len() as u32).collect::<Vec<u32>>();
-    let sel1 = rows_below(&s1, 1, v);
-    assert_eq!(sel1, rows_below(&d1, 1, v));
-    let (all2, all3) = (all(&s2), all(&s3));
-
-    let below =
-        |rel: &MKRel<P>, attr: &str| specops::select_cmp(rel, attr, CmpPred::Lt, &Value::int(v));
-    let j12 = specops::join_on(&below(&g1, "b").unwrap(), &g2, &[("a", "c")]).unwrap();
-    let j123 = specops::join_on(&j12, &g3, &[("c", "e")]).unwrap();
-    let adf = Schema::new(["a", "d", "f"]).unwrap();
-    let want_nested = specops::project(&j123, &["a", "d", "f"]).unwrap();
-    let want_filtered = below(&j12, "d").unwrap();
-    let dup = Schema::new(["d1", "a", "d2"]).unwrap();
-    let want_dup = {
-        let mut out = Relation::empty(dup.clone());
-        for (t, k) in specops::project(&j12, &["d", "a"]).unwrap().iter() {
-            let row = vec![t.get(0).clone(), t.get(1).clone(), t.get(0).clone()];
-            out.insert(row, k.clone()).unwrap();
+/// Both chunk forms of three wide relations — `(a, b, m)`, `(c, d, n)`,
+/// `(e, f, o)` — through every kernel, at threads 1 and 4: materialized
+/// whole, `σ(b < v)`, and `σ(m ⋈ lit)` under `=`, `≠` and `<` (an
+/// ordering across types is the same error on every path) over the whole
+/// relation, fringe included; then over the ground rows under every
+/// pairing of forms, `σ(b < v)` on the first, `⋈ (a = c)` with the
+/// second, the join's output under `σ(n ≠ lit)` and a duplicated
+/// projection, and a second join `⋈ (d = f)` with the third as its build
+/// side and as its probe side, projected on `(a, d, f)`. Every result is
+/// the `specops` composition, bit for bit.
+fn check_in_place_against_owned(r1: &MKRel<P>, r2: &MKRel<P>, r3: &MKRel<P>, v: i64, lit: &Const) {
+    let (whole, _) = both_forms(r1, false);
+    let (b, v) = (BatchOperand::Col(1), BatchOperand::Lit(Const::int(v)));
+    let (m, lit) = (BatchOperand::Col(2), BatchOperand::Lit(lit.clone()));
+    let spec_filter = |rel: &MKRel<P>, attr: &str, cmp: BatchCmp, op: &BatchOperand| {
+        let BatchOperand::Lit(c) = op else {
+            unreachable!()
+        };
+        let value = Value::Const(c.clone());
+        match cmp {
+            BatchCmp::Eq => specops::select_eq(rel, attr, &value),
+            BatchCmp::Pred(p) => specops::select_cmp(rel, attr, p, &value),
         }
-        out
     };
-
-    for (shared_left, shared_right, shared_third) in
-        (0..8).map(|m| (m & 1 == 1, m & 2 == 2, m & 4 == 4))
-    {
-        let ctx =
-            format!("shared: probe {shared_left}, build {shared_right}, third {shared_third}");
-        let pick = |shared: bool, s: &Batch, d: &Batch| if shared { s.clone() } else { d.clone() };
-        let (left, right) = (pick(shared_left, &s1, &d1), pick(shared_right, &s2, &d2));
-        let joined = join_batches(left, &sel1, 0, right, &all2, 0);
-        let third = pick(shared_third, &s3, &d3);
-        // The first join's output probing the third operand…
-        let nested = join_batches(joined.clone(), &all(&joined), 2, third.clone(), &all3, 0);
-        assert_eq!(
-            materialize(nested, &[0, 3, 5], &adf, None),
-            want_nested,
-            "{ctx}"
-        );
-        // … and probed by it: the same rows, `e, f` in front.
-        let efabcd = join_batches(third, &all3, 0, joined.clone(), &all(&joined), 2);
-        assert_eq!(
-            materialize(efabcd, &[2, 5, 1], &adf, None),
-            want_nested,
-            "{ctx}"
-        );
-        let kept = rows_below(&joined, 3, v);
-        let abcd = Schema::new(["a", "b", "c", "d"]).unwrap();
-        assert_eq!(
-            materialize(joined.clone(), &[0, 1, 2, 3], &abcd, Some(&kept)),
-            want_filtered,
-            "{ctx}"
-        );
-        assert_eq!(
-            materialize(joined, &[3, 0, 3], &dup, None),
-            want_dup,
-            "{ctx}"
-        );
+    let lt = BatchCmp::Pred(CmpPred::Lt);
+    let filters = [
+        (&b, "b", lt),
+        (&m, "m", BatchCmp::Eq),
+        (&m, "m", BatchCmp::Pred(CmpPred::Ne)),
+        (&m, "m", lt),
+    ];
+    for threads in [1usize, 4] {
+        let opts = ExecOptions::with_threads(threads);
+        for (form, chunk) in FORMS.iter().zip(&whole) {
+            let ctx = format!("{form}, threads {threads}");
+            assert_eq!(chunk.clone().into_relation().unwrap(), *r1, "{ctx}");
+            for (op, attr, cmp) in filters {
+                let mut c = chunk.clone();
+                let got = c.filter(op, cmp, if attr == "b" { &v } else { &lit }, &opts);
+                let got = got.and_then(|()| c.into_relation());
+                let want = spec_filter(r1, attr, cmp, if attr == "b" { &v } else { &lit });
+                // Ground rows are filtered before the fringe, so an
+                // ordering across types may be raised by another row than
+                // the first in support order: only the error must agree.
+                match (&got, &want) {
+                    (Err(_), Err(_)) => {}
+                    _ => assert_matches_spec(&got, &want, &format!("σ({attr} {cmp:?}), {ctx}")),
+                }
+            }
+        }
     }
-    // A scan's own materialization, under σ and whole.
-    let ab = r1.schema().clone();
-    assert_eq!(
-        materialize(s1.clone(), &[0, 1], &ab, Some(&sel1)),
-        materialize(d1.clone(), &[0, 1], &ab, Some(&sel1))
+
+    let ((c1, g1), (c2, g2), (c3, g3)) = (
+        both_forms(r1, true),
+        both_forms(r2, true),
+        both_forms(r3, true),
     );
-    assert_eq!(materialize(s1, &[0, 1], &ab, None), g1);
+    let j12 =
+        specops::join_on(&spec_filter(&g1, "b", lt, &v).unwrap(), &g2, &[("a", "c")]).unwrap();
+    let want_ne = spec_filter(&j12, "n", BatchCmp::Pred(CmpPred::Ne), &lit).unwrap();
+    let dup = Schema::new(["m1", "a", "m2"]).unwrap();
+    let want_dup = spec_project(&j12, &[2, 0, 2], &dup).unwrap();
+    let adf = Schema::new(["a", "d", "f"]).unwrap();
+    let want_adf = specops::join_on(&j12, &g3, &[("d", "f")])
+        .and_then(|j| specops::project(&j, &["a", "d", "f"]))
+        .unwrap();
+    let (s6, s9) = (
+        Schema::new(["a", "b", "m", "c", "d", "n"]).unwrap(),
+        Schema::new(["a", "b", "m", "c", "d", "n", "e", "f", "o"]).unwrap(),
+    );
+    let s9_built = Schema::new(["e", "f", "o", "a", "b", "m", "c", "d", "n"]).unwrap();
+    for threads in [1usize, 4] {
+        let opts = ExecOptions::with_threads(threads);
+        for mask in 0..8usize {
+            let ctx = format!(
+                "forms {} ⋈ {} ⋈ {}, threads {threads}",
+                FORMS[mask & 1],
+                FORMS[mask >> 1 & 1],
+                FORMS[mask >> 2 & 1]
+            );
+            let (mut first, second, third) = (
+                c1[mask & 1].clone(),
+                c2[mask >> 1 & 1].clone(),
+                c3[mask >> 2 & 1].clone(),
+            );
+            first.filter(&b, lt, &v, &opts).unwrap();
+            let joined = hash_join(first, second, &[(0, 0)], s6.clone(), &opts).unwrap();
+            assert_eq!(joined.clone().into_relation().unwrap(), j12, "{ctx}");
+            let mut ne = joined.clone();
+            let n = BatchOperand::Col(5);
+            ne.filter(&n, BatchCmp::Pred(CmpPred::Ne), &lit, &opts)
+                .unwrap();
+            assert_eq!(ne.into_relation().unwrap(), want_ne, "σ(n ≠ lit), {ctx}");
+            let projected = joined.clone().project_opts(&[2, 0, 2], dup.clone(), &opts);
+            assert_eq!(
+                projected.unwrap().into_relation().unwrap(),
+                want_dup,
+                "Π, {ctx}"
+            );
+            let nested = hash_join(joined.clone(), third.clone(), &[(4, 1)], s9.clone(), &opts)
+                .and_then(|j| j.project_opts(&[0, 4, 7], adf.clone(), &opts))
+                .and_then(Chunk::into_relation);
+            assert_eq!(nested.unwrap(), want_adf, "⋈ probing, {ctx}");
+            let built = hash_join(third, joined, &[(1, 4)], s9_built.clone(), &opts)
+                .and_then(|j| j.project_opts(&[3, 7, 1], adf.clone(), &opts))
+                .and_then(Chunk::into_relation);
+            assert_eq!(built.unwrap(), want_adf, "⋈ building, {ctx}");
+        }
+    }
+}
+
+/// A constant of any type, for the filters over the mixed column.
+fn arb_const() -> impl Strategy<Value = Const> {
+    (0u8..6, -3i64..6).prop_map(|(kind, n)| wide_const(kind, n))
 }
 
 /// Builds a chunk from a copy of `rel` — one sharing its store with a
 /// pinned clone when `pinned` — edits the copy with `edit`, and checks
-/// that the chunk materializes `rel` as it was (after `σ(b ≠ v)`, or
-/// whole), the copy shows the edit, and the pinned clone does not.
+/// that the chunk materializes `rel` as it was (after `σ(b ≠ v)` taken
+/// before the edit and after it, or whole), the copy shows the edit, and
+/// the pinned clone does not: the chunk keeps reading the cells and
+/// annotations it was split from.
 fn check_isolation(rel: &MKRel<P>, v: i64, pinned: bool, edit: impl Fn(&mut MKRel<P>)) {
     let fresh = || {
         Relation::from_tuples(
@@ -814,6 +879,7 @@ fn check_isolation(rel: &MKRel<P>, v: i64, pinned: bool, edit: impl Fn(&mut MKRe
     let mut table = fresh();
     let pin = pinned.then(|| table.clone());
     let whole = Chunk::from_relation(&table);
+    let mut late = Chunk::from_relation(&table);
     let mut filtered = Chunk::from_relation(&table);
     let (b, ne) = (BatchOperand::Col(1), BatchCmp::Pred(CmpPred::Ne));
     let lit = BatchOperand::Lit(Const::int(v));
@@ -826,6 +892,8 @@ fn check_isolation(rel: &MKRel<P>, v: i64, pinned: bool, edit: impl Fn(&mut MKRe
     assert_eq!(whole.into_relation().unwrap(), *rel);
     let want = specops::select_cmp(rel, "b", CmpPred::Ne, &Value::int(v)).unwrap();
     assert_eq!(filtered.into_relation().unwrap(), want);
+    late.filter(&b, ne, &lit, &opts).unwrap();
+    assert_eq!(late.into_relation().unwrap(), want);
     if let Some(pin) = pin {
         assert_eq!(pin, *rel);
     }
@@ -836,12 +904,15 @@ proptest! {
 
     #[test]
     fn a_shared_annotation_column_reads_as_the_dense_one(
-        r1 in arb_positioned("a", "a", "b"),
-        r2 in arb_positioned("b", "c", "d"),
-        r3 in arb_positioned("c", "e", "f"),
+        r1 in arb_wide("a", ["a", "b", "m"], 12),
+        r2 in arb_wide("b", ["c", "d", "n"], 8),
+        r3 in arb_wide("c", ["e", "f", "o"], 8),
         v in -2i64..5,
+        lit in arb_const(),
     ) {
-        check_shared_against_dense(&r1, &r2, &r3, v);
+        // Small relations, many cases: the annotation and cell forms, the
+        // positions a fringe row records, every kernel.
+        check_in_place_against_owned(&r1, &r2, &r3, v, &lit);
     }
 
     #[test]
@@ -887,6 +958,23 @@ proptest! {
                 }
             });
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn in_place_cells_read_as_owned_columns_across_blocks(
+        r1 in arb_wide("a", ["a", "b", "m"], 1_200),
+        r2 in arb_wide("b", ["c", "d", "n"], 24),
+        r3 in arb_wide("c", ["e", "f", "o"], 24),
+        v in -2i64..5,
+        lit in arb_const(),
+    ) {
+        // A first operand of up to 1 200 rows: its stored columns span
+        // three blocks, and its fringe rows interleave with them.
+        check_in_place_against_owned(&r1, &r2, &r3, v, &lit);
     }
 }
 

@@ -127,19 +127,27 @@ fn check_filter(rel: &MKRel<P>, col: usize, attr: &str, cmp: BatchCmp, lit: Cons
     }
 }
 
-/// The variant names the ground columns of `rel` probe into.
+/// The variant each ground column of `rel` takes when its cells — read
+/// in place, as a chunk's kernels read them — are typed by
+/// [`TypedColumn::from_consts`], as a join types its build key.
 fn column_variants(rel: &MKRel<P>) -> Vec<&'static str> {
     let batch = GroundBatch::from_relation(rel, Value::as_const);
-    (0..rel.schema().arity())
-        .filter_map(|i| batch.ground().col(i).map(TypedColumn::variant))
-        .collect()
+    let ground = batch.ground();
+    let variant = |i: usize| {
+        let mut col = ground.column(i).unwrap();
+        let cells = (0..ground.len() as u32).map(|r| col.get(r).unwrap().into_owned());
+        TypedColumn::from_consts(cells.collect()).variant()
+    };
+    (0..rel.schema().arity()).map(variant).collect()
 }
 
-/// The kernel properties below are only as strong as the column variants
-/// their generator reaches: [`raw_rows`] must yield unboxed, dictionary
-/// and boxed columns from the data alone — and the boxed ones by each
-/// route the storage documents (two value types meeting, a boolean, a
-/// non-integer rational).
+/// The kernel properties below are only as strong as the cell mixes their
+/// generator reaches: [`raw_rows`] must yield columns that type as
+/// unboxed, dictionary and boxed from the data alone — and the boxed ones
+/// by each route the storage documents (two value types meeting, a
+/// boolean, a non-integer rational). A scan types no column; the join's
+/// build key and an owned column do, so the same cells are probed
+/// through [`TypedColumn::from_consts`].
 #[test]
 fn generator_covers_every_column_variant() {
     let mut rng = TestRng::for_test("generator_covers_every_column_variant");
@@ -230,11 +238,12 @@ proptest! {
         lit in raw_const(),
         which in 0u8..4,
     ) {
-        // Column 0 is an unboxed i64 run, column 1 a dictionary column,
-        // column 2 mixed (boxed once two kinds meet, or on a boolean or
-        // half-integer); the literal ranges over every constant kind, so
-        // the compiled tests cover same-type, cross-type (lazy errors),
-        // non-integer rational folding and ±∞ folding.
+        // Column 0 is all integers, column 1 all strings, column 2 mixed
+        // (two kinds meeting, booleans, half-integers); the literal ranges
+        // over every constant kind, so the compiled integer tests cover
+        // same-type, cross-type (lazy errors), non-integer rational
+        // folding and ±∞ folding, and the other cells the structural
+        // comparison.
         let rel = rel3("t", ["a", "b", "c"], rows);
         let cmp = match which {
             0 => BatchCmp::Eq,
@@ -254,10 +263,10 @@ proptest! {
         r_rows in raw_rows(10),
         on in 0usize..3,
     ) {
-        // Join on the i64 column, the dictionary column or the mixed
-        // column: the integer hash index, the dictionary translation
-        // table and the structural `Const` index (boxed and cross-variant
-        // keys) against the literal §4.3 join.
+        // Join on the integer column, the string column or the mixed
+        // column: the build key types as an integer hash index, a
+        // dictionary with a bucket per code or a structural `Const` index
+        // (boxed keys), against the literal §4.3 join.
         let l = rel3("l", ["a", "b", "c"], l_rows);
         let r = rel3("r", ["d", "e", "f"], r_rows);
         let on_attrs = [(["a", "b", "c"][on], ["d", "e", "f"][on])];

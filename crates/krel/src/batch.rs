@@ -4,27 +4,35 @@
 //! for the §4.3 token semantics — symbolic values force sums over the
 //! whole support — but it is the wrong shape for the ground hot path,
 //! where every equality token is `0`/`1` and execution degenerates to
-//! classical columnar work. A [`ColumnBatch`] holds that ground partition
-//! column-major: one [`TypedColumn`] per attribute (unboxed `Vec<i64>`
-//! for integer runs, dictionary codes for strings, boxed `Vec<Const>` as
-//! the fallback — see [`crate::typed`]) plus an annotation column, so a
-//! filter touches only the compared columns and a projection is a column
-//! remap instead of a per-tuple rebuild.
+//! classical columnar work. A [`ColumnBatch`] addresses that ground
+//! partition column by column — one column per attribute plus an
+//! annotation column — so a filter touches only the compared columns and
+//! a projection is a column remap instead of a per-tuple rebuild.
 //!
-//! The annotation column has three forms, private to this module. In the
-//! paper a selection annotates a kept tuple with `R(t) · P(t)` and a join
-//! with `R₁(t₁) · R₂(t₂)` (§2.1, §4.3): a row's annotation is observable
-//! only if the row reaches the result, so no form copies or multiplies an
-//! annotation before then.
+//! In the paper a selection annotates a kept tuple with `R(t) · P(t)` and
+//! a join with `R₁(t₁) · R₂(t₂)` (§2.1, §4.3): a row's values and its
+//! annotation are observable only if the row reaches the result. So no
+//! column copies a cell, or copies or multiplies an annotation, before
+//! then. A cell column has three forms, private to this module:
 //!
-//! * **Shared** — the annotations of the relation the batch was split
-//!   from, read in place: an `Arc` on the relation's tuple store, the
-//!   store's block-start index, and one support position per ground row
-//!   only when a fringe row precedes a ground row. This is the form
-//!   [`GroundBatch::from_relation`] builds, so a scan clones no
-//!   annotation. An edit of the source relation copies out what it writes
-//!   before writing (copy-on-write, see [`Relation`]), so the batch keeps
-//!   reading the annotations it was split from.
+//! * **Stored** — cell `c` of each ground row of the relation the batch
+//!   was split from, read where the relation's tuple store keeps it: an
+//!   `Arc` on the store, the store's block-start index, and the column
+//!   number, read at stride `arity` in the row-major block. Ground row `r`
+//!   is support position `r`, or `positions[r]` once a fringe row precedes
+//!   a ground row. This is the form [`GroundBatch::from_relation`] builds,
+//!   so a scan copies no cell.
+//! * **Owned** — one [`TypedColumn`] built by a kernel
+//!   ([`ColumnBatch::from_columns`], [`ColumnBatch::push_column`]).
+//! * **Through** — a join's output column: row `r` is row `rows[r]` of an
+//!   input column, `rows` being the join's left or right match rows
+//!   ([`ColumnBatch::from_join`]). A join over a join's output reads
+//!   through both index vectors.
+//!
+//! The annotation column has three forms too:
+//!
+//! * **Shared** — the stored rows' annotations, read in place through the
+//!   same addressing as the stored cells.
 //! * **Dense** — one annotation per row, for a column a kernel builds
 //!   ([`ColumnBatch::from_columns`], or a deferred product multiplied out
 //!   by a second join).
@@ -32,12 +40,19 @@
 //!   `left[lrows[r]] ⊗ right[rrows[r]]` over the two input columns, each
 //!   kept shared or dense as it came ([`ColumnBatch::from_join`]).
 //!
-//! Who reads them: [`GroundBatch::into_relation_selected`] is the one
-//! place annotations leave a batch — a dense column's are moved out, a
-//! shared column's selected rows are cloned, a product's selected rows
-//! are multiplied, and nothing else is. A join over the batch keeps a
-//! shared or dense column as its operand, unread, and multiplies out a
-//! product only at the rows its own pairs name. Row-wise equality reads
+//! An edit of the source relation copies out what it writes before
+//! writing (copy-on-write, see [`Relation`]), so a batch keeps reading the
+//! cells and annotations it was split from.
+//!
+//! Who reads them: kernels read cells as constants through a
+//! [`ColumnReader`], and narrow a selection vector; nothing is copied.
+//! [`GroundBatch::into_relation_selected`] is the one place cells and
+//! annotations leave a batch: the selected rows' stored cells are cloned
+//! and owned ones lifted, a dense column's annotations are moved out, a
+//! shared column's selected rows are cloned, a product's selected rows are
+//! multiplied, and nothing else is. A join over the batch keeps a shared
+//! or dense annotation column as its operand, unread, and multiplies out
+//! a product only at the rows its own pairs name. Row-wise equality reads
 //! every form through one accessor.
 //!
 //! [`GroundBatch`] pairs a `ColumnBatch` with the **symbolic fringe** — the
@@ -55,8 +70,8 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Builder, Merge, Relation, Tuple};
 use crate::schema::Schema;
-use crate::store::Store;
-use crate::typed::{IntoConsts, TypedColumn};
+use crate::store::{Cursor, Store};
+use crate::typed::TypedColumn;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::borrow::Cow;
@@ -64,24 +79,221 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// A column-major batch of fully ground rows: `arity` parallel
-/// [`TypedColumn`]s plus one annotation column. Row `r` is
-/// `(cols[0][r], …, cols[arity-1][r])` annotated with the column's `r`-th
-/// annotation, read in place from the relation the batch was split from,
-/// held dense, or held as a join's deferred product (see the module docs).
-/// `V` is the value type of that relation.
+/// How a batch reads a stored cell of a ground row: as the constant it
+/// holds. A relation's value type implements it — `Const` as itself, the
+/// aggregate-provenance layer's values as their constant — so the kernels
+/// read cells with a direct call.
+pub trait AsConst {
+    /// The constant this value is; `None` for a symbolic value, which no
+    /// ground row holds.
+    fn as_const(&self) -> Option<&Const>;
+}
+
+impl AsConst for Const {
+    #[inline]
+    fn as_const(&self) -> Option<&Const> {
+        Some(self)
+    }
+}
+
+/// A column-major batch of fully ground rows: `arity` cell columns plus
+/// one annotation column, each read in place from the relation the batch
+/// was split from, held by the batch, or read through a join's match rows
+/// (see the module docs). `V` is the value type of that relation.
 ///
 /// A batch is a *bag* of rows — unlike a [`Relation`], equal rows may
 /// appear more than once (a pipeline defers the additive merge to its
 /// next breaker); [`GroundBatch::into_relation`] merges duplicates
 /// additively, which by distributivity agrees with merging eagerly.
 ///
-/// Equality is row-wise: two batches are equal when they hold the same
-/// columns and the same annotation on every row, whichever form holds it.
+/// Equality is row-wise: two batches are equal when every row holds the
+/// same constants and the same annotation, whichever form holds them.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch<K, V> {
-    cols: Vec<TypedColumn>,
+    cols: Vec<Column<K, V>>,
     anns: Anns<K, V>,
+}
+
+/// The ground rows of a relation, read where its tuple store keeps them:
+/// ground row `r` is support position `positions[r]`, or `r` itself when
+/// `positions` is `None` (no fringe row precedes a ground row).
+struct Scan<K, V> {
+    store: Arc<Store<V, K>>,
+    /// `store.block_starts()`.
+    starts: Vec<usize>,
+    positions: Option<Vec<u32>>,
+    /// The number of ground rows.
+    len: usize,
+}
+
+/// The row count, not the store: a base table's worth of rows.
+impl<K, V> fmt::Debug for Scan<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Scan")
+            .field("len", &self.len)
+            .field("positions", &self.positions.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<K, V> Scan<K, V> {
+    /// The support position of ground row `r`; `None` past the end.
+    fn position(&self, r: usize) -> Option<usize> {
+        match &self.positions {
+            Some(positions) => positions.get(r).map(|&p| p as usize),
+            None => (r < self.len).then_some(r),
+        }
+    }
+
+    /// Cell `c` of ground row `r`, read through `cur`, a cursor on this
+    /// scan's store: rows read in ascending order cost a compare or two
+    /// each.
+    #[inline]
+    fn cell<'a>(&'a self, r: usize, c: usize, cur: &mut Cursor<'a, V, K>) -> Option<&'a V> {
+        cur.cell(&self.store, &self.starts, self.position(r)?, c)
+    }
+
+    /// The annotation of ground row `r` (see [`Scan::cell`]).
+    fn ann<'a>(&'a self, r: usize, cur: &mut Cursor<'a, V, K>) -> Option<&'a K> {
+        cur.ann(&self.store, &self.starts, self.position(r)?)
+    }
+}
+
+/// One cell column of a [`ColumnBatch`]. Every form is cheap to clone: a
+/// projection copies column handles, never cells.
+enum Column<K, V> {
+    /// Built by a kernel: one value per row.
+    Owned(Arc<TypedColumn>),
+    /// Cell `.1` of each ground row of a scan.
+    Stored(Arc<Scan<K, V>>, usize),
+    /// Row `r` is row `rows[r]` of the inner column.
+    Through(Arc<Vec<u32>>, Arc<Column<K, V>>),
+}
+
+impl<K, V> Clone for Column<K, V> {
+    fn clone(&self) -> Self {
+        match self {
+            Column::Owned(col) => Column::Owned(Arc::clone(col)),
+            Column::Stored(scan, c) => Column::Stored(Arc::clone(scan), *c),
+            Column::Through(rows, inner) => Column::Through(Arc::clone(rows), Arc::clone(inner)),
+        }
+    }
+}
+
+/// The form and the row count, not the cells.
+impl<K, V> fmt::Debug for Column<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Column::Owned(col) => f.debug_tuple("Owned").field(col).finish(),
+            Column::Stored(scan, c) => f.debug_tuple("Stored").field(scan).field(c).finish(),
+            Column::Through(rows, inner) => f
+                .debug_struct("Through")
+                .field("rows", &rows.len())
+                .field("inner", inner)
+                .finish(),
+        }
+    }
+}
+
+/// One cell, where its column keeps it.
+enum Cell<'a, V> {
+    /// A stored cell.
+    Stored(&'a V),
+    /// Row `.1` of an owned column.
+    Owned(&'a TypedColumn, usize),
+}
+
+impl<'a, V: AsConst> Cell<'a, V> {
+    /// The cell as a constant: borrowed where it lies, re-materialized
+    /// from an unboxed or dictionary-encoded owned column.
+    #[inline]
+    fn as_const(&self) -> Option<Cow<'a, Const>> {
+        match *self {
+            Cell::Stored(v) => v.as_const().map(Cow::Borrowed),
+            Cell::Owned(TypedColumn::Boxed(vals), r) => vals.get(r).map(Cow::Borrowed),
+            Cell::Owned(col, r) => col.get(r).map(Cow::Owned),
+        }
+    }
+
+    /// The cell as a value: a stored cell cloned, an owned one lifted.
+    fn value(&self, lift: &impl Fn(Const) -> V) -> Option<V>
+    where
+        V: Clone,
+    {
+        match *self {
+            Cell::Stored(v) => Some(v.clone()),
+            Cell::Owned(col, r) => col.get(r).map(lift),
+        }
+    }
+}
+
+impl<K, V> Column<K, V> {
+    fn len(&self) -> usize {
+        match self {
+            Column::Owned(col) => col.len(),
+            Column::Stored(scan, _) => scan.len,
+            Column::Through(rows, _) => rows.len(),
+        }
+    }
+
+    /// The cell at row `r`; `None` past the end. `cur` is a cursor on the
+    /// store of the stored column at the bottom (see [`Scan::cell`]).
+    #[inline]
+    fn cell<'a>(&'a self, r: usize, cur: &mut Cursor<'a, V, K>) -> Option<Cell<'a, V>> {
+        match self {
+            Column::Owned(col) => (r < col.len()).then_some(Cell::Owned(col, r)),
+            Column::Stored(scan, c) => Some(Cell::Stored(scan.cell(r, *c, cur)?)),
+            Column::Through(rows, inner) => inner.cell(*rows.get(r)? as usize, cur),
+        }
+    }
+}
+
+/// Reads one column of a [`ColumnBatch`] as constants, row by row, where
+/// the column keeps its cells: a stored cell is borrowed from the
+/// relation's store, a join's output cell through its match rows. Rows
+/// read in ascending order cost a compare or two each to locate; any other
+/// order a binary search over the store's blocks. Cloning a reader is how
+/// a sharded kernel gives each worker its own.
+pub struct ColumnReader<'a, K, V> {
+    col: &'a Column<K, V>,
+    cur: Cursor<'a, V, K>,
+}
+
+impl<K, V> Clone for ColumnReader<'_, K, V> {
+    fn clone(&self) -> Self {
+        ColumnReader {
+            col: self.col,
+            cur: self.cur,
+        }
+    }
+}
+
+impl<K, V> fmt::Debug for ColumnReader<'_, K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnReader")
+            .field("col", self.col)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, K, V: AsConst> ColumnReader<'a, K, V> {
+    /// The constant at row `r`; `None` past the end.
+    #[inline]
+    pub fn get(&mut self, r: u32) -> Option<Cow<'a, Const>> {
+        self.col.cell(r as usize, &mut self.cur)?.as_const()
+    }
+}
+
+impl<K, V> ColumnReader<'_, K, V> {
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.col.len()
+    }
+
+    /// True iff the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The annotation column of a [`ColumnBatch`].
@@ -97,13 +309,14 @@ enum Anns<K, V> {
 /// A join's output before its semiring product: row `r` is
 /// `left[lrows[r]] ⊗ right[rrows[r]]`, in the eager join's operand order.
 /// `lrows` and `rrows` have the same length and index inside `left` and
-/// `right` (checked by [`ColumnBatch::from_join`]).
+/// `right` (checked by [`ColumnBatch::from_join`]); the output's cell
+/// columns read through the same two vectors.
 #[derive(Clone, Debug)]
 struct Product<K, V> {
     left: Stored<K, V>,
     right: Stored<K, V>,
-    lrows: Vec<u32>,
-    rrows: Vec<u32>,
+    lrows: Arc<Vec<u32>>,
+    rrows: Arc<Vec<u32>>,
 }
 
 /// A column whose every row has its annotation stored somewhere to read.
@@ -112,31 +325,7 @@ enum Stored<K, V> {
     /// One annotation per row, built by a kernel.
     Dense(Vec<K>),
     /// The annotations of the relation the batch was split from.
-    Shared(Shared<K, V>),
-}
-
-/// The annotations of the relation a batch was split from, read where
-/// they lie: ground row `r` is support position `positions[r]`, or `r`
-/// itself when `positions` is `None` (no fringe row precedes a ground
-/// row).
-#[derive(Clone)]
-struct Shared<K, V> {
-    store: Arc<Store<V, K>>,
-    /// `store.block_starts()`.
-    starts: Vec<usize>,
-    positions: Option<Vec<u32>>,
-    /// The number of ground rows.
-    len: usize,
-}
-
-/// The row count, not the store: a base table's worth of rows.
-impl<K, V> fmt::Debug for Shared<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Shared")
-            .field("len", &self.len)
-            .field("positions", &self.positions.is_some())
-            .finish_non_exhaustive()
-    }
+    Shared(Arc<Scan<K, V>>),
 }
 
 impl<K, V> Stored<K, V> {
@@ -147,18 +336,12 @@ impl<K, V> Stored<K, V> {
         }
     }
 
-    /// The annotation of row `r`; `None` past the end.
-    fn get(&self, r: usize) -> Option<&K> {
+    /// The annotation of row `r`; `None` past the end. `cur` as in
+    /// [`Scan::cell`].
+    fn get<'a>(&'a self, r: usize, cur: &mut Cursor<'a, V, K>) -> Option<&'a K> {
         match self {
             Stored::Dense(v) => v.get(r),
-            Stored::Shared(s) => {
-                let p = match &s.positions {
-                    Some(positions) => *positions.get(r)? as usize,
-                    None if r < s.len => r,
-                    None => return None,
-                };
-                s.store.ann_at(&s.starts, p)
-            }
+            Stored::Shared(s) => s.ann(r, cur),
         }
     }
 }
@@ -172,13 +355,15 @@ impl<K: CommutativeSemiring, V> Anns<K, V> {
     }
 
     /// The annotation of row `r`, borrowed when it is stored and
-    /// multiplied when it is deferred. `None` past the end.
-    fn get(&self, r: usize) -> Option<Cow<'_, K>> {
+    /// multiplied when it is deferred. `None` past the end. `curs` are
+    /// cursors on the one or two stored columns read (see [`Scan::cell`]).
+    fn get<'a>(&'a self, r: usize, curs: &mut [Cursor<'a, V, K>; 2]) -> Option<Cow<'a, K>> {
+        let [lc, rc] = curs;
         match self {
-            Anns::Stored(s) => s.get(r).map(Cow::Borrowed),
+            Anns::Stored(s) => s.get(r, lc).map(Cow::Borrowed),
             Anns::Product(p) => {
                 let (l, rr) = (*p.lrows.get(r)?, *p.rrows.get(r)?);
-                let (l, rr) = (p.left.get(l as usize)?, p.right.get(rr as usize)?);
+                let (l, rr) = (p.left.get(l as usize, lc)?, p.right.get(rr as usize, rc)?);
                 Some(Cow::Owned(l.times(rr)))
             }
         }
@@ -205,8 +390,9 @@ impl<K: CommutativeSemiring, V> Anns<K, V> {
             None => (&[][..], self.len()),
         };
         let mut out = Vec::with_capacity(named.len() + all);
+        let mut curs = [Cursor::new(); 2];
         for r in named.iter().map(|&r| r as usize).chain(0..all) {
-            out.push(self.get(r)?.into_owned());
+            out.push(self.get(r, &mut curs)?.into_owned());
         }
         Some(out)
     }
@@ -224,25 +410,36 @@ impl<K: CommutativeSemiring, V> Anns<K, V> {
         // nothing). A product that is itself `0` — only in a semiring with
         // zero divisors — is recomputed when named again.
         let mut out = vec![K::zero(); self.len()];
+        let mut curs = [Cursor::new(); 2];
         for &r in named {
             let slot = out.get_mut(r as usize)?;
             if slot.is_zero() {
-                *slot = self.get(r as usize)?.into_owned();
+                *slot = self.get(r as usize, &mut curs)?.into_owned();
             }
         }
         Some(Stored::Dense(out))
     }
 }
 
-impl<K: CommutativeSemiring, V> PartialEq for ColumnBatch<K, V> {
+impl<K: CommutativeSemiring, V: AsConst> PartialEq for ColumnBatch<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        self.cols == other.cols
-            && self.len() == other.len()
-            && (0..self.len()).all(|r| self.anns.get(r) == other.anns.get(r))
+        let n = self.len();
+        let cells_equal = |(a, b): (&Column<K, V>, &Column<K, V>)| {
+            let (mut ca, mut cb) = (Cursor::new(), Cursor::new());
+            (0..n).all(|r| {
+                let a = a.cell(r, &mut ca).and_then(|c| c.as_const());
+                a == b.cell(r, &mut cb).and_then(|c| c.as_const())
+            })
+        };
+        let (mut ha, mut hb) = ([Cursor::new(); 2], [Cursor::new(); 2]);
+        self.arity() == other.arity()
+            && n == other.len()
+            && self.cols.iter().zip(&other.cols).all(cells_equal)
+            && (0..n).all(|r| self.anns.get(r, &mut ha) == other.anns.get(r, &mut hb))
     }
 }
 
-impl<K: CommutativeSemiring, V> Eq for ColumnBatch<K, V> {}
+impl<K: CommutativeSemiring, V: AsConst> Eq for ColumnBatch<K, V> {}
 
 impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     /// Builds a batch from pre-assembled columns. All columns and the
@@ -255,47 +452,55 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
             });
         }
         Ok(ColumnBatch {
-            cols,
+            cols: cols
+                .into_iter()
+                .map(|c| Column::Owned(Arc::new(c)))
+                .collect(),
             anns: Anns::Stored(Stored::Dense(anns)),
         })
     }
 
-    /// Builds a join's output batch without taking its semiring product:
-    /// row `r` holds `cols`' `r`-th values and is annotated
-    /// `left[lrows[r]] ⊗ right[rrows[r]]`, where `left` and `right` are the
-    /// two input batches' annotation columns — moved in as they are (a
-    /// shared column keeps reading its relation's store), and multiplied
-    /// only when the row is materialized
-    /// ([`GroundBatch::into_relation_selected`]). The inputs' own columns
-    /// are dropped: `cols` already holds what the join gathered from them.
+    /// Builds a join's output batch without copying a cell or taking a
+    /// semiring product: row `r` is row `lrows[r]` of `left` followed by
+    /// row `rrows[r]` of `right`, annotated
+    /// `left[lrows[r]] ⊗ right[rrows[r]]`. The inputs' columns move in and
+    /// are read through `lrows` and `rrows`; their annotation columns move
+    /// in as they are (a shared column keeps reading its relation's store),
+    /// and are multiplied only when the row is materialized
+    /// ([`GroundBatch::into_relation_selected`]).
     ///
     /// An input that is itself a deferred product is multiplied out first,
     /// at the rows its pairs name and nowhere else, so nested joins never
     /// compute more products than eager ones would.
     ///
-    /// `lrows` and `rrows` must have one entry per row of `cols`, and must
-    /// index inside `left` and `right`.
+    /// `lrows` and `rrows` must have the same length, and must index
+    /// inside `left` and `right`.
     pub fn from_join(
-        cols: Vec<TypedColumn>,
         left: ColumnBatch<K, V>,
         lrows: Vec<u32>,
         right: ColumnBatch<K, V>,
         rrows: Vec<u32>,
     ) -> Result<Self> {
-        let len = lrows.len();
-        if let Some(got) = cols
-            .iter()
-            .map(TypedColumn::len)
-            .chain([rrows.len()])
-            .find(|&n| n != len)
-        {
-            return Err(RelError::ArityMismatch { expected: len, got });
+        if lrows.len() != rrows.len() {
+            return Err(RelError::ArityMismatch {
+                expected: lrows.len(),
+                got: rrows.len(),
+            });
         }
         let out_of_range = || RelError::Internal("join pair names a row past its input".into());
         let fits = |rows: &[u32], n: usize| rows.iter().all(|&r| (r as usize) < n);
         if !fits(&lrows, left.len()) || !fits(&rrows, right.len()) {
             return Err(out_of_range());
         }
+        let (lrows, rrows) = (Arc::new(lrows), Arc::new(rrows));
+        let through = |rows: &Arc<Vec<u32>>, cols: Vec<Column<K, V>>| {
+            let rows = Arc::clone(rows);
+            cols.into_iter()
+                .map(move |c| Column::Through(Arc::clone(&rows), Arc::new(c)))
+        };
+        let mut cols = Vec::with_capacity(left.arity() + right.arity());
+        cols.extend(through(&lrows, left.cols));
+        cols.extend(through(&rrows, right.cols));
         let left = left.anns.into_operand(&lrows).ok_or_else(out_of_range)?;
         let right = right.anns.into_operand(&rrows).ok_or_else(out_of_range)?;
         Ok(ColumnBatch {
@@ -324,9 +529,22 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
         self.len() == 0
     }
 
-    /// One column, typed. `None` if `i` is out of range.
-    pub fn col(&self, i: usize) -> Option<&TypedColumn> {
-        self.cols.get(i)
+    /// A reader of column `i`. `None` if `i` is out of range.
+    pub fn column(&self, i: usize) -> Option<ColumnReader<'_, K, V>> {
+        Some(ColumnReader {
+            col: self.cols.get(i)?,
+            cur: Cursor::new(),
+        })
+    }
+
+    /// The constant at row `r` of column `i`. `None` if either is out of
+    /// range. A kernel that reads many rows of one column takes a
+    /// [`ColumnBatch::column`] reader instead.
+    pub fn cell(&self, r: u32, i: usize) -> Option<Cow<'_, Const>>
+    where
+        V: AsConst,
+    {
+        self.column(i)?.get(r)
     }
 
     /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG),
@@ -344,25 +562,25 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
                 got: col.len(),
             });
         }
-        self.cols.push(col);
+        self.cols.push(Column::Owned(Arc::new(col)));
         Ok(())
     }
 
-    /// Replaces the columns with what `f` makes of them (e.g. reordered
-    /// wholesale through a projection view), keeping the annotation
-    /// column as it is. Every returned column must have one value per row.
-    pub fn map_columns(
-        self,
-        f: impl FnOnce(Vec<TypedColumn>) -> Result<Vec<TypedColumn>>,
-    ) -> Result<Self> {
-        let len = self.len();
-        let cols = f(self.cols)?;
-        if let Some(c) = cols.iter().find(|c| c.len() != len) {
-            return Err(RelError::ArityMismatch {
-                expected: len,
-                got: c.len(),
-            });
-        }
+    /// The batch with its columns picked by position — `columns[i]` is
+    /// the new column `i` (positions may repeat) — and the annotation
+    /// column as it is. Column handles are copied, not cells.
+    pub fn project(self, columns: &[usize]) -> Result<Self> {
+        let cols = columns
+            .iter()
+            .map(|&c| {
+                self.cols.get(c).cloned().ok_or_else(|| {
+                    RelError::Internal(format!(
+                        "projection column {c} out of range for a {}-column batch",
+                        self.cols.len()
+                    ))
+                })
+            })
+            .collect::<Result<_>>()?;
         Ok(ColumnBatch {
             cols,
             anns: self.anns,
@@ -382,55 +600,37 @@ pub struct GroundBatch<K, V> {
 /// The symbolic rows of a [`GroundBatch`], row-wise.
 type Fringe<K, V> = Vec<(Tuple<V>, K)>;
 
-impl<K: CommutativeSemiring, V: PartialEq> PartialEq for GroundBatch<K, V> {
+impl<K: CommutativeSemiring, V: AsConst + PartialEq> PartialEq for GroundBatch<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.ground == other.ground && self.fringe == other.fringe
     }
 }
 
-impl<K: CommutativeSemiring, V: Eq> Eq for GroundBatch<K, V> {}
+impl<K: CommutativeSemiring, V: AsConst + Eq> Eq for GroundBatch<K, V> {}
 
 impl<K, V> GroundBatch<K, V>
 where
     K: CommutativeSemiring,
-    V: Clone + Ord + Hash + fmt::Debug,
+    V: AsConst + Clone + Ord + Hash + fmt::Debug,
 {
     /// Splits a relation: rows whose every value reads back as a constant
-    /// through `as_const` fill the columnar ground batch (every column
-    /// probes its variant from the data, see [`TypedColumn::push`]); the
-    /// rest land on the row-wise fringe. Both partitions keep support
-    /// order, so the split (composed with [`GroundBatch::into_relation`])
-    /// is lossless.
+    /// through `as_const` form the ground batch; the rest land on the
+    /// row-wise fringe. Both partitions keep support order, so the split
+    /// (composed with [`GroundBatch::into_relation`]) is lossless.
     ///
-    /// The ground rows' annotations are not copied: the batch shares the
-    /// relation's tuple store and reads them there, by support position
-    /// (see the module docs). Fringe rows are cloned, tuple and annotation.
+    /// One pass decides each row's side; no ground cell or annotation is
+    /// copied. The batch shares the relation's tuple store and reads the
+    /// ground rows' cells and annotations there, by support position (see
+    /// the module docs), as [`AsConst`] reads them. Fringe rows are cloned,
+    /// tuple and annotation.
     pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
-        let arity = rel.schema().arity();
-        let mut cols: Vec<TypedColumn> = (0..arity)
-            .map(|_| TypedColumn::Num(Vec::with_capacity(rel.len())))
-            .collect();
         let mut ground = 0;
         let mut positions: Option<Vec<u32>> = None;
         let mut fringe = Vec::new();
-        // One reused borrow buffer: the groundness check and the column
-        // pushes share a single pass over the row's values.
-        let mut row: Vec<&Const> = Vec::with_capacity(arity);
         for (p, (t, k)) in rel.iter().enumerate() {
-            let vals = t.values();
-            row.clear();
-            for v in vals {
-                match as_const(v) {
-                    Some(c) => row.push(c),
-                    None => break,
-                }
-            }
-            if row.len() != vals.len() {
+            if !t.values().iter().all(|v| as_const(v).is_some()) {
                 fringe.push((t.to_tuple(), k.clone()));
                 continue;
-            }
-            for (col, c) in cols.iter_mut().zip(&row) {
-                col.push((*c).clone());
             }
             // From the first ground row a fringe row precedes on, ground
             // row and support position differ: record every position.
@@ -446,16 +646,19 @@ where
             ground += 1;
         }
         let store = rel.store();
-        let shared = Shared {
+        let scan = Arc::new(Scan {
             store: Arc::clone(store),
             starts: store.block_starts(),
             positions,
             len: ground,
-        };
+        });
+        let cols = (0..rel.schema().arity())
+            .map(|c| Column::Stored(Arc::clone(&scan), c))
+            .collect();
         GroundBatch {
             ground: ColumnBatch {
                 cols,
-                anns: Anns::Stored(Stored::Shared(shared)),
+                anns: Anns::Stored(Stored::Shared(scan)),
             },
             fringe,
         }
@@ -487,13 +690,13 @@ where
         (self.ground, self.fringe)
     }
 
-    /// Rebuilds a relation under `schema`: ground rows are lifted back
-    /// through `lift` with duplicates merged **additively** (zero sums
-    /// leave the support, as in [`Relation::insert`]); fringe rows merge
-    /// the same way. For a batch straight out of
-    /// [`GroundBatch::from_relation`] there are no duplicates and the round
-    /// trip is the identity; for a kernel output, the additive merge *is*
-    /// the deferred merge of the pipeline.
+    /// Rebuilds a relation under `schema`: ground rows come back with
+    /// duplicates merged **additively** (zero sums leave the support, as
+    /// in [`Relation::insert`]); fringe rows merge the same way. A stored
+    /// cell is cloned as it lies, an owned one is lifted through `lift`.
+    /// For a batch straight out of [`GroundBatch::from_relation`] there
+    /// are no duplicates and the round trip is the identity; for a kernel
+    /// output, the additive merge *is* the deferred merge of the pipeline.
     pub fn into_relation(
         self,
         schema: Schema,
@@ -505,17 +708,17 @@ where
     /// [`GroundBatch::into_relation`] restricted to the ground rows named
     /// by a strictly ascending selection vector (`None` = all rows); a
     /// selection that is not ascending or names a row the batch does not
-    /// have is an internal error. The selected rows are gathered first, so
-    /// the work is proportional to the selection, not to the batch, and
-    /// values and dense annotations are **moved** into the relation (an
-    /// `Arc` bump for dictionary strings) through [`Relation::from_tuples`]
-    /// — a pipeline's final materialization never re-clones what its
-    /// kernels already built, and builds no map on the way.
+    /// have is an internal error. The work is proportional to the
+    /// selection, not to the batch: each selected row's cells are read
+    /// where their columns keep them into one reused buffer, and moved from
+    /// there into the relation's blocks ([`Relation::from_tuples`]'s
+    /// builder) — no allocation per row, and no map on the way.
     ///
-    /// This is where annotations leave the batch: a shared column's
-    /// selected rows are cloned out of the source relation's store, and a
-    /// join's deferred product is taken for exactly the selected rows,
-    /// `l.times(r)` as the eager join did.
+    /// This is where cells and annotations leave the batch: the selected
+    /// rows' cells are cloned (or lifted), a shared column's selected
+    /// annotations are cloned out of the source relation's store, a dense
+    /// column's are moved, and a join's deferred product is taken for
+    /// exactly the selected rows, `l.times(r)` as the eager join did.
     pub fn into_relation_selected(
         self,
         schema: Schema,
@@ -529,7 +732,7 @@ where
             });
         }
         let ColumnBatch {
-            mut cols,
+            cols,
             anns: mut column,
         } = self.ground;
         let nrows = column.len();
@@ -538,34 +741,37 @@ where
                 "selection vector not strictly ascending within the batch's {nrows} rows"
             ))
         };
-        if let Some(sel) = sel {
-            if !sel.is_sorted_by(|a, b| a < b) {
-                return Err(bad_selection());
-            }
-            let gathered = cols.iter().map(|c| c.gather(sel)).collect::<Option<_>>();
-            cols = gathered.ok_or_else(bad_selection)?;
+        if sel.is_some_and(|sel| !sel.is_sorted_by(|a, b| a < b)) {
+            return Err(bad_selection());
         }
         // Every product before any row, as the eager join had them:
         // taking each product beside its row measured ≈ 1 ms slower on an
         // unfiltered 20 000-row join (the tuples then built no longer lay
         // together for the relation's builder to sort).
         let anns = column.take(sel).ok_or_else(bad_selection)?;
-        let mut cols: Vec<IntoConsts> = cols.into_iter().map(TypedColumn::into_consts).collect();
+        let (named, all) = match sel {
+            Some(sel) => (sel, 0),
+            None => (&[][..], nrows),
+        };
+        let rows = named.iter().map(|&r| r as usize).chain(0..all);
         // No allocation per row: each row's cells are collected into one
         // reused buffer and moved from there into the store's blocks. A
-        // column that ends early (a corrupt dictionary code) is flagged
-        // and padded, and reported afterwards.
+        // column that ends early is reported afterwards.
         let mut short = false;
+        let mut curs = vec![Cursor::new(); cols.len()];
         let mut builder = Builder::new(schema.arity(), Merge::Sum);
         let mut row = Vec::with_capacity(schema.arity());
-        for k in anns {
+        for (r, k) in rows.zip(anns) {
             row.clear();
-            row.extend(cols.iter_mut().map(|c| {
-                lift(c.next().unwrap_or_else(|| {
-                    short = true;
-                    Const::Bool(false)
-                }))
-            }));
+            for (col, cur) in cols.iter().zip(&mut curs) {
+                match col.cell(r, cur).and_then(|c| c.value(&lift)) {
+                    Some(v) => row.push(v),
+                    None => short = true,
+                }
+            }
+            if short {
+                break;
+            }
             builder.push(&mut row, k);
         }
         for (t, k) in self.fringe {
@@ -581,7 +787,7 @@ where
         // `embed_scan_join` execute on both seeds measured, against 40–150
         // at the eager join. Freed here, no seed of ten did; that depends
         // on the heap's history, not on work done here.
-        drop(column);
+        drop((column, cols));
         if short {
             return Err(RelError::Internal(
                 "batch column shorter than its row count".into(),
@@ -627,41 +833,60 @@ mod tests {
         .unwrap()
     }
 
+    /// Every constant of column `i`, read through one reader.
+    fn read(batch: &ColumnBatch<NatPoly, Const>, i: usize) -> Vec<Const> {
+        let mut col = batch.column(i).unwrap();
+        (0..col.len() as u32)
+            .map(|r| col.get(r).unwrap().into_owned())
+            .collect()
+    }
+
     #[test]
     fn split_round_trips_losslessly() {
         let rel = sample();
         let batch = GroundBatch::from_relation(&rel, as_non_bool);
         assert_eq!(batch.ground().len(), 2);
         assert_eq!(batch.fringe().len(), 1);
-        // Variant detection kicked in: ints unboxed, strings encoded.
-        assert_eq!(batch.ground().col(0), Some(&TypedColumn::Num(vec![1, 3])));
-        assert_eq!(batch.ground().col(1).map(TypedColumn::variant), Some("str"));
+        // The cells are read where the store keeps them: borrowed, not
+        // re-materialized.
+        assert_eq!(read(batch.ground(), 0), [Const::int(1), Const::int(3)]);
+        assert_eq!(read(batch.ground(), 1), [Const::str("x"), Const::str("y")]);
+        assert!(matches!(batch.ground().cell(1, 1), Some(Cow::Borrowed(_))));
+        assert!(batch.ground().cell(2, 0).is_none() && batch.ground().column(2).is_none());
         let back = batch.into_relation(rel.schema().clone(), |c| c).unwrap();
         assert_eq!(back, rel);
     }
 
     #[test]
     fn boxed_layout_round_trips_identically() {
-        // One half-integer in `a`, one number in `b`: the data demotes
-        // both columns to boxed, and the round trip is still the identity.
+        // A half-integer in `a`, a number among the strings of `b`: a
+        // stored column reads whatever its rows hold, and the same cells
+        // typed into owned columns box both.
         let mut rel = sample();
-        rel.insert(
-            vec![
-                Const::Num(aggprov_algebra::num::Num::ratio(7, 2)),
-                Const::int(9),
-            ],
-            NatPoly::token("p4"),
-        )
-        .unwrap();
+        let half = Const::Num(aggprov_algebra::num::Num::ratio(7, 2));
+        rel.insert(vec![half.clone(), Const::int(9)], NatPoly::token("p4"))
+            .unwrap();
         let batch = GroundBatch::from_relation(&rel, as_non_bool);
-        for i in 0..2 {
-            assert_eq!(
-                batch.ground().col(i).map(TypedColumn::variant),
-                Some("boxed")
-            );
+        let a = [Const::int(1), Const::int(3), half];
+        let b = [Const::str("x"), Const::str("y"), Const::int(9)];
+        assert_eq!(read(batch.ground(), 0), a);
+        assert_eq!(read(batch.ground(), 1), b);
+        let cols = vec![
+            TypedColumn::from_consts(a.to_vec()),
+            TypedColumn::from_consts(b.to_vec()),
+        ];
+        assert!(cols.iter().all(|c| c.variant() == "boxed"));
+        let anns = (0..3).map(|r| {
+            let mut curs = [Cursor::new(); 2];
+            batch.ground().anns.get(r, &mut curs).unwrap().into_owned()
+        });
+        let owned = ColumnBatch::from_columns(cols, anns.collect()).unwrap();
+        assert_eq!(&owned, batch.ground());
+        let owned = GroundBatch::from_parts(owned, batch.fringe().to_vec());
+        for batch in [batch, owned] {
+            let back = batch.into_relation(rel.schema().clone(), |c| c).unwrap();
+            assert_eq!(back, rel);
         }
-        let back = batch.into_relation(rel.schema().clone(), |c| c).unwrap();
-        assert_eq!(back, rel);
     }
 
     #[test]
@@ -743,12 +968,21 @@ mod tests {
         let mut b = ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
         assert!(b.push_column(vec![]).is_err());
         assert!(b.clone().push_column(vec![Const::int(9)]).is_ok());
-        assert!(b
-            .clone()
-            .map_columns(|_| Ok(vec![TypedColumn::Num(vec![])]))
-            .is_err());
-        let gb = GroundBatch::<Nat, Const>::from_parts(b, Vec::new());
+        assert!(matches!(
+            b.clone().project(&[0, 1]),
+            Err(RelError::Internal(_))
+        ));
+        let gb = GroundBatch::<Nat, Const>::from_parts(b.clone(), Vec::new());
         assert!(gb.into_relation(s(&["a", "b"]), |c| c).is_err());
+        // A repeated column is one column read twice.
+        let twice = b.project(&[0, 0]).unwrap();
+        let rel = GroundBatch::<Nat, Const>::from_parts(twice, Vec::new())
+            .into_relation(s(&["a", "b"]), |c| c)
+            .unwrap();
+        assert_eq!(
+            rel.annotation(&Tuple::from([Const::int(1), Const::int(1)])),
+            Nat(1)
+        );
     }
 
     #[test]
@@ -772,14 +1006,14 @@ mod tests {
         let products = products.map(|(&a, &b)| l[a as usize].times(&r[b as usize]));
         let eager = ColumnBatch::from_columns(cols(), products.collect()).unwrap();
         let deferred = ColumnBatch::from_join(
-            cols(),
             batch(vec![1, 2, 3], l),
             lrows,
             batch(vec![10, 20], r),
             rrows,
         )
         .unwrap();
-        // Equality is row-wise, whichever form holds the annotations.
+        // Equality is row-wise, whichever form holds the cells and the
+        // annotations: the deferred columns read through the match rows.
         assert_eq!(deferred, eager);
         let rel = |b: &ColumnBatch<NatPoly, Const>, sel: Option<&[u32]>| {
             GroundBatch::<NatPoly, Const>::from_parts(b.clone(), Vec::new())
@@ -789,23 +1023,24 @@ mod tests {
         assert_eq!(rel(&deferred, None), rel(&eager, None));
         assert_eq!(rel(&deferred, Some(&[0, 2])), rel(&eager, Some(&[0, 2])));
         // A deferred batch as one side of a second join: its products are
-        // multiplied out first, at the rows the pairs name.
+        // multiplied out first, at the rows the pairs name, and its cells
+        // read through both index vectors.
         let third = || batch(vec![7], vec![tok("t0")]);
-        let cols = || vec![TypedColumn::Num(vec![1, 3]), TypedColumn::Num(vec![7, 7])];
-        let nested = ColumnBatch::from_join(cols(), deferred, vec![0, 2], third(), vec![0, 0]);
-        let flat = ColumnBatch::from_join(cols(), eager, vec![0, 2], third(), vec![0, 0]);
-        assert_eq!(nested.unwrap(), flat.unwrap());
+        let nested = ColumnBatch::from_join(deferred, vec![0, 2], third(), vec![0, 0]).unwrap();
+        let flat = ColumnBatch::from_join(eager, vec![0, 2], third(), vec![0, 0]).unwrap();
+        assert_eq!(read(&nested, 1), [Const::int(20), Const::int(20)]);
+        assert_eq!(nested, flat);
     }
 
-    /// The shared column of `batch`, and the annotations it reads.
-    fn shared<K: CommutativeSemiring>(
-        batch: &GroundBatch<K, Const>,
-    ) -> (&Shared<K, Const>, Vec<K>) {
+    /// The scan behind the shared annotation column of `batch`, and the
+    /// annotations it reads.
+    fn shared<K: CommutativeSemiring>(batch: &GroundBatch<K, Const>) -> (&Scan<K, Const>, Vec<K>) {
         let Anns::Stored(Stored::Shared(shared)) = &batch.ground().anns else {
             panic!("a split reads its relation's annotations in place");
         };
-        let read =
-            (0..batch.ground().len()).map(|r| batch.ground().anns.get(r).unwrap().into_owned());
+        let mut curs = [Cursor::new(); 2];
+        let read = (0..batch.ground().len())
+            .map(|r| batch.ground().anns.get(r, &mut curs).unwrap().into_owned());
         (shared, read.collect())
     }
 
@@ -835,15 +1070,25 @@ mod tests {
         let sizes: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
         assert!(sizes.iter().any(|&n| n != sizes[0]), "{sizes:?}");
         let batch = GroundBatch::from_relation(&rel, as_non_bool);
-        let (column, read) = shared(&batch);
-        assert!(column.positions.is_some(), "a fringe row comes first");
-        let want: Vec<Nat> = rel
-            .iter()
-            .filter(|(t, _)| t.get(1) != &Const::Bool(true))
-            .map(|(_, k)| *k)
-            .collect();
+        let (scan, read) = shared(&batch);
+        assert!(scan.positions.is_some(), "a fringe row comes first");
+        let ground = rel.iter().filter(|(t, _)| t.get(1) != &Const::Bool(true));
+        let (cells, want): (Vec<Const>, Vec<Nat>) =
+            ground.map(|(t, k)| (t.get(0).clone(), *k)).unzip();
         assert_eq!(read, want);
-        assert!(batch.ground().anns.get(want.len()).is_none());
+        // The cells resolve as the annotations do: in order through one
+        // reader, and one at a time out of order.
+        let mut col = batch.ground().column(0).unwrap();
+        let in_order: Vec<Const> = (0..cells.len() as u32)
+            .map(|r| col.get(r).unwrap().into_owned())
+            .collect();
+        assert_eq!(in_order, cells);
+        for r in (0..cells.len()).rev().step_by(97) {
+            assert_eq!(col.get(r as u32).as_deref(), Some(&cells[r]));
+        }
+        assert!(col.get(cells.len() as u32).is_none());
+        let mut curs = [Cursor::new(); 2];
+        assert!(batch.ground().anns.get(want.len(), &mut curs).is_none());
         assert_eq!(
             batch.into_relation(rel.schema().clone(), |c| c).unwrap(),
             rel
@@ -859,11 +1104,25 @@ mod tests {
         let leading = Relation::from_tuples(s(&["a", "b"]), leading, Merge::Sum).unwrap();
         let ground = leading.len() - 1;
         let batch = GroundBatch::from_relation(&leading, as_non_bool);
-        let (column, read) = shared(&batch);
-        assert!(column.positions.is_none());
+        let (scan, read) = shared(&batch);
+        assert!(scan.positions.is_none());
         assert_eq!(read.len(), ground);
         assert_eq!(batch.fringe().len(), 1);
         assert_eq!(batch.into_relation(s(&["a", "b"]), |c| c).unwrap(), leading);
+    }
+
+    #[test]
+    fn a_split_keeps_reading_the_cells_it_was_split_from() {
+        let mut rel = sample();
+        let batch = GroundBatch::from_relation(&rel, as_non_bool);
+        rel.remove(&Tuple::from([Const::int(1), Const::str("x")]));
+        rel.insert(vec![Const::int(0), Const::str("w")], NatPoly::token("p0"))
+            .unwrap();
+        assert_eq!(read(batch.ground(), 0), [Const::int(1), Const::int(3)]);
+        assert_eq!(
+            batch.into_relation(s(&["a", "b"]), |c| c).unwrap(),
+            sample()
+        );
     }
 
     #[test]
@@ -872,8 +1131,7 @@ mod tests {
             ColumnBatch::<Nat, Const>::from_columns(vec![TypedColumn::Num(vec![1])], nats([1]))
                 .unwrap()
         };
-        let col = || vec![TypedColumn::Num(vec![0])];
-        let join = |lrows, rrows| ColumnBatch::from_join(col(), one(), lrows, one(), rrows);
+        let join = |lrows, rrows| ColumnBatch::from_join(one(), lrows, one(), rrows);
         assert!(join(vec![0], vec![0]).is_ok());
         assert!(matches!(join(vec![1], vec![0]), Err(RelError::Internal(_))));
         assert!(matches!(join(vec![0], vec![1]), Err(RelError::Internal(_))));

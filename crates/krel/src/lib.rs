@@ -13,11 +13,12 @@
 //!   output goes through one bulk builder
 //!   ([`Relation::from_tuples`]) instead of an ordered map, and a write
 //!   through a clone copies one block, not the table;
-//! * [`batch`] — column-major batches over the ground partition
-//!   ([`ColumnBatch`], [`GroundBatch`]) with lossless `Relation ⇄ batch`
+//! * [`batch`] — batches over the ground partition ([`ColumnBatch`],
+//!   [`GroundBatch`]) whose columns read their cells and annotations where
+//!   the relation's store keeps them, with lossless `Relation ⇄ batch`
 //!   conversion, the substrate of the vectorized execution pipeline;
-//! * [`typed`] — the typed column storage those batches are made of
-//!   ([`TypedColumn`]: unboxed `Vec<i64>` integer runs,
+//! * [`typed`] — the typed columns a kernel builds when it needs one of
+//!   its own ([`TypedColumn`]: unboxed `Vec<i64>` integer runs,
 //!   dictionary-encoded strings, boxed fallback); the data alone decides
 //!   each column's variant, at construction time;
 //! * [`kset`] — `K`-sets and `SetAgg`;
@@ -40,7 +41,7 @@ pub mod schema;
 mod store;
 pub mod typed;
 
-pub use batch::{ColumnBatch, GroundBatch};
+pub use batch::{AsConst, ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
 pub use relation::{Merge, Relation, Tuple, TupleRef};
 pub use schema::{Attr, Schema};

@@ -196,7 +196,7 @@ impl<V, K> Store<V, K> {
         Counted(rows, self.len)
     }
 
-    /// The position of each block's first row: the index [`Store::ann_at`]
+    /// The position of each block's first row: the index [`Store::find`]
     /// searches. One allocation of one word per block.
     pub(crate) fn block_starts(&self) -> Vec<usize> {
         let mut starts = Vec::with_capacity(self.blocks.len());
@@ -208,11 +208,99 @@ impl<V, K> Store<V, K> {
         starts
     }
 
-    /// The annotation at position `p` in iteration order, given this
-    /// store's [`block_starts`](Store::block_starts).
-    pub(crate) fn ann_at(&self, starts: &[usize], p: usize) -> Option<&K> {
-        let b = starts.partition_point(|&s| s <= p).checked_sub(1)?;
-        self.blocks.get(b)?.anns.get(p - starts.get(b)?)
+    /// The block that holds position `p` in iteration order, and `p`'s
+    /// row in it, given this store's [`block_starts`](Store::block_starts).
+    /// `b` is the block the previous lookup found, and is moved to this
+    /// one: the next block is tried before a binary search over the block
+    /// starts.
+    fn find(&self, starts: &[usize], p: usize, b: &mut usize) -> Option<(&Block<V, K>, usize)> {
+        let holds = |b: usize| {
+            let (start, block) = (*starts.get(b)?, self.blocks.get(b)?);
+            (start <= p && p - start < block.len()).then(|| (&**block, p - start))
+        };
+        if let Some(found) = holds(*b + 1) {
+            *b += 1;
+            return Some(found);
+        }
+        *b = starts.partition_point(|&s| s <= p).checked_sub(1)?;
+        holds(*b)
+    }
+}
+
+/// Reads a store's rows by position in iteration order, given the store's
+/// [`block_starts`](Store::block_starts), keeping the block the last read
+/// found: a read in that block costs a subtraction and a compare, one in
+/// the next block a few more, and any other a binary search over the
+/// block starts. So rows read in ascending order are a strided pass over
+/// each block's buffer.
+pub(crate) struct Cursor<'a, V, K> {
+    /// The block of the last read, its index and its first row's position.
+    block: Option<&'a Block<V, K>>,
+    b: usize,
+    start: usize,
+}
+
+impl<V, K> Clone for Cursor<'_, V, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V, K> Copy for Cursor<'_, V, K> {}
+
+impl<'a, V, K> Cursor<'a, V, K> {
+    pub(crate) fn new() -> Self {
+        Cursor {
+            block: None,
+            b: 0,
+            start: 0,
+        }
+    }
+
+    /// The block holding position `p`, and `p`'s row in it.
+    #[inline]
+    fn at(
+        &mut self,
+        store: &'a Store<V, K>,
+        starts: &[usize],
+        p: usize,
+    ) -> Option<(&'a Block<V, K>, usize)> {
+        if let Some(block) = self.block {
+            let i = p.wrapping_sub(self.start);
+            if i < block.len() {
+                return Some((block, i));
+            }
+        }
+        let (block, i) = store.find(starts, p, &mut self.b)?;
+        (self.block, self.start) = (Some(block), p - i);
+        Some((block, i))
+    }
+
+    /// Cell `col` of the row at position `p`.
+    #[inline]
+    pub(crate) fn cell(
+        &mut self,
+        store: &'a Store<V, K>,
+        starts: &[usize],
+        p: usize,
+        col: usize,
+    ) -> Option<&'a V> {
+        let (block, i) = self.at(store, starts, p)?;
+        if col >= block.arity {
+            return None;
+        }
+        block.cells.get(i * block.arity + col)
+    }
+
+    /// The annotation of the row at position `p`.
+    pub(crate) fn ann(
+        &mut self,
+        store: &'a Store<V, K>,
+        starts: &[usize],
+        p: usize,
+    ) -> Option<&'a K> {
+        let (block, i) = self.at(store, starts, p)?;
+        block.anns.get(i)
     }
 }
 

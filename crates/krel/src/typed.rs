@@ -1,9 +1,14 @@
-//! Typed unboxed column storage for the ground partition.
+//! Typed unboxed columns: what a kernel builds when it needs a column of
+//! its own.
 //!
+//! A scan builds none — a batch reads its cells where the relation's
+//! store keeps them (see [`crate::batch`]). A column is built where a
+//! kernel must hash one (a join's build key, typed over its selected rows
+//! only) or makes one (the unit column of `COUNT`, an `AVG` quotient, a
+//! batch assembled by a caller with [`crate::batch::ColumnBatch::from_columns`]).
 //! A boxed `Vec<Const>` column pays an enum discriminant and (for
-//! rationals) a numerator/denominator pair per cell, so the batch kernels
-//! in `aggprov_core::ops::batch` spend their time chasing representation
-//! instead of comparing values. This module specializes the storage:
+//! rationals) a numerator/denominator pair per cell; this module
+//! specializes the storage:
 //!
 //! * [`TypedColumn::Num`] — an all-integer column as an unboxed
 //!   `Vec<i64>` (every value satisfies `Num::as_int`), so a filter
@@ -11,8 +16,8 @@
 //!   the loop;
 //! * [`TypedColumn::Str`] — an all-string column as dictionary codes
 //!   ([`StrColumn`]: `Vec<u32>` codes plus an interned [`Name`]
-//!   dictionary), so equality is a `u32` compare and a join probe is an
-//!   integer table lookup;
+//!   dictionary), so equality is a `u32` compare and a join's build rows
+//!   fall into one bucket per code;
 //! * [`TypedColumn::Boxed`] — the fallback `Vec<Const>` for mixed-type
 //!   columns, booleans, non-integer rationals, and `±∞`.
 //!
@@ -296,62 +301,6 @@ impl TypedColumn {
             TypedColumn::Boxed(v) => v.clone(),
         }
     }
-
-    /// A consuming iterator of re-materialized values, in row order. A
-    /// corrupt dictionary code ends the iteration early; callers that
-    /// track expected lengths surface that as an internal error.
-    pub fn into_consts(self) -> IntoConsts {
-        IntoConsts {
-            inner: match self {
-                TypedColumn::Num(v) => ConstsInner::Num(v.into_iter()),
-                TypedColumn::Str(sc) => ConstsInner::Str {
-                    codes: sc.codes.into_iter(),
-                    dict: sc.dict,
-                },
-                TypedColumn::Boxed(v) => ConstsInner::Boxed(v.into_iter()),
-            },
-        }
-    }
-}
-
-/// Consuming iterator over a [`TypedColumn`], yielding boxed values in
-/// row order. Boxed values are moved, not cloned.
-#[derive(Debug)]
-pub struct IntoConsts {
-    inner: ConstsInner,
-}
-
-#[derive(Debug)]
-enum ConstsInner {
-    Num(std::vec::IntoIter<i64>),
-    Str {
-        codes: std::vec::IntoIter<u32>,
-        dict: Arc<Dict>,
-    },
-    Boxed(std::vec::IntoIter<Const>),
-}
-
-impl Iterator for IntoConsts {
-    type Item = Const;
-
-    fn next(&mut self) -> Option<Const> {
-        match &mut self.inner {
-            ConstsInner::Num(it) => it.next().map(Const::int),
-            ConstsInner::Str { codes, dict } => {
-                let code = codes.next()?;
-                dict.strs.get(code as usize).cloned().map(Const::Str)
-            }
-            ConstsInner::Boxed(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            ConstsInner::Num(it) => it.size_hint(),
-            ConstsInner::Str { codes, .. } => codes.size_hint(),
-            ConstsInner::Boxed(it) => it.size_hint(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +315,6 @@ mod tests {
         assert_eq!(col, TypedColumn::Num(vec![3, -7, 0]));
         assert_eq!(col.to_consts(), vals);
         assert_eq!(col.get(1), Some(Const::int(-7)));
-        assert_eq!(col.into_consts().collect::<Vec<_>>(), vals);
     }
 
     #[test]
@@ -381,7 +329,6 @@ mod tests {
         assert_eq!(sc.code_of("b"), Some(1));
         assert_eq!(sc.code_of("c"), None);
         assert_eq!(col.to_consts(), vals);
-        assert_eq!(col.into_consts().collect::<Vec<_>>(), vals);
     }
 
     #[test]

@@ -11,9 +11,17 @@
 //! slicing of a block's buffer into rows serves each, and arity 0 is the
 //! nullary relation, which holds at most one row. Annotations are in ℤ,
 //! so sums cancel and rows leave the support.
+//!
+//! A batch reads a relation's columns where the store keeps them — cell
+//! `col` of each row, at stride `arity` in a block's buffer — so the
+//! column reader is checked against the map too: every column reads as
+//! the model's rows' column, by support position and by ground row when
+//! some rows are split off as a fringe, under an outstanding clone, and
+//! after the relation it was split from has been edited.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::{CommutativeSemiring, IntZ};
+use aggprov_krel::batch::GroundBatch;
 use aggprov_krel::relation::{Merge, Relation, Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
@@ -81,8 +89,62 @@ fn hash_of(x: &impl Hash) -> u64 {
     h.finish()
 }
 
+/// Every cell is ground.
+fn every_cell(c: &Const) -> Option<&Const> {
+    Some(c)
+}
+
+/// A string cell ending in an odd digit is not: its row goes to the
+/// fringe, so ground rows and support positions part.
+fn odd_strings_symbolic(c: &Const) -> Option<&Const> {
+    match c {
+        Const::Str(s) if s.ends_with(['1', '3', '5', '7', '9']) => None,
+        _ => Some(c),
+    }
+}
+
+/// The splits of [`assert_batch_reads_as`].
+const SPLITS: [fn(&Const) -> Option<&Const>; 2] = [every_cell, odd_strings_symbolic];
+
+/// `batch`, split from a relation by `as_const`, reads as the ground rows
+/// of `m`: each column through one reader in row order, and again row
+/// by row from the last, cell for cell.
+fn assert_batch_reads_as(
+    arity: usize,
+    batch: &GroundBatch<IntZ, Const>,
+    m: &Model,
+    as_const: fn(&Const) -> Option<&Const>,
+) {
+    let ground: Vec<&Tuple<Const>> = m
+        .keys()
+        .filter(|t| t.values().iter().all(|c| as_const(c).is_some()))
+        .collect();
+    let (cells, fringe) = (batch.ground(), batch.fringe());
+    assert_eq!((cells.len(), cells.arity()), (ground.len(), arity));
+    assert_eq!(fringe.len(), m.len() - ground.len());
+    for col in 0..arity {
+        let want: Vec<&Const> = ground.iter().map(|t| t.get(col)).collect();
+        let mut reader = cells.column(col).unwrap();
+        let read: Vec<Const> = (0..want.len() as u32)
+            .map(|r| reader.get(r).unwrap().into_owned())
+            .collect();
+        assert!(
+            read.iter().eq(want.iter().copied()),
+            "column {col} differs from the model"
+        );
+        for r in (0..want.len()).rev() {
+            assert_eq!(reader.get(r as u32).as_deref(), Some(want[r]), "row {r}");
+        }
+        assert!(reader.get(want.len() as u32).is_none());
+    }
+    assert!(cells.column(arity).is_none());
+}
+
 /// Every way of reading `r` agrees with the map.
 fn assert_reads_as(arity: usize, r: &Rel, m: &Model, probes: &[i64]) {
+    for as_const in SPLITS {
+        assert_batch_reads_as(arity, &GroundBatch::from_relation(r, as_const), m, as_const);
+    }
     assert_eq!(r.len(), m.len());
     assert_eq!(r.is_empty(), m.is_empty());
     assert!(m.len() <= 1 || arity > 0, "a nullary relation has one row");
@@ -171,6 +233,10 @@ proptest! {
         assert_reads_as(arity, &rel, &model, &[0, KEYS / 2, KEYS - 1]);
         for op in ops {
             let mut probes = vec![0, KEYS - 1];
+            // Split before the edit: the batch keeps reading the cells it
+            // was split from.
+            let split = SPLITS.map(|as_const| (GroundBatch::from_relation(&rel, as_const), as_const));
+            let before = model.clone();
             match op {
                 Op::Add(i, k) => {
                     rel.add(key(i), IntZ(k)).unwrap();
@@ -197,6 +263,9 @@ proptest! {
             assert_reads_as(arity, &rel, &model, &probes);
             // The writer moved (or did not); the pin did not.
             assert_reads_as(arity, &pinned.0, &pinned.1, &probes);
+            for (batch, as_const) in &split {
+                assert_batch_reads_as(arity, batch, &before, *as_const);
+            }
         }
         assert_rows_read_as_tuples(&rel);
     }

@@ -455,15 +455,15 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     db.register("emp", emp);
     let dim = Relation::from_rows(Schema::new(["dept2", "cap"]).unwrap(), dim).unwrap();
     db.register("dim", dim);
-    let execute = |sql: &str| {
-        let stmt = db.prepare(sql).unwrap();
+    let run = |stmt: Prepared<'_, Prov>| {
         stmt.execute_with_opts(&[], &serial).unwrap();
         let (out, _, allocations, peak) =
             measured(|| stmt.execute_with_opts(&[], &serial).unwrap());
         (out.len(), allocations, peak as usize)
     };
+    let execute = |sql: &str| run(db.prepare(sql).unwrap());
     let join = "SELECT e.emp, d.cap FROM emp e JOIN dim d ON e.dept = d.dept2";
-    // 947 rows kept: 2 705 allocations, 0.14 per join row (0.18 while
+    // 947 rows kept: 2 700 allocations, 0.14 per join row (0.18 while
     // every kept row was a tuple of its own, 2.09 when every join row was
     // multiplied before the filter ran).
     let (rows, cross_side, _) = execute(&format!("{join} WHERE e.sal < d.cap"));
@@ -472,7 +472,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         cross_side * 100 <= JOIN_ROWS * 25,
         "cross-side filter over a join: {cross_side} allocations for {JOIN_ROWS} join rows"
     );
-    // Every row kept: 40 930 allocations, 2.05 per row — the two of each
+    // Every row kept: 40 928 allocations, 2.05 per row — the two of each
     // row's `⊗`, as when the join multiplied eagerly (deferring adds
     // nothing when nothing is dropped), and no tuple (3.04 while every
     // output row was a tuple of its own).
@@ -483,8 +483,9 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "unfiltered join: {unfiltered} allocations for {JOIN_ROWS} rows"
     );
     // A join whose probe side is a deferred join: the inner products are
-    // multiplied out once each, for the rows the outer pairs name. 101 074
-    // allocations; 121 007 while every output row was a tuple of its own,
+    // multiplied out once each, for the rows the outer pairs name. 101 060
+    // allocations (101 074 while each join gathered its output columns);
+    // 121 007 while every output row was a tuple of its own,
     // and 121 009 when besides the join multiplied eagerly and every scan
     // collected an identity selection vector.
     let (rows, nested, _) = execute(&format!("{join} JOIN dim f ON e.dept = f.dept2"));
@@ -494,19 +495,22 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "join over a deferred join: {nested} allocations"
     );
 
-    // (g) A scan copies no annotation: the chunk reads the table's in
-    // place, and only the rows that reach the result are cloned. At its
-    // high-water mark an execute holds the scanned columns (three `i64`
-    // runs, 24 bytes a row) and little else: 28.9 bytes per `emp` row for
-    // the scan, 30.7 joined to `dim`. Cloning every scanned row's
-    // annotation into the chunk read 52.9 and 55.0.
+    // (g) A scan copies no cell and no annotation: the chunk reads the
+    // table's where its store keeps them, and only the rows that reach the
+    // result are cloned. At its high-water mark an execute holds the
+    // filter's selection vector (4 bytes a scanned row), the result
+    // relation's blocks and, joined, the result's products: 10.8 bytes per
+    // `emp` row for the scan, 20.9 joined to `dim`. Copying the three
+    // scanned columns into `i64` runs read 28.9 and 30.7 (one such column
+    // alone adds 8 bytes a row, over either budget); cloning every scanned
+    // row's annotation into the chunk besides, 52.9 and 55.0.
     for (what, sql, budget) in [
         (
             "scan",
             "SELECT emp, sal FROM emp WHERE sal < 20".to_string(),
-            32,
+            12,
         ),
-        ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 34),
+        ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 23),
     ] {
         let (rows, _, peak) = execute(&sql);
         assert_eq!(rows, 1_054);
@@ -516,4 +520,21 @@ fn single_token_annotations_are_small_and_clone_for_free() {
             peak as f64 / JOIN_ROWS as f64
         );
     }
+    // The same join unoptimized (the filter above the join, as
+    // `prepare_unoptimized` plans it): every `emp` row is joined before
+    // the filter drops 95 % of them. The join writes its match rows into
+    // the two index vectors its output reads through and gathers no
+    // column: 24.3 bytes per join row at the high-water mark (the index
+    // vectors, the selection vector, the result). 72.1 while the join
+    // collected its pairs, unzipped them and gathered five output
+    // columns.
+    let (rows, _, peak) = run(db
+        .prepare_unoptimized(&format!("{join} WHERE e.sal < 20"))
+        .unwrap());
+    assert_eq!(rows, 1_054);
+    assert!(
+        peak <= 28 * JOIN_ROWS,
+        "unoptimized join then filter: {:.1} bytes at the high-water mark per join row",
+        peak as f64 / JOIN_ROWS as f64
+    );
 }
