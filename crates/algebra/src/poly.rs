@@ -15,23 +15,32 @@
 //!
 //! ## Representation
 //!
-//! A polynomial is one **canonical flat term slice** — sorted by monomial,
-//! monomials unique, no zero coefficient — in shared immutable storage
+//! A polynomial is one **canonical flat term sequence** — sorted by
+//! monomial, monomials unique, no zero coefficient — held in one of three
+//! forms, chosen from the value alone: the zero polynomial holds nothing;
+//! one term of degree ≤ 1 (a base row's token `1·p`, a constant such as
+//! `1`, a scaled token `c·x`) is held **inline**, in the `Poly` itself;
+//! anything else lives in shared immutable storage
 //! (`Arc<[(Monomial, C)]>`). Every tuple and every aggregate value carries
-//! one, so the cheap operations are the frequent ones: `clone` is a
-//! reference-count bump, the zero polynomial holds no allocation, `plus`
-//! is a two-pointer merge, and everything that can produce unordered or
-//! repeated monomials (`times`, `from_terms`, `map_vars`, …) goes through
-//! the one `sort_combine` normalization. The slice order is the order an
+//! one, and the paper gives every base tuple a token of its own, so the
+//! cheap operations are the frequent ones: a base token costs no heap
+//! block, `clone` never allocates (a copy of the inline term, or a
+//! reference-count bump), `plus` is a two-pointer merge, and everything
+//! that can produce unordered or repeated monomials (`times`,
+//! `from_terms`, `map_vars`, …) goes through the one `sort_combine`
+//! normalization. Every form lends its terms as one slice, in the order an
 //! ordered map keyed by monomial iterates in, so `Ord`, `Hash`, `Display`
-//! and [`Poly::terms`] do not depend on how a polynomial was computed.
+//! and [`Poly::terms`] do not depend on the form or on how a polynomial
+//! was computed. Only polynomials over [`Var`] hold a term inline (the
+//! [`Indeterminate`] trait says which): the atoms of `K^M` hold
+//! polynomials themselves, and their polynomials stay a pointer wide.
 //!
-//! A [`Monomial`] lives *inside* its term: no pair is nothing, one pair
-//! (a base row's token — nearly every monomial there is) is stored inline,
-//! and only two or more take a boxed slice. A [`Var`]'s name of at most
-//! 7 bytes lives inline too (`crate::name`), so `NatPoly::token("p42")`
-//! is one heap block — the term slice — and a longer name adds its own
-//! shared block. Cloning a term of degree ≤ 1 — all a `Σ`, `plus` or
+//! A [`Monomial`] lives *inside* its term: no pair is nothing, one token at
+//! exponent 1 (a base row's token — nearly every monomial there is) is
+//! stored inline, and anything else takes a boxed slice. A [`Var`]'s name
+//! of at most 7 bytes lives inline too (`crate::name`), so
+//! `NatPoly::token("p42")` allocates nothing, and a longer name adds its
+//! own shared block. Cloning a term of degree ≤ 1 — all a `Σ`, `plus` or
 //! `drop_vars` over base tokens does per surviving term — allocates
 //! nothing, and over an inline name touches no reference count. A
 //! monomial compares, hashes and iterates as its sorted pair sequence
@@ -40,6 +49,7 @@
 
 use crate::name::Name;
 use crate::semiring::{Bool, CommutativeSemiring, Nat};
+use sealed::InlineTerm as _;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -129,46 +139,73 @@ impl fmt::Debug for Var {
 /// A monomial: a finite product of indeterminates with positive integer
 /// exponents, kept sorted. The empty monomial is `1`.
 ///
-/// No pair and one pair are held inline, two or more in a boxed slice (the
-/// module docs say why); equality, order and hash are those of the pair
-/// sequence [`Monomial::iter`] walks, whichever layout holds it.
+/// One indeterminate at exponent 1 is held inline, anything else — two or
+/// more pairs, or one at a higher exponent — in a boxed slice (the module
+/// docs say why); equality, order and hash are those of the pair sequence
+/// [`Monomial::iter`] walks, whichever layout holds it.
 #[derive(Clone)]
 pub struct Monomial<A: Ord>(Pairs<A>);
 
-/// The (indeterminate, exponent) pairs of a [`Monomial`], by how many
-/// there are.
+/// The (indeterminate, exponent) pairs of a [`Monomial`], by layout.
 #[derive(Clone)]
 enum Pairs<A> {
     /// The unit monomial.
     Unit,
-    /// One indeterminate, inline.
-    One((A, u32)),
-    /// Two or more, sorted by indeterminate.
+    /// One indeterminate at exponent 1, inline.
+    Gen(A),
+    /// Two or more pairs sorted by indeterminate, or one at exponent > 1.
     Many(Box<[(A, u32)]>),
 }
 
 impl<A: Ord> Monomial<A> {
     /// Wraps pairs that already are sorted, unique and of positive
     /// exponent.
-    fn from_sorted(pairs: Vec<(A, u32)>) -> Self {
-        if pairs.len() > 1 {
-            return Monomial(Pairs::Many(pairs.into_boxed_slice()));
-        }
-        Monomial(pairs.into_iter().next().map_or(Pairs::Unit, Pairs::One))
+    fn from_sorted(mut pairs: Vec<(A, u32)>) -> Self {
+        Monomial(match pairs.as_slice() {
+            [] => Pairs::Unit,
+            [(_, 1)] => pairs.pop().map_or(Pairs::Unit, |(a, _)| Pairs::Gen(a)),
+            _ => Pairs::Many(pairs.into_boxed_slice()),
+        })
     }
 
-    fn as_slice(&self) -> &[(A, u32)] {
+    /// The number of distinct indeterminates.
+    pub fn len(&self) -> usize {
         match &self.0 {
-            Pairs::Unit => &[],
-            Pairs::One(pair) => std::slice::from_ref(pair),
-            Pairs::Many(pairs) => pairs,
+            Pairs::Unit => 0,
+            Pairs::Gen(_) => 1,
+            Pairs::Many(pairs) => pairs.len(),
         }
+    }
+
+    /// True iff the monomial has no indeterminates (is the unit).
+    pub fn is_empty(&self) -> bool {
+        self.is_unit()
+    }
+
+    /// True iff this is the unit monomial.
+    pub fn is_unit(&self) -> bool {
+        matches!(self.0, Pairs::Unit)
+    }
+
+    /// Iterates over (indeterminate, exponent) pairs, in indeterminate
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&A, u32)> {
+        let (single, many): (Option<&A>, &[(A, u32)]) = match &self.0 {
+            Pairs::Unit => (None, &[]),
+            Pairs::Gen(a) => (Some(a), &[]),
+            Pairs::Many(pairs) => (None, pairs),
+        };
+        let single = single.map(|a| (a, 1));
+        single.into_iter().chain(many.iter().map(|(a, e)| (a, *e)))
     }
 }
 
 impl<A: Ord> PartialEq for Monomial<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        match (&self.0, &other.0) {
+            (Pairs::Gen(a), Pairs::Gen(b)) => a == b,
+            _ => self.iter().eq(other.iter()),
+        }
     }
 }
 
@@ -183,19 +220,28 @@ impl<A: Ord> PartialOrd for Monomial<A> {
 impl<A: Ord> Ord for Monomial<A> {
     /// Lexicographic over the sorted pair sequence.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_slice().cmp(other.as_slice())
+        match (&self.0, &other.0) {
+            (Pairs::Gen(a), Pairs::Gen(b)) => a.cmp(b),
+            _ => self.iter().cmp(other.iter()),
+        }
     }
 }
 
 impl<A: Ord + Hash> Hash for Monomial<A> {
+    /// What hashing the pair sequence as a slice feeds the hasher: its
+    /// length, then each pair.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        state.write_usize(self.len());
+        for pair in self.iter() {
+            pair.hash(state);
+        }
     }
 }
 
 impl<A: Ord + fmt::Debug> fmt::Debug for Monomial<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Monomial").field(&self.as_slice()).finish()
+        let pairs: Vec<_> = self.iter().collect();
+        f.debug_tuple("Monomial").field(&pairs).finish()
     }
 }
 
@@ -207,7 +253,7 @@ impl<A: Ord + Clone> Monomial<A> {
 
     /// The monomial consisting of one indeterminate.
     pub fn var(a: A) -> Self {
-        Monomial(Pairs::One((a, 1)))
+        Monomial(Pairs::Gen(a))
     }
 
     /// Builds a monomial from (indeterminate, exponent) pairs; zero
@@ -227,66 +273,41 @@ impl<A: Ord + Clone> Monomial<A> {
         Self::from_sorted(pairs)
     }
 
-    /// True iff this is the unit monomial.
-    pub fn is_unit(&self) -> bool {
-        matches!(self.0, Pairs::Unit)
-    }
-
     /// The product of two monomials (exponents add).
     pub fn times(&self, other: &Self) -> Self {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        if a.is_empty() {
+        if self.is_unit() {
             return other.clone();
         }
-        if b.is_empty() {
+        if other.is_unit() {
             return self.clone();
         }
-        let mut out: Vec<(A, u32)> = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
+        let mut out: Vec<(A, u32)> = Vec::with_capacity(self.len() + other.len());
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        while let (Some(&(x, e)), Some(&(y, f))) = (a.peek(), b.peek()) {
+            match x.cmp(y) {
                 Ordering::Less => {
-                    out.push(a[i].clone());
-                    i += 1;
+                    out.push((x.clone(), e));
+                    a.next();
                 }
                 Ordering::Greater => {
-                    out.push(b[j].clone());
-                    j += 1;
+                    out.push((y.clone(), f));
+                    b.next();
                 }
                 Ordering::Equal => {
-                    let e = a[i]
-                        .1
-                        .checked_add(b[j].1)
-                        .expect("monomial exponent overflow");
-                    out.push((a[i].0.clone(), e));
-                    i += 1;
-                    j += 1;
+                    let e = e.checked_add(f).expect("monomial exponent overflow");
+                    out.push((x.clone(), e));
+                    a.next();
+                    b.next();
                 }
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
+        out.extend(a.chain(b).map(|(x, e)| (x.clone(), e)));
         Self::from_sorted(out)
     }
 
     /// The total degree (sum of exponents).
     pub fn degree(&self) -> u64 {
         self.iter().map(|(_, e)| e as u64).sum()
-    }
-
-    /// The number of distinct indeterminates.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True iff the monomial has no indeterminates (is the unit).
-    pub fn is_empty(&self) -> bool {
-        self.is_unit()
-    }
-
-    /// Iterates over (indeterminate, exponent) pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&A, u32)> {
-        self.as_slice().iter().map(|(a, e)| (a, *e))
     }
 
     /// Drops all exponents to 1 (Trio's / Why's absorption of exponents).
@@ -302,15 +323,14 @@ impl<A: Ord + Clone> Monomial<A> {
 
 impl<A: Ord + fmt::Display> fmt::Display for Monomial<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pairs = self.as_slice();
-        if pairs.is_empty() {
+        if self.is_unit() {
             return write!(f, "1");
         }
-        for (i, (a, e)) in pairs.iter().enumerate() {
+        for (i, (a, e)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, "*")?;
             }
-            if *e == 1 {
+            if e == 1 {
                 write!(f, "{a}")?;
             } else {
                 write!(f, "{a}^{e}")?;
@@ -323,18 +343,95 @@ impl<A: Ord + fmt::Display> fmt::Display for Monomial<A> {
 /// One term of a polynomial: a monomial and its non-zero coefficient.
 type Term<A, C> = (Monomial<A>, C);
 
+/// An indeterminate type a [`Poly`] ranges over. Its `Inline` form says
+/// whether a polynomial of one term of degree ≤ 1 over it is held in the
+/// `Poly` itself: for [`Var`] it is that term, for any other type the
+/// uninhabited [`NoInline`], and then the inline arm takes no space. (The
+/// atoms of `K^M` hold polynomials themselves, so a term of theirs cannot
+/// live inside one.) The inline forms are sealed: [`NoInline`] is the only
+/// one a type outside this crate can name.
+pub trait Indeterminate: Ord + Sized {
+    /// How a one-term polynomial of degree ≤ 1 over `Self` is held inline.
+    type Inline<C>: sealed::InlineTerm<Self, C>;
+}
+
+/// The inline form of an indeterminate type whose polynomials hold every
+/// term in shared storage: it has no values.
+#[derive(Clone, Copy, Debug)]
+pub enum NoInline {}
+
+mod sealed {
+    /// A polynomial term held in the polynomial itself.
+    pub trait InlineTerm<A: Ord, C>: Sized {
+        /// `term` held inline, or handed back if it is not held so.
+        fn try_inline(term: super::Term<A, C>) -> Result<Self, super::Term<A, C>>;
+        /// The term.
+        fn term(&self) -> &super::Term<A, C>;
+        /// A copy (which allocates nothing).
+        fn clone_inline(&self) -> Self
+        where
+            C: Clone;
+    }
+}
+
+impl<A: Ord, C> sealed::InlineTerm<A, C> for NoInline {
+    fn try_inline(term: Term<A, C>) -> Result<Self, Term<A, C>> {
+        Err(term)
+    }
+
+    fn term(&self) -> &Term<A, C> {
+        match *self {}
+    }
+
+    fn clone_inline(&self) -> Self {
+        *self
+    }
+}
+
+/// A term over tokens is held inline when its monomial is `1` or one token:
+/// a copy then allocates nothing (a longer name's block is shared).
+impl<C> sealed::InlineTerm<Var, C> for Term<Var, C> {
+    fn try_inline(term: Term<Var, C>) -> Result<Self, Term<Var, C>> {
+        match term.0 .0 {
+            Pairs::Many(_) => Err(term),
+            Pairs::Unit | Pairs::Gen(_) => Ok(term),
+        }
+    }
+
+    fn term(&self) -> &Term<Var, C> {
+        self
+    }
+
+    fn clone_inline(&self) -> Self
+    where
+        C: Clone,
+    {
+        self.clone()
+    }
+}
+
+impl Indeterminate for Var {
+    type Inline<C> = Term<Var, C>;
+}
+
 /// A polynomial over indeterminates `A` with coefficients in the commutative
 /// semiring `C`. The representation is canonical — terms sorted by
 /// monomial, monomials unique, zero coefficients absent — so structural
 /// equality decides semiring equality (for `C` with canonical
-/// representations). The terms live in shared immutable storage: cloning
-/// bumps a reference count, and annotations may be read from several
-/// threads at once.
-#[derive(Clone, Debug)]
-pub struct Poly<A: Ord, C> {
-    /// `None` is the zero polynomial (no allocation); `Some` holds at
-    /// least one term, in canonical form.
-    terms: Option<Arc<[Term<A, C>]>>,
+/// representations). Which form holds the terms follows from the value
+/// alone (the module docs say which): cloning allocates nothing, and
+/// annotations may be read from several threads at once.
+pub struct Poly<A: Indeterminate, C>(Terms<A, C>);
+
+/// The canonical term sequence of a [`Poly`], by form.
+enum Terms<A: Indeterminate, C> {
+    /// The zero polynomial: no term.
+    Zero,
+    /// One term of degree ≤ 1, held inline where `A` allows it (a base
+    /// token `1·p`, a constant).
+    One(A::Inline<C>),
+    /// Any other non-empty sequence, in shared immutable storage.
+    Shared(Arc<[Term<A, C>]>),
 }
 
 /// The provenance polynomial semiring `ℕ[X]` (paper §2.1).
@@ -343,45 +440,78 @@ pub type NatPoly = Poly<Var, Nat>;
 /// The semiring `B[X]` of the provenance hierarchy: sets of monomials.
 pub type BoolPoly = Poly<Var, Bool>;
 
-impl<A: Ord, C> Poly<A, C> {
+impl<A: Indeterminate, C> Poly<A, C> {
     fn as_slice(&self) -> &[Term<A, C>] {
-        self.terms.as_deref().unwrap_or(&[])
-    }
-
-    /// Wraps terms that already are in canonical form.
-    fn from_canonical(terms: Vec<Term<A, C>>) -> Self {
-        Poly {
-            terms: (!terms.is_empty()).then(|| Arc::from(terms)),
+        match &self.0 {
+            Terms::Zero => &[],
+            Terms::One(term) => std::slice::from_ref(term.term()),
+            Terms::Shared(terms) => terms,
         }
     }
 
-    /// True iff both polynomials are non-zero and hold the same term
-    /// storage (sharing diagnostics; sharing implies equality). The zero
-    /// polynomial holds no storage, so it shares with nothing — not even
-    /// itself.
+    /// Wraps terms that already are in canonical form.
+    fn from_canonical(mut terms: Vec<Term<A, C>>) -> Self {
+        if terms.len() > 1 {
+            return Poly(Terms::Shared(Arc::from(terms)));
+        }
+        terms.pop().map_or(Poly(Terms::Zero), Self::held)
+    }
+
+    /// The polynomial of one canonical term: inline if it is of degree
+    /// ≤ 1 and `A` allows it, shared otherwise.
+    fn held(term: Term<A, C>) -> Self {
+        Poly(match A::Inline::<C>::try_inline(term) {
+            Ok(inline) => Terms::One(inline),
+            Err(term) => Terms::Shared(Arc::from([term])),
+        })
+    }
+
+    /// True iff both polynomials hold the same shared term storage
+    /// (sharing diagnostics; sharing implies equality). The zero
+    /// polynomial and a term held inline hold no shared storage, so they
+    /// share with nothing — not even themselves.
     pub fn shares_terms_with(&self, other: &Self) -> bool {
-        match (&self.terms, &other.terms) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        match (&self.0, &other.0) {
+            (Terms::Shared(a), Terms::Shared(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
 }
 
-impl<A: Ord, C: PartialEq> PartialEq for Poly<A, C> {
+impl<A: Indeterminate, C: Clone> Clone for Poly<A, C> {
+    fn clone(&self) -> Self {
+        Poly(match &self.0 {
+            Terms::Zero => Terms::Zero,
+            Terms::One(term) => Terms::One(term.clone_inline()),
+            Terms::Shared(terms) => Terms::Shared(Arc::clone(terms)),
+        })
+    }
+}
+
+impl<A: Indeterminate + fmt::Debug, C: fmt::Debug> fmt::Debug for Poly<A, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let terms = self.as_slice();
+        f.debug_struct("Poly")
+            .field("terms", &(!terms.is_empty()).then_some(terms))
+            .finish()
+    }
+}
+
+impl<A: Indeterminate, C: PartialEq> PartialEq for Poly<A, C> {
     fn eq(&self, other: &Self) -> bool {
         self.shares_terms_with(other) || self.as_slice() == other.as_slice()
     }
 }
 
-impl<A: Ord, C: Eq> Eq for Poly<A, C> {}
+impl<A: Indeterminate, C: Eq> Eq for Poly<A, C> {}
 
-impl<A: Ord, C: Ord> PartialOrd for Poly<A, C> {
+impl<A: Indeterminate, C: Ord> PartialOrd for Poly<A, C> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<A: Ord, C: Ord> Ord for Poly<A, C> {
+impl<A: Indeterminate, C: Ord> Ord for Poly<A, C> {
     /// Lexicographic over the canonical term sequence.
     fn cmp(&self, other: &Self) -> Ordering {
         if self.shares_terms_with(other) {
@@ -391,7 +521,7 @@ impl<A: Ord, C: Ord> Ord for Poly<A, C> {
     }
 }
 
-impl<A: Ord + Hash, C: Hash> Hash for Poly<A, C> {
+impl<A: Indeterminate + Hash, C: Hash> Hash for Poly<A, C> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
     }
@@ -399,7 +529,7 @@ impl<A: Ord + Hash, C: Hash> Hash for Poly<A, C> {
 
 impl<A, C> Poly<A, C>
 where
-    A: Ord + Clone + Hash + fmt::Debug,
+    A: Indeterminate + Clone + Hash + fmt::Debug,
     C: CommutativeSemiring,
 {
     /// Canonicalizes arbitrary terms: the coefficients of each repeated
@@ -415,11 +545,12 @@ where
         Self::from_canonical(terms)
     }
 
-    /// The one-term polynomial `c·m` (zero if `c` is), in one allocation.
+    /// The one-term polynomial `c·m` (zero if `c` is).
     fn single(m: Monomial<A>, c: C) -> Self {
-        Poly {
-            terms: (!c.is_zero()).then(|| Arc::from([(m, c)])),
+        if c.is_zero() {
+            return Poly(Terms::Zero);
         }
+        Self::held((m, c))
     }
 
     /// The constant polynomial `c`.
@@ -532,7 +663,7 @@ where
     }
 
     /// Maps indeterminates through `f`, renormalizing (images may collide).
-    pub fn map_vars<B: Ord + Clone + Hash + fmt::Debug>(
+    pub fn map_vars<B: Indeterminate + Clone + Hash + fmt::Debug>(
         &self,
         f: &mut impl FnMut(&A) -> B,
     ) -> Poly<B, C> {
@@ -566,11 +697,12 @@ impl NatPoly {
 
 impl<A, C> CommutativeSemiring for Poly<A, C>
 where
-    A: Ord + Clone + Hash + fmt::Debug + fmt::Display + Send + Sync,
+    A: Indeterminate + Clone + Hash + fmt::Debug + fmt::Display + Send + Sync,
+    A::Inline<C>: Send + Sync,
     C: CommutativeSemiring,
 {
     fn zero() -> Self {
-        Poly { terms: None }
+        Poly(Terms::Zero)
     }
 
     fn one() -> Self {
@@ -673,7 +805,7 @@ where
     }
 
     fn is_zero(&self) -> bool {
-        self.terms.is_none()
+        matches!(self.0, Terms::Zero)
     }
 
     fn is_one(&self) -> bool {
@@ -707,11 +839,11 @@ where
 
 impl<A, C> fmt::Display for Poly<A, C>
 where
-    A: Ord + Clone + Hash + fmt::Debug + fmt::Display,
+    A: Indeterminate + Clone + Hash + fmt::Debug + fmt::Display,
     C: CommutativeSemiring,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_none() {
+        if matches!(self.0, Terms::Zero) {
             return write!(f, "0");
         }
         for (i, (m, c)) in self.terms().enumerate() {
@@ -796,13 +928,38 @@ mod tests {
     /// `par::fan_out` shards read the same annotations from several
     /// threads, and every tuple carries one: keep both facts compile-time.
     #[test]
-    fn poly_is_two_words_and_thread_safe() {
+    fn poly_is_four_words_and_thread_safe() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<NatPoly>();
         assert_send_sync::<BoolPoly>();
-        const { assert!(std::mem::size_of::<NatPoly>() <= 16) };
-        // A one-token monomial lives inside its term: no block of its own.
-        const { assert!(std::mem::size_of::<Monomial<Var>>() <= 32) };
+        // A base token's one term lives in the polynomial itself, and its
+        // one-token monomial inside the term: no block of either's own.
+        const { assert!(std::mem::size_of::<NatPoly>() <= 32) };
+        const { assert!(std::mem::size_of::<Monomial<Var>>() <= 24) };
+    }
+
+    /// One term of degree ≤ 1 is held inline however it was computed, and
+    /// anything else in shared storage.
+    #[test]
+    fn the_form_follows_from_the_value() {
+        let inline = |p: &NatPoly| !p.is_zero() && !p.shares_terms_with(p);
+        assert!(inline(&x()) && inline(&NatPoly::one()) && inline(&NatPoly::from_nat(3)));
+        assert!(inline(&x().plus(&x())), "2*x");
+        assert!(inline(&x().plus(&y()).drop_vars(&mut |v| v.name() == "y")));
+        assert!(inline(&x().times(&NatPoly::from_nat(2))));
+        assert!(inline(&NatPoly::from_terms([(
+            Monomial::var(Var::new("p")),
+            Nat(1)
+        )])));
+        let squared = x().times(&x());
+        assert!(squared.shares_terms_with(&squared), "x^2 is shared");
+        assert!(!inline(&x().times(&y())) && !inline(&x().plus(&y())));
+        assert!(!inline(&NatPoly::zero()));
+        assert_eq!(x().clone(), x());
+        assert_eq!(
+            format!("{:?}", x()),
+            "Poly { terms: Some([(Monomial([(x, 1)]), Nat(1))]) }"
+        );
     }
 
     /// Every `MIN`/`MAX`/`OR` tensor coefficient goes through

@@ -385,9 +385,15 @@ fn assert_matches_model<C: CommutativeSemiring>(
     assert!(p.terms().eq(model.0.iter()), "{what}: {p} vs {model:?}");
     assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{what}: order");
     assert!(terms.iter().all(|(_, c)| !c.is_zero()), "{what}: zero term");
-    // The zero polynomial holds no storage (so it shares with nothing);
-    // every other polynomial holds one.
-    assert_eq!(p.shares_terms_with(p), !terms.is_empty(), "{what}: storage");
+    // One term of degree ≤ 1 is held inline and zero holds nothing (so
+    // neither shares with anything); every other polynomial holds shared
+    // storage.
+    let inline = matches!(terms.as_slice(), [(m, _)] if m.degree() <= 1);
+    assert_eq!(
+        p.shares_terms_with(p),
+        !terms.is_empty() && !inline,
+        "{what}: storage"
+    );
     assert_eq!(p.to_string(), model.render(), "{what}: Display");
     let third_model = MapPoly::from_terms(third.terms().map(|(m, c)| (m.clone(), c.clone())));
     assert_eq!(p.cmp(third), model.cmp(&third_model), "{what}: cmp");
@@ -437,11 +443,21 @@ fn check_against_model<C: CommutativeSemiring>(
     );
     // Images collide: four variables map into however many `image` names.
     let rename = |m: &Monomial<Var>| m.map_vars(&mut |v| image[index(v)].clone());
+    let renamed = MapPoly::from_terms(ma.0.iter().map(|(m, k)| (rename(m), k.clone())));
     assert_matches_model(
         &pa.map_vars(&mut |v| image[index(v)].clone()),
-        &MapPoly::from_terms(ma.0.iter().map(|(m, k)| (rename(m), k.clone()))),
+        &renamed,
         &third,
         "map_vars",
+    );
+    // The same renaming as the free extension of `v ↦ image(v)`.
+    assert_matches_model(
+        &pa.eval(&mut |v| Poly::var(image[index(v)].clone()), &mut |k| {
+            Poly::constant(k.clone())
+        }),
+        &renamed,
+        &third,
+        "eval",
     );
     // Some coefficients map to zero, the others to themselves.
     let kill = |k: &C| if k == killed { C::zero() } else { k.clone() };

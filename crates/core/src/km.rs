@@ -45,7 +45,7 @@
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
-use aggprov_algebra::poly::Poly;
+use aggprov_algebra::poly::{Indeterminate, NoInline, Poly};
 use aggprov_algebra::semiring::{CommutativeSemiring, DeltaSemiring};
 use aggprov_algebra::tensor::Tensor;
 use std::cmp::Ordering;
@@ -113,6 +113,12 @@ pub enum Atom<K: CommutativeSemiring> {
     ),
     /// A δ-application `δ(e)` (Definition 3.6) kept symbolic.
     Delta(Km<K>),
+}
+
+/// A polynomial over atoms holds every term in shared storage: an atom
+/// holds polynomials itself, so no term of one fits inside a polynomial.
+impl<K: CommutativeSemiring> Indeterminate for Atom<K> {
+    type Inline<C> = NoInline;
 }
 
 /// An element of the extended semiring `K^M`: a polynomial over symbolic

@@ -288,7 +288,9 @@ proptest! {
 
 /// Above the sharding threshold (8192 rows), the fan-out kernels must be
 /// bit-identical to the serial loops and to `specops`, over typed columns
-/// and over columns the data boxed.
+/// and over columns the data boxed. (A column-vs-literal filter shards
+/// only from 262 144 selected rows; `ops::typed`'s unit tests take it
+/// there, over owned and stored cells.)
 #[test]
 fn sharded_kernels_match_serial_above_threshold() {
     // Distinct rows (the `id` column), so nothing merges away: both

@@ -70,7 +70,7 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Builder, Merge, Relation, Tuple};
 use crate::schema::Schema;
-use crate::store::{Cursor, Store};
+use crate::store::{Cursor, RowAt, Store};
 use crate::typed::TypedColumn;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
@@ -212,17 +212,6 @@ impl<'a, V: AsConst> Cell<'a, V> {
             Cell::Stored(v) => v.as_const().map(Cow::Borrowed),
             Cell::Owned(TypedColumn::Boxed(vals), r) => vals.get(r).map(Cow::Borrowed),
             Cell::Owned(col, r) => col.get(r).map(Cow::Owned),
-        }
-    }
-
-    /// The cell as a value: a stored cell cloned, an owned one lifted.
-    fn value(&self, lift: &impl Fn(Const) -> V) -> Option<V>
-    where
-        V: Clone,
-    {
-        match *self {
-            Cell::Stored(v) => Some(v.clone()),
-            Cell::Owned(col, r) => col.get(r).map(lift),
         }
     }
 }
@@ -369,34 +358,6 @@ impl<K: CommutativeSemiring, V> Anns<K, V> {
         }
     }
 
-    /// The annotations of the rows `sel` names (`None` = every row), in
-    /// that order. A dense column is consumed: its annotations are moved
-    /// out and the rows `sel` skips are freed here. A shared column's
-    /// named rows are cloned — the only annotations a scan ever copies —
-    /// and a deferred product's are multiplied, here and nowhere else,
-    /// into a vector sized up front. `None` if `sel` names a row past the
-    /// end.
-    fn take(&mut self, sel: Option<&[u32]>) -> Option<Vec<K>> {
-        if let Anns::Stored(Stored::Dense(v)) = self {
-            let mut v = std::mem::take(v);
-            let Some(sel) = sel else { return Some(v) };
-            return sel
-                .iter()
-                .map(|&r| Some(std::mem::replace(v.get_mut(r as usize)?, K::zero())))
-                .collect();
-        }
-        let (named, all) = match sel {
-            Some(sel) => (sel, 0),
-            None => (&[][..], self.len()),
-        };
-        let mut out = Vec::with_capacity(named.len() + all);
-        let mut curs = [Cursor::new(); 2];
-        for r in named.iter().map(|&r| r as usize).chain(0..all) {
-            out.push(self.get(r, &mut curs)?.into_owned());
-        }
-        Some(out)
-    }
-
     /// The column as a join operand whose rows `named` are paired: a
     /// stored column stays as it is — shared or dense, read only where a
     /// pair is materialized — and a deferred one is multiplied out at the
@@ -418,6 +379,150 @@ impl<K: CommutativeSemiring, V> Anns<K, V> {
             }
         }
         Some(Stored::Dense(out))
+    }
+}
+
+/// The rows of one scan that materializing a batch reads through one
+/// chain of match rows: a join output's left columns and left annotations
+/// are one source, its right ones another. Each output row is found there
+/// once ([`Source::find`]) for all the cells and the annotation it reads.
+struct Source<'a, K, V> {
+    /// The match rows to follow, outermost first.
+    through: Vec<&'a Arc<Vec<u32>>>,
+    scan: &'a Arc<Scan<K, V>>,
+    cur: Cursor<'a, V, K>,
+    /// The row found for the current output row.
+    row: Option<RowAt<'a, V, K>>,
+}
+
+impl<'a, K, V> Source<'a, K, V> {
+    /// The index of the source reading `scan` through `through` in
+    /// `sources`, added if there is none.
+    fn index(
+        sources: &mut Vec<Source<'a, K, V>>,
+        through: Vec<&'a Arc<Vec<u32>>>,
+        scan: &'a Arc<Scan<K, V>>,
+    ) -> usize {
+        let same = |s: &Source<'a, K, V>| {
+            Arc::ptr_eq(s.scan, scan)
+                && s.through.len() == through.len()
+                && s.through
+                    .iter()
+                    .zip(&through)
+                    .all(|(a, b)| Arc::ptr_eq(a, b))
+        };
+        sources.iter().position(same).unwrap_or_else(|| {
+            sources.push(Source {
+                through,
+                scan,
+                cur: Cursor::new(),
+                row: None,
+            });
+            sources.len() - 1
+        })
+    }
+
+    /// Finds output row `r`'s row in the scan.
+    fn find(&mut self, r: usize) {
+        let scan = &**self.scan;
+        self.row = follow(&self.through, r)
+            .and_then(|p| scan.position(p))
+            .and_then(|p| self.cur.row(&scan.store, &scan.starts, p));
+    }
+}
+
+/// Row `r` of a column read through `through` (outermost first): the row
+/// of the innermost column it names.
+fn follow(through: &[&Arc<Vec<u32>>], r: usize) -> Option<usize> {
+    through
+        .iter()
+        .try_fold(r, |r, rows| rows.get(r).map(|&q| q as usize))
+}
+
+/// Where materializing a batch reads one column's cells.
+enum Read<'a> {
+    /// Cell `.1` of source `.0`'s row.
+    Stored(usize, usize),
+    /// A kernel-built column, through its match rows.
+    Owned(Vec<&'a Arc<Vec<u32>>>, &'a TypedColumn),
+}
+
+impl<'a> Read<'a> {
+    fn of<K, V>(mut col: &'a Column<K, V>, sources: &mut Vec<Source<'a, K, V>>) -> Self {
+        let mut through = Vec::new();
+        loop {
+            match col {
+                Column::Through(rows, inner) => {
+                    through.push(rows);
+                    col = inner;
+                }
+                Column::Stored(scan, c) => {
+                    return Read::Stored(Source::index(sources, through, scan), *c)
+                }
+                Column::Owned(typed) => return Read::Owned(through, typed),
+            }
+        }
+    }
+
+    /// The cell of output row `r`, every source being at that row: a
+    /// stored cell cloned, an owned one lifted.
+    fn value<K, V: Clone>(
+        &self,
+        r: usize,
+        sources: &[Source<'a, K, V>],
+        lift: &impl Fn(Const) -> V,
+    ) -> Option<V> {
+        match self {
+            Read::Stored(s, c) => sources.get(*s)?.row?.cell(*c).cloned(),
+            Read::Owned(through, col) => col.get(follow(through, r)?).map(lift),
+        }
+    }
+}
+
+/// Where materializing a batch reads a row's annotation.
+enum Ann<'a, K> {
+    /// Moved out of the batch's own dense column.
+    Moved,
+    /// Read where it is stored.
+    Read(Operand<'a, K>),
+    /// A join's deferred product, multiplied here.
+    Product(Operand<'a, K>, Operand<'a, K>),
+}
+
+/// A stored annotation of a materialized row.
+enum Operand<'a, K> {
+    /// In source `.0`'s row.
+    Source(usize),
+    /// Row `rows[r]` of a dense column.
+    Dense(&'a [K], &'a [u32]),
+}
+
+impl<'a, K> Ann<'a, K> {
+    fn of<V>(anns: &'a Anns<K, V>, sources: &mut Vec<Source<'a, K, V>>) -> Self {
+        let mut operand = |side: &'a Stored<K, V>, rows: &'a Arc<Vec<u32>>| match side {
+            Stored::Shared(scan) => Operand::Source(Source::index(sources, vec![rows], scan)),
+            Stored::Dense(v) => Operand::Dense(v, rows),
+        };
+        match anns {
+            Anns::Stored(Stored::Dense(_)) => Ann::Moved,
+            Anns::Stored(Stored::Shared(scan)) => {
+                Ann::Read(Operand::Source(Source::index(sources, Vec::new(), scan)))
+            }
+            Anns::Product(p) => {
+                let left = operand(&p.left, &p.lrows);
+                Ann::Product(left, operand(&p.right, &p.rrows))
+            }
+        }
+    }
+}
+
+impl<'a, K> Operand<'a, K> {
+    /// The annotation of output row `r`, every source being at that row.
+    fn get<V>(&self, r: usize, sources: &[Source<'a, K, V>]) -> Option<&'a K> {
+        match self {
+            Operand::Source(s) => sources.get(*s)?.row?.ann(),
+            Operand::Dense(v, rows) => v.get(*rows.get(r)? as usize),
+        }
     }
 }
 
@@ -718,7 +823,10 @@ where
     /// rows' cells are cloned (or lifted), a shared column's selected
     /// annotations are cloned out of the source relation's store, a dense
     /// column's are moved, and a join's deferred product is taken for
-    /// exactly the selected rows, `l.times(r)` as the eager join did.
+    /// exactly the selected rows, `l.times(r)` as the eager join did. A
+    /// row's cells and annotation are read row by row, and each stored
+    /// relation they come from (one per join side) is searched once per
+    /// row for all of them.
     pub fn into_relation_selected(
         self,
         schema: Schema,
@@ -741,38 +849,57 @@ where
                 "selection vector not strictly ascending within the batch's {nrows} rows"
             ))
         };
-        if sel.is_some_and(|sel| !sel.is_sorted_by(|a, b| a < b)) {
-            return Err(bad_selection());
-        }
-        // Every product before any row, as the eager join had them:
-        // taking each product beside its row measured ≈ 1 ms slower on an
-        // unfiltered 20 000-row join (the tuples then built no longer lay
-        // together for the relation's builder to sort).
-        let anns = column.take(sel).ok_or_else(bad_selection)?;
         let (named, all) = match sel {
+            Some(sel) if !sel.is_sorted_by(|a, b| a < b) => return Err(bad_selection()),
+            Some(sel) if sel.last().is_some_and(|&r| r as usize >= nrows) => {
+                return Err(bad_selection())
+            }
             Some(sel) => (sel, 0),
             None => (&[][..], nrows),
         };
         let rows = named.iter().map(|&r| r as usize).chain(0..all);
+        // A dense annotation column is moved out row by row; every other
+        // annotation and every stored cell is read in its source's row,
+        // which is found once per output row for all of them.
+        let mut dense = match &mut column {
+            Anns::Stored(Stored::Dense(v)) => std::mem::take(v),
+            _ => Vec::new(),
+        };
+        let mut sources = Vec::new();
+        let reads: Vec<_> = cols.iter().map(|c| Read::of(c, &mut sources)).collect();
+        let ann = Ann::of(&column, &mut sources);
         // No allocation per row: each row's cells are collected into one
         // reused buffer and moved from there into the store's blocks. A
         // column that ends early is reported afterwards.
         let mut short = false;
-        let mut curs = vec![Cursor::new(); cols.len()];
         let mut builder = Builder::new(schema.arity(), Merge::Sum);
         let mut row = Vec::with_capacity(schema.arity());
-        for (r, k) in rows.zip(anns) {
+        for r in rows {
+            for source in &mut sources {
+                source.find(r);
+            }
             row.clear();
-            for (col, cur) in cols.iter().zip(&mut curs) {
-                match col.cell(r, cur).and_then(|c| c.value(&lift)) {
+            for read in &reads {
+                match read.value(r, &sources, &lift) {
                     Some(v) => row.push(v),
                     None => short = true,
                 }
             }
-            if short {
-                break;
+            let k = match &ann {
+                Ann::Moved => dense.get_mut(r).map(|k| std::mem::replace(k, K::zero())),
+                Ann::Read(operand) => operand.get(r, &sources).cloned(),
+                Ann::Product(left, right) => left
+                    .get(r, &sources)
+                    .zip(right.get(r, &sources))
+                    .map(|(a, b)| a.times(b)),
+            };
+            match k {
+                Some(k) if !short => builder.push(&mut row, k),
+                _ => {
+                    short = true;
+                    break;
+                }
             }
-            builder.push(&mut row, k);
         }
         for (t, k) in self.fringe {
             builder.push_checked(t.values(), k)?;
@@ -787,7 +914,7 @@ where
         // `embed_scan_join` execute on both seeds measured, against 40–150
         // at the eager join. Freed here, no seed of ten did; that depends
         // on the heap's history, not on work done here.
-        drop((column, cols));
+        drop((dense, column, cols));
         if short {
             return Err(RelError::Internal(
                 "batch column shorter than its row count".into(),

@@ -257,23 +257,23 @@ impl<'a, V, K> Cursor<'a, V, K> {
         }
     }
 
-    /// The block holding position `p`, and `p`'s row in it.
+    /// The row at position `p`.
     #[inline]
-    fn at(
+    pub(crate) fn row(
         &mut self,
         store: &'a Store<V, K>,
         starts: &[usize],
         p: usize,
-    ) -> Option<(&'a Block<V, K>, usize)> {
+    ) -> Option<RowAt<'a, V, K>> {
         if let Some(block) = self.block {
             let i = p.wrapping_sub(self.start);
             if i < block.len() {
-                return Some((block, i));
+                return Some(RowAt { block, i });
             }
         }
         let (block, i) = store.find(starts, p, &mut self.b)?;
         (self.block, self.start) = (Some(block), p - i);
-        Some((block, i))
+        Some(RowAt { block, i })
     }
 
     /// Cell `col` of the row at position `p`.
@@ -285,11 +285,7 @@ impl<'a, V, K> Cursor<'a, V, K> {
         p: usize,
         col: usize,
     ) -> Option<&'a V> {
-        let (block, i) = self.at(store, starts, p)?;
-        if col >= block.arity {
-            return None;
-        }
-        block.cells.get(i * block.arity + col)
+        self.row(store, starts, p)?.cell(col)
     }
 
     /// The annotation of the row at position `p`.
@@ -299,8 +295,39 @@ impl<'a, V, K> Cursor<'a, V, K> {
         starts: &[usize],
         p: usize,
     ) -> Option<&'a K> {
-        let (block, i) = self.at(store, starts, p)?;
-        block.anns.get(i)
+        self.row(store, starts, p)?.ann()
+    }
+}
+
+/// A row a [`Cursor`] found: its cells and its annotation are read
+/// without another lookup.
+pub(crate) struct RowAt<'a, V, K> {
+    block: &'a Block<V, K>,
+    i: usize,
+}
+
+impl<V, K> Clone for RowAt<'_, V, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V, K> Copy for RowAt<'_, V, K> {}
+
+impl<'a, V, K> RowAt<'a, V, K> {
+    /// Cell `col`; `None` past the arity.
+    #[inline]
+    pub(crate) fn cell(self, col: usize) -> Option<&'a V> {
+        if col >= self.block.arity {
+            return None;
+        }
+        self.block.cells.get(self.i * self.block.arity + col)
+    }
+
+    /// The annotation.
+    #[inline]
+    pub(crate) fn ann(self) -> Option<&'a K> {
+        self.block.anns.get(self.i)
     }
 }
 

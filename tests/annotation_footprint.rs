@@ -5,12 +5,12 @@
 //!
 //! Every tuple and every aggregate value carries a `Km<ℕ[X]>`, and a base
 //! table holds one single-token annotation per row: this is the number
-//! `peak_rss_mb` is made of (a ground annotation is `ℕ[X]`'s own one
-//! block — the term slice, with its monomial and a short token name
-//! inline). The budgets further down are counts, not times: allocations
-//! per loaded row, per input row of `Σ` and `GROUP BY`, per join row of a
-//! filtered and an unfiltered join, and how the
-//! count grows when the input doubles (a quadratic sum shows as ≈ 4×
+//! `peak_rss_mb` is made of (a base row's ground annotation is its one
+//! term `1·p`, held in the `ℕ[X]` itself with its monomial and a short
+//! token name: no block at all). The budgets further down are counts,
+//! not times: allocations per loaded row, per input row of `Σ` and
+//! `GROUP BY`, per join row of a filtered and an unfiltered join, and how
+//! the count grows when the input doubles (a quadratic sum shows as ≈ 4×
 //! without a clock). This binary is the only place in the workspace with
 //! `unsafe` (the `GlobalAlloc` impl); it holds one test, so nothing else
 //! allocates on the measuring thread, and every operator runs under
@@ -90,12 +90,6 @@ fn token(name: &str) -> Prov {
     Km::embed(NatPoly::token(name))
 }
 
-/// True iff both annotations are ground and hold the same `ℕ[X]` term
-/// storage (a ground `Km` has no outer polynomial to share).
-fn shares(a: &Prov, b: &Prov) -> bool {
-    matches!((a.try_collapse(), b.try_collapse()), (Some(a), Some(b)) if a.shares_terms_with(&b))
-}
-
 /// `rows` single-token rows `(emp, dept, sal, one)`: `emp` distinct,
 /// `depts` departments, seven salaries (so every group's `SUM` has runs of
 /// equal elements), `one` the unit column `COUNT(*)` sums.
@@ -132,10 +126,11 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let mut annotations: Vec<Km<NatPoly>> = Vec::with_capacity(ROWS);
     let mut copies: Vec<Km<NatPoly>> = Vec::with_capacity(ROWS);
 
-    // One token per row, as `INSERT … PROVENANCE t<i>` builds them: one
-    // block, the `ℕ[X]` term slice, with the one-pair monomial and the
-    // short name inline in it, held ground in the `Km` itself. (With the
-    // name in a block of its own it was 2 blocks and 80 bytes; with an
+    // One token per row, as `INSERT … PROVENANCE t<i>` builds them: the
+    // one term `1·t<i>`, with its one-token monomial and short name, held
+    // inside the `ℕ[X]` and that held ground in the `Km` itself, so no
+    // block at all. (With the term in a shared slice it was 1 block and 56
+    // bytes, with the name in a block of its own besides 2 and 80; with an
     // outer `K^M` term and a monomial buffer 4 blocks and 152 bytes; the
     // B-tree representation requested 960 bytes for the same value.)
     let names: Vec<String> = (0..ROWS).map(|i| format!("t{i}")).collect();
@@ -144,21 +139,21 @@ fn single_token_annotations_are_small_and_clone_for_free() {
             annotations.push(Km::embed(NatPoly::token(name)));
         }
     });
-    let per_row = live as usize / ROWS;
-    assert!(per_row <= 56, "{per_row} live heap bytes per annotation");
-    assert!(
-        per_row >= 48,
-        "{per_row} bytes: the counter is not counting"
+    assert_eq!(
+        (allocations, live),
+        (0, 0),
+        "{ROWS} base tokens: allocations and live heap bytes"
     );
-    assert_eq!(allocations, ROWS, "allocations for {ROWS} tokens");
     // A base table of the benchmark's `emp` shape, three integers and a
     // `p<i>` token a row, loaded through `Relation::insert`: the row
     // vector (its cells move into the store's block, and it is freed) and
-    // the token's term slice, 2.006 allocations and 152.6 bytes a row —
-    // 72 bytes of cells, a 24-byte annotation and the 56-byte term slice
-    // (3.004 / 184.2 while every row was a tuple of its own behind a
-    // 40-byte block entry, 208.2 while a cell was 32 bytes, 232.2 with
-    // each name in a block of its own besides).
+    // nothing else, 1.006 allocations and 104.7 bytes a row — 72 bytes of
+    // cells and a 32-byte annotation with its token inside (2.006 / 152.6
+    // while the token was a 56-byte
+    // term slice beside a 24-byte annotation, 3.004 / 184.2 while every
+    // row was a tuple of its own behind a 40-byte block entry, 208.2 while
+    // a cell was 32 bytes, 232.2 with each name in a block of its own
+    // besides).
     let names: Vec<String> = (0..LOAD).map(|i| format!("p{i}")).collect();
     let schema = Schema::new(["emp", "dept", "sal"]).unwrap();
     let (table, live, allocations, _) = measured(|| {
@@ -170,8 +165,9 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         table
     });
     assert_eq!(table.len(), LOAD);
+    assert!(allocations >= LOAD, "the counter is not counting");
     assert!(
-        allocations * 100 <= LOAD * 201 && live as usize <= 156 * LOAD,
+        allocations * 100 <= LOAD * 101 && live as usize <= 105 * LOAD,
         "{LOAD} emp rows inserted: {allocations} allocations, {live} bytes"
     );
     drop((table, names));
@@ -197,20 +193,20 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     let (_, _, allocations, _) = measured(|| Km::embed(inner));
     assert_eq!(allocations, 0, "embed must not allocate");
 
-    // Cloning shares the term storage: a reference-count bump each.
+    // Cloning copies the token where it lies.
     let ((), live, allocations, _) = measured(|| copies.extend(annotations.iter().cloned()));
     assert_eq!((allocations, live), (0, 0), "clone must not allocate");
-    assert!(copies.iter().zip(&annotations).all(|(c, a)| shares(c, a)));
+    assert_eq!(copies, annotations);
 
     // Neither does the zero annotation.
     let (zero, _, allocations, _) = measured(Km::<NatPoly>::zero);
     assert!(zero.is_zero());
     assert_eq!(allocations, 0, "zero must not allocate");
-    // (a) Multiplying by 1 hands the other operand's storage back.
+    // (a) Multiplying by 1 hands the other operand back.
     let (a, one) = (token("a"), Prov::one());
     let ((left, right), _, allocations, _) = measured(|| (a.times(&one), one.times(&a)));
     assert_eq!(allocations, 0, "times(1) must not allocate");
-    assert!(shares(&left, &a) && shares(&right, &a));
+    assert!(left == a && right == a);
 
     // A tensor's terms are shared as a polynomial's are: copying an
     // aggregate cell (every `Tuple::project` does) and the zero tensor
@@ -346,10 +342,12 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // (three allocations a block: its `Arc`, its cells, its annotations;
     // an ordered map made one node per six rows: 0.167 per row, 78 bytes).
     // The store's own bytes are the row's cell and annotation and a share
-    // of the block: 610 allocations and 48.3 bytes a unary row (the last
-    // block is sized for 512 rows). This budget counts the cell the store
-    // now owns; it was 48 bytes while a row was a 40-byte block entry
-    // pointing at a tuple allocated outside the measured closure, …
+    // of the block: 610 allocations and 56.4 bytes a unary row, a 24-byte
+    // cell and a 32-byte annotation (48.3 while an annotation was 24
+    // bytes; the last block is sized for 512 rows). This budget counts the
+    // cell the store now owns; it was 48 bytes while a row was a 40-byte
+    // block entry pointing at a tuple allocated outside the measured
+    // closure, …
     const LOAD: usize = 100_000;
     let unary = Schema::new(["emp"]).unwrap();
     let key = |i: usize| Tuple::from([Value::<Prov>::int(i as i64)]);
@@ -363,7 +361,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     });
     assert_eq!(table.len(), LOAD);
     assert!(
-        allocations * 100 <= LOAD && live as usize <= 49 * LOAD,
+        allocations * 100 <= LOAD && live as usize <= 57 * LOAD,
         "{LOAD} ascending adds: {allocations} allocations, {live} bytes"
     );
     // … a write under a pinned clone copies the block pointers and the
@@ -463,7 +461,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     };
     let execute = |sql: &str| run(db.prepare(sql).unwrap());
     let join = "SELECT e.emp, d.cap FROM emp e JOIN dim d ON e.dept = d.dept2";
-    // 947 rows kept: 2 700 allocations, 0.14 per join row (0.18 while
+    // 947 rows kept: 2 704 allocations, 0.14 per join row (0.18 while
     // every kept row was a tuple of its own, 2.09 when every join row was
     // multiplied before the filter ran).
     let (rows, cross_side, _) = execute(&format!("{join} WHERE e.sal < d.cap"));
@@ -472,7 +470,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         cross_side * 100 <= JOIN_ROWS * 25,
         "cross-side filter over a join: {cross_side} allocations for {JOIN_ROWS} join rows"
     );
-    // Every row kept: 40 928 allocations, 2.05 per row — the two of each
+    // Every row kept: 40 932 allocations, 2.05 per row — the two of each
     // row's `⊗`, as when the join multiplied eagerly (deferring adds
     // nothing when nothing is dropped), and no tuple (3.04 while every
     // output row was a tuple of its own).
@@ -483,7 +481,7 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "unfiltered join: {unfiltered} allocations for {JOIN_ROWS} rows"
     );
     // A join whose probe side is a deferred join: the inner products are
-    // multiplied out once each, for the rows the outer pairs name. 101 060
+    // multiplied out once each, for the rows the outer pairs name. 101 063
     // allocations (101 074 while each join gathered its output columns);
     // 121 007 while every output row was a tuple of its own,
     // and 121 009 when besides the join multiplied eagerly and every scan
@@ -498,17 +496,20 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // (g) A scan copies no cell and no annotation: the chunk reads the
     // table's where its store keeps them, and only the rows that reach the
     // result are cloned. At its high-water mark an execute holds the
-    // filter's selection vector (4 bytes a scanned row), the result
-    // relation's blocks and, joined, the result's products: 10.8 bytes per
-    // `emp` row for the scan, 20.9 joined to `dim`. Copying the three
-    // scanned columns into `i64` runs read 28.9 and 30.7 (one such column
-    // alone adds 8 bytes a row, over either budget); cloning every scanned
-    // row's annotation into the chunk besides, 52.9 and 55.0.
+    // filter's selection vector (4 bytes a kept row), the result
+    // relation's blocks and, joined, the join's index vectors and the
+    // result's products: 6.4 bytes per `emp` row for the scan, 22.0
+    // joined to `dim` (11.9 and 22.0 while the selection vector kept a
+    // slot for every scanned row; 10.8 and 20.9 besides while an
+    // annotation was 24 bytes). Copying the three scanned columns into
+    // `i64` runs read 28.9 and 30.7 (one such column alone adds 8 bytes a
+    // row, over either budget); cloning every scanned row's annotation
+    // into the chunk besides, 52.9 and 55.0.
     for (what, sql, budget) in [
         (
             "scan",
             "SELECT emp, sal FROM emp WHERE sal < 20".to_string(),
-            12,
+            7,
         ),
         ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 23),
     ] {
@@ -524,16 +525,17 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // `prepare_unoptimized` plans it): every `emp` row is joined before
     // the filter drops 95 % of them. The join writes its match rows into
     // the two index vectors its output reads through and gathers no
-    // column: 24.3 bytes per join row at the high-water mark (the index
-    // vectors, the selection vector, the result). 72.1 while the join
-    // collected its pairs, unzipped them and gathered five output
-    // columns.
+    // column: 19.5 bytes per join row at the high-water mark (the index
+    // vectors, the selection vector, the result; 24.9 while the selection
+    // vector kept a slot for every join row, 24.3 besides while an
+    // annotation was 24 bytes). 72.1 while the join collected its pairs,
+    // unzipped them and gathered five output columns.
     let (rows, _, peak) = run(db
         .prepare_unoptimized(&format!("{join} WHERE e.sal < 20"))
         .unwrap());
     assert_eq!(rows, 1_054);
     assert!(
-        peak <= 28 * JOIN_ROWS,
+        peak <= 21 * JOIN_ROWS,
         "unoptimized join then filter: {:.1} bytes at the high-water mark per join row",
         peak as f64 / JOIN_ROWS as f64
     );

@@ -85,8 +85,9 @@ fn deletion_touches_only_what_mentions_a_fired_token() {
     assert_eq!(db.cached_plan_count(), plans);
 
     // Employee tokens: `dept` keeps its store and its cached plan, `emp`
-    // is rebuilt, and the surviving rows share their annotations' term
-    // storage with the snapshot's — carried over, not re-derived.
+    // is rebuilt, and the surviving rows keep their annotations — carried
+    // over, not re-derived: equal, and an annotation that holds shared
+    // term storage holds the snapshot's.
     db.delete_tokens(fired.iter().map(|s| s.as_str())).unwrap();
     let (dept, emp) = (db.table("dept").unwrap(), db.table("emp").unwrap());
     assert!(dept.shares_tuples_with(before.table("dept").unwrap()));
@@ -94,9 +95,16 @@ fn deletion_touches_only_what_mentions_a_fired_token() {
     let frozen = before.table("emp").unwrap();
     assert_eq!(emp.len(), frozen.len() - fired.len());
     for (t, k) in emp.iter() {
-        // Base rows are ground: the shared storage is the `ℕ[X]` token's.
-        let (k, old) = (k.try_collapse(), frozen.annotation(&t).try_collapse());
-        assert!(k.unwrap().shares_terms_with(&old.unwrap()), "row {t}");
+        // Base rows are ground: any shared storage is the `ℕ[X]`'s (a
+        // single token holds its term inline, so it has none).
+        let (k, old) = (k.try_collapse().unwrap(), frozen.annotation(&t));
+        let old = old.try_collapse().unwrap();
+        assert_eq!(k, old, "row {t}");
+        assert_eq!(
+            k.shares_terms_with(&old),
+            old.shares_terms_with(&old),
+            "row {t}"
+        );
     }
 }
 
