@@ -77,6 +77,10 @@ impl ExecOptions {
     /// A set-but-unusable value (not a positive integer thread count) is
     /// a loud [`RelError::InvalidEnv`] — `AGGPROV_THREADS=fast` must fail
     /// the query, not silently serialize it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "AGGPROV_THREADS is read here and nowhere else"
+    )]
     pub fn from_env() -> Result<Self> {
         match std::env::var(THREADS_ENV) {
             Err(std::env::VarError::NotPresent) => Ok(Self::available()),

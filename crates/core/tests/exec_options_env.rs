@@ -6,6 +6,10 @@
 use aggprov_core::par::{ExecOptions, THREADS_ENV};
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "saves AGGPROV_THREADS to restore it"
+)]
 fn from_env_reads_and_rejects_loudly() {
     // Restores the prior value so a CI thread-matrix env survives.
     let saved = std::env::var(THREADS_ENV).ok();

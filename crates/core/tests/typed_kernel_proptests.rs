@@ -193,25 +193,16 @@ proptest! {
 
     #[test]
     fn typed_column_round_trips_all_variants(vals in prop::collection::vec(raw_const(), 0..40)) {
-        // from_consts → to_consts is the identity whatever variant the
-        // probe (and any mid-stream demotion) lands on.
+        // from_consts, then `get` on every row, is the identity whatever
+        // variant the probe (and any mid-stream demotion) lands on.
         let consts: Vec<Const> = vals.into_iter().map(decode_const).collect();
         let col = TypedColumn::from_consts(consts.clone());
         prop_assert_eq!(col.len(), consts.len());
-        prop_assert_eq!(col.to_consts(), consts.clone());
-        // Per-row access agrees with the bulk path, and one-past-the-end
-        // is None, not a panic.
         for (r, c) in consts.iter().enumerate() {
             prop_assert_eq!(col.get(r).as_ref(), Some(c));
         }
+        // One-past-the-end is None, not a panic.
         prop_assert!(col.get(consts.len()).is_none());
-        // Gather of the reversed row set re-materializes losslessly
-        // (dictionary columns share their dictionary through it).
-        let rows: Vec<u32> = (0..consts.len() as u32).rev().collect();
-        let gathered = col.gather(&rows).expect("rows in range");
-        let mut rev = consts.clone();
-        rev.reverse();
-        prop_assert_eq!(gathered.to_consts(), rev);
     }
 
     #[test]

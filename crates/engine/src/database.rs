@@ -41,7 +41,7 @@ use aggprov_krel::relation::{Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 #[path = "view.rs"]
 pub mod view;
@@ -163,6 +163,13 @@ impl CacheEntry {
 /// The `Prepared`-plan cache: SQL text → fully lowered statement, bounded
 /// LRU, per-table invalidation, readers share an [`RwLock`] read guard (a
 /// hit never serializes concurrent preparers on a write lock).
+///
+/// The lock is taken in [`PlanCache::read`] and [`PlanCache::write`]
+/// alone, for the span of a closure over [`CacheInner`] — which holds no
+/// lock and calls out to nothing that takes one. So the cache is a leaf:
+/// no other lock is ever acquired under its guard, and the server's
+/// database lock, which this crate cannot name, can only be taken before
+/// it.
 #[derive(Debug)]
 struct PlanCache {
     inner: RwLock<CacheInner>,
@@ -189,14 +196,24 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, CacheInner> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is always in a consistent state.
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` under the read lock. A poisoned lock only means another
+    /// thread panicked mid-insert; the map itself is always in a
+    /// consistent state.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the plan cache's one read guard, scoped to `f`"
+    )]
+    fn read<R>(&self, f: impl FnOnce(&CacheInner) -> R) -> R {
+        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, CacheInner> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` under the write lock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the plan cache's one write guard, scoped to `f`"
+    )]
+    fn write<R>(&self, f: impl FnOnce(&mut CacheInner) -> R) -> R {
+        f(&mut self.inner.write().unwrap_or_else(PoisonError::into_inner))
     }
 
     fn tick(&self) -> u64 {
@@ -207,81 +224,86 @@ impl PlanCache {
     /// still has the version the plan was optimized against in the
     /// caller's epoch. A hit refreshes the LRU stamp under the read lock.
     fn get<A: AggAnnotation>(&self, sql: &str, epoch: &EpochTables<A>) -> Option<CachedStatement> {
-        let inner = self.read();
-        let entry = inner.map.get(sql)?;
-        if !entry
-            .stmt
-            .deps
-            .iter()
-            .all(|(table, version)| epoch.table_version(table) == Some(*version))
-        {
-            return None;
-        }
-        entry.stamp.store(self.tick(), Ordering::Relaxed);
-        Some(entry.stmt.clone())
+        self.read(|inner| {
+            let entry = inner.map.get(sql)?;
+            if !entry
+                .stmt
+                .deps
+                .iter()
+                .all(|(table, version)| epoch.table_version(table) == Some(*version))
+            {
+                return None;
+            }
+            entry.stamp.store(self.tick(), Ordering::Relaxed);
+            Some(entry.stmt.clone())
+        })
     }
 
     /// Inserts a statement, evicting the least-recently-used entry when
     /// the cache is full.
     fn insert(&self, sql: &str, stmt: CachedStatement) {
-        let mut inner = self.write();
-        while inner.map.len() >= inner.capacity && !inner.map.contains_key(sql) {
-            let Some(lru) = inner
+        self.write(|inner| {
+            while inner.map.len() >= inner.capacity && !inner.map.contains_key(sql) {
+                let Some(lru) = inner
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
+                    .map(|(sql, _)| sql.clone())
+                else {
+                    break;
+                };
+                inner.map.remove(&lru);
+            }
+            let stamp = AtomicU64::new(self.tick());
+            inner
                 .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(sql, _)| sql.clone())
-            else {
-                break;
-            };
-            inner.map.remove(&lru);
-        }
-        let stamp = AtomicU64::new(self.tick());
-        inner
-            .map
-            .insert(sql.to_string(), CacheEntry { stmt, stamp });
+                .insert(sql.to_string(), CacheEntry { stmt, stamp });
+        });
     }
 
     /// Drops every entry whose plan depends on `table` — the per-table
     /// invalidation run by `INSERT`/DDL/`register`.
     fn invalidate_table(&self, table: &str) {
-        self.write()
-            .map
-            .retain(|_, e| !e.stmt.deps.iter().any(|(t, _)| t == table));
+        self.write(|inner| {
+            inner
+                .map
+                .retain(|_, e| !e.stmt.deps.iter().any(|(t, _)| t == table));
+        });
     }
 
     fn len(&self) -> usize {
-        self.read().map.len()
+        self.read(|inner| inner.map.len())
     }
 
     fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.write();
-        inner.capacity = capacity.max(1);
-        while inner.map.len() > inner.capacity {
-            let Some(lru) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(sql, _)| sql.clone())
-            else {
-                break;
-            };
-            inner.map.remove(&lru);
-        }
+        self.write(|inner| {
+            inner.capacity = capacity.max(1);
+            while inner.map.len() > inner.capacity {
+                let Some(lru) = inner
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
+                    .map(|(sql, _)| sql.clone())
+                else {
+                    break;
+                };
+                inner.map.remove(&lru);
+            }
+        });
     }
 
     /// An independent cache holding the same entries (for `Clone`).
     fn duplicate(&self) -> PlanCache {
-        let inner = self.read();
+        let inner = self.read(|inner| CacheInner {
+            map: inner
+                .map
+                .iter()
+                .map(|(sql, e)| (sql.clone(), e.duplicate()))
+                .collect(),
+            capacity: inner.capacity,
+        });
         PlanCache {
-            inner: RwLock::new(CacheInner {
-                map: inner
-                    .map
-                    .iter()
-                    .map(|(sql, e)| (sql.clone(), e.duplicate()))
-                    .collect(),
-                capacity: inner.capacity,
-            }),
+            inner: RwLock::new(inner),
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
         }
     }

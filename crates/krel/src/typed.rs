@@ -37,11 +37,8 @@
 //!
 //! Equality on [`TypedColumn`] (and [`StrColumn`]) is **representational**:
 //! the same values held as `Num(vec![1])` and `Boxed(vec![Const::int(1)])`
-//! compare unequal, as do equal string columns whose dictionaries differ
-//! (a [`StrColumn::gather`]ed column keeps its parent's whole dictionary,
-//! so it differs from a column interned from the gathered values alone).
-//! Compare decoded values ([`TypedColumn::to_consts`]) for semantic
-//! equality.
+//! compare unequal, as do equal string columns whose dictionaries differ.
+//! Compare decoded values ([`TypedColumn::get`]) for semantic equality.
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unreachable)]
@@ -64,11 +61,9 @@ struct Dict {
 /// A dictionary-encoded string column: one `u32` code per row plus the
 /// interned dictionary it indexes.
 ///
-/// A gathered column ([`StrColumn::gather`]) shares its parent's
-/// dictionary through one `Arc` (no copy, no re-interning), so a
-/// dictionary may be a superset of the values actually present in
-/// `codes`; interning a new string into a shared dictionary copies it
-/// first ([`StrColumn::push`]).
+/// A clone shares its parent's dictionary through one `Arc` (no copy, no
+/// re-interning); interning a new string into a shared dictionary copies
+/// it first ([`StrColumn::push`]).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct StrColumn {
     codes: Vec<u32>,
@@ -142,20 +137,6 @@ impl StrColumn {
     /// The string at row `r`.
     pub fn get(&self, r: usize) -> Option<&Name> {
         self.decode(*self.codes.get(r)?)
-    }
-
-    /// Gathers the named rows into a new column **sharing this
-    /// dictionary** (one `Arc` bump: O(rows), whatever the dictionary's
-    /// size). `None` if any row is out of range.
-    pub fn gather(&self, rows: &[u32]) -> Option<StrColumn> {
-        let mut codes = Vec::with_capacity(rows.len());
-        for &r in rows {
-            codes.push(*self.codes.get(r as usize)?);
-        }
-        Some(StrColumn {
-            codes,
-            dict: Arc::clone(&self.dict),
-        })
     }
 }
 
@@ -265,42 +246,6 @@ impl TypedColumn {
             TypedColumn::Boxed(v) => v.get(r).cloned(),
         }
     }
-
-    /// Gathers the named rows into a new column of the same variant.
-    /// `None` if any row is out of range.
-    pub fn gather(&self, rows: &[u32]) -> Option<TypedColumn> {
-        match self {
-            TypedColumn::Num(v) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    out.push(*v.get(r as usize)?);
-                }
-                Some(TypedColumn::Num(out))
-            }
-            TypedColumn::Str(sc) => sc.gather(rows).map(TypedColumn::Str),
-            TypedColumn::Boxed(v) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    out.push(v.get(r as usize)?.clone());
-                }
-                Some(TypedColumn::Boxed(out))
-            }
-        }
-    }
-
-    /// Re-materializes every row as a boxed value (for semantic
-    /// comparisons and slow paths).
-    pub fn to_consts(&self) -> Vec<Const> {
-        match self {
-            TypedColumn::Num(v) => v.iter().map(|&i| Const::int(i)).collect(),
-            TypedColumn::Str(sc) => sc
-                .codes()
-                .iter()
-                .filter_map(|&code| sc.decode(code).cloned().map(Const::Str))
-                .collect(),
-            TypedColumn::Boxed(v) => v.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -308,12 +253,17 @@ mod tests {
     use super::*;
     use aggprov_algebra::num::Num;
 
+    /// Every row of `col`, read back through [`TypedColumn::get`].
+    fn decoded(col: &TypedColumn) -> Vec<Const> {
+        (0..col.len()).filter_map(|r| col.get(r)).collect()
+    }
+
     #[test]
     fn probes_num_and_round_trips() {
         let vals = vec![Const::int(3), Const::int(-7), Const::int(0)];
         let col = TypedColumn::from_consts(vals.clone());
         assert_eq!(col, TypedColumn::Num(vec![3, -7, 0]));
-        assert_eq!(col.to_consts(), vals);
+        assert_eq!(decoded(&col), vals);
         assert_eq!(col.get(1), Some(Const::int(-7)));
     }
 
@@ -328,7 +278,7 @@ mod tests {
         assert_eq!(sc.dict().len(), 2);
         assert_eq!(sc.code_of("b"), Some(1));
         assert_eq!(sc.code_of("c"), None);
-        assert_eq!(col.to_consts(), vals);
+        assert_eq!(decoded(&col), vals);
     }
 
     #[test]
@@ -337,13 +287,13 @@ mod tests {
         let vals = vec![Const::int(1), Const::str("x"), Const::Bool(true)];
         let col = TypedColumn::from_consts(vals.clone());
         assert_eq!(col.variant(), "boxed");
-        assert_eq!(col.to_consts(), vals);
+        assert_eq!(decoded(&col), vals);
 
         // Str prefix, then a number.
         let vals = vec![Const::str("x"), Const::str("x"), Const::int(1)];
         let col = TypedColumn::from_consts(vals.clone());
         assert_eq!(col.variant(), "boxed");
-        assert_eq!(col.to_consts(), vals);
+        assert_eq!(decoded(&col), vals);
     }
 
     #[test]
@@ -352,7 +302,7 @@ mod tests {
         let vals = vec![Const::Num(Num::ratio(1, 2)), Const::Num(Num::PosInf)];
         let col = TypedColumn::from_consts(vals.clone());
         assert_eq!(col.variant(), "boxed");
-        assert_eq!(col.to_consts(), vals);
+        assert_eq!(decoded(&col), vals);
 
         // A bool as first value adopts Boxed from the probing state.
         let col = TypedColumn::from_consts(vec![Const::Bool(false)]);
@@ -360,49 +310,22 @@ mod tests {
     }
 
     #[test]
-    fn gather_shares_the_dictionary() {
-        let col = TypedColumn::from_consts(vec![
-            Const::str("a"),
-            Const::str("b"),
-            Const::str("c"),
-            Const::str("b"),
-        ]);
-        let g = col.gather(&[3, 1, 0]).unwrap();
-        let TypedColumn::Str(sc) = &g else {
-            panic!("gather changed variant");
-        };
-        assert_eq!(sc.dict().len(), 3, "dictionary shared, not re-interned");
-        assert_eq!(
-            g.to_consts(),
-            vec![Const::str("b"), Const::str("b"), Const::str("a")]
-        );
-        assert_eq!(col.gather(&[4]), None, "out of range");
-
-        let n = TypedColumn::Num(vec![10, 20, 30]);
-        assert_eq!(n.gather(&[2, 0]), Some(TypedColumn::Num(vec![30, 10])));
-    }
-
-    #[test]
-    fn gather_is_o_rows_over_a_large_dictionary() {
-        // 50 000 distinct strings; gathering 3 rows must not copy the
-        // dictionary (or its index) — parent and child share one `Arc`.
+    fn a_clone_shares_its_dictionary_until_it_interns() {
         let mut parent = StrColumn::new();
-        for i in 0..50_000 {
-            assert!(parent.push(&Name::new(&format!("s{i}"))));
+        for s in ["a", "b", "c"] {
+            assert!(parent.push(&Name::new(s)));
         }
-        let mut g = parent.gather(&[49_999, 0, 7]).unwrap();
-        assert!(Arc::ptr_eq(&parent.dict, &g.dict), "dictionary copied");
-        let decoded: Vec<&str> = (0..3).filter_map(|r| g.get(r).map(|s| &**s)).collect();
-        assert_eq!(decoded, ["s49999", "s0", "s7"]);
+        let mut child = parent.clone();
+        assert!(Arc::ptr_eq(&parent.dict, &child.dict), "dictionary copied");
         // A known string reuses its code and keeps sharing…
-        assert!(g.push(&Name::new("s7")));
-        assert!(Arc::ptr_eq(&parent.dict, &g.dict));
+        assert!(child.push(&Name::new("b")));
+        assert!(Arc::ptr_eq(&parent.dict, &child.dict));
         // …a new one copies on write: the parent never sees it.
-        assert!(g.push(&Name::new("fresh")));
-        assert!(!Arc::ptr_eq(&parent.dict, &g.dict));
-        assert_eq!(g.get(4).map(|s| &**s), Some("fresh"));
-        assert_eq!(parent.dict().len(), 50_000);
+        assert!(child.push(&Name::new("fresh")));
+        assert!(!Arc::ptr_eq(&parent.dict, &child.dict));
+        assert_eq!(child.get(4).map(|s| &**s), Some("fresh"));
+        assert_eq!(parent.dict().len(), 3);
         assert_eq!(parent.code_of("fresh"), None);
-        assert_eq!(g.code_of("fresh"), Some(50_000));
+        assert_eq!(child.code_of("fresh"), Some(3));
     }
 }

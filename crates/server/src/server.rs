@@ -15,11 +15,15 @@
 //! - a session's registered socket handle lives exactly as long as the
 //!   session: its thread drops the entry on exit, so closed connections
 //!   hold no file descriptors, and a failing `accept` (descriptor
-//!   exhaustion) backs off instead of spinning.
+//!   exhaustion) backs off instead of spinning;
+//! - the connection table holds `Peer`s, which can only be shut down —
+//!   no socket read or write compiles on an entry — and `Conns::with` is
+//!   the one place its mutex is taken, for the closure's span only.
 
 use crate::session::{error_response, Control, Session};
 use crate::Json;
 use aggprov_engine::ProvDb;
+use peer::Peer;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -40,8 +44,43 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 /// the smoke client's 5 000-level nested query is about 130 KB.
 pub const MAX_REQUEST_BYTES: usize = 4 * 1024 * 1024;
 
+mod peer {
+    use std::net::{Shutdown, TcpStream};
+
+    /// A session's socket as the connection table holds it: it can be
+    /// shut down, and nothing else — no read, write or flush.
+    #[derive(Debug)]
+    pub(super) struct Peer(TcpStream);
+
+    impl Peer {
+        /// Registers a handle to `stream` (a clone of the session's own).
+        pub(super) fn new(stream: TcpStream) -> Peer {
+            Peer(stream)
+        }
+
+        /// Shuts both directions down, so a session blocked reading wakes
+        /// with EOF. Best effort: an already closed socket is fine.
+        pub(super) fn shutdown(&self) {
+            let _ = self.0.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 /// The sockets of the sessions still running, by connection number.
-type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+#[derive(Clone, Debug, Default)]
+struct Conns(Arc<Mutex<HashMap<u64, Peer>>>);
+
+impl Conns {
+    /// Runs `f` on the table under its lock; a poisoned lock still holds
+    /// valid entries.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the connection table's one guard, scoped to `f`"
+    )]
+    fn with<R>(&self, f: impl FnOnce(&mut HashMap<u64, Peer>) -> R) -> R {
+        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
 
 /// A running server bound to a local address.
 pub struct Server {
@@ -89,7 +128,7 @@ impl Server {
         ShutdownHandle {
             stop: Arc::clone(&self.stop),
             addr: self.listener.local_addr().ok(),
-            conns: Arc::clone(&self.conns),
+            conns: self.conns.clone(),
         }
     }
 
@@ -118,14 +157,14 @@ impl Server {
             // refuses the option still works.
             let _ = stream.set_nodelay(true);
             if let Ok(clone) = stream.try_clone() {
-                lock(&self.conns).insert(id, clone);
+                self.conns.with(|table| table.insert(id, Peer::new(clone)));
             }
             let db = Arc::clone(&self.db);
             let shutdown = shutdown.clone();
-            let conns = Arc::clone(&self.conns);
+            let conns = self.conns.clone();
             sessions.push(std::thread::spawn(move || {
                 serve_connection(stream, db, shutdown);
-                lock(&conns).remove(&id);
+                conns.with(|table| table.remove(&id));
             }));
             sessions.retain(|handle| !handle.is_finished());
         }
@@ -157,8 +196,12 @@ impl ShutdownHandle {
         if let Some(addr) = self.addr {
             let _ = TcpStream::connect(addr);
         }
-        for (_, conn) in lock(&self.conns).drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+        // Drain under the lock, shut down outside it.
+        let peers: Vec<Peer> = self
+            .conns
+            .with(|table| table.drain().map(|(_, p)| p).collect());
+        for peer in &peers {
+            peer.shutdown();
         }
     }
 
@@ -166,11 +209,6 @@ impl ShutdownHandle {
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
-}
-
-/// Locks the connection table; a poisoned lock still holds valid sockets.
-fn lock(conns: &Conns) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
-    conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One connection's loop: read a line, handle, write a line. Request

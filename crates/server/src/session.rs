@@ -37,9 +37,42 @@ pub enum Control {
 /// A session trying to hoard more gets an error, not an OOM.
 pub const MAX_HANDLES: usize = 1024;
 
+/// The live database, reached only through a closure: the one place a
+/// session takes its lock. Not `Clone`, and both accessors take
+/// `&mut self`, so a second access inside the closure is a borrow error
+/// (E0500/E0501) — a session cannot nest its guards — and the closure
+/// sees the database alone, not the session or its socket.
+struct LiveDb(Arc<RwLock<ProvDb>>);
+
+impl LiveDb {
+    /// Runs `f` under the read lock.
+    ///
+    /// Lock poisoning is deliberately shrugged off here and in
+    /// [`LiveDb::write`]: a panicking writer must not brick the server,
+    /// and every published epoch is a consistent database (mutations
+    /// validate before they publish), so recovering the inner value is
+    /// safe.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the session's one read guard, scoped to `f`"
+    )]
+    fn read<R>(&mut self, f: impl FnOnce(&ProvDb) -> R) -> R {
+        f(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Runs `f` under the write lock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the session's one write guard, scoped to `f`"
+    )]
+    fn write<R>(&mut self, f: impl FnOnce(&mut ProvDb) -> R) -> R {
+        f(&mut self.0.write().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
 /// One connected client's state.
 pub struct Session {
-    db: Arc<RwLock<ProvDb>>,
+    db: LiveDb,
     snap: DbSnapshot<Prov>,
     stmts: HashMap<i64, (String, SnapPrepared<Prov>)>,
     results: HashMap<i64, ResultSet<Prov>>,
@@ -58,13 +91,9 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Opens a session, pinning the database's current epoch.
-    ///
-    /// Lock poisoning is deliberately shrugged off everywhere in this
-    /// module: a panicking writer must not brick the server, and every
-    /// published epoch is a consistent database (mutations validate
-    /// before they publish), so recovering the inner value is safe.
     pub fn new(db: Arc<RwLock<ProvDb>>) -> Session {
-        let snap = db.read().unwrap_or_else(PoisonError::into_inner).snapshot();
+        let mut db = LiveDb(db);
+        let snap = db.read(ProvDb::snapshot);
         Session {
             db,
             snap,
@@ -152,10 +181,11 @@ impl Session {
     /// `refresh` to observe the new epoch.
     fn op_sql(&mut self, req: &Json) -> Result<Json, String> {
         let script = str_field(req, Op::Sql, "sql")?;
-        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
-        let out = db.exec(script).map_err(|e| e.to_string())?;
-        let mut body = vec![("epoch", Json::Int(db.epoch() as i64))];
-        drop(db);
+        let (out, epoch) = self.db.write(|db| {
+            let out = db.exec(script).map_err(|e| e.to_string())?;
+            Ok::<_, String>((out, db.epoch()))
+        })?;
+        let mut body = vec![("epoch", Json::Int(epoch as i64))];
         if let Some(rel) = out {
             let rendered = render_relation_body(&ResultSet::from_relation(rel));
             body.extend(rendered);
@@ -170,11 +200,11 @@ impl Session {
     fn op_materialize(&mut self, req: &Json) -> Result<Json, String> {
         let name = str_field(req, Op::Materialize, "name")?;
         let sql = str_field(req, Op::Materialize, "sql")?;
-        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
-        db.materialize(name, sql).map_err(|e| e.to_string())?;
-        let strategy = db.view_strategy(name).map_err(|e| e.to_string())?;
-        let epoch = db.epoch();
-        drop(db);
+        let (strategy, epoch) = self.db.write(|db| {
+            db.materialize(name, sql).map_err(|e| e.to_string())?;
+            let strategy = db.view_strategy(name).map_err(|e| e.to_string())?;
+            Ok::<_, String>((strategy, db.epoch()))
+        })?;
         Ok(Json::obj([
             ("epoch", Json::Int(epoch as i64)),
             ("strategy", Json::str(strategy_name(strategy))),
@@ -201,10 +231,10 @@ impl Session {
     /// Drops a materialized view on the live database.
     fn op_drop_view(&mut self, req: &Json) -> Result<Json, String> {
         let name = str_field(req, Op::DropView, "name")?;
-        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
-        db.drop_view(name).map_err(|e| e.to_string())?;
-        let epoch = db.epoch();
-        drop(db);
+        let epoch = self.db.write(|db| {
+            db.drop_view(name).map_err(|e| e.to_string())?;
+            Ok::<_, String>(db.epoch())
+        })?;
         Ok(Json::obj([("epoch", Json::Int(epoch as i64))]))
     }
 
@@ -215,10 +245,10 @@ impl Session {
     /// database alone.)
     fn op_db_delete_tokens(&mut self, req: &Json) -> Result<Json, String> {
         let names = token_names(req, Op::DbDeleteTokens)?;
-        let mut db = self.db.write().unwrap_or_else(PoisonError::into_inner);
-        db.delete_tokens(names).map_err(|e| e.to_string())?;
-        let epoch = db.epoch();
-        drop(db);
+        let epoch = self.db.write(|db| {
+            db.delete_tokens(names).map_err(|e| e.to_string())?;
+            Ok::<_, String>(db.epoch())
+        })?;
         Ok(Json::obj([("epoch", Json::Int(epoch as i64))]))
     }
 
@@ -227,11 +257,7 @@ impl Session {
     /// plans (a dropped table, say) are closed and reported, in ascending
     /// handle order.
     fn op_refresh(&mut self) -> Json {
-        self.snap = self
-            .db
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot();
+        self.snap = self.db.read(ProvDb::snapshot);
         let mut invalidated = Vec::new();
         for (handle, (sql, stmt)) in &mut self.stmts {
             match self.snap.prepare(sql) {

@@ -539,4 +539,47 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "unoptimized join then filter: {:.1} bytes at the high-water mark per join row",
         peak as f64 / JOIN_ROWS as f64
     );
+
+    // (h) The aggregate workload's run pass retains nothing: `GROUP BY`
+    // with a symbolic `SUM`, `HAVING` over it, then `delete_tokens` of 50
+    // tokens on the result, over 5 000 `emp` rows in 500 departments.
+    // After one warm-up round, each round — parameter and token set
+    // rotating as the workload rotates them — leaves 0 live bytes once its
+    // results are dropped.
+    const AGG_ROWS: usize = 5_000;
+    let mut db = ProvDb::new();
+    let emp = (0..AGG_ROWS as i64).map(|i| {
+        let row = [i, i % 500, 10 + 7919 * i % 190].map(Value::int).to_vec();
+        (row, token(&format!("p{i}")))
+    });
+    let emp = Relation::from_rows(Schema::new(["emp", "dept", "sal"]).unwrap(), emp).unwrap();
+    db.register("emp", emp);
+    let stmt = db
+        .prepare(
+            "SELECT dept, SUM(sal) AS mass FROM emp WHERE sal > $1 \
+             GROUP BY dept HAVING mass > 2000",
+        )
+        .unwrap();
+    let token_sets: Vec<Vec<String>> = (0..4)
+        .map(|set| {
+            (0..50)
+                .map(|i| format!("p{}", 97 * (50 * set + i) % AGG_ROWS))
+                .collect()
+        })
+        .collect();
+    let round = |r: usize| {
+        let param = Const::int(10 + (r % 5) as i64);
+        let result = stmt.execute_with_opts(&[param], &serial).unwrap();
+        let after = result.delete_tokens(&token_sets[r % token_sets.len()]);
+        (result.len(), after.len())
+    };
+    round(0);
+    for r in 1..=10 {
+        let ((rows, _), live, _, _) = measured(|| round(r));
+        assert!(rows > 0);
+        assert_eq!(
+            live, 0,
+            "aggregate round {r}: {live} live bytes left after execute and delete_tokens"
+        );
+    }
 }

@@ -22,6 +22,10 @@ fn figure_1_db() -> ProvDb {
 // test in this binary touching the variable, and it restores the prior
 // value (the CI thread matrix sets it for the whole test run).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "saves AGGPROV_THREADS to restore it"
+)]
 fn execute_reads_aggprov_threads_loudly() {
     let saved = std::env::var("AGGPROV_THREADS").ok();
     std::env::set_var("AGGPROV_THREADS", "not-a-number");
