@@ -65,7 +65,7 @@
 //!
 //! The results are bit-identical to the literal §4.3 evaluation, which is
 //! retained in [`crate::specops`] as the reference path (property-tested
-//! equivalence; see `tests/hash_vs_spec_proptests.rs`).
+//! equivalence; see `tests/specops_oracle_proptests.rs`).
 //!
 //! ## Vectorized batch execution
 //!

@@ -21,9 +21,9 @@
 //! row loop compacts the selection vector branchlessly, and large kernels
 //! shard the selection across the `par::fan_out` workers in contiguous
 //! ranges — bit-identical to the serial loop, including which row raises
-//! a type error first. A join types only its build side's key, over its
-//! selected rows, and gathers no column: its output reads its inputs'
-//! columns through the match rows.
+//! a type error first. A join indexes its build side's key cells, over its
+//! selected rows, where they lie, and gathers no column: its output reads
+//! its inputs' columns through the match rows.
 //!
 //! Division of labour: **every kernel here is total** — handed a chunk
 //! with a non-empty fringe it produces the §4.3 result itself, so no
@@ -67,8 +67,6 @@ use aggprov_krel::batch::{ColumnBatch, ColumnReader, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::Tuple;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::TypedColumn;
-use std::borrow::Cow;
 
 /// One side of a batched comparison: a column of the chunk or a constant
 /// (literals and already-bound `$n` parameters look the same down here).
@@ -185,12 +183,6 @@ impl<A: AggAnnotation> Chunk<A> {
         &self.fringe
     }
 
-    /// True iff the chunk carries symbolic rows — the condition under
-    /// which the cross-row kernels (project, join) take the token path.
-    pub fn has_fringe(&self) -> bool {
-        !self.fringe.is_empty()
-    }
-
     /// The selected ground rows, ascending — iterated, not collected: an
     /// unfiltered chunk has no selection vector to copy.
     fn selected(&self) -> Selection<'_> {
@@ -210,7 +202,7 @@ impl<A: AggAnnotation> Chunk<A> {
     }
 
     /// The constant at column `i`, ground row `r`, borrowed where it lies.
-    fn at(&self, i: usize, r: u32) -> Result<Cow<'_, Const>> {
+    fn at(&self, i: usize, r: u32) -> Result<&Const> {
         self.ground.cell(r, i).ok_or_else(|| {
             RelError::Internal(format!("ground row {r} out of range in chunk column {i}"))
         })
@@ -252,7 +244,7 @@ impl<A: AggAnnotation> Chunk<A> {
                 for r in self.selected() {
                     let oob = || RelError::Internal(format!("ground row {r} out of range"));
                     let (lv, rv) = (left.get(r).ok_or_else(oob)?, right.get(r).ok_or_else(oob)?);
-                    if const_cmp(&lv, cmp, &rv)? {
+                    if const_cmp(lv, cmp, rv)? {
                         kept.push(r);
                     }
                 }
@@ -387,8 +379,7 @@ impl<A: AggAnnotation> Chunk<A> {
 
     /// The unit-column kernel: appends the constant-1 column COUNT/AVG
     /// aggregate over (`ι(1)` per row). Per-row on both partitions, so
-    /// the fringe stays in the chunk. The appended column is an unboxed
-    /// `i64` run.
+    /// the fringe stays in the chunk.
     pub fn add_unit_column(mut self, schema: Schema) -> Result<Chunk<A>> {
         if schema.arity() != self.schema.arity() + 1 {
             return Err(RelError::ArityMismatch {
@@ -396,8 +387,8 @@ impl<A: AggAnnotation> Chunk<A> {
                 got: schema.arity(),
             });
         }
-        let ones = TypedColumn::Num(vec![1i64; self.ground.len()]);
-        self.ground.push_typed_column(ones)?;
+        self.ground
+            .push_column(vec![Const::int(1); self.ground.len()])?;
         for (t, _) in &mut self.fringe {
             let mut row = t.values().to_vec();
             row.push(Value::int(1));
@@ -544,19 +535,18 @@ impl<A: AggAnnotation> FringeOperand<A> {
 /// When **neither** chunk carries a fringe, every key token is structural
 /// equality between constants and this is the classical join: index the
 /// right chunk's selected rows by their key cells, probe with the left's
-/// key cells read in place. A single key column is typed over the build
-/// rows only: an integral one builds an integer-hashed index, a string
-/// one a dictionary with a bucket per code (see `ops::typed`); every
-/// other key shape (mixed types, several columns, none) goes through one
-/// structural `Const` index. The probe loop shards across `opts`'
-/// workers and writes the match rows straight into the output's two index
-/// vectors. Nothing else is built: the output batch
-/// ([`ColumnBatch::from_join`]) reads both inputs' columns through those
-/// vectors and defers the product — filters narrow its selection and
-/// projections pick its columns without reading the annotations, and `⊗`
-/// runs at [`Chunk::into_relation`] on the rows still selected — or, for
-/// a join over this output, on the rows its pairs name. A cell is cloned
-/// only there too, for the selected rows.
+/// key cells read in place. A single key column integral in every
+/// selected build row builds an integer-hashed index (see `ops::typed`);
+/// every other key shape (strings, mixed types, several columns, none)
+/// goes through one structural index over the key cells where they lie.
+/// The probe loop shards across `opts`' workers and writes the match rows
+/// straight into the output's two index vectors. Nothing else is built:
+/// the output batch ([`ColumnBatch::from_join`]) reads both inputs'
+/// columns through those vectors and defers the product — filters narrow
+/// its selection and projections pick its columns without reading the
+/// annotations, and `⊗` runs at [`Chunk::into_relation`] on the rows still
+/// selected — or, for a join over this output, on the rows its pairs name.
+/// A cell is cloned only there too, for the selected rows.
 ///
 /// When **either** chunk carries a fringe, both materialize and the
 /// token-weighted pairwise join of [`crate::ops::join_on_opts`] runs by
@@ -762,8 +752,7 @@ mod tests {
 
     #[test]
     fn ordering_across_types_is_a_type_error() {
-        // A dictionary-encoded column, and a mixed-type one that demotes
-        // to boxed.
+        // An all-string column, and a mixed-type one.
         let strs: MKRel<P> =
             Relation::from_rows(sch(&["a"]), [(vec![Value::str("s")], tok("p1"))]).unwrap();
         let mixed: MKRel<P> = Relation::from_rows(
@@ -885,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_dictionary_keys_match_boxed() {
+    fn hash_join_string_keys_match_mixed() {
         let r: MKRel<P> = Relation::from_rows(
             sch(&["k", "v"]),
             [
@@ -905,7 +894,7 @@ mod tests {
         )
         .unwrap();
         let schema = sch(&["k", "v", "k2", "w"]);
-        let typed = hash_join(
+        let strs = hash_join(
             Chunk::from_relation(&r),
             Chunk::from_relation(&s),
             &[(0, 0)],
@@ -915,16 +904,15 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
-        assert_eq!(typed, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
+        assert_eq!(strs, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
 
-        // One integer key demotes the build side's key column to boxed:
-        // the dictionary-encoded probe side now meets it through the
-        // structural `Const` index, and the integer matches nothing.
+        // One integer key among the build side's strings: the structural
+        // index holds both types, and the integer matches nothing.
         let mut s_mixed = s.clone();
         s_mixed
             .insert(vec![Value::int(7), Value::int(40)], tok("q4"))
             .unwrap();
-        let boxed = hash_join(
+        let mixed = hash_join(
             Chunk::from_relation(&r),
             Chunk::from_relation(&s_mixed),
             &[(0, 0)],
@@ -934,8 +922,8 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
-        assert_eq!(boxed, typed);
-        assert_eq!(boxed, ops::join_on(&r, &s_mixed, &[("k", "k2")]).unwrap());
+        assert_eq!(mixed, strs);
+        assert_eq!(mixed, ops::join_on(&r, &s_mixed, &[("k", "k2")]).unwrap());
     }
 
     #[test]
@@ -1027,7 +1015,7 @@ mod tests {
         // chunk that still carries the symbolic rows.
         let rel = mixed();
         let chunk = Chunk::from_relation(&rel);
-        assert!(chunk.has_fringe());
+        assert!(!chunk.fringe().is_empty());
 
         // Π_b sums token-weighted contributions across rows: each ground
         // value and the symbolic x⊗20 pick up the other's annotation.

@@ -1,5 +1,5 @@
 //! Monomorphic row loops for the batch kernels: branchless selection over
-//! cells read in place, and a join that types only its build key.
+//! cells read in place, and a join that indexes the cells it reads.
 //!
 //! A chunk's columns are read where they lie — in the scanned relation's
 //! tuple store, through a join's match rows, or in a column a kernel
@@ -14,13 +14,16 @@
 //!   rational, `±∞`) takes the structural comparison it always had. The
 //!   row loop compacts the selection vector branchlessly,
 //!   `out[k] = row; k += keep as usize`.
-//! * **Joins** type only the build side's key, and only over its selected
-//!   rows: an integral key column becomes an integer-hashed index (a
-//!   multiply-based hasher), a string column a dictionary with one bucket
-//!   per code, anything else (mixed types, several key columns, none) one
-//!   structural index over the key's constants. The probe side reads its
-//!   key cells in place and writes the match rows straight into the two
-//!   index vectors the deferred join output reads through.
+//! * **Joins** index the build side's key cells over its selected rows: a
+//!   single key column that is integral in every one of them becomes an
+//!   integer-hashed index (a multiply-based hasher), anything else
+//!   (strings, mixed types, several key columns, none) one structural
+//!   index over the key cells, borrowed where they lie. Between constants
+//!   the §4.3 equality token is `0`/`1`, so structural equality of the
+//!   cells is the whole join condition. The probe side reads its key cells
+//!   in place, looks each one up as it lies, and writes the match rows
+//!   straight into the two index vectors the deferred join output reads
+//!   through.
 //!
 //! Large kernels additionally **shard across the [`crate::par::fan_out`]
 //! workers**: the selection splits into contiguous ascending sub-ranges,
@@ -48,8 +51,6 @@ use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
 use aggprov_krel::batch::{AsConst, ColumnReader};
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::typed::{StrColumn, TypedColumn};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -254,7 +255,7 @@ fn filter_rows<K: Send + Sync, V: AsConst + Send + Sync>(
                     col.len()
                 )));
             };
-            let kept = keep(&cell)?;
+            let kept = keep(cell)?;
             #[expect(
                 clippy::indexing_slicing,
                 reason = "branchless compaction: k never exceeds the rows visited"
@@ -417,58 +418,37 @@ impl Hasher for IntHasher {
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// The build side of a join, keyed by its selected rows' key cells: an
-/// integer-hashed index over an integral key column, one bucket per code
-/// of a dictionary-encoded string column, or a structural index over the
-/// key's constants for every other shape (mixed types, several key
-/// columns, none). Each bucket holds build rows in selection order.
-enum BuildIndex {
+/// integer-hashed index when the key is one column, integral in every
+/// selected row, and a structural index over the key cells — borrowed
+/// where they lie — for every other shape (strings, mixed types, several
+/// key columns, none). Each bucket holds build rows in selection order.
+enum BuildIndex<'a> {
     Int(IntMap<i64, Vec<u32>>),
-    Str(StrColumn, Vec<Vec<u32>>),
-    Consts(HashMap<Vec<Const>, Vec<u32>>),
+    Consts(HashMap<Vec<&'a Const>, Vec<u32>>),
 }
 
-impl BuildIndex {
-    /// Types the build key over the rows `sel` names — one column, only
-    /// those rows; a key of several columns goes structural directly.
-    ///
-    /// Every `TypedColumn` variant has its own arm: a new column
-    /// representation needs a decision on how a join indexes it.
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
-    fn build<K, V: AsConst>(keys: &[ColumnReader<'_, K, V>], sel: Selection<'_>) -> Result<Self> {
+impl<'a> BuildIndex<'a> {
+    /// Indexes the key cells of the rows `sel` names. A one-column key is
+    /// hashed as integers while its cells are integral, which one pass over
+    /// them decides; at the first other cell, and for a key of several
+    /// columns, the index is structural.
+    fn build<K, V: AsConst>(keys: &[ColumnReader<'a, K, V>], sel: Selection<'_>) -> Result<Self> {
         let mut keys = keys.to_vec();
-        let mut index: HashMap<Vec<Const>, Vec<u32>> = HashMap::new();
         if let [key] = keys.as_mut_slice() {
-            let mut col = TypedColumn::Num(Vec::with_capacity(sel.len()));
+            let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
+            let mut integral = true;
             for r in sel {
-                col.push(key.get(r).ok_or_else(join_row_oob)?.into_owned());
+                let Some(v) = as_int(key.get(r).ok_or_else(join_row_oob)?) else {
+                    integral = false;
+                    break;
+                };
+                index.entry(v).or_default().push(r);
             }
-            match col {
-                TypedColumn::Num(vals) => {
-                    let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
-                    for (v, r) in vals.into_iter().zip(sel) {
-                        index.entry(v).or_default().push(r);
-                    }
-                    return Ok(BuildIndex::Int(index));
-                }
-                TypedColumn::Str(col) => {
-                    let mut buckets = vec![Vec::new(); col.dict().len()];
-                    for (&code, r) in col.codes().iter().zip(sel) {
-                        let bucket = buckets.get_mut(code as usize).ok_or_else(join_row_oob)?;
-                        bucket.push(r);
-                    }
-                    return Ok(BuildIndex::Str(col, buckets));
-                }
-                TypedColumn::Boxed(vals) => {
-                    for (v, r) in vals.into_iter().zip(sel) {
-                        index.entry(vec![v]).or_default().push(r);
-                    }
-                    return Ok(BuildIndex::Consts(index));
-                }
+            if integral {
+                return Ok(BuildIndex::Int(index));
             }
         }
+        let mut index: HashMap<Vec<&'a Const>, Vec<u32>> = HashMap::new();
         let mut key = Vec::with_capacity(keys.len());
         for r in sel {
             read_key(&mut keys, r, &mut key)?;
@@ -484,20 +464,16 @@ impl BuildIndex {
 
     /// The build rows whose key structurally equals probe row `r`'s, read
     /// through `keys` (`buf` is the reused key buffer of the structural
-    /// index). A cell of another type than an integral or string index
-    /// holds matches nothing, as structural equality says.
+    /// index). A non-integral cell probing the integer index matches
+    /// nothing, as structural equality says.
     fn probe<K, V: AsConst>(
         &self,
-        keys: &mut [ColumnReader<'_, K, V>],
+        keys: &mut [ColumnReader<'a, K, V>],
         r: u32,
-        buf: &mut Vec<Const>,
+        buf: &mut Vec<&'a Const>,
     ) -> Result<&[u32]> {
         let rows = match self {
-            BuildIndex::Int(index) => as_int(&*one_key(keys, r)?).and_then(|v| index.get(&v)),
-            BuildIndex::Str(col, buckets) => match &*one_key(keys, r)? {
-                Const::Str(s) => col.code_of(s).and_then(|c| buckets.get(c as usize)),
-                _ => None,
-            },
+            BuildIndex::Int(index) => as_int(one_key(keys, r)?).and_then(|v| index.get(&v)),
             BuildIndex::Consts(index) => {
                 read_key(keys, r, buf)?;
                 index.get(buf.as_slice())
@@ -508,27 +484,24 @@ impl BuildIndex {
 }
 
 /// Row `r`'s cell of a one-column key.
-fn one_key<'a, K, V: AsConst>(
-    keys: &mut [ColumnReader<'a, K, V>],
-    r: u32,
-) -> Result<Cow<'a, Const>> {
+fn one_key<'a, K, V: AsConst>(keys: &mut [ColumnReader<'a, K, V>], r: u32) -> Result<&'a Const> {
     match keys {
         [key] => key.get(r).ok_or_else(join_row_oob),
         _ => Err(RelError::Internal(
-            "a typed join index probed with several key columns".into(),
+            "an integer join index probed with several key columns".into(),
         )),
     }
 }
 
-/// Row `r`'s key cells, into `key`.
-fn read_key<K, V: AsConst>(
-    keys: &mut [ColumnReader<'_, K, V>],
+/// Row `r`'s key cells, borrowed where they lie, into `key`.
+fn read_key<'a, K, V: AsConst>(
+    keys: &mut [ColumnReader<'a, K, V>],
     r: u32,
-    key: &mut Vec<Const>,
+    key: &mut Vec<&'a Const>,
 ) -> Result<()> {
     key.clear();
     for col in keys {
-        key.push(col.get(r).ok_or_else(join_row_oob)?.into_owned());
+        key.push(col.get(r).ok_or_else(join_row_oob)?);
     }
     Ok(())
 }
@@ -539,9 +512,9 @@ fn read_key<K, V: AsConst>(
 /// probe order and, within one probe row, in build selection order —
 /// written straight into the two vectors, sized for one match a probe
 /// row. Large probes shard across workers in contiguous ranges.
-pub(crate) fn join_rows<K: Send + Sync, V: AsConst + Send + Sync>(
-    lkeys: &[ColumnReader<'_, K, V>],
-    rkeys: &[ColumnReader<'_, K, V>],
+pub(crate) fn join_rows<'a, K: Send + Sync, V: AsConst + Send + Sync>(
+    lkeys: &[ColumnReader<'a, K, V>],
+    rkeys: &[ColumnReader<'a, K, V>],
     lsel: Selection<'_>,
     rsel: Selection<'_>,
     opts: &ExecOptions,
@@ -585,7 +558,7 @@ mod tests {
     /// A one-column batch of owned constants.
     fn batch(vals: Vec<Const>) -> Batch {
         let anns = vec![Nat(1); vals.len()];
-        ColumnBatch::from_columns(vec![TypedColumn::from_consts(vals)], anns).unwrap()
+        ColumnBatch::from_columns(vec![vals], anns).unwrap()
     }
 
     fn ints(vals: &[i64]) -> Batch {
@@ -791,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn str_join_translates_dictionaries() {
+    fn a_string_build_key_goes_structural() {
         let all = |n: usize| Selection::new(None, n);
         // "x" matches right row 2, "y" right row 0, "z" nothing, and an
         // integer probe cell no string.
@@ -811,6 +784,23 @@ mod tests {
         assert_eq!(
             join(&l, &r, all(5), all(3), &serial),
             vec![(1, 1), (3, 1), (4, 0)]
+        );
+        // Integral cells until the last build row: the index turns
+        // structural there, built again from the first row, so both 2s
+        // keep their selection order.
+        let mut cells: Vec<Const> = [2, 3, 2].map(Const::int).into();
+        cells.push(Const::str("x"));
+        let r = batch(cells);
+        let l = batch(vec![Const::int(2), Const::str("x"), Const::int(3)]);
+        assert_eq!(
+            join(&l, &r, all(3), all(4), &serial),
+            vec![(0, 0), (0, 2), (1, 3), (2, 1)]
+        );
+        // Without that row the same key is integral: the integer index.
+        let first3 = [0u32, 1, 2];
+        assert_eq!(
+            join(&l, &r, all(3), Selection::new(Some(&first3), 4), &serial),
+            vec![(0, 0), (0, 2), (2, 1)]
         );
         // A non-integer probe cell matches no integral key.
         let l = batch(vec![Const::Num(Num::ratio(3, 2)), Const::int(2)]);

@@ -35,7 +35,6 @@ use aggprov_krel::batch::{ColumnBatch, GroundBatch};
 use aggprov_krel::error::Result;
 use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::TypedColumn;
 use proptest::prelude::*;
 
 type P = Km<NatPoly>;
@@ -708,7 +707,7 @@ fn arb_wide(
 
 /// `rel` as a chunk in both forms: split in place (its cells and
 /// annotations read in the relation's store), and assembled from owned
-/// columns — every ground cell copied into a `TypedColumn`, every ground
+/// columns — every ground cell copied into a `Vec<Const>`, every ground
 /// annotation into a dense vector (`ColumnBatch::from_columns`) — beside
 /// the same fringe, or, with `ground_only`, without one. Also the
 /// relation the chunks hold.
@@ -722,7 +721,7 @@ fn both_forms(rel: &MKRel<P>, ground_only: bool) -> ([Chunk<P>; 2], MKRel<P>) {
         let cells = ground
             .iter()
             .map(|(t, _)| t.get(i).as_const().unwrap().clone());
-        TypedColumn::from_consts(cells.collect())
+        cells.collect()
     };
     let cols = (0..rel.schema().arity()).map(column).collect();
     let anns = ground.iter().map(|(_, k)| (*k).clone()).collect();

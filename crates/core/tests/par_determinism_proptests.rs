@@ -3,7 +3,7 @@
 //! §4.3 reference path (`specops`) at every thread count.
 //!
 //! The generated relations mix ground and symbolic values (as in
-//! `hash_vs_spec_proptests`), and the thread counts deliberately straddle
+//! `specops_oracle_proptests`), and the thread counts deliberately straddle
 //! the input sizes: with up to 7-row relations, `threads = 2` splits real
 //! work while `threads = 8` produces more shards than tuples — so empty
 //! shards, single-tuple shards and the shard-order merge are all exercised
@@ -51,7 +51,7 @@ fn tok(name: &str) -> P {
 
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
 
-/// One generated cell (see `hash_vs_spec_proptests`): `(kind, var_index,
+/// One generated cell (see `specops_oracle_proptests`): `(kind, var_index,
 /// int_value)` with kind 0–5; 0–2 ground ints, 3 a ground string, 4–5 a
 /// symbolic `SUM` tensor.
 type RawVal = (u8, usize, i64);
@@ -487,7 +487,8 @@ fn repeated_symbolic_key_forms_one_candidate() {
 
 /// A workload big enough that every shard at `threads = 8` is busy:
 /// parallel results must equal the serial hash path (which the
-/// `hash_vs_spec` suite already ties to the oracle) tuple for tuple.
+/// `specops_oracle` suite already ties to the literal operators) tuple
+/// for tuple.
 #[test]
 fn busy_shards_match_serial_hash_path() {
     let mut emp = Relation::empty(sch(&["emp", "dept", "sal"]));

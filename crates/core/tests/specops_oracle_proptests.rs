@@ -36,8 +36,8 @@ fn tok(name: &str) -> P {
 
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
 
-/// One generated cell, as in `hash_vs_spec_proptests.rs`: kind 0–2 ground
-/// ints, 3 a ground string, 4–5 a symbolic `SUM` tensor.
+/// One generated cell: kind 0–2 ground ints, 3 a ground string, 4–5 a
+/// symbolic `SUM` tensor (≈1/3 symbolic).
 type RawVal = (u8, usize, i64);
 
 fn decode_val(raw: RawVal) -> Value<P> {
@@ -303,13 +303,18 @@ fn check(op: Operator, c: &Case) {
                 specops::select_where(r, keep_ground),
             )
         }
-        Operator::JoinOn => agree(
-            op,
-            &[&|_| ops::join_on(r, s, &[("a", "c")]), &|o| {
-                ops::join_on_opts(r, s, &[("a", "c")], o)
-            }],
-            specops::join_on(r, s, &[("a", "c")]),
-        ),
+        // One key column, two, and none (the cartesian product).
+        Operator::JoinOn => {
+            for on in [&[("a", "c")][..], &[("a", "c"), ("b", "d")], &[]] {
+                agree(
+                    op,
+                    &[&|_| ops::join_on(r, s, on), &|o| {
+                        ops::join_on_opts(r, s, on, o)
+                    }],
+                    specops::join_on(r, s, on),
+                )
+            }
+        }
         Operator::Product => agree(op, &[&|_| ops::product(r, s)], specops::product(r, s)),
         // Shared attribute `b` ground on both sides: the success path. The
         // symbolic-key path has its own test below.

@@ -1,12 +1,13 @@
-//! Property tests for the typed columnar storage and its kernels:
-//! `TypedColumn` round-trips (unboxed `i64` runs, dictionary
-//! re-materialization, mixed-type demotion to boxed) must be lossless,
-//! and the columnar filter and join must be **bit-identical** to the
-//! literal §4.3 `specops` reference — same relation or same error
-//! message — over `num`, `str` and `boxed` columns (the data alone picks
-//! the variant: mixed types, booleans and non-integer rationals box a
-//! column), at `threads ∈ {1, 4}`, so the sharded selection-vector kernels
-//! are under the same oracle as the serial loops.
+//! Property tests for the columnar kernels over cells read in place: the
+//! `Relation ⇄ Chunk` round trip must be lossless, and the columnar filter
+//! and join must be **bit-identical** to the literal §4.3 `specops`
+//! reference — same relation or same error message — over integral,
+//! all-string and mixed columns, so that a join's build key takes both of
+//! its index arms (the integer-hashed index for a key integral in every
+//! build row, the structural one for everything else, reached by two
+//! types meeting, a boolean or a non-integer rational), at
+//! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
+//! the same oracle as the serial loops.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
@@ -20,7 +21,6 @@ use aggprov_krel::batch::GroundBatch;
 use aggprov_krel::error::Result;
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
-use aggprov_krel::typed::TypedColumn;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
@@ -33,9 +33,9 @@ fn tok(name: &str) -> P {
 
 const STRS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
-/// One generated constant: integers dominate (the unboxed run), strings
-/// share a small pool (real dictionaries), and the tail exercises the
-/// boxed fallback — bools, non-integer rationals, infinities.
+/// One generated constant: integers dominate (the integer index), strings
+/// share a small pool (equal keys), and the tail exercises the cells no
+/// integer index holds — bools, non-integer rationals, infinities.
 type RawConst = (u8, i64);
 
 fn decode_const(raw: RawConst) -> Const {
@@ -53,8 +53,8 @@ fn raw_const() -> impl Strategy<Value = RawConst> {
     (0u8..10, -3i64..6)
 }
 
-/// A single-variant generator (all-int or all-string columns), for the
-/// typed fast paths proper.
+/// A single-type generator (all-int or all-string columns), for the
+/// columns whose cells share one type.
 fn raw_int() -> impl Strategy<Value = RawConst> {
     (0u8..4, -3i64..6)
 }
@@ -127,64 +127,66 @@ fn check_filter(rel: &MKRel<P>, col: usize, attr: &str, cmp: BatchCmp, lit: Cons
     }
 }
 
-/// The variant each ground column of `rel` takes when its cells — read
-/// in place, as a chunk's kernels read them — are typed by
-/// [`TypedColumn::from_consts`], as a join types its build key.
-fn column_variants(rel: &MKRel<P>) -> Vec<&'static str> {
+/// How a join indexes column `i` of `rel` as its build key: the cells of
+/// the ground rows, read in place as the join reads them, are
+/// `"integral"` (the integer-hashed index) or `"all strings"`, and
+/// otherwise meet the structural index by each route they take — `"mixed
+/// types"`, `"boolean"`, `"non-integer rational"` (`±∞` included).
+fn key_shape(rel: &MKRel<P>, i: usize) -> BTreeSet<&'static str> {
     let batch = GroundBatch::from_relation(rel, Value::as_const);
-    let ground = batch.ground();
-    let variant = |i: usize| {
-        let mut col = ground.column(i).unwrap();
-        let cells = (0..ground.len() as u32).map(|r| col.get(r).unwrap().into_owned());
-        TypedColumn::from_consts(cells.collect()).variant()
-    };
-    (0..rel.schema().arity()).map(variant).collect()
+    let mut col = batch.ground().column(i).unwrap();
+    let cells: Vec<&Const> = (0..col.len() as u32).map(|r| col.get(r).unwrap()).collect();
+    let integral = |c: &&Const| c.as_num().and_then(|n| n.as_int()).is_some();
+    if cells.iter().all(integral) {
+        return BTreeSet::from(["integral"]);
+    }
+    if cells.iter().all(|c| matches!(c, Const::Str(_))) {
+        return BTreeSet::from(["all strings"]);
+    }
+    let types: BTreeSet<&str> = cells.iter().map(|c| c.type_name()).collect();
+    let routes = [
+        (types.len() > 1, "mixed types"),
+        (cells.iter().any(|c| matches!(c, Const::Bool(_))), "boolean"),
+        (
+            cells
+                .iter()
+                .any(|c| c.as_num().is_some_and(|n| n.as_int().is_none())),
+            "non-integer rational",
+        ),
+    ];
+    routes
+        .into_iter()
+        .filter_map(|(hit, r)| hit.then_some(r))
+        .collect()
 }
 
-/// The kernel properties below are only as strong as the cell mixes their
-/// generator reaches: [`raw_rows`] must yield columns that type as
-/// unboxed, dictionary and boxed from the data alone — and the boxed ones
-/// by each route the storage documents (two value types meeting, a
-/// boolean, a non-integer rational). A scan types no column; the join's
-/// build key and an owned column do, so the same cells are probed
-/// through [`TypedColumn::from_consts`].
+/// The join property below is only as strong as the build keys its
+/// generator reaches: over [`raw_rows`], a join on each column must meet
+/// both index arms — an integral key (the integer-hashed index), and the
+/// structural index by an all-string key and by a mixed key along each
+/// route (two value types meeting, a boolean, a non-integer rational).
 #[test]
-fn generator_covers_every_column_variant() {
-    let mut rng = TestRng::for_test("generator_covers_every_column_variant");
-    let mut probed = BTreeSet::new();
-    let mut boxed_by = BTreeSet::new();
+fn generator_covers_both_join_index_arms() {
+    let mut rng = TestRng::for_test("generator_covers_both_join_index_arms");
+    let mut reached = BTreeSet::new();
     for _ in 0..128 {
-        let rel = rel3("t", ["a", "b", "c"], raw_rows(14).generate(&mut rng));
+        let rel = rel3("r", ["d", "e", "f"], raw_rows(10).generate(&mut rng));
         if rel.is_empty() {
             continue;
         }
-        let variants = column_variants(&rel);
-        if variants[2] == "boxed" {
-            let mixed: Vec<Const> = rel
-                .iter()
-                .filter_map(|(t, _)| t.get(2).as_const().cloned())
-                .collect();
-            let types: BTreeSet<&str> = mixed.iter().map(Const::type_name).collect();
-            boxed_by.extend((types.len() > 1).then_some("mixed types"));
-            boxed_by.extend(
-                mixed
-                    .iter()
-                    .any(|c| matches!(c, Const::Bool(_)))
-                    .then_some("boolean"),
-            );
-            boxed_by.extend(
-                mixed
-                    .iter()
-                    .any(|c| c.as_num().is_some_and(|n| n.as_int().is_none()))
-                    .then_some("non-integer rational"),
-            );
+        for i in 0..3 {
+            reached.extend(key_shape(&rel, i));
         }
-        probed.extend(variants);
     }
-    assert_eq!(probed, BTreeSet::from(["boxed", "num", "str"]));
     assert_eq!(
-        boxed_by,
-        BTreeSet::from(["boolean", "mixed types", "non-integer rational"])
+        reached,
+        BTreeSet::from([
+            "all strings",
+            "boolean",
+            "integral",
+            "mixed types",
+            "non-integer rational"
+        ])
     );
 }
 
@@ -192,25 +194,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn typed_column_round_trips_all_variants(vals in prop::collection::vec(raw_const(), 0..40)) {
-        // from_consts, then `get` on every row, is the identity whatever
-        // variant the probe (and any mid-stream demotion) lands on.
-        let consts: Vec<Const> = vals.into_iter().map(decode_const).collect();
-        let col = TypedColumn::from_consts(consts.clone());
-        prop_assert_eq!(col.len(), consts.len());
-        for (r, c) in consts.iter().enumerate() {
-            prop_assert_eq!(col.get(r).as_ref(), Some(c));
-        }
-        // One-past-the-end is None, not a panic.
-        prop_assert!(col.get(consts.len()).is_none());
-    }
-
-    #[test]
     fn relation_batch_round_trip_is_lossless(
         rows in prop::collection::vec((raw_const(), raw_const(), raw_const()), 0..12),
     ) {
         // Relation → chunk → Relation is the identity, whatever mix of
-        // variants the three columns probe into.
+        // constants the three columns hold.
         let schema = Schema::new(["a", "b", "c"]).unwrap();
         let rel = rel_from(
             "t",
@@ -255,9 +243,9 @@ proptest! {
         on in 0usize..3,
     ) {
         // Join on the integer column, the string column or the mixed
-        // column: the build key types as an integer hash index, a
-        // dictionary with a bucket per code or a structural `Const` index
-        // (boxed keys), against the literal §4.3 join.
+        // column: the build key takes the integer-hashed index or the
+        // structural one (`generator_covers_both_join_index_arms` shows
+        // both are reached), against the literal §4.3 join.
         let l = rel3("l", ["a", "b", "c"], l_rows);
         let r = rel3("r", ["d", "e", "f"], r_rows);
         let on_attrs = [(["a", "b", "c"][on], ["d", "e", "f"][on])];
@@ -278,8 +266,8 @@ proptest! {
 }
 
 /// Above the sharding threshold (8192 rows), the fan-out kernels must be
-/// bit-identical to the serial loops and to `specops`, over typed columns
-/// and over columns the data boxed. (A column-vs-literal filter shards
+/// bit-identical to the serial loops and to `specops`, over an integral
+/// join key and over a key the structural index holds. (A column-vs-literal filter shards
 /// only from 262 144 selected rows; `ops::typed`'s unit tests take it
 /// there, over owned and stored cells.)
 #[test]
@@ -287,11 +275,11 @@ fn sharded_kernels_match_serial_above_threshold() {
     // Distinct rows (the `id` column), so nothing merges away: both
     // filters and the join probe see more than 8192 selected rows.
     const N: i64 = 24_000;
-    // `typed`: an unboxed key column and a dictionary column. Otherwise
-    // half-integer keys and one number among the strings box both.
-    for typed in [true, false] {
+    // `integral`: an integral key column and an all-string one. Otherwise
+    // half-integer keys and one number among the strings.
+    for integral in [true, false] {
         let key = |i: i64| {
-            if typed {
+            if integral {
                 Const::int(i)
             } else {
                 Const::Num(Num::ratio(2 * i + 1, 2))
@@ -302,7 +290,7 @@ fn sharded_kernels_match_serial_above_threshold() {
             Schema::new(["a", "b", "id"]).unwrap(),
             (0..N)
                 .map(|i| {
-                    let b = if !typed && i == 0 {
+                    let b = if !integral && i == 0 {
                         Const::int(0)
                     } else {
                         Const::str(STRS[(i % 4) as usize])
@@ -312,16 +300,21 @@ fn sharded_kernels_match_serial_above_threshold() {
                 .collect(),
         );
         assert_eq!(rel.len(), N as usize);
-        let want_variants = if typed {
-            ["num", "str", "num"]
+        let want_shapes = if integral {
+            ["integral", "all strings"]
         } else {
-            ["boxed", "boxed", "num"]
+            ["non-integer rational", "mixed types"]
         };
-        assert_eq!(column_variants(&rel), want_variants);
         let dim = rel_from(
             "d",
             Schema::new(["c", "e"]).unwrap(),
             (0..128).map(|i| vec![key(i), Const::int(i * 10)]).collect(),
+        );
+        // The join's build key (`dim.c`), and the filtered columns.
+        let shapes = [key_shape(&dim, 0), key_shape(&rel, 0), key_shape(&rel, 1)];
+        assert_eq!(
+            shapes,
+            [want_shapes[0], want_shapes[0], want_shapes[1]].map(|s| BTreeSet::from([s]))
         );
         let out_schema = Schema::new(["a", "b", "id", "c", "e"]).unwrap();
         let bound = key(128);
@@ -362,7 +355,7 @@ fn sharded_kernels_match_serial_above_threshold() {
             .unwrap()
             .into_relation()
             .unwrap();
-            assert_eq!(joined, want, "typed {typed} threads {threads}");
+            assert_eq!(joined, want, "integral {integral} threads {threads}");
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   is support position `r`, or `positions[r]` once a fringe row precedes
 //!   a ground row. This is the form [`GroundBatch::from_relation`] builds,
 //!   so a scan copies no cell.
-//! * **Owned** — one [`TypedColumn`] built by a kernel
+//! * **Owned** — one `Vec<Const>` built by a kernel
 //!   ([`ColumnBatch::from_columns`], [`ColumnBatch::push_column`]).
 //! * **Through** — a join's output column: row `r` is row `rows[r]` of an
 //!   input column, `rows` being the join's left or right match rows
@@ -44,8 +44,9 @@
 //! writing (copy-on-write, see [`Relation`]), so a batch keeps reading the
 //! cells and annotations it was split from.
 //!
-//! Who reads them: kernels read cells as constants through a
-//! [`ColumnReader`], and narrow a selection vector; nothing is copied.
+//! Who reads them: kernels read cells as `&Const`, where every form keeps
+//! them, through a [`ColumnReader`], and narrow a selection vector;
+//! nothing is copied.
 //! [`GroundBatch::into_relation_selected`] is the one place cells and
 //! annotations leave a batch: the selected rows' stored cells are cloned
 //! and owned ones lifted, a dense column's annotations are moved out, a
@@ -71,7 +72,6 @@ use crate::error::{RelError, Result};
 use crate::relation::{Builder, Merge, Relation, Tuple};
 use crate::schema::Schema;
 use crate::store::{Cursor, RowAt, Store};
-use crate::typed::TypedColumn;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::borrow::Cow;
@@ -163,7 +163,7 @@ impl<K, V> Scan<K, V> {
 /// projection copies column handles, never cells.
 enum Column<K, V> {
     /// Built by a kernel: one value per row.
-    Owned(Arc<TypedColumn>),
+    Owned(Arc<Vec<Const>>),
     /// Cell `.1` of each ground row of a scan.
     Stored(Arc<Scan<K, V>>, usize),
     /// Row `r` is row `rows[r]` of the inner column.
@@ -184,34 +184,13 @@ impl<K, V> Clone for Column<K, V> {
 impl<K, V> fmt::Debug for Column<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Column::Owned(col) => f.debug_tuple("Owned").field(col).finish(),
+            Column::Owned(col) => f.debug_tuple("Owned").field(&col.len()).finish(),
             Column::Stored(scan, c) => f.debug_tuple("Stored").field(scan).field(c).finish(),
             Column::Through(rows, inner) => f
                 .debug_struct("Through")
                 .field("rows", &rows.len())
                 .field("inner", inner)
                 .finish(),
-        }
-    }
-}
-
-/// One cell, where its column keeps it.
-enum Cell<'a, V> {
-    /// A stored cell.
-    Stored(&'a V),
-    /// Row `.1` of an owned column.
-    Owned(&'a TypedColumn, usize),
-}
-
-impl<'a, V: AsConst> Cell<'a, V> {
-    /// The cell as a constant: borrowed where it lies, re-materialized
-    /// from an unboxed or dictionary-encoded owned column.
-    #[inline]
-    fn as_const(&self) -> Option<Cow<'a, Const>> {
-        match *self {
-            Cell::Stored(v) => v.as_const().map(Cow::Borrowed),
-            Cell::Owned(TypedColumn::Boxed(vals), r) => vals.get(r).map(Cow::Borrowed),
-            Cell::Owned(col, r) => col.get(r).map(Cow::Owned),
         }
     }
 }
@@ -224,14 +203,17 @@ impl<K, V> Column<K, V> {
             Column::Through(rows, _) => rows.len(),
         }
     }
+}
 
-    /// The cell at row `r`; `None` past the end. `cur` is a cursor on the
-    /// store of the stored column at the bottom (see [`Scan::cell`]).
+impl<K, V: AsConst> Column<K, V> {
+    /// The constant at row `r`, borrowed where its column keeps it; `None`
+    /// past the end. `cur` is a cursor on the store of the stored column at
+    /// the bottom (see [`Scan::cell`]).
     #[inline]
-    fn cell<'a>(&'a self, r: usize, cur: &mut Cursor<'a, V, K>) -> Option<Cell<'a, V>> {
+    fn cell<'a>(&'a self, r: usize, cur: &mut Cursor<'a, V, K>) -> Option<&'a Const> {
         match self {
-            Column::Owned(col) => (r < col.len()).then_some(Cell::Owned(col, r)),
-            Column::Stored(scan, c) => Some(Cell::Stored(scan.cell(r, *c, cur)?)),
+            Column::Owned(col) => col.get(r),
+            Column::Stored(scan, c) => scan.cell(r, *c, cur)?.as_const(),
             Column::Through(rows, inner) => inner.cell(*rows.get(r)? as usize, cur),
         }
     }
@@ -239,10 +221,11 @@ impl<K, V> Column<K, V> {
 
 /// Reads one column of a [`ColumnBatch`] as constants, row by row, where
 /// the column keeps its cells: a stored cell is borrowed from the
-/// relation's store, a join's output cell through its match rows. Rows
-/// read in ascending order cost a compare or two each to locate; any other
-/// order a binary search over the store's blocks. Cloning a reader is how
-/// a sharded kernel gives each worker its own.
+/// relation's store, an owned one from its column, a join's output cell
+/// through its match rows. Rows read in ascending order cost a compare or
+/// two each to locate; any other order a binary search over the store's
+/// blocks. Cloning a reader is how a sharded kernel gives each worker its
+/// own.
 pub struct ColumnReader<'a, K, V> {
     col: &'a Column<K, V>,
     cur: Cursor<'a, V, K>,
@@ -268,8 +251,8 @@ impl<K, V> fmt::Debug for ColumnReader<'_, K, V> {
 impl<'a, K, V: AsConst> ColumnReader<'a, K, V> {
     /// The constant at row `r`; `None` past the end.
     #[inline]
-    pub fn get(&mut self, r: u32) -> Option<Cow<'a, Const>> {
-        self.col.cell(r as usize, &mut self.cur)?.as_const()
+    pub fn get(&mut self, r: u32) -> Option<&'a Const> {
+        self.col.cell(r as usize, &mut self.cur)
     }
 }
 
@@ -444,7 +427,7 @@ enum Read<'a> {
     /// Cell `.1` of source `.0`'s row.
     Stored(usize, usize),
     /// A kernel-built column, through its match rows.
-    Owned(Vec<&'a Arc<Vec<u32>>>, &'a TypedColumn),
+    Owned(Vec<&'a Arc<Vec<u32>>>, &'a [Const]),
 }
 
 impl<'a> Read<'a> {
@@ -459,7 +442,7 @@ impl<'a> Read<'a> {
                 Column::Stored(scan, c) => {
                     return Read::Stored(Source::index(sources, through, scan), *c)
                 }
-                Column::Owned(typed) => return Read::Owned(through, typed),
+                Column::Owned(vals) => return Read::Owned(through, vals),
             }
         }
     }
@@ -474,7 +457,7 @@ impl<'a> Read<'a> {
     ) -> Option<V> {
         match self {
             Read::Stored(s, c) => sources.get(*s)?.row?.cell(*c).cloned(),
-            Read::Owned(through, col) => col.get(follow(through, r)?).map(lift),
+            Read::Owned(through, col) => col.get(follow(through, r)?).cloned().map(lift),
         }
     }
 }
@@ -531,10 +514,7 @@ impl<K: CommutativeSemiring, V: AsConst> PartialEq for ColumnBatch<K, V> {
         let n = self.len();
         let cells_equal = |(a, b): (&Column<K, V>, &Column<K, V>)| {
             let (mut ca, mut cb) = (Cursor::new(), Cursor::new());
-            (0..n).all(|r| {
-                let a = a.cell(r, &mut ca).and_then(|c| c.as_const());
-                a == b.cell(r, &mut cb).and_then(|c| c.as_const())
-            })
+            (0..n).all(|r| a.cell(r, &mut ca) == b.cell(r, &mut cb))
         };
         let (mut ha, mut hb) = ([Cursor::new(); 2], [Cursor::new(); 2]);
         self.arity() == other.arity()
@@ -549,7 +529,7 @@ impl<K: CommutativeSemiring, V: AsConst> Eq for ColumnBatch<K, V> {}
 impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     /// Builds a batch from pre-assembled columns. All columns and the
     /// annotation vector must have the same length.
-    pub fn from_columns(cols: Vec<TypedColumn>, anns: Vec<K>) -> Result<Self> {
+    pub fn from_columns(cols: Vec<Vec<Const>>, anns: Vec<K>) -> Result<Self> {
         if let Some(c) = cols.iter().find(|c| c.len() != anns.len()) {
             return Err(RelError::ArityMismatch {
                 expected: anns.len(),
@@ -645,22 +625,16 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     /// The constant at row `r` of column `i`. `None` if either is out of
     /// range. A kernel that reads many rows of one column takes a
     /// [`ColumnBatch::column`] reader instead.
-    pub fn cell(&self, r: u32, i: usize) -> Option<Cow<'_, Const>>
+    pub fn cell(&self, r: u32, i: usize) -> Option<&Const>
     where
         V: AsConst,
     {
         self.column(i)?.get(r)
     }
 
-    /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG),
-    /// probing its variant from the values. The column must have one
-    /// value per row.
+    /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG).
+    /// The column must have one value per row.
     pub fn push_column(&mut self, col: Vec<Const>) -> Result<()> {
-        self.push_typed_column(TypedColumn::from_consts(col))
-    }
-
-    /// Appends a pre-shaped typed column with one value per row.
-    pub fn push_typed_column(&mut self, col: TypedColumn) -> Result<()> {
         if col.len() != self.len() {
             return Err(RelError::ArityMismatch {
                 expected: self.len(),
@@ -783,11 +757,6 @@ where
     /// The symbolic fringe rows, in support order.
     pub fn fringe(&self) -> &[(Tuple<V>, K)] {
         &self.fringe
-    }
-
-    /// True iff no row holds a symbolic value.
-    pub fn is_all_ground(&self) -> bool {
-        self.fringe.is_empty()
     }
 
     /// Decomposes into the ground batch and the fringe.
@@ -948,6 +917,10 @@ mod tests {
         ns.into_iter().map(Nat).collect()
     }
 
+    fn ints<const N: usize>(ns: [i64; N]) -> Vec<Const> {
+        ns.into_iter().map(Const::int).collect()
+    }
+
     fn sample() -> Relation<NatPoly, Const> {
         Relation::from_rows(
             s(&["a", "b"]),
@@ -964,7 +937,7 @@ mod tests {
     fn read(batch: &ColumnBatch<NatPoly, Const>, i: usize) -> Vec<Const> {
         let mut col = batch.column(i).unwrap();
         (0..col.len() as u32)
-            .map(|r| col.get(r).unwrap().into_owned())
+            .map(|r| col.get(r).unwrap().clone())
             .collect()
     }
 
@@ -974,11 +947,13 @@ mod tests {
         let batch = GroundBatch::from_relation(&rel, as_non_bool);
         assert_eq!(batch.ground().len(), 2);
         assert_eq!(batch.fringe().len(), 1);
-        // The cells are read where the store keeps them: borrowed, not
-        // re-materialized.
+        // The cells are read where the store keeps them: ground row 1 is
+        // support position 2, and its cell is the stored one, not a copy.
         assert_eq!(read(batch.ground(), 0), [Const::int(1), Const::int(3)]);
         assert_eq!(read(batch.ground(), 1), [Const::str("x"), Const::str("y")]);
-        assert!(matches!(batch.ground().cell(1, 1), Some(Cow::Borrowed(_))));
+        let cell: Option<&Const> = batch.ground().cell(1, 1);
+        let stored = rel.iter().nth(2).map(|(t, _)| t.get(1));
+        assert!(cell.zip(stored).is_some_and(|(a, b)| std::ptr::eq(a, b)));
         assert!(batch.ground().cell(2, 0).is_none() && batch.ground().column(2).is_none());
         let back = batch.into_relation(rel.schema().clone(), |c| c).unwrap();
         assert_eq!(back, rel);
@@ -987,8 +962,8 @@ mod tests {
     #[test]
     fn boxed_layout_round_trips_identically() {
         // A half-integer in `a`, a number among the strings of `b`: a
-        // stored column reads whatever its rows hold, and the same cells
-        // typed into owned columns box both.
+        // stored column reads whatever its rows hold, and owned columns
+        // of the same cells read as it does.
         let mut rel = sample();
         let half = Const::Num(aggprov_algebra::num::Num::ratio(7, 2));
         rel.insert(vec![half.clone(), Const::int(9)], NatPoly::token("p4"))
@@ -998,11 +973,7 @@ mod tests {
         let b = [Const::str("x"), Const::str("y"), Const::int(9)];
         assert_eq!(read(batch.ground(), 0), a);
         assert_eq!(read(batch.ground(), 1), b);
-        let cols = vec![
-            TypedColumn::from_consts(a.to_vec()),
-            TypedColumn::from_consts(b.to_vec()),
-        ];
-        assert!(cols.iter().all(|c| c.variant() == "boxed"));
+        let cols = vec![a.to_vec(), b.to_vec()];
         let anns = (0..3).map(|r| {
             let mut curs = [Cursor::new(); 2];
             batch.ground().anns.get(r, &mut curs).unwrap().into_owned()
@@ -1020,7 +991,7 @@ mod tests {
     fn empty_and_all_fringe_round_trip() {
         let empty: Relation<Nat, Const> = Relation::empty(s(&["a"]));
         let b = GroundBatch::from_relation(&empty, |c| Some(c));
-        assert!(b.ground().is_empty() && b.is_all_ground());
+        assert!(b.ground().is_empty() && b.fringe().is_empty());
         assert_eq!(b.into_relation(s(&["a"]), |c| c).unwrap(), empty);
 
         let rel = Relation::from_rows(
@@ -1039,9 +1010,7 @@ mod tests {
 
     #[test]
     fn into_relation_merges_duplicates_additively() {
-        let ground =
-            ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1, 1, 2])], nats([2, 3, 1]))
-                .unwrap();
+        let ground = ColumnBatch::from_columns(vec![ints([1, 1, 2])], nats([2, 3, 1])).unwrap();
         let rel = GroundBatch::<Nat, Const>::from_parts(ground, Vec::new())
             .into_relation(s(&["a"]), |c| c)
             .unwrap();
@@ -1087,12 +1056,11 @@ mod tests {
 
     #[test]
     fn arity_and_length_checks() {
-        assert!(ColumnBatch::<Nat, Const>::from_columns(
-            vec![TypedColumn::Num(vec![1]), TypedColumn::Num(vec![])],
-            vec![Nat(1)]
-        )
-        .is_err());
-        let mut b = ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1])], nats([1])).unwrap();
+        assert!(
+            ColumnBatch::<Nat, Const>::from_columns(vec![ints([1]), ints([])], vec![Nat(1)])
+                .is_err()
+        );
+        let mut b = ColumnBatch::from_columns(vec![ints([1])], nats([1])).unwrap();
         assert!(b.push_column(vec![]).is_err());
         assert!(b.clone().push_column(vec![Const::int(9)]).is_ok());
         assert!(matches!(
@@ -1115,27 +1083,22 @@ mod tests {
     #[test]
     fn a_deferred_product_reads_as_the_eager_one() {
         let tok = NatPoly::token;
-        let batch = |vals: Vec<i64>, anns: Vec<NatPoly>| {
-            ColumnBatch::from_columns(vec![TypedColumn::Num(vals)], anns).unwrap()
+        let batch = |vals: Vec<Const>, anns: Vec<NatPoly>| {
+            ColumnBatch::from_columns(vec![vals], anns).unwrap()
         };
         let (l, r) = (
             vec![tok("l0"), tok("l1"), tok("l2")],
             vec![tok("r0"), tok("r1")],
         );
         let (lrows, rrows) = (vec![0u32, 2, 2], vec![1u32, 0, 1]);
-        let cols = || {
-            vec![
-                TypedColumn::Num(vec![1, 3, 3]),
-                TypedColumn::Num(vec![20, 10, 20]),
-            ]
-        };
+        let cols = || vec![ints([1, 3, 3]), ints([20, 10, 20])];
         let products = lrows.iter().zip(&rrows);
         let products = products.map(|(&a, &b)| l[a as usize].times(&r[b as usize]));
         let eager = ColumnBatch::from_columns(cols(), products.collect()).unwrap();
         let deferred = ColumnBatch::from_join(
-            batch(vec![1, 2, 3], l),
+            batch(ints([1, 2, 3]), l),
             lrows,
-            batch(vec![10, 20], r),
+            batch(ints([10, 20]), r),
             rrows,
         )
         .unwrap();
@@ -1152,7 +1115,7 @@ mod tests {
         // A deferred batch as one side of a second join: its products are
         // multiplied out first, at the rows the pairs name, and its cells
         // read through both index vectors.
-        let third = || batch(vec![7], vec![tok("t0")]);
+        let third = || batch(ints([7]), vec![tok("t0")]);
         let nested = ColumnBatch::from_join(deferred, vec![0, 2], third(), vec![0, 0]).unwrap();
         let flat = ColumnBatch::from_join(eager, vec![0, 2], third(), vec![0, 0]).unwrap();
         assert_eq!(read(&nested, 1), [Const::int(20), Const::int(20)]);
@@ -1207,11 +1170,11 @@ mod tests {
         // reader, and one at a time out of order.
         let mut col = batch.ground().column(0).unwrap();
         let in_order: Vec<Const> = (0..cells.len() as u32)
-            .map(|r| col.get(r).unwrap().into_owned())
+            .map(|r| col.get(r).unwrap().clone())
             .collect();
         assert_eq!(in_order, cells);
         for r in (0..cells.len()).rev().step_by(97) {
-            assert_eq!(col.get(r as u32).as_deref(), Some(&cells[r]));
+            assert_eq!(col.get(r as u32), Some(&cells[r]));
         }
         assert!(col.get(cells.len() as u32).is_none());
         let mut curs = [Cursor::new(); 2];
@@ -1254,10 +1217,7 @@ mod tests {
 
     #[test]
     fn from_join_refuses_pairs_past_its_inputs() {
-        let one = || {
-            ColumnBatch::<Nat, Const>::from_columns(vec![TypedColumn::Num(vec![1])], nats([1]))
-                .unwrap()
-        };
+        let one = || ColumnBatch::<Nat, Const>::from_columns(vec![ints([1])], nats([1])).unwrap();
         let join = |lrows, rrows| ColumnBatch::from_join(one(), lrows, one(), rrows);
         assert!(join(vec![0], vec![0]).is_ok());
         assert!(matches!(join(vec![1], vec![0]), Err(RelError::Internal(_))));
@@ -1272,8 +1232,7 @@ mod tests {
     fn zero_sums_leave_the_support() {
         use aggprov_algebra::semiring::IntZ;
         let ground =
-            ColumnBatch::from_columns(vec![TypedColumn::Num(vec![1, 1])], vec![IntZ(2), IntZ(-2)])
-                .unwrap();
+            ColumnBatch::from_columns(vec![ints([1, 1])], vec![IntZ(2), IntZ(-2)]).unwrap();
         let rel = GroundBatch::<IntZ, Const>::from_parts(ground, Vec::new())
             .into_relation(s(&["a"]), |c| c)
             .unwrap();

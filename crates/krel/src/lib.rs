@@ -15,12 +15,9 @@
 //!   through a clone copies one block, not the table;
 //! * [`batch`] — batches over the ground partition ([`ColumnBatch`],
 //!   [`GroundBatch`]) whose columns read their cells and annotations where
-//!   the relation's store keeps them, with lossless `Relation ⇄ batch`
-//!   conversion, the substrate of the vectorized execution pipeline;
-//! * [`typed`] — the typed columns a kernel builds when it needs one of
-//!   its own ([`TypedColumn`]: unboxed `Vec<i64>` integer runs,
-//!   dictionary-encoded strings, boxed fallback); the data alone decides
-//!   each column's variant, at construction time;
+//!   the relation's store keeps them (a column a kernel builds holds its
+//!   `Const`s), with lossless `Relation ⇄ batch` conversion, the
+//!   substrate of the vectorized execution pipeline;
 //! * [`kset`] — `K`-sets and `SetAgg`;
 //! * [`monus`] — baseline difference semantics (set/bag monus,
 //!   ℤ-difference) used by the paper's §5.2 comparisons;
@@ -39,10 +36,8 @@ pub mod reference;
 pub mod relation;
 pub mod schema;
 mod store;
-pub mod typed;
 
 pub use batch::{AsConst, ColumnBatch, GroundBatch};
 pub use error::{RelError, Result};
 pub use relation::{Merge, Relation, Tuple, TupleRef};
 pub use schema::{Attr, Schema};
-pub use typed::{StrColumn, TypedColumn};

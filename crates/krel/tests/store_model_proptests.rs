@@ -126,14 +126,14 @@ fn assert_batch_reads_as(
         let want: Vec<&Const> = ground.iter().map(|t| t.get(col)).collect();
         let mut reader = cells.column(col).unwrap();
         let read: Vec<Const> = (0..want.len() as u32)
-            .map(|r| reader.get(r).unwrap().into_owned())
+            .map(|r| reader.get(r).unwrap().clone())
             .collect();
         assert!(
             read.iter().eq(want.iter().copied()),
             "column {col} differs from the model"
         );
         for r in (0..want.len()).rev() {
-            assert_eq!(reader.get(r as u32).as_deref(), Some(want[r]), "row {r}");
+            assert_eq!(reader.get(r as u32), Some(want[r]), "row {r}");
         }
         assert!(reader.get(want.len() as u32).is_none());
     }
