@@ -10,7 +10,7 @@
 //! `0`/`1` on the spot and the operators coincide with the classical
 //! `K`-relational algebra of §2.1.
 //!
-//! ## Physical execution: one keyed token fold, one pairwise join
+//! ## Physical execution: one keyed token fold, one join
 //!
 //! The operators here are the *physical* layer. They split their input
 //! into **ground** tuples (only constants at the positions the operator
@@ -48,7 +48,7 @@
 //! | operator | key | finisher |
 //! |---|---|---|
 //! | [`union`] | the whole tuple, over both supports | `Σ coeff` |
-//! | [`project`] | the projected positions | `Σ coeff` |
+//! | [`project`] (over a symbolic row) | the projected positions | `Σ coeff` |
 //! | group state ([`group_state_update`]'s delta) | the grouping positions | one raw tensor `Σ coeff ∗ t'(attr)` per spec, annotated `Σ coeff` |
 //! | [`group_by`] | the grouping positions | the group-state row under [`delta_collapse`]'s per-row map: tensors re-normalized, annotated `δ(Σ coeff)` |
 //!
@@ -56,12 +56,21 @@
 //! incrementally maintained `GROUP BY` and a from-scratch one are the same
 //! fold, with and without the rendering.
 //!
-//! [`union`] and [`project`] keep one shortcut, chosen from what the call
-//! observes: a fully ground input small enough for a single shard is the
-//! classical additive merge of [`Relation::union`] / [`Relation::project`].
-//! [`join_on`]/[`natural_join`] are pairwise rather than a keyed sum: a
-//! hash build/probe over the ground × ground block, the token-weighted
-//! nested loop over pairs with a symbolic key on either side.
+//! [`union`] keeps one shortcut, chosen from what the call observes: a
+//! fully ground input small enough for a single shard is the classical
+//! additive merge of [`Relation::union`].
+//!
+//! [`project`], [`join_on`] and [`product`] are the engine's kernels
+//! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) run over their
+//! relations split into chunks and materialized again, so the operator
+//! oracle tests what a query runs. A fringe-free projection picks columns
+//! (duplicates merge at materialization); one with a symbolic row runs
+//! the keyed fold. The join is pairwise rather than a keyed sum: a hash
+//! build/probe over the ground × ground block — the columnar join, or,
+//! with a symbolic row on either side, the same index over the rows whose
+//! *key* cells are ground (`join_at`) — and the token-weighted nested
+//! loop over pairs with a symbolic key on either side. [`natural_join`]
+//! runs `krel`'s §2.1 join, which `krel::reference` also uses.
 //!
 //! The results are bit-identical to the literal §4.3 evaluation, which is
 //! retained in [`crate::specops`] as the reference path (property-tested
@@ -85,13 +94,15 @@
 //! The same bucketing is the seam for multi-threaded execution: under
 //! the `*_opts` variants, `keyed_fold` finishes contiguous ranges of its
 //! ground buckets — the sums, where the time goes; the bucketing pass
-//! itself is serial — and [`join_on_opts`] joins both ground sides,
-//! sharded by join-key hash, on scoped worker threads (see
-//! [`crate::par`]). Distinct keys finish into distinct rows, so the
-//! workers' outputs are disjoint; each worker finishes its own buckets
-//! (symbolic cross terms included) and the rows are concatenated in shard
-//! order, while the symbolic candidates stay on the sequential token path.
-//! Results are bit-identical at every thread count (see
+//! itself is serial — on scoped worker threads (see [`crate::par`]).
+//! Distinct keys finish into distinct rows, so the workers' outputs are
+//! disjoint; each worker finishes its own buckets (symbolic cross terms
+//! included) and the rows are concatenated in shard order, while the
+//! symbolic candidates stay on the sequential token path. A join builds
+//! its index serially and, from 8 192 probe rows on, probes contiguous
+//! ranges of them on the workers — the columnar join and `join_at`'s
+//! ground-key block alike; the pairs concatenate in probe order. Results
+//! are bit-identical at every thread count (see
 //! `tests/par_determinism_proptests.rs`).
 //!
 //! ## Output construction and duplicate groups
@@ -125,7 +136,6 @@
 //!
 //! [`Relation`]: aggprov_krel::relation::Relation
 //! [`Relation::union`]: aggprov_krel::relation::Relation::union
-//! [`Relation::project`]: aggprov_krel::relation::Relation::project
 //! [`Merge::First`]: aggprov_krel::relation::Merge::First
 //! [`Value`]: crate::value::Value
 //! [`AggAnnotation`]: crate::annotation::AggAnnotation

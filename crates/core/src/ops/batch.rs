@@ -39,9 +39,10 @@
 //!   [`Chunk::project_opts`] picks column handles and [`hash_join`]
 //!   probes columns; with a fringe (on either operand, for the join) the same
 //!   kernels materialize their input and run the token path of
-//!   [`crate::ops`] by position — the keyed fold behind
-//!   `ops::project_opts`, the pairwise `ops::join_on_opts` — then split the
-//!   result back into a chunk, bit-identical to [`crate::specops`];
+//!   [`crate::ops`] by position — the keyed fold, the pairwise join over
+//!   key-groundness partitions — then split the result back into a chunk,
+//!   bit-identical to [`crate::specops`]. They are the tuple-level
+//!   `ops::project_opts`, `join_on_opts` and `product` too;
 //! * **aggregation** and **set operations** need the whole input either
 //!   way; they are the pipeline breakers and run on relations
 //!   ([`crate::ops::group_by_opts`], [`crate::ops::union_opts`]).
@@ -321,12 +322,12 @@ impl<A: AggAnnotation> Chunk<A> {
     /// them additively — for ground data exactly the §4.3 projection.
     ///
     /// With a fringe, projection sums token-weighted contributions across
-    /// rows: the chunk materializes, the keyed token fold of
-    /// [`crate::ops::project_opts`] runs over the *distinct* requested
-    /// positions (§4.3 projects onto a set of attributes), duplicated
-    /// select items expand positionally, and the result splits back into
-    /// a chunk. `opts` shards that fold; the result is identical at every
-    /// thread count.
+    /// rows: the chunk materializes, the keyed token fold (`keyed_fold`,
+    /// which `union` and `group_by` run too) runs over the *distinct*
+    /// requested positions (§4.3 projects onto a set of attributes),
+    /// duplicated select items expand positionally, and the result splits
+    /// back into a chunk. `opts` shards that fold; the result is identical
+    /// at every thread count.
     pub fn project_opts(
         self,
         columns: &[usize],
@@ -549,9 +550,12 @@ impl<A: AggAnnotation> FringeOperand<A> {
 /// A cell is cloned only there too, for the selected rows.
 ///
 /// When **either** chunk carries a fringe, both materialize and the
-/// token-weighted pairwise join of [`crate::ops::join_on_opts`] runs by
-/// position (its own ground-key hash block plus the nested loop over
-/// symbolic keys); the result splits back into a chunk.
+/// token-weighted pairwise join (`ops::join_at`) runs by position: the
+/// ground-keyed rows of each side, a symbolic payload included, go
+/// through the same build index and probe, pairs with a symbolic key on
+/// either side through the token nested loop; the result splits back
+/// into a chunk. [`crate::ops::join_on_opts`] and [`crate::ops::product`]
+/// are this kernel over two relations split into chunks.
 pub fn hash_join<A: AggAnnotation>(
     left: Chunk<A>,
     right: Chunk<A>,
@@ -646,7 +650,7 @@ fn columnar_join<A: AggAnnotation>(
 mod tests {
     use super::*;
     use crate::km::Km;
-    use crate::ops;
+    use crate::{ops, specops};
     use aggprov_algebra::monoid::MonoidKind;
     use aggprov_algebra::poly::NatPoly;
     use aggprov_algebra::semiring::CommutativeSemiring;
@@ -824,7 +828,7 @@ mod tests {
         let p = c.project(&[0], sch(&["a"])).unwrap();
         assert_eq!(p.ground_len(), 2, "merge deferred to materialization");
         let got = p.into_relation().unwrap();
-        let want = ops::project(&rel, &["a"]).unwrap();
+        let want = specops::project(&rel, &["a"]).unwrap();
         assert_eq!(got, want);
     }
 
@@ -847,7 +851,7 @@ mod tests {
         )
         .unwrap();
         let schema = sch(&["a", "b", "c", "d"]);
-        let want = ops::join_on(&r, &s, &[("a", "c")]).unwrap();
+        let want = specops::join_on(&r, &s, &[("a", "c")]).unwrap();
         let j = hash_join(
             Chunk::from_relation(&r),
             Chunk::from_relation(&s),
@@ -870,7 +874,7 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
-        assert_eq!(prod, ops::product(&r, &s).unwrap());
+        assert_eq!(prod, specops::product(&r, &s).unwrap());
     }
 
     #[test]
@@ -904,7 +908,7 @@ mod tests {
         .unwrap()
         .into_relation()
         .unwrap();
-        assert_eq!(strs, ops::join_on(&r, &s, &[("k", "k2")]).unwrap());
+        assert_eq!(strs, specops::join_on(&r, &s, &[("k", "k2")]).unwrap());
 
         // One integer key among the build side's strings: the structural
         // index holds both types, and the integer matches nothing.
@@ -923,7 +927,10 @@ mod tests {
         .into_relation()
         .unwrap();
         assert_eq!(mixed, strs);
-        assert_eq!(mixed, ops::join_on(&r, &s_mixed, &[("k", "k2")]).unwrap());
+        assert_eq!(
+            mixed,
+            specops::join_on(&r, &s_mixed, &[("k", "k2")]).unwrap()
+        );
     }
 
     #[test]

@@ -5,15 +5,17 @@
 
 #![deny(unreachable_pub)]
 
+use super::batch::{self, Chunk};
+use super::typed::{self, Selection, TupleKey};
 use crate::annotation::AggAnnotation;
-use crate::par::{fan_out, plan_shards, split_by, ExecOptions};
+use crate::par::{fan_out, plan_shards, ExecOptions};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::{CommutativeMonoid, MonoidKind};
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::{shard_index, Merge, Relation, Tuple, TupleRef};
+use aggprov_krel::relation::{Merge, Relation, Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -438,32 +440,29 @@ pub fn union_opts<A: AggAnnotation>(
     from_map(r1.schema().clone(), out)
 }
 
-/// Projection `Π_{U'}` (§4.3 item 3): the keyed fold with the projected
-/// positions as key — with symbolic values, annotations sum over all
-/// tuples weighted by tokens on the projected attributes. Single-threaded;
-/// see [`project_opts`] for the partition-parallel form.
+/// Projection `Π_{U'}` (§4.3 item 3): with symbolic values, annotations
+/// sum over all tuples weighted by tokens on the projected attributes.
+/// Single-threaded; see [`project_opts`] for the partition-parallel form.
 pub fn project<A: AggAnnotation>(rel: &MKRel<A>, attrs: &[&str]) -> Result<MKRel<A>> {
     project_opts(rel, attrs, &ExecOptions::serial())
 }
 
-/// [`project`] with explicit [`ExecOptions`]. An input that is ground *at
-/// the projected positions* (a strictly wider set than "the whole
-/// relation is ground") and small enough for one shard takes the
-/// classical additive merge of [`Relation::project`]; everything else runs
-/// the keyed token fold. The result is identical at every thread count.
+/// [`project`] with explicit [`ExecOptions`]: the engine's projection
+/// kernel, [`Chunk::project_opts`], over the relation split into a chunk,
+/// materialized again. A fringe-free input picks its columns and merges
+/// duplicates additively as it materializes; an input with symbolic rows
+/// runs the keyed token fold (`project_fold`). The result is identical
+/// at every thread count.
 pub fn project_opts<A: AggAnnotation>(
     rel: &MKRel<A>,
     attrs: &[&str],
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let positions = rel.schema().indices_of(attrs)?;
-    if plan_shards(opts, rel.len()) == 1 && rel.iter().all(|(t, _)| is_ground_at(t, &positions)) {
-        return rel.project(attrs);
-    }
-    from_map(
-        rel.schema().project(attrs)?,
-        project_fold(rel, &positions, opts)?,
-    )
+    let schema = rel.schema().project(attrs)?;
+    Chunk::from_relation(rel)
+        .project_opts(&positions, schema, opts)?
+        .into_relation()
 }
 
 /// The keyed token fold of [`project_opts`], by position: the output rows
@@ -584,47 +583,12 @@ pub fn join_on<A: AggAnnotation>(
     join_on_opts(r1, r2, on, &ExecOptions::serial())
 }
 
-/// The ground × ground equi-join block: hash build on the right side,
-/// probe with the left — between constants the §4.3 tokens are exactly the
-/// structural key equality. Shared by the serial path (one call over the
-/// whole ground partition) and the parallel path (one call per hash
-/// shard).
-fn hash_join_ground<A: AggAnnotation>(
-    g1: &[(TupleRef<'_, Value<A>>, &A)],
-    g2: &[(TupleRef<'_, Value<A>>, &A)],
-    left: &[usize],
-    right: &[usize],
-    out: &mut Vec<(Tuple<Value<A>>, A)>,
-) {
-    type Bucket<'a, A> = Vec<(TupleRef<'a, Value<A>>, &'a A)>;
-    let mut index: HashMap<Vec<&Value<A>>, Bucket<'_, A>> = HashMap::new();
-    for (t2, k2) in g2 {
-        let key: Vec<&Value<A>> = right.iter().map(|j| t2.get(*j)).collect();
-        index.entry(key).or_default().push((*t2, *k2));
-    }
-    for (t1, k1) in g1 {
-        let key: Vec<&Value<A>> = left.iter().map(|i| t1.get(*i)).collect();
-        if let Some(matches) = index.get(&key) {
-            for (t2, k2) in matches {
-                out.push((t1.concat(t2.values()), k1.times(k2)));
-            }
-        }
-    }
-}
-
-/// [`join_on`] with explicit [`ExecOptions`].
-///
-/// Physical plan: each side is partitioned by groundness of its join-key
-/// columns. The ground × ground block runs as a hash build (right) /
-/// probe (left) equi-join — with more than one thread, both ground sides
-/// are sharded by the same join-key hash, so each scoped worker joins one
-/// hash-disjoint shard pair and the per-shard outputs fold in shard order.
-/// It is keyed on the *keys* alone, so it also serves rows with a ground
-/// key and a symbolic payload, which no column can hold. With no keys
-/// every row lands in the one empty-key bucket: the Cartesian product.
-/// Pairs with a symbolic key on either side fall back to the sequential
-/// token-weighted nested loop, which therefore costs `O(|G|·|S| + |S|²)`
-/// instead of `O(n²)`. The result is identical at every thread count.
+/// [`join_on`] with explicit [`ExecOptions`]: the engine's join kernel,
+/// [`batch::hash_join`], over both relations split into chunks, its
+/// output materialized. Two fringe-free sides take the columnar join;
+/// a symbolic row on either side sends both through `join_at`. With no
+/// keys every pair matches: the Cartesian product. The result is
+/// identical at every thread count.
 pub fn join_on_opts<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
@@ -647,13 +611,24 @@ pub fn join_on_opts<A: AggAnnotation>(
         .map(|(_, b)| r2.schema().index_of(b))
         .collect::<Result<_>>()?;
     let schema = r1.schema().concat(r2.schema())?;
-    join_at(r1, r2, &left, &right, schema, opts)
+    let on: Vec<(usize, usize)> = left.into_iter().zip(right).collect();
+    let (c1, c2) = (Chunk::from_relation(r1), Chunk::from_relation(r2));
+    batch::hash_join(c1, c2, &on, schema, opts)?.into_relation()
 }
 
-/// [`join_on_opts`] by position: key `left[i]` of `r1` against key
-/// `right[i]` of `r2` (all in range), the concatenated rows under
-/// `schema`. The entry [`batch::hash_join`] takes when either chunk
-/// carries a fringe.
+/// The equi-join of two materialized sides by position — key `left[i]`
+/// of `r1` against key `right[i]` of `r2` (all in range), the
+/// concatenated rows under `schema`: what [`batch::hash_join`] runs when
+/// either chunk carries a fringe.
+///
+/// Each side is partitioned by groundness of its *key* cells. The
+/// ground × ground block is the columnar join's: `ops::typed`'s build
+/// index over the right side's ground-keyed rows, probed with the left's
+/// (sharded from its threshold on), so a row with a ground key and a
+/// symbolic payload, which no column can hold, is still hashed. Pairs
+/// with a symbolic key on either side run the sequential token-weighted
+/// nested loop, which therefore costs `O(|G|·|S| + |S|²)` instead of
+/// `O(n²)`. The result is identical at every thread count.
 pub(crate) fn join_at<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
@@ -667,29 +642,19 @@ pub(crate) fn join_at<A: AggAnnotation>(
     let (g2, s2): (Side<'_, A>, Side<'_, A>) =
         r2.iter().partition(|(t, _)| is_ground_at(*t, right));
 
-    let mut out = Vec::new();
-    let nshards = plan_shards(opts, g1.len().max(g2.len()));
-    if nshards == 1 {
-        hash_join_ground(&g1, &g2, left, right, &mut out);
-    } else {
-        // Both sides sharded by the same key hash: matching keys land
-        // in the same shard, so shard outputs are disjoint.
-        let shards1 = split_by(&g1, nshards, |(t, _)| {
-            shard_index(&left.iter().map(|i| t.get(*i)).collect::<Vec<_>>(), nshards)
-        });
-        let shards2 = split_by(&g2, nshards, |(t, _)| {
-            shard_index(
-                &right.iter().map(|j| t.get(*j)).collect::<Vec<_>>(),
-                nshards,
-            )
-        });
-        let pairs: Vec<_> = shards1.into_iter().zip(shards2).collect();
-        let shard_rows = fan_out(pairs, move |(p1, p2)| {
-            let mut rows = Vec::new();
-            hash_join_ground(&p1, &p2, left, right, &mut rows);
-            Ok(rows)
-        })?;
-        out = shard_rows.into_iter().flatten().collect();
+    let lkeys: Vec<_> = left.iter().map(|&i| TupleKey(&g1, i)).collect();
+    let rkeys: Vec<_> = right.iter().map(|&j| TupleKey(&g2, j)).collect();
+    let (lsel, rsel) = (
+        Selection::new(None, g1.len()),
+        Selection::new(None, g2.len()),
+    );
+    let (lrows, rrows) = typed::join_rows(&lkeys, &rkeys, lsel, rsel, opts)?;
+    let mut out = Vec::with_capacity(lrows.len());
+    for (l, r) in lrows.into_iter().zip(rrows) {
+        let (Some((t1, k1)), Some((t2, k2))) = (g1.get(l as usize), g2.get(r as usize)) else {
+            return Err(RelError::Internal("join match row out of range".into()));
+        };
+        out.push((t1.concat(t2.values()), k1.times(k2)));
     }
     // Symbolic fringes: every pair with a symbolic key on at least one side
     // carries a genuine §4.3 token product.

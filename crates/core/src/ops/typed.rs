@@ -1,5 +1,6 @@
 //! Monomorphic row loops for the batch kernels: branchless selection over
-//! cells read in place, and a join that indexes the cells it reads.
+//! cells read in place, and the one join index both equi-joins build.
+//! (The name is left from typed column layouts that no longer exist.)
 //!
 //! A chunk's columns are read where they lie — in the scanned relation's
 //! tuple store, through a join's match rows, or in a column a kernel
@@ -22,8 +23,10 @@
 //!   the §4.3 equality token is `0`/`1`, so structural equality of the
 //!   cells is the whole join condition. The probe side reads its key cells
 //!   in place, looks each one up as it lies, and writes the match rows
-//!   straight into the two index vectors the deferred join output reads
-//!   through.
+//!   straight into two index vectors. Both joins read key cells through
+//!   [`KeyColumn`]: the columnar join a chunk's [`ColumnReader`]s, the
+//!   ground-key block of `ops::join_at` its ground-keyed rows
+//!   ([`TupleKey`]).
 //!
 //! Large kernels additionally **shard across the [`crate::par::fan_out`]
 //! workers**: the selection splits into contiguous ascending sub-ranges,
@@ -39,10 +42,11 @@
 //! across types, ordering across types is a type error raised only if a
 //! row actually reaches the comparison) and is property-tested
 //! bit-identical to [`crate::specops`] through the batch pipeline at
-//! threads 1 and 4. These kernels only ever see the ground partition:
+//! threads 1 and 4. These kernels only ever see constants: a
 //! [`crate::ops::batch::Chunk`] keeps its symbolic fringe on the token
-//! path, and the join entry point here is reached only past `hash_join`'s
-//! two-sided fringe gate.
+//! path, and the join reads either two fringe-free chunks (past
+//! `hash_join`'s two-sided fringe gate) or rows that are ground at their
+//! key positions (`ops::join_at`'s partition).
 
 use crate::km::CmpPred;
 use crate::ops::batch::BatchCmp;
@@ -51,6 +55,7 @@ use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
 use aggprov_krel::batch::{AsConst, ColumnReader};
 use aggprov_krel::error::{RelError, Result};
+use aggprov_krel::relation::TupleRef;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -242,7 +247,7 @@ fn filter_rows<K: Send + Sync, V: AsConst + Send + Sync>(
     opts: &ExecOptions,
     keep: impl Fn(&Const) -> Result<bool> + Sync,
 ) -> Result<Vec<u32>> {
-    let shards = ranges(sel.len(), FILTER_SHARD_MIN_ROWS, opts);
+    let shards = par::ranges(sel.len(), FILTER_SHARD_MIN_ROWS, opts);
     let parts = par::fan_out(shards, |(start, end)| {
         let rows = sel.range(start, end).ok_or_else(shard_oob)?;
         let mut col = col.clone();
@@ -273,26 +278,6 @@ fn filter_rows<K: Send + Sync, V: AsConst + Send + Sync>(
     let mut kept = concat(parts);
     kept.shrink_to_fit();
     Ok(kept)
-}
-
-/// Cuts `n` work items into contiguous ascending ranges, one per planned
-/// worker from `min_rows` items on; a single range means "stay serial".
-fn ranges(n: usize, min_rows: usize, opts: &ExecOptions) -> Vec<(usize, usize)> {
-    let shards = if n >= min_rows {
-        par::plan_shards(opts, n)
-    } else {
-        1
-    };
-    let base = n / shards;
-    let extra = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
 }
 
 /// The rows a kernel visits: those a selection vector names, or all `n`
@@ -417,6 +402,34 @@ impl Hasher for IntHasher {
 
 type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
+/// One key column of a join side, read a row at a time: row `r`'s cell,
+/// borrowed where it lies. Both equi-joins build and probe [`BuildIndex`]
+/// through it, so they share its two arms and its sharded probe.
+pub(crate) trait KeyColumn<'a>: Clone {
+    /// Row `r`'s key cell; `None` past the end.
+    fn cell(&mut self, r: u32) -> Option<&'a Const>;
+}
+
+impl<'a, K, V: AsConst> KeyColumn<'a> for ColumnReader<'a, K, V> {
+    #[inline]
+    fn cell(&mut self, r: u32) -> Option<&'a Const> {
+        self.get(r)
+    }
+}
+
+/// Key column `.1` of the rows `.0` (row `r` is `.0[r]`): the ground-keyed
+/// rows of a materialized join side, whose payload may be symbolic.
+#[derive(Clone)]
+pub(crate) struct TupleKey<'s, 'a, V, K>(pub(crate) &'s [(TupleRef<'a, V>, K)], pub(crate) usize);
+
+impl<'a, V: AsConst + Clone, K: Clone> KeyColumn<'a> for TupleKey<'_, 'a, V, K> {
+    #[inline]
+    fn cell(&mut self, r: u32) -> Option<&'a Const> {
+        let (t, _) = self.0.get(r as usize)?;
+        t.values().get(self.1)?.as_const()
+    }
+}
+
 /// The build side of a join, keyed by its selected rows' key cells: an
 /// integer-hashed index when the key is one column, integral in every
 /// selected row, and a structural index over the key cells — borrowed
@@ -432,13 +445,13 @@ impl<'a> BuildIndex<'a> {
     /// hashed as integers while its cells are integral, which one pass over
     /// them decides; at the first other cell, and for a key of several
     /// columns, the index is structural.
-    fn build<K, V: AsConst>(keys: &[ColumnReader<'a, K, V>], sel: Selection<'_>) -> Result<Self> {
+    fn build<C: KeyColumn<'a>>(keys: &[C], sel: Selection<'_>) -> Result<Self> {
         let mut keys = keys.to_vec();
         if let [key] = keys.as_mut_slice() {
             let mut index: IntMap<i64, Vec<u32>> = IntMap::default();
             let mut integral = true;
             for r in sel {
-                let Some(v) = as_int(key.get(r).ok_or_else(join_row_oob)?) else {
+                let Some(v) = as_int(key.cell(r).ok_or_else(join_row_oob)?) else {
                     integral = false;
                     break;
                 };
@@ -466,9 +479,9 @@ impl<'a> BuildIndex<'a> {
     /// through `keys` (`buf` is the reused key buffer of the structural
     /// index). A non-integral cell probing the integer index matches
     /// nothing, as structural equality says.
-    fn probe<K, V: AsConst>(
+    fn probe<C: KeyColumn<'a>>(
         &self,
-        keys: &mut [ColumnReader<'a, K, V>],
+        keys: &mut [C],
         r: u32,
         buf: &mut Vec<&'a Const>,
     ) -> Result<&[u32]> {
@@ -484,9 +497,9 @@ impl<'a> BuildIndex<'a> {
 }
 
 /// Row `r`'s cell of a one-column key.
-fn one_key<'a, K, V: AsConst>(keys: &mut [ColumnReader<'a, K, V>], r: u32) -> Result<&'a Const> {
+fn one_key<'a, C: KeyColumn<'a>>(keys: &mut [C], r: u32) -> Result<&'a Const> {
     match keys {
-        [key] => key.get(r).ok_or_else(join_row_oob),
+        [key] => key.cell(r).ok_or_else(join_row_oob),
         _ => Err(RelError::Internal(
             "an integer join index probed with several key columns".into(),
         )),
@@ -494,14 +507,10 @@ fn one_key<'a, K, V: AsConst>(keys: &mut [ColumnReader<'a, K, V>], r: u32) -> Re
 }
 
 /// Row `r`'s key cells, borrowed where they lie, into `key`.
-fn read_key<'a, K, V: AsConst>(
-    keys: &mut [ColumnReader<'a, K, V>],
-    r: u32,
-    key: &mut Vec<&'a Const>,
-) -> Result<()> {
+fn read_key<'a, C: KeyColumn<'a>>(keys: &mut [C], r: u32, key: &mut Vec<&'a Const>) -> Result<()> {
     key.clear();
     for col in keys {
-        key.push(col.get(r).ok_or_else(join_row_oob)?);
+        key.push(col.cell(r).ok_or_else(join_row_oob)?);
     }
     Ok(())
 }
@@ -511,16 +520,17 @@ fn read_key<'a, K, V: AsConst>(
 /// match rows of each side, pair `i` being `(lrows[i], rrows[i])`, in
 /// probe order and, within one probe row, in build selection order —
 /// written straight into the two vectors, sized for one match a probe
-/// row. Large probes shard across workers in contiguous ranges.
-pub(crate) fn join_rows<'a, K: Send + Sync, V: AsConst + Send + Sync>(
-    lkeys: &[ColumnReader<'a, K, V>],
-    rkeys: &[ColumnReader<'a, K, V>],
+/// row. From [`SHARD_MIN_ROWS`] probe rows on, the probe shards across
+/// workers in contiguous ranges.
+pub(crate) fn join_rows<'a, C: KeyColumn<'a> + Sync>(
+    lkeys: &[C],
+    rkeys: &[C],
     lsel: Selection<'_>,
     rsel: Selection<'_>,
     opts: &ExecOptions,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let index = BuildIndex::build(rkeys, rsel)?;
-    let shards = ranges(lsel.len(), SHARD_MIN_ROWS, opts);
+    let shards = par::ranges(lsel.len(), SHARD_MIN_ROWS, opts);
     let mut parts = par::fan_out(shards, |(start, end)| {
         let rows = lsel.range(start, end).ok_or_else(shard_oob)?;
         let mut keys = lkeys.to_vec();

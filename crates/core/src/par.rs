@@ -2,17 +2,16 @@
 //! the scoped fan-out the physical operators run on.
 //!
 //! The ground/symbolic split of [`crate::ops`] makes the expensive part of
-//! every operator embarrassingly parallel: ground tuples interact only
-//! through structural key equality, so partitioning them by operator key
-//! (a join's two sides by join-key hash; the keyed fold's buckets — one per
-//! group key, output tuple or projected tuple — by contiguous range) yields
-//! shards whose outputs are disjoint. Each shard runs the ordinary
-//! single-threaded algorithm on a scoped worker thread
-//! ([`std::thread::scope`] — no dependencies, no `'static` bounds, shards
-//! borrow the input relations directly); the per-shard results are then
-//! folded **in shard order** into one output map, which keeps merge order
-//! — and therefore every produced relation — deterministic. The symbolic fringe stays on the
-//! sequential token path of `ops`, so results are bit-identical to the
+//! every operator embarrassingly parallel: between ground tuples every
+//! §4.3 token is structural equality, so work cut into contiguous ranges
+//! (a join's probe rows; the keyed fold's buckets — one per group key,
+//! output tuple or projected tuple) yields shards whose outputs are
+//! disjoint. Each shard runs the ordinary single-threaded loop on a scoped
+//! worker thread ([`std::thread::scope`] — no dependencies, no `'static`
+//! bounds, shards borrow their input directly); the per-shard results are
+//! then concatenated **in shard order**, which is the serial order, so
+//! every produced relation is deterministic. The symbolic fringe stays on
+//! the sequential token path of `ops`, so results are bit-identical to the
 //! [`crate::specops`] oracle at every thread count (property-tested in
 //! `tests/par_determinism_proptests.rs`).
 //!
@@ -28,7 +27,6 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 
 use aggprov_krel::error::{RelError, Result};
-pub use aggprov_krel::relation::shard_index;
 use std::sync::OnceLock;
 
 /// The environment variable overriding the executor thread count.
@@ -37,7 +35,7 @@ pub const THREADS_ENV: &str = "AGGPROV_THREADS";
 /// Execution options for the physical operators: how many worker threads
 /// an operator may shard its ground partition across.
 ///
-/// `threads = 1` is the exact single-threaded code path of PR 2 (no shard
+/// `threads = 1` runs every operator on the calling thread (no shard
 /// planning, no spawns); any higher count fans ground shards out over
 /// scoped threads. Results are identical at every thread count.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,8 +44,8 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// Single-threaded execution (the PR 2 behaviour; also what the plain
-    /// `ops::join_on`-style wrappers use).
+    /// Single-threaded execution — what the operators without an `_opts`
+    /// form (`ops::join_on`, `ops::project`, …) run under.
     pub fn serial() -> Self {
         ExecOptions { threads: 1 }
     }
@@ -127,25 +125,26 @@ pub(crate) fn plan_shards(opts: &ExecOptions, items: usize) -> usize {
     opts.threads().min(items).max(1)
 }
 
-/// Splits borrowed entries into `n` shards, preserving input order within
-/// each shard (the property the deterministic merges rely on). The caller
-/// supplies the shard index directly — typically `shard_index(key, n)`,
-/// computed exactly once per entry; entries with equal keys must map to
-/// the same index.
-pub(crate) fn split_by<T: Copy>(
-    entries: &[T],
-    n: usize,
-    shard_of: impl Fn(&T) -> usize,
-) -> Vec<Vec<T>> {
-    let mut shards: Vec<Vec<T>> = (0..n.max(1)).map(|_| Vec::new()).collect();
-    for e in entries {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_of returns hash % n, always < shards.len()"
-        )]
-        shards[shard_of(e)].push(*e);
+/// Cuts `n` work items into contiguous ascending ranges `(start, end)`,
+/// one per planned worker from `min_rows` items on; a single range means
+/// "stay serial". The ranges cover `0..n` in order, so concatenating the
+/// per-range results reproduces the serial loop.
+pub(crate) fn ranges(n: usize, min_rows: usize, opts: &ExecOptions) -> Vec<(usize, usize)> {
+    let shards = if n >= min_rows {
+        plan_shards(opts, n)
+    } else {
+        1
+    };
+    let base = n / shards;
+    let extra = n % shards;
+    let mut out = Vec::with_capacity(shards);
+    let mut start = 0usize;
+    for i in 0..shards {
+        let len = base + usize::from(i < extra);
+        out.push((start, start + len));
+        start += len;
     }
-    shards
+    out
 }
 
 /// Runs one scoped worker per shard and returns the per-shard results **in
@@ -199,15 +198,23 @@ mod tests {
 
     #[test]
     fn split_preserves_order_and_key_locality() {
-        let entries: Vec<u32> = (0..100).collect();
-        let shards = split_by(&entries, 4, |e| shard_index(&(*e % 10), 4));
-        assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 100);
-        for shard in &shards {
-            assert!(shard.windows(2).all(|w| w[0] < w[1]), "order preserved");
+        // Contiguous ascending shards that cover every row exactly once —
+        // at, above and below the threshold, and with fewer rows than
+        // workers.
+        let opts = ExecOptions::with_threads(4);
+        for (n, min_rows, want_shards) in [(100, 10, 4), (100, 100, 4), (99, 100, 1), (3, 1, 3)] {
+            let shards = ranges(n, min_rows, &opts);
+            assert_eq!(shards.len(), want_shards, "{n} rows from {min_rows}");
+            let mut next = 0;
+            for &(start, end) in &shards {
+                assert_eq!(start, next, "contiguous");
+                assert!(start < end, "no empty shard");
+                next = end;
+            }
+            assert_eq!(next, n, "every row once");
         }
-        // Equal keys co-locate: 3 and 13 share `key = 3`.
-        let home = shards.iter().position(|s| s.contains(&3)).unwrap();
-        assert!(shards[home].contains(&13));
+        assert_eq!(ranges(0, 0, &opts), vec![(0, 0)]);
+        assert_eq!(ranges(100, 1, &ExecOptions::serial()), vec![(0, 100)]);
     }
 
     #[test]

@@ -37,44 +37,10 @@ use aggprov_krel::relation::{Merge, Relation, Tuple};
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 
+mod common;
+use common::{decode_num_val, decode_val, raw_val, rel_from, tok, RawVal, VARS};
+
 type P = Km<NatPoly>;
-
-fn tok(name: &str) -> P {
-    Km::embed(NatPoly::token(name))
-}
-
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
-
-/// One generated cell, as in the PR 2/3 suites: `(kind, var_index, int)`
-/// with kind 0–5 — 0–2 ground ints, 3 a ground string, 4–5 a symbolic
-/// `SUM` tensor (≈1/3 symbolic).
-type RawVal = (u8, usize, i64);
-
-fn decode_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    match kind {
-        0..=2 => Value::int(n),
-        3 => Value::str(if n % 2 == 0 { "s0" } else { "s1" }),
-        _ => Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        ),
-    }
-}
-
-/// Numeric-only cell (ground int or symbolic tensor) — for columns under
-/// order comparisons, where a string would be a type error on both paths.
-fn decode_num_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    if kind <= 3 {
-        Value::int(n)
-    } else {
-        Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        )
-    }
-}
 
 /// Fully ground cell.
 fn decode_ground_val(raw: RawVal) -> Value<P> {
@@ -84,20 +50,6 @@ fn decode_ground_val(raw: RawVal) -> Value<P> {
     } else {
         Value::int(n)
     }
-}
-
-fn raw_val() -> impl Strategy<Value = RawVal> {
-    (0u8..6, 0..VARS.len(), -2i64..5)
-}
-
-fn rel_from(prefix: &str, schema: Schema, rows: Vec<Vec<Value<P>>>) -> MKRel<P> {
-    Relation::from_rows(
-        schema,
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, row)| (row, tok(&format!("{prefix}{i}")))),
-    )
-    .unwrap()
 }
 
 /// A mixed relation over `(a, b)` with `b` numeric-or-symbolic.

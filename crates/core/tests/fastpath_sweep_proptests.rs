@@ -4,7 +4,8 @@
 //! silently dropping the token cross terms a symbolic lookup tuple
 //! carries against ground support tuples).
 //!
-//! Audit of the remaining `is_ground_at` gates in `core/src/ops.rs`:
+//! Audit of the remaining groundness gates in `core::ops` (the operators
+//! in `ops/physical.rs`, the chunk kernels in `ops/batch.rs`):
 //!
 //! * **`union_opts` partition** (the `is_ground_at` split over all
 //!   positions): ground output keys explicitly add every symbolic
@@ -12,11 +13,11 @@
 //!   shard closure), and symbolic output keys sum over both partitions —
 //!   two-sided by construction. The top-level structural merge only
 //!   fires when **both** inputs pass `has_symbolic = false`.
-//! * **`project_opts`** both gates: the all-ground fast path requires
-//!   *every* tuple ground at the projected positions (a strictly wider
-//!   fast set than whole-relation groundness — deliberate, and sound
-//!   because tokens only read the projected columns); the partitioned
-//!   path adds cross terms in both directions.
+//! * **`project_opts`** is `Chunk::project_opts` over the relation split
+//!   into a chunk: the column pick (additive merge at materialization)
+//!   needs the chunk to have *no* fringe row — a symbolic cell anywhere
+//!   in a row, projected or not, sends the whole input through the keyed
+//!   fold, whose partition adds cross terms in both directions.
 //! * **`select_with_token`** (`tok.is_zero()` / `is_one()` shortcut):
 //!   §4.3 selection is per-tuple — `(σR)(t) = R(t)·[cond]` has no
 //!   cross-tuple sum, so dropping zero-token tuples and keeping
@@ -29,9 +30,12 @@
 //!   contributions of symbolic-keyed tuples (`keyed_fold`'s per-bucket
 //!   `sym` loop); symbolic candidate groups sum over every bucket and
 //!   the symbolic fringe — two-sided.
-//! * **`join_on_opts`**: the hash block only joins ground × ground key
-//!   pairs; all three one-or-two-sided symbolic blocks
-//!   (`g×s`, `s×g`, `s×s`) run the token nested loop.
+//! * **`join_on_opts`** is `batch::hash_join` over both relations split
+//!   into chunks: the columnar join needs *two* fringe-free chunks (the
+//!   `Ground` witness); otherwise `join_at` partitions each side by key
+//!   groundness, its build index joins only ground × ground key pairs,
+//!   and all three one-or-two-sided symbolic blocks (`g×s`, `s×g`,
+//!   `s×s`) run the token nested loop.
 //!
 //! No further instance of the bug class was found; these tests pin each
 //! gate in exactly the regime where it would bite — one side (or one
@@ -197,8 +201,9 @@ proptest! {
         prop_assert_eq!(&t4, &want);
 
         // Π_b: every projected key ground even though the relation holds
-        // symbolic values — the widened all-ground fast path must agree
-        // with the literal rule (tokens only read the projected column).
+        // symbolic values — the symbolic rows keep the input on the keyed
+        // fold, whose ground buckets must agree with the literal rule
+        // (tokens only read the projected column).
         let want = specops::project(&mixed, &["b"]).unwrap();
         let (t1, t4) = both_threads(|o| ops::project_opts(&mixed, &["b"], o).unwrap());
         prop_assert_eq!(&t1, &want);

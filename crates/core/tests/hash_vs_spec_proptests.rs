@@ -9,85 +9,18 @@
 //! full structural equality of the result relations — schema, support,
 //! and every annotation, bit for bit.
 
-use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
-use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::Km;
 use aggprov_core::ops::{self, AggSpec, MKRel};
-use aggprov_core::{specops, Value};
-use aggprov_krel::relation::Relation;
+use aggprov_core::specops;
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 
+mod common;
+use common::{arb_rel2, decode_num_val, decode_val, raw_val, rel_from};
+
 type P = Km<NatPoly>;
-
-fn tok(name: &str) -> P {
-    Km::embed(NatPoly::token(name))
-}
-
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
-
-/// One generated cell: decoded into a ground constant or a symbolic `SUM`
-/// tensor. `(kind, var_index, int_value)` with kind 0–5: 0–2 ground ints,
-/// 3 a ground string, 4–5 a symbolic tensor (≈1/3 symbolic).
-type RawVal = (u8, usize, i64);
-
-fn decode_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    match kind {
-        0..=2 => Value::int(n),
-        3 => Value::str(if n % 2 == 0 { "s0" } else { "s1" }),
-        _ => Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        ),
-    }
-}
-
-/// Numeric-only cell (for aggregated columns, where a string would be a
-/// carrier-type error on both paths).
-fn decode_num_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    if kind <= 3 {
-        Value::int(n)
-    } else {
-        Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        )
-    }
-}
-
-fn raw_val() -> impl Strategy<Value = RawVal> {
-    (0u8..6, 0..VARS.len(), -2i64..5)
-}
-
-fn rel_from(prefix: &str, schema: Schema, rows: Vec<Vec<Value<P>>>) -> MKRel<P> {
-    Relation::from_rows(
-        schema,
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, row)| (row, tok(&format!("{prefix}{i}")))),
-    )
-    .unwrap()
-}
-
-fn arb_rel2(
-    prefix: &'static str,
-    a: &'static str,
-    b: &'static str,
-) -> impl Strategy<Value = MKRel<P>> {
-    prop::collection::vec((raw_val(), raw_val()), 0..7).prop_map(move |rows| {
-        rel_from(
-            prefix,
-            Schema::new([a, b]).unwrap(),
-            rows.into_iter()
-                .map(|(x, y)| vec![decode_val(x), decode_val(y)])
-                .collect(),
-        )
-    })
-}
 
 /// A `(group-key, numeric)` relation for the grouping/aggregation tests.
 fn arb_group_rel() -> impl Strategy<Value = MKRel<P>> {

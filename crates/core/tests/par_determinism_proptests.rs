@@ -39,23 +39,18 @@ use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 
+mod common;
+use common::{arb_rel2, raw_val, rel_from, tok, RawVal, VARS};
+
 type P = Km<NatPoly>;
 
 /// The thread counts under test: serial, genuine splitting, and more
 /// shards than tuples (empty shards).
 const THREADS: [usize; 3] = [1, 2, 8];
 
-fn tok(name: &str) -> P {
-    Km::embed(NatPoly::token(name))
-}
-
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
-
-/// One generated cell (see `specops_oracle_proptests`): `(kind, var_index,
-/// int_value)` with kind 0–5; 0–2 ground ints, 3 a ground string, 4–5 a
-/// symbolic `SUM` tensor.
-type RawVal = (u8, usize, i64);
-
+/// One generated cell, decoded as `common::decode_val` decodes it, its
+/// symbolic case through [`sym_val`] (which the key-shape generators
+/// below share).
 fn decode_val(raw: RawVal) -> Value<P> {
     let (kind, vi, n) = raw;
     match kind {
@@ -73,36 +68,6 @@ fn sym_val(vi: usize, n: i64) -> Value<P> {
             [(tok(VARS[vi % VARS.len()]), Const::int(n))],
         ),
     )
-}
-
-fn raw_val() -> impl Strategy<Value = RawVal> {
-    (0u8..6, 0..VARS.len(), -2i64..5)
-}
-
-fn rel_from(prefix: &str, schema: Schema, rows: Vec<Vec<Value<P>>>) -> MKRel<P> {
-    Relation::from_rows(
-        schema,
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, row)| (row, tok(&format!("{prefix}{i}")))),
-    )
-    .unwrap()
-}
-
-fn arb_rel2(
-    prefix: &'static str,
-    a: &'static str,
-    b: &'static str,
-) -> impl Strategy<Value = MKRel<P>> {
-    prop::collection::vec((raw_val(), raw_val()), 0..7).prop_map(move |rows| {
-        rel_from(
-            prefix,
-            Schema::new([a, b]).unwrap(),
-            rows.into_iter()
-                .map(|(x, y)| vec![decode_val(x), decode_val(y)])
-                .collect(),
-        )
-    })
 }
 
 /// A `(group-key, numeric)` relation for the grouping tests (strings in
@@ -485,15 +450,12 @@ fn repeated_symbolic_key_forms_one_candidate() {
     }
 }
 
-/// A workload big enough that every shard at `threads = 8` is busy:
-/// parallel results must equal the serial hash path (which the
-/// `specops_oracle` suite already ties to the literal operators) tuple
-/// for tuple.
-#[test]
-fn busy_shards_match_serial_hash_path() {
+/// `n` rows of `(emp, dept, sal)` over 23 departments, drawn from a fixed
+/// LCG.
+fn emp_rows(n: usize) -> MKRel<P> {
     let mut emp = Relation::empty(sch(&["emp", "dept", "sal"]));
     let mut state: u64 = 0xDEAD_BEEF;
-    for i in 0..400 {
+    for i in 0..n {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -505,6 +467,16 @@ fn busy_shards_match_serial_hash_path() {
         )
         .unwrap();
     }
+    emp
+}
+
+/// A workload big enough that every shard at `threads = 8` is busy:
+/// parallel results must equal the serial hash path (which the
+/// `specops_oracle` suite already ties to the literal operators) tuple
+/// for tuple.
+#[test]
+fn busy_shards_match_serial_hash_path() {
+    let emp = emp_rows(400);
     let mut dim = Relation::empty(sch(&["dept2", "region"]));
     for d in 0..23 {
         dim.insert(
@@ -519,6 +491,21 @@ fn busy_shards_match_serial_hash_path() {
         ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &par).unwrap(),
         ops::join_on_opts(&emp, &dim, &[("dept", "dept2")], &serial).unwrap()
     );
+    // A join probe shards only from 8 192 probe rows on. Above that, with
+    // one symbolic `dim` row (a ground key, a symbolic `region`), the join
+    // leaves the columnar path for `join_at`, whose ground-key block
+    // hashes that row too and shards its probe over `emp`.
+    let big = emp_rows(9_000);
+    let mut sym_dim = dim.clone();
+    sym_dim
+        .insert(vec![Value::int(7), sym_val(0, 3)], tok("d_sym"))
+        .unwrap();
+    let joined = ops::join_on_opts(&big, &sym_dim, &[("dept", "dept2")], &par).unwrap();
+    assert_eq!(
+        joined,
+        ops::join_on_opts(&big, &sym_dim, &[("dept", "dept2")], &serial).unwrap()
+    );
+    assert!(joined.iter().any(|(t, _)| t.get(4).is_agg()));
     let gspecs = [AggSpec::new(MonoidKind::Sum, "sal")];
     assert_eq!(
         ops::group_by_opts(&emp, &["dept"], &gspecs, &par).unwrap(),

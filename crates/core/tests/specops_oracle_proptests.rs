@@ -14,10 +14,8 @@
 //! symbolic keys in a group-state delta), both paths must fail with the
 //! *same* error.
 
-use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_algebra::poly::NatPoly;
-use aggprov_algebra::tensor::Tensor;
 use aggprov_core::annotation::AggAnnotation;
 use aggprov_core::km::{CmpPred, Km};
 use aggprov_core::ops::{self, AggSpec, MKRel, Operator};
@@ -28,72 +26,10 @@ use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
 use std::fmt::Debug;
 
+mod common;
+use common::{arb_rel2, decode_num_val, decode_val, raw_val, rel_from, RawVal};
+
 type P = Km<NatPoly>;
-
-fn tok(name: &str) -> P {
-    Km::embed(NatPoly::token(name))
-}
-
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
-
-/// One generated cell: kind 0–2 ground ints, 3 a ground string, 4–5 a
-/// symbolic `SUM` tensor (≈1/3 symbolic).
-type RawVal = (u8, usize, i64);
-
-fn decode_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    match kind {
-        0..=2 => Value::int(n),
-        3 => Value::str(if n % 2 == 0 { "s0" } else { "s1" }),
-        _ => Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        ),
-    }
-}
-
-/// Numeric-only cell (for aggregated columns).
-fn decode_num_val(raw: RawVal) -> Value<P> {
-    let (kind, vi, n) = raw;
-    if kind <= 3 {
-        Value::int(n)
-    } else {
-        Value::agg_normalized(
-            MonoidKind::Sum,
-            Tensor::from_terms(&MonoidKind::Sum, [(tok(VARS[vi]), Const::int(n))]),
-        )
-    }
-}
-
-fn raw_val() -> impl Strategy<Value = RawVal> {
-    (0u8..6, 0..VARS.len(), -2i64..5)
-}
-
-fn rel_from(prefix: &str, schema: Schema, rows: Vec<Vec<Value<P>>>) -> MKRel<P> {
-    Relation::from_rows(
-        schema,
-        rows.into_iter()
-            .enumerate()
-            .map(|(i, row)| (row, tok(&format!("{prefix}{i}")))),
-    )
-    .unwrap()
-}
-
-fn arb_rel2(
-    prefix: &'static str,
-    a: &'static str,
-    b: &'static str,
-) -> impl Strategy<Value = MKRel<P>> {
-    prop::collection::vec((raw_val(), raw_val()), 0..7).prop_map(move |rows| {
-        rel_from(
-            prefix,
-            Schema::new([a, b]).unwrap(),
-            rows.into_iter()
-                .map(|(x, y)| vec![decode_val(x), decode_val(y)])
-                .collect(),
-        )
-    })
-}
 
 /// Like [`arb_rel2`] but with an always-ground (int) second column — the
 /// shape the natural-join success path needs on its shared attribute.

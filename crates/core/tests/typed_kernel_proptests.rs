@@ -8,6 +8,13 @@
 //! types meeting, a boolean or a non-integer rational), at
 //! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
 //! the same oracle as the serial loops.
+//!
+//! The file's name and two of its test names
+//! (`typed_filter_matches_boxed_and_ops`,
+//! `typed_join_matches_boxed_and_specops`) are those of the typed and
+//! boxed column layouts these properties once compared. Both layouts are
+//! gone: there is one column form, read as `&Const`, and each test checks
+//! it against `specops` alone.
 
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;

@@ -44,7 +44,7 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// A tuple of values. Cheap to clone (shared storage).
@@ -608,20 +608,6 @@ where
     pub fn annotation_size(&self, measure: impl Fn(&K) -> usize) -> usize {
         self.iter().map(|(_, k)| measure(k)).sum()
     }
-}
-
-/// The deterministic shard index of a key: SipHash with the standard
-/// library's fixed `DefaultHasher::new()` keys, reduced modulo `n`.
-/// Deterministic across runs and processes *of the same build* — unlike
-/// `HashMap`'s per-process-seeded state — which is what in-process
-/// parallel determinism needs. It is **not** pinned across Rust releases
-/// (std reserves the right to change `DefaultHasher`'s algorithm), so a
-/// future cross-node deployment must swap in an explicitly keyed hasher
-/// before shipping shard assignments between binaries.
-pub fn shard_index<H: Hash>(key: &H, n: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() % n.max(1) as u64) as usize
 }
 
 impl<K, V> fmt::Display for Relation<K, V>

@@ -497,7 +497,7 @@ fn identity_projection_over_symbolic_rows_keeps_cross_tokens() {
     .unwrap();
     let inner_sql = "SELECT x FROM t UNION SELECT SUM(y) AS x FROM u";
     let inner = db.query(inner_sql).unwrap();
-    let expected = aggprov::core::ops::project(&inner, &["x"]).unwrap();
+    let expected = aggprov::core::specops::project(&inner, &["x"]).unwrap();
     let outer = db.query(&format!("SELECT x FROM ({inner_sql}) q")).unwrap();
     assert_eq!(outer, expected);
     // The constant row's annotation must include the cross contribution
