@@ -56,16 +56,16 @@
 //! incrementally maintained `GROUP BY` and a from-scratch one are the same
 //! fold, with and without the rendering.
 //!
-//! [`union`] keeps one shortcut, chosen from what the call observes: a
-//! fully ground input small enough for a single shard is the classical
-//! additive merge of [`Relation::union`].
+//! [`union`] takes no shortcut: over ground rows of any size the keyed
+//! fold is the additive merge.
 //!
 //! [`project`], [`join_on`] and [`product`] are the engine's kernels
-//! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) run over their
-//! relations split into chunks and materialized again, so the operator
-//! oracle tests what a query runs. A fringe-free projection picks columns
-//! (duplicates merge at materialization); one with a symbolic row runs
-//! the keyed fold. The join is pairwise rather than a keyed sum: a hash
+//! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) run over chunks
+//! of their relations, so the operator oracle tests what a query runs. A
+//! fringe-free projection picks columns (duplicates merge at
+//! materialization); one with a symbolic row runs the keyed fold over the
+//! relation itself, and neither its input nor its output goes through
+//! columns. The join is pairwise rather than a keyed sum: a hash
 //! build/probe over the ground × ground block — the columnar join, or,
 //! with a symbolic row on either side, the same index over the rows whose
 //! *key* cells are ground (`join_at`) — and the token-weighted nested
@@ -78,16 +78,10 @@
 //!
 //! ## Vectorized batch execution
 //!
-//! The [`batch`] submodule carries the same ground/symbolic split one step
-//! further: the ground partition is read column by column where the
-//! relation's store keeps it ([`aggprov_krel::batch::ColumnBatch`]) by
-//! selection-vector kernels (filter, project, unit-column append, AVG
-//! division, hash join),
-//! so a filter→project→join chain over ground tuples never materializes a
-//! relation between nodes. The cross-row kernels there
-//! ([`batch::Chunk::project_opts`], [`batch::hash_join`]) decide for
-//! themselves: handed a chunk with a symbolic fringe, they run this
-//! module's token path (`keyed_fold`, the pairwise join) by position.
+//! The [`batch`] submodule carries the same ground/symbolic split through
+//! whole pipeline segments, over columns read where the store keeps them;
+//! handed a symbolic row, its cross-row kernels run this module's token
+//! path by position over the chunk's relation.
 //!
 //! ## Partition-parallel execution
 //!
@@ -135,7 +129,6 @@
 //! whose arm no test runs fails `every_operator_has_a_test`).
 //!
 //! [`Relation`]: aggprov_krel::relation::Relation
-//! [`Relation::union`]: aggprov_krel::relation::Relation::union
 //! [`Merge::First`]: aggprov_krel::relation::Merge::First
 //! [`Value`]: crate::value::Value
 //! [`AggAnnotation`]: crate::annotation::AggAnnotation

@@ -1,12 +1,15 @@
 //! Vectorized batch kernels over the ground partition — the columnar
 //! execution layer behind the engine's physical-plan pipeline.
 //!
-//! A [`Chunk`] is a relation mid-pipeline: the fully ground rows are a
-//! [`ColumnBatch`] whose columns read their cells where they lie — in the
-//! scanned relation's tuple store, or through a join's match rows (see
-//! [`aggprov_krel::batch`]) — plus a live selection vector, so a filter
-//! never moves data, and the symbolic fringe rides alongside row-wise,
-//! exactly as [`GroundBatch`] splits it. The kernels here —
+//! A [`Chunk`] is a relation mid-pipeline, and the one place that decides
+//! when a relation becomes columns: it holds the relation it was made
+//! from (an `Arc` handle on its tuple store) until a kernel first needs
+//! columns, and only then splits it — the fully ground rows into a
+//! [`ColumnBatch`] whose columns read their cells where they lie (in the
+//! relation's tuple store, or through a join's match rows; see
+//! [`aggprov_krel::batch`]) plus a live selection vector, so a filter
+//! never moves data, and the symbolic fringe row-wise beside them, as
+//! [`GroundBatch`] splits it. The kernels —
 //! [`Chunk::filter`], [`Chunk::project`], [`Chunk::add_unit_column`],
 //! [`Chunk::avg_divide`], [`hash_join`] — run classical columnar
 //! algorithms over the ground batch: between constants every §4.3
@@ -14,47 +17,40 @@
 //! comparisons and a filter→project→join chain never materializes a
 //! relation between nodes.
 //!
-//! Filtering and join probing take the monomorphic loops of `ops::typed`:
-//! the literal operand is compiled once per kernel invocation (an `i64`
-//! threshold for integral cells; every other cell — a string, a boolean,
-//! a non-integer rational — takes the structural `Const` comparison), the
-//! row loop compacts the selection vector branchlessly, and large kernels
-//! shard the selection across the `par::fan_out` workers in contiguous
-//! ranges — bit-identical to the serial loop, including which row raises
-//! a type error first. A join indexes its build side's key cells, over its
-//! selected rows, where they lie, and gathers no column: its output reads
-//! its inputs' columns through the match rows.
+//! Filtering and join probing take the monomorphic loops of `ops::typed`
+//! (the literal compiled once per kernel, branchless selection, large
+//! kernels sharded in contiguous ranges, bit-identical to the serial
+//! loop). A join gathers no column: its output reads its inputs' columns
+//! through the match rows.
 //!
-//! Division of labour: **every kernel here is total** — handed a chunk
-//! with a non-empty fringe it produces the §4.3 result itself, so no
-//! caller ever asks a chunk whether it is ground before picking an
-//! operator.
+//! **Every kernel here is total**: handed symbolic rows it produces the
+//! §4.3 result itself, so no caller asks a chunk whether it is ground.
 //!
 //! * **filter**, **unit-column append** and **AVG division** have no
-//!   cross-row terms in §4.3, so a chunk stays a chunk — ground rows take
-//!   the vectorized comparison, fringe rows the token path (annotation ×
-//!   token, as in [`crate::ops::select_with_token`]);
+//!   cross-row terms in §4.3: ground rows take the vectorized path,
+//!   fringe rows the token path (annotation × token, as in
+//!   [`crate::ops::select_with_token`]);
 //! * **projection** and **join** sum token-weighted contributions *across*
-//!   rows when symbolic values are present. Over fringe-free input
-//!   [`Chunk::project_opts`] picks column handles and [`hash_join`]
-//!   probes columns; with a fringe (on either operand, for the join) the same
-//!   kernels materialize their input and run the token path of
-//!   [`crate::ops`] by position — the keyed fold, the pairwise join over
-//!   key-groundness partitions — then split the result back into a chunk,
-//!   bit-identical to [`crate::specops`]. They are the tuple-level
+//!   rows when symbolic values are present. Without them
+//!   [`Chunk::project_opts`] picks column handles and [`hash_join`] probes
+//!   columns; with a symbolic row (on either operand, for the join) they
+//!   run the token path of [`crate::ops`] by position — the keyed fold,
+//!   the pairwise join over key-groundness partitions — over the input's
+//!   relation, and hand the output relation on unsplit, bit-identical to
+//!   [`crate::specops`]. A held input is scanned once: a ground one
+//!   becomes columns, and the scan of one with a symbolic row stops there
+//!   and the token path reads the held relation. They are the tuple-level
 //!   `ops::project_opts`, `join_on_opts` and `product` too;
-//! * **aggregation** and **set operations** need the whole input either
-//!   way; they are the pipeline breakers and run on relations
-//!   ([`crate::ops::group_by_opts`], [`crate::ops::union_opts`]).
+//! * **aggregation** and **set operations** are the pipeline breakers
+//!   and run on relations ([`crate::ops::group_by_opts`],
+//!   [`crate::ops::union_opts`]).
 //!
-//! A chunk defers the additive merge of duplicate ground rows to its next
-//! materialization ([`Chunk::into_relation`]); semiring distributivity
-//! makes that exactly the eager merge the row-at-a-time path performs.
-//! It defers a columnar join's product the same way: `⊗` is taken at
-//! materialization, only for the rows a later filter has not dropped.
-//! And it copies nothing on the way in: a chunk split from a relation
-//! reads its ground rows' cells and annotations in the relation's tuple
-//! store, so only the rows that reach materialization are cloned.
+//! A chunk defers the additive merge of duplicate ground rows, and a
+//! columnar join's product, to its next materialization
+//! ([`Chunk::into_relation`]), which clones only the selected rows and
+//! takes `⊗` only for them; by distributivity that is the eager merge of
+//! the row-at-a-time path. A chunk no kernel has split materializes as the
+//! relation it holds.
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
@@ -89,14 +85,25 @@ pub enum BatchCmp {
     Pred(CmpPred),
 }
 
-/// A relation mid-pipeline: columnar ground rows + live selection vector
-/// + row-wise symbolic fringe, under the current schema.
-///
-/// A projection picks the batch's column handles, so no values move until
-/// the next pipeline breaker materializes.
+/// A relation mid-pipeline, under the current schema: the relation itself
+/// until a kernel first needs columns, then columnar ground rows + live
+/// selection vector + row-wise symbolic fringe.
 #[derive(Clone, Debug)]
 pub struct Chunk<A: AggAnnotation> {
     schema: Schema,
+    rows: Rows<A>,
+}
+
+#[derive(Clone, Debug)]
+enum Rows<A: AggAnnotation> {
+    /// A relation no kernel has split: a scanned table, a pipeline
+    /// breaker's output, a cross-row kernel's token-path output.
+    Held(MKRel<A>),
+    Split(Split<A>),
+}
+
+#[derive(Clone, Debug)]
+struct Split<A: AggAnnotation> {
     ground: ColumnBatch<A, Value<A>>,
     /// Selected ground-row indices, ascending; `None` = all rows.
     sel: Option<Vec<u32>>,
@@ -104,19 +111,18 @@ pub struct Chunk<A: AggAnnotation> {
 }
 
 impl<A: AggAnnotation> Chunk<A> {
-    /// Splits a relation into a chunk (ground columns + symbolic fringe),
-    /// preserving support order in both partitions. The ground rows' cells
-    /// and annotations are read in place from the relation's tuple store,
-    /// not copied: only the rows that reach [`Chunk::into_relation`] are
-    /// ever cloned.
+    /// A chunk of `rel`'s rows under its schema. Nothing is split or
+    /// copied: the chunk holds the relation, an `Arc` handle on its tuple
+    /// store, until a kernel first needs columns, and a chunk no kernel
+    /// has split hands it back from [`Chunk::into_relation`].
     pub fn from_relation(rel: &MKRel<A>) -> Self {
-        let (ground, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
-        Chunk {
-            schema: rel.schema().clone(),
-            ground,
-            sel: None,
-            fringe,
-        }
+        Chunk::held(rel.clone())
+    }
+
+    fn held(rel: MKRel<A>) -> Self {
+        let schema = rel.schema().clone();
+        let rows = Rows::Held(rel);
+        Chunk { schema, rows }
     }
 
     /// A chunk of every row of `batch` under `schema` — a batch a caller
@@ -133,25 +139,21 @@ impl<A: AggAnnotation> Chunk<A> {
                 got,
             });
         }
-        Ok(Chunk {
-            schema,
-            ground,
-            sel: None,
-            fringe,
-        })
+        Ok(Split::new(ground, fringe).into_chunk(schema))
     }
 
-    /// Materializes the chunk back into a relation: selected ground rows
-    /// come back as `Value` tuples (stored cells cloned, owned ones lifted
-    /// to `Value::Const`), duplicates merge additively, and the fringe
-    /// rows merge in after them. A join's deferred product is taken here,
-    /// for the selected rows only.
+    /// Materializes the chunk into a relation. A held relation comes back
+    /// as it is, under the chunk's schema. Of a split one, the selected
+    /// ground rows come back as `Value` tuples (stored cells cloned, owned
+    /// ones lifted to `Value::Const`), duplicates merge additively, and the
+    /// fringe rows merge in after them; a join's deferred product is taken
+    /// here, for the selected rows only.
     pub fn into_relation(self) -> Result<MKRel<A>> {
-        GroundBatch::from_parts(self.ground, self.fringe).into_relation_selected(
-            self.schema,
-            Value::Const,
-            self.sel.as_deref(),
-        )
+        match self.rows {
+            Rows::Held(rel) => rel.with_schema(self.schema),
+            Rows::Split(split) => GroundBatch::from_parts(split.ground, split.fringe)
+                .into_relation_selected(self.schema, Value::Const, split.sel.as_deref()),
+        }
     }
 
     /// The current schema.
@@ -172,20 +174,307 @@ impl<A: AggAnnotation> Chunk<A> {
     }
 
     /// The number of currently selected ground rows.
-    pub fn ground_len(&self) -> usize {
-        match &self.sel {
-            None => self.ground.len(),
-            Some(s) => s.len(),
-        }
+    pub fn ground_len(&mut self) -> usize {
+        self.split().selected().len()
     }
 
     /// The symbolic fringe rows.
-    pub fn fringe(&self) -> &[(Tuple<Value<A>>, A)] {
-        &self.fringe
+    pub fn fringe(&mut self) -> &[(Tuple<Value<A>>, A)] {
+        &self.split().fringe
+    }
+
+    /// The chunk's split, splitting a held relation (the loop turns at
+    /// most twice).
+    fn split(&mut self) -> &mut Split<A> {
+        loop {
+            match self.rows {
+                Rows::Split(ref mut split) => return split,
+                Rows::Held(ref rel) => self.rows = Rows::Split(Split::of(rel)),
+            }
+        }
+    }
+
+    fn into_split(self) -> Split<A> {
+        match self.rows {
+            Rows::Held(rel) => Split::of(&rel),
+            Rows::Split(split) => split,
+        }
+    }
+
+    /// The vectorized filter kernel: narrows the selection vector over the
+    /// ground columns (between constants the comparison token is `0`/`1`,
+    /// so a row is kept verbatim or dropped — no semiring work), and runs
+    /// the §4.3 token path over the fringe rows (annotation × token).
+    /// `>`/`≥` callers pass swapped operands with `Pred(Lt)`/`Pred(Le)`.
+    ///
+    /// A column compared against a literal takes the monomorphic
+    /// branchless loop of `ops::typed` over its cells in place (sharded
+    /// across `opts`' workers when large). Matches
+    /// [`crate::ops::select_with_token`] row for row, including the type
+    /// errors ordering comparisons raise across value types.
+    pub fn filter(
+        &mut self,
+        left: &BatchOperand,
+        cmp: BatchCmp,
+        right: &BatchOperand,
+        opts: &ExecOptions,
+    ) -> Result<()> {
+        let split = self.split();
+        // `None`: the selection stands as it is.
+        let kept: Option<Vec<u32>> = match (left, right) {
+            // The common column-vs-literal shapes (either orientation —
+            // `>`/`≥` arrive with the literal on the left after operand
+            // swapping): the literal is bound/encoded once per kernel
+            // invocation, never touched per row.
+            (BatchOperand::Col(i), BatchOperand::Lit(c)) => {
+                Some(split.filter_col_lit(*i, cmp, c, false, opts)?)
+            }
+            (BatchOperand::Lit(c), BatchOperand::Col(i)) => {
+                Some(split.filter_col_lit(*i, cmp, c, true, opts)?)
+            }
+            (BatchOperand::Col(li), BatchOperand::Col(ri)) => {
+                let (mut left, mut right) = (split.column(*li)?, split.column(*ri)?);
+                let mut kept = Vec::new();
+                for r in split.selected() {
+                    let oob = || RelError::Internal(format!("ground row {r} out of range"));
+                    let (lv, rv) = (left.get(r).ok_or_else(oob)?, right.get(r).ok_or_else(oob)?);
+                    if const_cmp(lv, cmp, rv)? {
+                        kept.push(r);
+                    }
+                }
+                Some(kept)
+            }
+            // Row-independent: decide once. An empty selection never
+            // reaches the comparison (so it cannot raise), exactly as the
+            // row loop behaves.
+            (BatchOperand::Lit(lc), BatchOperand::Lit(rc)) => {
+                (split.selected().len() > 0 && !const_cmp(lc, cmp, rc)?).then(Vec::new)
+            }
+        };
+        if let Some(kept) = kept {
+            split.sel = Some(kept);
+        }
+        // Fringe rows: genuine §4.3 tokens. Each operand is resolved once,
+        // outside the row loop — a constant (literal or bound `$n`
+        // parameter) is lifted to a `Value` here, not cloned per row.
+        if !split.fringe.is_empty() {
+            let (left, right) = (FringeOperand::of(left), FringeOperand::of(right));
+            let mut kept_fringe = Vec::with_capacity(split.fringe.len());
+            for (t, k) in split.fringe.drain(..) {
+                let (lv, rv) = (left.at(&t), right.at(&t));
+                let tok = match cmp {
+                    BatchCmp::Eq => A::value_eq(lv, rv)?,
+                    BatchCmp::Pred(p) => A::value_cmp(p, lv, rv)?,
+                };
+                if tok.is_zero() {
+                    continue;
+                }
+                let ann = if tok.is_one() { k } else { k.times(&tok) };
+                kept_fringe.push((t, ann));
+            }
+            split.fringe = kept_fringe;
+        }
+        Ok(())
+    }
+
+    /// [`Chunk::project_opts`] on one thread.
+    pub fn project(self, columns: &[usize], schema: Schema) -> Result<Chunk<A>> {
+        self.project_opts(columns, schema, &ExecOptions::serial())
+    }
+
+    /// The projection kernel, total over ground and symbolic rows.
+    ///
+    /// Without a fringe it picks the requested column handles (indices may
+    /// repeat — duplicate select items read one column twice). No values
+    /// move, no selection is lost; duplicate
+    /// *rows* stay unmerged until the next materialization, which merges
+    /// them additively — for ground data exactly the §4.3 projection.
+    ///
+    /// With a fringe, projection sums token-weighted contributions across
+    /// rows: the keyed token fold (`keyed_fold`, which `union` and
+    /// `group_by` run too) runs over the chunk's relation, on the
+    /// *distinct* requested positions (§4.3 projects onto a set of
+    /// attributes), duplicated select items expand positionally, and the
+    /// output relation is the chunk handed back, unsplit. `opts` shards
+    /// that fold; the result is identical at every thread count.
+    pub fn project_opts(
+        mut self,
+        columns: &[usize],
+        schema: Schema,
+        opts: &ExecOptions,
+    ) -> Result<Chunk<A>> {
+        if schema.arity() != columns.len() {
+            return Err(RelError::ArityMismatch {
+                expected: columns.len(),
+                got: schema.arity(),
+            });
+        }
+        if let Some(&c) = columns.iter().find(|&&c| c >= self.schema.arity()) {
+            return Err(RelError::Internal(format!(
+                "projection column {c} out of range for a {}-column chunk",
+                self.schema.arity()
+            )));
+        }
+        if self.ground().is_some() {
+            let split = self.into_split();
+            let ground = split.ground.project(columns)?;
+            return Ok(Split { ground, ..split }.into_chunk(schema));
+        }
+        let rel = self.into_relation()?;
+        // `distinct`: the requested positions in first-appearance order;
+        // `expand[i]`: where output column `i` sits in `distinct`.
+        let mut distinct: Vec<usize> = Vec::new();
+        let expand: Vec<usize> = columns
+            .iter()
+            .map(|c| {
+                distinct.iter().position(|d| d == c).unwrap_or_else(|| {
+                    distinct.push(*c);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let mut rows = ops::project_fold(&rel, &distinct, opts)?;
+        if distinct.len() != columns.len() {
+            // Injective on rows (every distinct position appears in
+            // `expand`), so the expanded keys never collide.
+            rows = rows
+                .into_iter()
+                .map(|(t, k)| (t.project(&expand), k))
+                .collect();
+        }
+        Ok(Chunk::held(ops::from_map(schema, rows)?))
+    }
+
+    /// The unit-column kernel: appends the constant-1 column COUNT/AVG
+    /// aggregate over (`ι(1)` per row). Per-row on both partitions, so
+    /// the fringe stays in the chunk.
+    pub fn add_unit_column(self, schema: Schema) -> Result<Chunk<A>> {
+        if schema.arity() != self.schema.arity() + 1 {
+            return Err(RelError::ArityMismatch {
+                expected: self.schema.arity() + 1,
+                got: schema.arity(),
+            });
+        }
+        let mut split = self.into_split();
+        split
+            .ground
+            .push_column(vec![Const::int(1); split.ground.len()])?;
+        for (t, _) in &mut split.fringe {
+            let mut row = t.values().to_vec();
+            row.push(Value::int(1));
+            *t = Tuple::new(row);
+        }
+        Ok(split.into_chunk(schema))
+    }
+
+    /// The AVG-division kernel: appends one `sum / cnt` column per
+    /// `(sum, cnt)` logical-position pair. Per-row on both partitions, so
+    /// the fringe stays in the chunk: a fringe row whose SUM and COUNT
+    /// both resolved (only a group key is symbolic) divides like a ground
+    /// row; a symbolic SUM or COUNT raises the paper-footnote-6 error
+    /// (division in the monoid — select SUM and COUNT separately to keep
+    /// provenance). A zero count drops the row when `ungrouped` (SQL's
+    /// NULL AVG over empty input; the engine has no NULLs) and errors
+    /// otherwise — grouped AVG never sees an empty group.
+    pub fn avg_divide(
+        self,
+        pairs: &[(usize, usize)],
+        ungrouped: bool,
+        schema: Schema,
+    ) -> Result<Chunk<A>> {
+        if schema.arity() != self.schema.arity() + pairs.len() {
+            return Err(RelError::ArityMismatch {
+                expected: self.schema.arity() + pairs.len(),
+                got: schema.arity(),
+            });
+        }
+        let mut split = self.into_split();
+        // One row's quotient; `Ok(None)` drops the row.
+        let divide = |sum: Option<Num>, cnt: Option<Num>| -> Result<Option<Num>> {
+            match (sum, cnt) {
+                (Some(s), Some(c)) => match s.checked_div(&c) {
+                    Some(avg) => Ok(Some(avg)),
+                    None if ungrouped => Ok(None),
+                    None => Err(RelError::Unsupported("AVG over an empty group".into())),
+                },
+                _ => Err(RelError::Unsupported(
+                    "AVG over symbolic provenance does not resolve; select SUM and \
+                     COUNT separately (paper footnote 6)"
+                        .into(),
+                )),
+            }
+        };
+        let nrows = split.ground.len();
+        let mut kept: Vec<u32> = Vec::new();
+        let mut avg_cols: Vec<Vec<Const>> = vec![Vec::new(); pairs.len()];
+        'rows: for r in split.selected() {
+            let mut avgs: Vec<Const> = Vec::with_capacity(pairs.len());
+            for (si, ci) in pairs {
+                match divide(split.at(*si, r)?.as_num(), split.at(*ci, r)?.as_num())? {
+                    Some(avg) => avgs.push(Const::Num(avg)),
+                    None => continue 'rows,
+                }
+            }
+            kept.push(r);
+            for (col, v) in avg_cols.iter_mut().zip(avgs) {
+                col.push(v);
+            }
+        }
+        // The new columns are dense over the kept rows: scatter them back
+        // to full length so they align with the existing physical columns
+        // (rows outside the selection hold a placeholder).
+        for col in avg_cols {
+            let mut full = vec![Const::int(0); nrows];
+            // Kept rows come from `selected()` and are < nrows.
+            for (&r, v) in kept.iter().zip(col) {
+                if let Some(slot) = full.get_mut(r as usize) {
+                    *slot = v;
+                }
+            }
+            split.ground.push_column(full)?;
+        }
+        split.sel = Some(kept);
+        let mut kept_fringe = Vec::with_capacity(split.fringe.len());
+        'fringe: for (t, k) in split.fringe.drain(..) {
+            let mut row = t.values().to_vec();
+            let num_at = |i: usize| t.get(i).as_const().and_then(Const::as_num);
+            for (si, ci) in pairs {
+                match divide(num_at(*si), num_at(*ci))? {
+                    Some(avg) => row.push(Value::Const(Const::Num(avg))),
+                    None => continue 'fringe,
+                }
+            }
+            kept_fringe.push((Tuple::new(row), k));
+        }
+        split.fringe = kept_fringe;
+        Ok(split.into_chunk(schema))
+    }
+}
+
+impl<A: AggAnnotation> Split<A> {
+    /// Splits a relation, support order kept in both partitions; the
+    /// ground rows' cells and annotations are read in its store.
+    fn of(rel: &MKRel<A>) -> Self {
+        let (ground, fringe) = GroundBatch::from_relation(rel, Value::as_const).into_parts();
+        Split::new(ground, fringe)
+    }
+
+    /// Every row of `ground`, and `fringe`.
+    fn new(ground: ColumnBatch<A, Value<A>>, fringe: Vec<(Tuple<Value<A>>, A)>) -> Self {
+        Split {
+            ground,
+            sel: None,
+            fringe,
+        }
+    }
+
+    fn into_chunk(self, schema: Schema) -> Chunk<A> {
+        let rows = Rows::Split(self);
+        Chunk { schema, rows }
     }
 
     /// The selected ground rows, ascending — iterated, not collected: an
-    /// unfiltered chunk has no selection vector to copy.
+    /// unfiltered split has no selection vector to copy.
     fn selected(&self) -> Selection<'_> {
         Selection::new(self.sel.as_deref(), self.ground.len())
     }
@@ -207,81 +496,6 @@ impl<A: AggAnnotation> Chunk<A> {
         self.ground.cell(r, i).ok_or_else(|| {
             RelError::Internal(format!("ground row {r} out of range in chunk column {i}"))
         })
-    }
-
-    /// The vectorized filter kernel: narrows the selection vector over the
-    /// ground columns (between constants the comparison token is `0`/`1`,
-    /// so a row is kept verbatim or dropped — no semiring work), and runs
-    /// the §4.3 token path over the fringe rows (annotation × token).
-    /// `>`/`≥` callers pass swapped operands with `Pred(Lt)`/`Pred(Le)`.
-    ///
-    /// A column compared against a literal takes the monomorphic
-    /// branchless loop of `ops::typed` over its cells in place (sharded
-    /// across `opts`' workers when large). Matches
-    /// [`crate::ops::select_with_token`] row for row, including the type
-    /// errors ordering comparisons raise across value types.
-    pub fn filter(
-        &mut self,
-        left: &BatchOperand,
-        cmp: BatchCmp,
-        right: &BatchOperand,
-        opts: &ExecOptions,
-    ) -> Result<()> {
-        // `None`: the selection stands as it is.
-        let kept: Option<Vec<u32>> = match (left, right) {
-            // The common column-vs-literal shapes (either orientation —
-            // `>`/`≥` arrive with the literal on the left after operand
-            // swapping): the literal is bound/encoded once per kernel
-            // invocation, never touched per row.
-            (BatchOperand::Col(i), BatchOperand::Lit(c)) => {
-                Some(self.filter_col_lit(*i, cmp, c, false, opts)?)
-            }
-            (BatchOperand::Lit(c), BatchOperand::Col(i)) => {
-                Some(self.filter_col_lit(*i, cmp, c, true, opts)?)
-            }
-            (BatchOperand::Col(li), BatchOperand::Col(ri)) => {
-                let (mut left, mut right) = (self.column(*li)?, self.column(*ri)?);
-                let mut kept = Vec::new();
-                for r in self.selected() {
-                    let oob = || RelError::Internal(format!("ground row {r} out of range"));
-                    let (lv, rv) = (left.get(r).ok_or_else(oob)?, right.get(r).ok_or_else(oob)?);
-                    if const_cmp(lv, cmp, rv)? {
-                        kept.push(r);
-                    }
-                }
-                Some(kept)
-            }
-            // Row-independent: decide once. An empty selection never
-            // reaches the comparison (so it cannot raise), exactly as the
-            // row loop behaves.
-            (BatchOperand::Lit(lc), BatchOperand::Lit(rc)) => {
-                (self.ground_len() > 0 && !const_cmp(lc, cmp, rc)?).then(Vec::new)
-            }
-        };
-        if let Some(kept) = kept {
-            self.sel = Some(kept);
-        }
-        // Fringe rows: genuine §4.3 tokens. Each operand is resolved once,
-        // outside the row loop — a constant (literal or bound `$n`
-        // parameter) is lifted to a `Value` here, not cloned per row.
-        if !self.fringe.is_empty() {
-            let (left, right) = (FringeOperand::of(left), FringeOperand::of(right));
-            let mut kept_fringe = Vec::with_capacity(self.fringe.len());
-            for (t, k) in self.fringe.drain(..) {
-                let (lv, rv) = (left.at(&t), right.at(&t));
-                let tok = match cmp {
-                    BatchCmp::Eq => A::value_eq(lv, rv)?,
-                    BatchCmp::Pred(p) => A::value_cmp(p, lv, rv)?,
-                };
-                if tok.is_zero() {
-                    continue;
-                }
-                let ann = if tok.is_one() { k } else { k.times(&tok) };
-                kept_fringe.push((t, ann));
-            }
-            self.fringe = kept_fringe;
-        }
-        Ok(())
     }
 
     /// One column-vs-literal filter pass over the ground rows: the
@@ -306,180 +520,6 @@ impl<A: AggAnnotation> Chunk<A> {
             }
         };
         typed::filter_lit(&col, self.selected(), test, other, opts)
-    }
-
-    /// [`Chunk::project_opts`] on one thread.
-    pub fn project(self, columns: &[usize], schema: Schema) -> Result<Chunk<A>> {
-        self.project_opts(columns, schema, &ExecOptions::serial())
-    }
-
-    /// The projection kernel, total over ground and symbolic rows.
-    ///
-    /// Without a fringe it picks the requested column handles (indices may
-    /// repeat — duplicate select items read one column twice). No values
-    /// move, no selection is lost; duplicate
-    /// *rows* stay unmerged until the next materialization, which merges
-    /// them additively — for ground data exactly the §4.3 projection.
-    ///
-    /// With a fringe, projection sums token-weighted contributions across
-    /// rows: the chunk materializes, the keyed token fold (`keyed_fold`,
-    /// which `union` and `group_by` run too) runs over the *distinct*
-    /// requested positions (§4.3 projects onto a set of attributes),
-    /// duplicated select items expand positionally, and the result splits
-    /// back into a chunk. `opts` shards that fold; the result is identical
-    /// at every thread count.
-    pub fn project_opts(
-        self,
-        columns: &[usize],
-        schema: Schema,
-        opts: &ExecOptions,
-    ) -> Result<Chunk<A>> {
-        if schema.arity() != columns.len() {
-            return Err(RelError::ArityMismatch {
-                expected: columns.len(),
-                got: schema.arity(),
-            });
-        }
-        if self.fringe.is_empty() {
-            return Ok(Chunk {
-                schema,
-                ground: self.ground.project(columns)?,
-                sel: self.sel,
-                fringe: self.fringe,
-            });
-        }
-        if let Some(&c) = columns.iter().find(|&&c| c >= self.schema.arity()) {
-            return Err(RelError::Internal(format!(
-                "projection column {c} out of range for a {}-column chunk",
-                self.schema.arity()
-            )));
-        }
-        // `distinct`: the requested positions in first-appearance order;
-        // `expand[i]`: where output column `i` sits in `distinct`.
-        let mut distinct: Vec<usize> = Vec::new();
-        let expand: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                distinct.iter().position(|d| d == c).unwrap_or_else(|| {
-                    distinct.push(*c);
-                    distinct.len() - 1
-                })
-            })
-            .collect();
-        let mut rows = ops::project_fold(&self.into_relation()?, &distinct, opts)?;
-        if distinct.len() != columns.len() {
-            // Injective on rows (every distinct position appears in
-            // `expand`), so the expanded keys never collide.
-            rows = rows
-                .into_iter()
-                .map(|(t, k)| (t.project(&expand), k))
-                .collect();
-        }
-        Ok(Chunk::from_relation(&ops::from_map(schema, rows)?))
-    }
-
-    /// The unit-column kernel: appends the constant-1 column COUNT/AVG
-    /// aggregate over (`ι(1)` per row). Per-row on both partitions, so
-    /// the fringe stays in the chunk.
-    pub fn add_unit_column(mut self, schema: Schema) -> Result<Chunk<A>> {
-        if schema.arity() != self.schema.arity() + 1 {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity() + 1,
-                got: schema.arity(),
-            });
-        }
-        self.ground
-            .push_column(vec![Const::int(1); self.ground.len()])?;
-        for (t, _) in &mut self.fringe {
-            let mut row = t.values().to_vec();
-            row.push(Value::int(1));
-            *t = Tuple::new(row);
-        }
-        self.schema = schema;
-        Ok(self)
-    }
-
-    /// The AVG-division kernel: appends one `sum / cnt` column per
-    /// `(sum, cnt)` logical-position pair. Per-row on both partitions, so
-    /// the fringe stays in the chunk: a fringe row whose SUM and COUNT
-    /// both resolved (only a group key is symbolic) divides like a ground
-    /// row; a symbolic SUM or COUNT raises the paper-footnote-6 error
-    /// (division in the monoid — select SUM and COUNT separately to keep
-    /// provenance). A zero count drops the row when `ungrouped` (SQL's
-    /// NULL AVG over empty input; the engine has no NULLs) and errors
-    /// otherwise — grouped AVG never sees an empty group.
-    pub fn avg_divide(
-        mut self,
-        pairs: &[(usize, usize)],
-        ungrouped: bool,
-        schema: Schema,
-    ) -> Result<Chunk<A>> {
-        if schema.arity() != self.schema.arity() + pairs.len() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity() + pairs.len(),
-                got: schema.arity(),
-            });
-        }
-        // One row's quotient; `Ok(None)` drops the row.
-        let divide = |sum: Option<Num>, cnt: Option<Num>| -> Result<Option<Num>> {
-            match (sum, cnt) {
-                (Some(s), Some(c)) => match s.checked_div(&c) {
-                    Some(avg) => Ok(Some(avg)),
-                    None if ungrouped => Ok(None),
-                    None => Err(RelError::Unsupported("AVG over an empty group".into())),
-                },
-                _ => Err(RelError::Unsupported(
-                    "AVG over symbolic provenance does not resolve; select SUM and \
-                     COUNT separately (paper footnote 6)"
-                        .into(),
-                )),
-            }
-        };
-        let nrows = self.ground.len();
-        let mut kept: Vec<u32> = Vec::new();
-        let mut avg_cols: Vec<Vec<Const>> = vec![Vec::new(); pairs.len()];
-        'rows: for r in self.selected() {
-            let mut avgs: Vec<Const> = Vec::with_capacity(pairs.len());
-            for (si, ci) in pairs {
-                match divide(self.at(*si, r)?.as_num(), self.at(*ci, r)?.as_num())? {
-                    Some(avg) => avgs.push(Const::Num(avg)),
-                    None => continue 'rows,
-                }
-            }
-            kept.push(r);
-            for (col, v) in avg_cols.iter_mut().zip(avgs) {
-                col.push(v);
-            }
-        }
-        // The new columns are dense over the kept rows: scatter them back
-        // to full length so they align with the existing physical columns
-        // (rows outside the selection hold a placeholder).
-        for col in avg_cols {
-            let mut full = vec![Const::int(0); nrows];
-            // Kept rows come from `selected()` and are < nrows.
-            for (&r, v) in kept.iter().zip(col) {
-                if let Some(slot) = full.get_mut(r as usize) {
-                    *slot = v;
-                }
-            }
-            self.ground.push_column(full)?;
-        }
-        self.sel = Some(kept);
-        let mut kept_fringe = Vec::with_capacity(self.fringe.len());
-        'fringe: for (t, k) in self.fringe.drain(..) {
-            let mut row = t.values().to_vec();
-            let num_at = |i: usize| t.get(i).as_const().and_then(Const::as_num);
-            for (si, ci) in pairs {
-                match divide(num_at(*si), num_at(*ci))? {
-                    Some(avg) => row.push(Value::Const(Const::Num(avg))),
-                    None => continue 'fringe,
-                }
-            }
-            kept_fringe.push((Tuple::new(row), k));
-        }
-        self.fringe = kept_fringe;
-        self.schema = schema;
-        Ok(self)
     }
 }
 
@@ -533,74 +573,68 @@ impl<A: AggAnnotation> FringeOperand<A> {
 /// those are symbolic). An empty `on` degenerates to the cartesian
 /// product.
 ///
-/// When **neither** chunk carries a fringe, every key token is structural
-/// equality between constants and this is the classical join: index the
-/// right chunk's selected rows by their key cells, probe with the left's
-/// key cells read in place. A single key column integral in every
-/// selected build row builds an integer-hashed index (see `ops::typed`);
-/// every other key shape (strings, mixed types, several columns, none)
-/// goes through one structural index over the key cells where they lie.
-/// The probe loop shards across `opts`' workers and writes the match rows
-/// straight into the output's two index vectors. Nothing else is built:
-/// the output batch ([`ColumnBatch::from_join`]) reads both inputs'
-/// columns through those vectors and defers the product — filters narrow
-/// its selection and projections pick its columns without reading the
-/// annotations, and `⊗` runs at [`Chunk::into_relation`] on the rows still
-/// selected — or, for a join over this output, on the rows its pairs name.
-/// A cell is cloned only there too, for the selected rows.
+/// When **neither** chunk has a symbolic row, every key token is
+/// structural equality between constants and this is the classical join:
+/// index the right chunk's selected rows by their key cells, probe with
+/// the left's key cells read in place. A single key column integral in
+/// every selected build row builds an integer-hashed index (see
+/// `ops::typed`); every other key shape (strings, mixed types, several
+/// columns, none) goes through one structural index over the key cells
+/// where they lie. The probe loop shards across `opts`' workers and writes
+/// the match rows straight into the output's two index vectors. Nothing
+/// else is built: the output batch ([`ColumnBatch::from_join`]) reads both
+/// inputs' columns through those vectors and defers the product — filters
+/// narrow its selection and projections pick its columns without reading
+/// the annotations, and `⊗` runs at [`Chunk::into_relation`] on the rows
+/// still selected — or, for a join over this output, on the rows its pairs
+/// name. A cell is cloned only there too, for the selected rows.
 ///
-/// When **either** chunk carries a fringe, both materialize and the
-/// token-weighted pairwise join (`ops::join_at`) runs by position: the
-/// ground-keyed rows of each side, a symbolic payload included, go
-/// through the same build index and probe, pairs with a symbolic key on
-/// either side through the token nested loop; the result splits back
-/// into a chunk. [`crate::ops::join_on_opts`] and [`crate::ops::product`]
-/// are this kernel over two relations split into chunks.
+/// When **either** chunk has a symbolic row, the token-weighted pairwise
+/// join (`ops::join_at`) runs by position over both chunks' relations: the
+/// ground-keyed rows of each side, a symbolic payload included, go through
+/// the same build index and probe, pairs with a symbolic key on either
+/// side through the token nested loop, and the output relation is the
+/// chunk handed back, unsplit. A held relation found to have a symbolic
+/// row is used as it is, and a right side is not split when the left has
+/// one. [`crate::ops::join_on_opts`] and [`crate::ops::product`] are this
+/// kernel over two chunks of relations.
 pub fn hash_join<A: AggAnnotation>(
-    left: Chunk<A>,
-    right: Chunk<A>,
+    mut left: Chunk<A>,
+    mut right: Chunk<A>,
     on: &[(usize, usize)],
     schema: Schema,
     opts: &ExecOptions,
 ) -> Result<Chunk<A>> {
-    if schema.arity() != left.schema.arity() + right.schema.arity() {
+    let (larity, rarity) = (left.schema.arity(), right.schema.arity());
+    if schema.arity() != larity + rarity {
         return Err(RelError::ArityMismatch {
-            expected: left.schema.arity() + right.schema.arity(),
+            expected: larity + rarity,
             got: schema.arity(),
         });
     }
-    // Resolving the key columns up front also rejects an out-of-range key
-    // position before either path indexes a row with it.
-    let lkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
-        .iter()
-        .map(|(i, _)| left.column(*i))
-        .collect::<Result<_>>()?;
-    let rkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
-        .iter()
-        .map(|(_, j)| right.column(*j))
-        .collect::<Result<_>>()?;
-    let (Some(lg), Some(rg)) = (left.ground(), right.ground()) else {
+    // An out-of-range key position is rejected before either path indexes
+    // a row with it.
+    let mut keys = on.iter().flat_map(|&(i, j)| [(i, larity), (j, rarity)]);
+    if let Some((i, n)) = keys.find(|&(i, n)| i >= n) {
+        return Err(RelError::Internal(format!(
+            "column {i} out of range for a {n}-column chunk"
+        )));
+    }
+    let pairs = left
+        .ground()
+        .and_then(|l| right.ground().map(|r| columnar_join(l, r, on, opts)));
+    let Some(pairs) = pairs else {
         let (lpos, rpos): (Vec<usize>, Vec<usize>) = on.iter().copied().unzip();
-        let joined = ops::join_at(
-            &left.into_relation()?,
-            &right.into_relation()?,
-            &lpos,
-            &rpos,
-            schema,
-            opts,
-        )?;
-        return Ok(Chunk::from_relation(&joined));
+        let (left, right) = (left.into_relation()?, right.into_relation()?);
+        let joined = ops::join_at(&left, &right, &lpos, &rpos, schema, opts)?;
+        return Ok(Chunk::held(joined));
     };
-    let (lrows, rrows) = columnar_join(lg, rg, &lkeys, &rkeys, opts)?;
+    let (lrows, rrows) = pairs?;
     // The inputs' columns and annotation columns move into the output,
     // read through the match rows, unmultiplied.
-    let ground = ColumnBatch::from_join(left.ground, lrows, right.ground, rrows)?;
-    Ok(Chunk {
-        schema,
-        ground,
-        sel: None,
-        fringe: Vec::new(),
-    })
+    let (left, right) = (left.into_split().ground, right.into_split().ground);
+    let ground = ColumnBatch::from_join(left, lrows, right, rrows)?;
+    Ok(Split::new(ground, Vec::new()).into_chunk(schema))
 }
 
 use witness::Ground;
@@ -610,40 +644,55 @@ use witness::Ground;
 /// `Ground`, so a columnar kernel that takes two of them cannot be called
 /// after checking one operand (the PR 4 `annotation_at` bug class).
 mod witness {
-    use super::{AggAnnotation, Chunk};
+    use super::{AggAnnotation, Chunk, ColumnBatch, Rows, Split, Value};
 
-    /// A chunk that carries no symbolic rows: between its rows and another
+    /// A split that carries no symbolic rows: between its rows and another
     /// `Ground`'s every §4.3 equality token is structural equality.
-    pub(super) struct Ground<'a, A: AggAnnotation>(&'a Chunk<A>);
+    pub(super) struct Ground<'a, A: AggAnnotation>(&'a Split<A>);
 
     impl<A: AggAnnotation> Chunk<A> {
-        /// The chunk as a fringe-free view; `None` iff it has a fringe.
-        pub(super) fn ground(&self) -> Option<Ground<'_, A>> {
-            self.fringe.is_empty().then_some(Ground(self))
+        /// The chunk as a fringe-free split; `None` iff it has a symbolic
+        /// row, which leaves a held relation held (the scan stops there).
+        pub(super) fn ground(&mut self) -> Option<Ground<'_, A>> {
+            if let Rows::Held(rel) = &self.rows {
+                let ground = ColumnBatch::from_relation(rel, Value::as_const)?;
+                self.rows = Rows::Split(Split::new(ground, Vec::new()));
+            }
+            match &self.rows {
+                Rows::Split(split) if split.fringe.is_empty() => Some(Ground(split)),
+                _ => None,
+            }
         }
     }
 
     impl<'a, A: AggAnnotation> Ground<'a, A> {
-        pub(super) fn chunk(&self) -> &'a Chunk<A> {
+        pub(super) fn split(&self) -> &'a Split<A> {
             self.0
         }
     }
 }
 
-/// The classical columnar equi-join of two fringe-free chunks over the
-/// already-resolved key columns: build (right), probe (left) — the same
-/// sides as the row-at-a-time hash join — over each side's selected rows.
-/// Returns the pairs' left and right rows; no cell is copied and no
-/// annotation is multiplied here.
+/// The classical columnar equi-join of two fringe-free chunks over key
+/// positions already checked against both arities: build (right), probe
+/// (left) — the same sides as the row-at-a-time hash join — over each
+/// side's selected rows. Returns the pairs' left and right rows; no cell
+/// is copied and no annotation is multiplied here.
 fn columnar_join<A: AggAnnotation>(
     left: Ground<'_, A>,
     right: Ground<'_, A>,
-    lkeys: &[ColumnReader<'_, A, Value<A>>],
-    rkeys: &[ColumnReader<'_, A, Value<A>>],
+    on: &[(usize, usize)],
     opts: &ExecOptions,
 ) -> Result<(Vec<u32>, Vec<u32>)> {
-    let (lsel, rsel) = (left.chunk().selected(), right.chunk().selected());
-    typed::join_rows(lkeys, rkeys, lsel, rsel, opts)
+    let (left, right) = (left.split(), right.split());
+    let lkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
+        .iter()
+        .map(|(i, _)| left.column(*i))
+        .collect::<Result<_>>()?;
+    let rkeys: Vec<ColumnReader<'_, A, Value<A>>> = on
+        .iter()
+        .map(|(_, j)| right.column(*j))
+        .collect::<Result<_>>()?;
+    typed::join_rows(&lkeys, &rkeys, left.selected(), right.selected(), opts)
 }
 
 #[cfg(test)]
@@ -693,7 +742,7 @@ mod tests {
     #[test]
     fn chunk_round_trips() {
         let rel = mixed();
-        let c = Chunk::from_relation(&rel);
+        let mut c = Chunk::from_relation(&rel);
         assert_eq!(c.ground_len(), 2);
         assert_eq!(c.fringe().len(), 1);
         assert_eq!(c.into_relation().unwrap(), rel);
@@ -701,17 +750,20 @@ mod tests {
 
     #[test]
     fn ground_view_exists_exactly_without_a_fringe() {
-        let mut chunk = Chunk::from_relation(&mixed());
-        assert!(!chunk.fringe().is_empty());
+        let rel = mixed();
+        // A held relation with a symbolic row stays held, its store shared.
+        let mut chunk = Chunk::from_relation(&rel);
         assert!(chunk.ground().is_none());
+        assert!(matches!(&chunk.rows, Rows::Held(r) if r.shares_tuples_with(&rel)));
+        assert!(!chunk.fringe().is_empty());
         // `a = 1` is a comparison between constants on the symbolic row
         // too (its `a` is 2), so the filter drops it: no fringe is left.
         let (a, one) = (BatchOperand::Col(0), BatchOperand::Lit(Const::int(1)));
         chunk.filter(&a, BatchCmp::Eq, &one, &serial()).unwrap();
         assert!(chunk.fringe().is_empty());
         assert!(chunk.ground().is_some());
-        let empty = Chunk::from_relation(&MKRel::<P>::empty(sch(&["a"])));
-        assert!(empty.fringe().is_empty() && empty.ground().is_some());
+        let mut empty = Chunk::from_relation(&MKRel::<P>::empty(sch(&["a"])));
+        assert!(empty.ground().is_some());
     }
 
     #[test]
@@ -825,7 +877,7 @@ mod tests {
         )
         .unwrap();
         let c = Chunk::from_relation(&rel);
-        let p = c.project(&[0], sch(&["a"])).unwrap();
+        let mut p = c.project(&[0], sch(&["a"])).unwrap();
         assert_eq!(p.ground_len(), 2, "merge deferred to materialization");
         let got = p.into_relation().unwrap();
         let want = specops::project(&rel, &["a"]).unwrap();
@@ -940,7 +992,7 @@ mod tests {
             [(vec![Value::int(70), Value::int(3)], P::one())],
         )
         .unwrap();
-        let c = Chunk::from_relation(&rel)
+        let mut c = Chunk::from_relation(&rel)
             .add_unit_column(sch(&["s", "n", "one"]))
             .unwrap();
         assert_eq!(c.ground_len(), 1);
@@ -1001,7 +1053,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let got = Chunk::from_relation(&rel)
+        let mut got = Chunk::from_relation(&rel)
             .avg_divide(&[(1, 2)], false, out_schema)
             .unwrap();
         assert_eq!(got.fringe().len(), 1);
@@ -1021,12 +1073,12 @@ mod tests {
         // fringe they run the §4.3 token path themselves and hand back a
         // chunk that still carries the symbolic rows.
         let rel = mixed();
-        let chunk = Chunk::from_relation(&rel);
+        let mut chunk = Chunk::from_relation(&rel);
         assert!(!chunk.fringe().is_empty());
 
         // Π_b sums token-weighted contributions across rows: each ground
         // value and the symbolic x⊗20 pick up the other's annotation.
-        let p = chunk.clone().project(&[1], sch(&["b"])).unwrap();
+        let mut p = chunk.clone().project(&[1], sch(&["b"])).unwrap();
         assert_eq!((p.ground_len(), p.fringe().len()), (2, 1));
         let got = p.into_relation().unwrap();
         assert_eq!(got, crate::specops::project(&rel, &["b"]).unwrap());
@@ -1054,7 +1106,7 @@ mod tests {
         // symbolic payload, then a symbolic key) takes the token path.
         let ground: MKRel<P> =
             Relation::from_rows(sch(&["c"]), [(vec![Value::int(2)], tok("q"))]).unwrap();
-        let on_a = hash_join(
+        let mut on_a = hash_join(
             Chunk::from_relation(&ground),
             chunk.clone(),
             &[(0, 0)],

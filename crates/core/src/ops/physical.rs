@@ -413,10 +413,9 @@ pub fn union<A: AggAnnotation>(r1: &MKRel<A>, r2: &MKRel<A>) -> Result<MKRel<A>>
     union_opts(r1, r2, &ExecOptions::serial())
 }
 
-/// [`union`] with explicit [`ExecOptions`]. Fully ground inputs small
-/// enough for one shard take the classical additive merge of
-/// [`Relation::union`]; everything else runs the keyed token fold. The
-/// result is identical at every thread count.
+/// [`union`] with explicit [`ExecOptions`]: the keyed token fold over
+/// both supports, whatever their size or groundness (over ground rows it
+/// is the additive merge). The result is identical at every thread count.
 pub fn union_opts<A: AggAnnotation>(
     r1: &MKRel<A>,
     r2: &MKRel<A>,
@@ -428,9 +427,6 @@ pub fn union_opts<A: AggAnnotation>(
             right: r2.schema().to_string(),
             op: "union",
         });
-    }
-    if plan_shards(opts, r1.len() + r2.len()) == 1 && !has_symbolic(r1) && !has_symbolic(r2) {
-        return r1.union(r2);
     }
     let whole: Vec<usize> = (0..r1.schema().arity()).collect();
     let entries = r1.iter().chain(r2.iter());
@@ -448,8 +444,8 @@ pub fn project<A: AggAnnotation>(rel: &MKRel<A>, attrs: &[&str]) -> Result<MKRel
 }
 
 /// [`project`] with explicit [`ExecOptions`]: the engine's projection
-/// kernel, [`Chunk::project_opts`], over the relation split into a chunk,
-/// materialized again. A fringe-free input picks its columns and merges
+/// kernel, [`Chunk::project_opts`], over a chunk of the relation, its
+/// output materialized. A fringe-free input picks its columns and merges
 /// duplicates additively as it materializes; an input with symbolic rows
 /// runs the keyed token fold (`project_fold`). The result is identical
 /// at every thread count.
@@ -584,7 +580,7 @@ pub fn join_on<A: AggAnnotation>(
 }
 
 /// [`join_on`] with explicit [`ExecOptions`]: the engine's join kernel,
-/// [`batch::hash_join`], over both relations split into chunks, its
+/// [`batch::hash_join`], over chunks of both relations, its
 /// output materialized. Two fringe-free sides take the columnar join;
 /// a symbolic row on either side sends both through `join_at`. With no
 /// keys every pair matches: the Cartesian product. The result is

@@ -409,9 +409,8 @@ proptest! {
                 })
                 .collect(),
         );
-        let chunk = Chunk::from_relation(&rel);
+        let mut chunk = Chunk::from_relation(&rel);
         prop_assert_eq!(chunk.ground_len(), 0);
-        let mut chunk = chunk;
         chunk
             .filter(&BatchOperand::Col(0), BatchCmp::Eq, &BatchOperand::Lit(Const::int(1)), &ExecOptions::serial())
             .unwrap();

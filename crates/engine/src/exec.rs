@@ -3,33 +3,29 @@
 //!
 //! All parsing, name resolution and validation happened at prepare time
 //! (see [`crate::plan::lower_query`] and [`crate::opt::optimize`]); this
-//! module only moves data, **one kernel call per node**. The little it
-//! resolves per execution does not depend on the data and happens before
-//! a node's inputs run: join keys and `AVG` (sum, count) pairs to column
-//! positions, and a chain of stacked `Filter`s to one selection pass. It
-//! never asks whether a value is ground or symbolic: every kernel of
-//! [`aggprov_core::ops::batch`] is total over a columnar [`Chunk`]
-//! (ground batch + selection vector + symbolic fringe) and produces the
-//! §4.3 result, bit-identical to the `specops` reference at every thread
-//! count, whatever fringe its input carries.
+//! module only moves data, **one kernel call per node**, [`Chunk`] to
+//! [`Chunk`]. The little it resolves per execution does not depend on the
+//! data and happens before a node's inputs run: join keys and `AVG` (sum,
+//! count) pairs to column positions, and a chain of stacked `Filter`s to
+//! one selection pass. It never asks whether a value is ground or
+//! symbolic, nor when a relation becomes columns — a scan's chunk holds
+//! the table until a kernel first needs columns — and every kernel of
+//! [`aggprov_core::ops::batch`] is total: it produces the §4.3 result,
+//! bit-identical to the `specops` reference at every thread count,
+//! whatever symbolic rows its input carries.
 //!
 //! * **pipeline segments** (Filter → Project → AddUnitColumn → Join /
 //!   Product, a product being the hash join with no keys) stay in chunk
-//!   form, so over ground rows no relation is
-//!   materialized between nodes — filters narrow a selection vector,
-//!   projections remap a column view, joins hash build/probe over
-//!   columns — and the kernels run the token path themselves over
-//!   whatever symbolic rows ride along;
-//! * **pipeline breakers** — Aggregate and SetOp — materialize their
-//!   inputs and run the row-at-a-time operators of `aggprov_core::ops`:
-//!   `group_by_opts` and `union_opts` are two callers of its one keyed
-//!   token fold (which also carries the partition-parallel sharding of
-//!   [`ExecOptions`]).
-//!
-//! `Flow` is laziness, not a second executor: a scan (or a breaker's
-//! output) stays the relation it already is until a node needs columns,
-//! so `Scan → Aggregate` and a renamed scan never pay a round trip
-//! through columns.
+//!   form, so over ground rows no relation is materialized between nodes:
+//!   filters narrow a selection vector, projections remap a column view,
+//!   joins hash build/probe over columns;
+//! * **pipeline breakers** — Aggregate and SetOp — take their inputs'
+//!   relations ([`Chunk::into_relation`] hands a chunk no kernel split
+//!   back as it is, so `Scan → Aggregate` never goes through columns) and
+//!   run `aggprov_core::ops`' `group_by_opts` and `union_opts`, two
+//!   callers of its one keyed token fold (which also carries the
+//!   partition-parallel sharding of [`ExecOptions`]), `agg_all` and
+//!   `difference`.
 
 use crate::annot::ParseAnnotation;
 use crate::ast::{CmpOp, SetOp};
@@ -44,34 +40,6 @@ use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::schema::Schema;
-
-/// A value mid-pipeline: a relation no node has split into columns yet —
-/// a scan's `Arc`-shared table or a breaker's output — or a columnar
-/// chunk. The conversion is lazy: whichever node first needs columns
-/// pays for it, and a plan that never does (`Scan → Aggregate`, a renamed
-/// scan) never converts.
-enum Flow<A: AggAnnotation> {
-    Rel(MKRel<A>),
-    Chunk(Chunk<A>),
-}
-
-impl<A: AggAnnotation> Flow<A> {
-    /// Materializes (merging any deferred duplicates additively).
-    fn into_rel(self) -> Result<MKRel<A>> {
-        match self {
-            Flow::Rel(r) => Ok(r),
-            Flow::Chunk(c) => c.into_relation(),
-        }
-    }
-
-    /// Moves to columnar form (splitting off the symbolic fringe).
-    fn into_chunk(self) -> Chunk<A> {
-        match self {
-            Flow::Rel(r) => Chunk::from_relation(&r),
-            Flow::Chunk(c) => c,
-        }
-    }
-}
 
 /// Executes an optimized plan against the database with `$n` parameters
 /// bound from `params` (slot `i` holds `$i+1`).
@@ -97,7 +65,7 @@ pub(crate) fn execute_plan<A>(
 where
     A: AggAnnotation + ParseAnnotation,
 {
-    run(db, plan, params, param_count, opts)?.into_rel()
+    run(db, plan, params, param_count, opts)?.into_relation()
 }
 
 /// One kernel call per `Plan` node. Every variant has its own arm: a new
@@ -112,18 +80,17 @@ fn run<A>(
     params: &[Const],
     param_count: usize,
     opts: &ExecOptions,
-) -> Result<Flow<A>>
+) -> Result<Chunk<A>>
 where
     A: AggAnnotation + ParseAnnotation,
 {
     match plan {
-        Plan::Scan { table, schema } => Ok(Flow::Rel(
-            db.table(table)?.clone().with_schema(schema.clone())?,
-        )),
-        Plan::Derived { input, schema } => match run(db, input, params, param_count, opts)? {
-            Flow::Rel(r) => Ok(Flow::Rel(r.with_schema(schema.clone())?)),
-            Flow::Chunk(c) => Ok(Flow::Chunk(c.with_schema(schema.clone())?)),
-        },
+        Plan::Scan { table, schema } => {
+            Chunk::from_relation(db.table(table)?).with_schema(schema.clone())
+        }
+        Plan::Derived { input, schema } => {
+            run(db, input, params, param_count, opts)?.with_schema(schema.clone())
+        }
         Plan::Filter { input, pred } => {
             // Stacked filters (one per `WHERE`/`HAVING` conjunct) run in
             // this one frame: walk down the chain, then narrow one
@@ -136,38 +103,30 @@ where
                 preds.push(pred);
                 below = input.as_ref();
             }
-            let mut chunk = run(db, below, params, param_count, opts)?.into_chunk();
+            let mut chunk = run(db, below, params, param_count, opts)?;
             for pred in preds.into_iter().rev() {
                 let (left, cmp, right) = bind_predicate(pred, params, param_count)?;
                 chunk.filter(&left, cmp, &right, opts)?;
             }
-            Ok(Flow::Chunk(chunk))
+            Ok(chunk)
         }
         Plan::AddUnitColumn { input, schema } => {
-            let chunk = run(db, input, params, param_count, opts)?.into_chunk();
-            Ok(Flow::Chunk(chunk.add_unit_column(schema.clone())?))
+            run(db, input, params, param_count, opts)?.add_unit_column(schema.clone())
         }
         Plan::Project {
             input,
             columns,
             schema,
-        } => {
-            let chunk = run(db, input, params, param_count, opts)?.into_chunk();
-            Ok(Flow::Chunk(chunk.project_opts(
-                columns,
-                schema.clone(),
-                opts,
-            )?))
-        }
+        } => run(db, input, params, param_count, opts)?.project_opts(columns, schema.clone(), opts),
         // A Cartesian product is the hash join with no keys.
         Plan::Product {
             left,
             right,
             schema,
         } => {
-            let l = run(db, left, params, param_count, opts)?.into_chunk();
-            let r = run(db, right, params, param_count, opts)?.into_chunk();
-            Ok(Flow::Chunk(hash_join(l, r, &[], schema.clone(), opts)?))
+            let l = run(db, left, params, param_count, opts)?;
+            let r = run(db, right, params, param_count, opts)?;
+            hash_join(l, r, &[], schema.clone(), opts)
         }
         Plan::Join {
             left,
@@ -178,9 +137,9 @@ where
             // Hash build right, probe left; the keys resolve to positions
             // before either input runs.
             let on_idx = join_key_positions(left.schema(), right.schema(), on)?;
-            let l = run(db, left, params, param_count, opts)?.into_chunk();
-            let r = run(db, right, params, param_count, opts)?.into_chunk();
-            Ok(Flow::Chunk(hash_join(l, r, &on_idx, schema.clone(), opts)?))
+            let l = run(db, left, params, param_count, opts)?;
+            let r = run(db, right, params, param_count, opts)?;
+            hash_join(l, r, &on_idx, schema.clone(), opts)
         }
         Plan::Aggregate {
             input,
@@ -192,7 +151,7 @@ where
             let group_refs: Vec<&str> = group_by.iter().map(|g| g.as_str()).collect();
             let avg_idx = avg_positions(&group_refs, aggs, avg)?;
             // Pipeline breaker: aggregation needs the whole input.
-            let rel = run(db, input, params, param_count, opts)?.into_rel()?;
+            let rel = run(db, input, params, param_count, opts)?.into_relation()?;
             let specs: Vec<AggSpec<'_>> = aggs.iter().map(PlanAgg::spec).collect();
             let ungrouped = group_refs.is_empty();
             let grouped = if ungrouped {
@@ -200,17 +159,13 @@ where
             } else {
                 ops::group_by_opts(&rel, &group_refs, &specs, opts)?
             };
+            let chunk = Chunk::from_relation(&grouped);
             if avg.is_empty() {
-                return Ok(Flow::Rel(grouped));
+                return Ok(chunk);
             }
             // AVG division is per-row; the result stays columnar so a
             // following HAVING filter or projection runs vectorized.
-            let chunk = Chunk::from_relation(&grouped);
-            Ok(Flow::Chunk(chunk.avg_divide(
-                &avg_idx,
-                ungrouped,
-                schema.clone(),
-            )?))
+            chunk.avg_divide(&avg_idx, ungrouped, schema.clone())
         }
         Plan::SetOp {
             op,
@@ -220,14 +175,15 @@ where
         } => {
             // Pipeline breaker on both inputs. The right side is aligned
             // by position, as in SQL: one schema-level rename.
-            let l = run(db, left, params, param_count, opts)?.into_rel()?;
+            let l = run(db, left, params, param_count, opts)?.into_relation()?;
             let r = run(db, right, params, param_count, opts)?
-                .into_rel()?
-                .with_schema(schema.clone())?;
-            match op {
-                SetOp::Union => Ok(Flow::Rel(ops::union_opts(&l, &r, opts)?)),
-                SetOp::Except => Ok(Flow::Rel(difference::difference(&l, &r)?)),
-            }
+                .with_schema(schema.clone())?
+                .into_relation()?;
+            let out = match op {
+                SetOp::Union => ops::union_opts(&l, &r, opts)?,
+                SetOp::Except => difference::difference(&l, &r)?,
+            };
+            Ok(Chunk::from_relation(&out))
         }
     }
 }

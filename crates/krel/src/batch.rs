@@ -20,8 +20,8 @@
 //!   `Arc` on the store, the store's block-start index, and the column
 //!   number, read at stride `arity` in the row-major block. Ground row `r`
 //!   is support position `r`, or `positions[r]` once a fringe row precedes
-//!   a ground row. This is the form [`GroundBatch::from_relation`] builds,
-//!   so a scan copies no cell.
+//!   a ground row. This is the form [`GroundBatch::from_relation`] and
+//!   [`ColumnBatch::from_relation`] build, so a scan copies no cell.
 //! * **Owned** — one `Vec<Const>` built by a kernel
 //!   ([`ColumnBatch::from_columns`], [`ColumnBatch::push_column`]).
 //! * **Through** — a join's output column: row `r` is row `rows[r]` of an
@@ -69,12 +69,13 @@
 #![deny(clippy::todo, clippy::unimplemented)]
 
 use crate::error::{RelError, Result};
-use crate::relation::{Builder, Merge, Relation, Tuple};
+use crate::relation::{Builder, Merge, Relation, Tuple, TupleRef};
 use crate::schema::Schema;
 use crate::store::{Cursor, RowAt, Store};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::borrow::Cow;
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -667,6 +668,72 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     }
 }
 
+impl<K, V> ColumnBatch<K, V>
+where
+    K: CommutativeSemiring,
+    V: AsConst + Clone + Ord + Hash + fmt::Debug,
+{
+    /// The columns of a relation whose every row reads back as constants
+    /// through `as_const`, read in place as [`GroundBatch::from_relation`]
+    /// reads them; `None` if a row does not. The scan stops at the first
+    /// such row, so finding a fringe clones nothing.
+    pub fn from_relation(
+        rel: &Relation<K, V>,
+        as_const: impl Fn(&V) -> Option<&Const>,
+    ) -> Option<Self> {
+        split(rel, as_const, |_, _| Err(())).ok()
+    }
+}
+
+/// The one pass that splits a relation: a row whose every value reads as
+/// a constant through `as_const` is a ground row of the returned batch,
+/// read in the relation's store by support position; every other row goes
+/// to `fringe`, and the pass stops at the first error `fringe` returns.
+fn split<K, V, E>(
+    rel: &Relation<K, V>,
+    as_const: impl Fn(&V) -> Option<&Const>,
+    mut fringe: impl FnMut(TupleRef<'_, V>, &K) -> std::result::Result<(), E>,
+) -> std::result::Result<ColumnBatch<K, V>, E>
+where
+    K: CommutativeSemiring,
+    V: Clone + Ord + Hash + fmt::Debug,
+{
+    let mut ground = 0;
+    let mut positions: Option<Vec<u32>> = None;
+    for (p, (t, k)) in rel.iter().enumerate() {
+        if !t.values().iter().all(|v| as_const(v).is_some()) {
+            fringe(t, k)?;
+            continue;
+        }
+        // From the first ground row a fringe row precedes on, ground
+        // row and support position differ: record every position.
+        if p != ground {
+            positions
+                .get_or_insert_with(|| {
+                    let mut all = Vec::with_capacity(ground + rel.len() - p);
+                    all.extend(0..ground as u32);
+                    all
+                })
+                .push(p as u32);
+        }
+        ground += 1;
+    }
+    let store = rel.store();
+    let scan = Arc::new(Scan {
+        store: Arc::clone(store),
+        starts: store.block_starts(),
+        positions,
+        len: ground,
+    });
+    let cols = (0..rel.schema().arity())
+        .map(|c| Column::Stored(Arc::clone(&scan), c))
+        .collect();
+    Ok(ColumnBatch {
+        cols,
+        anns: Anns::Stored(Stored::Shared(scan)),
+    })
+}
+
 /// A relation split for vectorized execution: the fully ground rows as a
 /// [`ColumnBatch`] plus the symbolic fringe as a row-wise side table, in
 /// support order on both sides.
@@ -703,44 +770,12 @@ where
     /// the module docs), as [`AsConst`] reads them. Fringe rows are cloned,
     /// tuple and annotation.
     pub fn from_relation(rel: &Relation<K, V>, as_const: impl Fn(&V) -> Option<&Const>) -> Self {
-        let mut ground = 0;
-        let mut positions: Option<Vec<u32>> = None;
         let mut fringe = Vec::new();
-        for (p, (t, k)) in rel.iter().enumerate() {
-            if !t.values().iter().all(|v| as_const(v).is_some()) {
-                fringe.push((t.to_tuple(), k.clone()));
-                continue;
-            }
-            // From the first ground row a fringe row precedes on, ground
-            // row and support position differ: record every position.
-            if p != ground {
-                positions
-                    .get_or_insert_with(|| {
-                        let mut all = Vec::with_capacity(ground + rel.len() - p);
-                        all.extend(0..ground as u32);
-                        all
-                    })
-                    .push(p as u32);
-            }
-            ground += 1;
-        }
-        let store = rel.store();
-        let scan = Arc::new(Scan {
-            store: Arc::clone(store),
-            starts: store.block_starts(),
-            positions,
-            len: ground,
+        let Ok(ground) = split(rel, as_const, |t, k| {
+            fringe.push((t.to_tuple(), k.clone()));
+            Ok::<(), Infallible>(())
         });
-        let cols = (0..rel.schema().arity())
-            .map(|c| Column::Stored(Arc::clone(&scan), c))
-            .collect();
-        GroundBatch {
-            ground: ColumnBatch {
-                cols,
-                anns: Anns::Stored(Stored::Shared(scan)),
-            },
-            fringe,
-        }
+        GroundBatch { ground, fringe }
     }
 
     /// Wraps a batch produced by downstream kernels, with a fringe carried

@@ -508,6 +508,28 @@ fn an_oversized_request_line_is_refused_and_the_server_lives() {
     server.join().expect("serve thread");
 }
 
+#[test]
+fn a_request_line_that_is_not_utf8_closes_only_its_connection() {
+    use std::io::{Read, Write};
+    let (addr, server) = spawn_server("");
+    let mut bystander = Client::connect(addr.as_str()).expect("connect");
+    bystander.ping().expect("ping before");
+
+    // No reply frame: the server closes the connection, and the client
+    // reads EOF.
+    let mut hostile = std::net::TcpStream::connect(addr.as_str()).expect("connect");
+    hostile.write_all(&[0xff, 0xfe, b'\n']).expect("write");
+    let mut rest = Vec::new();
+    assert_eq!(hostile.read_to_end(&mut rest).expect("eof"), 0);
+
+    // The other client's connection is open, and a new one is served.
+    bystander.ping().expect("ping on the other connection");
+    let mut next = Client::connect(addr.as_str()).expect("connect");
+    next.ping().expect("ping on a new connection");
+    next.shutdown().expect("shutdown");
+    server.join().expect("serve thread");
+}
+
 /// The number of file descriptors this process has open.
 #[cfg(target_os = "linux")]
 fn open_fds() -> usize {

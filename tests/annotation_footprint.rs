@@ -16,6 +16,7 @@
 //! allocates on the measuring thread, and every operator runs under
 //! `ExecOptions::serial()`.
 
+use aggprov::core::ops::batch::{BatchCmp, BatchOperand, Chunk};
 use aggprov::core::ops::{self, AggSpec, MKRel};
 use aggprov::krel::relation::{Merge, Relation, Tuple};
 use aggprov::krel::schema::Schema;
@@ -283,8 +284,8 @@ fn single_token_annotations_are_small_and_clone_for_free() {
 
     // The keyed fold reads its keys where they lie: no key tuple per
     // input row, in any of its three operators. A symbolic row in the
-    // input keeps `project`/`union` on the fold (all-ground serial inputs
-    // take the classical merge), and its leading ground cell differs from
+    // input keeps `project` on the fold (an all-ground input picks its
+    // columns instead), and its leading ground cell differs from
     // every ground key, so no token is built either.
     let symbolic = {
         let sums = ops::group_by_opts(&emp(10, 2), &["dept"], &sum_sal, &serial).unwrap();
@@ -395,8 +396,12 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // … and materializing a chunk allocates nothing per row: each row's
     // cells are moved from one reused buffer into the blocks (145
     // allocations for 20 000 rows; 20 098 while every row was a tuple, 2
-    // a row while the tuple was built in a `Vec` and copied again).
-    let chunk = ops::batch::Chunk::from_relation(&table);
+    // a row while the tuple was built in a `Vec` and copied again). A
+    // chunk no kernel has split hands its relation back whole (budget
+    // (i)), so a filter that keeps every row splits this one first.
+    let mut chunk = Chunk::from_relation(&table);
+    let col = BatchOperand::Col(0);
+    chunk.filter(&col, BatchCmp::Eq, &col, &serial).unwrap();
     let (back, _, allocations, _) = measured(|| chunk.into_relation().unwrap());
     assert_eq!(back, table);
     assert!(
@@ -582,4 +587,29 @@ fn single_token_annotations_are_small_and_clone_for_free() {
             "aggregate round {r}: {live} live bytes left after execute and delete_tokens"
         );
     }
+
+    // (i) A chunk decides when its relation becomes columns: one no
+    // kernel has split hands back the relation it holds (0 allocations;
+    // 146, a materialized copy, while every chunk was split on the way
+    // in), and a projection over symbolic rows folds its input relation
+    // and hands its output on unsplit (453 allocations over (e)'s 200
+    // keys; 915 while both went through columns). `self::emp` is the
+    // helper, which (h)'s table shadows.
+    let (back, _, allocations, _) =
+        measured(|| Chunk::from_relation(&table).into_relation().unwrap());
+    assert!(
+        allocations <= 16,
+        "chunk handed back unsplit: {allocations} allocations for {} rows",
+        table.len()
+    );
+    assert!(back.shares_tuples_with(&table));
+    let grouped = ops::group_by_opts(&self::emp(400, 200), &["dept"], &sum_sal, &serial).unwrap();
+    assert!(grouped.len() == 200 && grouped.iter().all(|(t, _)| t.get(1).is_agg()));
+    let (_, _, allocations, _) =
+        measured(|| ops::project_opts(&grouped, &["dept", "sal"], &serial).unwrap());
+    assert!(
+        allocations <= 3 * grouped.len(),
+        "projection over symbolic rows unsplit: {allocations} allocations for {} rows",
+        grouped.len()
+    );
 }
