@@ -20,8 +20,9 @@
 //! Filtering and join probing take the monomorphic loops of `ops::typed`
 //! (the literal compiled once per kernel, branchless selection, large
 //! kernels sharded in contiguous ranges, bit-identical to the serial
-//! loop). A join gathers no column: its output reads its inputs' columns
-//! through the match rows.
+//! loop). A join indexes the side with fewer selected rows and probes with
+//! the other, whatever the plan's orientation, and gathers no column: its
+//! output reads its inputs' columns through the match rows.
 //!
 //! **Every kernel here is total**: handed symbolic rows it produces the
 //! §4.3 result itself, so no caller asks a chunk whether it is ground.
@@ -575,13 +576,17 @@ impl<A: AggAnnotation> FringeOperand<A> {
 ///
 /// When **neither** chunk has a symbolic row, every key token is
 /// structural equality between constants and this is the classical join:
-/// index the right chunk's selected rows by their key cells, probe with
-/// the left's key cells read in place. A single key column integral in
-/// every selected build row builds an integer-hashed index (see
-/// `ops::typed`); every other key shape (strings, mixed types, several
-/// columns, none) goes through one structural index over the key cells
-/// where they lie. The probe loop shards across `opts`' workers and writes
-/// the match rows straight into the output's two index vectors. Nothing
+/// index the selected rows of the chunk with fewer of them (the right one
+/// on a tie) by their key cells, probe with the other's key cells read in
+/// place. Each pair is annotated `left ⊗ right` whichever side was
+/// indexed, and the pairs come out in the probe side's order, so a small
+/// dimension joined to a large scan hands the scan's rows on in store
+/// order. A single key column integral in every selected indexed row
+/// builds an integer-hashed index (see `ops::typed`); every other key
+/// shape (strings, mixed types, several columns, none) goes through one
+/// structural index over the key cells where they lie. The probe loop
+/// shards across `opts`' workers and writes the match rows straight into
+/// the output's two index vectors. Nothing
 /// else is built: the output batch ([`ColumnBatch::from_join`]) reads both
 /// inputs' columns through those vectors and defers the product — filters
 /// narrow its selection and projections pick its columns without reading
@@ -673,10 +678,12 @@ mod witness {
 }
 
 /// The classical columnar equi-join of two fringe-free chunks over key
-/// positions already checked against both arities: build (right), probe
-/// (left) — the same sides as the row-at-a-time hash join — over each
-/// side's selected rows. Returns the pairs' left and right rows; no cell
-/// is copied and no annotation is multiplied here.
+/// positions already checked against both arities, over each side's
+/// selected rows: the side with fewer of them is indexed and the other
+/// probes it (`typed::join_indexing_smaller`, the rule `ops::join_at`'s
+/// ground-key block follows too). Returns the pairs' left and right rows,
+/// in the probe side's order; no cell is copied and no annotation is
+/// multiplied here.
 fn columnar_join<A: AggAnnotation>(
     left: Ground<'_, A>,
     right: Ground<'_, A>,
@@ -692,7 +699,7 @@ fn columnar_join<A: AggAnnotation>(
         .iter()
         .map(|(_, j)| right.column(*j))
         .collect::<Result<_>>()?;
-    typed::join_rows(&lkeys, &rkeys, left.selected(), right.selected(), opts)
+    typed::join_indexing_smaller(&lkeys, &rkeys, left.selected(), right.selected(), opts)
 }
 
 #[cfg(test)]

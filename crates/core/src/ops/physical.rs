@@ -618,8 +618,9 @@ pub fn join_on_opts<A: AggAnnotation>(
 /// either chunk carries a fringe.
 ///
 /// Each side is partitioned by groundness of its *key* cells. The
-/// ground × ground block is the columnar join's: `ops::typed`'s build
-/// index over the right side's ground-keyed rows, probed with the left's
+/// ground × ground block is the columnar join's, under the same rule:
+/// `ops::typed`'s build index over the ground-keyed rows of the side with
+/// fewer of them (the right on a tie), probed with the other side's
 /// (sharded from its threshold on), so a row with a ground key and a
 /// symbolic payload, which no column can hold, is still hashed. Pairs
 /// with a symbolic key on either side run the sequential token-weighted
@@ -644,7 +645,7 @@ pub(crate) fn join_at<A: AggAnnotation>(
         Selection::new(None, g1.len()),
         Selection::new(None, g2.len()),
     );
-    let (lrows, rrows) = typed::join_rows(&lkeys, &rkeys, lsel, rsel, opts)?;
+    let (lrows, rrows) = typed::join_indexing_smaller(&lkeys, &rkeys, lsel, rsel, opts)?;
     let mut out = Vec::with_capacity(lrows.len());
     for (l, r) in lrows.into_iter().zip(rrows) {
         let (Some((t1, k1)), Some((t2, k2))) = (g1.get(l as usize), g2.get(r as usize)) else {

@@ -15,18 +15,20 @@
 //!   rational, `±∞`) takes the structural comparison it always had. The
 //!   row loop compacts the selection vector branchlessly,
 //!   `out[k] = row; k += keep as usize`.
-//! * **Joins** index the build side's key cells over its selected rows: a
-//!   single key column that is integral in every one of them becomes an
+//! * **Joins** index the key cells of the side with fewer selected rows
+//!   (the right one on a tie: [`join_indexing_smaller`]): a single key
+//!   column that is integral in every selected row becomes an
 //!   integer-hashed index (a multiply-based hasher), anything else
 //!   (strings, mixed types, several key columns, none) one structural
 //!   index over the key cells, borrowed where they lie. Between constants
 //!   the §4.3 equality token is `0`/`1`, so structural equality of the
-//!   cells is the whole join condition. The probe side reads its key cells
-//!   in place, looks each one up as it lies, and writes the match rows
-//!   straight into two index vectors. Both joins read key cells through
-//!   [`KeyColumn`]: the columnar join a chunk's [`ColumnReader`]s, the
-//!   ground-key block of `ops::join_at` its ground-keyed rows
-//!   ([`TupleKey`]).
+//!   cells is the whole join condition, and which side is indexed is a
+//!   physical choice the output relation cannot see. The other side, the
+//!   probe side, reads its key cells in place, looks each one up as it
+//!   lies, and writes the match rows straight into two index vectors, in
+//!   its own order. Both joins read key cells through [`KeyColumn`]: the
+//!   columnar join a chunk's [`ColumnReader`]s, the ground-key block of
+//!   `ops::join_at` its ground-keyed rows ([`TupleKey`]).
 //!
 //! Large kernels additionally **shard across the [`crate::par::fan_out`]
 //! workers**: the selection splits into contiguous ascending sub-ranges,
@@ -515,13 +517,33 @@ fn read_key<'a, C: KeyColumn<'a>>(keys: &mut [C], r: u32, key: &mut Vec<&'a Cons
     Ok(())
 }
 
+/// What both equi-joins run: [`join_rows`] with the index built over
+/// whichever side has fewer selected rows — the right one on a tie. Pair
+/// `i` is still `(lrows[i], rrows[i])`; the pairs come out in the order of
+/// the side that was not indexed, so a small dimension joined to a large
+/// scan emits the scan's rows in the order it read them.
+pub(crate) fn join_indexing_smaller<'a, C: KeyColumn<'a> + Sync>(
+    lkeys: &[C],
+    rkeys: &[C],
+    lsel: Selection<'_>,
+    rsel: Selection<'_>,
+    opts: &ExecOptions,
+) -> Result<(Vec<u32>, Vec<u32>)> {
+    if lsel.len() < rsel.len() {
+        let (rrows, lrows) = join_rows(rkeys, lkeys, rsel, lsel, opts)?;
+        return Ok((lrows, rrows));
+    }
+    join_rows(lkeys, rkeys, lsel, rsel, opts)
+}
+
 /// The equi-join of the rows `lsel` and `rsel` name on structural
 /// equality of their key cells: build (right), probe (left). Returns the
 /// match rows of each side, pair `i` being `(lrows[i], rrows[i])`, in
 /// probe order and, within one probe row, in build selection order —
 /// written straight into the two vectors, sized for one match a probe
 /// row. From [`SHARD_MIN_ROWS`] probe rows on, the probe shards across
-/// workers in contiguous ranges.
+/// workers in contiguous ranges. The joins call it through
+/// [`join_indexing_smaller`], which may hand it the sides swapped.
 pub(crate) fn join_rows<'a, C: KeyColumn<'a> + Sync>(
     lkeys: &[C],
     rkeys: &[C],
@@ -765,6 +787,100 @@ mod tests {
             let probe = |opts| join(&big_l, &small_r, lsel, all(16), opts);
             assert_eq!(probe(&serial), probe(&ExecOptions::with_threads(4)));
         }
+    }
+
+    /// [`join_indexing_smaller`]'s pairs, as `(left row, right row)`.
+    fn join_smaller(
+        l: &Batch,
+        r: &Batch,
+        lsel: Selection<'_>,
+        rsel: Selection<'_>,
+        opts: &ExecOptions,
+    ) -> Vec<(u32, u32)> {
+        let (lkeys, rkeys) = ([l.column(0).unwrap()], [r.column(0).unwrap()]);
+        let (lrows, rrows) = join_indexing_smaller(&lkeys, &rkeys, lsel, rsel, opts).unwrap();
+        lrows.into_iter().zip(rrows).collect()
+    }
+
+    #[test]
+    fn a_smaller_left_side_is_indexed_and_probed_in_right_order() {
+        let all = |n: usize| Selection::new(None, n);
+        let serial = ExecOptions::serial();
+        let (l, r) = (ints(&[2, 1, 2]), ints(&[1, 2, 3, 2, 1]));
+        let pairs = join_smaller(&l, &r, all(3), all(5), &serial);
+        // Right order, and within one right row the left rows in selection
+        // order: the left side was indexed and the right probed it.
+        assert_eq!(pairs, vec![(1, 0), (0, 1), (2, 1), (0, 3), (2, 3), (1, 4)]);
+        let swapped: Vec<(u32, u32)> = join(&r, &l, all(5), all(3), &serial)
+            .into_iter()
+            .map(|(r, l)| (l, r))
+            .collect();
+        assert_eq!(pairs, swapped);
+        // The pairs are the ones `join_rows` finds, in another order.
+        let mut probed_left = join(&l, &r, all(3), all(5), &serial);
+        probed_left.sort_by_key(|&(l, r)| (r, l));
+        assert_eq!(pairs, probed_left);
+        // Selected rows decide, not the batch lengths: two of the right's
+        // five rows against all three of the left's index the right.
+        let two = [1u32, 4];
+        let rsel = Selection::new(Some(&two), 5);
+        assert_eq!(
+            join_smaller(&l, &r, all(3), rsel, &serial),
+            join(&l, &r, all(3), rsel, &serial)
+        );
+    }
+
+    #[test]
+    fn a_smaller_or_equal_right_side_is_indexed_as_join_rows_does() {
+        let all = |n: usize| Selection::new(None, n);
+        let serial = ExecOptions::serial();
+        // Right smaller.
+        let (l, r) = (ints(&[1, 2, 3, 2]), ints(&[2, 9, 2]));
+        assert_eq!(
+            join_smaller(&l, &r, all(4), all(3), &serial),
+            join(&l, &r, all(4), all(3), &serial)
+        );
+        // A tie: the right side is indexed, the left probes in its order.
+        let (l, r) = (ints(&[2, 1, 2]), ints(&[1, 2, 2]));
+        let pairs = join_smaller(&l, &r, all(3), all(3), &serial);
+        assert_eq!(pairs, join(&l, &r, all(3), all(3), &serial));
+        assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 0), (2, 1), (2, 2)]);
+        // A tie of selections over batches of different lengths.
+        let (lsel, rsel) = ([0u32, 2], [1u32, 2]);
+        let (lsel, rsel) = (
+            Selection::new(Some(&lsel), 4),
+            Selection::new(Some(&rsel), 3),
+        );
+        let l = ints(&[2, 1, 2, 7]);
+        assert_eq!(
+            join_smaller(&l, &r, lsel, rsel, &serial),
+            join(&l, &r, lsel, rsel, &serial)
+        );
+    }
+
+    #[test]
+    fn a_larger_side_past_the_shard_threshold_probes_the_same_pairs_sharded() {
+        let all = |n: usize| Selection::new(None, n);
+        let n = 2 * SHARD_MIN_ROWS + 1_000;
+        let big = ints(&(0..n as i64).map(|i| i % 16).collect::<Vec<_>>());
+        let small = ints(&(0..16).collect::<Vec<_>>());
+        let (serial, four) = (ExecOptions::serial(), ExecOptions::with_threads(4));
+        // The large side probes on either side of the join, sharded at 4
+        // threads, and the small side is indexed.
+        let left_big = |opts| join_smaller(&big, &small, all(n), all(16), opts);
+        assert_eq!(left_big(&serial), left_big(&four));
+        assert_eq!(
+            left_big(&serial),
+            join(&big, &small, all(n), all(16), &serial)
+        );
+        let right_big = |opts| join_smaller(&small, &big, all(16), all(n), opts);
+        let pairs = right_big(&serial);
+        assert_eq!(pairs, right_big(&four));
+        assert_eq!(pairs.len(), n);
+        assert!(pairs
+            .iter()
+            .enumerate()
+            .all(|(i, &(l, r))| r == i as u32 && l == r % 16));
     }
 
     /// The probe cells of a join over a string build key.

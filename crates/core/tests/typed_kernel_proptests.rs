@@ -5,7 +5,8 @@
 //! all-string and mixed columns, so that a join's build key takes both of
 //! its index arms (the integer-hashed index for a key integral in every
 //! build row, the structural one for everything else, reached by two
-//! types meeting, a boolean or a non-integer rational), at
+//! types meeting, a boolean or a non-integer rational) and the join
+//! indexes its left side, its right side and (on a tie) the right, at
 //! `threads ∈ {1, 4}`, so the sharded selection-vector kernels are under
 //! the same oracle as the serial loops.
 //!
@@ -197,6 +198,33 @@ fn generator_covers_both_join_index_arms() {
     );
 }
 
+/// The join property below runs both build sides only if its generator
+/// reaches them: the join indexes the side with fewer selected rows (the
+/// right one on a tie), so over pairs of [`raw_rows`] relations the left
+/// must come out smaller, the right smaller, and the two equal — each of
+/// them non-empty, so that an index is built and probed.
+#[test]
+fn generator_covers_both_build_sides() {
+    let mut rng = TestRng::for_test("generator_covers_both_build_sides");
+    let mut reached = BTreeSet::new();
+    for _ in 0..128 {
+        let l = rel3("l", ["a", "b", "c"], raw_rows(10).generate(&mut rng));
+        let r = rel3("r", ["d", "e", "f"], raw_rows(10).generate(&mut rng));
+        if l.is_empty() || r.is_empty() {
+            continue;
+        }
+        reached.insert(match l.len().cmp(&r.len()) {
+            std::cmp::Ordering::Less => "left indexed",
+            std::cmp::Ordering::Greater => "right indexed",
+            std::cmp::Ordering::Equal => "tie, right indexed",
+        });
+    }
+    assert_eq!(
+        reached,
+        BTreeSet::from(["left indexed", "right indexed", "tie, right indexed"])
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -252,7 +280,9 @@ proptest! {
         // Join on the integer column, the string column or the mixed
         // column: the build key takes the integer-hashed index or the
         // structural one (`generator_covers_both_join_index_arms` shows
-        // both are reached), against the literal §4.3 join.
+        // both are reached), on whichever side has fewer rows
+        // (`generator_covers_both_build_sides` shows the left, the right
+        // and a tie are reached), against the literal §4.3 join.
         let l = rel3("l", ["a", "b", "c"], l_rows);
         let r = rel3("r", ["d", "e", "f"], r_rows);
         let on_attrs = [(["a", "b", "c"][on], ["d", "e", "f"][on])];

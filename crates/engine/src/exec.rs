@@ -134,7 +134,8 @@ where
             on,
             schema,
         } => {
-            // Hash build right, probe left; the keys resolve to positions
+            // The kernel indexes whichever input has fewer selected rows
+            // and probes with the other; the keys resolve to positions
             // before either input runs.
             let on_idx = join_key_positions(left.schema(), right.schema(), on)?;
             let l = run(db, left, params, param_count, opts)?;

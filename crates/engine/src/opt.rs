@@ -52,7 +52,11 @@
 //!   token is structural and annotation products are canonical-form
 //!   commutative, so the reordered chain is bit-identical; a chain with
 //!   any possibly-symbolic input is left untouched (the §4.3 token cross
-//!   terms are order-sensitive expressions there).
+//!   terms are order-sensitive expressions there). The join kernel
+//!   indexes whichever input has fewer selected rows, whatever the plan's
+//!   orientation, so on a chain of two leaves the reorder changes only the
+//!   column order its compensating projection restores: it neither picks
+//!   the indexed side nor saves a probe.
 //! * **Identity projections** (`rename_identity_projections`): `Π` onto
 //!   every column in order of a statically fully ground input is a pure
 //!   rename (each row keeps its own annotation), so it becomes a

@@ -132,8 +132,10 @@ pub enum Plan {
     },
     /// `JOIN … ON` with resolved equality column pairs.
     ///
-    /// Cost: executed as a hash build (right) / probe (left) equi-join on
-    /// the ground join keys — `O(|L| + |R|)` expected — plus a
+    /// Cost: executed as a hash equi-join on the ground join keys that
+    /// indexes the input with fewer rows (the right one on a tie) and
+    /// probes with the other — `O(|L| + |R|)` expected, the index
+    /// `O(min(|L|, |R|))` in memory whatever the plan's orientation — plus a
     /// token-weighted nested loop over tuples whose join key holds a
     /// symbolic aggregate (`O(|ground|·|symbolic| + |symbolic|²)`).
     Join {

@@ -293,6 +293,9 @@ where
         if !late.is_empty() {
             let mut all = store.into_rows();
             all.append(&mut late);
+            // The late rows' buffers are empty now; free them before the
+            // sort rather than beside the sorted store.
+            drop(late);
             store = Store::from_unsorted(
                 all,
                 |k| std::mem::replace(k, K::zero()),

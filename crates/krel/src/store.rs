@@ -157,6 +157,16 @@ impl<V, K> Block<V, K> {
         self.anns.swap(i, j);
     }
 
+    /// How many rows the block holds without reallocating.
+    fn capacity(&self) -> usize {
+        self.anns.capacity()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.cells.shrink_to_fit();
+        self.anns.shrink_to_fit();
+    }
+
     fn truncate(&mut self, rows: usize) {
         self.cells.truncate(rows * self.arity);
         self.anns.truncate(rows);
@@ -483,14 +493,20 @@ impl<V: Ord + Clone, K: Clone> Store<V, K> {
         debug_assert!((1..rows.len()).all(|i| rows.row(i - 1) < rows.row(i)));
         let (arity, len) = (rows.arity, rows.len());
         let mut blocks = Vec::with_capacity(len.div_ceil(BLOCK_CAP));
-        // Blocks come off the back, so each row moves once.
+        // Blocks come off the back, so each row moves once, and the head
+        // gives back its unused tail whenever it is half empty: the rows
+        // are held about once (at most one and a half times), not once in
+        // the head and once more in the blocks, for a number of
+        // reallocations logarithmic in the blocks.
         while rows.len() > BLOCK_CAP {
             let at = (rows.len() - 1) / BLOCK_CAP * BLOCK_CAP;
             blocks.push(Arc::new(rows.split_off(at)));
+            if 2 * rows.len() <= rows.capacity() {
+                rows.shrink_to_fit();
+            }
         }
         if !rows.is_empty() {
-            rows.cells.shrink_to_fit();
-            rows.anns.shrink_to_fit();
+            rows.shrink_to_fit();
             blocks.push(Arc::new(rows));
         }
         blocks.reverse();

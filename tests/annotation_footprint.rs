@@ -443,7 +443,9 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // (f) A columnar join defers its product: `⊗` (2 allocations) runs at
     // materialization, on the join rows a later filter kept. 20 000 `emp`
     // rows joined with 100 `dim` rows on `dept = dept2`, prepared, second
-    // serial execute. A filter over both sides stays above the join.
+    // serial execute. A filter over both sides stays above the join. The
+    // join indexes the 100 `dim` rows, the side with fewer selected rows,
+    // whichever side the plan puts them on.
     const JOIN_ROWS: usize = 20_000;
     let mut db = ProvDb::new();
     let emp = (0..JOIN_ROWS as i64).map(|i| {
@@ -466,19 +468,21 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     };
     let execute = |sql: &str| run(db.prepare(sql).unwrap());
     let join = "SELECT e.emp, d.cap FROM emp e JOIN dim d ON e.dept = d.dept2";
-    // 947 rows kept: 2 704 allocations, 0.14 per join row (0.18 while
-    // every kept row was a tuple of its own, 2.09 when every join row was
-    // multiplied before the filter ran).
+    // 947 rows kept: 2 068 allocations, 0.10 per join row (2 703, 0.14,
+    // while the join indexed the 20 000 `emp` rows the optimizer put on
+    // the right; 0.18 while every kept row was a tuple of its own, 2.09
+    // when every join row was multiplied before the filter ran).
     let (rows, cross_side, _) = execute(&format!("{join} WHERE e.sal < d.cap"));
     assert_eq!(rows, 947);
     assert!(
-        cross_side * 100 <= JOIN_ROWS * 25,
+        cross_side * 100 <= JOIN_ROWS * 14,
         "cross-side filter over a join: {cross_side} allocations for {JOIN_ROWS} join rows"
     );
-    // Every row kept: 40 932 allocations, 2.05 per row — the two of each
+    // Every row kept: 40 282 allocations, 2.01 per row — the two of each
     // row's `⊗`, as when the join multiplied eagerly (deferring adds
-    // nothing when nothing is dropped), and no tuple (3.04 while every
-    // output row was a tuple of its own).
+    // nothing when nothing is dropped), and no tuple (40 931 while the
+    // join indexed `emp`; 3.04 while every output row was a tuple of its
+    // own).
     let (rows, unfiltered, _) = execute(join);
     assert_eq!(rows, JOIN_ROWS);
     assert!(
@@ -486,11 +490,12 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "unfiltered join: {unfiltered} allocations for {JOIN_ROWS} rows"
     );
     // A join whose probe side is a deferred join: the inner products are
-    // multiplied out once each, for the rows the outer pairs name. 101 063
-    // allocations (101 074 while each join gathered its output columns);
-    // 121 007 while every output row was a tuple of its own,
-    // and 121 009 when besides the join multiplied eagerly and every scan
-    // collected an identity selection vector.
+    // multiplied out once each, for the rows the outer pairs name. 100 412
+    // allocations (101 063 while each join indexed its larger side,
+    // 101 074 while each join gathered its output columns); 121 007 while
+    // every output row was a tuple of its own, and 121 009 when besides
+    // the join multiplied eagerly and every scan collected an identity
+    // selection vector.
     let (rows, nested, _) = execute(&format!("{join} JOIN dim f ON e.dept = f.dept2"));
     assert_eq!(rows, JOIN_ROWS);
     assert!(
@@ -503,20 +508,41 @@ fn single_token_annotations_are_small_and_clone_for_free() {
     // result are cloned. At its high-water mark an execute holds the
     // filter's selection vector (4 bytes a kept row), the result
     // relation's blocks and, joined, the join's index vectors and the
-    // result's products: 6.4 bytes per `emp` row for the scan, 22.0
-    // joined to `dim` (11.9 and 22.0 while the selection vector kept a
-    // slot for every scanned row; 10.8 and 20.9 besides while an
-    // annotation was 24 bytes). Copying the three scanned columns into
-    // `i64` runs read 28.9 and 30.7 (one such column alone adds 8 bytes a
-    // row, over either budget); cloning every scanned row's annotation
-    // into the chunk besides, 52.9 and 55.0.
+    // result's products: 6.4 bytes per `emp` row for the scan (11.9 while
+    // the selection vector kept a slot for every scanned row, 10.8 besides
+    // while an annotation was 24 bytes), 11.7 joined to `dim`. The join
+    // indexes the 100 `dim` rows and probes with the kept `emp` rows, so
+    // its pairs come out in `emp` order and the result's builder appends
+    // them. It read 22.0 while the join indexed the kept `emp` rows, which
+    // the optimizer puts on the right, and emitted its pairs in `dim`
+    // order, sending every result row down the builder's out-of-order
+    // path (22.0 too while the selection vector kept a slot for every
+    // scanned row, 20.9 besides while an annotation was 24 bytes).
+    // Copying the three scanned columns into `i64` runs read 28.9 and 30.7
+    // (one such column alone adds 8 bytes a row, over either budget);
+    // cloning every scanned row's annotation into the chunk besides, 52.9
+    // and 55.0. A projection that leads with `dim`'s column puts the same
+    // pairs out of order by construction: the builder collects the late
+    // rows, frees their buffers once they are appended to the rest, and
+    // sorts them once, 18.0 (21.8 while the late rows' emptied buffers
+    // stayed allocated through the sort; 18.2 for the joined scan above
+    // when the join indexes the kept `emp` rows again). The tuple store
+    // then gives back the head's unused tail whenever the blocks it
+    // splits off leave it half empty, which this allocator, counting a
+    // shrinking reallocation as a copy, does not see.
     for (what, sql, budget) in [
         (
             "scan",
             "SELECT emp, sal FROM emp WHERE sal < 20".to_string(),
             7,
         ),
-        ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 23),
+        ("scan joined to dim", format!("{join} WHERE e.sal < 20"), 13),
+        (
+            "dim columns first",
+            "SELECT d.cap, e.emp FROM emp e JOIN dim d ON e.dept = d.dept2 WHERE e.sal < 20"
+                .to_string(),
+            19,
+        ),
     ] {
         let (rows, _, peak) = execute(&sql);
         assert_eq!(rows, 1_054);
