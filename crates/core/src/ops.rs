@@ -144,7 +144,10 @@ pub mod batch;
 mod physical;
 pub(crate) mod typed;
 
-pub(crate) use physical::{from_map, group_by_layout, insert_distinct, join_at, project_fold};
+pub(crate) use physical::{
+    agg_entries, from_map, group_by_entries, group_by_layout, insert_distinct, join_at,
+    project_fold,
+};
 pub use physical::{has_symbolic, lift, AggSpec, MKRel};
 
 /// One row per operator: doc line, variant, physical functions, `specops`

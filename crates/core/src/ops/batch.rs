@@ -42,28 +42,32 @@
 //!   becomes columns, and the scan of one with a symbolic row stops there
 //!   and the token path reads the held relation. They are the tuple-level
 //!   `ops::project_opts`, `join_on_opts` and `product` too;
-//! * **aggregation** and **set operations** are the pipeline breakers
-//!   and run on relations ([`crate::ops::group_by_opts`],
-//!   [`crate::ops::union_opts`]).
+//! * **aggregation** and **set operations** are the pipeline breakers.
+//!   [`Chunk::aggregate`] folds the chunk's rows where they lie — a held
+//!   relation's, or the stored rows a split of one scan selects, through
+//!   its column map — with [`crate::ops::group_by_opts`]'s fold, and
+//!   materializes any other chunk first; set operations run on relations
+//!   ([`crate::ops::union_opts`]).
 //!
 //! A chunk defers the additive merge of duplicate ground rows, and a
 //! columnar join's product, to its next materialization
 //! ([`Chunk::into_relation`]), which clones only the selected rows and
 //! takes `⊗` only for them; by distributivity that is the eager merge of
 //! the row-at-a-time path. A chunk no kernel has split materializes as the
-//! relation it holds.
+//! relation it holds. An aggregate's fold over stored rows never merges
+//! them: `Σ R(t) ∗ t(A)` is bilinear, so duplicates fold to their merge.
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
 use crate::ops::typed::{self, Selection};
-use crate::ops::{self, MKRel};
+use crate::ops::{self, AggSpec, MKRel};
 use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::num::Num;
 use aggprov_krel::batch::{ColumnBatch, ColumnReader, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
-use aggprov_krel::relation::Tuple;
+use aggprov_krel::relation::{Tuple, TupleRef};
 use aggprov_krel::schema::Schema;
 
 /// One side of a batched comparison: a column of the chunk or a constant
@@ -368,6 +372,57 @@ impl<A: AggAnnotation> Chunk<A> {
         Ok(split.into_chunk(schema))
     }
 
+    /// The aggregation breaker: `GROUP BY group_attrs` with `specs`
+    /// ([`crate::ops::group_by_opts`]), or with no grouping attributes the
+    /// one row of [`crate::ops::agg_all`], over the chunk's rows where they
+    /// lie. The sum `Σ R(t) ∗ t(A)` is linear in the rows, so no relation
+    /// is built in front of it:
+    ///
+    /// * a held relation's rows are folded as they are;
+    /// * a fringe-free split whose every column reads one stored scan —
+    ///   what filters and projections over a scanned table leave — folds
+    ///   the stored rows its selection names, borrowed from the table's
+    ///   store, through the chunk's column map
+    ///   ([`ColumnBatch::stored_rows`]). Equal rows stay distinct entries
+    ///   there and fold to what their additive merge folds to (bilinearity;
+    ///   the tensors and sums are kept in normal form);
+    /// * any other chunk — a join's output, an owned column such as
+    ///   `COUNT`'s unit column, a symbolic fringe — is materialized first
+    ///   ([`Chunk::into_relation`]).
+    ///
+    /// The stored rows come in the table's order, not the materialized
+    /// relation's, and an error names the first offending value it meets:
+    /// when the fold over stored rows fails, the materialized fold runs and
+    /// its result, the error it raises, is returned.
+    pub fn aggregate(
+        self,
+        group_attrs: &[&str],
+        specs: &[AggSpec<'_>],
+        opts: &ExecOptions,
+    ) -> Result<MKRel<A>> {
+        let schema = &self.schema;
+        let in_place = match &self.rows {
+            Rows::Held(rel) => {
+                return aggregate(rel.iter(), schema, None, group_attrs, specs, opts);
+            }
+            Rows::Split(split) if split.fringe.is_empty() => {
+                match split.ground.stored_rows(split.sel.as_deref())? {
+                    Some((columns, rows)) => {
+                        aggregate(rows, schema, Some(&columns), group_attrs, specs, opts).ok()
+                    }
+                    None => None,
+                }
+            }
+            Rows::Split(_) => None,
+        };
+        if let Some(out) = in_place {
+            return Ok(out);
+        }
+        let schema = self.schema.clone();
+        let rel = self.into_relation()?;
+        aggregate(rel.iter(), &schema, None, group_attrs, specs, opts)
+    }
+
     /// The AVG-division kernel: appends one `sum / cnt` column per
     /// `(sum, cnt)` logical-position pair. Per-row on both partitions, so
     /// the fringe stays in the chunk: a fringe row whose SUM and COUNT
@@ -640,6 +695,24 @@ pub fn hash_join<A: AggAnnotation>(
     let (left, right) = (left.into_split().ground, right.into_split().ground);
     let ground = ColumnBatch::from_join(left, lrows, right, rrows)?;
     Ok(Split::new(ground, Vec::new()).into_chunk(schema))
+}
+
+/// [`Chunk::aggregate`]'s fold over support entries read through a column
+/// map: [`crate::ops::agg_all`]'s with no grouping attributes,
+/// [`crate::ops::group_by_opts`]'s otherwise.
+fn aggregate<'a, A: AggAnnotation + 'a>(
+    entries: impl Iterator<Item = (TupleRef<'a, Value<A>>, &'a A)>,
+    schema: &Schema,
+    columns: Option<&[usize]>,
+    group_attrs: &[&str],
+    specs: &[AggSpec<'_>],
+    opts: &ExecOptions,
+) -> Result<MKRel<A>> {
+    if group_attrs.is_empty() {
+        ops::agg_entries(entries, schema, columns, specs)
+    } else {
+        ops::group_by_entries(entries, schema, columns, group_attrs, specs, opts)
+    }
 }
 
 use witness::Ground;

@@ -714,12 +714,29 @@ pub fn agg<A: AggAnnotation>(rel: &MKRel<A>, spec: AggSpec<'_>) -> Result<MKRel<
 /// without `GROUP BY`, the output row exists even for empty input (with
 /// value `ι(0_M)`, §3.2).
 pub fn agg_all<A: AggAnnotation>(rel: &MKRel<A>, specs: &[AggSpec<'_>]) -> Result<MKRel<A>> {
+    agg_entries(rel.iter(), rel.schema(), None, specs)
+}
+
+/// [`agg_all`] over support entries read through a column map: the input
+/// has `schema`, and its column `i` is cell `columns[i]` of an entry's
+/// tuple (`None`: cell `i`). A relation's own rows are its entries; a
+/// chunk's are the stored rows it selects, in store order, and equal rows
+/// there are distinct entries — by bilinearity `∗` sums them as the
+/// additive merge would, and the tensor's normal form does not depend on
+/// the order of its terms.
+pub(crate) fn agg_entries<'a, A: AggAnnotation + 'a>(
+    entries: impl Iterator<Item = Entry<'a, A>>,
+    schema: &Schema,
+    columns: Option<&[usize]>,
+    specs: &[AggSpec<'_>],
+) -> Result<MKRel<A>> {
     let sidx: Vec<usize> = specs
         .iter()
-        .map(|s| rel.schema().index_of(s.attr))
+        .map(|s| schema.index_of(s.attr))
         .collect::<Result<_>>()?;
+    let sidx = through(columns, sidx)?;
     let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
-    for (t, k) in rel.iter() {
+    for (t, k) in entries {
         accumulate_specs(t, specs, &sidx, &mut terms, k)?;
     }
     let tensors: Vec<Tensor<A, Const>> = specs
@@ -738,6 +755,24 @@ pub fn agg_all<A: AggAnnotation>(rel: &MKRel<A>, specs: &[AggSpec<'_>]) -> Resul
     Ok(out)
 }
 
+/// Positions of an input read through a column map (see [`agg_entries`]):
+/// each position `i` becomes `columns[i]`.
+fn through(columns: Option<&[usize]>, idx: Vec<usize>) -> Result<Vec<usize>> {
+    let Some(columns) = columns else {
+        return Ok(idx);
+    };
+    idx.into_iter()
+        .map(|i| {
+            columns.get(i).copied().ok_or_else(|| {
+                RelError::Internal(format!(
+                    "column {i} missing from a {}-column map",
+                    columns.len()
+                ))
+            })
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Group-by (§3.3 Definition 3.7 / §4.3 item 7)
 // ---------------------------------------------------------------------------
@@ -751,10 +786,19 @@ pub(crate) fn group_by_layout<A: AggAnnotation>(
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
 ) -> Result<(Vec<usize>, Vec<usize>, Schema)> {
-    let gidx = rel.schema().indices_of(group_attrs)?;
+    layout(rel.schema(), group_attrs, specs)
+}
+
+/// [`group_by_layout`] of an input with `schema`.
+fn layout(
+    schema: &Schema,
+    group_attrs: &[&str],
+    specs: &[AggSpec<'_>],
+) -> Result<(Vec<usize>, Vec<usize>, Schema)> {
+    let gidx = schema.indices_of(group_attrs)?;
     let sidx: Vec<usize> = specs
         .iter()
-        .map(|s| rel.schema().index_of(s.attr))
+        .map(|s| schema.index_of(s.attr))
         .collect::<Result<_>>()?;
     for (s, si) in specs.iter().zip(&sidx) {
         if group_attrs.contains(&s.attr) || gidx.contains(si) {
@@ -837,8 +881,26 @@ pub fn group_by_opts<A: AggAnnotation>(
     specs: &[AggSpec<'_>],
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
-    let (gidx, sidx, schema) = group_by_layout(rel, group_attrs, specs)?;
-    let out = keyed_fold(rel.iter(), &gidx, opts, |g, contributions| {
+    group_by_entries(rel.iter(), rel.schema(), None, group_attrs, specs, opts)
+}
+
+/// [`group_by_opts`] over support entries read through a column map, as
+/// [`agg_entries`] reads them: the keyed fold's keys and aggregated cells
+/// are the entries' cells at the mapped positions. Equal rows among the
+/// entries are distinct members of one bucket, and fold to the merged
+/// row's value: each contributes its own `k ∗ v`, the tensor's normal
+/// form merges equal monoid elements by `+_K`, and `Σ coeff` is canonical.
+pub(crate) fn group_by_entries<'a, A: AggAnnotation + 'a>(
+    entries: impl Iterator<Item = Entry<'a, A>>,
+    schema: &Schema,
+    columns: Option<&[usize]>,
+    group_attrs: &[&str],
+    specs: &[AggSpec<'_>],
+    opts: &ExecOptions,
+) -> Result<MKRel<A>> {
+    let (gidx, sidx, schema) = layout(schema, group_attrs, specs)?;
+    let (gidx, sidx) = (through(columns, gidx)?, through(columns, sidx)?);
+    let out = keyed_fold(entries, &gidx, opts, |g, contributions| {
         let (row, sum) = state_row(g, &gidx, specs, &sidx, contributions)?;
         Ok(collapse_row(row, gidx.len(), &sum))
     })?;

@@ -147,29 +147,35 @@ pub(crate) fn ranges(n: usize, min_rows: usize, opts: &ExecOptions) -> Vec<(usiz
     out
 }
 
-/// Runs one scoped worker per shard and returns the per-shard results **in
-/// shard order** (the deterministic merge order). A single shard runs
-/// inline — no thread is ever spawned for serial execution. The first
-/// shard error (in shard order) wins; worker panics propagate.
+/// Runs the first shard on the calling thread and one scoped worker per
+/// other shard, and returns the per-shard results **in shard order** (the
+/// deterministic merge order). A single shard runs inline — no thread is
+/// ever spawned for serial execution. The first shard error (in shard
+/// order) wins; worker panics propagate.
+///
+/// The calling thread works rather than waits: a worker allocates in an
+/// allocator arena of its own, whose high-water mark adds to the
+/// process's, so `n` shards hold `n - 1` extra arenas, not `n`.
 pub(crate) fn fan_out<T: Send, R: Send>(
     shards: Vec<T>,
     f: impl Fn(T) -> Result<R> + Sync,
 ) -> Result<Vec<R>> {
-    if shards.len() <= 1 {
-        return shards.into_iter().map(f).collect();
+    let mut shards = shards.into_iter();
+    let Some(first) = shards.next() else {
+        return Ok(Vec::new());
+    };
+    if shards.len() == 0 {
+        return Ok(vec![f(first)?]);
     }
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| scope.spawn(move || f(shard)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        let handles: Vec<_> = shards.map(|shard| scope.spawn(move || f(shard))).collect();
+        let first = f(first);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| match h.join() {
                 Ok(result) => result,
                 Err(panic) => std::panic::resume_unwind(panic),
-            })
+            }))
             .collect()
     })
 }

@@ -19,13 +19,18 @@
 //!   form, so over ground rows no relation is materialized between nodes:
 //!   filters narrow a selection vector, projections remap a column view,
 //!   joins hash build/probe over columns;
-//! * **pipeline breakers** — Aggregate and SetOp — take their inputs'
+//! * **pipeline breakers** — Aggregate and SetOp. An aggregate hands its
+//!   input chunk to [`Chunk::aggregate`], which folds the rows where they
+//!   lie: a held relation's (so `Scan → Aggregate` never goes through
+//!   columns), or the stored rows a filtered and projected scan selects,
+//!   borrowed from the table's store; only another chunk (a join's output,
+//!   a unit column, a symbolic fringe) is materialized first. The fold is
+//!   `aggprov_core::ops`' `group_by_opts` — one caller of its keyed token
+//!   fold, which also carries the partition-parallel sharding of
+//!   [`ExecOptions`] — or `agg_all`. A set operation takes its inputs'
 //!   relations ([`Chunk::into_relation`] hands a chunk no kernel split
-//!   back as it is, so `Scan → Aggregate` never goes through columns) and
-//!   run `aggprov_core::ops`' `group_by_opts` and `union_opts`, two
-//!   callers of its one keyed token fold (which also carries the
-//!   partition-parallel sharding of [`ExecOptions`]), `agg_all` and
-//!   `difference`.
+//!   back as it is) and runs `union_opts`, the keyed fold's other caller,
+//!   or `difference`.
 
 use crate::annot::ParseAnnotation;
 use crate::ast::{CmpOp, SetOp};
@@ -151,15 +156,12 @@ where
         } => {
             let group_refs: Vec<&str> = group_by.iter().map(|g| g.as_str()).collect();
             let avg_idx = avg_positions(&group_refs, aggs, avg)?;
-            // Pipeline breaker: aggregation needs the whole input.
-            let rel = run(db, input, params, param_count, opts)?.into_relation()?;
+            // Pipeline breaker: aggregation needs the whole input, and
+            // folds its rows where they lie.
             let specs: Vec<AggSpec<'_>> = aggs.iter().map(PlanAgg::spec).collect();
+            let grouped =
+                run(db, input, params, param_count, opts)?.aggregate(&group_refs, &specs, opts)?;
             let ungrouped = group_refs.is_empty();
-            let grouped = if ungrouped {
-                ops::agg_all(&rel, &specs)?
-            } else {
-                ops::group_by_opts(&rel, &group_refs, &specs, opts)?
-            };
             let chunk = Chunk::from_relation(&grouped);
             if avg.is_empty() {
                 return Ok(chunk);

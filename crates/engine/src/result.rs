@@ -32,7 +32,7 @@
 use aggprov_algebra::hom::Valuation;
 use aggprov_algebra::poly::{NatPoly, Var};
 use aggprov_algebra::semiring::{CommutativeSemiring, Security};
-use aggprov_core::eval::{collapse, map_hom_mk};
+use aggprov_core::eval::{collapse, map_hom_mk, map_hom_mk_where};
 use aggprov_core::km::Km;
 use aggprov_core::ops::MKRel;
 use aggprov_core::Value;
@@ -207,12 +207,23 @@ impl ResultSet<Km<NatPoly>> {
     /// more deletions, trust readings, a final [`valuate`](ResultSet::valuate) — can continue
     /// on the smaller result. `delete_tokens(ts).valuate(&v)` equals
     /// valuating with `v` extended by `ts ↦ 0` directly.
+    ///
+    /// Only the rows that mention a deleted token are mapped (the
+    /// homomorphism fixes every other row), as
+    /// [`Database::delete_tokens`](crate::Database::delete_tokens) maps its
+    /// tables: the result's untouched blocks are shared with `self`, and a
+    /// result no deleted token touches comes back as it is.
     pub fn delete_tokens<I, S>(&self, tokens: I) -> ResultSet<Km<NatPoly>>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        self.map_hom(deletion_hom(&deleted_vars(tokens)))
+        let deleted = deleted_vars(tokens);
+        let fired = |p: &NatPoly| p.vars().any(|v| deleted.contains(v));
+        let rel = map_hom_mk_where(&self.rel, &fired, &deletion_hom(&deleted));
+        ResultSet {
+            rel: rel.unwrap_or_else(|| self.rel.clone()),
+        }
     }
 }
 

@@ -16,12 +16,14 @@ use aggprov_algebra::poly::NatPoly;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_core::km::{CmpPred, Km};
-use aggprov_core::ops::{AggSpec, MKRel};
+use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::{difference, specops, ExecOptions, Value};
 use aggprov_engine::{Prepared, ProvDb};
 use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::collections::BTreeSet;
 
 type P = Km<NatPoly>;
 
@@ -384,5 +386,190 @@ fn avg_over_a_symbolic_group_key_matches_spec() {
             .execute_with_opts(&[], &ExecOptions::with_threads(threads))
             .unwrap_err();
         assert!(err.to_string().contains("footnote 6"), "{err}");
+    }
+}
+
+/// One `(g, v)` cell pair of a `t(k, g, v)` table, `k` being the row
+/// number: small domains, so that distinct rows repeat `(g, v)` pairs, and
+/// a quarter of the cells symbolic, so that some tables are all ground —
+/// the aggregation folds their stored rows in place — and some carry a
+/// fringe, which is materialized first.
+type RawGv = ((u8, usize, i64), (u8, usize, i64));
+
+fn arb_gv_rows() -> impl Strategy<Value = Vec<RawGv>> {
+    let cell = || (0u8..8, 0..VARS.len(), 0i64..3);
+    prop::collection::vec((cell(), cell()), 0..9)
+}
+
+/// An integer (kinds 0–4), a string (kind 5, only where `text` allows
+/// it), or a one-token tensor of `kind`'s monoid (kinds 6 and 7).
+fn decode_gv(raw: (u8, usize, i64), text: bool, kind: MonoidKind) -> Value<P> {
+    match raw {
+        (0..=4, _, n) => Value::int(n),
+        (5, _, n) if text => Value::str(if n % 2 == 0 { "s0" } else { "s1" }),
+        (5, _, n) => Value::int(n),
+        (_, vi, n) => Value::agg_normalized(
+            kind,
+            Tensor::from_terms(&kind, [(tok(VARS[vi]), Const::int(n))]),
+        ),
+    }
+}
+
+/// `t(k, g, v)`, row `i` annotated `t<i>`; symbolic cells are tensors of
+/// `kind`'s monoid, so that a `kind` aggregate over `v` is defined.
+fn gv_table(rows: &[RawGv], kind: MonoidKind) -> MKRel<P> {
+    Relation::from_rows(
+        Schema::new(["k", "g", "v"]).unwrap(),
+        rows.iter().enumerate().map(|(i, (g, v))| {
+            let row = vec![
+                Value::int(i as i64),
+                decode_gv(*g, true, kind),
+                decode_gv(*v, false, kind),
+            ];
+            (row, tok(&format!("t{i}")))
+        }),
+    )
+    .unwrap()
+}
+
+/// `σ_{k < w}` of `t` under its scan's names, as the literal oracle has it.
+fn rows_below(t: &MKRel<P>, w: i64) -> MKRel<P> {
+    let scanned = prefixed(t, &["t.k", "t.g", "t.v"]);
+    specops::select_cmp(&scanned, "t.k", CmpPred::Lt, &Value::int(w)).unwrap()
+}
+
+/// The statement's result, at both thread counts, planned optimized and
+/// unoptimized.
+fn run_both_plans(db: &ProvDb, sql: &str) -> MKRel<P> {
+    let got = run_both(db, sql);
+    assert_eq!(run_stmt(&db.prepare_unoptimized(sql).unwrap()), got);
+    got
+}
+
+proptest! {
+    #[test]
+    fn where_group_by_over_stored_rows_matches_spec(rows in arb_gv_rows(), w in 0i64..10) {
+        // Scan → Filter → Aggregate: over an all-ground table the fold
+        // takes the filter's selected rows where the table stores them;
+        // through a subquery's projection `(v, g)`, rows that share a
+        // `(g, v)` pair stay distinct entries of the fold, where the
+        // materialized projection merged them.
+        for (kind, agg) in [(MonoidKind::Sum, "SUM"), (MonoidKind::Min, "MIN")] {
+            let t = gv_table(&rows, kind);
+            let mut db = ProvDb::new();
+            db.register("t", t.clone());
+            let spec = |out| [AggSpec { kind, attr: "t.v", out }];
+            let f = rows_below(&t, w);
+
+            let sql = format!("SELECT g, {agg}(v) AS s FROM t WHERE k < {w} GROUP BY g");
+            let grouped = specops::group_by(&f, &["t.g"], &spec("s")).unwrap();
+            let want = specops::project(&grouped, &["t.g", "s"])
+                .unwrap()
+                .with_schema(Schema::new(["g", "s"]).unwrap())
+                .unwrap();
+            prop_assert_eq!(run_both_plans(&db, &sql), want);
+
+            let sql = format!(
+                "SELECT g, {agg}(v) AS s FROM (SELECT v, g FROM t WHERE k < {w}) AS u GROUP BY g"
+            );
+            let projected = specops::project(&f, &["t.v", "t.g"]).unwrap();
+            let grouped = specops::group_by(&projected, &["t.g"], &spec("s")).unwrap();
+            let want = specops::project(&grouped, &["t.g", "s"])
+                .unwrap()
+                .with_schema(Schema::new(["g", "s"]).unwrap())
+                .unwrap();
+            prop_assert_eq!(run_both_plans(&db, &sql), want);
+        }
+    }
+
+    #[test]
+    fn where_ungrouped_sum_over_stored_rows_matches_spec(rows in arb_gv_rows(), w in 0i64..10) {
+        // The one row of an ungrouped SUM, folded from the stored rows the
+        // filter selected (or from the materialized ones, with a fringe).
+        let t = gv_table(&rows, MonoidKind::Sum);
+        let mut db = ProvDb::new();
+        db.register("t", t.clone());
+        let spec = [AggSpec { kind: MonoidKind::Sum, attr: "t.v", out: "s" }];
+        let summed = specops::agg_all(&rows_below(&t, w), &spec).unwrap();
+        let want = specops::project(&summed, &["s"]).unwrap();
+        let sql = format!("SELECT SUM(v) AS s FROM t WHERE k < {w}");
+        prop_assert_eq!(run_both_plans(&db, &sql), want);
+    }
+}
+
+/// The properties above fold stored rows in place only over tables whose
+/// every row is ground: their generator must reach such tables —
+/// non-empty, and with a `(g, v)` pair that two rows share — as well as
+/// tables with a symbolic row.
+#[test]
+fn generator_reaches_all_ground_tables() {
+    let mut rng = TestRng::for_test("generator_reaches_all_ground_tables");
+    let mut reached = BTreeSet::new();
+    for _ in 0..128 {
+        let t = gv_table(&arb_gv_rows().generate(&mut rng), MonoidKind::Sum);
+        if t.is_empty() {
+            continue;
+        }
+        if t.iter()
+            .any(|(row, _)| row.values().iter().any(Value::is_agg))
+        {
+            reached.insert("a symbolic row");
+            continue;
+        }
+        let pairs: BTreeSet<_> = t.iter().map(|(row, _)| row.project(&[1, 2])).collect();
+        reached.insert(if pairs.len() < t.len() {
+            "all ground, a (g, v) pair repeated"
+        } else {
+            "all ground, distinct (g, v) pairs"
+        });
+    }
+    assert_eq!(
+        reached,
+        BTreeSet::from([
+            "a symbolic row",
+            "all ground, a (g, v) pair repeated",
+            "all ground, distinct (g, v) pairs",
+        ])
+    );
+}
+
+#[test]
+fn text_under_sum_raises_the_materialized_folds_error() {
+    // The stored rows come in `k` order, `'zz'` first; the projected
+    // relation `(v, g)` the materialized fold reads has `'aa'` first. The
+    // error names the value the materialized fold meets first, through
+    // either plan, at either thread count.
+    let mut db = ProvDb::new();
+    db.exec(
+        "CREATE TABLE t (k NUM, g NUM, v TEXT);
+         INSERT INTO t VALUES (1, 1, 'zz') PROVENANCE p1;
+         INSERT INTO t VALUES (2, 1, 'aa') PROVENANCE p2;",
+    )
+    .unwrap();
+    let projected = specops::project(
+        &prefixed(db.table("t").unwrap(), &["u.k", "u.g", "u.v"]),
+        &["u.v", "u.g"],
+    )
+    .unwrap();
+    let spec = [AggSpec {
+        kind: MonoidKind::Sum,
+        attr: "u.v",
+        out: "s",
+    }];
+    let want = ops::group_by_opts(&projected, &["u.g"], &spec, &ExecOptions::serial())
+        .unwrap_err()
+        .to_string();
+    assert!(want.contains("'aa'"), "{want}");
+    let sql = "SELECT g, SUM(v) AS s FROM (SELECT v, g FROM t WHERE k < 5) AS u GROUP BY g";
+    for stmt in [
+        db.prepare(sql).unwrap(),
+        db.prepare_unoptimized(sql).unwrap(),
+    ] {
+        for threads in [1, 4] {
+            let err = stmt
+                .execute_with_opts(&[], &ExecOptions::with_threads(threads))
+                .unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
     }
 }

@@ -46,7 +46,11 @@
 //!
 //! Who reads them: kernels read cells as `&Const`, where every form keeps
 //! them, through a [`ColumnReader`], and narrow a selection vector;
-//! nothing is copied.
+//! nothing is copied. A batch whose every column reads one scan in place
+//! is read by the aggregation breaker as that scan's rows
+//! ([`ColumnBatch::stored_rows`]): the selected rows' tuples and
+//! annotations, borrowed from the store, and the stored column each cell
+//! column reads — again nothing is copied.
 //! [`GroundBatch::into_relation_selected`] is the one place cells and
 //! annotations leave a batch: the selected rows' stored cells are cloned
 //! and owned ones lifted, a dense column's annotations are moved out, a
@@ -666,6 +670,75 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
             anns: self.anns,
         })
     }
+
+    /// The batch as rows of the relation it was split from, where it is
+    /// one: when every cell column is a stored column of one scan and the
+    /// annotation column is that scan's shared annotations — what filters
+    /// and projections leave of a split relation — the stored column each
+    /// cell column reads (cell column `i` is cell `map[i]` of a stored
+    /// row) and the stored rows `sel` selects, tuple and annotation
+    /// borrowed from the store, in store order. `sel` is a strictly
+    /// ascending selection (`None` = every row); one that is not, or that
+    /// names a row the batch does not have, is an internal error.
+    ///
+    /// `None` for any other batch — an owned column, a join's output read
+    /// through its match rows, a dense or deferred annotation column: its
+    /// rows are not stored rows. Equal rows of the batch are distinct
+    /// stored rows here, not merged as [`GroundBatch::into_relation`]
+    /// merges them.
+    #[expect(
+        clippy::type_complexity,
+        reason = "the column map beside the rows it maps"
+    )]
+    pub fn stored_rows<'a>(
+        &'a self,
+        sel: Option<&'a [u32]>,
+    ) -> Result<
+        Option<(
+            Vec<usize>,
+            impl Iterator<Item = (TupleRef<'a, V>, &'a K)> + 'a,
+        )>,
+    > {
+        let Anns::Stored(Stored::Shared(scan)) = &self.anns else {
+            return Ok(None);
+        };
+        let map: Option<Vec<usize>> = self
+            .cols
+            .iter()
+            .map(|col| match col {
+                Column::Stored(s, c) if Arc::ptr_eq(s, scan) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let Some(map) = map else {
+            return Ok(None);
+        };
+        let (named, all) = checked_selection(sel, scan.len)?;
+        let mut cur = Cursor::new();
+        let rows = named.iter().map(|&r| r as usize).chain(0..all);
+        let entries = rows.map_while(move |r| {
+            cur.row(&scan.store, &scan.starts, scan.position(r)?)?
+                .entry()
+        });
+        Ok(Some((map, entries)))
+    }
+}
+
+/// A selection checked against a batch of `nrows` rows: the rows it names
+/// and, for `None`, the count of all rows (`0` otherwise), so that
+/// `named` then `0..all` are the selected rows.
+fn checked_selection(sel: Option<&[u32]>, nrows: usize) -> Result<(&[u32], usize)> {
+    let bad_selection = || {
+        RelError::Internal(format!(
+            "selection vector not strictly ascending within the batch's {nrows} rows"
+        ))
+    };
+    match sel {
+        Some(sel) if !sel.is_sorted_by(|a, b| a < b) => Err(bad_selection()),
+        Some(sel) if sel.last().is_some_and(|&r| r as usize >= nrows) => Err(bad_selection()),
+        Some(sel) => Ok((sel, 0)),
+        None => Ok((&[][..], nrows)),
+    }
 }
 
 impl<K, V> ColumnBatch<K, V>
@@ -847,20 +920,7 @@ where
             cols,
             anns: mut column,
         } = self.ground;
-        let nrows = column.len();
-        let bad_selection = || {
-            RelError::Internal(format!(
-                "selection vector not strictly ascending within the batch's {nrows} rows"
-            ))
-        };
-        let (named, all) = match sel {
-            Some(sel) if !sel.is_sorted_by(|a, b| a < b) => return Err(bad_selection()),
-            Some(sel) if sel.last().is_some_and(|&r| r as usize >= nrows) => {
-                return Err(bad_selection())
-            }
-            Some(sel) => (sel, 0),
-            None => (&[][..], nrows),
-        };
+        let (named, all) = checked_selection(sel, column.len())?;
         let rows = named.iter().map(|&r| r as usize).chain(0..all);
         // A dense annotation column is moved out row by row; every other
         // annotation and every stored cell is read in its source's row,

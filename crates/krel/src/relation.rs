@@ -291,13 +291,12 @@ where
             merge,
         } = self;
         if !late.is_empty() {
-            let mut all = store.into_rows();
-            all.append(&mut late);
-            // The late rows' buffers are empty now; free them before the
-            // sort rather than beside the sorted store.
-            drop(late);
+            // The head rows arrived first, and go in front of the late ones
+            // (first-wins keeps the earlier row); the late block is then
+            // sorted where it lies, each row held once.
+            store.prepend_to(&mut late);
             store = Store::from_unsorted(
-                all,
+                late,
                 |k| std::mem::replace(k, K::zero()),
                 |old, k| match merge {
                     Merge::Sum => add_annotation(old, k),

@@ -339,6 +339,15 @@ impl<'a, V, K> RowAt<'a, V, K> {
     pub(crate) fn ann(self) -> Option<&'a K> {
         self.block.anns.get(self.i)
     }
+
+    /// The row's cells and its annotation, as the store's iteration hands
+    /// them out.
+    #[inline]
+    pub(crate) fn entry(self) -> Option<(TupleRef<'a, V>, &'a K)> {
+        let a = self.block.arity;
+        let cells = self.block.cells.get(self.i * a..(self.i + 1) * a)?;
+        Some((TupleRef::new(cells), self.ann()?))
+    }
 }
 
 /// `I` with the count it has left: a `collect` over a store allocates once.
@@ -557,13 +566,17 @@ impl<V: Ord + Clone, K: Clone> Store<V, K> {
         Store::from_sorted(rows)
     }
 
-    /// All rows, in order, in one block.
-    pub(crate) fn into_rows(self) -> Block<V, K> {
-        let mut rows = Block::with_capacity(self.arity, self.len);
+    /// Puts all rows, in order, in front of the rows of `rows`: each block
+    /// is moved into the spare capacity behind them (copied if a clone
+    /// shares it), then the whole block is rotated, so no row is held
+    /// twice on the way.
+    pub(crate) fn prepend_to(self, rows: &mut Block<V, K>) {
+        let (cells, n) = (rows.cells.len(), rows.len());
         for block in self.blocks {
             rows.append(&mut Arc::unwrap_or_clone(block));
         }
-        rows
+        rows.cells.rotate_left(cells);
+        rows.anns.rotate_left(n);
     }
 }
 
@@ -670,7 +683,20 @@ mod tests {
         check(&pinned);
         assert_eq!(pinned.len(), 4 * BLOCK_CAP);
         assert_eq!(pinned.get(&[3]), None);
-        assert_eq!(s.into_rows().len(), 4 * BLOCK_CAP);
+        let mut rows = Block::new(1);
+        s.prepend_to(&mut rows);
+        assert_eq!(rows.len(), 4 * BLOCK_CAP);
+    }
+
+    #[test]
+    fn prepended_rows_come_first_in_their_order() {
+        let store = Store::from_sorted(unary((0..BLOCK_CAP as u32 + 3).map(|i| (i, i))));
+        let mut late = unary([(9, 1), (1, 2)].into_iter());
+        store.prepend_to(&mut late);
+        let rows: Vec<(u32, u32)> = late.rows().map(|(t, k)| (t.values()[0], *k)).collect();
+        let head = (0..BLOCK_CAP as u32 + 3).map(|i| (i, i));
+        assert_eq!(rows, head.chain([(9, 1), (1, 2)]).collect::<Vec<_>>());
+        assert_eq!(late.cells.len(), late.len());
     }
 
     #[test]
