@@ -22,7 +22,9 @@
 //! * [`laws`] — executable algebraic laws shared by all test suites;
 //! * [`num`], [`domain`] — the exact numeric and constant domain;
 //! * [`name`] — the 16-byte string behind tokens and string constants,
-//!   inline when short.
+//!   inline when short;
+//! * [`sort`] — the one stable sort, over positions through a type-erased
+//!   comparator, that every canonical form and sorted build shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,4 +42,5 @@ pub mod poly;
 pub mod semimodule;
 pub mod semiring;
 pub mod sn;
+pub mod sort;
 pub mod tensor;

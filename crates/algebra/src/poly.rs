@@ -68,7 +68,7 @@ pub(crate) fn sort_combine<T, Q: Ord + ?Sized>(
     mut combine: impl FnMut(&mut T, &[T]),
     keep: impl FnMut(&T) -> bool,
 ) {
-    items.sort_by(|a, b| key(a).cmp(key(b)));
+    crate::sort::sort_by(items, |a, b| key(a).cmp(key(b)));
     // `items[..kept]` holds the folded runs so far; the run being folded
     // is `items[start]` and the `repeats` items after it.
     let (mut kept, mut start) = (0, 0);
@@ -761,7 +761,7 @@ where
             _ => {}
         }
         let mut terms: Vec<&Term<A, C>> = items.iter().flat_map(|p| p.as_slice()).collect();
-        terms.sort_by(|x, y| x.0.cmp(&y.0));
+        crate::sort::sort_by(&mut terms, |x, y| x.0.cmp(&y.0));
         let mut out = Vec::with_capacity(terms.len());
         for run in terms.chunk_by(|x, y| x.0 == y.0) {
             if let [(m, first), rest @ ..] = run {

@@ -88,7 +88,8 @@
 //! The same bucketing is the seam for multi-threaded execution: under
 //! the `*_opts` variants, `keyed_fold` finishes contiguous ranges of its
 //! ground buckets — the sums, where the time goes; the bucketing pass
-//! itself is serial — on scoped worker threads (see [`crate::par`]).
+//! itself is serial — on scoped worker threads (see [`crate::par`]), from
+//! 8 192 ground entries on.
 //! Distinct keys finish into distinct rows, so the workers' outputs are
 //! disjoint; each worker finishes its own buckets (symbolic cross terms
 //! included) and the rows are concatenated in shard order, while the

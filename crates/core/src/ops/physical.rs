@@ -6,13 +6,14 @@
 #![deny(unreachable_pub)]
 
 use super::batch::{self, Chunk};
-use super::typed::{self, Selection, TupleKey};
+use super::typed::{self, Selection, TupleKey, SHARD_MIN_ROWS};
 use crate::annotation::AggAnnotation;
 use crate::par::{fan_out, plan_shards, ExecOptions};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::{CommutativeMonoid, MonoidKind};
 use aggprov_algebra::semiring::CommutativeSemiring;
+use aggprov_algebra::sort;
 use aggprov_algebra::tensor::Tensor;
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{Merge, Relation, Tuple, TupleRef};
@@ -297,8 +298,10 @@ fn key_prefix<A: AggAnnotation>(values: &[Value<A>], run: usize) -> &[Value<A>] 
 /// in the row `finish` builds, once per bucket. Finishing the buckets
 /// (including the token-weighted contributions of symbolic-keyed entries —
 /// a constant key can equal a symbolic one under a valuation) is where the
-/// time goes, and with more than one thread contiguous ranges of buckets
-/// fan out over [`fan_out`]; distinct keys finish into distinct rows, and
+/// time goes, and with more than one thread and from [`SHARD_MIN_ROWS`]
+/// ground entries on (the join's probe minimum: below it a worker costs
+/// more than the work it takes) contiguous ranges of buckets fan out over
+/// [`fan_out`]; distinct keys finish into distinct rows, and
 /// the ranges' rows are concatenated in range order. Each distinct **symbolic**
 /// key then forms its candidate on the sequential token path, against the
 /// ground buckets (one token per bucket, not per member) and the
@@ -318,8 +321,8 @@ fn key_prefix<A: AggAnnotation>(values: &[Value<A>], run: usize) -> &[Value<A>] 
 /// contributes `0` and no error, under every [`AggAnnotation`]. With an
 /// empty run the index has one bucket and every pair is visited — a key
 /// that is symbolic from its first position is all-pairs under §4.3.
-fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send>(
-    entries: impl Iterator<Item = Entry<'a, A>>,
+fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send + Sync>(
+    mut entries: impl Iterator<Item = Entry<'a, A>>,
     positions: &[usize],
     opts: &ExecOptions,
     finish: impl Fn(TupleRef<'a, Value<A>>, &[Contribution<'a, A>]) -> Result<(R, A)> + Sync,
@@ -327,8 +330,13 @@ fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send>(
     let mut ids: HashMap<KeyView<'_, A>, usize> = HashMap::new();
     let mut ground: Vec<(usize, Entry<'a, A>)> = Vec::new();
     let mut sym: Vec<Entry<'a, A>> = Vec::new();
-    for (t, k) in entries {
+    while let Some((t, k)) = entries.next() {
         if is_ground_at(t, positions) {
+            if ground.capacity() == 0 {
+                // Sized once, at the first ground entry, for it and every
+                // entry after it: an all-symbolic input reserves nothing.
+                ground.reserve_exact(entries.size_hint().0 + 1);
+            }
             let next = ids.len();
             let id = *ids.entry(KeyView { t, positions }).or_insert(next);
             ground.push((id, (t, k)));
@@ -337,7 +345,7 @@ fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send>(
         }
     }
     // Stable, so a bucket keeps its members in input order.
-    ground.sort_by_key(|(id, _)| *id);
+    sort::sort_by(&mut ground, |a, b| a.0.cmp(&b.0));
     let buckets: Vec<Bucket<'_, 'a, A>> = ground
         .chunk_by(|a, b| a.0 == b.0)
         .filter_map(|members| Some((members.first()?.1 .0, members)))
@@ -364,10 +372,12 @@ fn keyed_fold<'a, A: AggAnnotation + 'a, R: Send>(
         }
     }
 
-    let per_shard = buckets
-        .len()
-        .div_ceil(plan_shards(opts, buckets.len()))
-        .max(1);
+    let shards = if ground.len() >= SHARD_MIN_ROWS {
+        plan_shards(opts, buckets.len())
+    } else {
+        1
+    };
+    let per_shard = buckets.len().div_ceil(shards).max(1);
     let shard_rows = fan_out(buckets.chunks(per_shard).collect(), |shard| {
         let mut rows = Vec::with_capacity(shard.len());
         let mut contributions: Vec<Contribution<'a, A>> = Vec::new();

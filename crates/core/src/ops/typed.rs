@@ -62,7 +62,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Minimum number of selected rows before a join probe shards across
-/// workers; below this the spawn cost dwarfs the probe.
+/// workers, and of ground entries before the keyed fold does; below this
+/// the spawn cost dwarfs the work.
 pub(crate) const SHARD_MIN_ROWS: usize = 8192;
 
 /// Minimum number of selected rows before a column-vs-literal filter

@@ -151,33 +151,54 @@ pub(crate) fn ranges(n: usize, min_rows: usize, opts: &ExecOptions) -> Vec<(usiz
 /// other shard, and returns the per-shard results **in shard order** (the
 /// deterministic merge order). A single shard runs inline — no thread is
 /// ever spawned for serial execution. The first shard error (in shard
-/// order) wins; worker panics propagate.
+/// order) wins; a worker's panic reaches the caller with its payload.
 ///
 /// The calling thread works rather than waits: a worker allocates in an
 /// allocator arena of its own, whose high-water mark adds to the
 /// process's, so `n` shards hold `n - 1` extra arenas, not `n`.
-pub(crate) fn fan_out<T: Send, R: Send>(
+///
+/// A shard is a description of work — a range, a sub-slice — copied to
+/// the thread that runs it. Each shard's result goes to its own slot, so
+/// the threads are spawned and joined by one non-generic [`run_shards`]:
+/// every instantiation compiles `f` once and shares the spawn path.
+pub(crate) fn fan_out<T: Copy + Sync, R: Send + Sync>(
     shards: Vec<T>,
     f: impl Fn(T) -> Result<R> + Sync,
 ) -> Result<Vec<R>> {
-    let mut shards = shards.into_iter();
-    let Some(first) = shards.next() else {
-        return Ok(Vec::new());
-    };
-    if shards.len() == 0 {
-        return Ok(vec![f(first)?]);
+    match shards.as_slice() {
+        [] => return Ok(Vec::new()),
+        [only] => return Ok(vec![f(*only)?]),
+        _ => {}
     }
+    let slots: Vec<OnceLock<Result<R>>> = shards.iter().map(|_| OnceLock::new()).collect();
+    run_shards(shards.len(), &|i| {
+        if let (Some(&shard), Some(slot)) = (shards.get(i), slots.get(i)) {
+            // Shard `i` is run once, so its slot is empty.
+            let _ = slot.set(f(shard));
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|| Err(RelError::Internal("a shard left no result".into())))
+        })
+        .collect()
+}
+
+/// Runs `shard(0)` on the calling thread and `shard(i)` for every other
+/// `i < n` on a scoped worker, and returns once all have finished; the
+/// first worker panic, in shard order, is resumed on the calling thread.
+fn run_shards(n: usize, shard: &(dyn Fn(usize) + Sync)) {
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards.map(|shard| scope.spawn(move || f(shard))).collect();
-        let first = f(first);
-        std::iter::once(first)
-            .chain(handles.into_iter().map(|h| match h.join() {
-                Ok(result) => result,
-                Err(panic) => std::panic::resume_unwind(panic),
-            }))
-            .collect()
-    })
+        let workers: Vec<_> = (1..n).map(|i| scope.spawn(move || shard(i))).collect();
+        shard(0);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -236,6 +257,25 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.to_string(), "unsupported: shard 2", "shard order wins");
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(vec![1u32, 2, 3], |x| {
+                if x == 3 {
+                    panic!("shard {x} panicked");
+                }
+                Ok(x)
+            })
+        })
+        .unwrap_err();
+        let message = caught.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(
+            message,
+            Some("shard 3 panicked"),
+            "the worker's own payload"
+        );
     }
 
     // `from_env` is covered by `tests/exec_options_env.rs`, an integration

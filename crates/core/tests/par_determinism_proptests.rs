@@ -520,3 +520,26 @@ fn busy_shards_match_serial_hash_path() {
         ops::union_opts(&emp, &emp, &serial).unwrap()
     );
 }
+
+/// The keyed fold shards its ground buckets only from 8 192 ground
+/// entries on (below that a worker costs more than the sums it takes):
+/// a `GROUP BY` over more rows than that, at 4 threads, must equal the
+/// serial fold row for row, so the sharded finish stays covered.
+#[test]
+fn sharded_fold_matches_serial_above_threshold() {
+    let emp = emp_rows(9_000);
+    let specs = [
+        AggSpec::new(MonoidKind::Sum, "sal"),
+        AggSpec::new(MonoidKind::Max, "emp"),
+    ];
+    let serial = ops::group_by_opts(&emp, &["dept"], &specs, &ExecOptions::serial()).unwrap();
+    assert_eq!(serial.len(), 23);
+    assert_eq!(
+        ops::group_by_opts(&emp, &["dept"], &specs, &ExecOptions::with_threads(4)).unwrap(),
+        serial
+    );
+    assert_eq!(
+        ops::project_opts(&emp, &["dept", "sal"], &ExecOptions::with_threads(4)).unwrap(),
+        ops::project_opts(&emp, &["dept", "sal"], &ExecOptions::serial()).unwrap()
+    );
+}

@@ -75,7 +75,7 @@
 use crate::error::{RelError, Result};
 use crate::relation::{Builder, Merge, Relation, Tuple, TupleRef};
 use crate::schema::Schema;
-use crate::store::{Cursor, RowAt, Store};
+use crate::store::{Counted, Cursor, RowAt, Store};
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::semiring::CommutativeSemiring;
 use std::borrow::Cow;
@@ -677,7 +677,8 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
     /// and projections leave of a split relation — the stored column each
     /// cell column reads (cell column `i` is cell `map[i]` of a stored
     /// row) and the stored rows `sel` selects, tuple and annotation
-    /// borrowed from the store, in store order. `sel` is a strictly
+    /// borrowed from the store, in store order, their count as the
+    /// iterator's exact size hint. `sel` is a strictly
     /// ascending selection (`None` = every row); one that is not, or that
     /// names a row the batch does not have, is an internal error.
     ///
@@ -720,7 +721,7 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
             cur.row(&scan.store, &scan.starts, scan.position(r)?)?
                 .entry()
         });
-        Ok(Some((map, entries)))
+        Ok(Some((map, Counted(entries, named.len() + all))))
     }
 }
 

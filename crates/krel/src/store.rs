@@ -13,6 +13,7 @@
 //! only the one it lands in.
 
 use crate::relation::TupleRef;
+use aggprov_algebra::sort::stable_permutation;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -351,7 +352,7 @@ impl<'a, V, K> RowAt<'a, V, K> {
 }
 
 /// `I` with the count it has left: a `collect` over a store allocates once.
-struct Counted<I>(I, usize);
+pub(crate) struct Counted<I>(pub(crate) I, pub(crate) usize);
 
 impl<I: Iterator> Iterator for Counted<I> {
     type Item = I::Item;
@@ -526,28 +527,17 @@ impl<V: Ord + Clone, K: Clone> Store<V, K> {
     /// equal rows merged in arrival order — `merge` folds a later row's
     /// annotation (moved out of its slot by `take`) into the kept one and
     /// says whether the kept row stays; a row that leaves lets an equal
-    /// row after it in again. Positions are sorted, not rows, and then
-    /// the permutation's cycles are followed with swaps that each put one
-    /// row in its place: no cell is cloned.
+    /// row after it in again. Positions are sorted, not rows
+    /// ([`stable_permutation`]), and then the permutation's cycles are
+    /// followed with swaps that each put one row in its place: no cell is
+    /// cloned.
     pub(crate) fn from_unsorted(
         mut rows: Block<V, K>,
         mut take: impl FnMut(&mut K) -> K,
         mut merge: impl FnMut(&mut K, K) -> bool,
     ) -> Self {
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&i, &j| rows.row(i).cmp(rows.row(j)));
-        // Position `p` takes the row at `order[p]`; a placed position
-        // points at itself.
-        for start in 0..order.len() {
-            let mut p = start;
-            while order[p] != start {
-                let from = order[p];
-                rows.swap_rows(p, from);
-                order[p] = p;
-                p = from;
-            }
-            order[p] = p;
-        }
+        stable_permutation(rows.len(), &|i, j| rows.row(i).cmp(rows.row(j)))
+            .apply(|i, j| rows.swap_rows(i, j));
         let mut kept = 0;
         for r in 0..rows.len() {
             if kept > 0 && rows.row(kept - 1) == rows.row(r) {
