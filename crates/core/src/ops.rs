@@ -55,6 +55,9 @@
 //! So `group_by = delta_collapse ∘ group state` holds by construction: an
 //! incrementally maintained `GROUP BY` and a from-scratch one are the same
 //! fold, with and without the rendering.
+//! `COUNT(*)` is a spec over [`STAR`], whose `t'(*)` is `ι(1)` for every
+//! tuple: counting reads no column, so no column of `1`s is built in front
+//! of the fold.
 //!
 //! [`union`] takes no shortcut: over ground rows of any size the keyed
 //! fold is the additive merge.
@@ -149,7 +152,7 @@ pub(crate) use physical::{
     agg_entries, from_map, group_by_entries, group_by_layout, insert_distinct, join_at,
     project_fold,
 };
-pub use physical::{has_symbolic, lift, AggSpec, MKRel};
+pub use physical::{has_symbolic, lift, AggSpec, MKRel, STAR};
 
 /// One row per operator: doc line, variant, physical functions, `specops`
 /// twin.

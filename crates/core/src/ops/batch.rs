@@ -9,9 +9,8 @@
 //! relation's tuple store, or through a join's match rows; see
 //! [`aggprov_krel::batch`]) plus a live selection vector, so a filter
 //! never moves data, and the symbolic fringe row-wise beside them, as
-//! [`GroundBatch`] splits it. The kernels —
-//! [`Chunk::filter`], [`Chunk::project`], [`Chunk::add_unit_column`],
-//! [`Chunk::avg_divide`], [`hash_join`] — run classical columnar
+//! [`GroundBatch`] splits it. The kernels — [`Chunk::filter`],
+//! [`Chunk::project`], [`hash_join`] — run classical columnar
 //! algorithms over the ground batch: between constants every §4.3
 //! equality token is `0`/`1`, so the token machinery degenerates to plain
 //! comparisons and a filter→project→join chain never materializes a
@@ -27,10 +26,9 @@
 //! **Every kernel here is total**: handed symbolic rows it produces the
 //! §4.3 result itself, so no caller asks a chunk whether it is ground.
 //!
-//! * **filter**, **unit-column append** and **AVG division** have no
-//!   cross-row terms in §4.3: ground rows take the vectorized path,
-//!   fringe rows the token path (annotation × token, as in
-//!   [`crate::ops::select_with_token`]);
+//! * **filter** has no cross-row terms in §4.3: ground rows take the
+//!   vectorized path, fringe rows the token path (annotation × token, as
+//!   in [`crate::ops::select_with_token`]);
 //! * **projection** and **join** sum token-weighted contributions *across*
 //!   rows when symbolic values are present. Without them
 //!   [`Chunk::project_opts`] picks column handles and [`hash_join`] probes
@@ -46,8 +44,9 @@
 //!   [`Chunk::aggregate`] folds the chunk's rows where they lie — a held
 //!   relation's, or the stored rows a split of one scan selects, through
 //!   its column map — with [`crate::ops::group_by_opts`]'s fold, and
-//!   materializes any other chunk first; set operations run on relations
-//!   ([`crate::ops::union_opts`]).
+//!   materializes any other chunk first; `COUNT(*)` is a spec over
+//!   [`crate::ops::STAR`], which reads no column. Set operations run on
+//!   relations ([`crate::ops::union_opts`]).
 //!
 //! A chunk defers the additive merge of duplicate ground rows, and a
 //! columnar join's product, to its next materialization
@@ -64,7 +63,6 @@ use crate::ops::{self, AggSpec, MKRel};
 use crate::par::ExecOptions;
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
-use aggprov_algebra::num::Num;
 use aggprov_krel::batch::{ColumnBatch, ColumnReader, GroundBatch};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::relation::{Tuple, TupleRef};
@@ -350,28 +348,6 @@ impl<A: AggAnnotation> Chunk<A> {
         Ok(Chunk::held(ops::from_map(schema, rows)?))
     }
 
-    /// The unit-column kernel: appends the constant-1 column COUNT/AVG
-    /// aggregate over (`ι(1)` per row). Per-row on both partitions, so
-    /// the fringe stays in the chunk.
-    pub fn add_unit_column(self, schema: Schema) -> Result<Chunk<A>> {
-        if schema.arity() != self.schema.arity() + 1 {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity() + 1,
-                got: schema.arity(),
-            });
-        }
-        let mut split = self.into_split();
-        split
-            .ground
-            .push_column(vec![Const::int(1); split.ground.len()])?;
-        for (t, _) in &mut split.fringe {
-            let mut row = t.values().to_vec();
-            row.push(Value::int(1));
-            *t = Tuple::new(row);
-        }
-        Ok(split.into_chunk(schema))
-    }
-
     /// The aggregation breaker: `GROUP BY group_attrs` with `specs`
     /// ([`crate::ops::group_by_opts`]), or with no grouping attributes the
     /// one row of [`crate::ops::agg_all`], over the chunk's rows where they
@@ -386,9 +362,8 @@ impl<A: AggAnnotation> Chunk<A> {
     ///   ([`ColumnBatch::stored_rows`]). Equal rows stay distinct entries
     ///   there and fold to what their additive merge folds to (bilinearity;
     ///   the tensors and sums are kept in normal form);
-    /// * any other chunk — a join's output, an owned column such as
-    ///   `COUNT`'s unit column, a symbolic fringe — is materialized first
-    ///   ([`Chunk::into_relation`]).
+    /// * any other chunk — a join's output, a symbolic fringe — is
+    ///   materialized first ([`Chunk::into_relation`]).
     ///
     /// The stored rows come in the table's order, not the materialized
     /// relation's, and an error names the first offending value it meets:
@@ -421,89 +396,6 @@ impl<A: AggAnnotation> Chunk<A> {
         let schema = self.schema.clone();
         let rel = self.into_relation()?;
         aggregate(rel.iter(), &schema, None, group_attrs, specs, opts)
-    }
-
-    /// The AVG-division kernel: appends one `sum / cnt` column per
-    /// `(sum, cnt)` logical-position pair. Per-row on both partitions, so
-    /// the fringe stays in the chunk: a fringe row whose SUM and COUNT
-    /// both resolved (only a group key is symbolic) divides like a ground
-    /// row; a symbolic SUM or COUNT raises the paper-footnote-6 error
-    /// (division in the monoid — select SUM and COUNT separately to keep
-    /// provenance). A zero count drops the row when `ungrouped` (SQL's
-    /// NULL AVG over empty input; the engine has no NULLs) and errors
-    /// otherwise — grouped AVG never sees an empty group.
-    pub fn avg_divide(
-        self,
-        pairs: &[(usize, usize)],
-        ungrouped: bool,
-        schema: Schema,
-    ) -> Result<Chunk<A>> {
-        if schema.arity() != self.schema.arity() + pairs.len() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.arity() + pairs.len(),
-                got: schema.arity(),
-            });
-        }
-        let mut split = self.into_split();
-        // One row's quotient; `Ok(None)` drops the row.
-        let divide = |sum: Option<Num>, cnt: Option<Num>| -> Result<Option<Num>> {
-            match (sum, cnt) {
-                (Some(s), Some(c)) => match s.checked_div(&c) {
-                    Some(avg) => Ok(Some(avg)),
-                    None if ungrouped => Ok(None),
-                    None => Err(RelError::Unsupported("AVG over an empty group".into())),
-                },
-                _ => Err(RelError::Unsupported(
-                    "AVG over symbolic provenance does not resolve; select SUM and \
-                     COUNT separately (paper footnote 6)"
-                        .into(),
-                )),
-            }
-        };
-        let nrows = split.ground.len();
-        let mut kept: Vec<u32> = Vec::new();
-        let mut avg_cols: Vec<Vec<Const>> = vec![Vec::new(); pairs.len()];
-        'rows: for r in split.selected() {
-            let mut avgs: Vec<Const> = Vec::with_capacity(pairs.len());
-            for (si, ci) in pairs {
-                match divide(split.at(*si, r)?.as_num(), split.at(*ci, r)?.as_num())? {
-                    Some(avg) => avgs.push(Const::Num(avg)),
-                    None => continue 'rows,
-                }
-            }
-            kept.push(r);
-            for (col, v) in avg_cols.iter_mut().zip(avgs) {
-                col.push(v);
-            }
-        }
-        // The new columns are dense over the kept rows: scatter them back
-        // to full length so they align with the existing physical columns
-        // (rows outside the selection hold a placeholder).
-        for col in avg_cols {
-            let mut full = vec![Const::int(0); nrows];
-            // Kept rows come from `selected()` and are < nrows.
-            for (&r, v) in kept.iter().zip(col) {
-                if let Some(slot) = full.get_mut(r as usize) {
-                    *slot = v;
-                }
-            }
-            split.ground.push_column(full)?;
-        }
-        split.sel = Some(kept);
-        let mut kept_fringe = Vec::with_capacity(split.fringe.len());
-        'fringe: for (t, k) in split.fringe.drain(..) {
-            let mut row = t.values().to_vec();
-            let num_at = |i: usize| t.get(i).as_const().and_then(Const::as_num);
-            for (si, ci) in pairs {
-                match divide(num_at(*si), num_at(*ci))? {
-                    Some(avg) => row.push(Value::Const(Const::Num(avg))),
-                    None => continue 'fringe,
-                }
-            }
-            kept_fringe.push((Tuple::new(row), k));
-        }
-        split.fringe = kept_fringe;
-        Ok(split.into_chunk(schema))
     }
 }
 
@@ -544,13 +436,6 @@ impl<A: AggAnnotation> Split<A> {
                 "column {i} out of range for a {}-column chunk",
                 self.ground.arity()
             ))
-        })
-    }
-
-    /// The constant at column `i`, ground row `r`, borrowed where it lies.
-    fn at(&self, i: usize, r: u32) -> Result<&Const> {
-        self.ground.cell(r, i).ok_or_else(|| {
-            RelError::Internal(format!("ground row {r} out of range in chunk column {i}"))
         })
     }
 
@@ -782,7 +667,6 @@ mod tests {
     use crate::{ops, specops};
     use aggprov_algebra::monoid::MonoidKind;
     use aggprov_algebra::poly::NatPoly;
-    use aggprov_algebra::semiring::CommutativeSemiring;
     use aggprov_algebra::tensor::Tensor;
     use aggprov_krel::relation::Relation;
 
@@ -1066,88 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_column_and_avg_divide() {
-        let rel: MKRel<P> = Relation::from_rows(
-            sch(&["s", "n"]),
-            [(vec![Value::int(70), Value::int(3)], P::one())],
-        )
-        .unwrap();
-        let mut c = Chunk::from_relation(&rel)
-            .add_unit_column(sch(&["s", "n", "one"]))
-            .unwrap();
-        assert_eq!(c.ground_len(), 1);
-        let c = c
-            .avg_divide(&[(0, 1)], false, sch(&["s", "n", "one", "avg"]))
-            .unwrap();
-        let out = c.into_relation().unwrap();
-        let (t, _) = out.iter().next().unwrap();
-        assert_eq!(
-            t.get(3),
-            &Value::Const(Const::Num(aggprov_algebra::num::Num::ratio(70, 3)))
-        );
-    }
-
-    #[test]
-    fn ungrouped_avg_over_zero_count_drops_the_row() {
-        let rel: MKRel<P> = Relation::from_rows(
-            sch(&["s", "n"]),
-            [(vec![Value::int(0), Value::int(0)], P::one())],
-        )
-        .unwrap();
-        let ok = Chunk::from_relation(&rel)
-            .clone()
-            .avg_divide(&[(0, 1)], true, sch(&["s", "n", "avg"]))
-            .unwrap();
-        assert!(ok.into_relation().unwrap().is_empty());
-        let err = Chunk::from_relation(&rel)
-            .avg_divide(&[(0, 1)], false, sch(&["s", "n", "avg"]))
-            .unwrap_err();
-        assert!(err.to_string().contains("empty group"), "{err}");
-    }
-
-    #[test]
-    fn avg_divide_carries_the_fringe_row_wise() {
-        // A symbolic group key rides the fringe; its SUM and COUNT are
-        // ground, so the row divides like any other.
-        let rel: MKRel<P> = Relation::from_rows(
-            sch(&["g", "s", "n"]),
-            [
-                (vec![Value::int(1), Value::int(9), Value::int(2)], tok("p1")),
-                (vec![sym(5), Value::int(7), Value::int(2)], tok("p2")),
-            ],
-        )
-        .unwrap();
-        let half = |n| Value::Const(Const::Num(Num::ratio(n, 2)));
-        let out_schema = sch(&["g", "s", "n", "avg"]);
-        let want: MKRel<P> = Relation::from_rows(
-            out_schema.clone(),
-            [
-                (
-                    vec![Value::int(1), Value::int(9), Value::int(2), half(9)],
-                    tok("p1"),
-                ),
-                (
-                    vec![sym(5), Value::int(7), Value::int(2), half(7)],
-                    tok("p2"),
-                ),
-            ],
-        )
-        .unwrap();
-        let mut got = Chunk::from_relation(&rel)
-            .avg_divide(&[(1, 2)], false, out_schema)
-            .unwrap();
-        assert_eq!(got.fringe().len(), 1);
-        assert_eq!(got.into_relation().unwrap(), want);
-
-        // A symbolic SUM is the footnote-6 error, as on ground rows whose
-        // parts are not numbers.
-        let err = Chunk::from_relation(&mixed())
-            .avg_divide(&[(1, 0)], false, sch(&["a", "b", "m"]))
-            .unwrap_err();
-        assert!(err.to_string().contains("footnote 6"), "{err}");
-    }
-
-    #[test]
     fn cross_row_kernels_carry_symbolic_fringes() {
         // Projection and hash join are total: handed a chunk with a
         // fringe they run the §4.3 token path themselves and hand back a
@@ -1228,7 +1030,13 @@ mod tests {
         )
         .unwrap();
         let c = c.project(&[1, 0], sch(&["b", "a"])).unwrap();
-        let c = c.add_unit_column(sch(&["b", "a", "one"])).unwrap();
+        let count = AggSpec {
+            kind: MonoidKind::Sum,
+            attr: ops::STAR,
+            out: "n",
+        };
+        let grouped = c.clone().aggregate(&["b"], &[count], &serial()).unwrap();
+        assert!(grouped.is_empty());
         assert!(c.into_relation().unwrap().is_empty());
     }
 }

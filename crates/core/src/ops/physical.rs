@@ -25,12 +25,19 @@ use std::hash::{Hash, Hasher};
 /// An `(M, K)`-relation: tuples of [`Value`]s annotated with `A`.
 pub type MKRel<A> = Relation<A, Value<A>>;
 
+/// The attribute of `COUNT(*)`, in SQL's own spelling: an [`AggSpec`]
+/// over it reads no column and aggregates `ι(1)` per support tuple, the
+/// cell a column of `1`s would hold. It names no attribute of any schema
+/// (one called `*` cannot be aggregated).
+pub const STAR: &str = "*";
+
 /// One aggregation request: `kind(attr) AS out`.
 #[derive(Clone, Copy, Debug)]
 pub struct AggSpec<'a> {
     /// The aggregation monoid.
     pub kind: MonoidKind,
-    /// The aggregated attribute.
+    /// The aggregated attribute, or [`STAR`] — `COUNT(*)`'s `ι(1)` per
+    /// tuple (a `Sum` over it counts).
     pub attr: &'a str,
     /// The output attribute name.
     pub out: &'a str,
@@ -116,7 +123,8 @@ pub fn annotation_at<'t, A: AggAnnotation + 't>(
 
 /// Accumulates one tuple's per-spec aggregate contributions scaled by
 /// `k`: `terms[i] += k ∗ t(sidx[i])` for each spec, walked as one zip so
-/// no position is ever out of bounds. The simple tensors are pushed
+/// no position is ever out of bounds; a [`STAR`] spec (`sidx[i]` is
+/// `None`) reads the constant `1`. The simple tensors are pushed
 /// without re-normalizing — the caller builds each tensor once at the end,
 /// a single O(n log n) build instead of a merge per tuple. A constant `c`
 /// contributes the pair `(k, c)` as it stands: `k ∗ ι(c) = (k·1_K) ⊗ c`,
@@ -127,26 +135,28 @@ pub fn annotation_at<'t, A: AggAnnotation + 't>(
 fn accumulate_specs<A: AggAnnotation>(
     t: TupleRef<'_, Value<A>>,
     specs: &[AggSpec<'_>],
-    sidx: &[usize],
+    sidx: &[Option<usize>],
     terms: &mut [Vec<(A, Const)>],
     k: &A,
 ) -> Result<()> {
+    let one = Const::int(1);
     for ((spec, si), acc) in specs.iter().zip(sidx).zip(terms.iter_mut()) {
-        match t.get(*si) {
-            Value::Const(c) => {
-                Value::<A>::carrier_check(spec.kind, c)?;
-                if !k.is_zero() && *c != spec.kind.zero() {
-                    acc.push((k.clone(), c.clone()));
-                }
-            }
-            agg => {
+        let c = match si.map(|i| t.get(i)) {
+            None => &one,
+            Some(Value::Const(c)) => c,
+            Some(agg) => {
                 for (ki, e) in agg.to_tensor(spec.kind)?.terms() {
                     let prod = k.times(ki);
                     if !prod.is_zero() {
                         acc.push((prod, e.clone()));
                     }
                 }
+                continue;
             }
+        };
+        Value::<A>::carrier_check(spec.kind, c)?;
+        if !k.is_zero() && *c != spec.kind.zero() {
+            acc.push((k.clone(), c.clone()));
         }
     }
     Ok(())
@@ -740,11 +750,7 @@ pub(crate) fn agg_entries<'a, A: AggAnnotation + 'a>(
     columns: Option<&[usize]>,
     specs: &[AggSpec<'_>],
 ) -> Result<MKRel<A>> {
-    let sidx: Vec<usize> = specs
-        .iter()
-        .map(|s| schema.index_of(s.attr))
-        .collect::<Result<_>>()?;
-    let sidx = through(columns, sidx)?;
+    let sidx = through_specs(columns, spec_positions(schema, specs)?)?;
     let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
     for (t, k) in entries {
         accumulate_specs(t, specs, &sidx, &mut terms, k)?;
@@ -765,21 +771,39 @@ pub(crate) fn agg_entries<'a, A: AggAnnotation + 'a>(
     Ok(out)
 }
 
-/// Positions of an input read through a column map (see [`agg_entries`]):
-/// each position `i` becomes `columns[i]`.
-fn through(columns: Option<&[usize]>, idx: Vec<usize>) -> Result<Vec<usize>> {
-    let Some(columns) = columns else {
-        return Ok(idx);
-    };
-    idx.into_iter()
-        .map(|i| {
-            columns.get(i).copied().ok_or_else(|| {
-                RelError::Internal(format!(
-                    "column {i} missing from a {}-column map",
-                    columns.len()
-                ))
-            })
+/// Each spec's aggregated position in `schema`: `None` for [`STAR`].
+fn spec_positions(schema: &Schema, specs: &[AggSpec<'_>]) -> Result<Vec<Option<usize>>> {
+    specs
+        .iter()
+        .map(|s| {
+            (s.attr != STAR)
+                .then(|| schema.index_of(s.attr))
+                .transpose()
         })
+        .collect()
+}
+
+/// A position of an input read through a column map (see
+/// [`agg_entries`]): position `i` becomes `columns[i]`.
+fn through(columns: Option<&[usize]>, i: usize) -> Result<usize> {
+    let Some(columns) = columns else {
+        return Ok(i);
+    };
+    columns.get(i).copied().ok_or_else(|| {
+        RelError::Internal(format!(
+            "column {i} missing from a {}-column map",
+            columns.len()
+        ))
+    })
+}
+
+/// [`spec_positions`] read through a column map: [`STAR`] stays `None`.
+fn through_specs(
+    columns: Option<&[usize]>,
+    sidx: Vec<Option<usize>>,
+) -> Result<Vec<Option<usize>>> {
+    sidx.into_iter()
+        .map(|s| s.map(|i| through(columns, i)).transpose())
         .collect()
 }
 
@@ -795,7 +819,7 @@ pub(crate) fn group_by_layout<A: AggAnnotation>(
     rel: &MKRel<A>,
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
-) -> Result<(Vec<usize>, Vec<usize>, Schema)> {
+) -> Result<(Vec<usize>, Vec<Option<usize>>, Schema)> {
     layout(rel.schema(), group_attrs, specs)
 }
 
@@ -804,13 +828,11 @@ fn layout(
     schema: &Schema,
     group_attrs: &[&str],
     specs: &[AggSpec<'_>],
-) -> Result<(Vec<usize>, Vec<usize>, Schema)> {
+) -> Result<(Vec<usize>, Vec<Option<usize>>, Schema)> {
     let gidx = schema.indices_of(group_attrs)?;
-    let sidx: Vec<usize> = specs
-        .iter()
-        .map(|s| schema.index_of(s.attr))
-        .collect::<Result<_>>()?;
+    let sidx = spec_positions(schema, specs)?;
     for (s, si) in specs.iter().zip(&sidx) {
+        let Some(si) = si else { continue };
         if group_attrs.contains(&s.attr) || gidx.contains(si) {
             return Err(RelError::Unsupported(format!(
                 "attribute `{}` cannot be both grouped and aggregated",
@@ -847,7 +869,7 @@ fn state_row<A: AggAnnotation>(
     g: TupleRef<'_, Value<A>>,
     gidx: &[usize],
     specs: &[AggSpec<'_>],
-    sidx: &[usize],
+    sidx: &[Option<usize>],
     contributions: &[Contribution<'_, A>],
 ) -> Result<(Vec<Value<A>>, A)> {
     let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
@@ -909,7 +931,11 @@ pub(crate) fn group_by_entries<'a, A: AggAnnotation + 'a>(
     opts: &ExecOptions,
 ) -> Result<MKRel<A>> {
     let (gidx, sidx, schema) = layout(schema, group_attrs, specs)?;
-    let (gidx, sidx) = (through(columns, gidx)?, through(columns, sidx)?);
+    let gidx = gidx
+        .into_iter()
+        .map(|i| through(columns, i))
+        .collect::<Result<Vec<_>>>()?;
+    let sidx = through_specs(columns, sidx)?;
     let out = keyed_fold(entries, &gidx, opts, |g, contributions| {
         let (row, sum) = state_row(g, &gidx, specs, &sidx, contributions)?;
         Ok(collapse_row(row, gidx.len(), &sum))

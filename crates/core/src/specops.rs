@@ -13,7 +13,7 @@
 
 use crate::annotation::AggAnnotation;
 use crate::km::CmpPred;
-use crate::ops::{from_map, group_by_layout, insert_distinct, AggSpec, MKRel};
+use crate::ops::{from_map, group_by_layout, insert_distinct, AggSpec, MKRel, STAR};
 use crate::value::Value;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::tensor::Tensor;
@@ -33,16 +33,20 @@ fn sum_many<A: AggAnnotation>(items: Vec<A>) -> A {
 
 /// `terms[i] += k ∗ t(sidx[i])` per spec by the literal rule: the value
 /// embeds through `ι` (a constant `c` becomes `1_K ⊗ c`) and every simple
-/// tensor of it is multiplied by `k`.
+/// tensor of it is multiplied by `k`. A [`STAR`] spec (`None`) reads the
+/// value `1`.
 fn accumulate_specs<A: AggAnnotation>(
     t: TupleRef<'_, Value<A>>,
     specs: &[AggSpec<'_>],
-    sidx: &[usize],
+    sidx: &[Option<usize>],
     terms: &mut [Vec<(A, Const)>],
     k: &A,
 ) -> Result<()> {
     for ((spec, si), acc) in specs.iter().zip(sidx).zip(terms.iter_mut()) {
-        let tv = t.get(*si).to_tensor(spec.kind)?;
+        let tv = match si {
+            Some(i) => t.get(*i).to_tensor(spec.kind)?,
+            None => Value::<A>::int(1).to_tensor(spec.kind)?,
+        };
         for (ki, e) in tv.terms() {
             let prod = k.times(ki);
             if !prod.is_zero() {
@@ -354,9 +358,12 @@ pub fn agg<A: AggAnnotation>(rel: &MKRel<A>, spec: AggSpec<'_>) -> Result<MKRel<
 /// annotated `1`, value `Σ_{t' ∈ supp(R)} R(t') ∗ t'(u)` per spec — a
 /// fold over the support, every value through `ι`.
 pub fn agg_all<A: AggAnnotation>(rel: &MKRel<A>, specs: &[AggSpec<'_>]) -> Result<MKRel<A>> {
-    let sidx: Vec<usize> = specs
+    let sidx: Vec<Option<usize>> = specs
         .iter()
-        .map(|s| rel.schema().index_of(s.attr))
+        .map(|s| match s.attr {
+            STAR => Ok(None),
+            attr => rel.schema().index_of(attr).map(Some),
+        })
         .collect::<Result<_>>()?;
     let mut terms: Vec<Vec<(A, Const)>> = vec![Vec::new(); specs.len()];
     for (t, k) in rel.iter() {

@@ -942,27 +942,23 @@ fn empty_relation_through_every_kernel() {
         )
         .unwrap();
     let chunk = chunk
-        .add_unit_column(Schema::new(["a", "b", "one"]).unwrap())
-        .unwrap();
-    let chunk = chunk
-        .project(&[0, 2], Schema::new(["a", "one"]).unwrap())
+        .project(&[0, 1], Schema::new(["a", "b"]).unwrap())
         .unwrap();
     let joined = hash_join(
         chunk,
         Chunk::from_relation(&Relation::<P, Value<P>>::empty(Schema::new(["c"]).unwrap())),
         &[(0, 0)],
-        Schema::new(["a", "one", "c"]).unwrap(),
+        Schema::new(["a", "b", "c"]).unwrap(),
         &ExecOptions::serial(),
     )
     .unwrap();
+    let count = ops::AggSpec {
+        kind: MonoidKind::Sum,
+        attr: ops::STAR,
+        out: "n",
+    };
     let out = joined
-        .avg_divide(
-            &[(0, 1)],
-            false,
-            Schema::new(["a", "one", "c", "q"]).unwrap(),
-        )
-        .unwrap()
-        .into_relation()
+        .aggregate(&["a"], &[count], &ExecOptions::serial())
         .unwrap();
     assert!(out.is_empty());
 }

@@ -87,6 +87,8 @@ struct Case {
     value: RawVal,
     pred: CmpPred,
     keep_b: bool,
+    /// The aggregation arms add a `COUNT(*)` spec beside `SUM(v)`.
+    count: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -107,12 +109,13 @@ fn arb_case() -> impl Strategy<Value = Case> {
             raw_val(),
             arb_cmp(),
             any::<bool>(),
+            any::<bool>(),
         ),
     )
         .prop_map(
             |(
                 (r, r_other, s, gb1, gb2, s_b, g1, g2),
-                (probe, pick_support, value, pred, keep_b),
+                (probe, pick_support, value, pred, keep_b, count),
             )| Case {
                 r,
                 r_other,
@@ -125,6 +128,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 value,
                 pred,
                 keep_b,
+                count,
             },
         )
 }
@@ -161,6 +165,28 @@ const SUM_V: [AggSpec<'static>; 1] = [AggSpec {
     out: "v",
 }];
 
+/// `SUM(v) AS v, COUNT(*) AS n`.
+const SUM_V_COUNT: [AggSpec<'static>; 2] = [
+    SUM_V[0],
+    AggSpec {
+        kind: MonoidKind::Sum,
+        attr: ops::STAR,
+        out: "n",
+    },
+];
+
+impl Case {
+    /// The aggregation arms' specs, and the schema of a group state under
+    /// them.
+    fn specs(&self) -> (&'static [AggSpec<'static>], Schema) {
+        if self.count {
+            (&SUM_V_COUNT, Schema::new(["g", "v", "n"]).unwrap())
+        } else {
+            (&SUM_V, Schema::new(["g", "v"]).unwrap())
+        }
+    }
+}
+
 /// The oracle arm of one operator. Every row of the table has its own
 /// arm: a row without one does not compile.
 #[deny(
@@ -170,6 +196,7 @@ const SUM_V: [AggSpec<'static>; 1] = [AggSpec {
 fn check(op: Operator, c: &Case) {
     let (r, s) = (&c.r, &c.s);
     let value = decode_val(c.value);
+    let (specs, state_schema) = c.specs();
     match op {
         Operator::AnnotationAt => {
             // Probe with a generated tuple — and, when possible, with an
@@ -269,27 +296,27 @@ fn check(op: Operator, c: &Case) {
         ),
         Operator::AggAll => agree(
             op,
-            &[&|_| ops::agg_all(&c.groups.0, &SUM_V)],
-            specops::agg_all(&c.groups.0, &SUM_V),
+            &[&|_| ops::agg_all(&c.groups.0, specs)],
+            specops::agg_all(&c.groups.0, specs),
         ),
         Operator::GroupBy => agree(
             op,
-            &[&|_| ops::group_by(&c.groups.0, &["g"], &SUM_V), &|o| {
-                ops::group_by_opts(&c.groups.0, &["g"], &SUM_V, o)
+            &[&|_| ops::group_by(&c.groups.0, &["g"], specs), &|o| {
+                ops::group_by_opts(&c.groups.0, &["g"], specs, o)
             }],
-            specops::group_by(&c.groups.0, &["g"], &SUM_V),
+            specops::group_by(&c.groups.0, &["g"], specs),
         ),
         Operator::GroupStateUpdate => {
             // The first delta builds the state (empty if its keys are
             // symbolic), the second is folded into it on both paths.
-            let empty = Relation::empty(Schema::new(["g", "v"]).unwrap());
+            let empty = Relation::empty(state_schema);
             let state =
-                specops::group_state_update(&empty, &c.groups.0, &["g"], &SUM_V).unwrap_or(empty);
+                specops::group_state_update(&empty, &c.groups.0, &["g"], specs).unwrap_or(empty);
             let delta = &c.groups.1;
             agree(
                 op,
-                &[&|_| ops::group_state_update(state.clone(), delta, &["g"], &SUM_V)],
-                specops::group_state_update(&state, delta, &["g"], &SUM_V),
+                &[&|_| ops::group_state_update(state.clone(), delta, &["g"], specs)],
+                specops::group_state_update(&state, delta, &["g"], specs),
             )
         }
         Operator::DeltaCollapse => {
@@ -305,8 +332,40 @@ fn check(op: Operator, c: &Case) {
     }
 }
 
+/// `rel` with a column `one` of `1`s appended: the cells a `*` spec
+/// stands for.
+fn with_unit_column(rel: &MKRel<P>) -> MKRel<P> {
+    let mut out = Relation::empty(Schema::new(["g", "v", "one"]).unwrap());
+    for (t, k) in rel.iter() {
+        let mut row = t.values().to_vec();
+        row.push(Value::int(1));
+        out.insert(row, k.clone()).unwrap();
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn star_aggregates_what_a_unit_column_held(c in arb_case()) {
+        // `specops`' `*` against `specops` over a hand-appended column of
+        // 1s, for the whole-relation fold, `GROUP BY` and a group state.
+        let (rel, delta) = (&c.groups.0, &c.groups.1);
+        let unit = |attr| AggSpec { kind: MonoidKind::Sum, attr, out: "n" };
+        let (star, one) = ([SUM_V[0], unit(ops::STAR)], [SUM_V[0], unit("one")]);
+        let (rel1, delta1) = (with_unit_column(rel), with_unit_column(delta));
+        prop_assert_eq!(specops::agg_all(rel, &star), specops::agg_all(&rel1, &one));
+        prop_assert_eq!(
+            specops::group_by(rel, &["g"], &star),
+            specops::group_by(&rel1, &["g"], &one)
+        );
+        let empty = Relation::empty(Schema::new(["g", "v", "n"]).unwrap());
+        prop_assert_eq!(
+            specops::group_state_update(&empty, delta, &["g"], &star),
+            specops::group_state_update(&empty, &delta1, &["g"], &one)
+        );
+    }
 
     #[test]
     fn natural_join_rejects_symbolic_keys_on_both_paths(c in arb_case()) {

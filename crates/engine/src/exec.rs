@@ -14,8 +14,8 @@
 //! bit-identical to the `specops` reference at every thread count,
 //! whatever symbolic rows its input carries.
 //!
-//! * **pipeline segments** (Filter → Project → AddUnitColumn → Join /
-//!   Product, a product being the hash join with no keys) stay in chunk
+//! * **pipeline segments** (Filter → Project → Join / Product, a product
+//!   being the hash join with no keys) stay in chunk
 //!   form, so over ground rows no relation is materialized between nodes:
 //!   filters narrow a selection vector, projections remap a column view,
 //!   joins hash build/probe over columns;
@@ -24,10 +24,12 @@
 //!   lie: a held relation's (so `Scan → Aggregate` never goes through
 //!   columns), or the stored rows a filtered and projected scan selects,
 //!   borrowed from the table's store; only another chunk (a join's output,
-//!   a unit column, a symbolic fringe) is materialized first. The fold is
+//!   a symbolic fringe) is materialized first. The fold is
 //!   `aggprov_core::ops`' `group_by_opts` — one caller of its keyed token
 //!   fold, which also carries the partition-parallel sharding of
-//!   [`ExecOptions`] — or `agg_all`. A set operation takes its inputs'
+//!   [`ExecOptions`] — or `agg_all`. `COUNT(*)` is a spec over `*`, which
+//!   reads no column; `AVG` divides its SUM and COUNT parts in one map
+//!   over the grouped rows. A set operation takes its inputs'
 //!   relations ([`Chunk::into_relation`] hands a chunk no kernel split
 //!   back as it is) and runs `union_opts`, the keyed fold's other caller,
 //!   or `difference`.
@@ -43,7 +45,9 @@ use aggprov_core::km::CmpPred;
 use aggprov_core::ops::batch::{hash_join, BatchCmp, BatchOperand, Chunk};
 use aggprov_core::ops::{self, AggSpec, MKRel};
 use aggprov_core::par::ExecOptions;
+use aggprov_core::Value;
 use aggprov_krel::error::{RelError, Result};
+use aggprov_krel::relation::Relation;
 use aggprov_krel::schema::Schema;
 
 /// Executes an optimized plan against the database with `$n` parameters
@@ -115,9 +119,6 @@ where
             }
             Ok(chunk)
         }
-        Plan::AddUnitColumn { input, schema } => {
-            run(db, input, params, param_count, opts)?.add_unit_column(schema.clone())
-        }
         Plan::Project {
             input,
             columns,
@@ -159,16 +160,13 @@ where
             // Pipeline breaker: aggregation needs the whole input, and
             // folds its rows where they lie.
             let specs: Vec<AggSpec<'_>> = aggs.iter().map(PlanAgg::spec).collect();
-            let grouped =
+            let mut grouped =
                 run(db, input, params, param_count, opts)?.aggregate(&group_refs, &specs, opts)?;
-            let ungrouped = group_refs.is_empty();
-            let chunk = Chunk::from_relation(&grouped);
-            if avg.is_empty() {
-                return Ok(chunk);
+            if !avg.is_empty() {
+                let ungrouped = group_refs.is_empty();
+                grouped = divide_avgs(&grouped, &avg_idx, ungrouped, schema.clone())?;
             }
-            // AVG division is per-row; the result stays columnar so a
-            // following HAVING filter or projection runs vectorized.
-            chunk.avg_divide(&avg_idx, ungrouped, schema.clone())
+            Ok(Chunk::from_relation(&grouped))
         }
         Plan::SetOp {
             op,
@@ -234,6 +232,48 @@ fn avg_positions(
         .collect()
 }
 
+/// `AVG`, after the fold: every grouped row gains one `sum / count`
+/// column per `(sum, count)` position pair, under `schema` (the grouped
+/// schema extended by them). A row whose SUM or COUNT is symbolic raises
+/// the paper-footnote-6 error (division in the monoid — select SUM and
+/// COUNT separately to keep provenance), whatever its group key. A zero
+/// count drops the row when `ungrouped` (SQL's NULL AVG over empty input;
+/// the engine has no NULLs) and errors otherwise — grouped AVG never sees
+/// an empty group.
+fn divide_avgs<A: AggAnnotation>(
+    grouped: &MKRel<A>,
+    pairs: &[(usize, usize)],
+    ungrouped: bool,
+    schema: Schema,
+) -> Result<MKRel<A>> {
+    let mut rows = Vec::with_capacity(grouped.len());
+    'rows: for (t, k) in grouped.iter() {
+        let num_at = |i: usize| {
+            let v = t.values().get(i).ok_or_else(|| {
+                RelError::Internal(format!("AVG part {i} missing from a grouped row"))
+            })?;
+            Ok::<_, RelError>(v.as_const().and_then(Const::as_num))
+        };
+        let mut row = t.values().to_vec();
+        for (si, ci) in pairs {
+            let (Some(sum), Some(count)) = (num_at(*si)?, num_at(*ci)?) else {
+                return Err(RelError::Unsupported(
+                    "AVG over symbolic provenance does not resolve; select SUM and \
+                     COUNT separately (paper footnote 6)"
+                        .into(),
+                ));
+            };
+            match sum.checked_div(&count) {
+                Some(avg) => row.push(Value::Const(Const::Num(avg))),
+                None if ungrouped => continue 'rows,
+                None => return Err(RelError::Unsupported("AVG over an empty group".into())),
+            }
+        }
+        rows.push((row, k.clone()));
+    }
+    Relation::from_rows(schema, rows)
+}
+
 /// Binds a resolved operand to a batch operand, resolving `$n` slots.
 fn bind_operand(op: &PlanOperand, params: &[Const], param_count: usize) -> Result<BatchOperand> {
     Ok(match op {
@@ -277,6 +317,9 @@ mod tests {
     use crate::parser::parse_query;
     use crate::plan::lower_query;
     use crate::ProvDb;
+    use aggprov_algebra::monoid::MonoidKind;
+    use aggprov_algebra::semiring::CommutativeSemiring;
+    use aggprov_algebra::tensor::Tensor;
 
     fn db() -> ProvDb {
         let mut db = ProvDb::new();
@@ -307,6 +350,107 @@ mod tests {
             table: "missing".into(),
             schema: schema.clone(),
         })
+    }
+
+    type P = aggprov_core::Prov;
+
+    fn sch(names: &[&str]) -> Schema {
+        Schema::new(names.iter().copied()).unwrap()
+    }
+
+    fn tok(name: &str) -> P {
+        aggprov_core::Km::embed(aggprov_algebra::poly::NatPoly::token(name))
+    }
+
+    /// `Σ x ⊗ v`: a symbolic SUM value.
+    fn sym(v: i64) -> Value<P> {
+        Value::agg_normalized(
+            MonoidKind::Sum,
+            Tensor::from_terms(&MonoidKind::Sum, [(tok("x"), Const::int(v))]),
+        )
+    }
+
+    fn ratio(n: i64, d: i64) -> Value<P> {
+        Value::Const(Const::Num(aggprov_algebra::num::Num::ratio(n, d)))
+    }
+
+    #[test]
+    fn unit_column_and_avg_divide() {
+        // `COUNT(*)` is a spec over `*`: the fold counts the rows with no
+        // column of 1s, and the AVG map divides the SUM by it.
+        let rel: MKRel<P> = Relation::from_rows(
+            sch(&["v"]),
+            [20, 20, 30].map(|v| (vec![Value::int(v)], P::one())),
+        )
+        .unwrap();
+        let specs = [
+            AggSpec {
+                kind: MonoidKind::Sum,
+                attr: "v",
+                out: "s",
+            },
+            AggSpec {
+                kind: MonoidKind::Sum,
+                attr: ops::STAR,
+                out: "n",
+            },
+        ];
+        let grouped = Chunk::from_relation(&rel)
+            .aggregate(&[], &specs, &ExecOptions::serial())
+            .unwrap();
+        let out = divide_avgs(&grouped, &[(0, 1)], false, sch(&["s", "n", "avg"])).unwrap();
+        let (t, _) = out.iter().next().unwrap();
+        assert_eq!(t.values(), &[Value::int(70), Value::int(3), ratio(70, 3)]);
+    }
+
+    #[test]
+    fn ungrouped_avg_over_zero_count_drops_the_row() {
+        let rel: MKRel<P> = Relation::from_rows(
+            sch(&["s", "n"]),
+            [(vec![Value::int(0), Value::int(0)], P::one())],
+        )
+        .unwrap();
+        let ok = divide_avgs(&rel, &[(0, 1)], true, sch(&["s", "n", "avg"])).unwrap();
+        assert!(ok.is_empty());
+        let err = divide_avgs(&rel, &[(0, 1)], false, sch(&["s", "n", "avg"])).unwrap_err();
+        assert!(err.to_string().contains("empty group"), "{err}");
+    }
+
+    #[test]
+    fn avg_divide_carries_the_fringe_row_wise() {
+        // A symbolic group key does not stop the division: its SUM and
+        // COUNT are ground, so the row divides like any other.
+        let rel: MKRel<P> = Relation::from_rows(
+            sch(&["g", "s", "n"]),
+            [
+                (vec![Value::int(1), Value::int(9), Value::int(2)], tok("p1")),
+                (vec![sym(5), Value::int(7), Value::int(2)], tok("p2")),
+            ],
+        )
+        .unwrap();
+        let out_schema = sch(&["g", "s", "n", "avg"]);
+        let want: MKRel<P> = Relation::from_rows(
+            out_schema.clone(),
+            [
+                (
+                    vec![Value::int(1), Value::int(9), Value::int(2), ratio(9, 2)],
+                    tok("p1"),
+                ),
+                (
+                    vec![sym(5), Value::int(7), Value::int(2), ratio(7, 2)],
+                    tok("p2"),
+                ),
+            ],
+        )
+        .unwrap();
+        let got = divide_avgs(&rel, &[(1, 2)], false, out_schema.clone()).unwrap();
+        assert_eq!(got, want);
+
+        // A symbolic SUM, or a symbolic COUNT, is the footnote-6 error.
+        for pairs in [[(0, 1)], [(1, 0)]] {
+            let err = divide_avgs(&rel, &pairs, false, out_schema.clone()).unwrap_err();
+            assert!(err.to_string().contains("footnote 6"), "{err}");
+        }
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //!   operands are all statically ground moves through `Derived` renames,
 //!   `Project` (operand positions remapped across the projection map),
 //!   and into the matching side of `Product`/`Join`.
-//!   It never crosses `Aggregate`, `AddUnitColumn`, or `SetOp`: those
-//!   operators sum annotations *across* rows (δ-groups, unit counting,
-//!   union/difference cross terms), so selection before and after them
-//!   are genuinely different queries. Nor does it cross another
+//!   It never crosses `Aggregate` or `SetOp`: those operators sum
+//!   annotations *across* rows (δ-groups, counting, union/difference
+//!   cross terms), so selection before and after them are genuinely
+//!   different queries. Nor does it cross another
 //!   `Filter`: annotations would not change, but stacked conjuncts keep
 //!   the order they were written in, because the order decides which
 //!   rows reach an ordering comparison across types — swapped, the
@@ -44,19 +44,20 @@
 //!   never move — their tokens multiply into annotations and
 //!   multiplication order is part of the recorded provenance expression.
 //! * **Join/product reordering** (`reorder_joins`): a maximal
-//!   `Join`/`Product` chain whose every input is statically fully ground
-//!   is re-sequenced greedily by estimated cardinality (smallest
+//!   `Join`/`Product` chain of three or more inputs, every one statically
+//!   fully ground, is re-sequenced greedily by estimated cardinality (smallest
 //!   estimated input first, then the cheapest *connected* input, products
 //!   only when forced), and the original column order is restored by one
 //!   compensating positional `Project`. Over ground inputs every join
 //!   token is structural and annotation products are canonical-form
 //!   commutative, so the reordered chain is bit-identical; a chain with
 //!   any possibly-symbolic input is left untouched (the §4.3 token cross
-//!   terms are order-sensitive expressions there). The join kernel
-//!   indexes whichever input has fewer selected rows, whatever the plan's
-//!   orientation, so on a chain of two leaves the reorder changes only the
-//!   column order its compensating projection restores: it neither picks
-//!   the indexed side nor saves a probe.
+//!   terms are order-sensitive expressions there). A chain of two inputs
+//!   keeps its lowered shape too: the join kernel indexes whichever input
+//!   has fewer selected rows, whatever the plan's orientation, so swapping
+//!   the two would change only the column order a compensating projection
+//!   then restores — it would neither pick the indexed side nor save a
+//!   probe.
 //! * **Identity projections** (`rename_identity_projections`): `Π` onto
 //!   every column in order of a statically fully ground input is a pure
 //!   rename (each row keeps its own annotation), so it becomes a
@@ -168,11 +169,6 @@ fn symbolic_cols(plan: &Plan, catalog: &Catalog) -> Vec<bool> {
             flags.extend(symbolic_cols(right, catalog));
             flags
         }
-        Plan::AddUnitColumn { input, .. } => {
-            let mut flags = symbolic_cols(input, catalog);
-            flags.push(false);
-            flags
-        }
         Plan::Project { input, columns, .. } => {
             // An out-of-range position can only come from a malformed
             // hand-built plan; flagging it symbolic vetoes every rewrite,
@@ -266,10 +262,6 @@ fn map_inputs(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
         Plan::Filter { input, pred } => Plan::Filter {
             input: boxed(input),
             pred,
-        },
-        Plan::AddUnitColumn { input, schema } => Plan::AddUnitColumn {
-            input: boxed(input),
-            schema,
         },
         Plan::Project {
             input,
@@ -435,14 +427,13 @@ fn push_into(input: Plan, pred: Predicate, catalog: &Catalog) -> Plan {
             on,
             schema,
         }),
-        // The hard boundaries: Aggregate, AddUnitColumn and SetOp sum
-        // annotations across rows — selection before ≠ selection after.
+        // The hard boundaries: Aggregate and SetOp sum annotations across
+        // rows — selection before ≠ selection after.
         // A Filter is a boundary too: stacked conjuncts keep their
         // written order, which decides the rows an ordering comparison
         // across types sees, and so whether the query errors.
         boundary @ (Plan::Scan { .. }
         | Plan::Filter { .. }
-        | Plan::AddUnitColumn { .. }
         | Plan::Aggregate { .. }
         | Plan::SetOp { .. }) => Plan::Filter {
             input: Box::new(boundary),
@@ -499,9 +490,7 @@ fn estimate(plan: &Plan, catalog: &Catalog) -> f64 {
             .map(|s| s.rows as f64)
             .unwrap_or(1000.0),
         Plan::Filter { input, pred } => estimate(input, catalog) * selectivity(pred.op),
-        Plan::Derived { input, .. }
-        | Plan::AddUnitColumn { input, .. }
-        | Plan::Project { input, .. } => estimate(input, catalog),
+        Plan::Derived { input, .. } | Plan::Project { input, .. } => estimate(input, catalog),
         Plan::Aggregate {
             input, group_by, ..
         } => {
@@ -572,11 +561,14 @@ fn reorder_chain(plan: Plan, catalog: &Catalog) -> Plan {
 
     // The soundness gate: every input statically fully ground. A chain
     // with any possibly-symbolic column keeps its lowered shape — the
-    // §4.3 token cross terms there are order-sensitive expressions.
+    // §4.3 token cross terms there are order-sensitive expressions. So
+    // does a chain of two leaves: the join kernel indexes the side with
+    // fewer selected rows whatever the orientation, so a swap would buy
+    // only the compensating projection.
     let all_ground = leaves
         .iter()
         .all(|l| symbolic_cols(l, catalog).iter().all(|s| !s));
-    if leaves.len() < 2 || !all_ground {
+    if leaves.len() < 3 || !all_ground {
         return descend_original(fallback, catalog);
     }
 
@@ -774,7 +766,6 @@ fn node_line(plan: &Plan) -> String {
             let conds: Vec<String> = on.iter().map(|(a, b)| format!("{a} = {b}")).collect();
             format!("Join on {}", conds.join(" AND "))
         }
-        Plan::AddUnitColumn { .. } => "AddUnitColumn".to_string(),
         Plan::Aggregate { group_by, aggs, .. } => {
             let outs: Vec<String> = aggs
                 .iter()
@@ -802,7 +793,6 @@ fn render_into(plan: &Plan, indent: usize, out: &mut String) {
         Plan::Scan { .. } => {}
         Plan::Derived { input, .. }
         | Plan::Filter { input, .. }
-        | Plan::AddUnitColumn { input, .. }
         | Plan::Aggregate { input, .. }
         | Plan::Project { input, .. } => render_into(input, indent + 1, out),
         Plan::Product { left, right, .. }
@@ -872,7 +862,6 @@ mod tests {
                 Plan::Product { .. } => "Product",
                 Plan::Join { .. } => "Join",
                 Plan::Filter { .. } => "Filter",
-                Plan::AddUnitColumn { .. } => "AddUnitColumn",
                 Plan::Aggregate { .. } => "Aggregate",
                 Plan::Project { .. } => "Project",
                 Plan::SetOp { .. } => "SetOp",
@@ -881,7 +870,6 @@ mod tests {
                 Plan::Scan { .. } => return out,
                 Plan::Derived { input, .. }
                 | Plan::Filter { input, .. }
-                | Plan::AddUnitColumn { input, .. }
                 | Plan::Aggregate { input, .. }
                 | Plan::Project { input, .. } => input,
                 Plan::Product { left, .. } | Plan::Join { left, .. } | Plan::SetOp { left, .. } => {
@@ -902,7 +890,6 @@ mod tests {
             },
             Plan::Scan { .. } => None,
             Plan::Derived { input, .. }
-            | Plan::AddUnitColumn { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Project { input, .. } => filter_on_scan(input, table),
             Plan::Product { left, right, .. }
@@ -1036,28 +1023,25 @@ mod tests {
 
     #[test]
     fn pushdown_refuses_add_unit_column() {
-        // No SQL shape puts a Filter directly above AddUnitColumn, so
-        // drive the gate with a hand-built plan.
+        // `COUNT(*)` is an aggregate spec over `*`, with no node of its
+        // own below the Aggregate; a ground filter above a COUNT
+        // Aggregate (HAVING on the group key) stays above it.
         let db = db();
-        let lowered =
-            lower_query(&db, &parse_query("SELECT COUNT(*) AS n FROM big").unwrap()).unwrap();
-        let Plan::Project { input, .. } = &lowered.plan else {
+        let plan = optimized(
+            &db,
+            "SELECT b, COUNT(*) AS n FROM big GROUP BY b HAVING b = 3",
+        );
+        assert_eq!(spine(&plan), vec!["Project", "Filter", "Aggregate", "Scan"]);
+        let Plan::Project { input, .. } = &plan else {
             panic!()
         };
-        let Plan::Aggregate { input: unit, .. } = input.as_ref() else {
+        let Plan::Filter { input, .. } = input.as_ref() else {
             panic!()
         };
-        assert!(matches!(unit.as_ref(), Plan::AddUnitColumn { .. }));
-        let filtered = Plan::Filter {
-            input: unit.clone(),
-            pred: Predicate {
-                left: PlanOperand::Col(0),
-                op: CmpOp::Eq,
-                right: PlanOperand::Lit(aggprov_algebra::domain::Const::int(1)),
-            },
+        let Plan::Aggregate { aggs, .. } = input.as_ref() else {
+            panic!()
         };
-        let out = push_filters(filtered, &Catalog::of(&db));
-        assert_eq!(spine(&out), vec!["Filter", "AddUnitColumn", "Scan"]);
+        assert_eq!(aggs[0].attr, aggprov_core::ops::STAR);
     }
 
     #[test]
@@ -1129,6 +1113,34 @@ mod tests {
             matches!(first.as_ref(), Plan::Scan { table, .. } if table == "small"),
             "cheapest input first: {first:?}"
         );
+    }
+
+    #[test]
+    fn two_leaf_chains_keep_their_lowered_shape() {
+        // Written largest-first, big ⋈ small and big × small stay as
+        // lowered: the join kernel indexes the smaller side itself, so a
+        // swap would add only a compensating projection.
+        let db = db();
+        for sql in [
+            "SELECT big.a, small.f FROM big JOIN small ON big.b = small.e WHERE big.a < 50",
+            "SELECT big.a, small.f FROM big, small",
+        ] {
+            let lowered = lower_query(&db, &parse_query(sql).unwrap()).unwrap();
+            let plan = optimize(&lowered.plan, &Catalog::of(&db));
+            let Plan::Project { input, .. } = &plan else {
+                panic!("projection root: {plan:?}");
+            };
+            let (Plan::Join { left, right, .. } | Plan::Product { left, right, .. }) =
+                input.as_ref()
+            else {
+                panic!("the chain right under the root projection: {input:?}");
+            };
+            let scanned = |p: &Plan| p.scanned_tables().into_iter().collect::<Vec<_>>();
+            assert_eq!(
+                (scanned(left), scanned(right)),
+                (vec!["big".into()], vec!["small".into()])
+            );
+        }
     }
 
     #[test]

@@ -24,16 +24,13 @@ use crate::database::Database;
 use aggprov_algebra::domain::Const;
 use aggprov_algebra::monoid::MonoidKind;
 use aggprov_core::annotation::AggAnnotation;
-use aggprov_core::ops::AggSpec;
+use aggprov_core::ops::{AggSpec, STAR};
 use aggprov_krel::error::{RelError, Result};
 use aggprov_krel::schema::Schema;
 
 fn unsup(msg: impl Into<String>) -> RelError {
     RelError::Unsupported(msg.into())
 }
-
-/// The internal column name of the constant-1 column used by COUNT/AVG.
-pub(crate) const ONE_COL: &str = "__one";
 
 /// The deepest plan [`lower_query`] builds, in operators stacked on one
 /// root-to-leaf path. Optimization, execution and `Drop` all recurse
@@ -155,13 +152,6 @@ pub enum Plan {
         /// The resolved predicate.
         pred: Predicate,
     },
-    /// Appends the constant-1 column for COUNT/AVG.
-    AddUnitColumn {
-        /// Input plan.
-        input: Box<Plan>,
-        /// The input schema extended with `ONE_COL`.
-        schema: Schema,
-    },
     /// Grouping/aggregation (`GROUP BY` + aggregate select items, or
     /// whole-relation aggregation when `group_by` is empty).
     ///
@@ -215,7 +205,6 @@ impl Plan {
             | Plan::Derived { schema, .. }
             | Plan::Product { schema, .. }
             | Plan::Join { schema, .. }
-            | Plan::AddUnitColumn { schema, .. }
             | Plan::Aggregate { schema, .. }
             | Plan::Project { schema, .. }
             | Plan::SetOp { schema, .. } => schema,
@@ -229,7 +218,6 @@ impl Plan {
             Plan::Scan { .. } => 0,
             Plan::Derived { input, .. }
             | Plan::Filter { input, .. }
-            | Plan::AddUnitColumn { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Project { input, .. } => input.node_count(),
             Plan::Product { left, right, .. }
@@ -249,7 +237,6 @@ impl Plan {
                 }
                 Plan::Derived { input, .. }
                 | Plan::Filter { input, .. }
-                | Plan::AddUnitColumn { input, .. }
                 | Plan::Aggregate { input, .. }
                 | Plan::Project { input, .. } => walk(input, out),
                 Plan::Product { left, right, .. }
@@ -291,7 +278,6 @@ impl Plan {
             Plan::Scan { .. } => 0,
             Plan::Derived { input, .. }
             | Plan::Filter { input, .. }
-            | Plan::AddUnitColumn { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Project { input, .. } => input.partition_parallel_nodes(),
             Plan::Product { left, right, .. }
@@ -436,7 +422,7 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                 // What this block stacks above its first FROM item: the
                 // product/join chain, one Filter per conjunct, the
                 // Project, and (counted whether or not the block
-                // aggregates) AddUnitColumn + Aggregate.
+                // aggregates) the Aggregate, with one node to spare.
                 let stacked = s.from.len() + s.joins.len() + s.where_.len() + s.having.len() + 2;
                 self.under(stacked, |lowerer| lowerer.select(s))
             }
@@ -632,27 +618,6 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
             .map(|c| resolve_col(input.schema(), c))
             .collect::<Result<_>>()?;
 
-        let needs_one = s
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Agg(AggFunc::Count | AggFunc::Avg, _, _)));
-        let input = if needs_one {
-            let mut names: Vec<String> = input
-                .schema()
-                .attrs()
-                .iter()
-                .map(|a| a.name().to_string())
-                .collect();
-            names.push(ONE_COL.to_string());
-            let schema = Schema::new(names.iter().map(|s| s.as_str()))?;
-            Plan::AddUnitColumn {
-                input: Box::new(input),
-                schema,
-            }
-        } else {
-            input
-        };
-
         let mut aggs: Vec<PlanAgg> = Vec::new();
         let mut avg: Vec<AvgSpec> = Vec::new();
         let mut internal = Vec::new();
@@ -680,7 +645,7 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                             if !matches!(func, AggFunc::Count) {
                                 return Err(unsup(format!("{}(*) is not supported", func.name())));
                             }
-                            (ONE_COL.to_string(), "*".to_string())
+                            (STAR.to_string(), "*".to_string())
                         }
                         AggArg::Col(c) => (resolve_col(input.schema(), c)?, c.display()),
                     };
@@ -690,7 +655,7 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                     match func {
                         AggFunc::Count => aggs.push(PlanAgg {
                             kind: MonoidKind::Sum,
-                            attr: ONE_COL.to_string(),
+                            attr: STAR.to_string(),
                             out: out.clone(),
                         }),
                         AggFunc::Avg => {
@@ -703,7 +668,7 @@ impl<A: AggAnnotation + ParseAnnotation> Lowerer<'_, A> {
                             });
                             aggs.push(PlanAgg {
                                 kind: MonoidKind::Sum,
-                                attr: ONE_COL.to_string(),
+                                attr: STAR.to_string(),
                                 out: count.clone(),
                             });
                             avg.push(AvgSpec {
@@ -770,6 +735,24 @@ mod tests {
 
     fn lower(db: &ProvDb, sql: &str) -> LoweredQuery {
         lower_query(db, &parse_query(sql).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_hidden_unit_column_is_not_a_name() {
+        // `COUNT(*)` and `AVG` read no column of 1s, so none is in scope
+        // beside them for a select item to name.
+        let db = db();
+        for sql in [
+            "SELECT COUNT(*) AS n, SUM(__one) AS s FROM r",
+            "SELECT AVG(sal) AS m, SUM(__one) AS s FROM r",
+            "SELECT SUM(__one) AS s FROM r",
+        ] {
+            let err = lower_query(&db, &parse_query(sql).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, RelError::UnknownAttr(a) if a == "__one"),
+                "{sql}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -157,7 +157,6 @@ fn count_scans(plan: &Plan, counts: &mut BTreeMap<String, usize>) {
         Plan::Scan { table, .. } => *counts.entry(table.clone()).or_insert(0) += 1,
         Plan::Derived { input, .. }
         | Plan::Filter { input, .. }
-        | Plan::AddUnitColumn { input, .. }
         | Plan::Aggregate { input, .. }
         | Plan::Project { input, .. } => count_scans(input, counts),
         Plan::Product { left, right, .. }
@@ -183,10 +182,9 @@ fn contains_agg_or_setop(plan: &Plan) -> bool {
     match plan {
         Plan::Aggregate { .. } | Plan::SetOp { .. } => true,
         Plan::Scan { .. } => false,
-        Plan::Derived { input, .. }
-        | Plan::Filter { input, .. }
-        | Plan::AddUnitColumn { input, .. }
-        | Plan::Project { input, .. } => contains_agg_or_setop(input),
+        Plan::Derived { input, .. } | Plan::Filter { input, .. } | Plan::Project { input, .. } => {
+            contains_agg_or_setop(input)
+        }
         Plan::Product { left, right, .. } | Plan::Join { left, right, .. } => {
             contains_agg_or_setop(left) || contains_agg_or_setop(right)
         }

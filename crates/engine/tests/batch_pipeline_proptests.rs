@@ -453,46 +453,55 @@ proptest! {
         // takes the filter's selected rows where the table stores them;
         // through a subquery's projection `(v, g)`, rows that share a
         // `(g, v)` pair stay distinct entries of the fold, where the
-        // materialized projection merged them.
+        // materialized projection merged them. `COUNT(*)` reads no column,
+        // so it folds in place beside them.
         for (kind, agg) in [(MonoidKind::Sum, "SUM"), (MonoidKind::Min, "MIN")] {
             let t = gv_table(&rows, kind);
             let mut db = ProvDb::new();
             db.register("t", t.clone());
-            let spec = |out| [AggSpec { kind, attr: "t.v", out }];
+            let specs = [
+                AggSpec { kind, attr: "t.v", out: "s" },
+                AggSpec { kind: MonoidKind::Sum, attr: ops::STAR, out: "n" },
+            ];
             let f = rows_below(&t, w);
+            let grouped_as_sql = |grouped: MKRel<P>| {
+                specops::project(&grouped, &["t.g", "s", "n"])
+                    .unwrap()
+                    .with_schema(Schema::new(["g", "s", "n"]).unwrap())
+                    .unwrap()
+            };
 
-            let sql = format!("SELECT g, {agg}(v) AS s FROM t WHERE k < {w} GROUP BY g");
-            let grouped = specops::group_by(&f, &["t.g"], &spec("s")).unwrap();
-            let want = specops::project(&grouped, &["t.g", "s"])
-                .unwrap()
-                .with_schema(Schema::new(["g", "s"]).unwrap())
-                .unwrap();
+            let sql = format!(
+                "SELECT g, {agg}(v) AS s, COUNT(*) AS n FROM t WHERE k < {w} GROUP BY g"
+            );
+            let want = grouped_as_sql(specops::group_by(&f, &["t.g"], &specs).unwrap());
             prop_assert_eq!(run_both_plans(&db, &sql), want);
 
             let sql = format!(
-                "SELECT g, {agg}(v) AS s FROM (SELECT v, g FROM t WHERE k < {w}) AS u GROUP BY g"
+                "SELECT g, {agg}(v) AS s, COUNT(*) AS n \
+                 FROM (SELECT v, g FROM t WHERE k < {w}) AS u GROUP BY g"
             );
             let projected = specops::project(&f, &["t.v", "t.g"]).unwrap();
-            let grouped = specops::group_by(&projected, &["t.g"], &spec("s")).unwrap();
-            let want = specops::project(&grouped, &["t.g", "s"])
-                .unwrap()
-                .with_schema(Schema::new(["g", "s"]).unwrap())
-                .unwrap();
+            let want = grouped_as_sql(specops::group_by(&projected, &["t.g"], &specs).unwrap());
             prop_assert_eq!(run_both_plans(&db, &sql), want);
         }
     }
 
     #[test]
     fn where_ungrouped_sum_over_stored_rows_matches_spec(rows in arb_gv_rows(), w in 0i64..10) {
-        // The one row of an ungrouped SUM, folded from the stored rows the
-        // filter selected (or from the materialized ones, with a fringe).
+        // The one row of an ungrouped SUM and COUNT(*), folded from the
+        // stored rows the filter selected (or from the materialized ones,
+        // with a fringe).
         let t = gv_table(&rows, MonoidKind::Sum);
         let mut db = ProvDb::new();
         db.register("t", t.clone());
-        let spec = [AggSpec { kind: MonoidKind::Sum, attr: "t.v", out: "s" }];
-        let summed = specops::agg_all(&rows_below(&t, w), &spec).unwrap();
-        let want = specops::project(&summed, &["s"]).unwrap();
-        let sql = format!("SELECT SUM(v) AS s FROM t WHERE k < {w}");
+        let specs = [
+            AggSpec { kind: MonoidKind::Sum, attr: "t.v", out: "s" },
+            AggSpec { kind: MonoidKind::Sum, attr: ops::STAR, out: "n" },
+        ];
+        let summed = specops::agg_all(&rows_below(&t, w), &specs).unwrap();
+        let want = specops::project(&summed, &["s", "n"]).unwrap();
+        let sql = format!("SELECT SUM(v) AS s, COUNT(*) AS n FROM t WHERE k < {w}");
         prop_assert_eq!(run_both_plans(&db, &sql), want);
     }
 }

@@ -23,7 +23,7 @@
 //!   a ground row. This is the form [`GroundBatch::from_relation`] and
 //!   [`ColumnBatch::from_relation`] build, so a scan copies no cell.
 //! * **Owned** — one `Vec<Const>` built by a kernel
-//!   ([`ColumnBatch::from_columns`], [`ColumnBatch::push_column`]).
+//!   ([`ColumnBatch::from_columns`]).
 //! * **Through** — a join's output column: row `r` is row `rows[r]` of an
 //!   input column, `rows` being the join's left or right match rows
 //!   ([`ColumnBatch::from_join`]). A join over a join's output reads
@@ -637,19 +637,6 @@ impl<K: CommutativeSemiring, V> ColumnBatch<K, V> {
         self.column(i)?.get(r)
     }
 
-    /// Appends a whole column (e.g. the constant-1 column for COUNT/AVG).
-    /// The column must have one value per row.
-    pub fn push_column(&mut self, col: Vec<Const>) -> Result<()> {
-        if col.len() != self.len() {
-            return Err(RelError::ArityMismatch {
-                expected: self.len(),
-                got: col.len(),
-            });
-        }
-        self.cols.push(Column::Owned(Arc::new(col)));
-        Ok(())
-    }
-
     /// The batch with its columns picked by position — `columns[i]` is
     /// the new column `i` (positions may repeat) — and the annotation
     /// column as it is. Column handles are copied, not cells.
@@ -1156,9 +1143,7 @@ mod tests {
             ColumnBatch::<Nat, Const>::from_columns(vec![ints([1]), ints([])], vec![Nat(1)])
                 .is_err()
         );
-        let mut b = ColumnBatch::from_columns(vec![ints([1])], nats([1])).unwrap();
-        assert!(b.push_column(vec![]).is_err());
-        assert!(b.clone().push_column(vec![Const::int(9)]).is_ok());
+        let b = ColumnBatch::from_columns(vec![ints([1])], nats([1])).unwrap();
         assert!(matches!(
             b.clone().project(&[0, 1]),
             Err(RelError::Internal(_))

@@ -636,6 +636,23 @@ fn single_token_annotations_are_small_and_clone_for_free() {
         "delete_tokens of 50 tokens: {deleting} allocations over a 500-row result"
     );
     drop((result, after));
+    // `COUNT(*)` over the same rows folds them where `emp` stores them as
+    // well: `*` reads no column, so no column of 1s is built and no
+    // relation is materialized in front of the fold. 147 bytes per `emp`
+    // row at the high-water mark (274 while COUNT aggregated an owned
+    // unit column, which made the fold materialize its input first).
+    let count = db
+        .prepare("SELECT dept, COUNT(*) AS n FROM emp WHERE sal > $1 GROUP BY dept")
+        .unwrap();
+    let (counted, _, _, peak) =
+        measured(|| count.execute_with_opts(&[Const::int(12)], &serial).unwrap());
+    assert_eq!(counted.len(), 500);
+    assert!(
+        peak as usize <= 160 * AGG_ROWS,
+        "count execute: {:.1} bytes at the high-water mark per emp row",
+        peak as f64 / AGG_ROWS as f64
+    );
+    drop(counted);
     for r in 1..=10 {
         let ((rows, _), live, _, _) = measured(|| round(r));
         assert!(rows > 0);
